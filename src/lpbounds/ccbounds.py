@@ -38,7 +38,7 @@ from .model import (
     full_rectangle,
     measure,
 )
-from .rational import log2_bracket, majority_error
+from .rational import format_rational, log2_bracket, majority_error
 
 LabeledRectWeights = dict[tuple[int, Rectangle], Fraction]
 
@@ -57,6 +57,12 @@ def _rect_from_var(name: str) -> tuple[int | None, Rectangle]:
     return z, Rectangle(int(rows, 16), int(cols, 16))
 
 
+def check_unit_interval(name: str, value: Fraction) -> None:
+    """Error parameters are probabilities; anything outside [0,1] is rejected."""
+    if not 0 <= value <= 1:
+        raise DimensionMismatchError(f"{name} must lie in [0,1], got {format_rational(value)}")
+
+
 @dataclass(frozen=True)
 class SrecInstance:
     """One smooth-rectangle LP: function, output z, error pair, optional mu."""
@@ -70,8 +76,8 @@ class SrecInstance:
     def __post_init__(self) -> None:
         if self.z not in (0, 1):
             raise DimensionMismatchError(f"z must be 0 or 1, got {self.z}")
-        if not (0 <= self.eps <= 1 and 0 <= self.delta <= 1):
-            raise DimensionMismatchError("eps and delta must lie in [0,1]")
+        check_unit_interval("eps", self.eps)
+        check_unit_interval("delta", self.delta)
         if self.mu is not None and (self.mu.nx != self.f.nx or self.mu.ny != self.f.ny):
             raise DimensionMismatchError("distribution shape does not match function")
 
@@ -163,6 +169,7 @@ def srec_weights(result: BoundResult) -> dict[Rectangle, Fraction]:
 
 
 def _build_partition_lp(f: TwoPartyFunction, eps: Fraction, relaxed: bool) -> LinearProgram:
+    check_unit_interval("eps", eps)
     rects = list(enumerate_rectangles(f.nx, f.ny))
     names = []
     for r in rects:
@@ -211,6 +218,7 @@ def _build_partition_dual(
     Equality-primal duals have free phi; the relaxed primal flips the phi
     sign, giving nonnegative phi entering negatively.
     """
+    check_unit_interval("eps", eps)
     cells = [(x, y) for x in range(f.nx) for y in range(f.ny)]
     mu_names = tuple(f"mu_{x}_{y}" for x, y in cells)
     phi_names = tuple(f"phi_{x}_{y}" for x, y in cells)

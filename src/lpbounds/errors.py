@@ -34,7 +34,3 @@ class NoBiasedRectangleError(LpboundsError):
 
 class DecompositionError(InfeasibleConstructionError):
     """Neither decomposition case verified on a product distribution."""
-
-
-class VerificationError(LpboundsError):
-    """A serialized artifact failed re-verification against its inputs."""

@@ -1,18 +1,43 @@
 """Exact rational linear programming with certified primal/dual solutions.
 
-The solver is a two-phase revised simplex over ``fractions.Fraction`` with
-Bland's pivoting rule: entering variable is the lowest-index column with a
-negative reduced cost, leaving row breaks ratio ties by lowest basic column
-index.  Bland's rule guarantees termination and makes every solve
-deterministic: the same program always produces the same pivot sequence,
-hence byte-identical solutions.
+The solver is a two-phase revised simplex with Bland's pivoting rule:
+entering variable is the lowest-index column with a negative reduced cost,
+leaving row breaks ratio ties by lowest basic column index.  Bland's rule
+guarantees termination and makes every solve deterministic: the same
+program always produces the same pivot sequence, hence byte-identical
+solutions.
 
-Every optimal solve is re-verified before it is returned: the primal point
-is checked against all constraints, the dual vector is checked against the
-derived dual program, and the two objective values are compared as exact
-rationals.  Infeasible programs come with a Farkas certificate, unbounded
-ones with an improving ray; both are re-checkable via ``check_farkas`` and
-``check_ray``.
+The core is integer-preserving (Edmonds 1967; Bareiss 1968); no gcd is
+taken while pivoting.  Each row, sign-flipped to a nonnegative right-hand
+side, is multiplied by the lcm ``s_i`` of its denominators.  Slack, surplus
+and artificial columns keep the entry +-1 in the scaled row, so each stands
+for its original variable times ``s_i``; the artificial of row i costs
+``1/s_i`` so that the phase-1 objective is unchanged.  Positive row and
+column scaling leaves every reduced-cost sign and every ratio-test value
+as it was, so Bland's rule takes the pivots it would take on the unscaled
+program.  The state is integer throughout:
+
+  B^-1 = N / D for the scaled basis B, with N integer and D = |det B| > 0;
+  D * x_B and L * D * y are integers (L = lcm of the phase's cost
+  denominators), as is L * D times every reduced cost.
+
+A pivot on row l for the entering column a_e, with u = N a_e and p = u_l,
+replaces every other row i of N and x by (p * row_i - u_i * row_l) / D and
+sets D = p.  By Sylvester's identity each of these divisions is exact, so
+``//`` never rounds; were one wrong it would floor silently, which is why
+every result is certified before it is returned.  Only when artificials
+are driven out after phase 1 can p be negative; N, x and D are then
+negated.  The integer duals Y = L * D * y are built once per phase and then
+updated in O(m) per pivot, Y' = (p * Y + d_e * N_l) / D, where d_e is L * D
+times the reduced cost of the entering column.  Fractions are made only at
+the boundary: basic values, duals, the Farkas vector and the ray.
+
+Every solve is certified before it is returned (``certify``): an optimal
+primal point is checked against all constraints, the dual vector against
+the derived dual program, and the two objective values are compared as
+exact rationals.  Infeasible programs come with a Farkas certificate,
+unbounded ones with an improving ray, checked by ``check_farkas`` and
+``check_ray``.  Cached solutions pass the same ``certify`` on load.
 
 Dual conventions (for a minimization program):
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
@@ -24,12 +49,16 @@ sum_i y_i a_ij >= c_j on nonneg columns).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import uuid
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .errors import LpboundsError
-from .rational import format_rational
+from .errors import LpboundsError, ParseError
+from .rational import format_rational, parse_rational
 
 LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
@@ -268,77 +297,130 @@ def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
     return rate < 0 if lp.sense == "min" else rate > 0
 
 
+def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
+    """Every way ``sol`` fails to certify its status for ``lp``; [] iff it holds.
+
+    An optimal solution needs a feasible primal over declared variables, a
+    feasible dual of matching length and equal primal, dual and reported
+    values; an infeasible one a Farkas vector, an unbounded one a ray.
+    """
+    if sol.status == "optimal":
+        undeclared = sorted(set(sol.primal) - set(lp.variables))
+        if undeclared:
+            return [f"primal names undeclared variables {undeclared}"]
+        if len(sol.dual) != len(lp.constraints):
+            return ["dual vector length does not match constraint count"]
+        failures = [f"optimal primal failed re-check: {v}" for v in check_feasible(lp, sol.primal)]
+        failures += [f"optimal dual failed re-check: {v}" for v in check_dual_feasible(lp, sol.dual)]
+        if lp.objective_value(sol.primal) != sol.value:
+            failures.append("primal objective differs from the reported value")
+        if dual_objective(lp, sol.dual) != sol.value:
+            failures.append("strong duality certificate failed")
+        return failures
+    checks = {"infeasible": ("farkas", check_farkas), "unbounded": ("ray", check_ray)}
+    if sol.status not in checks:
+        return [f"unknown status {sol.status!r}"]
+    kind, check = checks[sol.status]
+    cert = sol.certificate
+    if cert is None or cert.get("kind") != kind or not check(lp, cert["vector"]):
+        return [f"invalid {kind} certificate"]
+    return []
+
+
 class _Simplex:
-    """Standard-form state for one solve; single-threaded, used once."""
+    """Integer standard form and basis state for one solve; used once."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         m = len(lp.constraints)
         self.m = m
-        self.flip: list[int] = []
-        rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
-        for con in lp.constraints:
-            coeffs, rel, rhs = con.coeffs, con.rel, con.rhs
-            if rhs < 0:
-                coeffs = {v: -c for v, c in coeffs.items()}
-                rhs = -rhs
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-                self.flip.append(-1)
-            else:
-                self.flip.append(1)
-            rows.append((coeffs, rel, rhs))
-        self.b = [r[2] for r in rows]
-
         # columns: per-variable (split when free), then slacks, then artificials
-        self.cols: list[list[tuple[int, Fraction]]] = []
-        self.cost2: list[Fraction] = []  # phase-2 costs in min form
+        self.cols: list[list[tuple[int, int]]] = []
         self.var_cols: dict[str, tuple[int, int | None]] = {}
         sense_sign = 1 if lp.sense == "min" else -1
+        cost2: list[Fraction] = []
         for v in lp.variables:
-            entries = [
-                (i, coeffs[v]) for i, (coeffs, _, _) in enumerate(rows) if v in coeffs
-            ]
             c = sense_sign * lp.objective.get(v, Fraction(0))
-            plus = len(self.cols)
-            self.cols.append(entries)
-            self.cost2.append(c)
-            minus: int | None = None
+            plus, minus = len(self.cols), None
+            self.cols.append([])
+            cost2.append(c)
             if not lp.is_nonneg(v):
                 minus = len(self.cols)
-                self.cols.append([(i, -val) for i, val in entries])
-                self.cost2.append(-c)
+                self.cols.append([])
+                cost2.append(-c)
             self.var_cols[v] = (plus, minus)
         self.n_real = len(self.cols)
 
-        zero, one = Fraction(0), Fraction(1)
+        self.flip: list[int] = []
+        self.scale: list[int] = []
+        self.x: list[int] = []  # D * basic values; the scaled b while D = 1
+        rels: list[str] = []
+        for i, con in enumerate(lp.constraints):
+            sign = -1 if con.rhs < 0 else 1
+            s = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
+            for v, c in con.coeffs.items():
+                a = sign * c.numerator * (s // c.denominator)
+                plus, minus = self.var_cols[v]
+                self.cols[plus].append((i, a))
+                if minus is not None:
+                    self.cols[minus].append((i, -a))
+            self.flip.append(sign)
+            self.scale.append(s)
+            self.x.append(sign * con.rhs.numerator * (s // con.rhs.denominator))
+            rels.append(con.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[con.rel])
+
         self.basis: list[int] = [-1] * m
-        self.artificial_start = None
-        for i, (_, rel, _) in enumerate(rows):
+        for i, rel in enumerate(rels):
             if rel == LE:
-                j = len(self.cols)
-                self.cols.append([(i, one)])
-                self.cost2.append(zero)
-                self.basis[i] = j
+                self.basis[i] = len(self.cols)
+                self.cols.append([(i, 1)])
             elif rel == GE:
-                j = len(self.cols)
-                self.cols.append([(i, -one)])
-                self.cost2.append(zero)
+                self.cols.append([(i, -1)])
         self.n_structural = len(self.cols)
-        self.cost1 = [zero] * self.n_structural
-        for i in range(m):
-            if self.basis[i] == -1:
-                j = len(self.cols)
-                self.cols.append([(i, one)])
-                self.cost2.append(zero)
-                self.cost1.append(one)
-                self.basis[i] = j
+        artificial_rows = [i for i in range(m) if self.basis[i] == -1]
+        for i in artificial_rows:
+            self.basis[i] = len(self.cols)
+            self.cols.append([(i, 1)])
         self.n_total = len(self.cols)
 
-        self.binv: list[list[Fraction]] = [
-            [one if i == k else zero for k in range(m)] for i in range(m)
-        ]
-        self.x_b: list[Fraction] = list(self.b)
+        # integer costs: L * cost, L the lcm of the phase's denominators
+        self.l2 = lcm(*(c.denominator for c in cost2))
+        self.cost2 = [c.numerator * (self.l2 // c.denominator) for c in cost2]
+        self.cost2 += [0] * (self.n_total - self.n_real)
+        self.l1 = lcm(*(self.scale[i] for i in artificial_rows))
+        self.cost1 = [0] * self.n_structural + [self.l1 // self.scale[i] for i in artificial_rows]
+
+        self.n: list[list[int]] = [[int(i == k) for k in range(m)] for i in range(m)]
+        self.d = 1
+        self.y: list[int] = []  # L * D * duals of the last phase run
         self.iterations = 0
+
+    def _column(self, j: int) -> list[int]:
+        """N * a_j, i.e. D times the basic direction of column j."""
+        col = self.cols[j]
+        return [sum(row[r] * v for r, v in col) for row in self.n]
+
+    def _duals(self, cost: list[int]) -> list[int]:
+        y = [0] * self.m
+        for k, j in enumerate(self.basis):
+            if cost[j]:
+                y = [a + cost[j] * b for a, b in zip(y, self.n[k])]
+        return y
+
+    def _pivot(self, l: int, u: list[int]) -> None:
+        """Exchange the basic column of row ``l`` for the column with N * a = u."""
+        p, d, n, x = u[l], self.d, self.n, self.x
+        nl, xl = n[l], x[l]
+        for i, ui in enumerate(u):
+            if i == l:
+                continue
+            if ui:
+                n[i] = [(p * a - ui * b) // d for a, b in zip(n[i], nl)]
+                x[i] = (p * x[i] - ui * xl) // d
+            elif p != d:
+                n[i] = [p * a // d for a in n[i]]
+                x[i] = p * x[i] // d
+        self.d = p
 
     def _drive_out_artificials(self) -> None:
         """Pivot zero-level artificials out of the basis where possible.
@@ -347,120 +429,129 @@ class _Simplex:
         the rest; their basic value can never move, so leaving the
         artificial in place is safe.  Without this step a later pivot could
         push a basic artificial positive and silently break feasibility.
+        The pivot element may be negative here; N, x and D are then negated
+        to keep D > 0.
         """
         in_basis = set(self.basis)
         for i in range(self.m):
             if self.basis[i] < self.n_structural:
                 continue
-            row_i = self.binv[i]
+            row_i = self.n[i]
             for j in range(self.n_structural):
-                if j in in_basis:
+                if j in in_basis or sum(row_i[r] * v for r, v in self.cols[j]) == 0:
                     continue
-                u_i = Fraction(0)
-                for r, v in self.cols[j]:
-                    if row_i[r] != 0:
-                        u_i += row_i[r] * v
-                if u_i == 0:
-                    continue
-                u = [Fraction(0)] * self.m
-                for r, v in self.cols[j]:
-                    for k in range(self.m):
-                        bk = self.binv[k][r]
-                        if bk != 0:
-                            u[k] += bk * v
-                row = [a / u_i for a in row_i]
-                self.binv[i] = row
-                self.x_b[i] /= u_i  # zero stays zero
-                for k in range(self.m):
-                    if k == i or u[k] == 0:
-                        continue
-                    f = u[k]
-                    rk = self.binv[k]
-                    self.binv[k] = [a - f * c for a, c in zip(rk, row)]
-                    self.x_b[k] -= f * self.x_b[i]
+                self._pivot(i, self._column(j))
+                if self.d < 0:
+                    self.d = -self.d
+                    self.n[:] = [[-a for a in row] for row in self.n]
+                    self.x[:] = [-a for a in self.x]
                 in_basis.discard(self.basis[i])
                 in_basis.add(j)
                 self.basis[i] = j
                 break
 
-    def _duals(self, cost: list[Fraction]) -> list[Fraction]:
-        m = self.m
-        zero = Fraction(0)
-        y = [zero] * m
-        for k in range(m):
-            ck = cost[self.basis[k]]
-            if ck == 0:
-                continue
-            row = self.binv[k]
-            for i in range(m):
-                if row[i] != 0:
-                    y[i] += ck * row[i]
-        return y
-
-    def _iterate(self, cost: list[Fraction], limit: int) -> str:
+    def _iterate(self, cost: list[int], limit: int) -> str:
         """Run simplex to optimality; returns "optimal" or "unbounded"."""
-        zero = Fraction(0)
-        in_basis = set(self.basis)
+        m, cols, basis, x = self.m, self.cols, self.basis, self.x
+        in_basis = set(basis)
+        y = self._duals(cost)
         while True:
             self.iterations += 1
             if self.iterations > MAX_PIVOTS:
                 raise LpboundsError("pivot cap exceeded; possible solver bug")
-            y = self._duals(cost)
+            d = self.d
             enter = -1
             for j in range(limit):
                 if j in in_basis:
                     continue
-                d = cost[j]
-                for r, v in self.cols[j]:
-                    yr = y[r]
-                    if yr != 0:
-                        d -= yr * v
-                if d < 0:
+                d_e = cost[j] * d  # L * D * reduced cost
+                for r, v in cols[j]:
+                    d_e -= y[r] * v
+                if d_e < 0:
                     enter = j
                     break
             if enter < 0:
+                self.y = y
                 return "optimal"
-            # direction u = B^-1 A_enter
-            u = [zero] * self.m
-            for r, v in self.cols[enter]:
-                for i in range(self.m):
-                    bi = self.binv[i][r]
-                    if bi != 0:
-                        u[i] += bi * v
+            u = self._column(enter)
+            # ratio x_i / u_i over u_i > 0, compared by cross-multiplying
             leave = -1
-            best: Fraction | None = None
-            for i in range(self.m):
+            for i in range(m):
                 if u[i] > 0:
-                    ratio = self.x_b[i] / u[i]
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leave])
-                    ):
-                        best = ratio
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs, rhs = x[i] * u[leave], x[leave] * u[i]
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
-                self._unbounded_enter = enter
-                self._unbounded_direction = u
+                self.unbounded = (enter, u)
                 return "unbounded"
-            piv = u[leave]
-            row = self.binv[leave]
-            if piv != 1:
-                self.binv[leave] = row = [a / piv for a in row]
-                self.x_b[leave] /= piv
-            xl = self.x_b[leave]
-            for i in range(self.m):
-                if i == leave:
-                    continue
-                f = u[i]
-                if f == 0:
-                    continue
-                ri = self.binv[i]
-                self.binv[i] = [a - f * c for a, c in zip(ri, row)]
-                self.x_b[i] -= f * xl
-            in_basis.discard(self.basis[leave])
+            p = u[leave]
+            y = [(a * p + d_e * b) // d for a, b in zip(y, self.n[leave])]
+            self._pivot(leave, u)
+            in_basis.discard(basis[leave])
             in_basis.add(enter)
-            self.basis[leave] = enter
+            basis[leave] = enter
+
+    def _project(self, std: dict[int, Fraction]) -> dict[str, Fraction]:
+        """Standard-form column values back on the program's variables, zeros dropped."""
+        out: dict[str, Fraction] = {}
+        for v, (plus, minus) in self.var_cols.items():
+            val = std.get(plus, Fraction(0))
+            if minus is not None:
+                val -= std.get(minus, Fraction(0))
+            if val != 0:
+                out[v] = val
+        return out
+
+    def run(self) -> LPSolution:
+        """Both phases; the solution is returned uncertified."""
+        phase1_iterations = 0
+        if self.n_total > self.n_structural:
+            status = self._iterate(self.cost1, self.n_total)
+            phase1_iterations = self.iterations
+            if status != "optimal":
+                raise LpboundsError("phase-1 objective is bounded; solver bug")
+            if any(self.x[i] for i in range(self.m) if self.basis[i] >= self.n_structural):
+                den = self.l1 * self.d
+                vector = {
+                    i: Fraction(self.flip[i] * self.scale[i] * y, den)
+                    for i, y in enumerate(self.y)
+                    if y
+                }
+                return LPSolution(
+                    "infeasible", None, {}, (), self.iterations, phase1_iterations,
+                    {"kind": "farkas", "vector": vector},
+                )
+            self._drive_out_artificials()
+
+        if self._iterate(self.cost2, self.n_structural) == "unbounded":
+            enter, u = self.unbounded
+            # an entering slack or surplus of row k stands for s_k times the
+            # original one, so the original program's ray is s_k times this
+            unit = 1 if enter < self.n_real else self.scale[self.cols[enter][0][0]]
+            ray_std = {enter: Fraction(1)}
+            for i, ui in enumerate(u):
+                if ui:
+                    ray_std[self.basis[i]] = Fraction(-ui * unit, self.d)
+            return LPSolution(
+                "unbounded", None, {}, (), self.iterations, phase1_iterations,
+                {"kind": "ray", "vector": self._project(ray_std)},
+            )
+
+        x_std = {self.basis[i]: Fraction(xi, self.d) for i, xi in enumerate(self.x) if xi}
+        primal = self._project(x_std)
+        sense_sign = 1 if self.lp.sense == "min" else -1
+        den = self.l2 * self.d
+        dual = tuple(
+            Fraction(sense_sign * self.flip[i] * self.scale[i] * y, den)
+            for i, y in enumerate(self.y)
+        )
+        return LPSolution(
+            "optimal", self.lp.objective_value(primal), primal, dual,
+            self.iterations, phase1_iterations,
+        )
 
 
 _cache_dir: str | None = None
@@ -473,8 +564,6 @@ def set_cache_dir(path: str | None) -> None:
 
 
 def _program_key(lp: LinearProgram) -> str:
-    import hashlib
-
     payload = json.dumps(
         {
             "sense": lp.sense,
@@ -495,147 +584,79 @@ def _program_key(lp: LinearProgram) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_load(lp: LinearProgram) -> LPSolution | None:
-    import os
+def _solution_from_record(rec: object) -> LPSolution | None:
+    """The optimal solution a cache record holds; None for anything else."""
+    if not isinstance(rec, dict) or rec.get("status") != "optimal":
+        return None  # only optimal solves are cached
+    value, primal, dual = rec.get("value"), rec.get("primal"), rec.get("dual")
+    counts = (rec.get("iterations"), rec.get("phase1_iterations"))
+    if not (
+        isinstance(value, str)
+        and isinstance(primal, dict)
+        and isinstance(dual, list)
+        and all(isinstance(t, str) for t in (*primal.values(), *dual))
+        and all(type(k) is int and k >= 0 for k in counts)
+    ):
+        return None
+    try:
+        return LPSolution(
+            status="optimal",
+            value=parse_rational(value),
+            primal={v: parse_rational(c) for v, c in primal.items()},
+            dual=tuple(parse_rational(y) for y in dual),
+            iterations=counts[0],
+            phase1_iterations=counts[1],
+        )
+    except ParseError:
+        return None
 
+
+def _cache_load(lp: LinearProgram) -> LPSolution | None:
+    """The cached solution of ``lp`` if it certifies; any other entry is a miss."""
     if _cache_dir is None:
         return None
     path = os.path.join(_cache_dir, _program_key(lp) + ".json")
-    if not os.path.exists(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            sol = _solution_from_record(json.load(fh))
+    except (OSError, ValueError):  # missing, unreadable or not JSON
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        rec = json.load(fh)
-    from .rational import parse_rational
-
-    sol = LPSolution(
-        status=rec["status"],
-        value=None if rec["value"] is None else parse_rational(rec["value"]),
-        primal={v: parse_rational(c) for v, c in rec["primal"].items()},
-        dual=tuple(parse_rational(y) for y in rec["dual"]),
-        iterations=rec["iterations"],
-        phase1_iterations=rec["phase1_iterations"],
-        certificate=None,
-    )
-    if sol.status != "optimal":
-        return None  # only optimal solves are cached
-    # never trust the cache blindly: re-verify the certificate pair
-    if check_feasible(lp, sol.primal) or check_dual_feasible(lp, sol.dual):
-        return None
-    if dual_objective(lp, sol.dual) != sol.value or lp.objective_value(sol.primal) != sol.value:
+    # never trust the cache blindly: the entry must certify itself
+    if sol is None or certify(lp, sol):
         return None
     return sol
 
 
 def _cache_store(lp: LinearProgram, sol: LPSolution) -> None:
-    import os
-
     if _cache_dir is None or sol.status != "optimal":
         return
     os.makedirs(_cache_dir, exist_ok=True)
     path = os.path.join(_cache_dir, _program_key(lp) + ".json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(sol.to_record(), fh, sort_keys=True)
-    os.replace(tmp, path)
+    # a temp name of its own, so concurrent writers never share one
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            json.dump(sol.to_record(), fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def solve(lp: LinearProgram) -> LPSolution:
-    """Solve exactly; optimal results carry a verified dual certificate.
+    """Solve exactly; every result has passed ``certify`` before it is returned.
 
-    Postconditions enforced before returning an ``optimal`` solution:
-    the primal passes ``check_feasible``, the dual passes
-    ``check_dual_feasible``, and both objective values coincide exactly.
+    An optimal solution carries a primal point and a dual certificate that
+    pass ``check_feasible`` and ``check_dual_feasible`` with equal objective
+    values; an infeasible one a Farkas vector, an unbounded one a ray.
     """
     cached = _cache_load(lp)
     if cached is not None:
         return cached
-    sx = _Simplex(lp)
-    phase1_needed = any(c != 0 for c in sx.cost1)
-    phase1_iterations = 0
-    if phase1_needed:
-        status = sx._iterate(sx.cost1, sx.n_total)
-        phase1_iterations = sx.iterations
-        if status != "optimal":
-            raise LpboundsError("phase-1 objective is bounded; solver bug")
-        infeas = sum(
-            (sx.x_b[i] for i in range(sx.m) if sx.basis[i] >= sx.n_structural),
-            Fraction(0),
-        )
-        if infeas > 0:
-            y = sx._duals(sx.cost1)
-            vector = {i: sx.flip[i] * y[i] for i in range(sx.m) if y[i] != 0}
-            if not check_farkas(lp, vector):
-                raise LpboundsError("invalid Farkas certificate; solver bug")
-            return LPSolution(
-                status="infeasible",
-                value=None,
-                primal={},
-                dual=(),
-                iterations=sx.iterations,
-                phase1_iterations=phase1_iterations,
-                certificate={"kind": "farkas", "vector": vector},
-            )
-        sx._drive_out_artificials()
-
-    status = sx._iterate(sx.cost2, sx.n_structural)
-    if status == "unbounded":
-        enter = sx._unbounded_enter
-        u = sx._unbounded_direction
-        ray_std: dict[int, Fraction] = {enter: Fraction(1)}
-        for i in range(sx.m):
-            if u[i] != 0:
-                ray_std[sx.basis[i]] = ray_std.get(sx.basis[i], Fraction(0)) - u[i]
-        ray: dict[str, Fraction] = {}
-        for v, (plus, minus) in sx.var_cols.items():
-            val = ray_std.get(plus, Fraction(0))
-            if minus is not None:
-                val -= ray_std.get(minus, Fraction(0))
-            if val != 0:
-                ray[v] = val
-        if not check_ray(lp, ray):
-            raise LpboundsError("invalid unboundedness ray; solver bug")
-        return LPSolution(
-            status="unbounded",
-            value=None,
-            primal={},
-            dual=(),
-            iterations=sx.iterations,
-            phase1_iterations=phase1_iterations,
-            certificate={"kind": "ray", "vector": ray},
-        )
-
-    primal: dict[str, Fraction] = {}
-    x_std: dict[int, Fraction] = {
-        sx.basis[i]: sx.x_b[i] for i in range(sx.m) if sx.x_b[i] != 0
-    }
-    for v, (plus, minus) in sx.var_cols.items():
-        val = x_std.get(plus, Fraction(0))
-        if minus is not None:
-            val -= x_std.get(minus, Fraction(0))
-        if val != 0:
-            primal[v] = val
-    value = lp.objective_value(primal)
-
-    sense_sign = 1 if lp.sense == "min" else -1
-    y_std = sx._duals(sx.cost2)
-    dual = tuple(sense_sign * sx.flip[i] * y_std[i] for i in range(sx.m))
-
-    bad = check_feasible(lp, primal)
-    if bad:
-        raise LpboundsError(f"optimal primal failed re-check: {bad[0]}")
-    bad = check_dual_feasible(lp, dual)
-    if bad:
-        raise LpboundsError(f"optimal dual failed re-check: {bad[0]}")
-    if dual_objective(lp, dual) != value:
-        raise LpboundsError("strong duality certificate failed; solver bug")
-
-    sol = LPSolution(
-        status="optimal",
-        value=value,
-        primal=primal,
-        dual=dual,
-        iterations=sx.iterations,
-        phase1_iterations=phase1_iterations,
-    )
+    sol = _Simplex(lp).run()
+    failures = certify(lp, sol)
+    if failures:
+        raise LpboundsError(f"{failures[0]}; solver bug")
     _cache_store(lp, sol)
     return sol

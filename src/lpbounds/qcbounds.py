@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import lp as lpmod
 from .boosting import majority_product_boost
-from .ccbounds import BoundResult, _finish
+from .ccbounds import BoundResult, _finish, check_unit_interval
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -66,6 +66,7 @@ def _cube_key(cube: Subcube):
 def build_qprt_lp(
     g: QueryFunction, eps: Fraction, max_support: int | None = None
 ) -> LinearProgram:
+    check_unit_interval("eps", eps)
     cubes = list(enumerate_subcubes(g.n, max_support))
     if 2 * len(cubes) > QPRT_VARIABLE_CAP:
         raise CapExceededError(f"{2 * len(cubes)} variables exceed the qprt cap")
@@ -100,6 +101,7 @@ def build_qprt_lp(
 def build_qprt_dual_lp(
     g: QueryFunction, eps: Fraction, max_support: int | None = None
 ) -> LinearProgram:
+    check_unit_interval("eps", eps)
     points = range(1 << g.n)
     mu_names = tuple(f"mu_{x}" for x in points)
     phi_names = tuple(f"phi_{x}" for x in points)

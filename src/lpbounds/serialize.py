@@ -249,22 +249,6 @@ def decision_summary_record(tree: DecisionTree, error: Fraction, params: dict) -
     }
 
 
-def qprt_solution_record(sol) -> dict:
-    """Labeled subcube weights keyed ``<z> <pattern>`` over ``01*``."""
-    return {
-        "v": RECORD_VERSION,
-        "record": "qprt-solution",
-        "n": sol.n,
-        "objective": rat(sol.objective),
-        "weights": {
-            f"{z} {cube.pattern()}": rat(w)
-            for (z, cube), w in sorted(
-                sol.weights.items(), key=lambda kw: (kw[0][0], kw[0][1].pattern())
-            )
-        },
-    }
-
-
 def feasible_system_record(system) -> dict:
     return {
         "v": RECORD_VERSION,

@@ -1,0 +1,267 @@
+"""Reference solver for differential tests of ``lpbounds.lp``.
+
+This is the two-phase revised simplex over ``fractions.Fraction`` that
+``lpbounds.lp`` used before its integer-preserving core: B^-1 is kept as
+Fractions, duals are rebuilt every pivot and every column is priced in
+Fraction arithmetic.  It takes the same Bland pivots on the unscaled
+program, so on every input the two solvers must return byte-identical
+``LPSolution``s.  It is slow, uncached and only used by tests.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from lpbounds.errors import LpboundsError
+from lpbounds.lp import EQ, GE, LE, MAX_PIVOTS, LinearProgram, LPSolution
+
+
+class _Simplex:
+    """Standard-form state for one solve; single-threaded, used once."""
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        m = len(lp.constraints)
+        self.m = m
+        self.flip: list[int] = []
+        rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
+        for con in lp.constraints:
+            coeffs, rel, rhs = con.coeffs, con.rel, con.rhs
+            if rhs < 0:
+                coeffs = {v: -c for v, c in coeffs.items()}
+                rhs = -rhs
+                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+                self.flip.append(-1)
+            else:
+                self.flip.append(1)
+            rows.append((coeffs, rel, rhs))
+        self.b = [r[2] for r in rows]
+
+        # columns: per-variable (split when free), then slacks, then artificials
+        self.cols: list[list[tuple[int, Fraction]]] = []
+        self.cost2: list[Fraction] = []  # phase-2 costs in min form
+        self.var_cols: dict[str, tuple[int, int | None]] = {}
+        sense_sign = 1 if lp.sense == "min" else -1
+        for v in lp.variables:
+            entries = [
+                (i, coeffs[v]) for i, (coeffs, _, _) in enumerate(rows) if v in coeffs
+            ]
+            c = sense_sign * lp.objective.get(v, Fraction(0))
+            plus = len(self.cols)
+            self.cols.append(entries)
+            self.cost2.append(c)
+            minus: int | None = None
+            if not lp.is_nonneg(v):
+                minus = len(self.cols)
+                self.cols.append([(i, -val) for i, val in entries])
+                self.cost2.append(-c)
+            self.var_cols[v] = (plus, minus)
+        self.n_real = len(self.cols)
+
+        zero, one = Fraction(0), Fraction(1)
+        self.basis: list[int] = [-1] * m
+        self.artificial_start = None
+        for i, (_, rel, _) in enumerate(rows):
+            if rel == LE:
+                j = len(self.cols)
+                self.cols.append([(i, one)])
+                self.cost2.append(zero)
+                self.basis[i] = j
+            elif rel == GE:
+                j = len(self.cols)
+                self.cols.append([(i, -one)])
+                self.cost2.append(zero)
+        self.n_structural = len(self.cols)
+        self.cost1 = [zero] * self.n_structural
+        for i in range(m):
+            if self.basis[i] == -1:
+                j = len(self.cols)
+                self.cols.append([(i, one)])
+                self.cost2.append(zero)
+                self.cost1.append(one)
+                self.basis[i] = j
+        self.n_total = len(self.cols)
+
+        self.binv: list[list[Fraction]] = [
+            [one if i == k else zero for k in range(m)] for i in range(m)
+        ]
+        self.x_b: list[Fraction] = list(self.b)
+        self.iterations = 0
+
+    def _drive_out_artificials(self) -> None:
+        """Pivot zero-level artificials out of the basis where possible.
+
+        Rows whose artificial cannot be replaced are linearly dependent on
+        the rest; their basic value can never move, so leaving the
+        artificial in place is safe.  Without this step a later pivot could
+        push a basic artificial positive and silently break feasibility.
+        """
+        in_basis = set(self.basis)
+        for i in range(self.m):
+            if self.basis[i] < self.n_structural:
+                continue
+            row_i = self.binv[i]
+            for j in range(self.n_structural):
+                if j in in_basis:
+                    continue
+                u_i = Fraction(0)
+                for r, v in self.cols[j]:
+                    if row_i[r] != 0:
+                        u_i += row_i[r] * v
+                if u_i == 0:
+                    continue
+                u = [Fraction(0)] * self.m
+                for r, v in self.cols[j]:
+                    for k in range(self.m):
+                        bk = self.binv[k][r]
+                        if bk != 0:
+                            u[k] += bk * v
+                row = [a / u_i for a in row_i]
+                self.binv[i] = row
+                self.x_b[i] /= u_i  # zero stays zero
+                for k in range(self.m):
+                    if k == i or u[k] == 0:
+                        continue
+                    f = u[k]
+                    rk = self.binv[k]
+                    self.binv[k] = [a - f * c for a, c in zip(rk, row)]
+                    self.x_b[k] -= f * self.x_b[i]
+                in_basis.discard(self.basis[i])
+                in_basis.add(j)
+                self.basis[i] = j
+                break
+
+    def _duals(self, cost: list[Fraction]) -> list[Fraction]:
+        m = self.m
+        zero = Fraction(0)
+        y = [zero] * m
+        for k in range(m):
+            ck = cost[self.basis[k]]
+            if ck == 0:
+                continue
+            row = self.binv[k]
+            for i in range(m):
+                if row[i] != 0:
+                    y[i] += ck * row[i]
+        return y
+
+    def _iterate(self, cost: list[Fraction], limit: int) -> str:
+        """Run simplex to optimality; returns "optimal" or "unbounded"."""
+        zero = Fraction(0)
+        in_basis = set(self.basis)
+        while True:
+            self.iterations += 1
+            if self.iterations > MAX_PIVOTS:
+                raise LpboundsError("pivot cap exceeded; possible solver bug")
+            y = self._duals(cost)
+            enter = -1
+            for j in range(limit):
+                if j in in_basis:
+                    continue
+                d = cost[j]
+                for r, v in self.cols[j]:
+                    yr = y[r]
+                    if yr != 0:
+                        d -= yr * v
+                if d < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            # direction u = B^-1 A_enter
+            u = [zero] * self.m
+            for r, v in self.cols[enter]:
+                for i in range(self.m):
+                    bi = self.binv[i][r]
+                    if bi != 0:
+                        u[i] += bi * v
+            leave = -1
+            best: Fraction | None = None
+            for i in range(self.m):
+                if u[i] > 0:
+                    ratio = self.x_b[i] / u[i]
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and self.basis[i] < self.basis[leave])
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                self._unbounded_enter = enter
+                self._unbounded_direction = u
+                return "unbounded"
+            piv = u[leave]
+            row = self.binv[leave]
+            if piv != 1:
+                self.binv[leave] = row = [a / piv for a in row]
+                self.x_b[leave] /= piv
+            xl = self.x_b[leave]
+            for i in range(self.m):
+                if i == leave:
+                    continue
+                f = u[i]
+                if f == 0:
+                    continue
+                ri = self.binv[i]
+                self.binv[i] = [a - f * c for a, c in zip(ri, row)]
+                self.x_b[i] -= f * xl
+            in_basis.discard(self.basis[leave])
+            in_basis.add(enter)
+            self.basis[leave] = enter
+
+
+def reference_solve(lp: LinearProgram) -> LPSolution:
+    """Solve ``lp`` with the Fraction simplex; same record as ``lpbounds.lp.solve``."""
+    sx = _Simplex(lp)
+    phase1_iterations = 0
+    if any(c != 0 for c in sx.cost1):
+        status = sx._iterate(sx.cost1, sx.n_total)
+        phase1_iterations = sx.iterations
+        if status != "optimal":
+            raise LpboundsError("phase-1 objective is bounded; solver bug")
+        infeas = sum(
+            (sx.x_b[i] for i in range(sx.m) if sx.basis[i] >= sx.n_structural),
+            Fraction(0),
+        )
+        if infeas > 0:
+            y = sx._duals(sx.cost1)
+            vector = {i: sx.flip[i] * y[i] for i in range(sx.m) if y[i] != 0}
+            return LPSolution(
+                "infeasible", None, {}, (), sx.iterations, phase1_iterations,
+                {"kind": "farkas", "vector": vector},
+            )
+        sx._drive_out_artificials()
+
+    status = sx._iterate(sx.cost2, sx.n_structural)
+    if status == "unbounded":
+        u = sx._unbounded_direction
+        ray_std: dict[int, Fraction] = {sx._unbounded_enter: Fraction(1)}
+        for i in range(sx.m):
+            if u[i] != 0:
+                ray_std[sx.basis[i]] = ray_std.get(sx.basis[i], Fraction(0)) - u[i]
+        return LPSolution(
+            "unbounded", None, {}, (), sx.iterations, phase1_iterations,
+            {"kind": "ray", "vector": _project(sx, ray_std)},
+        )
+
+    x_std = {sx.basis[i]: sx.x_b[i] for i in range(sx.m) if sx.x_b[i] != 0}
+    primal = _project(sx, x_std)
+    sense_sign = 1 if lp.sense == "min" else -1
+    y_std = sx._duals(sx.cost2)
+    dual = tuple(sense_sign * sx.flip[i] * y_std[i] for i in range(sx.m))
+    return LPSolution(
+        "optimal", lp.objective_value(primal), primal, dual, sx.iterations, phase1_iterations
+    )
+
+
+def _project(sx: _Simplex, std: dict[int, Fraction]) -> dict[str, Fraction]:
+    """Standard-form column values back on the program's variables, zeros dropped."""
+    out: dict[str, Fraction] = {}
+    for v, (plus, minus) in sx.var_cols.items():
+        val = std.get(plus, Fraction(0))
+        if minus is not None:
+            val -= std.get(minus, Fraction(0))
+        if val != 0:
+            out[v] = val
+    return out

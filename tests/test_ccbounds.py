@@ -16,9 +16,16 @@ from lpbounds.ccbounds import (
     rprt_bound,
     srec_bound,
 )
-from lpbounds.errors import InfeasibleConstructionError
+from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
 from lpbounds.lp import check_feasible, dual_objective, solve
 from lpbounds.rational import majority_error
+
+
+@pytest.mark.parametrize("eps", [F(-1, 8), F(3, 2)])
+@pytest.mark.parametrize("build", [build_prt_lp, build_rprt_lp, build_prt_dual_lp, build_rprt_dual_lp])
+def test_partition_programs_reject_eps_outside_unit_interval(build, eps):
+    with pytest.raises(DimensionMismatchError):
+        build(families.and2p(2), eps)
 
 
 def test_constant_function_zero_error_srec_is_one():

@@ -60,6 +60,14 @@ def test_bounds_decimal_eps_is_a_parse_error(workspace, capsys):
     assert "num/den" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("fn", "which"), [("and2", "prt"), ("and2", "rprt"), ("xor2", "qprt")])
+def test_bounds_eps_outside_unit_interval_exits_1(workspace, capsys, fn, which):
+    assert main(["bounds", workspace[fn], "--which", which, "--eps", "3/2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: eps must lie in [0,1]")
+    assert len(err) == 2 and err[1].startswith("[bounds ")
+
+
 def test_bounds_qprt(workspace):
     out = str(workspace["dir"] / "qprt.jsonl")
     assert main(["bounds", workspace["xor2"], "--which", "qprt", "--eps", "1/8", "--out", out]) == 0

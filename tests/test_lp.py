@@ -1,8 +1,14 @@
+import dataclasses
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference_lp import reference_solve
 
 from lpbounds import families
+from lpbounds import lp as lpmod
 from lpbounds.ccbounds import SrecInstance, build_srec_lp
 from lpbounds.lp import (
     Constraint,
@@ -12,6 +18,8 @@ from lpbounds.lp import (
     check_feasible,
     check_ray,
     dual_objective,
+    certify,
+    set_cache_dir,
     solve,
 )
 from lpbounds.model import enumerate_rectangles
@@ -164,3 +172,160 @@ def test_dump_is_text():
     lp = lp_min(["x"], {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1), "cov")])
     text = lp.dump()
     assert "cov" in text and ">=" in text
+
+
+def test_certify_lists_every_failure():
+    program = lp_min(["x"], {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(3)), Constraint({"x": F(1)}, "<=", F(1))])
+    infeasible = solve(program)
+    assert certify(program, infeasible) == []
+    wrong_kind = dataclasses.replace(infeasible, certificate={"kind": "ray", "vector": {}})
+    assert certify(program, wrong_kind) == ["invalid farkas certificate"]
+    assert certify(program, dataclasses.replace(infeasible, status="unbounded")) == ["invalid ray certificate"]
+    assert certify(program, dataclasses.replace(infeasible, status="lost")) == ["unknown status 'lost'"]
+
+    optimal = solve(cached_program())
+    assert certify(cached_program(), optimal) == []
+    failures = certify(cached_program(), dataclasses.replace(optimal, value=F(0)))
+    assert failures == ["primal objective differs from the reported value", "strong duality certificate failed"]
+
+
+@pytest.fixture()
+def cache_dir(tmp_path):
+    set_cache_dir(str(tmp_path))
+    yield tmp_path
+    set_cache_dir(None)
+
+
+def cached_program():
+    return lp_min(
+        ["x", "y"],
+        {"x": F(1), "y": F(2)},
+        [Constraint({"x": F(1), "y": F(1)}, ">=", F(3, 2)), Constraint({"x": F(1)}, "<=", F(2))],
+    )
+
+
+def _edit(**fields):
+    return lambda rec: json.dumps({**rec, **fields}).encode()
+
+
+def _drop(key):
+    return lambda rec: json.dumps({k: v for k, v in rec.items() if k != key}).encode()
+
+
+CORRUPT_ENTRIES = {
+    "truncated json": lambda rec: json.dumps(rec).encode()[:-3],
+    "not utf-8": lambda rec: b"\xff\xfe\x00",
+    "empty file": lambda rec: b"",
+    "json list": lambda rec: b"[]",
+    "missing value": _drop("value"),
+    "missing primal": _drop("primal"),
+    "missing iterations": _drop("iterations"),
+    "value is a number": _edit(value=3),
+    "primal is a list": _edit(primal=[["x", "1"]]),
+    "dual is a string": _edit(dual="10"),  # iterates to the optimal dual 1, 0
+    "dual entry is a number": _edit(dual=[0, 2]),
+    "iterations is a string": _edit(iterations="3"),
+    "iterations is a bool": _edit(iterations=True),
+    "value is a decimal": _edit(value="2.5"),
+    "value divides by zero": _edit(value="1/0"),
+    "primal entry is garbage": _edit(primal={"x": "one"}),
+    "dual too short": _edit(dual=["0"]),
+    "primal names a foreign variable": _edit(primal={"x": "3/2", "z": "0"}),
+    "value does not certify": _edit(value="0"),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_ENTRIES.values(), ids=CORRUPT_ENTRIES.keys())
+def test_corrupt_cache_entry_is_a_miss(cache_dir, corrupt):
+    program = cached_program()
+    fresh = solve(program)
+    (entry,) = cache_dir.glob("*.json")
+    entry.write_bytes(corrupt(json.loads(entry.read_text())))
+    assert solve(program).canonical_bytes() == fresh.canonical_bytes()
+    assert json.loads(entry.read_text()) == fresh.to_record()  # the miss rewrote the entry
+
+
+def test_cache_store_leaves_another_writers_temp_file_alone(cache_dir):
+    program = cached_program()
+    entry = cache_dir / (lpmod._program_key(program) + ".json")
+    other = cache_dir / (entry.name + ".tmp")  # the temp name one writer used for every entry
+    other.write_text("half written")
+    solve(program)
+    assert other.read_text() == "half written"
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted([entry.name, other.name])
+
+
+# Differential tests against the Fraction simplex the integer core replaced.
+
+SMALL_RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def small_programs(draw):
+    """Random programs with up to 4 variables and 5 rows.
+
+    Fractional coefficients and negative right-hand sides are common; so are
+    free variables, all three relations and both senses.  An optional last
+    ``=`` row is a combination of two earlier rows, which leaves the system
+    linearly dependent.
+    """
+    names = [f"x{j}" for j in range(draw(st.integers(1, 4)))]
+    rows = [
+        Constraint(
+            {v: draw(SMALL_RATIONALS) for v in names},
+            draw(st.sampled_from(["<=", "=", ">="])),
+            draw(SMALL_RATIONALS),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k = draw(SMALL_RATIONALS)
+        coeffs = {v: a.coeffs.get(v, F(0)) + k * b.coeffs.get(v, F(0)) for v in names}
+        rows.append(Constraint(coeffs, "=", a.rhs + k * b.rhs))
+    return LinearProgram(
+        "random",
+        draw(st.sampled_from(["min", "max"])),
+        tuple(names),
+        {v: draw(SMALL_RATIONALS) for v in names},
+        tuple(rows),
+        {v: draw(st.booleans()) for v in names},
+    )
+
+
+# both rows start on artificials at level 0 and phase 1 makes no pivot; the
+# first can only be driven out by a pivot on -1, the second is dependent
+NEGATIVE_DRIVE_OUT = LinearProgram(
+    "negative drive-out", "min", ("x0", "x1"), {"x0": F(-1), "x1": F(2)},
+    (Constraint({"x0": F(-1), "x1": F(-1)}, "=", F(0)), Constraint({"x0": F(-2), "x1": F(-2)}, "=", F(0))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_programs())
+@example(NEGATIVE_DRIVE_OUT)
+def test_integer_core_matches_fraction_reference(program):
+    got, want = solve(program), reference_solve(program)
+    assert got.status == want.status
+    assert got.certificate == want.certificate
+    assert got.canonical_bytes() == want.canonical_bytes()
+
+
+def test_drive_out_pivots_on_a_negative_element(monkeypatch):
+    pivots, states = [], []
+    pivot, run = lpmod._Simplex._pivot, lpmod._Simplex.run
+
+    def record_pivot(sx, l, u):
+        pivots.append(u[l])
+        pivot(sx, l, u)
+
+    def record_run(sx):
+        states.append(sx)
+        return run(sx)
+
+    monkeypatch.setattr(lpmod._Simplex, "_pivot", record_pivot)
+    monkeypatch.setattr(lpmod._Simplex, "run", record_run)
+    sol = solve(NEGATIVE_DRIVE_OUT)
+    assert min(pivots) < 0
+    assert states[0].d > 0  # negated back to a positive denominator
+    assert sol.canonical_bytes() == reference_solve(NEGATIVE_DRIVE_OUT).canonical_bytes()

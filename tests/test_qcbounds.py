@@ -4,7 +4,7 @@ import pytest
 from conftest import QC_CORPUS, qprt_cached
 
 from lpbounds import families
-from lpbounds.errors import InfeasibleConstructionError
+from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
 from lpbounds.lp import check_feasible, solve
 from lpbounds.model import BitProductDistribution, Subcube, enumerate_subcubes
 from lpbounds.qcbounds import (
@@ -16,6 +16,13 @@ from lpbounds.qcbounds import (
     qprt_solution,
 )
 from lpbounds.rational import majority_error, min_odd_votes_for_error
+
+
+@pytest.mark.parametrize("eps", [F(-1, 8), F(3, 2)])
+@pytest.mark.parametrize("build", [build_qprt_lp, build_qprt_dual_lp])
+def test_qprt_programs_reject_eps_outside_unit_interval(build, eps):
+    with pytest.raises(DimensionMismatchError):
+        build(families.and_q(2), eps)
 
 
 def test_qprt_constant_zero():
