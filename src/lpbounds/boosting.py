@@ -9,12 +9,20 @@ t-fold product assigns
                 of  prod_i w[(z_i, K_i)]
 
 Tuples with an empty intersection are dropped: they contribute to no
-point's constraint, and dropping them only lowers the objective.
+point's constraint, and dropping them only lowers the objective.  Weights
+must be non-negative.
 
-The sum is evaluated by dynamic programming over (votes-for-1, running
-intersection) states with integer numerators over a common denominator, so
-the result is exact and the cost is O(t^2 * closure * support) rather than
-support**t.
+The sum is a dynamic program over running intersections, in exact integer
+numerators over a common denominator.  Each member of the intersection
+closure reached by the program is interned as an integer id, and its merge
+row (the ids it reaches by one more vote, with their summed multipliers)
+is built once, on first use.  The votes-for-1 axis is packed into one
+integer per id (Kronecker substitution): the count for j votes for 1 sits
+in bit slot j of ``width`` bits, so adding a vote is one big-integer
+multiply-add per (id, target) pair.  The cost is
+O(closure * support) calls to ``intersect`` plus
+O(t * closure * row length) multiply-adds on integers of O(t^2 * bits)
+bits, instead of O(t^2 * closure * support) intersections.
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ def majority_product_boost(
     """t-fold majority product of a labeled weight family; t must be odd.
 
     ``intersect`` returns None for an empty intersection.  t = 1 returns
-    the (nonzero entries of the) input unchanged.
+    the (nonzero entries of the) input unchanged.  The result lists its
+    nonzero entries in ``(z, sort_key(K))`` order.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"vote count must be a positive odd integer, got {t}")
@@ -46,33 +55,60 @@ def majority_product_boost(
         for (z, k), w in sorted(weights.items(), key=lambda zw: (zw[0][0], sort_key(zw[0][1])))
         if w != 0
     ]
+    if any(w < 0 for _, _, w in entries):
+        raise ValueError("majority product needs non-negative weights")
     if t == 1:
         return {(z, k): w for z, k, w in entries}
 
-    den = 1
-    for _, _, w in entries:
-        den = den * w.denominator // math.gcd(den, w.denominator)
-    int_entries = [(z, k, w.numerator * (den // w.denominator)) for z, k, w in entries]
+    den = math.lcm(*(w.denominator for _, _, w in entries))
+    nums = [(z, k, w.numerator * (den // w.denominator)) for z, k, w in entries]
+    # All slots of all states sum to at most (sum of numerators)**t, which
+    # fits in t * bitlen bits: no slot carries into its neighbour, and the
+    # spare bit keeps every digit sum below 2^width - 1 (read-off below).
+    width = t * sum(num for _, _, num in nums).bit_length() + 1
+    step: dict[K, int] = {}
+    for z, k, num in nums:
+        step[k] = step.get(k, 0) + (num << (width * z))
 
-    state: dict[tuple[int, K], int] = {}
-    for z, k, num in int_entries:
-        key = (z, k)
-        state[key] = state.get(key, 0) + num
+    keys: list[K] = list(step)
+    ids: dict[K, int] = {k: i for i, k in enumerate(keys)}
+    rows: dict[int, list[tuple[int, int]]] = {}
+
+    def merge_row(i: int) -> list[tuple[int, int]]:
+        row: dict[int, int] = {}
+        for k2, mult in step.items():
+            merged = intersect(keys[i], k2)
+            if merged is None:
+                continue
+            j = ids.get(merged)
+            if j is None:
+                j = ids[merged] = len(keys)
+                keys.append(merged)
+            row[j] = row.get(j, 0) + mult
+        return list(row.items())
+
+    state = {ids[k]: mult for k, mult in step.items()}
     for _ in range(t - 1):
-        nxt: dict[tuple[int, K], int] = {}
-        for (ones, k), val in state.items():
-            for z, k2, num in int_entries:
-                merged = intersect(k, k2)
-                if merged is None:
-                    continue
-                key = (ones + z, merged)
-                nxt[key] = nxt.get(key, 0) + val * num
+        nxt: dict[int, int] = {}
+        for i, val in state.items():
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = merge_row(i)
+            for j, mult in row:
+                nxt[j] = nxt.get(j, 0) + val * mult
         state = nxt
 
+    # Slots 0 .. t//2 carry majority label 0, the rest label 1.  A sum of
+    # base-2^width digits equals the number mod 2^width - 1, and is below
+    # that modulus here, so it is read off with one reduction.
+    split = width * (t // 2 + 1)
+    digits = (1 << width) - 1
     scale = den**t
-    out: dict[tuple[int, K], Fraction] = {}
-    for (ones, k), val in state.items():
-        z = 1 if 2 * ones > t else 0
-        key = (z, k)
-        out[key] = out.get(key, Fraction(0)) + Fraction(val, scale)
-    return {key: w for key, w in out.items() if w != 0}
+    out = []
+    for i, val in state.items():
+        for z, packed in ((0, val & ((1 << split) - 1)), (1, val >> split)):
+            total = packed % digits
+            if total:
+                out.append(((z, keys[i]), Fraction(total, scale)))
+    out.sort(key=lambda kw: (kw[0][0], sort_key(kw[0][1])))
+    return dict(out)

@@ -34,6 +34,7 @@ from .ccbounds import (
 )
 from .ccsynth import (
     advantage,
+    evaluate,
     leaf_count,
     protocol_pipeline,
     tree_depth,
@@ -218,7 +219,7 @@ def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
             leaves
         )
         asserts["balanced tree agrees pointwise"] = all(
-            evaluate_pair(parsed, parsed_balanced, x, y)
+            evaluate(parsed, x, y) == evaluate(parsed_balanced, x, y)
             for x in range(fn.nx)
             for y in range(fn.ny)
         )
@@ -232,12 +233,6 @@ def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
     records.insert(0, base)
     records.append(_summary(asserts))
     return records, tree_text
-
-
-def evaluate_pair(a, b, x: int, y: int) -> bool:
-    from .ccsynth import evaluate
-
-    return evaluate(a, x, y) == evaluate(b, x, y)
 
 
 def run_synth_qc(args: dict) -> tuple[list[dict], str | None]:
@@ -356,6 +351,27 @@ def run_gen(args: dict) -> str:
     return serialize.write_function(fn)
 
 
+# the args each replayable command writes into its run record
+_RUN_ARGS = {
+    "bounds": ("function", "which", "eps", "delta", "z", "dist"),
+    "synth-cc": ("function", "dist", "part", "k"),
+    "synth-qc": ("function", "dist", "eps", "delta"),
+    "oracle": ("function", "dist", "depth", "artifact"),
+}
+
+
+def _check_run_record(run: dict) -> None:
+    command, args = run.get("command"), run.get("args")
+    if not isinstance(command, str) or command not in _RUN_ARGS:
+        raise ParseError(f"cannot replay command {command!r}")
+    if not isinstance(args, dict) or not all(key in args for key in _RUN_ARGS[command]):
+        raise ParseError(
+            f"{command} run record needs args {', '.join(_RUN_ARGS[command])}"
+        )
+    if not isinstance(run.get("inputs", {}), dict):
+        raise ParseError("run record inputs must map paths to hashes")
+
+
 def _recompute(run: dict) -> list[dict]:
     command = run["command"]
     args = run["args"]
@@ -372,10 +388,11 @@ def _recompute(run: dict) -> list[dict]:
 
 def run_verify(path: str) -> int:
     records = serialize.load_records(_read(path))
-    if not records or records[0].get("record") != "run":
+    run = records[0] if records else None
+    if not isinstance(run, dict) or run.get("record") != "run":
         print(f"FAIL {path}: missing run record", file=sys.stderr)
         return 1
-    run = records[0]
+    _check_run_record(run)
     ok = True
     for ref, expected in run.get("inputs", {}).items():
         try:

@@ -29,6 +29,7 @@ from .errors import CapExceededError, DimensionMismatchError
 
 RECTANGLE_VARIABLE_CAP = 1 << 20
 MAX_QUERY_BITS = 12
+MAX_TABLE_SIDE = 16
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -46,10 +47,14 @@ class TwoPartyFunction:
         if nx == 0:
             raise DimensionMismatchError("empty truth table")
         ny = len(self.table[0])
-        if not (_is_power_of_two(nx) and nx <= 16):
-            raise DimensionMismatchError(f"|X| must be a power of two <= 16, got {nx}")
-        if not (_is_power_of_two(ny) and ny <= 16):
-            raise DimensionMismatchError(f"|Y| must be a power of two <= 16, got {ny}")
+        if not (_is_power_of_two(nx) and nx <= MAX_TABLE_SIDE):
+            raise DimensionMismatchError(
+                f"|X| must be a power of two <= {MAX_TABLE_SIDE}, got {nx}"
+            )
+        if not (_is_power_of_two(ny) and ny <= MAX_TABLE_SIDE):
+            raise DimensionMismatchError(
+                f"|Y| must be a power of two <= {MAX_TABLE_SIDE}, got {ny}"
+            )
         for row in self.table:
             if len(row) != ny:
                 raise DimensionMismatchError("ragged truth table")

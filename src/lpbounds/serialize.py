@@ -25,6 +25,8 @@ from fractions import Fraction
 from .ccsynth import PLeaf, PNode, ProtocolTree, leaf_count, tree_depth
 from .errors import ParseError
 from .model import (
+    MAX_QUERY_BITS,
+    MAX_TABLE_SIDE,
     BitProductDistribution,
     ProductDistribution2P,
     QueryFunction,
@@ -34,6 +36,12 @@ from .qcsynth import DecisionTree, DLeaf, DNode, dtree_depth
 from .rational import format_rational, parse_rational
 
 RECORD_VERSION = 1
+
+# Deeper than any tree whose splits all shrink the input set on the
+# supported sizes (30 levels for 16 x 16 tables, 12 for 12 query bits), and
+# shallow enough for the recursive tree walkers under the interpreter's
+# default recursion limit.
+MAX_TREE_DEPTH = 512
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +56,16 @@ def write_function(fn: TwoPartyFunction | QueryFunction) -> str:
     return f"qc {fn.n}\n{bits}\n"
 
 
+def _header_int(token: str, what: str, lo: int, hi: int) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {token!r}") from None
+    if not lo <= value <= hi:
+        raise ParseError(f"{what} must be in [{lo}, {hi}], got {value}")
+    return value
+
+
 def parse_function(text: str) -> TwoPartyFunction | QueryFunction:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
@@ -56,7 +74,8 @@ def parse_function(text: str) -> TwoPartyFunction | QueryFunction:
     if head[0] == "cc":
         if len(head) != 3:
             raise ParseError("cc header must be `cc <|X|> <|Y|>`")
-        nx, ny = int(head[1]), int(head[2])
+        nx = _header_int(head[1], "|X|", 1, MAX_TABLE_SIDE)
+        ny = _header_int(head[2], "|Y|", 1, MAX_TABLE_SIDE)
         if len(lines) != 1 + nx:
             raise ParseError(f"expected {nx} table rows, found {len(lines) - 1}")
         table = []
@@ -68,7 +87,7 @@ def parse_function(text: str) -> TwoPartyFunction | QueryFunction:
     if head[0] == "qc":
         if len(head) != 2:
             raise ParseError("qc header must be `qc <n>`")
-        n = int(head[1])
+        n = _header_int(head[1], "bit count", 1, MAX_QUERY_BITS)
         if len(lines) != 2:
             raise ParseError("qc format is a header line plus one table line")
         ln = lines[1]
@@ -142,22 +161,24 @@ def parse_protocol_tree(text: str) -> ProtocolTree:
         raise ParseError("protocol tree files start with `ptree v1`")
     pos = 1
 
-    def read() -> ProtocolTree:
+    def read(depth: int) -> ProtocolTree:
         nonlocal pos
         if pos >= len(lines):
             raise ParseError("truncated protocol tree")
+        if depth > MAX_TREE_DEPTH:
+            raise ParseError(f"protocol tree deeper than {MAX_TREE_DEPTH} levels")
         parts = lines[pos].split()
         pos += 1
         if parts[0] == "L" and len(parts) == 2:
             return PLeaf(int(parts[1]))
         if parts[0] == "I" and len(parts) == 3 and parts[1] in ("A", "B"):
             split = int(parts[2], 16)
-            inside = read()
-            outside = read()
+            inside = read(depth + 1)
+            outside = read(depth + 1)
             return PNode(parts[1], split, inside, outside)
         raise ParseError(f"bad protocol tree line {lines[pos - 1]!r}")
 
-    tree = read()
+    tree = read(0)
     if pos != len(lines):
         raise ParseError("trailing lines after the protocol tree")
     return tree
@@ -184,21 +205,23 @@ def parse_decision_tree(text: str) -> DecisionTree:
         raise ParseError("decision tree files start with `dtree v1`")
     pos = 1
 
-    def read() -> DecisionTree:
+    def read(depth: int) -> DecisionTree:
         nonlocal pos
         if pos >= len(lines):
             raise ParseError("truncated decision tree")
+        if depth > MAX_TREE_DEPTH:
+            raise ParseError(f"decision tree deeper than {MAX_TREE_DEPTH} levels")
         parts = lines[pos].split()
         pos += 1
         if parts[0] == "L" and len(parts) == 2:
             return DLeaf(int(parts[1]))
         if parts[0] == "Q" and len(parts) == 2:
-            child0 = read()
-            child1 = read()
+            child0 = read(depth + 1)
+            child1 = read(depth + 1)
             return DNode(int(parts[1]), child0, child1)
         raise ParseError(f"bad decision tree line {lines[pos - 1]!r}")
 
-    tree = read()
+    tree = read(0)
     if pos != len(lines):
         raise ParseError("trailing lines after the decision tree")
     return tree

@@ -1,0 +1,67 @@
+"""Reference majority product for differential tests of ``lpbounds.boosting``.
+
+This is the dynamic program ``lpbounds.boosting`` used before it interned
+intersections and packed the vote counts: every round walks every
+(votes-for-1, running intersection) state against every support entry and
+calls ``intersect`` each time.  It sums the same tuples in exact integers,
+so on every input the two must return equal mappings.  It is slow and only
+used by tests.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Callable, Hashable, TypeVar
+
+K = TypeVar("K", bound=Hashable)
+
+
+def reference_boost(
+    weights: dict[tuple[int, K], Fraction],
+    t: int,
+    intersect: Callable[[K, K], K | None],
+    sort_key: Callable[[K], object],
+) -> dict[tuple[int, K], Fraction]:
+    """t-fold majority product of a labeled weight family; t must be odd.
+
+    ``intersect`` returns None for an empty intersection.  t = 1 returns
+    the (nonzero entries of the) input unchanged.
+    """
+    if t < 1 or t % 2 == 0:
+        raise ValueError(f"vote count must be a positive odd integer, got {t}")
+    entries = [
+        (z, k, Fraction(w))
+        for (z, k), w in sorted(weights.items(), key=lambda zw: (zw[0][0], sort_key(zw[0][1])))
+        if w != 0
+    ]
+    if t == 1:
+        return {(z, k): w for z, k, w in entries}
+
+    den = 1
+    for _, _, w in entries:
+        den = den * w.denominator // math.gcd(den, w.denominator)
+    int_entries = [(z, k, w.numerator * (den // w.denominator)) for z, k, w in entries]
+
+    state: dict[tuple[int, K], int] = {}
+    for z, k, num in int_entries:
+        key = (z, k)
+        state[key] = state.get(key, 0) + num
+    for _ in range(t - 1):
+        nxt: dict[tuple[int, K], int] = {}
+        for (ones, k), val in state.items():
+            for z, k2, num in int_entries:
+                merged = intersect(k, k2)
+                if merged is None:
+                    continue
+                key = (ones + z, merged)
+                nxt[key] = nxt.get(key, 0) + val * num
+        state = nxt
+
+    scale = den**t
+    out: dict[tuple[int, K], Fraction] = {}
+    for (ones, k), val in state.items():
+        z = 1 if 2 * ones > t else 0
+        key = (z, k)
+        out[key] = out.get(key, Fraction(0)) + Fraction(val, scale)
+    return {key: w for key, w in out.items() if w != 0}

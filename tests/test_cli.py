@@ -177,3 +177,42 @@ def test_cache_round_trip(workspace, tmp_path, monkeypatch):
     from lpbounds import lp as lpmod
 
     lpmod.set_cache_dir(None)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        {"v": 1, "record": "run", "command": "bounds"},
+        {"v": 1, "record": "run", "args": {}},
+        {"v": 1, "record": "run", "command": "bounds", "args": {"function": "@and2"}},
+        {"v": 1, "record": "run", "command": ["bounds"], "args": {}},
+        {
+            "v": 1, "record": "run", "command": "oracle", "inputs": [],
+            "args": {"function": "@and2", "dist": "@and2", "depth": 1, "artifact": None},
+        },
+    ],
+    ids=["no-args", "no-command", "missing-arg", "list-command", "list-inputs"],
+)
+def test_verify_malformed_run_record_exits_1(workspace, capsys, run):
+    text = json.dumps(run).replace("@and2", workspace["and2"])
+    path = write(workspace["dir"] / "bad.jsonl", text + "\n")
+    assert main(["verify", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("error: ")
+    assert err[1].startswith("[verify ")
+
+
+@pytest.mark.parametrize(
+    ("fn", "dist", "tree"),
+    [
+        ("and2", "dist", "ptree v1\n" + "I A 1\n" * 3000),
+        ("xor2", "bits", "dtree v1\n" + "Q 0\n" * 3000),
+    ],
+    ids=["ptree", "dtree"],
+)
+def test_oracle_deep_artifact_exits_1(workspace, capsys, fn, dist, tree):
+    artifact = write(workspace["dir"] / "deep.tree", tree + "L 0\n" * 3001)
+    code = main(["oracle", workspace[fn], workspace[dist], "--depth", "1", "--artifact", artifact])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("error: ") and "deeper than" in err[0]

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -69,3 +70,51 @@ def test_records_round_trip_and_order():
     lines = text.splitlines()
     assert lines[0] == '{"a": 2, "b": 1, "record": "x"}'
     assert serialize.load_records(text) == recs
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("cc x 4\n0000\n", "|X| must be an integer, got 'x'"),
+        ("qc -1\n0\n", "bit count must be in [1, 12], got -1"),
+        ("qc 13\n" + "0" * (1 << 13) + "\n", "bit count must be in [1, 12], got 13"),
+    ],
+    ids=["cc-x-4", "qc-minus-1", "qc-13"],
+)
+def test_parse_function_header_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        serialize.parse_function(text)
+    assert str(exc.value) == message
+
+
+def test_parse_function_checks_bit_count_before_sizing_the_table():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"got 4000000000$"):
+            serialize.parse_function("qc 4000000000\n0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def deep_tree_text(header: str, node: str, depth: int) -> str:
+    """A left path: ``depth`` internal nodes in pre-order, then depth + 1 leaves."""
+    return "\n".join([header] + [node] * depth + ["L 0"] * (depth + 1)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "parse, header, node",
+    [
+        (serialize.parse_protocol_tree, "ptree v1", "I A 1"),
+        (serialize.parse_decision_tree, "dtree v1", "Q 0"),
+    ],
+    ids=["ptree", "dtree"],
+)
+def test_tree_depth_is_bounded(parse, header, node):
+    limit = serialize.MAX_TREE_DEPTH
+    parse(deep_tree_text(header, node, limit))
+    with pytest.raises(ParseError, match="deeper than"):
+        parse(deep_tree_text(header, node, limit + 1))
+    with pytest.raises(ParseError, match="deeper than"):
+        parse(deep_tree_text(header, node, 3000))
