@@ -5,6 +5,8 @@ Library surface:
 - :mod:`lpbounds.model` -- Boolean functions, product measures, rectangles,
   subcubes, exact measure computations.
 - :mod:`lpbounds.lp` -- exact rational simplex with dual certificates.
+- :mod:`lpbounds.partition` -- the labelled partition LP behind prt, rprt
+  and qprt, and its verified majority boost.
 - :mod:`lpbounds.ccbounds` -- smooth rectangle / partition / relaxed
   partition bounds and partition-bound error reduction.
 - :mod:`lpbounds.ccsynth` -- communication protocol trees built from

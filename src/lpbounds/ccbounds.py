@@ -1,7 +1,7 @@
 """Communication-side LP bounds over rectangles.
 
-Four linear programs are built here, all minimizing total rectangle weight
-subject to per-point packing/cap constraints:
+The smooth rectangle programs minimize total rectangle weight subject to
+per-point packing/cap constraints:
 
 smooth rectangle, worst case (per output z):
     min sum_R w_R
@@ -14,11 +14,11 @@ the single averaged row
     sum_{(x,y) in f^-1(z)} mu(x,y) * sum_{R ni (x,y)} w_R >= (1-eps) mu_z
 while packing and cap stay per-point.
 
-partition bound: labeled weights w_{z,R}, per-point correct-label mass
-covering >= 1-eps, and per-point *total* mass exactly 1; the relaxed
-partition bound weakens the equality to <= 1.  Their explicit duals (free
-phi for the equality version, nonnegative phi for the relaxed one) are
-built alongside for independent cross-checks.
+They stay apart from the partition LP: one label, packing and cap rows,
+and an averaged distributional row.  The partition bound prt and the
+relaxed partition bound rprt are the labelled partition LP of
+``partition`` over the cells of X x Y and the nonempty rectangles at cost
+1; this module only describes that family.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp as lpmod
-from .boosting import majority_product_boost
 from .errors import DimensionMismatchError, InfeasibleConstructionError
 from .lp import Constraint, LinearProgram, LPSolution
 from .model import (
@@ -38,7 +37,8 @@ from .model import (
     full_rectangle,
     measure,
 )
-from .rational import format_rational, log2_bracket, majority_error
+from .partition import BoostResult, LabelledFamily, check_unit_interval
+from .rational import log2_bracket
 
 LabeledRectWeights = dict[tuple[int, Rectangle], Fraction]
 
@@ -47,20 +47,10 @@ def _rect_var(rect: Rectangle) -> str:
     return f"w_{rect.rows:x}_{rect.cols:x}"
 
 
-def _labeled_var(z: int, rect: Rectangle) -> str:
-    return f"w{z}_{rect.rows:x}_{rect.cols:x}"
-
-
 def _rect_from_var(name: str) -> tuple[int | None, Rectangle]:
     head, rows, cols = name.split("_")
     z = None if head == "w" else int(head[1:])
     return z, Rectangle(int(rows, 16), int(cols, 16))
-
-
-def check_unit_interval(name: str, value: Fraction) -> None:
-    """Error parameters are probabilities; anything outside [0,1] is rejected."""
-    if not 0 <= value <= 1:
-        raise DimensionMismatchError(f"{name} must lie in [0,1], got {format_rational(value)}")
 
 
 @dataclass(frozen=True)
@@ -168,96 +158,31 @@ def srec_weights(result: BoundResult) -> dict[Rectangle, Fraction]:
     return {_rect_from_var(v)[1]: w for v, w in result.solution.primal.items()}
 
 
-def _build_partition_lp(f: TwoPartyFunction, eps: Fraction, relaxed: bool) -> LinearProgram:
-    check_unit_interval("eps", eps)
-    rects = list(enumerate_rectangles(f.nx, f.ny))
-    names = []
-    for r in rects:
-        names.append(_labeled_var(0, r))
-        names.append(_labeled_var(1, r))
-    one = Fraction(1)
-    objective = {n: one for n in names}
-    constraints: list[Constraint] = []
-    for x in range(f.nx):
-        for y in range(f.ny):
-            zxy = f.value(x, y)
-            cov = {_labeled_var(zxy, r): one for r in rects if r.contains(x, y)}
-            constraints.append(Constraint(cov, ">=", 1 - eps, f"cov_{x}_{y}"))
-    for x in range(f.nx):
-        for y in range(f.ny):
-            mass = {
-                _labeled_var(z, r): one
-                for r in rects
-                if r.contains(x, y)
-                for z in (0, 1)
-            }
-            rel = "<=" if relaxed else "="
-            constraints.append(Constraint(mass, rel, one, f"mass_{x}_{y}"))
-    return LinearProgram(
-        name="rprt" if relaxed else "prt",
-        sense="min",
-        variables=tuple(names),
-        objective=objective,
-        constraints=tuple(constraints),
+def _rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
+    c = a.intersect(b)
+    return None if c.is_empty() else c
+
+
+def _rect_family(f: TwoPartyFunction) -> LabelledFamily:
+    return LabelledFamily(
+        points=tuple(
+            ((x, y), f.value(x, y), f"{x}_{y}") for x in range(f.nx) for y in range(f.ny)
+        ),
+        members=lambda: enumerate_rectangles(f.nx, f.ny),
+        cost=lambda r: Fraction(1),
+        tag=lambda r: f"{r.rows:x}_{r.cols:x}",
+        contains=lambda r, p: r.contains(*p),
+        intersect=_rect_intersect,
+        sort_key=lambda r: (r.rows, r.cols),
     )
 
 
 def build_prt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _build_partition_lp(f, eps, relaxed=False)
+    return _rect_family(f).primal("prt", eps, relaxed=False)
 
 
 def build_rprt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _build_partition_lp(f, eps, relaxed=True)
-
-
-def _build_partition_dual(
-    f: TwoPartyFunction, eps: Fraction, relaxed: bool
-) -> LinearProgram:
-    """Explicit dual program: one (z, R) row per labeled rectangle.
-
-    Equality-primal duals have free phi; the relaxed primal flips the phi
-    sign, giving nonnegative phi entering negatively.
-    """
-    check_unit_interval("eps", eps)
-    cells = [(x, y) for x in range(f.nx) for y in range(f.ny)]
-    mu_names = tuple(f"mu_{x}_{y}" for x, y in cells)
-    phi_names = tuple(f"phi_{x}_{y}" for x, y in cells)
-    phi_sign = Fraction(-1) if relaxed else Fraction(1)
-    objective: dict[str, Fraction] = {}
-    for n in mu_names:
-        objective[n] = 1 - eps
-    for n in phi_names:
-        objective[n] = phi_sign
-    constraints: list[Constraint] = []
-    one = Fraction(1)
-    for r in enumerate_rectangles(f.nx, f.ny):
-        for z in (0, 1):
-            row: dict[str, Fraction] = {}
-            for x, y in cells:
-                if r.contains(x, y):
-                    row[f"phi_{x}_{y}"] = phi_sign
-                    if f.value(x, y) == z:
-                        row[f"mu_{x}_{y}"] = one
-            constraints.append(Constraint(row, "<=", one, f"dual_{z}_{r.rows:x}_{r.cols:x}"))
-    nonneg = {n: True for n in mu_names}
-    for n in phi_names:
-        nonneg[n] = relaxed  # free phi for the equality primal
-    return LinearProgram(
-        name=("rprt-dual" if relaxed else "prt-dual"),
-        sense="max",
-        variables=mu_names + phi_names,
-        objective=objective,
-        constraints=tuple(constraints),
-        nonneg=nonneg,
-    )
-
-
-def build_prt_dual_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _build_partition_dual(f, eps, relaxed=False)
-
-
-def build_rprt_dual_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _build_partition_dual(f, eps, relaxed=True)
+    return _rect_family(f).primal("rprt", eps, relaxed=True)
 
 
 def prt_bound(f: TwoPartyFunction, eps: Fraction) -> BoundResult:
@@ -277,81 +202,14 @@ def partition_weights(result: BoundResult) -> LabeledRectWeights:
     return out
 
 
-def _rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
-    c = a.intersect(b)
-    return None if c.is_empty() else c
-
-
-def correct_mass_at(
-    weights: LabeledRectWeights, f: TwoPartyFunction, x: int, y: int
-) -> Fraction:
-    z = f.value(x, y)
-    return sum(
-        (w for (wz, r), w in weights.items() if wz == z and r.contains(x, y)),
-        Fraction(0),
-    )
-
-
-def total_mass_at(weights: LabeledRectWeights, x: int, y: int) -> Fraction:
-    return sum((w for (_, r), w in weights.items() if r.contains(x, y)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class ErrorReduction:
-    """Result of the majority-product error reduction of a partition solution.
-
-    ``achieved_error`` is the exact worst-case per-point error of the output:
-    max over points of the binomial tail at that point's input correct mass.
-    """
-
-    weights: LabeledRectWeights
-    votes: int
-    achieved_error: Fraction
-    objective: Fraction
-
-
 def reduce_prt_error(
     weights: LabeledRectWeights, f: TwoPartyFunction, t: int
-) -> ErrorReduction:
+) -> BoostResult:
     """t-fold majority product of an exact-total-mass partition solution.
 
-    Preconditions (verified): t odd; per-point total mass is exactly 1.
-    Postconditions (verified): the output keeps per-point total mass exactly
-    1, its per-point correct mass equals 1 - tail(a_p, t) where a_p is the
-    input's correct mass at p, and its objective is at most (input
-    objective)**t.
+    Every pre- and postcondition is verified by ``LabelledFamily.boost``.
     """
-    if t < 1 or t % 2 == 0:
-        raise ValueError(f"vote count must be a positive odd integer, got {t}")
-    for x in range(f.nx):
-        for y in range(f.ny):
-            if total_mass_at(weights, x, y) != 1:
-                raise InfeasibleConstructionError(
-                    f"input is not an exact-mass partition solution at ({x},{y})"
-                )
-    boosted = majority_product_boost(
-        weights, t, _rect_intersect, sort_key=lambda r: (r.rows, r.cols)
-    )
-    objective = sum(boosted.values(), Fraction(0))
-    in_objective = sum(weights.values(), Fraction(0))
-    if objective > in_objective**t:
-        raise InfeasibleConstructionError("boosted objective exceeds the product bound")
-    worst = Fraction(0)
-    for x in range(f.nx):
-        for y in range(f.ny):
-            if total_mass_at(boosted, x, y) != 1:
-                raise InfeasibleConstructionError(
-                    f"boosted total mass differs from 1 at ({x},{y})"
-                )
-            a = correct_mass_at(weights, f, x, y)
-            expected = 1 - majority_error(a, t)
-            got = correct_mass_at(boosted, f, x, y)
-            if got != expected:
-                raise InfeasibleConstructionError(
-                    f"boosted correct mass at ({x},{y}) is {got}, expected {expected}"
-                )
-            worst = max(worst, 1 - got)
-    return ErrorReduction(boosted, t, worst, objective)
+    return _rect_family(f).boost(weights, t)
 
 
 @dataclass(frozen=True)

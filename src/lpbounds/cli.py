@@ -22,7 +22,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import families, lp as lpmod, serialize
 from .ccbounds import (
@@ -33,6 +35,8 @@ from .ccbounds import (
     srec_bound,
 )
 from .ccsynth import (
+    PNode,
+    ProtocolTree,
     advantage,
     evaluate,
     leaf_count,
@@ -48,7 +52,7 @@ from .model import (
 )
 from .oracle import oracle_cc, oracle_qc
 from .qcbounds import qprt_bound
-from .qcsynth import dtree_depth, dtree_error, synthesis_pipeline
+from .qcsynth import DecisionTree, DNode, dtree_depth, dtree_error, synthesis_pipeline
 from .rational import format_rational, parse_rational
 
 
@@ -320,12 +324,14 @@ def run_oracle(args: dict) -> list[dict]:
         text = _read(args["artifact"])
         if side == "cc":
             tree = serialize.parse_protocol_tree(text)
+            _check_artifact_fits(tree, fn)
             from .ccsynth import protocol_error
 
             measured = protocol_error(tree, fn, mu)  # type: ignore[arg-type]
             art_depth = tree_depth(tree)
         else:
             dtree = serialize.parse_decision_tree(text)
+            _check_artifact_fits(dtree, fn)
             measured = dtree_error(dtree, fn, mu)  # type: ignore[arg-type]
             art_depth = dtree_depth(dtree)
         records.append(
@@ -342,6 +348,29 @@ def run_oracle(args: dict) -> list[dict]:
     return records
 
 
+def _check_artifact_fits(
+    tree: ProtocolTree | DecisionTree, fn: TwoPartyFunction | QueryFunction
+) -> None:
+    """An artifact may only ask for coordinates the function has."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DNode):
+            if node.bit >= fn.n:
+                raise ParseError(
+                    f"decision tree queries bit {node.bit} of a {fn.n}-bit function"
+                )
+            stack += [node.child0, node.child1]
+        elif isinstance(node, PNode):
+            size = fn.nx if node.speaker == "A" else fn.ny
+            if node.split >> size:
+                raise ParseError(
+                    f"protocol tree splits {node.speaker} on {node.split:x}, "
+                    f"beyond its {size} inputs"
+                )
+            stack += [node.inside, node.outside]
+
+
 # ---------------------------------------------------------------------------
 # gen / verify
 
@@ -351,39 +380,53 @@ def run_gen(args: dict) -> str:
     return serialize.write_function(fn)
 
 
-# the args each replayable command writes into its run record
-_RUN_ARGS = {
-    "bounds": ("function", "which", "eps", "delta", "z", "dist"),
-    "synth-cc": ("function", "dist", "part", "k"),
-    "synth-qc": ("function", "dist", "eps", "delta"),
-    "oracle": ("function", "dist", "depth", "artifact"),
+@dataclass(frozen=True)
+class _Command:
+    """A replayable command: its runner and what its run record holds."""
+
+    run: Callable[[dict], object]  # records, or (records, tree text) if writes_tree
+    args: tuple[str, ...]  # written into the run record, and replayed by verify
+    inputs: tuple[str, ...]  # the args naming input files, whose hashes it records
+    writes_tree: bool
+
+
+_COMMANDS = {
+    "bounds": _Command(
+        run_bounds,
+        ("function", "which", "eps", "delta", "z", "dist"),
+        ("function", "dist"),
+        writes_tree=False,
+    ),
+    "synth-cc": _Command(
+        run_synth_cc, ("function", "dist", "part", "k"), ("function", "dist"), writes_tree=True
+    ),
+    "synth-qc": _Command(
+        run_synth_qc, ("function", "dist", "eps", "delta"), ("function", "dist"), writes_tree=True
+    ),
+    "oracle": _Command(
+        run_oracle,
+        ("function", "dist", "depth", "artifact"),
+        ("function", "dist", "artifact"),
+        writes_tree=False,
+    ),
 }
+
+
+def _run(command: _Command, args: dict) -> tuple[list[dict], str | None]:
+    """Records and tree text (None for commands that write no tree)."""
+    result = command.run(args)
+    return result if command.writes_tree else (result, None)
 
 
 def _check_run_record(run: dict) -> None:
     command, args = run.get("command"), run.get("args")
-    if not isinstance(command, str) or command not in _RUN_ARGS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ParseError(f"cannot replay command {command!r}")
-    if not isinstance(args, dict) or not all(key in args for key in _RUN_ARGS[command]):
-        raise ParseError(
-            f"{command} run record needs args {', '.join(_RUN_ARGS[command])}"
-        )
+    needed = _COMMANDS[command].args
+    if not isinstance(args, dict) or not all(key in args for key in needed):
+        raise ParseError(f"{command} run record needs args {', '.join(needed)}")
     if not isinstance(run.get("inputs", {}), dict):
         raise ParseError("run record inputs must map paths to hashes")
-
-
-def _recompute(run: dict) -> list[dict]:
-    command = run["command"]
-    args = run["args"]
-    if command == "bounds":
-        return run_bounds(args)
-    if command == "synth-cc":
-        return run_synth_cc(args)[0]
-    if command == "synth-qc":
-        return run_synth_qc(args)[0]
-    if command == "oracle":
-        return run_oracle(args)
-    raise ParseError(f"cannot replay command {command!r}")
 
 
 def run_verify(path: str) -> int:
@@ -405,7 +448,7 @@ def run_verify(path: str) -> int:
         print(f"{'PASS' if good else 'FAIL'} input {ref}")
         ok = ok and good
     if ok:
-        recomputed = [run] + _recompute(run)
+        recomputed = [run] + _run(_COMMANDS[run["command"]], run["args"])[0]
         same = serialize.dump_records(recomputed) == serialize.dump_records(records)
         print(f"{'PASS' if same else 'FAIL'} records reproduce byte-identically")
         ok = ok and same
@@ -513,71 +556,14 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if ns.command == "verify":
             return run_verify(ns.report)
-
-        if ns.command == "bounds":
-            args = {
-                "function": ns.function,
-                "which": ns.which,
-                "eps": ns.eps,
-                "delta": ns.delta,
-                "z": ns.z,
-                "dist": ns.dist,
-            }
-            inputs = {ns.function: _sha256(_read(ns.function))}
-            if ns.dist:
-                inputs[ns.dist] = _sha256(_read(ns.dist))
-            records = [_run_record("bounds", args, inputs)] + run_bounds(args)
-            return _emit(records, ns.out)
-        if ns.command == "synth-cc":
-            args = {
-                "function": ns.function,
-                "dist": ns.dist,
-                "part": ns.part,
-                "k": ns.k,
-            }
-            inputs = {
-                ns.function: _sha256(_read(ns.function)),
-                ns.dist: _sha256(_read(ns.dist)),
-            }
-            records, tree_text = run_synth_cc(args)
-            if tree_text and ns.tree_out:
-                with open(ns.tree_out, "w", encoding="utf-8") as fh:
-                    fh.write(tree_text)
-            records = [_run_record("synth-cc", args, inputs)] + records
-            return _emit(records, ns.out)
-        if ns.command == "synth-qc":
-            args = {
-                "function": ns.function,
-                "dist": ns.dist,
-                "eps": ns.eps,
-                "delta": ns.delta,
-            }
-            inputs = {
-                ns.function: _sha256(_read(ns.function)),
-                ns.dist: _sha256(_read(ns.dist)),
-            }
-            records, tree_text = run_synth_qc(args)
-            if tree_text and ns.tree_out:
-                with open(ns.tree_out, "w", encoding="utf-8") as fh:
-                    fh.write(tree_text)
-            records = [_run_record("synth-qc", args, inputs)] + records
-            return _emit(records, ns.out)
-        if ns.command == "oracle":
-            args = {
-                "function": ns.function,
-                "dist": ns.dist,
-                "depth": ns.depth,
-                "artifact": ns.artifact,
-            }
-            inputs = {
-                ns.function: _sha256(_read(ns.function)),
-                ns.dist: _sha256(_read(ns.dist)),
-            }
-            if ns.artifact:
-                inputs[ns.artifact] = _sha256(_read(ns.artifact))
-            records = [_run_record("oracle", args, inputs)] + run_oracle(args)
-            return _emit(records, ns.out)
-        raise ParseError(f"unknown command {ns.command!r}")
+        command = _COMMANDS[ns.command]
+        args = {key: getattr(ns, key) for key in command.args}
+        inputs = {args[key]: _sha256(_read(args[key])) for key in command.inputs if args[key]}
+        records, tree_text = _run(command, args)
+        if command.writes_tree and tree_text and ns.tree_out:
+            with open(ns.tree_out, "w", encoding="utf-8") as fh:
+                fh.write(tree_text)
+        return _emit([_run_record(ns.command, args, inputs)] + records, ns.out)
     except (LpboundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

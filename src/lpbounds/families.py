@@ -19,8 +19,8 @@ Query families on n bits:
 
 from __future__ import annotations
 
-from .errors import ParseError
-from .model import QueryFunction, TwoPartyFunction
+from .errors import DimensionMismatchError, ParseError
+from .model import MAX_QUERY_BITS, MAX_TABLE_SIDE, QueryFunction, TwoPartyFunction
 
 
 def _two_party(m: int, predicate) -> TwoPartyFunction:
@@ -109,13 +109,16 @@ QUERY_FAMILIES = {
 def make_function(family: str, m: int, side: str):
     """Instantiate a named family; ``side`` is ``cc`` or ``qc``."""
     if side == "cc":
-        table = TWO_PARTY_FAMILIES
+        table, lo, hi = TWO_PARTY_FAMILIES, 0, MAX_TABLE_SIDE.bit_length() - 1
     elif side == "qc":
-        table = QUERY_FAMILIES
+        table, lo, hi = QUERY_FAMILIES, 1, MAX_QUERY_BITS
     else:
         raise ParseError(f"side must be cc or qc, got {side!r}")
     if family not in table:
         raise ParseError(
             f"unknown {side} family {family!r}; available: {sorted(table)}"
         )
+    # checked here, before the 2^m-sized table is built
+    if not lo <= m <= hi:
+        raise DimensionMismatchError(f"{side} family size must be in [{lo}, {hi}], got {m}")
     return table[family](m)

@@ -76,14 +76,6 @@ class TwoPartyFunction:
     def complement(self) -> "TwoPartyFunction":
         return TwoPartyFunction(tuple(tuple(1 - v for v in row) for row in self.table))
 
-    def preimage_cells(self, z: int) -> list[tuple[int, int]]:
-        return [
-            (x, y)
-            for x in range(self.nx)
-            for y in range(self.ny)
-            if self.table[x][y] == z
-        ]
-
 
 @dataclass(frozen=True)
 class QueryFunction:

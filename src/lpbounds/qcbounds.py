@@ -1,17 +1,9 @@
 """Query-side LP bounds over subcubes.
 
-The query partition bound is the LP
-
-    min  sum_z sum_A w_{z,A} * 2^{|A|}
-    sum_{A ni x} w_{g(x),A} >= 1 - eps      for all x        (covering)
-    sum_{A ni x} sum_z w_{z,A} = 1          for all x        (total mass)
-    w >= 0
-
-where A ranges over subcubes and |A| is the support size.  Its explicit
-dual (max (1-eps) sum mu_x + sum phi_x subject to, for every (z, A),
-sum_{x in A, g(x)=z} mu_x + sum_{x in A} phi_x <= 2^{|A|}, with mu >= 0 and
-phi free) is built alongside so solver duals can be cross-checked against
-an independently constructed program.
+The query partition bound qprt is the labelled partition LP of
+``partition`` over the points of {0,1}^n and the subcubes A at cost
+2^{|A|}, where |A| is the support size; this module only describes that
+family.
 
 Error boosting is majority voting over t independent copies; the exact
 per-point guarantee is the binomial tail, not a Chernoff estimate.  A
@@ -28,14 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp as lpmod
-from .boosting import majority_product_boost
-from .ccbounds import BoundResult, _finish, check_unit_interval
-from .errors import (
-    CapExceededError,
-    DimensionMismatchError,
-    InfeasibleConstructionError,
-)
-from .lp import Constraint, LinearProgram
+from .ccbounds import BoundResult, _finish
+from .errors import CapExceededError, InfeasibleConstructionError
+from .lp import LinearProgram
 from .model import (
     BitProductDistribution,
     QueryFunction,
@@ -43,15 +30,12 @@ from .model import (
     bit_measure,
     enumerate_subcubes,
 )
-from .rational import ceil_mul_log2, majority_error
+from .partition import LabelledFamily
+from .rational import ceil_mul_log2
 
 QPRT_VARIABLE_CAP = 1 << 20
 
 LabeledCubeWeights = dict[tuple[int, Subcube], Fraction]
-
-
-def _cube_var(z: int, cube: Subcube) -> str:
-    return f"w{z}_{cube.pattern()}"
 
 
 def _cube_from_var(name: str) -> tuple[int, Subcube]:
@@ -63,74 +47,28 @@ def _cube_key(cube: Subcube):
     return (cube.size, cube.support, cube.values)
 
 
+def _cube_family(g: QueryFunction, max_support: int | None = None) -> LabelledFamily:
+    def members() -> list[Subcube]:
+        cubes = list(enumerate_subcubes(g.n, max_support))
+        if 2 * len(cubes) > QPRT_VARIABLE_CAP:
+            raise CapExceededError(f"{2 * len(cubes)} variables exceed the qprt cap")
+        return cubes
+
+    return LabelledFamily(
+        points=tuple((x, g.value(x), str(x)) for x in range(1 << g.n)),
+        members=members,
+        cost=lambda cube: Fraction(1 << cube.size),
+        tag=Subcube.pattern,
+        contains=Subcube.contains,
+        intersect=Subcube.intersect,
+        sort_key=_cube_key,
+    )
+
+
 def build_qprt_lp(
     g: QueryFunction, eps: Fraction, max_support: int | None = None
 ) -> LinearProgram:
-    check_unit_interval("eps", eps)
-    cubes = list(enumerate_subcubes(g.n, max_support))
-    if 2 * len(cubes) > QPRT_VARIABLE_CAP:
-        raise CapExceededError(f"{2 * len(cubes)} variables exceed the qprt cap")
-    names = []
-    for cube in cubes:
-        names.append(_cube_var(0, cube))
-        names.append(_cube_var(1, cube))
-    objective = {
-        _cube_var(z, cube): Fraction(1 << cube.size)
-        for cube in cubes
-        for z in (0, 1)
-    }
-    one = Fraction(1)
-    constraints: list[Constraint] = []
-    for x in range(1 << g.n):
-        cov = {_cube_var(g.value(x), c): one for c in cubes if c.contains(x)}
-        constraints.append(Constraint(cov, ">=", 1 - eps, f"cov_{x}"))
-    for x in range(1 << g.n):
-        mass = {
-            _cube_var(z, c): one for c in cubes if c.contains(x) for z in (0, 1)
-        }
-        constraints.append(Constraint(mass, "=", one, f"mass_{x}"))
-    return LinearProgram(
-        name="qprt",
-        sense="min",
-        variables=tuple(names),
-        objective=objective,
-        constraints=tuple(constraints),
-    )
-
-
-def build_qprt_dual_lp(
-    g: QueryFunction, eps: Fraction, max_support: int | None = None
-) -> LinearProgram:
-    check_unit_interval("eps", eps)
-    points = range(1 << g.n)
-    mu_names = tuple(f"mu_{x}" for x in points)
-    phi_names = tuple(f"phi_{x}" for x in points)
-    objective: dict[str, Fraction] = {n: 1 - eps for n in mu_names}
-    for n in phi_names:
-        objective[n] = Fraction(1)
-    one = Fraction(1)
-    constraints = []
-    for cube in enumerate_subcubes(g.n, max_support):
-        for z in (0, 1):
-            row: dict[str, Fraction] = {}
-            for x in cube.members():
-                row[f"phi_{x}"] = one
-                if g.value(x) == z:
-                    row[f"mu_{x}"] = one
-            constraints.append(
-                Constraint(row, "<=", Fraction(1 << cube.size), f"dual_{z}_{cube.pattern()}")
-            )
-    nonneg = {n: True for n in mu_names}
-    for n in phi_names:
-        nonneg[n] = False
-    return LinearProgram(
-        name="qprt-dual",
-        sense="max",
-        variables=mu_names + phi_names,
-        objective=objective,
-        constraints=tuple(constraints),
-        nonneg=nonneg,
-    )
+    return _cube_family(g, max_support).primal("qprt", eps, relaxed=False)
 
 
 @dataclass(frozen=True)
@@ -147,10 +85,6 @@ class QprtSolution:
             Fraction(0),
         )
 
-    @property
-    def total_weight(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
-
     def correct_mass_at(self, g: QueryFunction, x: int) -> Fraction:
         z = g.value(x)
         return sum(
@@ -162,18 +96,6 @@ class QprtSolution:
         return sum(
             (w for (_, c), w in self.weights.items() if c.contains(x)), Fraction(0)
         )
-
-    def verify(self, g: QueryFunction, eps: Fraction) -> None:
-        """Exact feasibility for the qprt program at error level eps."""
-        if g.n != self.n:
-            raise DimensionMismatchError("solution and function bit counts differ")
-        for x in range(1 << g.n):
-            if self.total_mass_at(x) != 1:
-                raise InfeasibleConstructionError(f"total mass at {x} is not 1")
-            if self.correct_mass_at(g, x) < 1 - eps:
-                raise InfeasibleConstructionError(
-                    f"covering below 1-eps at point {x}"
-                )
 
 
 def qprt_bound(
@@ -200,32 +122,12 @@ class BoostedQprt:
 
 
 def boost_qprt(sol: QprtSolution, g: QueryFunction, t: int) -> BoostedQprt:
-    """t-fold majority product; all structural guarantees re-verified.
+    """t-fold majority product of an exact-total-mass qprt solution.
 
-    Verified exactly: per-point total mass stays 1; per-point correct mass
-    equals 1 - tail(a_x, t) for the input's correct mass a_x; the boosted
-    objective is at most (input objective)**t.
+    Every pre- and postcondition is verified by ``LabelledFamily.boost``.
     """
-    if t < 1 or t % 2 == 0:
-        raise ValueError(f"vote count must be a positive odd integer, got {t}")
-    boosted_weights = majority_product_boost(
-        sol.weights, t, lambda a, b: a.intersect(b), sort_key=_cube_key
-    )
-    boosted = QprtSolution(sol.n, boosted_weights)
-    if boosted.objective > sol.objective**t:
-        raise InfeasibleConstructionError("boosted objective exceeds the product bound")
-    worst = Fraction(0)
-    for x in range(1 << g.n):
-        if boosted.total_mass_at(x) != 1:
-            raise InfeasibleConstructionError(f"boosted total mass at {x} is not 1")
-        a = sol.correct_mass_at(g, x)
-        expected = 1 - majority_error(a, t)
-        if boosted.correct_mass_at(g, x) != expected:
-            raise InfeasibleConstructionError(
-                f"boosted correct mass at {x} differs from the binomial tail"
-            )
-        worst = max(worst, 1 - expected)
-    return BoostedQprt(boosted, t, worst)
+    boosted = _cube_family(g).boost(sol.weights, t)
+    return BoostedQprt(QprtSolution(sol.n, boosted.weights), t, boosted.achieved_error)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import string
 from fractions import Fraction
 
 from .ccsynth import PLeaf, PNode, ProtocolTree, leaf_count, tree_depth
@@ -36,6 +37,10 @@ from .qcsynth import DecisionTree, DLeaf, DNode, dtree_depth
 from .rational import format_rational, parse_rational
 
 RECORD_VERSION = 1
+
+# the characters of a tree's split masks (hex) and bit indices (decimal)
+_HEX_DIGITS = frozenset(string.hexdigits)
+_DIGITS = frozenset(string.digits)
 
 # Deeper than any tree whose splits all shrink the input set on the
 # supported sizes (30 levels for 16 x 16 tables, 12 for 12 query bits), and
@@ -169,9 +174,14 @@ def parse_protocol_tree(text: str) -> ProtocolTree:
             raise ParseError(f"protocol tree deeper than {MAX_TREE_DEPTH} levels")
         parts = lines[pos].split()
         pos += 1
-        if parts[0] == "L" and len(parts) == 2:
+        if parts in (["L", "0"], ["L", "1"]):
             return PLeaf(int(parts[1]))
-        if parts[0] == "I" and len(parts) == 3 and parts[1] in ("A", "B"):
+        if (
+            parts[0] == "I"
+            and len(parts) == 3
+            and parts[1] in ("A", "B")
+            and set(parts[2]) <= _HEX_DIGITS
+        ):
             split = int(parts[2], 16)
             inside = read(depth + 1)
             outside = read(depth + 1)
@@ -213,9 +223,9 @@ def parse_decision_tree(text: str) -> DecisionTree:
             raise ParseError(f"decision tree deeper than {MAX_TREE_DEPTH} levels")
         parts = lines[pos].split()
         pos += 1
-        if parts[0] == "L" and len(parts) == 2:
+        if parts in (["L", "0"], ["L", "1"]):
             return DLeaf(int(parts[1]))
-        if parts[0] == "Q" and len(parts) == 2:
+        if parts[0] == "Q" and len(parts) == 2 and set(parts[1]) <= _DIGITS:
             child0 = read(depth + 1)
             child1 = read(depth + 1)
             return DNode(int(parts[1]), child0, child1)

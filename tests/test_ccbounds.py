@@ -2,13 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import CC_CORPUS, UNIFORM_4x4, chain_cached, srec_cached
+from reference_duals import build_prt_dual_lp, build_rprt_dual_lp
 
 from lpbounds import families
 from lpbounds.ccbounds import (
     SrecInstance,
-    build_prt_dual_lp,
     build_prt_lp,
-    build_rprt_dual_lp,
     build_rprt_lp,
     partition_weights,
     prt_bound,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -216,3 +217,40 @@ def test_oracle_deep_artifact_exits_1(workspace, capsys, fn, dist, tree):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0].startswith("error: ") and "deeper than" in err[0]
+
+
+@pytest.mark.parametrize(
+    ("fn", "dist", "tree", "message"),
+    [
+        ("xor2", "bits", "dtree v1\nQ 2\nL 0\nL 1\n", "decision tree queries bit 2 of a 2-bit function"),
+        ("xor2", "bits", "dtree v1\nQ 0\nL 0\nQ 99\nL 1\nL 0\n", "decision tree queries bit 99 of a 2-bit function"),
+        ("and2", "dist", "ptree v1\nI A 10\nL 0\nL 1\n", "protocol tree splits A on 10, beyond its 4 inputs"),
+        ("and2", "dist", "ptree v1\nI A 1\nI B 1f\nL 0\nL 1\nL 0\n", "protocol tree splits B on 1f, beyond its 4 inputs"),
+    ],
+    ids=["dtree-Q-2", "dtree-Q-99", "ptree-A-10", "ptree-B-1f"],
+)
+def test_oracle_artifact_beyond_the_function_exits_1(workspace, capsys, fn, dist, tree, message):
+    artifact = write(workspace["dir"] / "wide.tree", tree)
+    code = main(["oracle", workspace[fn], workspace[dist], "--depth", "1", "--artifact", artifact])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == f"error: {message}"
+
+
+def test_gen_checks_size_before_building_the_table(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["gen", "maj", "30", "--side", "qc"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 1 << 20
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: qc family size must be in [1, 12], got 30"
+
+
+@pytest.mark.parametrize("m", ["-1", "5"])
+def test_gen_cc_size_out_of_range_exits_1(capsys, m):
+    assert main(["gen", "eq", m]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == f"error: cc family size must be in [0, 4], got {m}"

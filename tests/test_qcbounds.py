@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import QC_CORPUS, qprt_cached
+from reference_duals import build_qprt_dual_lp
 
 from lpbounds import families
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
@@ -9,7 +10,6 @@ from lpbounds.lp import check_feasible, solve
 from lpbounds.model import BitProductDistribution, Subcube, enumerate_subcubes
 from lpbounds.qcbounds import (
     boost_qprt,
-    build_qprt_dual_lp,
     build_qprt_lp,
     extract_feasible,
     qprt_bound,

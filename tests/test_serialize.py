@@ -118,3 +118,23 @@ def test_tree_depth_is_bounded(parse, header, node):
         parse(deep_tree_text(header, node, limit + 1))
     with pytest.raises(ParseError, match="deeper than"):
         parse(deep_tree_text(header, node, 3000))
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (serialize.parse_protocol_tree, "ptree v1\nL 7\n"),
+        (serialize.parse_protocol_tree, "ptree v1\nL x\n"),
+        (serialize.parse_protocol_tree, "ptree v1\nI A zz\nL 0\nL 1\n"),
+        (serialize.parse_protocol_tree, "ptree v1\nI B -1\nL 0\nL 1\n"),
+        (serialize.parse_decision_tree, "dtree v1\nL 7\n"),
+        (serialize.parse_decision_tree, "dtree v1\nL x\n"),
+        (serialize.parse_decision_tree, "dtree v1\nQ -1\nL 0\nL 1\n"),
+        (serialize.parse_decision_tree, "dtree v1\nQ x\nL 0\nL 1\n"),
+    ],
+    ids=["ptree-L-7", "ptree-L-x", "ptree-I-A-zz", "ptree-I-B-minus-1",
+         "dtree-L-7", "dtree-L-x", "dtree-Q-minus-1", "dtree-Q-x"],
+)
+def test_tree_parsers_reject_bad_fields(parse, text):
+    with pytest.raises(ParseError, match="bad (protocol|decision) tree line"):
+        parse(text)
