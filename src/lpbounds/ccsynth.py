@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ccbounds import BoundResult, SrecInstance, srec_bound, srec_weights
+from .ccbounds import SrecInstance, srec_bound, srec_weights
 from .errors import (
     DecompositionError,
     DimensionMismatchError,
@@ -129,25 +129,15 @@ def advantage(
     tree: ProtocolTree, f: TwoPartyFunction, mu: ProductDistribution2P
 ) -> Fraction:
     """Correct mass minus incorrect mass, by exhaustive evaluation."""
-    if mu.nx != f.nx or mu.ny != f.ny:
-        raise DimensionMismatchError("measure shape does not match function")
-    total = Fraction(0)
-    for x in range(f.nx):
-        rw = mu.row_weights[x]
-        if rw == 0:
-            continue
-        for y in range(f.ny):
-            m = rw * mu.col_weights[y]
-            if m == 0:
-                continue
-            total += m if evaluate(tree, x, y) == f.value(x, y) else -m
-    return total
+    return mu.total - 2 * protocol_error(tree, f, mu)
 
 
 def protocol_error(
     tree: ProtocolTree, f: TwoPartyFunction, mu: ProductDistribution2P
 ) -> Fraction:
-    """Incorrect mass; advantage = |mu| - 2 * error."""
+    """Incorrect mass, by exhaustive evaluation."""
+    if mu.nx != f.nx or mu.ny != f.ny:
+        raise DimensionMismatchError("measure shape does not match function")
     total = Fraction(0)
     for x in range(f.nx):
         rw = mu.row_weights[x]
@@ -271,20 +261,16 @@ def decompose(
         threshold = (10 * q / d_value) * block_mass if d_value > 0 else None
         restricted: RectWeights = {}
         covered = Fraction(0)
+        numer = Fraction(0)
         for rect, w in cover_weights.items():
             if w <= 0:
                 continue
-            if threshold is not None and mu.mass(rect.intersect(block)) >= threshold:
+            part = rect.intersect(block)
+            carried = w * measure(mu, f, cover_z, part)
+            numer += carried
+            if threshold is not None and mu.mass(part) >= threshold:
                 restricted[rect] = w
-                covered += w * measure(mu, f, cover_z, rect.intersect(block))
-        numer = sum(
-            (
-                w * measure(mu, f, cover_z, rect.intersect(block))
-                for rect, w in cover_weights.items()
-                if w > 0
-            ),
-            Fraction(0),
-        )
+                covered += carried
         sub_eps = Fraction(0) if m_cover == 0 else 1 - numer / m_cover
         sub_eps = sub_eps + 30 * q
         objective_ok = weight_value(restricted) <= Fraction(9, 10) * d_value
@@ -363,7 +349,6 @@ def synthesize(
     params: SynthParams,
     weights0: RectWeights,
     weights1: RectWeights,
-    resolve: bool = False,
 ) -> ProtocolTree:
     """Build a protocol tree meeting the leaf and advantage guarantees.
 
@@ -371,12 +356,8 @@ def synthesize(
     distributional LPs at (eps, delta); params invariants are validated
     against their objective values.  Both final guarantees are verified
     exactly before the tree is returned (the advantage by exhaustive
-    evaluation, never the recursion's own accounting).
-
-    With ``resolve`` the restricted sub-block solution is replaced by a
-    fresh LP optimum for the sub-block (never larger than the carried
-    restriction, so every budget still holds); the default carries the
-    restricted solutions down the recursion unchanged.
+    evaluation, never the recursion's own accounting).  The restricted
+    solutions are carried down the recursion unchanged.
     """
     if mu.nx != f.nx or mu.ny != f.ny:
         raise DimensionMismatchError("measure shape does not match function")
@@ -427,18 +408,10 @@ def synthesize(
         else:
             assert dec.restricted is not None and dec.sub_eps is not None
             restricted = dec.restricted
-            block_mu = cur.restrict(dec.block)
-            if resolve and dec.sub_eps <= 1:
-                fresh = srec_bound(
-                    SrecInstance(f, 1 - z_star, dec.sub_eps, params.delta, block_mu)
-                )
-                restricted = srec_weights(fresh)
-            sub_w0, sub_w1 = (
-                (w0, restricted) if z_star == 0 else (restricted, w1)
-            )
+            sub_w0, sub_w1 = (w0, restricted) if z_star == 0 else (restricted, w1)
             block_tree = build(
                 dec.block,
-                block_mu,
+                cur.restrict(dec.block),
                 dec.sub_eps,
                 s - 1,
                 t,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -38,8 +39,10 @@ from .ccsynth import (
     PNode,
     ProtocolTree,
     advantage,
+    balance_depth_target,
     evaluate,
     leaf_count,
+    protocol_error,
     protocol_pipeline,
     tree_depth,
 )
@@ -213,12 +216,8 @@ def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
             }
         )
         asserts["advantage >= floor"] = adv >= rep.adv_floor
-        import math
-
         budget = 4 * math.comb(rep.s + rep.t, min(rep.s, rep.t)) - 1
         asserts["leaves within binomial budget"] = leaves <= budget
-        from .ccsynth import balance_depth_target
-
         asserts["balanced depth within target"] = balanced_depth <= balance_depth_target(
             leaves
         )
@@ -298,8 +297,6 @@ def run_oracle(args: dict) -> list[dict]:
         if not isinstance(mu, ProductDistribution2P):
             raise ParseError("two-party oracle needs a rows/cols distribution")
         res = oracle_cc(fn, mu, depth)
-        from .ccsynth import protocol_error
-
         replay = protocol_error(res.witness, fn, mu)  # type: ignore[arg-type]
         side = "cc"
     else:
@@ -325,8 +322,6 @@ def run_oracle(args: dict) -> list[dict]:
         if side == "cc":
             tree = serialize.parse_protocol_tree(text)
             _check_artifact_fits(tree, fn)
-            from .ccsynth import protocol_error
-
             measured = protocol_error(tree, fn, mu)  # type: ignore[arg-type]
             art_depth = tree_depth(tree)
         else:

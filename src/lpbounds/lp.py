@@ -53,7 +53,7 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
@@ -184,9 +184,7 @@ class LPSolution:
         return json.dumps(self.to_record(), sort_keys=True).encode()
 
 
-def check_feasible(
-    lp: LinearProgram, assignment: dict[str, Fraction], include_domain: bool = True
-) -> list[Violation]:
+def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[Violation]:
     """every violated constraint with its exact slack; [] iff feasible.
 
     Variables missing from the assignment are treated as 0.
@@ -206,11 +204,10 @@ def check_feasible(
         )
         if not ok:
             out.append(Violation("constraint", i, con.label, lhs, con.rel, con.rhs))
-    if include_domain:
-        for j, v in enumerate(lp.variables):
-            val = assignment.get(v, Fraction(0))
-            if lp.is_nonneg(v) and val < 0:
-                out.append(Violation("domain", j, v, val, GE, Fraction(0)))
+    for j, v in enumerate(lp.variables):
+        val = assignment.get(v, Fraction(0))
+        if lp.is_nonneg(v) and val < 0:
+            out.append(Violation("domain", j, v, val, GE, Fraction(0)))
     return out
 
 
@@ -258,43 +255,26 @@ def dual_objective(lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction
 
 
 def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
-    """True iff ``vector`` certifies infeasibility of ``lp``'s constraints."""
+    """True iff ``vector`` certifies infeasibility of ``lp``'s constraints.
+
+    A Farkas vector is a feasible dual of the zero-objective minimization
+    with a positive dual objective: no primal point can meet the rows.
+    """
     y = [vector.get(i, Fraction(0)) for i in range(len(lp.constraints))]
-    for i, con in enumerate(lp.constraints):
-        if con.rel == GE and y[i] < 0:
-            return False
-        if con.rel == LE and y[i] > 0:
-            return False
-    col_sums: dict[str, Fraction] = {v: Fraction(0) for v in lp.variables}
-    for i, con in enumerate(lp.constraints):
-        if y[i] == 0:
-            continue
-        for v, c in con.coeffs.items():
-            col_sums[v] += y[i] * c
-    for v in lp.variables:
-        if lp.is_nonneg(v):
-            if col_sums[v] > 0:
-                return False
-        elif col_sums[v] != 0:
-            return False
-    return sum((y[i] * con.rhs for i, con in enumerate(lp.constraints)), Fraction(0)) > 0
+    zero = replace(lp, sense="min", objective={})
+    return not check_dual_feasible(zero, y) and dual_objective(lp, y) > 0
 
 
 def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
-    """True iff ``ray`` is a feasible improving direction (proves unboundedness)."""
-    for v, val in ray.items():
-        if lp.is_nonneg(v) and val < 0:
-            return False
-    for con in lp.constraints:
-        lhs = sum((c * ray.get(v, Fraction(0)) for v, c in con.coeffs.items()), Fraction(0))
-        if con.rel == GE and lhs < 0:
-            return False
-        if con.rel == LE and lhs > 0:
-            return False
-        if con.rel == EQ and lhs != 0:
-            return False
+    """True iff ``ray`` is a feasible improving direction (proves unboundedness).
+
+    A ray is a feasible point of the homogeneous program (every rhs 0)
+    along which the objective improves.
+    """
+    homogeneous = replace(lp, constraints=tuple(replace(c, rhs=0) for c in lp.constraints))
     rate = lp.objective_value(ray)
-    return rate < 0 if lp.sense == "min" else rate > 0
+    improving = rate < 0 if lp.sense == "min" else rate > 0
+    return improving and not check_feasible(homogeneous, ray)
 
 
 def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:

@@ -73,9 +73,6 @@ class TwoPartyFunction:
     def value(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    def complement(self) -> "TwoPartyFunction":
-        return TwoPartyFunction(tuple(tuple(1 - v for v in row) for row in self.table))
-
 
 @dataclass(frozen=True)
 class QueryFunction:
@@ -99,9 +96,6 @@ class QueryFunction:
 
     def value(self, x: int) -> int:
         return self.table[x]
-
-    def complement(self) -> "QueryFunction":
-        return QueryFunction(self.n, tuple(1 - v for v in self.table))
 
 
 @dataclass(frozen=True)

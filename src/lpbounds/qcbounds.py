@@ -47,9 +47,9 @@ def _cube_key(cube: Subcube):
     return (cube.size, cube.support, cube.values)
 
 
-def _cube_family(g: QueryFunction, max_support: int | None = None) -> LabelledFamily:
+def _cube_family(g: QueryFunction) -> LabelledFamily:
     def members() -> list[Subcube]:
-        cubes = list(enumerate_subcubes(g.n, max_support))
+        cubes = list(enumerate_subcubes(g.n))
         if 2 * len(cubes) > QPRT_VARIABLE_CAP:
             raise CapExceededError(f"{2 * len(cubes)} variables exceed the qprt cap")
         return cubes
@@ -65,10 +65,8 @@ def _cube_family(g: QueryFunction, max_support: int | None = None) -> LabelledFa
     )
 
 
-def build_qprt_lp(
-    g: QueryFunction, eps: Fraction, max_support: int | None = None
-) -> LinearProgram:
-    return _cube_family(g, max_support).primal("qprt", eps, relaxed=False)
+def build_qprt_lp(g: QueryFunction, eps: Fraction) -> LinearProgram:
+    return _cube_family(g).primal("qprt", eps, relaxed=False)
 
 
 @dataclass(frozen=True)
@@ -98,10 +96,8 @@ class QprtSolution:
         )
 
 
-def qprt_bound(
-    g: QueryFunction, eps: Fraction, max_support: int | None = None
-) -> BoundResult:
-    return _finish("qprt", lpmod.solve(build_qprt_lp(g, eps, max_support)))
+def qprt_bound(g: QueryFunction, eps: Fraction) -> BoundResult:
+    return _finish("qprt", lpmod.solve(build_qprt_lp(g, eps)))
 
 
 def qprt_solution(g: QueryFunction, result: BoundResult) -> QprtSolution:
@@ -157,14 +153,11 @@ class FeasibleSystem:
     def w_mass_at(self, x: int) -> Fraction:
         return sum((v for c, v in self.w.items() if c.contains(x)), Fraction(0))
 
-    def verify(
-        self, g: QueryFunction, mu: BitProductDistribution | None = None
-    ) -> list[str]:
+    def verify(self, g: QueryFunction, mu: BitProductDistribution) -> list[str]:
         """All violated inequalities, as messages; [] iff the system verifies.
 
         Pointwise checks run over the points consistent with the fixed bits
-        of ``mu`` (all points when mu is None); fixed bits must not occur in
-        any support.
+        of ``mu``; fixed bits must not occur in any support.
         """
         out: list[str] = []
         for c, v in list(self.u.items()) + list(self.w.items()):
@@ -176,17 +169,10 @@ class FeasibleSystem:
         for c in self.w:
             if c.size > self.b:
                 out.append(f"w support {c.pattern()} exceeds b={self.b}")
-        fixed_mask = 0
-        fixed_vals = 0
-        if mu is not None:
-            fixed_mask = mu.fixed_bits()
-            for i in range(mu.n):
-                if (fixed_mask >> i) & 1 and mu.p[i] == 1:
-                    fixed_vals |= 1 << i
-            for c in list(self.u) + list(self.w):
-                if c.support & fixed_mask:
-                    out.append(f"support {c.pattern()} uses a mu-fixed bit")
-        consistent = Subcube(self.n, fixed_mask, fixed_vals)
+        consistent = _fixed_cube(self.n, mu)
+        for c in list(self.u) + list(self.w):
+            if c.support & consistent.support:
+                out.append(f"support {c.pattern()} uses a mu-fixed bit")
         for x in consistent.members():
             um = self.u_mass_at(x)
             if g.value(x) == 0 and um < 1 - self.alpha0:
@@ -198,15 +184,20 @@ class FeasibleSystem:
                 out.append(f"w mass above 1 at {x}")
             if g.value(x) == 0 and wm > self.beta1:
                 out.append(f"w mass above beta1 at {x}")
-        if mu is not None:
-            mu1 = bit_measure(mu, g, 1, Subcube(self.n, 0, 0))
-            carried = sum(
-                (v * bit_measure(mu, g, 1, c) for c, v in self.w.items()),
-                Fraction(0),
-            )
-            if carried < (1 - self.alpha1) * mu1:
-                out.append("w carries less than (1-alpha1) mu_1 of 1-mass")
+        mu1 = bit_measure(mu, g, 1, Subcube(self.n, 0, 0))
+        carried = sum(
+            (v * bit_measure(mu, g, 1, c) for c, v in self.w.items()),
+            Fraction(0),
+        )
+        if carried < (1 - self.alpha1) * mu1:
+            out.append("w carries less than (1-alpha1) mu_1 of 1-mass")
         return out
+
+
+def _fixed_cube(n: int, mu: BitProductDistribution) -> Subcube:
+    """The points consistent with the bits ``mu`` fixes to 0 or 1."""
+    ones = sum(1 << i for i, q in enumerate(mu.p) if q == 1)
+    return Subcube(n, mu.fixed_bits(), ones)
 
 
 def _project_cube(
@@ -224,7 +215,7 @@ def extract_feasible(
     boosted: BoostedQprt,
     gamma: Fraction,
     g: QueryFunction,
-    mu: BitProductDistribution | None = None,
+    mu: BitProductDistribution,
 ) -> FeasibleSystem:
     """Split a boosted solution into a verified feasible system.
 
@@ -253,17 +244,11 @@ def extract_feasible(
         raise InfeasibleConstructionError(
             f"discarded mass {removed} is not below gamma {gamma}"
         )
-    fixed_mask = 0
-    fixed_vals = 0
-    if mu is not None:
-        fixed_mask = mu.fixed_bits()
-        for i in range(mu.n):
-            if (fixed_mask >> i) & 1 and mu.p[i] == 1:
-                fixed_vals |= 1 << i
+    fixed = _fixed_cube(sol.n, mu)
     u: dict[Subcube, Fraction] = {}
     w: dict[Subcube, Fraction] = {}
     for (z, cube), wv in kept.items():
-        proj = _project_cube(cube, fixed_mask, fixed_vals)
+        proj = _project_cube(cube, fixed.support, fixed.values)
         if proj is None:
             continue
         side = u if z == 0 else w

@@ -204,6 +204,7 @@ def build_decision_tree(
     stats = BuildStats()
     quarter = Fraction(1, 4)
     cube_all = full_cube(g.n)
+    full = (1 << g.n) - 1
 
     def best_leaf(cur_mu: BitProductDistribution) -> DLeaf:
         m0 = bit_measure(cur_mu, g, 0, cube_all)
@@ -241,7 +242,7 @@ def build_decision_tree(
 
         outcomes: dict[int, DecisionTree] = {}
         expectation = Fraction(0)
-        for values in _assignments(support):
+        for values in Subcube(g.n, full ^ support, 0).members():
             sub_mu = cur_mu.condition(support, values)
             sub_u: dict[Subcube, Fraction] = {}
             for c, v in u.items():
@@ -305,16 +306,6 @@ def build_decision_tree(
             f"measured error {err} exceeds the certified budget {formula}"
         )
     return tree, stats
-
-
-def _assignments(support: int):
-    """All value masks over a support mask, ascending."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == support:
-            return
-        sub = (sub - support) & support
 
 
 def certified_error_budget(system: FeasibleSystem, delta: Fraction) -> Fraction:

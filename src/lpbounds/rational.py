@@ -179,17 +179,15 @@ def floor_fourth_root(x: int) -> int:
     return math.isqrt(math.isqrt(x))
 
 
-def largest_fourth_power_at_most(
-    target: Fraction, grid_bits: int = 32
-) -> tuple[Fraction, Fraction]:
-    """Largest q on the dyadic grid 2**-grid_bits with q**4 <= target.
+def largest_fourth_power_at_most(target: Fraction) -> tuple[Fraction, Fraction]:
+    """Largest q on the dyadic grid 2**-32 with q**4 <= target.
 
     Returns (q, q**4).  The grid is refined automatically when the target is
     so small that the initial grid would give q = 0.
     """
     if target <= 0:
         raise ValueError("target must be positive")
-    bits = grid_bits
+    bits = 32
     while True:
         scaled = (target.numerator << (4 * bits)) // target.denominator
         root = floor_fourth_root(scaled)
@@ -218,19 +216,15 @@ def majority_error(correct_mass: Fraction, votes: int) -> Fraction:
     return total
 
 
-def min_odd_votes_for_error(
-    correct_mass: Fraction, target: Fraction, cap: int = 20001
-) -> int:
-    """Smallest odd t whose exact majority error is <= target.
+def min_odd_votes_for_error(correct_mass: Fraction, target: Fraction) -> int:
+    """Smallest odd t <= 20001 whose exact majority error is <= target.
 
     Requires correct_mass > 1/2, otherwise no amount of voting converges.
     """
     a = Fraction(correct_mass)
     if a <= Fraction(1, 2):
         raise ValueError("majority voting needs per-vote correct mass > 1/2")
-    t = 1
-    while t <= cap:
+    for t in range(1, 20002, 2):
         if majority_error(a, t) <= target:
             return t
-        t += 2
-    raise ValueError(f"no odd vote count up to {cap} reaches error {target}")
+    raise ValueError(f"no odd vote count up to 20001 reaches error {target}")

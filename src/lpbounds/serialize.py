@@ -226,9 +226,15 @@ def parse_decision_tree(text: str) -> DecisionTree:
         if parts in (["L", "0"], ["L", "1"]):
             return DLeaf(int(parts[1]))
         if parts[0] == "Q" and len(parts) == 2 and set(parts[1]) <= _DIGITS:
+            try:
+                bit = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(
+                    f"bad decision tree line: bit index of {len(parts[1])} digits"
+                ) from None
             child0 = read(depth + 1)
             child1 = read(depth + 1)
-            return DNode(int(parts[1]), child0, child1)
+            return DNode(bit, child0, child1)
         raise ParseError(f"bad decision tree line {lines[pos - 1]!r}")
 
     tree = read(0)
@@ -241,10 +247,6 @@ def parse_decision_tree(text: str) -> DecisionTree:
 # records
 
 
-def rat(q: Fraction) -> str:
-    return format_rational(q)
-
-
 def bound_record(kind: str, fn_hash: str, params: dict, result) -> dict:
     rec = {
         "v": RECORD_VERSION,
@@ -252,9 +254,9 @@ def bound_record(kind: str, fn_hash: str, params: dict, result) -> dict:
         "kind": kind,
         "fn_hash": fn_hash,
         "params": params,
-        "value": rat(result.value),
-        "log2_lo": None if result.log2_lo is None else rat(result.log2_lo),
-        "log2_hi": None if result.log2_hi is None else rat(result.log2_hi),
+        "value": format_rational(result.value),
+        "log2_lo": None if result.log2_lo is None else format_rational(result.log2_lo),
+        "log2_hi": None if result.log2_hi is None else format_rational(result.log2_hi),
         "support_size": result.support_size,
         "iterations": result.solution.iterations,
         "phase1_iterations": result.solution.phase1_iterations,
@@ -268,7 +270,7 @@ def protocol_summary_record(tree: ProtocolTree, adv: Fraction) -> dict:
         "record": "ptree-summary",
         "leaves": leaf_count(tree),
         "depth": tree_depth(tree),
-        "advantage": rat(adv),
+        "advantage": format_rational(adv),
     }
 
 
@@ -277,7 +279,7 @@ def decision_summary_record(tree: DecisionTree, error: Fraction, params: dict) -
         "v": RECORD_VERSION,
         "record": "dtree-summary",
         "depth": dtree_depth(tree),
-        "error": rat(error),
+        "error": format_rational(error),
         "params": params,
     }
 
@@ -288,17 +290,17 @@ def feasible_system_record(system) -> dict:
         "record": "feasible-system",
         "n": system.n,
         "u": {
-            cube.pattern(): rat(w)
+            cube.pattern(): format_rational(w)
             for cube, w in sorted(system.u.items(), key=lambda cw: cw[0].pattern())
         },
         "w": {
-            cube.pattern(): rat(w)
+            cube.pattern(): format_rational(w)
             for cube, w in sorted(system.w.items(), key=lambda cw: cw[0].pattern())
         },
-        "alpha0": rat(system.alpha0),
-        "beta0": rat(system.beta0),
-        "alpha1": rat(system.alpha1),
-        "beta1": rat(system.beta1),
+        "alpha0": format_rational(system.alpha0),
+        "beta0": format_rational(system.beta0),
+        "alpha1": format_rational(system.alpha1),
+        "beta1": format_rational(system.beta1),
         "a": system.a,
         "b": system.b,
     }

@@ -6,6 +6,10 @@ Fractions, duals are rebuilt every pivot and every column is priced in
 Fraction arithmetic.  It takes the same Bland pivots on the unscaled
 program, so on every input the two solvers must return byte-identical
 ``LPSolution``s.  It is slow, uncached and only used by tests.
+
+``check_farkas`` and ``check_ray`` are the certificate checkers written out
+row by row, as ``lpbounds.lp`` had them before they became checks of the
+zero-objective dual and the homogeneous primal.
 """
 
 from __future__ import annotations
@@ -265,3 +269,43 @@ def _project(sx: _Simplex, std: dict[int, Fraction]) -> dict[str, Fraction]:
         if val != 0:
             out[v] = val
     return out
+
+
+def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
+    """True iff ``vector`` certifies infeasibility of ``lp``'s constraints."""
+    y = [vector.get(i, Fraction(0)) for i in range(len(lp.constraints))]
+    for i, con in enumerate(lp.constraints):
+        if con.rel == GE and y[i] < 0:
+            return False
+        if con.rel == LE and y[i] > 0:
+            return False
+    col_sums: dict[str, Fraction] = {v: Fraction(0) for v in lp.variables}
+    for i, con in enumerate(lp.constraints):
+        if y[i] == 0:
+            continue
+        for v, c in con.coeffs.items():
+            col_sums[v] += y[i] * c
+    for v in lp.variables:
+        if lp.is_nonneg(v):
+            if col_sums[v] > 0:
+                return False
+        elif col_sums[v] != 0:
+            return False
+    return sum((y[i] * con.rhs for i, con in enumerate(lp.constraints)), Fraction(0)) > 0
+
+
+def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
+    """True iff ``ray`` is a feasible improving direction (proves unboundedness)."""
+    for v, val in ray.items():
+        if lp.is_nonneg(v) and val < 0:
+            return False
+    for con in lp.constraints:
+        lhs = sum((c * ray.get(v, Fraction(0)) for v, c in con.coeffs.items()), Fraction(0))
+        if con.rel == GE and lhs < 0:
+            return False
+        if con.rel == LE and lhs > 0:
+            return False
+        if con.rel == EQ and lhs != 0:
+            return False
+    rate = lp.objective_value(ray)
+    return rate < 0 if lp.sense == "min" else rate > 0

@@ -26,6 +26,7 @@ from lpbounds.ccsynth import (
     tree_depth,
 )
 from lpbounds.errors import (
+    DimensionMismatchError,
     InfeasibleConstructionError,
     NoBiasedRectangleError,
 )
@@ -55,6 +56,11 @@ def test_advantage_single_leaves():
 def test_advantage_eq2_leaf():
     # 12 off-diagonal cells right, 4 diagonal wrong: 12/16 - 4/16
     assert advantage(PLeaf(0), CC_CORPUS["eq2"], UNIFORM_4x4) == F(1, 2)
+
+
+def test_protocol_error_rejects_a_measure_of_another_shape():
+    with pytest.raises(DimensionMismatchError):
+        protocol_error(PLeaf(0), CC_CORPUS["eq2"], ProductDistribution2P.uniform(2, 2))
 
 
 def test_find_biased_rectangle_constant():
@@ -177,19 +183,6 @@ def test_synthesize_rejects_bad_params():
     bad = SynthParams(params.eps, params.delta, params.delta_root, params.big_delta, 0, params.t)
     with pytest.raises(InfeasibleConstructionError):
         synthesize(f, mu, bad, w0, w1)
-
-
-def test_synthesize_resolve_mode_keeps_guarantees():
-    # resolve mode swaps carried restrictions for fresh sub-block optima;
-    # every budget and the advantage floor must still verify
-    f = CC_CORPUS["xor2"]
-    mu, params, w0, w1 = deep_params(f)
-    resolved = synthesize(f, mu, params, w0, w1, resolve=True)
-    budget = 4 * math.comb(params.s + params.t, min(params.s, params.t)) - 1
-    assert leaf_count(resolved) <= budget
-    adv = advantage(resolved, f, mu)
-    coeff = F(1, 10) - params.eps - 30 * (params.s + 1) * params.delta_root
-    assert adv >= coeff * mu.total - params.big_delta * leaf_count(resolved)
 
 
 def test_balance_single_leaf_unchanged():

@@ -123,11 +123,11 @@ def test_extract_constant_zero():
     g = families.const_q(2, 0)
     sol = qprt_solution(g, qprt_bound(g, F(0)))
     boosted = boost_qprt(sol, g, 3)
-    system = extract_feasible(boosted, F(1, 64), g)
+    system = extract_feasible(boosted, F(1, 64), g, BitProductDistribution.uniform(g.n))
     full = Subcube(2, 0, 0)
     assert system.u == {full: F(1)}
     assert system.w == {}
-    assert system.verify(g) == []
+    assert system.verify(g, BitProductDistribution.uniform(g.n)) == []
 
 
 def test_extract_cutoff_keeps_everything_at_small_support():
@@ -135,7 +135,7 @@ def test_extract_cutoff_keeps_everything_at_small_support():
     sol = qprt_solution(g, qprt_cached("and3", F(1, 8)))
     t = min_odd_votes_for_error(F(7, 8), F(1, 64))
     boosted = boost_qprt(sol, g, t)
-    system = extract_feasible(boosted, F(1, 64), g)
+    system = extract_feasible(boosted, F(1, 64), g, BitProductDistribution.uniform(g.n))
     assert system.a >= g.n  # nothing removable: supports stop at n bits
     split = {(0, c): w for c, w in system.u.items()}
     split.update({(1, c): w for c, w in system.w.items()})
@@ -170,4 +170,4 @@ def test_extract_requires_error_within_gamma():
     sol = qprt_solution(g, qprt_cached("xor2", F(1, 8)))
     boosted = boost_qprt(sol, g, 1)
     with pytest.raises(InfeasibleConstructionError):
-        extract_feasible(boosted, F(1, 1000), g)
+        extract_feasible(boosted, F(1, 1000), g, BitProductDistribution.uniform(g.n))

@@ -131,9 +131,10 @@ def test_tree_depth_is_bounded(parse, header, node):
         (serialize.parse_decision_tree, "dtree v1\nL x\n"),
         (serialize.parse_decision_tree, "dtree v1\nQ -1\nL 0\nL 1\n"),
         (serialize.parse_decision_tree, "dtree v1\nQ x\nL 0\nL 1\n"),
+        (serialize.parse_decision_tree, "dtree v1\nQ " + "1" * 5000 + "\nL 0\nL 1\n"),
     ],
     ids=["ptree-L-7", "ptree-L-x", "ptree-I-A-zz", "ptree-I-B-minus-1",
-         "dtree-L-7", "dtree-L-x", "dtree-Q-minus-1", "dtree-Q-x"],
+         "dtree-L-7", "dtree-L-x", "dtree-Q-minus-1", "dtree-Q-x", "dtree-Q-5000-digits"],
 )
 def test_tree_parsers_reject_bad_fields(parse, text):
     with pytest.raises(ParseError, match="bad (protocol|decision) tree line"):
