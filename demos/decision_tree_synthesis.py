@@ -12,7 +12,8 @@ Run:  python3 demos/decision_tree_synthesis.py
 from lpbounds import families
 from lpbounds.model import BitProductDistribution
 from lpbounds.oracle import oracle_qc
-from lpbounds.qcsynth import DLeaf, synthesis_pipeline
+from lpbounds.qcsynth import synthesis_pipeline
+from lpbounds.trees import Leaf
 
 g = families.maj_q(3)
 mu = BitProductDistribution.uniform(3)
@@ -30,7 +31,7 @@ print(f"error <= 0.49        = {rep.half_error_certified}")
 
 
 def render(node, indent=""):
-    if isinstance(node, DLeaf):
+    if isinstance(node, Leaf):
         print(f"{indent}answer {node.label}")
     else:
         print(f"{indent}query bit {node.bit}")

@@ -10,11 +10,10 @@ Run:  python3 demos/oracle_comparison.py
 """
 
 from lpbounds import families
-from lpbounds.ccsynth import protocol_error
 from lpbounds.model import BitProductDistribution, ProductDistribution2P
 from lpbounds.oracle import oracle_cc, oracle_qc
-from lpbounds.qcsynth import dtree_error
 from lpbounds.rational import format_rational as fmt
+from lpbounds.trees import dtree_error, protocol_error
 
 mu = ProductDistribution2P.uniform(4, 4)
 print("two-party optimal error by depth (uniform measure)")

@@ -15,19 +15,9 @@ from fractions import Fraction as F
 
 from lpbounds import families
 from lpbounds.ccbounds import SrecInstance, srec_bound, srec_weights
-from lpbounds.ccsynth import (
-    PLeaf,
-    SynthParams,
-    advantage,
-    balance,
-    evaluate,
-    leaf_count,
-    minimum_s,
-    minimum_t,
-    synthesize,
-    tree_depth,
-)
+from lpbounds.ccsynth import SynthParams, balance, minimum_s, minimum_t, synthesize
 from lpbounds.model import ProductDistribution2P
+from lpbounds.trees import Leaf, advantage, evaluate, leaf_count, tree_depth
 
 f = families.xor2p(2)
 mu = ProductDistribution2P.uniform(4, 4)
@@ -57,7 +47,7 @@ print(f"advantage {adv} >= floor {coeff} - Delta*L (exact check done inside)")
 
 
 def render(node, indent=""):
-    if isinstance(node, PLeaf):
+    if isinstance(node, Leaf):
         print(f"{indent}answer {node.label}")
     else:
         who = "Alice" if node.speaker == "A" else "Bob"

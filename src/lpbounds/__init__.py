@@ -9,13 +9,16 @@ Library surface:
   and qprt, and its verified majority boost.
 - :mod:`lpbounds.ccbounds` -- smooth rectangle / partition / relaxed
   partition bounds and partition-bound error reduction.
+- :mod:`lpbounds.trees` -- protocol trees and decision trees: one leaf
+  type, the shared walkers, evaluation and exhaustive error measures.
 - :mod:`lpbounds.ccsynth` -- communication protocol trees built from
   distributional LP solutions, with tree balancing.
 - :mod:`lpbounds.qcbounds` -- query partition bound, majority boosting,
   feasible-system extraction.
 - :mod:`lpbounds.qcsynth` -- decision trees built from feasible systems.
 - :mod:`lpbounds.oracle` -- brute-force optimal protocol / decision trees
-  at small scale, for validating synthesized artifacts.
+  at small scale, one memoised search behind both, for validating
+  synthesized artifacts.
 - :mod:`lpbounds.cli` -- command-line front end.
 """
 

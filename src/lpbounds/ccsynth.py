@@ -58,95 +58,9 @@ from .model import (
     popular_label,
 )
 from .rational import ceil_mul_log2, largest_fourth_power_at_most
+from .trees import Leaf, PNode, ProtocolTree, advantage, evaluate, leaf_count, tree_depth
 
 RectWeights = dict[Rectangle, Fraction]
-
-
-# ---------------------------------------------------------------------------
-# protocol trees
-
-
-@dataclass(frozen=True)
-class PLeaf:
-    label: int
-
-
-@dataclass(frozen=True)
-class PNode:
-    speaker: str  # "A" | "B"
-    split: int  # bitmask over the speaker's indices; inside = membership
-    inside: "ProtocolTree"
-    outside: "ProtocolTree"
-
-    def __post_init__(self) -> None:
-        if self.speaker not in ("A", "B"):
-            raise DimensionMismatchError(f"speaker must be A or B, got {self.speaker!r}")
-
-
-ProtocolTree = PLeaf | PNode
-
-
-def evaluate(tree: ProtocolTree, x: int, y: int) -> int:
-    node = tree
-    while isinstance(node, PNode):
-        coord = x if node.speaker == "A" else y
-        node = node.inside if (node.split >> coord) & 1 else node.outside
-    return node.label
-
-
-def leaf_count(tree: ProtocolTree) -> int:
-    """Number of leaves; shared subtrees count once per occurrence."""
-    cache: dict[int, int] = {}
-
-    def go(node: ProtocolTree) -> int:
-        if isinstance(node, PLeaf):
-            return 1
-        hit = cache.get(id(node))
-        if hit is None:
-            hit = go(node.inside) + go(node.outside)
-            cache[id(node)] = hit
-        return hit
-
-    return go(tree)
-
-
-def tree_depth(tree: ProtocolTree) -> int:
-    cache: dict[int, int] = {}
-
-    def go(node: ProtocolTree) -> int:
-        if isinstance(node, PLeaf):
-            return 0
-        hit = cache.get(id(node))
-        if hit is None:
-            hit = 1 + max(go(node.inside), go(node.outside))
-            cache[id(node)] = hit
-        return hit
-
-    return go(tree)
-
-
-def advantage(
-    tree: ProtocolTree, f: TwoPartyFunction, mu: ProductDistribution2P
-) -> Fraction:
-    """Correct mass minus incorrect mass, by exhaustive evaluation."""
-    return mu.total - 2 * protocol_error(tree, f, mu)
-
-
-def protocol_error(
-    tree: ProtocolTree, f: TwoPartyFunction, mu: ProductDistribution2P
-) -> Fraction:
-    """Incorrect mass, by exhaustive evaluation."""
-    if mu.nx != f.nx or mu.ny != f.ny:
-        raise DimensionMismatchError("measure shape does not match function")
-    total = Fraction(0)
-    for x in range(f.nx):
-        rw = mu.row_weights[x]
-        if rw == 0:
-            continue
-        for y in range(f.ny):
-            if evaluate(tree, x, y) != f.value(x, y):
-                total += rw * mu.col_weights[y]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +295,13 @@ def synthesize(
     ) -> ProtocolTree:
         m0, m1 = masses(cur)
         if max(m0, m1) >= 2 * min(m0, m1):
-            return PLeaf(popular_label(m0, m1))
+            return Leaf(popular_label(m0, m1))
         if eps + 30 * (s + 1) * q >= tenth:
-            return PLeaf(popular_label(m0, m1))
+            return Leaf(popular_label(m0, m1))
         if s == 0:
             return _one_exchange(f, cur, w1, active)
         if t == 0:
-            return PLeaf(popular_label(m0, m1))
+            return Leaf(popular_label(m0, m1))
 
         value0 = weight_value(w0)
         value1 = weight_value(w1)
@@ -400,11 +314,11 @@ def synthesize(
         dec = decompose(f, cur, s_rect, cover_w, q, active, z_star)
 
         if dec.alternative == "a":
-            block_tree: ProtocolTree = PLeaf(z_star)
+            block_tree: ProtocolTree = Leaf(z_star)
         elif dec.sub_eps is not None and dec.sub_eps > 1:
             bm0 = measure(cur, f, 0, dec.block)
             bm1 = measure(cur, f, 1, dec.block)
-            block_tree = PLeaf(popular_label(bm0, bm1))
+            block_tree = Leaf(popular_label(bm0, bm1))
         else:
             assert dec.restricted is not None and dec.sub_eps is not None
             restricted = dec.restricted
@@ -425,7 +339,7 @@ def synthesize(
             tree: ProtocolTree = PNode(
                 "A",
                 s_rect.rows,
-                PNode("B", s_rect.cols, PLeaf(z_star), block_tree),
+                PNode("B", s_rect.cols, Leaf(z_star), block_tree),
                 rest_tree,
             )
         else:
@@ -434,7 +348,7 @@ def synthesize(
             tree = PNode(
                 "B",
                 s_rect.cols,
-                PNode("A", s_rect.rows, PLeaf(z_star), block_tree),
+                PNode("A", s_rect.rows, Leaf(z_star), block_tree),
                 rest_tree,
             )
 
@@ -493,12 +407,12 @@ def _one_exchange(
         if best_err is None or err < best_err:
             best, best_err = clipped, err
     if best is None:
-        return PLeaf(popular_label(m0, m1))
+        return Leaf(popular_label(m0, m1))
     return PNode(
         "A",
         best.rows,
-        PNode("B", best.cols, PLeaf(1), PLeaf(0)),
-        PLeaf(0),
+        PNode("B", best.cols, Leaf(1), Leaf(0)),
+        Leaf(0),
     )
 
 
@@ -571,7 +485,7 @@ def _balance(tree: ProtocolTree, full_rows: int, full_cols: int) -> ProtocolTree
             break
         node = child
 
-    contracted = _replace(tree, splitter, PLeaf(0))
+    contracted = _replace(tree, splitter, Leaf(0))
     balanced_sub = _balance(splitter, full_rows, full_cols)
     balanced_rest = _balance(contracted, full_rows, full_cols)
     return PNode(
@@ -587,7 +501,7 @@ def _replace(
 ) -> ProtocolTree:
     if tree is target:
         return replacement
-    if isinstance(tree, PLeaf):
+    if isinstance(tree, Leaf):
         return tree
     inside = _replace(tree.inside, target, replacement)
     outside = _replace(tree.outside, target, replacement)
@@ -651,6 +565,8 @@ def protocol_pipeline(
     n = f.nx.bit_length() - 1
     notes: list[str] = []
     if part == 1:
+        if n < 2:  # delta <= 1/n**2 must lie in (0, 1)
+            raise DimensionMismatchError("part 1 needs at least 4 x 4 inputs")
         target = Fraction(1, n * n)
         q, delta = largest_fourth_power_at_most(target)
         eps = delta

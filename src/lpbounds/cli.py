@@ -35,17 +35,7 @@ from .ccbounds import (
     rprt_bound,
     srec_bound,
 )
-from .ccsynth import (
-    PNode,
-    ProtocolTree,
-    advantage,
-    balance_depth_target,
-    evaluate,
-    leaf_count,
-    protocol_error,
-    protocol_pipeline,
-    tree_depth,
-)
+from .ccsynth import balance_depth_target, protocol_pipeline
 from .errors import LpboundsError, ParseError
 from .model import (
     BitProductDistribution,
@@ -55,8 +45,9 @@ from .model import (
 )
 from .oracle import oracle_cc, oracle_qc
 from .qcbounds import qprt_bound
-from .qcsynth import DecisionTree, DNode, dtree_depth, dtree_error, synthesis_pipeline
+from .qcsynth import synthesis_pipeline
 from .rational import format_rational, parse_rational
+from .trees import advantage, check_fits, dtree_error, evaluate, leaf_count, protocol_error, tree_depth
 
 
 def _read(path: str) -> str:
@@ -249,7 +240,7 @@ def run_synth_qc(args: dict) -> tuple[list[dict], str | None]:
     # recompute the asserted quantities from the serialized tree
     tree_text = serialize.write_decision_tree(rep.tree)
     parsed = serialize.parse_decision_tree(tree_text)
-    depth = dtree_depth(parsed)
+    depth = tree_depth(parsed)
     error = dtree_error(parsed, fn, mu)
     asserts = {
         "depth <= a*b": depth <= rep.depth_bound,
@@ -297,15 +288,13 @@ def run_oracle(args: dict) -> list[dict]:
         if not isinstance(mu, ProductDistribution2P):
             raise ParseError("two-party oracle needs a rows/cols distribution")
         res = oracle_cc(fn, mu, depth)
-        replay = protocol_error(res.witness, fn, mu)  # type: ignore[arg-type]
-        side = "cc"
+        side, error, parse = "cc", protocol_error, serialize.parse_protocol_tree
     else:
         if not isinstance(mu, BitProductDistribution):
             raise ParseError("query oracle needs a `p:` distribution")
         res = oracle_qc(fn, mu, depth)
-        replay = dtree_error(res.witness, fn, mu)  # type: ignore[arg-type]
-        side = "qc"
-    asserts["witness replays exactly"] = replay == res.best_error
+        side, error, parse = "qc", dtree_error, serialize.parse_decision_tree
+    asserts["witness replays exactly"] = error(res.witness, fn, mu) == res.best_error
     records = [
         {
             "v": serialize.RECORD_VERSION,
@@ -318,22 +307,14 @@ def run_oracle(args: dict) -> list[dict]:
         }
     ]
     if args.get("artifact"):
-        text = _read(args["artifact"])
-        if side == "cc":
-            tree = serialize.parse_protocol_tree(text)
-            _check_artifact_fits(tree, fn)
-            measured = protocol_error(tree, fn, mu)  # type: ignore[arg-type]
-            art_depth = tree_depth(tree)
-        else:
-            dtree = serialize.parse_decision_tree(text)
-            _check_artifact_fits(dtree, fn)
-            measured = dtree_error(dtree, fn, mu)  # type: ignore[arg-type]
-            art_depth = dtree_depth(dtree)
+        tree = parse(_read(args["artifact"]))
+        check_fits(tree, fn)
+        measured = error(tree, fn, mu)
         records.append(
             {
                 "v": serialize.RECORD_VERSION,
                 "record": "sandwich",
-                "artifact_depth": art_depth,
+                "artifact_depth": tree_depth(tree),
                 "artifact_error": format_rational(measured),
                 "oracle_error": format_rational(res.best_error),
             }
@@ -341,29 +322,6 @@ def run_oracle(args: dict) -> list[dict]:
         asserts["oracle <= artifact error"] = res.best_error <= measured
     records.append(_summary(asserts))
     return records
-
-
-def _check_artifact_fits(
-    tree: ProtocolTree | DecisionTree, fn: TwoPartyFunction | QueryFunction
-) -> None:
-    """An artifact may only ask for coordinates the function has."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, DNode):
-            if node.bit >= fn.n:
-                raise ParseError(
-                    f"decision tree queries bit {node.bit} of a {fn.n}-bit function"
-                )
-            stack += [node.child0, node.child1]
-        elif isinstance(node, PNode):
-            size = fn.nx if node.speaker == "A" else fn.ny
-            if node.split >> size:
-                raise ParseError(
-                    f"protocol tree splits {node.speaker} on {node.split:x}, "
-                    f"beyond its {size} inputs"
-                )
-            stack += [node.inside, node.outside]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ primal point is checked against all constraints, the dual vector against
 the derived dual program, and the two objective values are compared as
 exact rationals.  Infeasible programs come with a Farkas certificate,
 unbounded ones with an improving ray, checked by ``check_farkas`` and
-``check_ray``.  Cached solutions pass the same ``certify`` on load.
+``check_ray``, and an unbounded one also with the feasible point the ray
+leaves.  Cached solutions pass the same ``certify`` on load.
 
 Dual conventions (for a minimization program):
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
@@ -119,22 +120,6 @@ class LinearProgram:
             Fraction(0),
         )
 
-    def dump(self) -> str:
-        """Fixed-format text rendering for debugging; not a stable interface."""
-        lines = [f"{self.sense} " + " + ".join(
-            f"{format_rational(c)}*{v}" for v, c in sorted(self.objective.items())
-        )]
-        lines.append("s.t.")
-        for i, con in enumerate(self.constraints):
-            terms = " + ".join(
-                f"{format_rational(c)}*{v}" for v, c in sorted(con.coeffs.items())
-            )
-            label = con.label or f"c{i}"
-            lines.append(f"  {label}: {terms or '0'} {con.rel} {format_rational(con.rhs)}")
-        free = [v for v in self.variables if not self.is_nonneg(v)]
-        lines.append(f"  nonneg: all except {free}" if free else "  nonneg: all")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -144,11 +129,6 @@ class Violation:
     lhs: Fraction
     rel: str
     rhs: Fraction
-
-    @property
-    def slack(self) -> Fraction:
-        """Magnitude of the violation (always positive for a true violation)."""
-        return abs(self.lhs - self.rhs)
 
 
 @dataclass(frozen=True)
@@ -282,7 +262,8 @@ def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
 
     An optimal solution needs a feasible primal over declared variables, a
     feasible dual of matching length and equal primal, dual and reported
-    values; an infeasible one a Farkas vector, an unbounded one a ray.
+    values; an infeasible one a Farkas vector, an unbounded one a feasible
+    primal point (a ray alone shows no point is feasible) and a ray.
     """
     if sol.status == "optimal":
         undeclared = sorted(set(sol.primal) - set(lp.variables))
@@ -302,9 +283,13 @@ def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
         return [f"unknown status {sol.status!r}"]
     kind, check = checks[sol.status]
     cert = sol.certificate
+    failures = []
     if cert is None or cert.get("kind") != kind or not check(lp, cert["vector"]):
-        return [f"invalid {kind} certificate"]
-    return []
+        failures.append(f"invalid {kind} certificate")
+    if sol.status == "unbounded":
+        failures += [f"unbounded primal failed re-check: {v}"
+                     for v in check_feasible(lp, sol.primal)]
+    return failures
 
 
 class _Simplex:
@@ -506,7 +491,10 @@ class _Simplex:
                 )
             self._drive_out_artificials()
 
-        if self._iterate(self.cost2, self.n_structural) == "unbounded":
+        status = self._iterate(self.cost2, self.n_structural)
+        x_std = {self.basis[i]: Fraction(xi, self.d) for i, xi in enumerate(self.x) if xi}
+        primal = self._project(x_std)
+        if status == "unbounded":
             enter, u = self.unbounded
             # an entering slack or surplus of row k stands for s_k times the
             # original one, so the original program's ray is s_k times this
@@ -516,12 +504,10 @@ class _Simplex:
                 if ui:
                     ray_std[self.basis[i]] = Fraction(-ui * unit, self.d)
             return LPSolution(
-                "unbounded", None, {}, (), self.iterations, phase1_iterations,
+                "unbounded", None, primal, (), self.iterations, phase1_iterations,
                 {"kind": "ray", "vector": self._project(ray_std)},
             )
 
-        x_std = {self.basis[i]: Fraction(xi, self.d) for i, xi in enumerate(self.x) if xi}
-        primal = self._project(x_std)
         sense_sign = 1 if self.lp.sense == "min" else -1
         den = self.l2 * self.d
         dual = tuple(
@@ -629,7 +615,8 @@ def solve(lp: LinearProgram) -> LPSolution:
 
     An optimal solution carries a primal point and a dual certificate that
     pass ``check_feasible`` and ``check_dual_feasible`` with equal objective
-    values; an infeasible one a Farkas vector, an unbounded one a ray.
+    values; an infeasible one a Farkas vector, an unbounded one a feasible
+    point and a ray.
     """
     cached = _cache_load(lp)
     if cached is not None:

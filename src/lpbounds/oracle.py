@@ -3,9 +3,10 @@
 ``oracle_cc`` minimizes exact distributional error over *all* deterministic
 protocol trees of a given depth: at every node either party may speak, and
 a speaker's message is an arbitrary bipartition of their active index set.
-``oracle_qc`` does the same over decision trees.  Both memoize on the
-active state (rectangle masks / subcube restriction, remaining budget) and
-return a witness tree that replays to exactly the optimal error.
+``oracle_qc`` does the same over decision trees.  Both are front ends of
+one memoised search: each supplies its start state (rectangle masks /
+subcube restriction), the state's two label masses and its moves, and the
+search returns a witness tree that replays to exactly the optimal error.
 
 These searches are exponential and exist to validate synthesized
 artifacts, not to scale: caps are enforced.
@@ -15,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
+from typing import Callable, Iterator
 
-from .ccsynth import PLeaf, PNode, ProtocolTree
-from .errors import CapExceededError
+from .errors import CapExceededError, DimensionMismatchError
 from .model import (
     BitProductDistribution,
     ProductDistribution2P,
@@ -28,17 +30,20 @@ from .model import (
     bit_measure,
     measure,
 )
-from .qcsynth import DecisionTree, DLeaf, DNode
+from .trees import DNode, Leaf, PNode, Tree
 
 ORACLE_CC_MAX_SIDE = 4
 ORACLE_CC_MAX_DEPTH = 4
 ORACLE_QC_MAX_BITS = 10
 
+State = tuple[int, int]  # (rows, cols) masks, or a subcube's (support, values)
+Move = tuple[Callable[[Tree, Tree], Tree], State, State]
+
 
 @dataclass(frozen=True)
 class OracleResult:
     best_error: Fraction
-    witness: ProtocolTree | DecisionTree
+    witness: Tree
 
 
 def _proper_bipartitions(mask: int):
@@ -72,35 +77,17 @@ def oracle_cc(
     if depth_budget > ORACLE_CC_MAX_DEPTH:
         raise CapExceededError(f"protocol search capped at depth {ORACLE_CC_MAX_DEPTH}")
 
-    memo: dict[tuple[int, int, int], tuple[Fraction, ProtocolTree]] = {}
-
-    def best(rows: int, cols: int, budget: int) -> tuple[Fraction, ProtocolTree]:
-        key = (rows, cols, budget)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def masses(rows: int, cols: int) -> tuple[Fraction, Fraction]:
         rect = Rectangle(rows, cols)
-        m0 = measure(mu, f, 0, rect)
-        m1 = measure(mu, f, 1, rect)
-        err, tree = (m1, PLeaf(0)) if m1 <= m0 else (m0, PLeaf(1))
-        if budget >= 1:
-            for split in _proper_bipartitions(rows):
-                e_in, t_in = best(split, cols, budget - 1)
-                e_out, t_out = best(rows ^ split, cols, budget - 1)
-                if e_in + e_out < err:
-                    err = e_in + e_out
-                    tree = PNode("A", split, t_in, t_out)
-            for split in _proper_bipartitions(cols):
-                e_in, t_in = best(rows, split, budget - 1)
-                e_out, t_out = best(rows, cols ^ split, budget - 1)
-                if e_in + e_out < err:
-                    err = e_in + e_out
-                    tree = PNode("B", split, t_in, t_out)
-        memo[key] = (err, tree)
-        return err, tree
+        return measure(mu, f, 0, rect), measure(mu, f, 1, rect)
 
-    err, tree = best((1 << f.nx) - 1, (1 << f.ny) - 1, depth_budget)
-    return OracleResult(err, tree)
+    def moves(rows: int, cols: int) -> Iterator[Move]:
+        for split in _proper_bipartitions(rows):
+            yield partial(PNode, "A", split), (split, cols), (rows ^ split, cols)
+        for split in _proper_bipartitions(cols):
+            yield partial(PNode, "B", split), (rows, split), (rows, cols ^ split)
+
+    return _search(((1 << f.nx) - 1, (1 << f.ny) - 1), masses, moves, depth_budget)
 
 
 def oracle_qc(
@@ -110,28 +97,51 @@ def oracle_qc(
     if g.n > ORACLE_QC_MAX_BITS:
         raise CapExceededError(f"decision search capped at {ORACLE_QC_MAX_BITS} bits")
 
-    memo: dict[tuple[int, int, int], tuple[Fraction, DecisionTree]] = {}
+    def masses(support: int, values: int) -> tuple[Fraction, Fraction]:
+        cube = Subcube(g.n, support, values)
+        return bit_measure(mu, g, 0, cube), bit_measure(mu, g, 1, cube)
 
-    def best(support: int, values: int, budget: int) -> tuple[Fraction, DecisionTree]:
-        key = (support, values, budget)
+    def moves(support: int, values: int) -> Iterator[Move]:
+        for i in range(g.n):
+            if not (support >> i) & 1:
+                bit = 1 << i
+                yield partial(DNode, i), (support | bit, values), (support | bit, values | bit)
+
+    return _search((0, 0), masses, moves, depth_budget)
+
+
+def _search(
+    start: State,
+    masses: Callable[[int, int], tuple[Fraction, Fraction]],
+    moves: Callable[[int, int], Iterator[Move]],
+    depth_budget: int,
+) -> OracleResult:
+    """Minimum error over trees of depth <= depth_budget, memoised on (state, budget).
+
+    A leaf answers the label of larger mass (0 on a tie).  ``moves`` yields
+    each node as its constructor awaiting two subtrees, with the states
+    they start from; a move wins only when it errs strictly less.
+    """
+    if depth_budget < 0:
+        raise DimensionMismatchError(f"oracle depth must be >= 0, got {depth_budget}")
+    masses = cache(masses)  # a state's masses do not depend on the budget
+    memo: dict[tuple[int, int, int], tuple[Fraction, Tree]] = {}
+
+    def best(state: State, budget: int) -> tuple[Fraction, Tree]:
+        key = (*state, budget)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        cube = Subcube(g.n, support, values)
-        m0 = bit_measure(mu, g, 0, cube)
-        m1 = bit_measure(mu, g, 1, cube)
-        err, tree = (m1, DLeaf(0)) if m1 <= m0 else (m0, DLeaf(1))
+        m0, m1 = masses(*state)
+        err, tree = (m1, Leaf(0)) if m1 <= m0 else (m0, Leaf(1))
         if budget >= 1:
-            for i in range(g.n):
-                if (support >> i) & 1:
-                    continue
-                e0, t0 = best(support | (1 << i), values, budget - 1)
-                e1, t1 = best(support | (1 << i), values | (1 << i), budget - 1)
-                if e0 + e1 < err:
-                    err = e0 + e1
-                    tree = DNode(i, t0, t1)
+            for node, first, second in moves(*state):
+                e_first, t_first = best(first, budget - 1)
+                e_second, t_second = best(second, budget - 1)
+                if e_first + e_second < err:
+                    err = e_first + e_second
+                    tree = node(t_first, t_second)
         memo[key] = (err, tree)
         return err, tree
 
-    err, tree = best(0, 0, depth_budget)
-    return OracleResult(err, tree)
+    return OracleResult(*best(start, depth_budget))

@@ -83,18 +83,6 @@ class QprtSolution:
             Fraction(0),
         )
 
-    def correct_mass_at(self, g: QueryFunction, x: int) -> Fraction:
-        z = g.value(x)
-        return sum(
-            (w for (wz, c), w in self.weights.items() if wz == z and c.contains(x)),
-            Fraction(0),
-        )
-
-    def total_mass_at(self, x: int) -> Fraction:
-        return sum(
-            (w for (_, c), w in self.weights.items() if c.contains(x)), Fraction(0)
-        )
-
 
 def qprt_bound(g: QueryFunction, eps: Fraction) -> BoundResult:
     return _finish("qprt", lpmod.solve(build_qprt_lp(g, eps)))

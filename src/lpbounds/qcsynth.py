@@ -42,59 +42,7 @@ from .model import (
     popular_label,
 )
 from .qcbounds import FeasibleSystem, _cube_key, _project_cube
-
-
-@dataclass(frozen=True)
-class DLeaf:
-    label: int
-
-
-@dataclass(frozen=True)
-class DNode:
-    bit: int
-    child0: "DecisionTree"
-    child1: "DecisionTree"
-
-
-DecisionTree = DLeaf | DNode
-
-
-def dtree_depth(tree: DecisionTree) -> int:
-    if isinstance(tree, DLeaf):
-        return 0
-    return 1 + max(dtree_depth(tree.child0), dtree_depth(tree.child1))
-
-
-def dtree_evaluate(tree: DecisionTree, x: int) -> int:
-    node = tree
-    while isinstance(node, DNode):
-        node = node.child1 if (x >> node.bit) & 1 else node.child0
-    return node.label
-
-
-def dtree_queried_bits_ok(tree: DecisionTree, seen: int = 0) -> bool:
-    """True iff no root-to-leaf path queries the same bit twice."""
-    if isinstance(tree, DLeaf):
-        return True
-    if (seen >> tree.bit) & 1:
-        return False
-    seen |= 1 << tree.bit
-    return dtree_queried_bits_ok(tree.child0, seen) and dtree_queried_bits_ok(
-        tree.child1, seen
-    )
-
-
-def dtree_error(
-    tree: DecisionTree, g: QueryFunction, mu: BitProductDistribution
-) -> Fraction:
-    """Exact error mass Pr_mu[g(x) != tree(x)], by full enumeration."""
-    if mu.n != g.n:
-        raise DimensionMismatchError("measure and function bit counts differ")
-    total = Fraction(0)
-    for x in range(1 << g.n):
-        if dtree_evaluate(tree, x) != g.value(x):
-            total += mu.point(x)
-    return total
+from .trees import DecisionTree, DNode, Leaf, dtree_error, dtree_queried_bits_ok, tree_depth
 
 
 def find_biased_subcube(
@@ -206,10 +154,10 @@ def build_decision_tree(
     cube_all = full_cube(g.n)
     full = (1 << g.n) - 1
 
-    def best_leaf(cur_mu: BitProductDistribution) -> DLeaf:
+    def best_leaf(cur_mu: BitProductDistribution) -> Leaf:
         m0 = bit_measure(cur_mu, g, 0, cube_all)
         m1 = bit_measure(cur_mu, g, 1, cube_all)
-        return DLeaf(popular_label(m0, m1))
+        return Leaf(popular_label(m0, m1))
 
     def recurse(
         cur_mu: BitProductDistribution,
@@ -222,10 +170,10 @@ def build_decision_tree(
         m1 = bit_measure(cur_mu, g, 1, cube_all)
         if min(m0, m1) < quarter:
             stats.guess_leaves += 1
-            return DLeaf(popular_label(m0, m1))
+            return Leaf(popular_label(m0, m1))
         if (1 - system.alpha0) * m0 - (system.beta0 / delta) * m1 <= 0:
             stats.assumption_leaves += 1
-            return DLeaf(1)
+            return Leaf(1)
         if budget == 0:
             stats.budget_leaves += 1
             return best_leaf(cur_mu)
@@ -292,7 +240,7 @@ def build_decision_tree(
 
     tree = recurse(mu, dict(system.u), dict(system.w), system.alpha1, system.b)
 
-    depth = dtree_depth(tree)
+    depth = tree_depth(tree)
     if depth > system.a * system.b:
         raise InfeasibleConstructionError(
             f"depth {depth} exceeds a*b = {system.a * system.b}"
@@ -389,7 +337,7 @@ def synthesis_pipeline(
         system=system,
         delta=delta,
         tree=tree,
-        depth=dtree_depth(tree),
+        depth=tree_depth(tree),
         error=err,
         error_budget=budget,
         half_error_certified=certified,

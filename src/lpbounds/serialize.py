@@ -22,8 +22,9 @@ import hashlib
 import json
 import string
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
-from .ccsynth import PLeaf, PNode, ProtocolTree, leaf_count, tree_depth
 from .errors import ParseError
 from .model import (
     MAX_QUERY_BITS,
@@ -33,8 +34,8 @@ from .model import (
     QueryFunction,
     TwoPartyFunction,
 )
-from .qcsynth import DecisionTree, DLeaf, DNode, dtree_depth
 from .rational import format_rational, parse_rational
+from .trees import DecisionTree, DNode, Leaf, PNode, ProtocolTree, Tree, leaf_count, tree_depth
 
 RECORD_VERSION = 1
 
@@ -47,6 +48,8 @@ _DIGITS = frozenset(string.digits)
 # shallow enough for the recursive tree walkers under the interpreter's
 # default recursion limit.
 MAX_TREE_DEPTH = 512
+
+NodeMaker = Callable[[Tree, Tree], Tree]  # an internal node awaiting its two subtrees
 
 
 # ---------------------------------------------------------------------------
@@ -146,100 +149,87 @@ def distribution_hash(mu: ProductDistribution2P | BitProductDistribution) -> str
 
 
 def write_protocol_tree(tree: ProtocolTree) -> str:
-    lines = ["ptree v1"]
-
-    def emit(node: ProtocolTree) -> None:
-        if isinstance(node, PLeaf):
-            lines.append(f"L {node.label}")
-        else:
-            lines.append(f"I {node.speaker} {node.split:x}")
-            emit(node.inside)
-            emit(node.outside)
-
-    emit(tree)
-    return "\n".join(lines) + "\n"
+    return _write_tree("ptree v1", tree, lambda node: f"I {node.speaker} {node.split:x}")
 
 
 def parse_protocol_tree(text: str) -> ProtocolTree:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != "ptree v1":
-        raise ParseError("protocol tree files start with `ptree v1`")
-    pos = 1
-
-    def read(depth: int) -> ProtocolTree:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError("truncated protocol tree")
-        if depth > MAX_TREE_DEPTH:
-            raise ParseError(f"protocol tree deeper than {MAX_TREE_DEPTH} levels")
-        parts = lines[pos].split()
-        pos += 1
-        if parts in (["L", "0"], ["L", "1"]):
-            return PLeaf(int(parts[1]))
-        if (
-            parts[0] == "I"
-            and len(parts) == 3
-            and parts[1] in ("A", "B")
-            and set(parts[2]) <= _HEX_DIGITS
-        ):
-            split = int(parts[2], 16)
-            inside = read(depth + 1)
-            outside = read(depth + 1)
-            return PNode(parts[1], split, inside, outside)
-        raise ParseError(f"bad protocol tree line {lines[pos - 1]!r}")
-
-    tree = read(0)
-    if pos != len(lines):
-        raise ParseError("trailing lines after the protocol tree")
-    return tree
+    return _parse_tree(text, "ptree v1", "protocol tree", _protocol_node)
 
 
 def write_decision_tree(tree: DecisionTree) -> str:
-    lines = ["dtree v1"]
+    return _write_tree("dtree v1", tree, lambda node: f"Q {node.bit}")
 
-    def emit(node: DecisionTree) -> None:
-        if isinstance(node, DLeaf):
+
+def parse_decision_tree(text: str) -> DecisionTree:
+    return _parse_tree(text, "dtree v1", "decision tree", _decision_node)
+
+
+def _protocol_node(parts: list[str]) -> NodeMaker | None:
+    if (
+        parts[0] == "I"
+        and len(parts) == 3
+        and parts[1] in ("A", "B")
+        and set(parts[2]) <= _HEX_DIGITS
+    ):
+        return partial(PNode, parts[1], int(parts[2], 16))
+    return None
+
+
+def _decision_node(parts: list[str]) -> NodeMaker | None:
+    if parts[0] == "Q" and len(parts) == 2 and set(parts[1]) <= _DIGITS:
+        try:
+            bit = int(parts[1])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(
+                f"bad decision tree line: bit index of {len(parts[1])} digits"
+            ) from None
+        return partial(DNode, bit)
+    return None
+
+
+def _write_tree(header: str, tree: Tree, node_line: Callable[[Tree], str]) -> str:
+    lines = [header]
+
+    def emit(node: Tree) -> None:
+        if isinstance(node, Leaf):
             lines.append(f"L {node.label}")
         else:
-            lines.append(f"Q {node.bit}")
-            emit(node.child0)
-            emit(node.child1)
+            lines.append(node_line(node))
+            for child in node.children:
+                emit(child)
 
     emit(tree)
     return "\n".join(lines) + "\n"
 
 
-def parse_decision_tree(text: str) -> DecisionTree:
+def _parse_tree(
+    text: str, header: str, kind: str, node: Callable[[list[str]], NodeMaker | None]
+) -> Tree:
+    """The pre-order tree of ``text``; ``node`` maps the fields of a line to
+    its node awaiting two subtrees, or to None for no node line of this kind."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != "dtree v1":
-        raise ParseError("decision tree files start with `dtree v1`")
+    if not lines or lines[0] != header:
+        raise ParseError(f"{kind} files start with `{header}`")
     pos = 1
 
-    def read(depth: int) -> DecisionTree:
+    def read(depth: int) -> Tree:
         nonlocal pos
         if pos >= len(lines):
-            raise ParseError("truncated decision tree")
+            raise ParseError(f"truncated {kind}")
         if depth > MAX_TREE_DEPTH:
-            raise ParseError(f"decision tree deeper than {MAX_TREE_DEPTH} levels")
+            raise ParseError(f"{kind} deeper than {MAX_TREE_DEPTH} levels")
         parts = lines[pos].split()
         pos += 1
         if parts in (["L", "0"], ["L", "1"]):
-            return DLeaf(int(parts[1]))
-        if parts[0] == "Q" and len(parts) == 2 and set(parts[1]) <= _DIGITS:
-            try:
-                bit = int(parts[1])
-            except ValueError:  # more digits than int() converts
-                raise ParseError(
-                    f"bad decision tree line: bit index of {len(parts[1])} digits"
-                ) from None
-            child0 = read(depth + 1)
-            child1 = read(depth + 1)
-            return DNode(bit, child0, child1)
-        raise ParseError(f"bad decision tree line {lines[pos - 1]!r}")
+            return Leaf(int(parts[1]))
+        make = node(parts)
+        if make is None:
+            raise ParseError(f"bad {kind} line {lines[pos - 1]!r}")
+        return make(read(depth + 1), read(depth + 1))
 
     tree = read(0)
     if pos != len(lines):
-        raise ParseError("trailing lines after the decision tree")
+        raise ParseError(f"trailing lines after the {kind}")
     return tree
 
 
@@ -278,7 +268,7 @@ def decision_summary_record(tree: DecisionTree, error: Fraction, params: dict) -
     return {
         "v": RECORD_VERSION,
         "record": "dtree-summary",
-        "depth": dtree_depth(tree),
+        "depth": tree_depth(tree),
         "error": format_rational(error),
         "params": params,
     }

@@ -34,25 +34,21 @@ from lpbounds.ccbounds import (
 )
 from lpbounds.ccsynth import (
     SynthParams,
-    advantage,
     balance,
     balance_depth_target,
-    evaluate,
-    leaf_count,
     minimum_s,
     minimum_t,
-    protocol_error,
     synthesize,
     protocol_pipeline,
-    tree_depth,
 )
 from lpbounds.lp import check_dual_feasible, check_feasible, dual_objective
 from lpbounds.model import BitProductDistribution
 from lpbounds.oracle import ORACLE_CC_MAX_DEPTH, oracle_cc, oracle_qc
-from lpbounds.qcbounds import boost_qprt, build_qprt_lp, qprt_solution
+from lpbounds.qcbounds import _cube_family, boost_qprt, build_qprt_lp, qprt_solution
 from lpbounds.qcbounds import qprt_bound as qprt_bound_direct
-from lpbounds.qcsynth import dtree_depth, dtree_error, certified_error_budget, synthesis_pipeline
+from lpbounds.qcsynth import certified_error_budget, synthesis_pipeline
 from lpbounds.rational import majority_error
+from lpbounds.trees import advantage, dtree_error, evaluate, leaf_count, protocol_error, tree_depth
 
 EPS8 = F(1, 8)
 SEED = 20260810
@@ -223,7 +219,7 @@ def test_criterion_6_boosting_soundness(capsys):
             }
             assert check_feasible(lp, assign) == []
             for x in range(1 << g.n):
-                assert boosted.solution.total_mass_at(x) == 1
+                assert _cube_family(g).mass_at(boosted.solution.weights, x) == 1
             assert boosted.solution.objective <= base.objective**t
     # communication side
     for fam in ("and", "xor"):

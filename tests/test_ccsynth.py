@@ -8,22 +8,15 @@ from lpbounds import families
 from lpbounds.ccbounds import SrecInstance, srec_bound, srec_weights
 from lpbounds.ccsynth import (
     Decomposition,
-    PLeaf,
-    PNode,
     SynthParams,
-    advantage,
     balance,
     balance_depth_target,
     decompose,
-    evaluate,
     find_biased_rectangle,
-    leaf_count,
     minimum_s,
     minimum_t,
-    protocol_error,
     synthesize,
     protocol_pipeline,
-    tree_depth,
 )
 from lpbounds.errors import (
     DimensionMismatchError,
@@ -31,6 +24,7 @@ from lpbounds.errors import (
     NoBiasedRectangleError,
 )
 from lpbounds.model import ProductDistribution2P, Rectangle, full_rectangle, measure
+from lpbounds.trees import Leaf, PNode, advantage, evaluate, leaf_count, protocol_error, tree_depth
 
 
 def deep_params(f, eps=F(0), qbits=17, delta_exp=20):
@@ -49,18 +43,18 @@ def deep_params(f, eps=F(0), qbits=17, delta_exp=20):
 
 def test_advantage_single_leaves():
     f = families.const2p(2, 0)
-    assert advantage(PLeaf(0), f, UNIFORM_4x4) == 1
-    assert advantage(PLeaf(1), f, UNIFORM_4x4) == -1
+    assert advantage(Leaf(0), f, UNIFORM_4x4) == 1
+    assert advantage(Leaf(1), f, UNIFORM_4x4) == -1
 
 
 def test_advantage_eq2_leaf():
     # 12 off-diagonal cells right, 4 diagonal wrong: 12/16 - 4/16
-    assert advantage(PLeaf(0), CC_CORPUS["eq2"], UNIFORM_4x4) == F(1, 2)
+    assert advantage(Leaf(0), CC_CORPUS["eq2"], UNIFORM_4x4) == F(1, 2)
 
 
 def test_protocol_error_rejects_a_measure_of_another_shape():
     with pytest.raises(DimensionMismatchError):
-        protocol_error(PLeaf(0), CC_CORPUS["eq2"], ProductDistribution2P.uniform(2, 2))
+        protocol_error(Leaf(0), CC_CORPUS["eq2"], ProductDistribution2P.uniform(2, 2))
 
 
 def test_find_biased_rectangle_constant():
@@ -138,7 +132,7 @@ def test_synthesize_constant_zero_single_leaf():
     f = families.const2p(2, 0)
     mu, params, w0, w1 = deep_params(f)
     tree = synthesize(f, mu, params, w0, w1)
-    assert tree == PLeaf(0)
+    assert tree == Leaf(0)
     assert advantage(tree, f, mu) == mu.total
 
 
@@ -156,7 +150,7 @@ def test_synthesize_vacuous_budget_single_leaf():
     t = minimum_t(s, mu.total, big_delta)
     params = SynthParams(F(1, 8), delta, q, big_delta, s, t)
     tree = synthesize(f, mu, params, srec_weights(r0), srec_weights(r1))
-    assert isinstance(tree, PLeaf)
+    assert isinstance(tree, Leaf)
 
 
 def test_synthesize_deep_run_guarantees():
@@ -186,13 +180,13 @@ def test_synthesize_rejects_bad_params():
 
 
 def test_balance_single_leaf_unchanged():
-    assert balance(PLeaf(1), 4, 4) == PLeaf(1)
+    assert balance(Leaf(1), 4, 4) == Leaf(1)
 
 
 def test_balance_left_path_eight_leaves():
-    tree = PLeaf(1)
+    tree = Leaf(1)
     for i in range(7):
-        tree = PNode("A" if i % 2 == 0 else "B", 1 << (i % 4), PLeaf(i % 2), tree)
+        tree = PNode("A" if i % 2 == 0 else "B", 1 << (i % 4), Leaf(i % 2), tree)
     assert leaf_count(tree) == 8 and tree_depth(tree) == 7
     out = balance(tree, 4, 4)  # pointwise equality is asserted inside
     assert tree_depth(out) <= balance_depth_target(8)

@@ -115,6 +115,17 @@ def test_synth_cc_part1_and_verify(workspace):
     assert main(["verify", out]) == 0
 
 
+@pytest.mark.parametrize(
+    ("table", "weights"), [("cc 1 1\n1\n", "1"), ("cc 2 2\n10\n01\n", "1/2 1/2")], ids=["1x1", "2x2"]
+)
+def test_synth_cc_part1_below_4x4_exits_1(workspace, capsys, table, weights):
+    fn = write(workspace["dir"] / "small.cc", table)
+    dist = write(workspace["dir"] / "small.dist", f"rows: {weights}\ncols: {weights}\n")
+    assert main(["synth-cc", fn, dist, "--part", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == "error: part 1 needs at least 4 x 4 inputs"
+
+
 def test_synth_cc_part2_requires_k20(workspace, capsys):
     code = main(
         ["synth-cc", workspace["and2"], workspace["dist"], "--part", "2", "--k", "19"]
@@ -235,6 +246,13 @@ def test_oracle_artifact_beyond_the_function_exits_1(workspace, capsys, fn, dist
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0] == f"error: {message}"
+
+
+@pytest.mark.parametrize(("fn", "dist"), [("and2", "dist"), ("xor2", "bits")])
+def test_oracle_negative_depth_exits_1(workspace, capsys, fn, dist):
+    assert main(["oracle", workspace[fn], workspace[dist], "--depth", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == "error: oracle depth must be >= 0, got -1"
 
 
 def test_gen_checks_size_before_building_the_table(capsys):

@@ -2,13 +2,20 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import CC_CORPUS, QC_CORPUS, UNIFORM_4x4
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_oracle import reference_oracle_cc, reference_oracle_qc
 
 from lpbounds import families
-from lpbounds.ccsynth import PLeaf, PNode, protocol_error
-from lpbounds.errors import CapExceededError
-from lpbounds.model import BitProductDistribution, ProductDistribution2P
-from lpbounds.oracle import oracle_cc, oracle_qc
-from lpbounds.qcsynth import dtree_error
+from lpbounds.errors import CapExceededError, DimensionMismatchError
+from lpbounds.model import (
+    BitProductDistribution,
+    ProductDistribution2P,
+    QueryFunction,
+    TwoPartyFunction,
+)
+from lpbounds.oracle import ORACLE_CC_MAX_DEPTH, oracle_cc, oracle_qc
+from lpbounds.trees import Leaf, PNode, dtree_error, protocol_error
 
 U2 = BitProductDistribution.uniform(2)
 
@@ -23,14 +30,14 @@ def test_cc_eq2_budget_zero():
     # best single leaf answers 0 and errs on the 4 diagonal cells
     res = oracle_cc(CC_CORPUS["eq2"], UNIFORM_4x4, 0)
     assert res.best_error == min(F(12, 16), F(4, 16)) == F(1, 4)
-    assert res.witness == PLeaf(0)
+    assert res.witness == Leaf(0)
 
 
 def test_cc_eq2_exact_at_small_depth():
     # explicit upper bound: two row bits from one party, then an answer split
     f = CC_CORPUS["eq2"]
     by_row = {
-        x: PNode("B", 1 << x, PLeaf(1), PLeaf(0)) for x in range(4)
+        x: PNode("B", 1 << x, Leaf(1), Leaf(0)) for x in range(4)
     }
     manual = PNode(
         "A",
@@ -89,3 +96,48 @@ def test_qc_cap():
     g = families.xor_q(11)
     with pytest.raises(CapExceededError):
         oracle_qc(g, BitProductDistribution.uniform(11), 1)
+
+
+def test_negative_depth_rejected():
+    with pytest.raises(DimensionMismatchError, match="oracle depth must be >= 0"):
+        oracle_cc(CC_CORPUS["eq2"], UNIFORM_4x4, -1)
+    with pytest.raises(DimensionMismatchError, match="oracle depth must be >= 0"):
+        oracle_qc(QC_CORPUS["xor2"], U2, -1)
+
+
+# Differential tests against the two searches the shared one replaced.
+
+WEIGHTS = st.builds(F, st.integers(0, 8), st.just(8))
+
+
+@st.composite
+def cc_instances(draw):
+    side = draw(st.sampled_from([2, 4]))
+    bits = st.lists(st.integers(0, 1), min_size=side, max_size=side).map(tuple)
+    table = tuple(draw(bits) for _ in range(side))
+    weights = st.lists(WEIGHTS, min_size=side, max_size=side).map(tuple)
+    return TwoPartyFunction(table), ProductDistribution2P(draw(weights), draw(weights))
+
+
+@st.composite
+def qc_instances(draw):
+    n = draw(st.integers(1, 4))
+    table = tuple(draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)))
+    p = tuple(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+    return QueryFunction(n, table), BitProductDistribution(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cc_instances())
+def test_cc_search_matches_reference(instance):
+    f, mu = instance
+    for depth in range(ORACLE_CC_MAX_DEPTH + 1):
+        assert oracle_cc(f, mu, depth) == reference_oracle_cc(f, mu, depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qc_instances())
+def test_qc_search_matches_reference(instance):
+    g, mu = instance
+    for depth in range(g.n + 2):
+        assert oracle_qc(g, mu, depth) == reference_oracle_qc(g, mu, depth)

@@ -4,7 +4,7 @@ import pytest
 from conftest import QC_CORPUS, qprt_cached
 from reference_duals import build_qprt_dual_lp
 
-from lpbounds import families
+from lpbounds import families, qcbounds
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
 from lpbounds.lp import check_feasible, solve
 from lpbounds.model import BitProductDistribution, Subcube, enumerate_subcubes
@@ -97,10 +97,11 @@ def test_boost_three_votes_exact_guarantees():
     res = qprt_bound(g, F(1, 4))
     sol = qprt_solution(g, res)
     boosted = boost_qprt(sol, g, 3)  # verifies mass, tails, objective internally
+    family = qcbounds._cube_family(g)
     for x in range(4):
-        assert boosted.solution.total_mass_at(x) == 1
-        a = sol.correct_mass_at(g, x)
-        assert boosted.solution.correct_mass_at(g, x) == 1 - majority_error(a, 3)
+        assert family.mass_at(boosted.solution.weights, x) == 1
+        a = family.mass_at(sol.weights, x, g.value(x))
+        assert family.mass_at(boosted.solution.weights, x, g.value(x)) == 1 - majority_error(a, 3)
     assert boosted.solution.objective <= res.value**3
     # independent feasibility re-check at the achieved error level
     lp = build_qprt_lp(g, boosted.achieved_error)

@@ -14,18 +14,14 @@ from lpbounds.qcbounds import (
     qprt_solution,
 )
 from lpbounds.qcsynth import (
-    DLeaf,
-    DNode,
     build_decision_tree,
-    dtree_depth,
-    dtree_error,
-    dtree_queried_bits_ok,
     elimination_bound,
     find_biased_subcube,
     certified_error_budget,
     synthesis_pipeline,
 )
 from lpbounds.rational import min_odd_votes_for_error
+from lpbounds.trees import DNode, Leaf, dtree_error, dtree_queried_bits_ok, tree_depth
 
 U2 = BitProductDistribution.uniform(2)
 U3 = BitProductDistribution.uniform(3)
@@ -41,12 +37,12 @@ def and3_system(gamma=F(1, 64)):
 
 def test_dtree_error_leaves():
     g0 = families.const_q(2, 0)
-    assert dtree_error(DLeaf(0), g0, U2) == 0
-    assert dtree_error(DLeaf(1), g0, U2) == 1
+    assert dtree_error(Leaf(0), g0, U2) == 0
+    assert dtree_error(Leaf(1), g0, U2) == 1
 
 
 def test_dtree_error_and2_leaf():
-    assert dtree_error(DLeaf(0), families.and_q(2), U2) == F(1, 4)
+    assert dtree_error(Leaf(0), families.and_q(2), U2) == F(1, 4)
 
 
 def test_find_biased_subcube_constant():
@@ -107,7 +103,7 @@ def test_build_tree_constant_zero():
     boosted = boost_qprt(sol, g, 3)
     system = extract_feasible(boosted, F(1, 64), g, U2)
     tree, stats = build_decision_tree(g, U2, system, F(1, 16))
-    assert tree == DLeaf(0)
+    assert tree == Leaf(0)
     assert dtree_error(tree, g, U2) == 0
     assert stats.guess_leaves == 1
 
@@ -132,7 +128,7 @@ def test_build_tree_budget_zero_balanced():
     )
     assert system.verify(g, U2) == []
     tree, stats = build_decision_tree(g, U2, system, F(1, 16))
-    assert isinstance(tree, DLeaf)
+    assert isinstance(tree, Leaf)
     assert stats.budget_leaves == 1
     assert system.alpha1 + system.beta1 >= 1  # vacuous regime
     assert dtree_error(tree, g, U2) <= certified_error_budget(system, F(1, 16))
@@ -142,7 +138,7 @@ def test_build_tree_and3_full_guarantees():
     g, system = and3_system()
     delta = F(1, 16)
     tree, stats = build_decision_tree(g, U3, system, delta)
-    assert dtree_depth(tree) <= system.a * system.b
+    assert tree_depth(tree) <= system.a * system.b
     assert dtree_error(tree, g, U3) <= certified_error_budget(system, delta)
     assert dtree_queried_bits_ok(tree)
 

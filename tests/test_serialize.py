@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lpbounds
 from lpbounds import families, serialize
-from lpbounds.ccsynth import PLeaf, PNode
 from lpbounds.errors import ParseError
 from lpbounds.model import BitProductDistribution, ProductDistribution2P
-from lpbounds.qcsynth import DLeaf, DNode
+from lpbounds.trees import DNode, Leaf, PNode
 
 
 def test_function_round_trip_cc():
@@ -38,17 +44,34 @@ def test_distribution_round_trip():
 
 
 def test_protocol_tree_round_trip():
-    tree = PNode("A", 0b0101, PNode("B", 0b0011, PLeaf(1), PLeaf(0)), PLeaf(0))
+    tree = PNode("A", 0b0101, PNode("B", 0b0011, Leaf(1), Leaf(0)), Leaf(0))
     text = serialize.write_protocol_tree(tree)
     assert text.splitlines()[0] == "ptree v1"
     assert serialize.parse_protocol_tree(text) == tree
 
 
 def test_decision_tree_round_trip():
-    tree = DNode(2, DLeaf(0), DNode(0, DLeaf(1), DLeaf(0)))
+    tree = DNode(2, Leaf(0), DNode(0, Leaf(1), Leaf(0)))
     text = serialize.write_decision_tree(tree)
     assert text.splitlines()[0] == "dtree v1"
     assert serialize.parse_decision_tree(text) == tree
+
+
+LEAVES = st.builds(Leaf, st.integers(0, 1))
+PROTOCOL_TREES = st.recursive(
+    LEAVES,
+    lambda sub: st.builds(PNode, st.sampled_from("AB"), st.integers(0, (1 << 16) - 1), sub, sub),
+)
+DECISION_TREES = st.recursive(
+    LEAVES, lambda sub: st.builds(DNode, st.integers(0, 11), sub, sub)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PROTOCOL_TREES, DECISION_TREES)
+def test_tree_write_parse_round_trip(ptree, dtree):
+    assert serialize.parse_protocol_tree(serialize.write_protocol_tree(ptree)) == ptree
+    assert serialize.parse_decision_tree(serialize.write_decision_tree(dtree)) == dtree
 
 
 def test_parse_errors():
@@ -139,3 +162,14 @@ def test_tree_depth_is_bounded(parse, header, node):
 def test_tree_parsers_reject_bad_fields(parse, text):
     with pytest.raises(ParseError, match="bad (protocol|decision) tree line"):
         parse(text)
+
+
+def test_tree_layer_loads_no_synthesis_module():
+    """The tree codec and the oracles sit below both synthesis modules."""
+    probe = (
+        "import sys, lpbounds.serialize, lpbounds.oracle\n"
+        "print(sorted(m for m in sys.modules if m.endswith(('ccsynth', 'qcsynth'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(lpbounds.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
