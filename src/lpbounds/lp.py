@@ -38,7 +38,13 @@ the derived dual program, and the two objective values are compared as
 exact rationals.  Infeasible programs come with a Farkas certificate,
 unbounded ones with an improving ray, checked by ``check_farkas`` and
 ``check_ray``, and an unbounded one also with the feasible point the ray
-leaves.  Cached solutions pass the same ``certify`` on load.
+leaves.  Cached solutions pass the same ``certify`` on load.  The checks
+are fraction-free too: each row is scaled to integers by the same s_i as
+in the simplex (``_integer_row``), a point by the lcm of its
+denominators, and a dual y_i / s_i and the costs by one common
+denominator, so every comparison and every objective value is an integer
+sum.  A Fraction is built only for the lhs of a violation and for a
+returned objective value.
 
 Dual conventions (for a minimization program):
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
@@ -56,7 +62,7 @@ import os
 import uuid
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import LpboundsError, ParseError
 from .rational import format_rational, parse_rational
@@ -65,6 +71,11 @@ LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
 
 MAX_PIVOTS = 2_000_000
+
+
+def _fraction(q) -> Fraction:
+    """``q`` as a Fraction; one that already is one is returned as it is."""
+    return q if isinstance(q, Fraction) else Fraction(q)
 
 
 @dataclass(frozen=True)
@@ -78,9 +89,9 @@ class Constraint:
         if self.rel not in _RELS:
             raise LpboundsError(f"unknown relation {self.rel!r}")
         # sparse rows carry no explicit zeros
-        cleaned = {v: Fraction(c) for v, c in self.coeffs.items() if c != 0}
+        cleaned = {v: _fraction(c) for v, c in self.coeffs.items() if c != 0}
         object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "rhs", _fraction(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -108,17 +119,14 @@ class LinearProgram:
                         f"constraint {con.label!r} references undeclared variable {v!r}"
                     )
         object.__setattr__(
-            self, "objective", {v: Fraction(c) for v, c in self.objective.items() if c != 0}
+            self, "objective", {v: _fraction(c) for v, c in self.objective.items() if c != 0}
         )
 
     def is_nonneg(self, var: str) -> bool:
         return self.nonneg.get(var, True)
 
     def objective_value(self, assignment: dict[str, Fraction]) -> Fraction:
-        return sum(
-            (c * assignment.get(v, Fraction(0)) for v, c in self.objective.items()),
-            Fraction(0),
-        )
+        return _dot((c, assignment.get(v, 0)) for v, c in self.objective.items())
 
 
 @dataclass(frozen=True)
@@ -164,25 +172,44 @@ class LPSolution:
         return json.dumps(self.to_record(), sort_keys=True).encode()
 
 
+def _integer_row(con: Constraint) -> tuple[int, dict[str, int], int]:
+    """``(s, s * coeffs, s * rhs)``, s > 0 the lcm of the row's denominators.
+
+    The scaled row has integer entries and states the same relation; the
+    simplex and every checker scale rows this way.
+    """
+    s = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
+    row = {v: c.numerator * (s // c.denominator) for v, c in con.coeffs.items()}
+    return s, row, con.rhs.numerator * (s // con.rhs.denominator)
+
+
+def _dot(pairs) -> Fraction:
+    """The exact sum of a * b over rational pairs, summed as integers over one denominator."""
+    pairs = [(a, b) for a, b in pairs if a and b]
+    da = lcm(*(a.denominator for a, _ in pairs))
+    db = lcm(*(b.denominator for _, b in pairs))
+    total = sum(a.numerator * (da // a.denominator) * b.numerator * (db // b.denominator)
+                for a, b in pairs)
+    return Fraction(total, da * db)
+
+
 def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[Violation]:
     """every violated constraint with its exact slack; [] iff feasible.
 
-    Variables missing from the assignment are treated as 0.
+    Variables missing from the assignment are treated as 0.  Row i scaled
+    by s_i and the assignment by the lcm L of its denominators compare as
+    integers; the Fraction lhs is built only for a violated row.
     """
+    big_l = lcm(*(x.denominator for x in assignment.values()))
+    point = {v: x.numerator * (big_l // x.denominator) for v, x in assignment.items() if x}
     out: list[Violation] = []
     for i, con in enumerate(lp.constraints):
-        lhs = sum(
-            (c * assignment.get(v, Fraction(0)) for v, c in con.coeffs.items()),
-            Fraction(0),
-        )
-        ok = (
-            lhs <= con.rhs
-            if con.rel == LE
-            else lhs >= con.rhs
-            if con.rel == GE
-            else lhs == con.rhs
-        )
+        s, row, rhs = _integer_row(con)
+        lhs = sum(a * point[v] for v, a in row.items() if v in point)
+        rhs *= big_l
+        ok = lhs <= rhs if con.rel == LE else lhs >= rhs if con.rel == GE else lhs == rhs
         if not ok:
+            lhs = Fraction(lhs, s * big_l)
             out.append(Violation("constraint", i, con.label, lhs, con.rel, con.rhs))
     for j, v in enumerate(lp.variables):
         val = assignment.get(v, Fraction(0))
@@ -194,7 +221,12 @@ def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[V
 def check_dual_feasible(
     lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction]
 ) -> list[Violation]:
-    """Violations of the derived dual program for ``dual``; [] iff dual-feasible."""
+    """Violations of the derived dual program for ``dual``; [] iff dual-feasible.
+
+    Column sums are integers over one common denominator M of every
+    y_i / s_i and every objective coefficient, as is M * c_j; the Fraction
+    sum is built only for a violated column.
+    """
     if len(dual) != len(lp.constraints):
         raise LpboundsError("dual vector length does not match constraint count")
     minimize = lp.sense == "min"
@@ -209,29 +241,36 @@ def check_dual_feasible(
             out.append(Violation("dual-sign", i, con.label, y, GE, Fraction(0)))
         if not wants_nonneg and y > 0:
             out.append(Violation("dual-sign", i, con.label, y, LE, Fraction(0)))
-    col_sums: dict[str, Fraction] = {v: Fraction(0) for v in lp.variables}
-    for i, con in enumerate(lp.constraints):
-        y = dual[i]
-        if y == 0:
-            continue
-        for v, c in con.coeffs.items():
-            col_sums[v] += y * c
+    # y_i * c_ij = (y_i / s_i) * a_ij on the integer row a_i = s_i * c_i
+    weights = []
+    for y, con in zip(dual, lp.constraints):
+        if y:
+            s, row, _ = _integer_row(con)
+            g = gcd(y.numerator, s)
+            weights.append((y.numerator // g, y.denominator * (s // g), row))
+    big_m = lcm(*(den for _, den, _ in weights), *(c.denominator for c in lp.objective.values()))
+    col_sums = dict.fromkeys(lp.variables, 0)
+    for num, den, row in weights:
+        w = num * (big_m // den)
+        for v, a in row.items():
+            col_sums[v] += w * a
     for j, v in enumerate(lp.variables):
-        s = col_sums[v]
+        lhs = col_sums[v]
         c = lp.objective.get(v, Fraction(0))
+        rhs = c.numerator * (big_m // c.denominator)
         if lp.is_nonneg(v):
-            ok = s <= c if minimize else s >= c
+            ok = lhs <= rhs if minimize else lhs >= rhs
             rel = LE if minimize else GE
         else:
-            ok = s == c
+            ok = lhs == rhs
             rel = EQ
         if not ok:
-            out.append(Violation("dual-column", j, v, s, rel, c))
+            out.append(Violation("dual-column", j, v, Fraction(lhs, big_m), rel, c))
     return out
 
 
 def dual_objective(lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction]) -> Fraction:
-    return sum((y * con.rhs for y, con in zip(dual, lp.constraints)), Fraction(0))
+    return _dot(zip(dual, (con.rhs for con in lp.constraints)))
 
 
 def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
@@ -322,16 +361,16 @@ class _Simplex:
         rels: list[str] = []
         for i, con in enumerate(lp.constraints):
             sign = -1 if con.rhs < 0 else 1
-            s = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
-            for v, c in con.coeffs.items():
-                a = sign * c.numerator * (s // c.denominator)
+            s, row, rhs = _integer_row(con)
+            for v, a in row.items():
+                a *= sign
                 plus, minus = self.var_cols[v]
                 self.cols[plus].append((i, a))
                 if minus is not None:
                     self.cols[minus].append((i, -a))
             self.flip.append(sign)
             self.scale.append(s)
-            self.x.append(sign * con.rhs.numerator * (s // con.rhs.denominator))
+            self.x.append(sign * rhs)
             rels.append(con.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[con.rel])
 
         self.basis: list[int] = [-1] * m

@@ -51,7 +51,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Format as ``num/den``, or ``num`` when the denominator is 1."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -9,7 +9,11 @@ program, so on every input the two solvers must return byte-identical
 
 ``check_farkas`` and ``check_ray`` are the certificate checkers written out
 row by row, as ``lpbounds.lp`` had them before they became checks of the
-zero-objective dual and the homogeneous primal.
+zero-objective dual and the homogeneous primal.  ``check_feasible``,
+``check_dual_feasible``, ``objective_value`` and ``dual_objective`` are the
+checks summed term by term in Fractions, as ``lpbounds.lp`` had them before
+it compared integer rows over common denominators; the two must give equal
+values and equal ``Violation`` lists.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from lpbounds.errors import LpboundsError
-from lpbounds.lp import EQ, GE, LE, MAX_PIVOTS, LinearProgram, LPSolution
+from lpbounds.lp import EQ, GE, LE, MAX_PIVOTS, LinearProgram, LPSolution, Violation
 
 
 class _Simplex:
@@ -255,7 +259,7 @@ def reference_solve(lp: LinearProgram) -> LPSolution:
     y_std = sx._duals(sx.cost2)
     dual = tuple(sense_sign * sx.flip[i] * y_std[i] for i in range(sx.m))
     return LPSolution(
-        "optimal", lp.objective_value(primal), primal, dual, sx.iterations, phase1_iterations
+        "optimal", objective_value(lp, primal), primal, dual, sx.iterations, phase1_iterations
     )
 
 
@@ -307,5 +311,82 @@ def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
             return False
         if con.rel == EQ and lhs != 0:
             return False
-    rate = lp.objective_value(ray)
+    rate = objective_value(lp, ray)
     return rate < 0 if lp.sense == "min" else rate > 0
+
+
+def objective_value(lp: LinearProgram, assignment: dict[str, Fraction]) -> Fraction:
+    return sum(
+        (c * assignment.get(v, Fraction(0)) for v, c in lp.objective.items()),
+        Fraction(0),
+    )
+
+
+def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[Violation]:
+    """every violated constraint with its exact slack; [] iff feasible.
+
+    Variables missing from the assignment are treated as 0.
+    """
+    out: list[Violation] = []
+    for i, con in enumerate(lp.constraints):
+        lhs = sum(
+            (c * assignment.get(v, Fraction(0)) for v, c in con.coeffs.items()),
+            Fraction(0),
+        )
+        ok = (
+            lhs <= con.rhs
+            if con.rel == LE
+            else lhs >= con.rhs
+            if con.rel == GE
+            else lhs == con.rhs
+        )
+        if not ok:
+            out.append(Violation("constraint", i, con.label, lhs, con.rel, con.rhs))
+    for j, v in enumerate(lp.variables):
+        val = assignment.get(v, Fraction(0))
+        if lp.is_nonneg(v) and val < 0:
+            out.append(Violation("domain", j, v, val, GE, Fraction(0)))
+    return out
+
+
+def check_dual_feasible(
+    lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction]
+) -> list[Violation]:
+    """Violations of the derived dual program for ``dual``; [] iff dual-feasible."""
+    if len(dual) != len(lp.constraints):
+        raise LpboundsError("dual vector length does not match constraint count")
+    minimize = lp.sense == "min"
+    out: list[Violation] = []
+    for i, con in enumerate(lp.constraints):
+        y = dual[i]
+        if con.rel == EQ:
+            continue
+        # min: >= rows need y >= 0, <= rows need y <= 0; max is reversed.
+        wants_nonneg = (con.rel == GE) == minimize
+        if wants_nonneg and y < 0:
+            out.append(Violation("dual-sign", i, con.label, y, GE, Fraction(0)))
+        if not wants_nonneg and y > 0:
+            out.append(Violation("dual-sign", i, con.label, y, LE, Fraction(0)))
+    col_sums: dict[str, Fraction] = {v: Fraction(0) for v in lp.variables}
+    for i, con in enumerate(lp.constraints):
+        y = dual[i]
+        if y == 0:
+            continue
+        for v, c in con.coeffs.items():
+            col_sums[v] += y * c
+    for j, v in enumerate(lp.variables):
+        s = col_sums[v]
+        c = lp.objective.get(v, Fraction(0))
+        if lp.is_nonneg(v):
+            ok = s <= c if minimize else s >= c
+            rel = LE if minimize else GE
+        else:
+            ok = s == c
+            rel = EQ
+        if not ok:
+            out.append(Violation("dual-column", j, v, s, rel, c))
+    return out
+
+
+def dual_objective(lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction]) -> Fraction:
+    return sum((y * con.rhs for y, con in zip(dual, lp.constraints)), Fraction(0))

@@ -12,7 +12,7 @@ from reference_lp import reference_solve
 
 from lpbounds import families
 from lpbounds import lp as lpmod
-from lpbounds.ccbounds import SrecInstance, build_srec_lp
+from lpbounds.ccbounds import SrecInstance, build_prt_lp, build_rprt_lp, build_srec_lp
 from lpbounds.lp import (
     Constraint,
     LinearProgram,
@@ -26,6 +26,7 @@ from lpbounds.lp import (
     solve,
 )
 from lpbounds.model import enumerate_rectangles
+from lpbounds.qcbounds import build_qprt_lp
 
 
 def lp_min(variables, objective, constraints, nonneg=None):
@@ -378,6 +379,83 @@ def test_certificate_checkers_match_reference(program, data):
         assert check_farkas(program, vector) == reference_lp.check_farkas(program, vector)
     for ray in rays:
         assert check_ray(program, ray) == reference_lp.check_ray(program, ray)
+
+
+def _exact(violations):
+    """Each violation field by field, with the type of every number."""
+    return [(v.kind, v.index, v.label, type(v.lhs), v.lhs, v.rel, type(v.rhs), v.rhs)
+            for v in violations]
+
+
+def _assert_checks_match_reference(program, point, dual):
+    got = (check_feasible(program, point), check_dual_feasible(program, dual))
+    want = (reference_lp.check_feasible(program, point), reference_lp.check_dual_feasible(program, dual))
+    assert [_exact(v) for v in got] == [_exact(v) for v in want]
+    for got, want in (
+        (program.objective_value(point), reference_lp.objective_value(program, point)),
+        (dual_objective(program, dual), reference_lp.dual_objective(program, dual)),
+    ):
+        assert (type(got), got) == (type(want), want)
+
+
+NONZERO_RATIONALS = SMALL_RATIONALS.filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_programs(), st.data())
+def test_integer_checks_match_fraction_reference(program, data):
+    """The integer-row checks give the Fraction checks' values and violations.
+
+    Points and duals are random (possibly empty, with zeros, plain ints and
+    a name the program does not declare), all zero, the solver's own point
+    and dual or Farkas vector, and those with one entry moved.
+    """
+    names, m = list(program.variables), len(program.constraints)
+    values = st.one_of(SMALL_RATIONALS, st.integers(-3, 3))
+    cases = [
+        (data.draw(st.dictionaries(st.sampled_from(names + ["undeclared"]), values)),
+         data.draw(st.lists(values, min_size=m, max_size=m))),
+        ({}, [0] * m),
+    ]
+    sol = solve(program)
+    point, dual = dict(sol.primal), list(sol.dual) or cases[0][1]
+    if sol.status == "infeasible":
+        dual = [sol.certificate["vector"].get(i, F(0)) for i in range(m)]
+    v, i = data.draw(st.sampled_from(names)), data.draw(st.integers(0, m - 1))
+    moved, moved_dual = dict(point), list(dual)
+    moved[v] = moved.get(v, 0) + data.draw(NONZERO_RATIONALS)
+    moved_dual[i] += data.draw(NONZERO_RATIONALS)
+    cases += [(point, dual), (moved, moved_dual)]
+    for point, dual in cases:
+        _assert_checks_match_reference(program, point, dual)
+
+
+def _corpus_programs():
+    """The chain programs on five 4x4 tables and the qprt programs on four functions."""
+    eps = F(1, 8)
+    for family in ("eq", "gt", "and", "xor", "disj"):
+        f = families.make_function(family, 2, "cc")
+        yield from (build_prt_lp(f, eps), build_rprt_lp(f, eps))
+        yield from (build_srec_lp(SrecInstance(f, z, eps, eps)) for z in (0, 1))
+    for family, n in (("and", 4), ("maj", 5), ("xor", 4), ("maj", 4)):
+        yield build_qprt_lp(families.make_function(family, n, "qc"), eps)
+
+
+def test_corpus_checks_match_fraction_reference():
+    """Every corpus solution certifies; the integer-row checks agree with the
+    Fraction ones on it and on it with one primal and one dual entry moved."""
+    programs = list(_corpus_programs())
+    assert len(programs) == 24
+    for program in programs:
+        sol = solve(program)
+        assert certify(program, sol) == []
+        _assert_checks_match_reference(program, sol.primal, sol.dual)
+        v = program.variables[0]
+        moved = {**sol.primal, v: sol.primal.get(v, 0) + F(1, 7)}
+        # raises the column sums on row 0 (lowers them for max) past a tight column
+        moved_dual = (sol.dual[0] + F(1 if program.sense == "min" else -1, 3),) + sol.dual[1:]
+        assert check_feasible(program, moved) and check_dual_feasible(program, moved_dual)
+        _assert_checks_match_reference(program, moved, moved_dual)
 
 
 def _highs(program, linprog):
