@@ -3,7 +3,7 @@
 Library surface:
 
 - :mod:`lpbounds.model` -- Boolean functions, product measures, rectangles,
-  subcubes, exact measure computations.
+  subcubes, and the label masses mu_0 / mu_1 of a region in one call.
 - :mod:`lpbounds.lp` -- exact rational simplex with dual certificates.
 - :mod:`lpbounds.partition` -- the labelled partition LP behind prt, rprt
   and qprt, and its verified majority boost.
@@ -29,10 +29,8 @@ from .model import (
     Rectangle,
     Subcube,
     TwoPartyFunction,
-    bit_measure,
     enumerate_rectangles,
     enumerate_subcubes,
-    measure,
 )
 
 __all__ = [
@@ -42,10 +40,8 @@ __all__ = [
     "Rectangle",
     "Subcube",
     "TwoPartyFunction",
-    "bit_measure",
     "enumerate_rectangles",
     "enumerate_subcubes",
-    "measure",
 ]
 
 __version__ = "0.1.0"

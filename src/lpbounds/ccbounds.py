@@ -35,7 +35,6 @@ from .model import (
     TwoPartyFunction,
     enumerate_rectangles,
     full_rectangle,
-    measure,
 )
 from .partition import BoostResult, LabelledFamily, check_unit_interval
 from .rational import log2_bracket
@@ -124,10 +123,8 @@ def build_srec_lp(inst: SrecInstance) -> LinearProgram:
                         Constraint(containing[(x, y)], ">=", 1 - inst.eps, f"cov_{x}_{y}")
                     )
     else:
-        mu_z = measure(inst.mu, f, z, full_rectangle(f))
-        row = {
-            _rect_var(r): measure(inst.mu, f, z, r) for r in rects
-        }
+        mu_z = inst.mu.label_masses(f, full_rectangle(f))[z]
+        row = {_rect_var(r): inst.mu.label_masses(f, r)[z] for r in rects}
         constraints.append(Constraint(row, ">=", (1 - inst.eps) * mu_z, "cov"))
     for x in range(f.nx):
         for y in range(f.ny):

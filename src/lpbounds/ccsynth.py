@@ -54,7 +54,6 @@ from .model import (
     Rectangle,
     TwoPartyFunction,
     full_rectangle,
-    measure,
     popular_label,
 )
 from .rational import ceil_mul_log2, largest_fourth_power_at_most
@@ -79,7 +78,7 @@ def find_biased_rectangle(
     bound: Fraction,
     eps: Fraction,
     delta: Fraction,
-    z: int = 0,
+    z: int,
 ) -> Rectangle:
     """A support rectangle S biased toward z with guaranteed z-mass.
 
@@ -92,9 +91,8 @@ def find_biased_rectangle(
     which is verified exactly.  Requires the right-hand side positive and
     the support nonempty.
     """
-    full = full_rectangle(f)
-    mu_z = measure(mu, f, z, full)
-    mu_other = measure(mu, f, 1 - z, full)
+    masses = mu.label_masses(f, full_rectangle(f))
+    mu_z, mu_other = masses[z], masses[1 - z]
     demand = (1 - eps) * mu_z - (delta / rho) * mu_other
     if demand <= 0:
         raise NoBiasedRectangleError(
@@ -105,8 +103,8 @@ def find_biased_rectangle(
     for rect in sorted(weights, key=lambda r: (r.rows, r.cols)):
         if weights[rect] <= 0:
             continue
-        m_z = measure(mu, f, z, rect)
-        m_other = measure(mu, f, 1 - z, rect)
+        masses = mu.label_masses(f, rect)
+        m_z, m_other = masses[z], masses[1 - z]
         if m_other > rho * m_z:
             continue
         if best_mass is None or m_z > best_mass:
@@ -144,7 +142,7 @@ def decompose(
     cover_weights: RectWeights,
     delta_root: Fraction,
     active: Rectangle,
-    z: int = 0,
+    z: int,
 ) -> Decomposition:
     """Pick an off-diagonal block that shrinks the problem; exact checks.
 
@@ -164,8 +162,8 @@ def decompose(
     blocks = {"01": Rectangle(rows0, cols1), "10": Rectangle(rows1, cols0)}
     for case in ("01", "10"):
         block = blocks[case]
-        m_biased = measure(mu, f, z, block)
-        m_cover = measure(mu, f, cover_z, block)
+        masses = mu.label_masses(f, block)
+        m_biased, m_cover = masses[z], masses[cover_z]
         if 2 * m_cover <= m_biased:
             return Decomposition(case, "a", None, None, block)
         block_mass = m_biased + m_cover
@@ -180,7 +178,7 @@ def decompose(
             if w <= 0:
                 continue
             part = rect.intersect(block)
-            carried = w * measure(mu, f, cover_z, part)
+            carried = w * mu.label_masses(f, part)[cover_z]
             numer += carried
             if threshold is not None and mu.mass(part) >= threshold:
                 restricted[rect] = w
@@ -279,10 +277,7 @@ def synthesize(
     q = params.delta_root
     rho = q * q
     tenth = Fraction(1, 10)
-
-    def masses(cur: ProductDistribution2P) -> tuple[Fraction, Fraction]:
-        full = full_rectangle(f)
-        return measure(cur, f, 0, full), measure(cur, f, 1, full)
+    full = full_rectangle(f)
 
     def build(
         active: Rectangle,
@@ -293,7 +288,7 @@ def synthesize(
         w0: RectWeights,
         w1: RectWeights,
     ) -> ProtocolTree:
-        m0, m1 = masses(cur)
+        m0, m1 = cur.label_masses(f, full)
         if max(m0, m1) >= 2 * min(m0, m1):
             return Leaf(popular_label(m0, m1))
         if eps + 30 * (s + 1) * q >= tenth:
@@ -316,9 +311,7 @@ def synthesize(
         if dec.alternative == "a":
             block_tree: ProtocolTree = Leaf(z_star)
         elif dec.sub_eps is not None and dec.sub_eps > 1:
-            bm0 = measure(cur, f, 0, dec.block)
-            bm1 = measure(cur, f, 1, dec.block)
-            block_tree = Leaf(popular_label(bm0, bm1))
+            block_tree = Leaf(popular_label(*cur.label_masses(f, dec.block)))
         else:
             assert dec.restricted is not None and dec.sub_eps is not None
             restricted = dec.restricted
@@ -362,7 +355,6 @@ def synthesize(
             raise InfeasibleConstructionError("node leaf budget exceeded")
         return tree
 
-    full = full_rectangle(f)
     tree = build(full, mu, params.eps, params.s, params.t, weights0, weights1)
 
     leaves = leaf_count(tree)
@@ -394,16 +386,15 @@ def _one_exchange(
     sampling in proportion to the weights: the minimum cannot exceed the
     average).  Empty support degrades to the most popular label.
     """
-    full = full_rectangle(f)
-    m0 = measure(cur, f, 0, full)
-    m1 = measure(cur, f, 1, full)
+    m0, m1 = cur.label_masses(f, full_rectangle(f))
     best: Rectangle | None = None
     best_err: Fraction | None = None
     for rect in sorted(cover_weights, key=lambda r: (r.rows, r.cols)):
         if cover_weights[rect] <= 0:
             continue
         clipped = Rectangle(rect.rows & active.rows, rect.cols & active.cols)
-        err = (m1 - measure(cur, f, 1, clipped)) + measure(cur, f, 0, clipped)
+        c0, c1 = cur.label_masses(f, clipped)
+        err = (m1 - c1) + c0
         if best_err is None or err < best_err:
             best, best_err = clipped, err
     if best is None:

@@ -337,27 +337,35 @@ class _Command:
     """A replayable command: its runner and what its run record holds."""
 
     run: Callable[[dict], object]  # records, or (records, tree text) if writes_tree
-    args: tuple[str, ...]  # written into the run record, and replayed by verify
+    args: dict[str, tuple[type, ...]]  # run-record args replayed by verify: the types main writes
     inputs: tuple[str, ...]  # the args naming input files, whose hashes it records
     writes_tree: bool
 
 
+_S, _I, _S0, _I0 = (str,), (int,), (str, type(None)), (int, type(None))  # 0: null allowed
+
 _COMMANDS = {
     "bounds": _Command(
         run_bounds,
-        ("function", "which", "eps", "delta", "z", "dist"),
+        {"function": _S, "which": _S, "eps": _S, "delta": _S0, "z": _S0, "dist": _S0},
         ("function", "dist"),
         writes_tree=False,
     ),
     "synth-cc": _Command(
-        run_synth_cc, ("function", "dist", "part", "k"), ("function", "dist"), writes_tree=True
+        run_synth_cc,
+        {"function": _S, "dist": _S, "part": _S, "k": _I0},
+        ("function", "dist"),
+        writes_tree=True,
     ),
     "synth-qc": _Command(
-        run_synth_qc, ("function", "dist", "eps", "delta"), ("function", "dist"), writes_tree=True
+        run_synth_qc,
+        {"function": _S, "dist": _S, "eps": _S0, "delta": _S0},
+        ("function", "dist"),
+        writes_tree=True,
     ),
     "oracle": _Command(
         run_oracle,
-        ("function", "dist", "depth", "artifact"),
+        {"function": _S, "dist": _S, "depth": _I, "artifact": _S0},
         ("function", "dist", "artifact"),
         writes_tree=False,
     ),
@@ -377,6 +385,10 @@ def _check_run_record(run: dict) -> None:
     needed = _COMMANDS[command].args
     if not isinstance(args, dict) or not all(key in args for key in needed):
         raise ParseError(f"{command} run record needs args {', '.join(needed)}")
+    for key, types in needed.items():
+        if type(args[key]) not in types:
+            got, expected = type(args[key]).__name__, " or ".join(t.__name__ for t in types)
+            raise ParseError(f"{command} run record arg {key} is {got}, not {expected}")
     if not isinstance(run.get("inputs", {}), dict):
         raise ParseError("run record inputs must map paths to hashes")
 
@@ -404,11 +416,12 @@ def run_verify(path: str) -> int:
         same = serialize.dump_records(recomputed) == serialize.dump_records(records)
         print(f"{'PASS' if same else 'FAIL'} records reproduce byte-identically")
         ok = ok and same
-        for rec in records:
-            if rec.get("record") == "summary":
-                for name, value in rec.get("asserts", {}).items():
+        # the recomputed asserts in report key order; equal to the report's when the bytes match
+        for rec in recomputed:
+            if rec["record"] == "summary":
+                for name, value in sorted(rec["asserts"].items()):
                     print(f"{'PASS' if value else 'FAIL'} {name}")
-                    ok = ok and bool(value)
+                    ok = ok and value
     print(f"verify: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterator
 
 from .errors import CapExceededError, DimensionMismatchError
@@ -190,6 +191,13 @@ class Subcube:
         return Subcube(len(text), support, values)
 
 
+def _integer_weights(weights: tuple[Fraction, ...], mask: int) -> tuple[int, list[tuple[int, int]]]:
+    """D = lcm of the denominators, and (i, w_i * D) for the nonzero w_i in ``mask``."""
+    den = lcm(*(w.denominator for w in weights))
+    picked = ((i, w) for i, w in enumerate(weights) if (mask >> i) & 1 and w)
+    return den, [(i, w.numerator * (den // w.denominator)) for i, w in picked]
+
+
 @dataclass(frozen=True)
 class ProductDistribution2P:
     """Product measure mu(x, y) = row_weights[x] * col_weights[y].
@@ -231,6 +239,24 @@ class ProductDistribution2P:
             Fraction(0),
         )
         return rw * cw
+
+    def label_masses(self, f: TwoPartyFunction, rect: Rectangle) -> tuple[Fraction, Fraction]:
+        """(mu_0(R), mu_1(R)), mu_z(R) = mu(R intersect f^{-1}(z)), in one pass.
+
+        Cells are summed as integers over lcm(row denominators) *
+        lcm(column denominators); only the two results are Fractions.
+        """
+        if self.nx != f.nx or self.ny != f.ny:
+            raise DimensionMismatchError(
+                f"measure is {self.nx}x{self.ny} but function is {f.nx}x{f.ny}"
+            )
+        dr, rows = _integer_weights(self.row_weights, rect.rows)
+        dc, cols = _integer_weights(self.col_weights, rect.cols)
+        sums = [0, 0]
+        for x, r in rows:
+            for y, c in cols:
+                sums[f.table[x][y]] += r * c
+        return Fraction(sums[0], dr * dc), Fraction(sums[1], dr * dc)
 
     def restrict(self, rect: Rectangle) -> "ProductDistribution2P":
         """Zero out all weight outside the rectangle; stays in product form."""
@@ -289,6 +315,23 @@ class BitProductDistribution:
                 m *= q if (cube.values >> i) & 1 else 1 - q
         return m
 
+    def label_masses(self, g: QueryFunction, cube: Subcube) -> tuple[Fraction, Fraction]:
+        """(mu_0(A), mu_1(A)), mu_z(A) = mu(A intersect g^{-1}(z)), in one pass.
+
+        Over D = prod_i den(p_i) a point weighs the integer prod_i (num(p_i)
+        if x_i = 1 else den(p_i) - num(p_i)); only the two results are Fractions.
+        """
+        if self.n != g.n or cube.n != g.n:
+            raise DimensionMismatchError(
+                f"bit counts disagree: measure {self.n}, function {g.n}, subcube {cube.n}"
+            )
+        factors = [(q.denominator - q.numerator, q.numerator) for q in self.p]
+        sums = [0, 0]
+        for x in cube.members():
+            sums[g.table[x]] += prod(pair[(x >> i) & 1] for i, pair in enumerate(factors))
+        den = prod(q.denominator for q in self.p)
+        return Fraction(sums[0], den), Fraction(sums[1], den)
+
     def fixed_bits(self) -> int:
         """Mask of coordinates whose marginal is 0 or 1."""
         mask = 0
@@ -313,49 +356,12 @@ class BitProductDistribution:
         return BitProductDistribution(tuple(Fraction(1, 2) for _ in range(n)))
 
 
-def measure(
-    mu: ProductDistribution2P, f: TwoPartyFunction, z: int, rect: Rectangle
-) -> Fraction:
-    """mu_z(R) = mu(R intersect f^{-1}(z)), by exact summation."""
-    if mu.nx != f.nx or mu.ny != f.ny:
-        raise DimensionMismatchError(
-            f"measure is {mu.nx}x{mu.ny} but function is {f.nx}x{f.ny}"
-        )
-    total = Fraction(0)
-    for x in range(f.nx):
-        if not (rect.rows >> x) & 1:
-            continue
-        rw = mu.row_weights[x]
-        if rw == 0:
-            continue
-        row = f.table[x]
-        for y in range(f.ny):
-            if (rect.cols >> y) & 1 and row[y] == z:
-                total += rw * mu.col_weights[y]
-    return total
-
-
 def full_rectangle(f: TwoPartyFunction) -> Rectangle:
     return Rectangle((1 << f.nx) - 1, (1 << f.ny) - 1)
 
 
 def full_cube(n: int) -> Subcube:
     return Subcube(n, 0, 0)
-
-
-def bit_measure(
-    mu: BitProductDistribution, g: QueryFunction, z: int, cube: Subcube
-) -> Fraction:
-    """mu_z(A) = mu(A intersect g^{-1}(z)), by enumeration of the subcube."""
-    if mu.n != g.n or cube.n != g.n:
-        raise DimensionMismatchError(
-            f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {cube.n}"
-        )
-    total = Fraction(0)
-    for x in cube.members():
-        if g.table[x] == z:
-            total += mu.point(x)
-    return total
 
 
 def enumerate_rectangles(nx: int, ny: int) -> Iterator[Rectangle]:

@@ -27,8 +27,6 @@ from .model import (
     Rectangle,
     Subcube,
     TwoPartyFunction,
-    bit_measure,
-    measure,
 )
 from .trees import DNode, Leaf, PNode, Tree
 
@@ -78,8 +76,7 @@ def oracle_cc(
         raise CapExceededError(f"protocol search capped at depth {ORACLE_CC_MAX_DEPTH}")
 
     def masses(rows: int, cols: int) -> tuple[Fraction, Fraction]:
-        rect = Rectangle(rows, cols)
-        return measure(mu, f, 0, rect), measure(mu, f, 1, rect)
+        return mu.label_masses(f, Rectangle(rows, cols))
 
     def moves(rows: int, cols: int) -> Iterator[Move]:
         for split in _proper_bipartitions(rows):
@@ -98,8 +95,7 @@ def oracle_qc(
         raise CapExceededError(f"decision search capped at {ORACLE_QC_MAX_BITS} bits")
 
     def masses(support: int, values: int) -> tuple[Fraction, Fraction]:
-        cube = Subcube(g.n, support, values)
-        return bit_measure(mu, g, 0, cube), bit_measure(mu, g, 1, cube)
+        return mu.label_masses(g, Subcube(g.n, support, values))
 
     def moves(support: int, values: int) -> Iterator[Move]:
         for i in range(g.n):

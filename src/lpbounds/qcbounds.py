@@ -27,7 +27,6 @@ from .model import (
     BitProductDistribution,
     QueryFunction,
     Subcube,
-    bit_measure,
     enumerate_subcubes,
 )
 from .partition import LabelledFamily
@@ -135,12 +134,6 @@ class FeasibleSystem:
     a: int
     b: int
 
-    def u_mass_at(self, x: int) -> Fraction:
-        return sum((v for c, v in self.u.items() if c.contains(x)), Fraction(0))
-
-    def w_mass_at(self, x: int) -> Fraction:
-        return sum((v for c, v in self.w.items() if c.contains(x)), Fraction(0))
-
     def verify(self, g: QueryFunction, mu: BitProductDistribution) -> list[str]:
         """All violated inequalities, as messages; [] iff the system verifies.
 
@@ -162,24 +155,29 @@ class FeasibleSystem:
             if c.support & consistent.support:
                 out.append(f"support {c.pattern()} uses a mu-fixed bit")
         for x in consistent.members():
-            um = self.u_mass_at(x)
+            um = _mass_at(self.u, x)
             if g.value(x) == 0 and um < 1 - self.alpha0:
                 out.append(f"u covering below 1-alpha0 at {x}")
             if g.value(x) == 1 and um > self.beta0:
                 out.append(f"u mass above beta0 at {x}")
-            wm = self.w_mass_at(x)
+            wm = _mass_at(self.w, x)
             if wm > 1:
                 out.append(f"w mass above 1 at {x}")
             if g.value(x) == 0 and wm > self.beta1:
                 out.append(f"w mass above beta1 at {x}")
-        mu1 = bit_measure(mu, g, 1, Subcube(self.n, 0, 0))
+        mu1 = mu.label_masses(g, Subcube(self.n, 0, 0))[1]
         carried = sum(
-            (v * bit_measure(mu, g, 1, c) for c, v in self.w.items()),
+            (v * mu.label_masses(g, c)[1] for c, v in self.w.items()),
             Fraction(0),
         )
         if carried < (1 - self.alpha1) * mu1:
             out.append("w carries less than (1-alpha1) mu_1 of 1-mass")
         return out
+
+
+def _mass_at(cubes: dict[Subcube, Fraction], x: int) -> Fraction:
+    """Total weight of the subcubes containing the point x."""
+    return sum((v for c, v in cubes.items() if c.contains(x)), Fraction(0))
 
 
 def _fixed_cube(n: int, mu: BitProductDistribution) -> Subcube:

@@ -37,7 +37,6 @@ from .model import (
     BitProductDistribution,
     QueryFunction,
     Subcube,
-    bit_measure,
     full_cube,
     popular_label,
 )
@@ -61,9 +60,7 @@ def find_biased_subcube(
     qualifying subcubes the one maximizing u_A * mu_0(A) is returned, ties
     broken by canonical subcube order.
     """
-    cube_all = full_cube(g.n)
-    mu0 = bit_measure(mu, g, 0, cube_all)
-    mu1 = bit_measure(mu, g, 1, cube_all)
+    mu0, mu1 = mu.label_masses(g, full_cube(g.n))
     if (1 - alpha0) * mu0 - (beta0 / delta) * mu1 <= 0:
         raise NoBiasedRectangleError(
             "biased-subcube assumption fails: answering 1 without queries"
@@ -74,8 +71,7 @@ def find_biased_subcube(
         weight = u[cube]
         if weight <= 0 or cube.size > a:
             continue
-        m0 = bit_measure(mu, g, 0, cube)
-        m1 = bit_measure(mu, g, 1, cube)
+        m0, m1 = mu.label_masses(g, cube)
         if m1 > delta * m0:
             continue
         score = weight * m0
@@ -100,14 +96,13 @@ def elimination_bound(
     inequality is guaranteed for product measures once ``cube`` is biased
     and ``w`` obeys its pointwise caps.
     """
-    m0 = bit_measure(mu, g, 0, cube)
-    m1 = bit_measure(mu, g, 1, cube)
+    m0, m1 = mu.label_masses(g, cube)
     if m1 > delta * m0:
         raise InfeasibleConstructionError("elimination bound requires a biased subcube")
     total = Fraction(0)
     for b, wv in w.items():
         if b.support & cube.support == 0:
-            total += wv * bit_measure(mu, g, 1, b)
+            total += wv * mu.label_masses(g, b)[1]
     if total > beta1 + delta:
         raise InfeasibleConstructionError(
             f"disjoint-support 1-mass {total} exceeds beta1 + delta = {beta1 + delta}"
@@ -154,11 +149,6 @@ def build_decision_tree(
     cube_all = full_cube(g.n)
     full = (1 << g.n) - 1
 
-    def best_leaf(cur_mu: BitProductDistribution) -> Leaf:
-        m0 = bit_measure(cur_mu, g, 0, cube_all)
-        m1 = bit_measure(cur_mu, g, 1, cube_all)
-        return Leaf(popular_label(m0, m1))
-
     def recurse(
         cur_mu: BitProductDistribution,
         u: dict[Subcube, Fraction],
@@ -166,8 +156,7 @@ def build_decision_tree(
         alpha1: Fraction,
         budget: int,
     ) -> DecisionTree:
-        m0 = bit_measure(cur_mu, g, 0, cube_all)
-        m1 = bit_measure(cur_mu, g, 1, cube_all)
+        m0, m1 = cur_mu.label_masses(g, cube_all)
         if min(m0, m1) < quarter:
             stats.guess_leaves += 1
             return Leaf(popular_label(m0, m1))
@@ -176,7 +165,7 @@ def build_decision_tree(
             return Leaf(1)
         if budget == 0:
             stats.budget_leaves += 1
-            return best_leaf(cur_mu)
+            return Leaf(popular_label(m0, m1))
 
         a0 = find_biased_subcube(
             g, cur_mu, u, system.alpha0, system.beta0, delta, system.a
@@ -204,19 +193,19 @@ def build_decision_tree(
                 proj = _project_cube(c, support, values)
                 if proj is not None:
                     sub_w[proj] = sub_w.get(proj, Fraction(0)) + v
-            sub_m1 = bit_measure(sub_mu, g, 1, cube_all)
+            sub_m0, sub_m1 = sub_mu.label_masses(g, cube_all)
             if sub_m1 == 0:
                 sub_alpha1 = Fraction(0)
             else:
                 carried = sum(
-                    (v * bit_measure(sub_mu, g, 1, c) for c, v in sub_w.items()),
+                    (v * sub_mu.label_masses(g, c)[1] for c, v in sub_w.items()),
                     Fraction(0),
                 )
                 sub_alpha1 = 1 - carried / sub_m1
             expectation += cur_mu.mass(Subcube(g.n, support, values)) * sub_m1 * sub_alpha1
             if sub_alpha1 >= 1:
                 stats.margin_leaves += 1
-                outcomes[values] = best_leaf(sub_mu)
+                outcomes[values] = Leaf(popular_label(sub_m0, sub_m1))
             else:
                 outcomes[values] = recurse(sub_mu, sub_u, sub_w, sub_alpha1, budget - 1)
 

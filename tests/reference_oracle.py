@@ -3,7 +3,9 @@
 ``oracle_cc`` and ``oracle_qc`` each had a memoised search of their own;
 they are kept here verbatim, apart from their names and the one ``Leaf``
 class that replaced ``PLeaf`` and ``DLeaf``, as the reference that
-``tests/test_oracle.py`` compares the shared search against.
+``tests/test_oracle.py`` compares the shared search against.  The
+one-label ``measure`` and ``bit_measure`` they call are the old ones, kept
+in ``tests/reference_model.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from lpbounds.model import (
     Rectangle,
     Subcube,
     TwoPartyFunction,
-    bit_measure,
-    measure,
 )
 from lpbounds.oracle import (
     ORACLE_CC_MAX_DEPTH,
@@ -29,6 +29,7 @@ from lpbounds.oracle import (
     _proper_bipartitions,
 )
 from lpbounds.trees import DecisionTree, DNode, Leaf, PNode, ProtocolTree
+from reference_model import bit_measure, measure
 
 
 def reference_oracle_cc(

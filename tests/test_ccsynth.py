@@ -23,7 +23,7 @@ from lpbounds.errors import (
     InfeasibleConstructionError,
     NoBiasedRectangleError,
 )
-from lpbounds.model import ProductDistribution2P, Rectangle, full_rectangle, measure
+from lpbounds.model import ProductDistribution2P, Rectangle, full_rectangle
 from lpbounds.trees import Leaf, PNode, advantage, evaluate, leaf_count, protocol_error, tree_depth
 
 
@@ -61,7 +61,7 @@ def test_find_biased_rectangle_constant():
     f = families.const2p(2, 0)
     full = full_rectangle(f)
     rect = find_biased_rectangle(
-        f, UNIFORM_4x4, {full: F(1)}, F(1, 4), F(1), F(0), F(0)
+        f, UNIFORM_4x4, {full: F(1)}, F(1, 4), F(1), F(0), F(0), z=0
     )
     assert rect == full
 
@@ -69,7 +69,7 @@ def test_find_biased_rectangle_constant():
 def test_find_biased_rectangle_empty_support():
     f = CC_CORPUS["eq2"]
     with pytest.raises(NoBiasedRectangleError):
-        find_biased_rectangle(f, UNIFORM_4x4, {}, F(1, 4), F(1), F(0), F(0))
+        find_biased_rectangle(f, UNIFORM_4x4, {}, F(1, 4), F(1), F(0), F(0), z=0)
 
 
 def test_find_biased_rectangle_from_srec_solution():
@@ -77,18 +77,17 @@ def test_find_biased_rectangle_from_srec_solution():
     res = srec_bound(SrecInstance(f, 0, F(0), F(0), UNIFORM_4x4))
     weights = srec_weights(res)
     rho = F(1, 4)
-    rect = find_biased_rectangle(f, UNIFORM_4x4, weights, rho, res.value, F(0), F(0))
-    m0 = measure(UNIFORM_4x4, f, 0, rect)
-    m1 = measure(UNIFORM_4x4, f, 1, rect)
+    rect = find_biased_rectangle(f, UNIFORM_4x4, weights, rho, res.value, F(0), F(0), z=0)
+    m0, m1 = UNIFORM_4x4.label_masses(f, rect)
     assert m1 <= rho * m0
-    mu0 = measure(UNIFORM_4x4, f, 0, full_rectangle(f))
+    mu0 = UNIFORM_4x4.label_masses(f, full_rectangle(f))[0]
     assert m0 >= mu0 / res.value  # delta = 0 kills the subtracted term
 
 
 def test_decompose_constant_zero_is_case_a():
     f = families.const2p(2, 0)
     active = full_rectangle(f)
-    dec = decompose(f, UNIFORM_4x4, Rectangle(0b0011, 0b0011), {}, F(1, 16), active)
+    dec = decompose(f, UNIFORM_4x4, Rectangle(0b0011, 0b0011), {}, F(1, 16), active, z=0)
     assert (dec.case, dec.alternative) == ("01", "a")
 
 
@@ -97,7 +96,7 @@ def test_decompose_zero_mass_blocks():
     active = full_rectangle(f)
     # S spans all rows: both off-diagonal blocks on the row side are empty
     dec = decompose(
-        f, UNIFORM_4x4, Rectangle(0b1111, 0b1111), {}, F(1, 16), active
+        f, UNIFORM_4x4, Rectangle(0b1111, 0b1111), {}, F(1, 16), active, z=0
     )
     assert isinstance(dec, Decomposition)
     assert (dec.case, dec.alternative) == ("01", "a")
@@ -112,19 +111,19 @@ def test_decompose_case_b_covering_verified():
     w1 = srec_weights(r1)
     r0 = srec_bound(SrecInstance(f, 0, F(0), delta, mu))
     w0 = srec_weights(r0)
-    s_rect = find_biased_rectangle(f, mu, w0, q * q, r0.value, F(0), delta)
-    dec = decompose(f, mu, s_rect, w1, q, full_rectangle(f))
+    s_rect = find_biased_rectangle(f, mu, w0, q * q, r0.value, F(0), delta, z=0)
+    dec = decompose(f, mu, s_rect, w1, q, full_rectangle(f), z=0)
     if dec.alternative == "b":
         assert dec.restricted is not None and dec.sub_eps is not None
         block = dec.block
         covered = sum(
             (
-                wt * measure(mu, f, 1, rect.intersect(block))
+                wt * mu.label_masses(f, rect.intersect(block))[1]
                 for rect, wt in dec.restricted.items()
             ),
             F(0),
         )
-        assert covered >= (1 - dec.sub_eps) * measure(mu, f, 1, block)
+        assert covered >= (1 - dec.sub_eps) * mu.label_masses(f, block)[1]
         assert sum(dec.restricted.values(), F(0)) <= F(9, 10) * r1.value
 
 

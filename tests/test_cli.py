@@ -272,3 +272,54 @@ def test_gen_cc_size_out_of_range_exits_1(capsys, m):
     assert main(["gen", "eq", m]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0] == f"error: cc family size must be in [0, 4], got {m}"
+
+
+def _rewrite(path, edit):
+    recs = records_of(path)
+    edit(recs)
+    with open(path, "w") as fh:
+        fh.write("".join(json.dumps(rec) + "\n" for rec in recs))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda recs: recs.__setitem__(1, [1, 2]),
+        lambda recs: recs[-1].__setitem__("asserts", [1]),
+    ],
+    ids=["list-record", "list-asserts"],
+)
+def test_verify_malformed_later_record_fails_cleanly(workspace, capsys, edit):
+    out = str(workspace["dir"] / "prt.jsonl")
+    assert main(["bounds", workspace["and2"], "--which", "prt", "--eps", "1/3", "--out", out]) == 0
+    _rewrite(out, edit)
+    assert main(["verify", out]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL records reproduce byte-identically" in lines
+    assert lines[-1] == "verify: FAIL"
+
+
+@pytest.mark.parametrize(
+    ("command", "key", "value", "message"),
+    [
+        ("bounds", "eps", 5, "bounds run record arg eps is int, not str"),
+        ("bounds", "which", None, "bounds run record arg which is NoneType, not str"),
+        ("oracle", "depth", None, "oracle run record arg depth is NoneType, not int"),
+        ("oracle", "depth", "1", "oracle run record arg depth is str, not int"),
+        ("oracle", "artifact", ["a"], "oracle run record arg artifact is list, not str or NoneType"),
+    ],
+    ids=["bounds-eps-int", "bounds-which-null", "oracle-depth-null", "oracle-depth-str",
+         "oracle-artifact-list"],
+)
+def test_verify_wrongly_typed_run_arg_exits_1(workspace, capsys, command, key, value, message):
+    out = str(workspace["dir"] / "r.jsonl")
+    if command == "bounds":
+        argv = ["bounds", workspace["and2"], "--which", "prt", "--eps", "1/3"]
+    else:
+        argv = ["oracle", workspace["xor2"], workspace["bits"], "--depth", "1"]
+    assert main(argv + ["--out", out]) == 0
+    _rewrite(out, lambda recs: recs[0]["args"].__setitem__(key, value))
+    capsys.readouterr()
+    assert main(["verify", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == f"error: {message}"

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_model import bit_measure, measure
 
 from lpbounds import families
 from lpbounds.errors import CapExceededError, DimensionMismatchError
@@ -13,12 +14,10 @@ from lpbounds.model import (
     Rectangle,
     Subcube,
     TwoPartyFunction,
-    bit_measure,
     enumerate_rectangles,
     enumerate_subcubes,
     full_cube,
     full_rectangle,
-    measure,
 )
 
 UNIFORM = ProductDistribution2P.uniform(4, 4)
@@ -26,13 +25,13 @@ UNIFORM = ProductDistribution2P.uniform(4, 4)
 
 def test_measure_const_zero_full_domain():
     f = families.const2p(2, 0)
-    assert measure(UNIFORM, f, 0, full_rectangle(f)) == 1
+    assert UNIFORM.label_masses(f, full_rectangle(f))[0] == 1
 
 
 def test_measure_empty_rectangle():
     f = families.eq(2)
-    assert measure(UNIFORM, f, 1, Rectangle(0, 0)) == 0
-    assert measure(UNIFORM, f, 0, Rectangle(5, 0)) == 0
+    assert UNIFORM.label_masses(f, Rectangle(0, 0))[1] == 0
+    assert UNIFORM.label_masses(f, Rectangle(5, 0))[0] == 0
 
 
 def test_measure_eq2_diagonal():
@@ -48,27 +47,27 @@ def test_measure_eq2_diagonal():
         Fraction(0),
     )
     assert expected == Fraction(1, 4)
-    assert measure(UNIFORM, f, 1, full_rectangle(f)) == Fraction(1, 4)
+    assert UNIFORM.label_masses(f, full_rectangle(f))[1] == Fraction(1, 4)
 
 
 def test_measure_dimension_mismatch():
     f = families.eq(1)
     with pytest.raises(DimensionMismatchError):
-        measure(UNIFORM, f, 0, full_rectangle(f))
+        UNIFORM.label_masses(f, full_rectangle(f))
 
 
 def test_bit_measure_const_one():
     g = families.const_q(3, 1)
     mu = BitProductDistribution.uniform(3)
-    assert bit_measure(mu, g, 1, full_cube(3)) == 1
+    assert mu.label_masses(g, full_cube(3))[1] == 1
 
 
 def test_bit_measure_zero_marginal():
     g = families.and_q(2)
     mu = BitProductDistribution((Fraction(0), Fraction(1, 2)))
     cube = Subcube.from_pattern("1*")  # fixes bit 0 to 1, probability 0
-    assert bit_measure(mu, g, 1, cube) == 0
-    assert bit_measure(mu, g, 0, cube) == 0
+    assert mu.label_masses(g, cube)[1] == 0
+    assert mu.label_masses(g, cube)[0] == 0
 
 
 def test_bit_measure_and2_half_cube():
@@ -78,7 +77,7 @@ def test_bit_measure_and2_half_cube():
     # members are x=01b (1) and x=11b (3); only 3 has AND = 1
     members = sorted(cube.members())
     assert members == [1, 3]
-    assert bit_measure(mu, g, 1, cube) == Fraction(1, 4)
+    assert mu.label_masses(g, cube)[1] == Fraction(1, 4)
 
 
 def test_enumerate_rectangles_counts():
@@ -156,7 +155,46 @@ def test_mass_splits_by_output(mu, rows, cols, data):
     )
     f = TwoPartyFunction(table)
     rect = Rectangle(rows & ((1 << nx) - 1), cols & ((1 << ny) - 1))
-    assert measure(mu, f, 0, rect) + measure(mu, f, 1, rect) == mu.mass(rect)
+    assert sum(mu.label_masses(f, rect)) == mu.mass(rect)
+
+
+def small_fractions(draw, count: int, top: int) -> tuple[Fraction, ...]:
+    """count rationals k/d with 1 <= d <= 12 and 0 <= k <= top * d."""
+    out = []
+    for _ in range(count):
+        d = draw(st.integers(1, 12))
+        out.append(Fraction(draw(st.integers(0, top * d)), d))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_label_masses_match_the_reference_cc(a, b, data):
+    """One-pass integer sums equal the old per-label Fraction sums, on both labels.
+
+    Tables up to 8x8, weights k/d (zeros and totals other than 1 included),
+    empty, partial and full rectangles.
+    """
+    nx, ny = 1 << a, 1 << b
+    draw = data.draw
+    f = TwoPartyFunction(
+        tuple(tuple(draw(st.integers(0, 1)) for _ in range(ny)) for _ in range(nx))
+    )
+    mu = ProductDistribution2P(small_fractions(draw, nx, 2), small_fractions(draw, ny, 2))
+    rect = Rectangle(draw(st.integers(0, (1 << nx) - 1)), draw(st.integers(0, (1 << ny) - 1)))
+    assert mu.label_masses(f, rect) == (measure(mu, f, 0, rect), measure(mu, f, 1, rect))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_label_masses_match_the_reference_qc(n, data):
+    """The same on {0,1}^n, n <= 5: marginals k/d including 0 and 1, random subcubes."""
+    draw = data.draw
+    g = QueryFunction(n, tuple(draw(st.integers(0, 1)) for _ in range(1 << n)))
+    mu = BitProductDistribution(small_fractions(draw, n, 1))
+    support = draw(st.integers(0, (1 << n) - 1))
+    cube = Subcube(n, support, draw(st.integers(0, (1 << n) - 1)) & support)
+    assert mu.label_masses(g, cube) == (bit_measure(mu, g, 0, cube), bit_measure(mu, g, 1, cube))
 
 
 @settings(max_examples=60, deadline=None)
