@@ -58,41 +58,30 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _run_record(command: str, args: dict, inputs: dict[str, str]) -> dict:
-    return {
-        "v": serialize.RECORD_VERSION,
-        "record": "run",
-        "command": command,
-        "args": args,
-        "inputs": inputs,
-    }
+def _load(parse: Callable[[str], object], path: str, kind: type, message: str):
+    """The object ``parse`` reads from file ``path``; a ParseError with
+    ``message`` unless it is a ``kind``."""
+    value = parse(_read(path))
+    if not isinstance(value, kind):
+        raise ParseError(message)
+    return value
 
 
 def _summary(asserts: dict[str, bool]) -> dict:
-    return {
-        "v": serialize.RECORD_VERSION,
-        "record": "summary",
-        "asserts": asserts,
-        "pass": all(asserts.values()) if asserts else True,
-    }
-
-
-def _load_cc(path: str) -> TwoPartyFunction:
-    fn = serialize.parse_function(_read(path))
-    if not isinstance(fn, TwoPartyFunction):
-        raise ParseError(f"{path} holds a query function; a cc table is required")
-    return fn
-
-
-def _load_qc(path: str) -> QueryFunction:
-    fn = serialize.parse_function(_read(path))
-    if not isinstance(fn, QueryFunction):
-        raise ParseError(f"{path} holds a cc table; a query function is required")
-    return fn
+    return serialize.record("summary", asserts=asserts, **{"pass": all(asserts.values())})
 
 
 # ---------------------------------------------------------------------------
 # bounds
+
+# each bound kind: the side and class of function it reads, and its partition bound if any
+_BOUNDS = {
+    "srec": ("cc", TwoPartyFunction, None),
+    "prt": ("cc", TwoPartyFunction, prt_bound),
+    "rprt": ("cc", TwoPartyFunction, rprt_bound),
+    "qprt": ("qc", QueryFunction, qprt_bound),
+    "chain": ("cc", TwoPartyFunction, None),
+}
 
 
 def run_bounds(args: dict) -> list[dict]:
@@ -100,28 +89,24 @@ def run_bounds(args: dict) -> list[dict]:
     fn_hash = serialize.function_hash(fn)
     eps = parse_rational(args["eps"])
     which = args["which"]
+    if which not in _BOUNDS:
+        raise ParseError(f"unknown bound kind {which!r}")
+    # checked after eps is parsed: a replayed record with both faults reports the eps one
+    side, kind, partition_bound = _BOUNDS[which]
+    if not isinstance(fn, kind):
+        raise ParseError(f"{which} needs a {side} function file")
     records: list[dict] = []
     asserts: dict[str, bool] = {}
 
-    if which == "qprt":
-        if not isinstance(fn, QueryFunction):
-            raise ParseError("qprt needs a qc function file")
-        res = qprt_bound(fn, eps)
-        records.append(serialize.bound_record("qprt", fn_hash, {"eps": args["eps"]}, res))
-    elif which in ("prt", "rprt"):
-        if not isinstance(fn, TwoPartyFunction):
-            raise ParseError(f"{which} needs a cc function file")
-        res = prt_bound(fn, eps) if which == "prt" else rprt_bound(fn, eps)
+    if partition_bound is not None:
+        res = partition_bound(fn, eps)
         records.append(serialize.bound_record(which, fn_hash, {"eps": args["eps"]}, res))
     elif which == "srec":
-        if not isinstance(fn, TwoPartyFunction):
-            raise ParseError("srec needs a cc function file")
         delta = parse_rational(args["delta"]) if args.get("delta") else eps
         mu = None
         if args.get("dist"):
-            mu = serialize.parse_distribution(_read(args["dist"]))
-            if not isinstance(mu, ProductDistribution2P):
-                raise ParseError("srec needs a rows/cols product distribution")
+            message = "srec needs a rows/cols product distribution"
+            mu = _load(serialize.parse_distribution, args["dist"], ProductDistribution2P, message)
         zs = [int(args["z"])] if args.get("z") is not None else [0, 1]
         for z in zs:
             res = srec_bound(SrecInstance(fn, z, eps, delta, mu))
@@ -132,25 +117,19 @@ def run_bounds(args: dict) -> list[dict]:
                 "distributional": mu is not None,
             }
             records.append(serialize.bound_record(res.kind, fn_hash, params, res))
-    elif which == "chain":
-        if not isinstance(fn, TwoPartyFunction):
-            raise ParseError("chain needs a cc function file")
-        rep = check_chain(fn, eps)
-        prt_v, rprt_v, srec_v = rep.values
+    else:
+        prt_v, rprt_v, srec_v = check_chain(fn, eps).values
         records.append(
-            {
-                "v": serialize.RECORD_VERSION,
-                "record": "chain",
-                "fn_hash": fn_hash,
-                "eps": args["eps"],
-                "prt": format_rational(prt_v),
-                "rprt": format_rational(rprt_v),
-                "srec": format_rational(srec_v),
-            }
+            serialize.record(
+                "chain",
+                fn_hash=fn_hash,
+                eps=args["eps"],
+                prt=format_rational(prt_v),
+                rprt=format_rational(rprt_v),
+                srec=format_rational(srec_v),
+            )
         )
         asserts["chain prt>=rprt>=srec"] = prt_v >= rprt_v >= srec_v
-    else:
-        raise ParseError(f"unknown bound kind {which!r}")
     records.append(_summary(asserts))
     return records
 
@@ -160,57 +139,52 @@ def run_bounds(args: dict) -> list[dict]:
 
 
 def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
-    fn = _load_cc(args["function"])
-    mu = serialize.parse_distribution(_read(args["dist"]))
-    if not isinstance(mu, ProductDistribution2P):
-        raise ParseError("synth-cc needs a rows/cols product distribution")
+    path = args["function"]
+    message = f"{path} holds a query function; a cc table is required"
+    fn = _load(serialize.parse_function, path, TwoPartyFunction, message)
+    message = "synth-cc needs a rows/cols product distribution"
+    mu = _load(serialize.parse_distribution, args["dist"], ProductDistribution2P, message)
     part = int(args["part"])
     k = int(args["k"]) if args.get("k") is not None else None
     rep = protocol_pipeline(fn, mu, part, k)
-    records: list[dict] = []
     asserts: dict[str, bool] = {}
-    base = {
-        "v": serialize.RECORD_VERSION,
-        "record": "cc-synthesis",
-        "fn_hash": serialize.function_hash(fn),
-        "dist_hash": serialize.distribution_hash(mu),
-        "part": part,
-        "k": k,
-        "eps": format_rational(rep.eps),
-        "delta": format_rational(rep.delta),
-        "s": str(rep.s),
-        "t": str(rep.t),
-        "hypothesis_ok": rep.hypothesis_ok,
-        "notes": list(rep.notes),
-    }
+    base = serialize.record(
+        "cc-synthesis",
+        fn_hash=serialize.function_hash(fn),
+        dist_hash=serialize.distribution_hash(mu),
+        part=part,
+        k=k,
+        eps=format_rational(rep.eps),
+        delta=format_rational(rep.delta),
+        s=str(rep.s),
+        t=str(rep.t),
+        hypothesis_ok=rep.hypothesis_ok,
+        notes=list(rep.notes),
+    )
+    records = [base]
     tree_text: str | None = None
     if rep.hypothesis_ok and rep.tree is not None and rep.balanced is not None:
         assert rep.adv is not None and rep.leaves is not None
         # assertions are recomputed from the serialized artifact, not from
         # the in-memory synthesis state
-        unbalanced_text = serialize.write_protocol_tree(rep.tree)
+        parsed = serialize.parse_protocol_tree(serialize.write_protocol_tree(rep.tree))
         tree_text = serialize.write_protocol_tree(rep.balanced)
-        parsed = serialize.parse_protocol_tree(unbalanced_text)
         parsed_balanced = serialize.parse_protocol_tree(tree_text)
         leaves = leaf_count(parsed)
         adv = advantage(parsed, fn, mu)
         balanced_depth = tree_depth(parsed_balanced)
         base.update(
-            {
-                "leaves": leaves,
-                "depth": tree_depth(parsed),
-                "balanced_depth": balanced_depth,
-                "advantage": format_rational(adv),
-                "advantage_floor": format_rational(rep.adv_floor),
-                "twentieth_applicable": rep.twentieth_applicable,
-            }
+            leaves=leaves,
+            depth=tree_depth(parsed),
+            balanced_depth=balanced_depth,
+            advantage=format_rational(adv),
+            advantage_floor=format_rational(rep.adv_floor),
+            twentieth_applicable=rep.twentieth_applicable,
         )
         asserts["advantage >= floor"] = adv >= rep.adv_floor
         budget = 4 * math.comb(rep.s + rep.t, min(rep.s, rep.t)) - 1
         asserts["leaves within binomial budget"] = leaves <= budget
-        asserts["balanced depth within target"] = balanced_depth <= balance_depth_target(
-            leaves
-        )
+        asserts["balanced depth within target"] = balanced_depth <= balance_depth_target(leaves)
         asserts["balanced tree agrees pointwise"] = all(
             evaluate(parsed, x, y) == evaluate(parsed_balanced, x, y)
             for x in range(fn.nx)
@@ -223,16 +197,16 @@ def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
                 adv >= mu.total / 20 - rep.big_delta * leaves
             )
         records.append(serialize.protocol_summary_record(parsed_balanced, adv))
-    records.insert(0, base)
     records.append(_summary(asserts))
     return records, tree_text
 
 
 def run_synth_qc(args: dict) -> tuple[list[dict], str | None]:
-    fn = _load_qc(args["function"])
-    mu = serialize.parse_distribution(_read(args["dist"]))
-    if not isinstance(mu, BitProductDistribution):
-        raise ParseError("synth-qc needs a bit-wise `p:` distribution")
+    path = args["function"]
+    message = f"{path} holds a cc table; a query function is required"
+    fn = _load(serialize.parse_function, path, QueryFunction, message)
+    message = "synth-qc needs a bit-wise `p:` distribution"
+    mu = _load(serialize.parse_distribution, args["dist"], BitProductDistribution, message)
     eps = parse_rational(args["eps"]) if args.get("eps") else Fraction(1, 8)
     delta = parse_rational(args["delta"]) if args.get("delta") else None
     rep = synthesis_pipeline(fn, mu, eps, delta)
@@ -248,27 +222,24 @@ def run_synth_qc(args: dict) -> tuple[list[dict], str | None]:
     if rep.half_error_certified:
         asserts["error <= 0.49"] = error <= Fraction(49, 100)
     records = [
-        {
-            "v": serialize.RECORD_VERSION,
-            "record": "qc-synthesis",
-            "fn_hash": serialize.function_hash(fn),
-            "dist_hash": serialize.distribution_hash(mu),
-            "qprt": format_rational(rep.qprt_value),
-            "c": rep.c,
-            "gamma": format_rational(rep.gamma),
-            "votes": rep.votes,
-            "boosted_error": format_rational(rep.boosted_error),
-            "delta": format_rational(rep.delta),
-            "depth": depth,
-            "depth_bound": rep.depth_bound,
-            "error": format_rational(error),
-            "error_budget": format_rational(rep.error_budget),
-            "half_error_certified": rep.half_error_certified,
-        },
-        serialize.feasible_system_record(rep.system),
-        serialize.decision_summary_record(
-            parsed, error, {"a": rep.system.a, "b": rep.system.b}
+        serialize.record(
+            "qc-synthesis",
+            fn_hash=serialize.function_hash(fn),
+            dist_hash=serialize.distribution_hash(mu),
+            qprt=format_rational(rep.qprt_value),
+            c=rep.c,
+            gamma=format_rational(rep.gamma),
+            votes=rep.votes,
+            boosted_error=format_rational(rep.boosted_error),
+            delta=format_rational(rep.delta),
+            depth=depth,
+            depth_bound=rep.depth_bound,
+            error=format_rational(error),
+            error_budget=format_rational(rep.error_budget),
+            half_error_certified=rep.half_error_certified,
         ),
+        serialize.feasible_system_record(rep.system),
+        serialize.decision_summary_record(parsed, error, {"a": rep.system.a, "b": rep.system.b}),
         _summary(asserts),
     ]
     return records, tree_text
@@ -280,43 +251,39 @@ def run_synth_qc(args: dict) -> tuple[list[dict], str | None]:
 
 def run_oracle(args: dict) -> list[dict]:
     fn = serialize.parse_function(_read(args["function"]))
-    mu = serialize.parse_distribution(_read(args["dist"]))
     depth = int(args["depth"])
-    asserts: dict[str, bool] = {}
     if isinstance(fn, TwoPartyFunction):
-        if not isinstance(mu, ProductDistribution2P):
-            raise ParseError("two-party oracle needs a rows/cols distribution")
+        message = "two-party oracle needs a rows/cols distribution"
+        mu = _load(serialize.parse_distribution, args["dist"], ProductDistribution2P, message)
         res = oracle_cc(fn, mu, depth)
         side, error, parse = "cc", protocol_error, serialize.parse_protocol_tree
     else:
-        if not isinstance(mu, BitProductDistribution):
-            raise ParseError("query oracle needs a `p:` distribution")
+        message = "query oracle needs a `p:` distribution"
+        mu = _load(serialize.parse_distribution, args["dist"], BitProductDistribution, message)
         res = oracle_qc(fn, mu, depth)
         side, error, parse = "qc", dtree_error, serialize.parse_decision_tree
-    asserts["witness replays exactly"] = error(res.witness, fn, mu) == res.best_error
+    asserts = {"witness replays exactly": error(res.witness, fn, mu) == res.best_error}
     records = [
-        {
-            "v": serialize.RECORD_VERSION,
-            "record": "oracle",
-            "side": side,
-            "fn_hash": serialize.function_hash(fn),
-            "dist_hash": serialize.distribution_hash(mu),
-            "depth": depth,
-            "best_error": format_rational(res.best_error),
-        }
+        serialize.record(
+            "oracle",
+            side=side,
+            fn_hash=serialize.function_hash(fn),
+            dist_hash=serialize.distribution_hash(mu),
+            depth=depth,
+            best_error=format_rational(res.best_error),
+        )
     ]
     if args.get("artifact"):
         tree = parse(_read(args["artifact"]))
         check_fits(tree, fn)
         measured = error(tree, fn, mu)
         records.append(
-            {
-                "v": serialize.RECORD_VERSION,
-                "record": "sandwich",
-                "artifact_depth": tree_depth(tree),
-                "artifact_error": format_rational(measured),
-                "oracle_error": format_rational(res.best_error),
-            }
+            serialize.record(
+                "sandwich",
+                artifact_depth=tree_depth(tree),
+                artifact_error=format_rational(measured),
+                oracle_error=format_rational(res.best_error),
+            )
         )
         asserts["oracle <= artifact error"] = res.best_error <= measured
     records.append(_summary(asserts))
@@ -324,48 +291,80 @@ def run_oracle(args: dict) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# gen / verify
+# the replayable commands and verify
 
 
-def run_gen(args: dict) -> str:
-    fn = families.make_function(args["family"], int(args["m"]), args["side"])
-    return serialize.write_function(fn)
+def _rational_arg(text: str) -> str:
+    try:
+        parse_rational(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 @dataclass(frozen=True)
 class _Command:
-    """A replayable command: its runner and what its run record holds."""
+    """A replayable command: its runner, its flags, and what its run record holds."""
 
     run: Callable[[dict], object]  # records, or (records, tree text) if writes_tree
-    args: dict[str, tuple[type, ...]]  # run-record args replayed by verify: the types main writes
+    help: str
+    flags: dict[str, dict]  # argparse name -> add_argument options; each is a run-record arg
     inputs: tuple[str, ...]  # the args naming input files, whose hashes it records
     writes_tree: bool
 
+    def arg_types(self) -> dict[str, tuple[type, ...]]:
+        """Each run-record arg and the types main writes for it: an int for
+        ``type=int``, else a string, or null for an optional flag left unset."""
+        return {
+            name.lstrip("-"): (int if options.get("type") is int else str,)
+            + ((type(None),) if name.startswith("--") and not options.get("required") else ())
+            for name, options in self.flags.items()
+        }
 
-_S, _I, _S0, _I0 = (str,), (int,), (str, type(None)), (int, type(None))  # 0: null allowed
 
 _COMMANDS = {
     "bounds": _Command(
         run_bounds,
-        {"function": _S, "which": _S, "eps": _S, "delta": _S0, "z": _S0, "dist": _S0},
+        "solve bound LPs",
+        {
+            "function": {},
+            "--which": {"required": True, "choices": list(_BOUNDS)},
+            "--eps": {"required": True, "type": _rational_arg},
+            "--delta": {"type": _rational_arg},
+            "--z": {"choices": ["0", "1"]},
+            "--dist": {},
+        },
         ("function", "dist"),
         writes_tree=False,
     ),
     "synth-cc": _Command(
         run_synth_cc,
-        {"function": _S, "dist": _S, "part": _S, "k": _I0},
+        "synthesize and balance a protocol tree",
+        {
+            "function": {},
+            "dist": {},
+            "--part": {"required": True, "choices": ["1", "2"]},
+            "--k": {"type": int},
+        },
         ("function", "dist"),
         writes_tree=True,
     ),
     "synth-qc": _Command(
         run_synth_qc,
-        {"function": _S, "dist": _S, "eps": _S0, "delta": _S0},
+        "synthesize a decision tree",
+        {
+            "function": {},
+            "dist": {},
+            "--eps": {"type": _rational_arg},
+            "--delta": {"type": _rational_arg},
+        },
         ("function", "dist"),
         writes_tree=True,
     ),
     "oracle": _Command(
         run_oracle,
-        {"function": _S, "dist": _S, "depth": _I, "artifact": _S0},
+        "optimal bounded-depth tree by brute force",
+        {"function": {}, "dist": {}, "--depth": {"required": True, "type": int}, "--artifact": {}},
         ("function", "dist", "artifact"),
         writes_tree=False,
     ),
@@ -382,7 +381,7 @@ def _check_run_record(run: dict) -> None:
     command, args = run.get("command"), run.get("args")
     if not isinstance(command, str) or command not in _COMMANDS:
         raise ParseError(f"cannot replay command {command!r}")
-    needed = _COMMANDS[command].args
+    needed = _COMMANDS[command].arg_types()
     if not isinstance(args, dict) or not all(key in args for key in needed):
         raise ParseError(f"{command} run record needs args {', '.join(needed)}")
     for key, types in needed.items():
@@ -430,25 +429,13 @@ def run_verify(path: str) -> int:
 # wiring
 
 
-def _emit(records: list[dict], out: str | None) -> int:
-    text = serialize.dump_records(records)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to file ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    passed = all(
-        rec.get("pass", True) for rec in records if rec.get("record") == "summary"
-    )
-    return 0 if passed else 1
-
-
-def _rational_arg(text: str) -> str:
-    try:
-        parse_rational(text)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,37 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds", help="solve bound LPs")
-    p.add_argument("function")
-    p.add_argument("--which", required=True, choices=["srec", "prt", "rprt", "qprt", "chain"])
-    p.add_argument("--eps", required=True, type=_rational_arg)
-    p.add_argument("--delta", type=_rational_arg)
-    p.add_argument("--z", choices=["0", "1"])
-    p.add_argument("--dist")
-    p.add_argument("--out")
-
-    p = sub.add_parser("synth-cc", help="synthesize and balance a protocol tree")
-    p.add_argument("function")
-    p.add_argument("dist")
-    p.add_argument("--part", required=True, choices=["1", "2"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
-    p.add_argument("--tree-out")
-
-    p = sub.add_parser("synth-qc", help="synthesize a decision tree")
-    p.add_argument("function")
-    p.add_argument("dist")
-    p.add_argument("--eps", type=_rational_arg)
-    p.add_argument("--delta", type=_rational_arg)
-    p.add_argument("--out")
-    p.add_argument("--tree-out")
-
-    p = sub.add_parser("oracle", help="optimal bounded-depth tree by brute force")
-    p.add_argument("function")
-    p.add_argument("dist")
-    p.add_argument("--depth", required=True, type=int)
-    p.add_argument("--artifact")
-    p.add_argument("--out")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, options in command.flags.items():
+            p.add_argument(flag, **options)
+        p.add_argument("--out")
+        if command.writes_tree:
+            p.add_argument("--tree-out")
 
     p = sub.add_parser("verify", help="replay a report and re-check every assertion")
     p.add_argument("report")
@@ -511,24 +474,23 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         if ns.command == "gen":
-            side = ns.side or ("cc" if ns.family in ("eq", "gt", "disj") else "qc")
-            text = run_gen({"family": ns.family, "m": ns.m, "side": side})
-            if ns.out:
-                with open(ns.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            # a family in both tables (and, or, xor) is the query one unless --side cc
+            cc_only = families.TWO_PARTY_FAMILIES.keys() - families.QUERY_FAMILIES.keys()
+            side = ns.side or ("cc" if ns.family in cc_only else "qc")
+            fn = families.make_function(ns.family, ns.m, side)
+            _write(ns.out, serialize.write_function(fn))
             return 0
         if ns.command == "verify":
             return run_verify(ns.report)
         command = _COMMANDS[ns.command]
-        args = {key: getattr(ns, key) for key in command.args}
+        args = {key: getattr(ns, key) for key in command.arg_types()}
         inputs = {args[key]: _sha256(_read(args[key])) for key in command.inputs if args[key]}
         records, tree_text = _run(command, args)
-        if command.writes_tree and tree_text and ns.tree_out:
-            with open(ns.tree_out, "w", encoding="utf-8") as fh:
-                fh.write(tree_text)
-        return _emit([_run_record(ns.command, args, inputs)] + records, ns.out)
+        if tree_text and ns.tree_out:
+            _write(ns.tree_out, tree_text)
+        run = serialize.record("run", command=ns.command, args=args, inputs=inputs)
+        _write(ns.out, serialize.dump_records([run] + records))
+        return 0 if records[-1]["pass"] else 1  # the summary record closes every report
     except (LpboundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -222,9 +222,6 @@ class ProductDistribution2P:
     def ny(self) -> int:
         return len(self.col_weights)
 
-    def point(self, x: int, y: int) -> Fraction:
-        return self.row_weights[x] * self.col_weights[y]
-
     @property
     def total(self) -> Fraction:
         return sum(self.row_weights, Fraction(0)) * sum(self.col_weights, Fraction(0))

@@ -130,7 +130,10 @@ def parse_distribution(text: str) -> ProductDistribution2P | BitProductDistribut
         if ":" not in ln:
             raise ParseError(f"bad distribution line {ln!r}")
         key, _, rest = ln.partition(":")
-        fields[key.strip()] = tuple(parse_rational(tok) for tok in rest.split())
+        key = key.strip()
+        if key in fields:
+            raise ParseError(f"distribution file repeats the `{key}:` line")
+        fields[key] = tuple(parse_rational(tok) for tok in rest.split())
     if "p" in fields:
         if set(fields) != {"p"}:
             raise ParseError("bit-wise distribution files carry a single `p:` line")
@@ -237,63 +240,60 @@ def _parse_tree(
 # records
 
 
+def record(kind: str, /, **fields) -> dict:
+    """A report record: the format version, its kind, then ``fields``."""
+    return {"v": RECORD_VERSION, "record": kind, **fields}
+
+
 def bound_record(kind: str, fn_hash: str, params: dict, result) -> dict:
-    rec = {
-        "v": RECORD_VERSION,
-        "record": "bound",
-        "kind": kind,
-        "fn_hash": fn_hash,
-        "params": params,
-        "value": format_rational(result.value),
-        "log2_lo": None if result.log2_lo is None else format_rational(result.log2_lo),
-        "log2_hi": None if result.log2_hi is None else format_rational(result.log2_hi),
-        "support_size": result.support_size,
-        "iterations": result.solution.iterations,
-        "phase1_iterations": result.solution.phase1_iterations,
-    }
-    return rec
+    return record(
+        "bound",
+        kind=kind,
+        fn_hash=fn_hash,
+        params=params,
+        value=format_rational(result.value),
+        log2_lo=None if result.log2_lo is None else format_rational(result.log2_lo),
+        log2_hi=None if result.log2_hi is None else format_rational(result.log2_hi),
+        support_size=result.support_size,
+        iterations=result.solution.iterations,
+        phase1_iterations=result.solution.phase1_iterations,
+    )
 
 
 def protocol_summary_record(tree: ProtocolTree, adv: Fraction) -> dict:
-    return {
-        "v": RECORD_VERSION,
-        "record": "ptree-summary",
-        "leaves": leaf_count(tree),
-        "depth": tree_depth(tree),
-        "advantage": format_rational(adv),
-    }
+    return record(
+        "ptree-summary",
+        leaves=leaf_count(tree),
+        depth=tree_depth(tree),
+        advantage=format_rational(adv),
+    )
 
 
 def decision_summary_record(tree: DecisionTree, error: Fraction, params: dict) -> dict:
-    return {
-        "v": RECORD_VERSION,
-        "record": "dtree-summary",
-        "depth": tree_depth(tree),
-        "error": format_rational(error),
-        "params": params,
-    }
+    return record(
+        "dtree-summary", depth=tree_depth(tree), error=format_rational(error), params=params
+    )
 
 
 def feasible_system_record(system) -> dict:
-    return {
-        "v": RECORD_VERSION,
-        "record": "feasible-system",
-        "n": system.n,
-        "u": {
+    return record(
+        "feasible-system",
+        n=system.n,
+        u={
             cube.pattern(): format_rational(w)
             for cube, w in sorted(system.u.items(), key=lambda cw: cw[0].pattern())
         },
-        "w": {
+        w={
             cube.pattern(): format_rational(w)
             for cube, w in sorted(system.w.items(), key=lambda cw: cw[0].pattern())
         },
-        "alpha0": format_rational(system.alpha0),
-        "beta0": format_rational(system.beta0),
-        "alpha1": format_rational(system.alpha1),
-        "beta1": format_rational(system.beta1),
-        "a": system.a,
-        "b": system.b,
-    }
+        alpha0=format_rational(system.alpha0),
+        beta0=format_rational(system.beta0),
+        alpha1=format_rational(system.alpha1),
+        beta1=format_rational(system.beta1),
+        a=system.a,
+        b=system.b,
+    )
 
 
 def dump_records(records: list[dict]) -> str:

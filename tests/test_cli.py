@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from lpbounds import serialize
+from lpbounds import cli, families, serialize
 from lpbounds.cli import main
 
 
@@ -323,3 +323,95 @@ def test_verify_wrongly_typed_run_arg_exits_1(workspace, capsys, command, key, v
     assert main(["verify", out]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0] == f"error: {message}"
+
+
+def _fill(workspace, text):
+    """``text`` with each ``@name`` replaced by the workspace file of that name."""
+    for name, path in workspace.items():
+        if isinstance(path, str):
+            text = text.replace(f"@{name}", path)
+    return text
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["synth-cc", "@xor2", "@dist", "--part", "1"],
+         "@xor2 holds a query function; a cc table is required"),
+        (["bounds", "@xor2", "--which", "prt", "--eps", "1/8"], "prt needs a cc function file"),
+        (["bounds", "@xor2", "--which", "chain", "--eps", "1/8"], "chain needs a cc function file"),
+        (["bounds", "@xor2", "--which", "srec", "--eps", "1/8"], "srec needs a cc function file"),
+        (["synth-qc", "@and2", "@bits"], "@and2 holds a cc table; a query function is required"),
+        (["bounds", "@and2", "--which", "qprt", "--eps", "1/8"], "qprt needs a qc function file"),
+        (["synth-cc", "@and2", "@bits", "--part", "1"],
+         "synth-cc needs a rows/cols product distribution"),
+        (["bounds", "@and2", "--which", "srec", "--eps", "1/8", "--dist", "@bits"],
+         "srec needs a rows/cols product distribution"),
+        (["oracle", "@and2", "@bits", "--depth", "1"],
+         "two-party oracle needs a rows/cols distribution"),
+        (["synth-qc", "@xor2", "@dist"], "synth-qc needs a bit-wise `p:` distribution"),
+        (["oracle", "@xor2", "@dist", "--depth", "1"], "query oracle needs a `p:` distribution"),
+    ],
+    ids=["synth-cc-qc-fn", "prt-qc-fn", "chain-qc-fn", "srec-qc-fn", "synth-qc-cc-fn",
+         "qprt-cc-fn", "synth-cc-p-dist", "srec-p-dist", "oracle-cc-p-dist",
+         "synth-qc-rows-dist", "oracle-qc-rows-dist"],
+)
+def test_wrong_kind_of_input_exits_1(workspace, capsys, argv, message):
+    assert main([_fill(workspace, arg) for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == f"error: {_fill(workspace, message)}"
+
+
+def test_repeated_distribution_line_exits_1(workspace, capsys):
+    dist = write(workspace["dir"] / "twice.bits", "p: 1/2 1/2\np: 1 0\n")
+    assert main(["oracle", workspace["xor2"], dist, "--depth", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == "error: distribution file repeats the `p:` line"
+
+
+@pytest.mark.parametrize(
+    ("argv", "with_optional"),
+    [
+        (["bounds", "@and2", "--which", "srec", "--eps", "1/8"], False),
+        (["bounds", "@and2", "--which", "srec", "--eps", "1/8", "--delta", "1/16", "--z", "1",
+          "--dist", "@dist"], True),
+        (["synth-cc", "@and2", "@dist", "--part", "1"], False),
+        (["synth-cc", "@and2", "@dist", "--part", "2", "--k", "20"], True),
+        (["synth-qc", "@xor2", "@bits"], False),
+        (["synth-qc", "@xor2", "@bits", "--eps", "1/4", "--delta", "1/16"], True),
+        (["oracle", "@xor2", "@bits", "--depth", "1"], False),
+        (["oracle", "@xor2", "@bits", "--depth", "1", "--artifact", "@tree"], True),
+    ],
+    ids=["bounds-required", "bounds-all", "synth-cc-required", "synth-cc-all",
+         "synth-qc-required", "synth-qc-all", "oracle-required", "oracle-all"],
+)
+def test_run_record_round_trips_through_the_command_table(workspace, argv, with_optional):
+    workspace["tree"] = write(workspace["dir"] / "leaf.dtree", "dtree v1\nL 1\n")
+    argv = [_fill(workspace, arg) for arg in argv]
+    out = str(workspace["dir"] / "run.jsonl")
+    assert main(argv + ["--out", out]) == 0
+    run = records_of(out)[0]
+    cli._check_run_record(run)
+    types = cli._COMMANDS[argv[0]].arg_types()
+    assert set(run["args"]) == set(types)
+    unset = {key for key, value in run["args"].items() if value is None}
+    assert unset == (set() if with_optional else {k for k, t in types.items() if type(None) in t})
+    assert main(["verify", out]) == 0
+
+
+@pytest.mark.parametrize(
+    ("family", "side"),
+    [("eq", "cc"), ("gt", "cc"), ("disj", "cc"), ("and", "qc"), ("or", "qc"), ("xor", "qc"),
+     ("maj", "qc")],
+)
+def test_gen_default_side(workspace, family, side):
+    out = str(workspace["dir"] / "f.txt")
+    assert main(["gen", family, "1", "--out", out]) == 0
+    with open(out) as fh:
+        assert fh.read() == serialize.write_function(families.make_function(family, 1, side))
+
+
+def test_gen_unknown_family_names_the_query_table(capsys):
+    assert main(["gen", "foo", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: unknown qc family 'foo'; available: ['and', 'maj', 'or', 'xor']"

@@ -87,6 +87,26 @@ def test_parse_errors():
         serialize.parse_decision_tree("dtree v1\nQ 0\nL 1\n")  # truncated
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("rows: 1/4 1/4\ncols: 1/2 1/2\nrows: 1 1\n", "rows"),
+        ("rows: 1 1\ncols: 1/2 1/2\ncols: 1 1\n", "cols"),
+        ("p: 1/2 1/2\np: 1 0\n", "p"),
+    ],
+    ids=["rows", "cols", "p"],
+)
+def test_parse_distribution_rejects_a_repeated_line(text, key):
+    with pytest.raises(ParseError) as exc:
+        serialize.parse_distribution(text)
+    assert str(exc.value) == f"distribution file repeats the `{key}:` line"
+
+
+def test_record_takes_a_kind_field():
+    rec = serialize.record("bound", kind="prt", value="1")
+    assert rec == {"v": serialize.RECORD_VERSION, "record": "bound", "kind": "prt", "value": "1"}
+
+
 def test_records_round_trip_and_order():
     recs = [{"record": "x", "b": 1, "a": 2}, {"record": "summary", "pass": True}]
     text = serialize.dump_records(recs)
