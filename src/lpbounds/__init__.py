@@ -3,7 +3,8 @@
 Library surface:
 
 - :mod:`lpbounds.model` -- Boolean functions, product measures, rectangles,
-  subcubes, and the label masses mu_0 / mu_1 of a region in one call.
+  subcubes and their projections, and the label masses mu_0 / mu_1 of a
+  region in one call.
 - :mod:`lpbounds.lp` -- exact rational simplex with dual certificates.
 - :mod:`lpbounds.partition` -- the labelled partition LP behind prt, rprt
   and qprt, and its verified majority boost.

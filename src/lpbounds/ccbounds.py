@@ -90,7 +90,8 @@ class BoundResult:
         return len(self.solution.primal)
 
 
-def _finish(kind: str, sol: LPSolution) -> BoundResult:
+def finish(kind: str, sol: LPSolution) -> BoundResult:
+    """The bound an optimal solution gives, with its log2 bracket."""
     if sol.status != "optimal":
         raise InfeasibleConstructionError(f"{kind} LP reported {sol.status}")
     assert sol.value is not None
@@ -148,7 +149,7 @@ def build_srec_lp(inst: SrecInstance) -> LinearProgram:
 
 def srec_bound(inst: SrecInstance) -> BoundResult:
     kind = "srec-dist" if inst.mu is not None else "srec"
-    return _finish(kind, lpmod.solve(build_srec_lp(inst)))
+    return finish(kind, lpmod.solve(build_srec_lp(inst)))
 
 
 def srec_weights(result: BoundResult) -> dict[Rectangle, Fraction]:
@@ -183,11 +184,11 @@ def build_rprt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
 
 
 def prt_bound(f: TwoPartyFunction, eps: Fraction) -> BoundResult:
-    return _finish("prt", lpmod.solve(build_prt_lp(f, eps)))
+    return finish("prt", lpmod.solve(build_prt_lp(f, eps)))
 
 
 def rprt_bound(f: TwoPartyFunction, eps: Fraction) -> BoundResult:
-    return _finish("rprt", lpmod.solve(build_rprt_lp(f, eps)))
+    return finish("rprt", lpmod.solve(build_rprt_lp(f, eps)))
 
 
 def partition_weights(result: BoundResult) -> LabeledRectWeights:

@@ -177,10 +177,10 @@ def decompose(
         for rect, w in cover_weights.items():
             if w <= 0:
                 continue
-            part = rect.intersect(block)
-            carried = w * mu.label_masses(f, part)[cover_z]
+            part_masses = mu.label_masses(f, rect.intersect(block))
+            carried = w * part_masses[cover_z]
             numer += carried
-            if threshold is not None and mu.mass(part) >= threshold:
+            if threshold is not None and sum(part_masses) >= threshold:
                 restricted[rect] = w
                 covered += carried
         sub_eps = Fraction(0) if m_cover == 0 else 1 - numer / m_cover
@@ -610,9 +610,7 @@ def protocol_pipeline(
         raise InfeasibleConstructionError("advantage below |mu|/20 - Delta*L")
     if part == 2:
         assert k is not None
-        if leaves.bit_length() - 1 > 4 * k * k or (
-            leaves.bit_length() - 1 == 4 * k * k and leaves != 1 << (4 * k * k)
-        ):
+        if leaves > 1 << (4 * k * k):
             raise InfeasibleConstructionError(f"leaf count {leaves} exceeds 2^(4k^2)")
     if advantage(balanced, f, mu) != adv:
         raise InfeasibleConstructionError("balancing changed the advantage")

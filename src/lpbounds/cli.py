@@ -17,6 +17,7 @@ caching of LP solutions; cached entries are re-verified on load.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
@@ -488,6 +489,11 @@ def main(argv: list[str] | None = None) -> int:
         records, tree_text = _run(command, args)
         if tree_text and ns.tree_out:
             _write(ns.tree_out, tree_text)
+        elif command.writes_tree and ns.tree_out:
+            # an older file would pass for this run's tree
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(ns.tree_out)
+            print(f"no tree written to {ns.tree_out}: none was synthesized", file=sys.stderr)
         run = serialize.record("run", command=ns.command, args=args, inputs=inputs)
         _write(ns.out, serialize.dump_records([run] + records))
         return 0 if records[-1]["pass"] else 1  # the summary record closes every report

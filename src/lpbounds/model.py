@@ -166,6 +166,17 @@ class Subcube:
             self.n, self.support | other.support, self.values | other.values
         )
 
+    def project(self, onto: "Subcube") -> "Subcube | None":
+        """This subcube within ``onto``, with ``onto``'s fixed coordinates dropped.
+
+        None when the two are disjoint (a shared coordinate fixed differently).
+        Only the masks of ``onto`` are read; the result has this bit count.
+        """
+        if (self.values ^ onto.values) & self.support & onto.support:
+            return None
+        keep = self.support & ~onto.support
+        return Subcube(self.n, keep, self.values & keep)
+
     def pattern(self) -> str:
         """Textual pattern over ``01*``, coordinate 0 leftmost."""
         out = []
@@ -226,17 +237,6 @@ class ProductDistribution2P:
     def total(self) -> Fraction:
         return sum(self.row_weights, Fraction(0)) * sum(self.col_weights, Fraction(0))
 
-    def mass(self, rect: Rectangle) -> Fraction:
-        rw = sum(
-            (w for x, w in enumerate(self.row_weights) if (rect.rows >> x) & 1),
-            Fraction(0),
-        )
-        cw = sum(
-            (w for y, w in enumerate(self.col_weights) if (rect.cols >> y) & 1),
-            Fraction(0),
-        )
-        return rw * cw
-
     def label_masses(self, f: TwoPartyFunction, rect: Rectangle) -> tuple[Fraction, Fraction]:
         """(mu_0(R), mu_1(R)), mu_z(R) = mu(R intersect f^{-1}(z)), in one pass.
 
@@ -296,12 +296,6 @@ class BitProductDistribution:
     def n(self) -> int:
         return len(self.p)
 
-    def point(self, x: int) -> Fraction:
-        m = Fraction(1)
-        for i, q in enumerate(self.p):
-            m *= q if (x >> i) & 1 else 1 - q
-        return m
-
     def mass(self, cube: Subcube) -> Fraction:
         """mu(cube); free coordinates marginalize out exactly."""
         if cube.n != self.n:
@@ -329,13 +323,11 @@ class BitProductDistribution:
         den = prod(q.denominator for q in self.p)
         return Fraction(sums[0], den), Fraction(sums[1], den)
 
-    def fixed_bits(self) -> int:
-        """Mask of coordinates whose marginal is 0 or 1."""
-        mask = 0
-        for i, q in enumerate(self.p):
-            if q == 0 or q == 1:
-                mask |= 1 << i
-        return mask
+    def fixed_cube(self) -> Subcube:
+        """The points consistent with the coordinates whose marginal is 0 or 1."""
+        support = sum(1 << i for i, q in enumerate(self.p) if q == 0 or q == 1)
+        ones = sum(1 << i for i, q in enumerate(self.p) if q == 1)
+        return Subcube(self.n, support, ones)
 
     def condition(self, support: int, values: int) -> "BitProductDistribution":
         """Overwrite the marginals on ``support`` with point masses ``values``."""
@@ -351,6 +343,24 @@ class BitProductDistribution:
     @staticmethod
     def uniform(n: int) -> "BitProductDistribution":
         return BitProductDistribution(tuple(Fraction(1, 2) for _ in range(n)))
+
+
+def cube_key(cube: Subcube) -> tuple[int, int, int]:
+    """Canonical subcube order: support size, then support mask, then values."""
+    return (cube.size, cube.support, cube.values)
+
+
+def project_weights(weights: dict[Subcube, Fraction], onto: Subcube) -> dict[Subcube, Fraction]:
+    """Weighted subcubes projected into ``onto``; cubes that project alike add up.
+
+    Cubes disjoint from ``onto`` are dropped.
+    """
+    out: dict[Subcube, Fraction] = {}
+    for cube, w in weights.items():
+        proj = cube.project(onto)
+        if proj is not None:
+            out[proj] = out.get(proj, Fraction(0)) + w
+    return out
 
 
 def full_rectangle(f: TwoPartyFunction) -> Rectangle:

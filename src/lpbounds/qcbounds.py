@@ -20,14 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp as lpmod
-from .ccbounds import BoundResult, _finish
+from .ccbounds import BoundResult, finish
 from .errors import CapExceededError, InfeasibleConstructionError
 from .lp import LinearProgram
 from .model import (
     BitProductDistribution,
     QueryFunction,
     Subcube,
+    cube_key,
     enumerate_subcubes,
+    full_cube,
+    project_weights,
 )
 from .partition import LabelledFamily
 from .rational import ceil_mul_log2
@@ -40,10 +43,6 @@ LabeledCubeWeights = dict[tuple[int, Subcube], Fraction]
 def _cube_from_var(name: str) -> tuple[int, Subcube]:
     head, pattern = name.split("_", 1)
     return int(head[1:]), Subcube.from_pattern(pattern)
-
-
-def _cube_key(cube: Subcube):
-    return (cube.size, cube.support, cube.values)
 
 
 def _cube_family(g: QueryFunction) -> LabelledFamily:
@@ -60,7 +59,7 @@ def _cube_family(g: QueryFunction) -> LabelledFamily:
         tag=Subcube.pattern,
         contains=Subcube.contains,
         intersect=Subcube.intersect,
-        sort_key=_cube_key,
+        sort_key=cube_key,
     )
 
 
@@ -84,7 +83,7 @@ class QprtSolution:
 
 
 def qprt_bound(g: QueryFunction, eps: Fraction) -> BoundResult:
-    return _finish("qprt", lpmod.solve(build_qprt_lp(g, eps)))
+    return finish("qprt", lpmod.solve(build_qprt_lp(g, eps)))
 
 
 def qprt_solution(g: QueryFunction, result: BoundResult) -> QprtSolution:
@@ -140,6 +139,7 @@ class FeasibleSystem:
         Pointwise checks run over the points consistent with the fixed bits
         of ``mu``; fixed bits must not occur in any support.
         """
+        mu1 = mu.label_masses(g, full_cube(self.n))[1]  # first: it checks the bit counts
         out: list[str] = []
         for c, v in list(self.u.items()) + list(self.w.items()):
             if v < 0:
@@ -150,7 +150,7 @@ class FeasibleSystem:
         for c in self.w:
             if c.size > self.b:
                 out.append(f"w support {c.pattern()} exceeds b={self.b}")
-        consistent = _fixed_cube(self.n, mu)
+        consistent = mu.fixed_cube()
         for c in list(self.u) + list(self.w):
             if c.support & consistent.support:
                 out.append(f"support {c.pattern()} uses a mu-fixed bit")
@@ -165,7 +165,6 @@ class FeasibleSystem:
                 out.append(f"w mass above 1 at {x}")
             if g.value(x) == 0 and wm > self.beta1:
                 out.append(f"w mass above beta1 at {x}")
-        mu1 = mu.label_masses(g, Subcube(self.n, 0, 0))[1]
         carried = sum(
             (v * mu.label_masses(g, c)[1] for c, v in self.w.items()),
             Fraction(0),
@@ -178,23 +177,6 @@ class FeasibleSystem:
 def _mass_at(cubes: dict[Subcube, Fraction], x: int) -> Fraction:
     """Total weight of the subcubes containing the point x."""
     return sum((v for c, v in cubes.items() if c.contains(x)), Fraction(0))
-
-
-def _fixed_cube(n: int, mu: BitProductDistribution) -> Subcube:
-    """The points consistent with the bits ``mu`` fixes to 0 or 1."""
-    ones = sum(1 << i for i, q in enumerate(mu.p) if q == 1)
-    return Subcube(n, mu.fixed_bits(), ones)
-
-
-def _project_cube(
-    cube: Subcube, fixed_mask: int, fixed_vals: int
-) -> Subcube | None:
-    """Drop fixed coordinates from the support; None when values conflict."""
-    overlap = cube.support & fixed_mask
-    if (cube.values ^ fixed_vals) & overlap:
-        return None
-    keep = cube.support & ~fixed_mask
-    return Subcube(cube.n, keep, cube.values & keep)
 
 
 def extract_feasible(
@@ -230,15 +212,9 @@ def extract_feasible(
         raise InfeasibleConstructionError(
             f"discarded mass {removed} is not below gamma {gamma}"
         )
-    fixed = _fixed_cube(sol.n, mu)
-    u: dict[Subcube, Fraction] = {}
-    w: dict[Subcube, Fraction] = {}
-    for (z, cube), wv in kept.items():
-        proj = _project_cube(cube, fixed.support, fixed.values)
-        if proj is None:
-            continue
-        side = u if z == 0 else w
-        side[proj] = side.get(proj, Fraction(0)) + wv
+    fixed = mu.fixed_cube()
+    u = project_weights({cube: wv for (z, cube), wv in kept.items() if z == 0}, fixed)
+    w = project_weights({cube: wv for (z, cube), wv in kept.items() if z == 1}, fixed)
     system = FeasibleSystem(
         n=sol.n,
         u=u,

@@ -37,10 +37,12 @@ from .model import (
     BitProductDistribution,
     QueryFunction,
     Subcube,
+    cube_key,
     full_cube,
     popular_label,
+    project_weights,
 )
-from .qcbounds import FeasibleSystem, _cube_key, _project_cube
+from .qcbounds import FeasibleSystem
 from .trees import DecisionTree, DNode, Leaf, dtree_error, dtree_queried_bits_ok, tree_depth
 
 
@@ -67,7 +69,7 @@ def find_biased_subcube(
         )
     best: Subcube | None = None
     best_score: Fraction | None = None
-    for cube in sorted(u, key=_cube_key):
+    for cube in sorted(u, key=cube_key):
         weight = u[cube]
         if weight <= 0 or cube.size > a:
             continue
@@ -180,19 +182,11 @@ def build_decision_tree(
         outcomes: dict[int, DecisionTree] = {}
         expectation = Fraction(0)
         for values in Subcube(g.n, full ^ support, 0).members():
+            outcome = Subcube(g.n, support, values)
             sub_mu = cur_mu.condition(support, values)
-            sub_u: dict[Subcube, Fraction] = {}
-            for c, v in u.items():
-                proj = _project_cube(c, support, values)
-                if proj is not None:
-                    sub_u[proj] = sub_u.get(proj, Fraction(0)) + v
-            sub_w: dict[Subcube, Fraction] = {}
-            for c, v in w.items():
-                if c.support & support == 0:
-                    continue  # support-disjoint mass is eliminated
-                proj = _project_cube(c, support, values)
-                if proj is not None:
-                    sub_w[proj] = sub_w.get(proj, Fraction(0)) + v
+            sub_u = project_weights(u, outcome)
+            # support-disjoint w mass is eliminated
+            sub_w = project_weights({c: v for c, v in w.items() if c.support & support}, outcome)
             sub_m0, sub_m1 = sub_mu.label_masses(g, cube_all)
             if sub_m1 == 0:
                 sub_alpha1 = Fraction(0)
@@ -202,7 +196,7 @@ def build_decision_tree(
                     Fraction(0),
                 )
                 sub_alpha1 = 1 - carried / sub_m1
-            expectation += cur_mu.mass(Subcube(g.n, support, values)) * sub_m1 * sub_alpha1
+            expectation += cur_mu.mass(outcome) * sub_m1 * sub_alpha1
             if sub_alpha1 >= 1:
                 stats.margin_leaves += 1
                 outcomes[values] = Leaf(popular_label(sub_m0, sub_m1))
@@ -293,6 +287,7 @@ def synthesis_pipeline(
     constructed system permits it; otherwise the measured error is reported
     against the budget alone.
     """
+    # imported per call, so that the wrappers bench/layers.py puts on these names see the calls
     from .qcbounds import boost_qprt, extract_feasible, qprt_bound, qprt_solution
     from .rational import ceil_mul_log2, min_odd_votes_for_error
 

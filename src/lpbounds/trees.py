@@ -21,6 +21,8 @@ from .model import (
     ProductDistribution2P,
     QueryFunction,
     TwoPartyFunction,
+    full_cube,
+    full_rectangle,
 )
 
 
@@ -124,18 +126,14 @@ def evaluate(tree: ProtocolTree, x: int, y: int) -> int:
 def protocol_error(
     tree: ProtocolTree, f: TwoPartyFunction, mu: ProductDistribution2P
 ) -> Fraction:
-    """Incorrect mass, by exhaustive evaluation."""
-    if mu.nx != f.nx or mu.ny != f.ny:
-        raise DimensionMismatchError("measure shape does not match function")
-    total = Fraction(0)
-    for x in range(f.nx):
-        rw = mu.row_weights[x]
-        if rw == 0:
-            continue
-        for y in range(f.ny):
-            if evaluate(tree, x, y) != f.value(x, y):
-                total += rw * mu.col_weights[y]
-    return total
+    """Incorrect mass, by exhaustive evaluation: the 1-mass of the mismatch table."""
+    wrong = TwoPartyFunction(
+        tuple(
+            tuple(int(evaluate(tree, x, y) != f.value(x, y)) for y in range(f.ny))
+            for x in range(f.nx)
+        )
+    )
+    return mu.label_masses(wrong, full_rectangle(f))[1]
 
 
 def advantage(
@@ -159,14 +157,11 @@ def dtree_evaluate(tree: DecisionTree, x: int) -> int:
 def dtree_error(
     tree: DecisionTree, g: QueryFunction, mu: BitProductDistribution
 ) -> Fraction:
-    """Exact error mass Pr_mu[g(x) != tree(x)], by full enumeration."""
-    if mu.n != g.n:
-        raise DimensionMismatchError("measure and function bit counts differ")
-    total = Fraction(0)
-    for x in range(1 << g.n):
-        if dtree_evaluate(tree, x) != g.value(x):
-            total += mu.point(x)
-    return total
+    """Exact error mass Pr_mu[g(x) != tree(x)]: the 1-mass of the mismatch table."""
+    wrong = QueryFunction(
+        g.n, tuple(int(dtree_evaluate(tree, x) != g.value(x)) for x in range(1 << g.n))
+    )
+    return mu.label_masses(wrong, full_cube(g.n))[1]
 
 
 def dtree_queried_bits_ok(tree: DecisionTree) -> bool:

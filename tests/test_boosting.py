@@ -8,8 +8,7 @@ from reference_boost import reference_boost
 
 from lpbounds.boosting import majority_product_boost
 from lpbounds.ccbounds import _rect_intersect as rect_intersect
-from lpbounds.model import Rectangle, Subcube
-from lpbounds.qcbounds import _cube_key as cube_key
+from lpbounds.model import Rectangle, Subcube, cube_key
 
 cube_intersect = Subcube.intersect
 

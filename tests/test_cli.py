@@ -134,6 +134,21 @@ def test_synth_cc_part2_requires_k20(workspace, capsys):
     assert "k >= 20" in capsys.readouterr().err
 
 
+def test_synth_cc_without_a_tree_removes_an_older_tree_file(workspace, capsys):
+    argv = ["synth-cc", workspace["and2"], workspace["dist"], "--part", "2", "--k", "20"]
+    plain, stale = (str(workspace["dir"] / name) for name in ("plain.jsonl", "stale.jsonl"))
+    assert main(argv + ["--out", plain]) == 0
+    assert records_of(plain)[1]["hypothesis_ok"] is False
+    tree_out = write(workspace["dir"] / "old.ptree", "ptree v1\nL 1\n")
+    capsys.readouterr()
+    for _ in range(2):  # with an older file, then with none
+        assert main(argv + ["--out", stale, "--tree-out", tree_out]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"no tree written to {tree_out}: none was synthesized"
+        assert not (workspace["dir"] / "old.ptree").exists()
+        assert open(stale).read() == open(plain).read()
+
+
 def test_synth_qc_and_oracle_sandwich(workspace):
     out = str(workspace["dir"] / "sqc.jsonl")
     tree_out = str(workspace["dir"] / "xor2.dtree")

@@ -33,6 +33,29 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in imported if name not in read]
 
 
+def _private_imports(tree: ast.Module) -> list[str]:
+    """The ``_``-prefixed names ``tree`` takes from another lpbounds module, by import
+    or as an attribute of a module it imports from the package."""
+    out = []
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("lpbounds")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    out.append(alias.name)
+                elif node.module in (None, "lpbounds"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            out.append(f"{node.value.id}.{node.attr}")
+    return out
+
+
 def _defaulted_parameters(tree: ast.Module) -> int:
     return sum(
         len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
@@ -49,6 +72,22 @@ def test_module_reads_every_name_it_imports(path):
 def test_unused_import_scan_sees_one():
     tree = ast.parse("import json\nfrom .model import A, B as C\n__all__ = ['A']\n")
     assert _unused_imports(tree) == ["json", "C"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_imports_no_private_name_of_a_sibling(path):
+    assert _private_imports(_tree(path)) == []
+
+
+def test_private_import_scan_sees_each_form():
+    tree = ast.parse(
+        "from .ccbounds import finish, _finish\n"
+        "from lpbounds.model import _integer_weights as weights\n"
+        "from . import lp as lpmod\n"
+        "from fractions import _gcd\n"
+        "lpmod._cache_dir, lpmod.solve\n"
+    )
+    assert _private_imports(tree) == ["_finish", "_integer_weights", "lpmod._cache_dir"]
 
 
 def test_defaulted_parameter_count_is_pinned():

@@ -3,7 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_model import bit_measure, measure
+from reference_model import (
+    bit_measure,
+    dtree_error as reference_dtree_error,
+    fixed_cube,
+    mass,
+    measure,
+    project_cube,
+    project_loop,
+    protocol_error as reference_protocol_error,
+    split_loop,
+)
+from test_serialize import DECISION_TREES, PROTOCOL_TREES
 
 from lpbounds import families
 from lpbounds.errors import CapExceededError, DimensionMismatchError
@@ -18,7 +29,9 @@ from lpbounds.model import (
     enumerate_subcubes,
     full_cube,
     full_rectangle,
+    project_weights,
 )
+from lpbounds.trees import dtree_error, protocol_error
 
 UNIFORM = ProductDistribution2P.uniform(4, 4)
 
@@ -155,7 +168,7 @@ def test_mass_splits_by_output(mu, rows, cols, data):
     )
     f = TwoPartyFunction(table)
     rect = Rectangle(rows & ((1 << nx) - 1), cols & ((1 << ny) - 1))
-    assert sum(mu.label_masses(f, rect)) == mu.mass(rect)
+    assert sum(mu.label_masses(f, rect)) == mass(mu, rect)
 
 
 def small_fractions(draw, count: int, top: int) -> tuple[Fraction, ...]:
@@ -213,10 +226,10 @@ def test_block_ratio_identity_for_products(mu, data):
         Rectangle(full_r ^ rows0, cols0),
         Rectangle(full_r ^ rows0, full_c ^ cols0),
     ]
-    masses = [mu.mass(b) for b in blocks]
+    masses = [mass(mu, b) for b in blocks]
     if any(m == 0 for m in masses):
         return
-    ratios = [mu.mass(b.intersect(r)) / m for b, m in zip(blocks, masses)]
+    ratios = [mass(mu, b.intersect(r)) / m for b, m in zip(blocks, masses)]
     assert ratios[1] * ratios[2] == ratios[0] * ratios[3]
 
 
@@ -237,6 +250,77 @@ def test_disjoint_support_product_identity(nums, sa, va, sb, vb):
     assert mu.mass(a) * mu.mass(b) == mu.mass(both)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), PROTOCOL_TREES, st.data())
+def test_protocol_error_matches_the_reference(a, b, tree, data):
+    """The 1-mass of the mismatch table equals the old cell-by-cell sum.
+
+    Random protocol trees on tables up to 8x8; weights k/d with zeros and
+    totals other than 1.
+    """
+    nx, ny = 1 << a, 1 << b
+    draw = data.draw
+    f = TwoPartyFunction(
+        tuple(tuple(draw(st.integers(0, 1)) for _ in range(ny)) for _ in range(nx))
+    )
+    mu = ProductDistribution2P(small_fractions(draw, nx, 2), small_fractions(draw, ny, 2))
+    assert protocol_error(tree, f, mu) == reference_protocol_error(tree, f, mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), DECISION_TREES, st.data())
+def test_dtree_error_matches_the_reference(n, tree, data):
+    """The same for decision trees on {0,1}^n under marginals k/d, 0 and 1 included."""
+    draw = data.draw
+    g = QueryFunction(n, tuple(draw(st.integers(0, 1)) for _ in range(1 << n)))
+    mu = BitProductDistribution(small_fractions(draw, n, 1))
+    assert dtree_error(tree, g, mu) == reference_dtree_error(tree, g, mu)
+
+
+@st.composite
+def weighted_subcubes(draw, n: int) -> dict[Subcube, Fraction]:
+    out = {}
+    for _ in range(draw(st.integers(0, 12))):
+        support = draw(st.integers(0, (1 << n) - 1))
+        cube = Subcube(n, support, draw(st.integers(0, (1 << n) - 1)) & support)
+        out[cube] = Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 6)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_project_weights_matches_the_old_loops(n, data):
+    """Same projected cubes, summed weights and insertion order as the three old loops.
+
+    Each family is projected the way ``extract_feasible`` (per label) and
+    ``build_decision_tree`` (w without its support-disjoint cubes) do it.
+    """
+    u, w = data.draw(weighted_subcubes(n)), data.draw(weighted_subcubes(n))
+    support = data.draw(st.integers(0, (1 << n) - 1))
+    onto = Subcube(n, support, data.draw(st.integers(0, (1 << n) - 1)) & support)
+    for cube in [*u, *w]:
+        assert cube.project(onto) == project_cube(cube, onto.support, onto.values)
+
+    def items(*families):
+        return [list(family.items()) for family in families]
+
+    sub_w = project_weights({c: v for c, v in w.items() if c.support & support}, onto)
+    assert items(project_weights(u, onto), sub_w) == items(*project_loop(u, w, support, onto.values))
+    labels = [*(((0, c), v) for c, v in u.items()), *(((1, c), v) for c, v in w.items())]
+    kept = dict(data.draw(st.permutations(labels)))
+    labelled = [{c: v for (z, c), v in kept.items() if z == label} for label in (0, 1)]
+    assert items(*(project_weights(family, onto) for family in labelled)) == items(
+        *split_loop(kept, onto)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_fixed_cube_matches_the_reference(n, data):
+    mu = BitProductDistribution(small_fractions(data.draw, n, 1))
+    assert mu.fixed_cube() == fixed_cube(n, mu)
+
+
 def test_distribution_validation():
     with pytest.raises(DimensionMismatchError):
         ProductDistribution2P((Fraction(-1),), (Fraction(1),))
@@ -248,7 +332,7 @@ def test_condition_overwrites_marginals():
     mu = BitProductDistribution.uniform(3)
     cond = mu.condition(0b011, 0b001)
     assert cond.p == (Fraction(1), Fraction(0), Fraction(1, 2))
-    assert cond.fixed_bits() == 0b011
+    assert cond.fixed_cube() == Subcube(3, 0b011, 0b001)
 
 
 def test_two_party_function_validation():

@@ -4,7 +4,11 @@ import pytest
 from conftest import QC_CORPUS, qprt_cached
 
 from lpbounds import families
-from lpbounds.errors import InfeasibleConstructionError, NoBiasedRectangleError
+from lpbounds.errors import (
+    DimensionMismatchError,
+    InfeasibleConstructionError,
+    NoBiasedRectangleError,
+)
 from lpbounds.model import BitProductDistribution, Subcube, full_cube
 from lpbounds.qcbounds import (
     FeasibleSystem,
@@ -43,6 +47,11 @@ def test_dtree_error_leaves():
 
 def test_dtree_error_and2_leaf():
     assert dtree_error(Leaf(0), families.and_q(2), U2) == F(1, 4)
+
+
+def test_dtree_error_rejects_a_measure_of_another_bit_count():
+    with pytest.raises(DimensionMismatchError):
+        dtree_error(Leaf(0), families.and_q(2), U3)
 
 
 def test_find_biased_subcube_constant():
