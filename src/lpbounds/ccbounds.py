@@ -25,16 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import lp as lpmod
 from .errors import DimensionMismatchError, InfeasibleConstructionError
-from .lp import Constraint, LinearProgram, LPSolution
+from .lp import LinearProgram, LPSolution, Row, scaled_row, unit_row
 from .model import (
     ProductDistribution2P,
     Rectangle,
     TwoPartyFunction,
     enumerate_rectangles,
-    full_rectangle,
 )
 from .partition import BoostResult, LabelledFamily, check_unit_interval
 from .rational import log2_bracket
@@ -101,49 +101,60 @@ def finish(kind: str, sol: LPSolution) -> BoundResult:
     return BoundResult(kind, sol.value, sol, lo, hi)
 
 
+@cache
+def _rect_layout(nx: int, ny: int) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """The variable names of the nonempty nx x ny rectangles, and for each
+    cell, x-major, the increasing columns of the rectangles containing it.
+
+    It depends on the shape alone, and every cache hit builds its program
+    again to find the key, so one layout serves every build of a shape.
+    """
+    rects = list(enumerate_rectangles(nx, ny))
+    containing: list[list[int]] = [[] for _ in range(nx * ny)]
+    for j, r in enumerate(rects):
+        xs = [x for x in range(nx) if (r.rows >> x) & 1]
+        for y in range(ny):
+            if (r.cols >> y) & 1:
+                for x in xs:
+                    containing[x * ny + y].append(j)
+    return tuple(map(_rect_var, rects)), tuple(map(tuple, containing))
+
+
 def build_srec_lp(inst: SrecInstance) -> LinearProgram:
+    """Column j is the weight of the j-th rectangle; rows in the order of the module docstring.
+
+    The averaged covering row sums mu_z over the rectangles' cells from one
+    integer table, ``label_cells``.
+    """
     f, z = inst.f, inst.z
-    rects = list(enumerate_rectangles(f.nx, f.ny))
-    names = tuple(_rect_var(r) for r in rects)
-    one = Fraction(1)
-    objective = {name: one for name in names}
-
-    containing: dict[tuple[int, int], dict[str, Fraction]] = {}
-    for x in range(f.nx):
-        for y in range(f.ny):
-            containing[(x, y)] = {
-                _rect_var(r): one for r in rects if r.contains(x, y)
-            }
-
-    constraints: list[Constraint] = []
+    names, containing = _rect_layout(f.nx, f.ny)
+    cells = list(zip([(x, y) for x in range(f.nx) for y in range(f.ny)], containing))
+    rows: list[Row] = []
     if inst.mu is None:
-        for x in range(f.nx):
-            for y in range(f.ny):
-                if f.value(x, y) == z:
-                    constraints.append(
-                        Constraint(containing[(x, y)], ">=", 1 - inst.eps, f"cov_{x}_{y}")
-                    )
+        rows += [unit_row(cols, ">=", 1 - inst.eps, f"cov_{x}_{y}")
+                 for (x, y), cols in cells if f.value(x, y) == z]
     else:
-        mu_z = inst.mu.label_masses(f, full_rectangle(f))[z]
-        row = {_rect_var(r): inst.mu.label_masses(f, r)[z] for r in rects}
-        constraints.append(Constraint(row, ">=", (1 - inst.eps) * mu_z, "cov"))
-    for x in range(f.nx):
-        for y in range(f.ny):
-            if f.value(x, y) != z:
-                constraints.append(
-                    Constraint(containing[(x, y)], "<=", inst.delta, f"pack_{x}_{y}")
-                )
-    for x in range(f.nx):
-        for y in range(f.ny):
-            constraints.append(Constraint(containing[(x, y)], "<=", one, f"cap_{x}_{y}"))
+        den, table = inst.mu.label_cells(f, z)
+        masses = [0] * len(names)
+        for (x, y), cols in cells:
+            if table[x][y]:
+                for j in cols:
+                    masses[j] += table[x][y]
+        level = 1 - inst.eps
+        rows.append(scaled_row(range(len(names)), [level.denominator * m for m in masses],
+                               level.denominator * den, ">=",
+                               level.numerator * sum(map(sum, table)), "cov"))
+    rows += [unit_row(cols, "<=", inst.delta, f"pack_{x}_{y}")
+             for (x, y), cols in cells if f.value(x, y) != z]
+    rows += [unit_row(cols, "<=", Fraction(1), f"cap_{x}_{y}") for (x, y), cols in cells]
 
     tag = "dist" if inst.mu is not None else "wc"
     return LinearProgram(
-        name=f"srec[z={z},{tag}]",
-        sense="min",
-        variables=names,
-        objective=objective,
-        constraints=tuple(constraints),
+        f"srec[z={z},{tag}]",
+        "min",
+        names,
+        unit_row(range(len(names)), "=", Fraction(0), "objective"),
+        tuple(rows),
     )
 
 

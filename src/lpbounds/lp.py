@@ -39,12 +39,20 @@ exact rationals.  Infeasible programs come with a Farkas certificate,
 unbounded ones with an improving ray, checked by ``check_farkas`` and
 ``check_ray``, and an unbounded one also with the feasible point the ray
 leaves.  Cached solutions pass the same ``certify`` on load.  The checks
-are fraction-free too: each row is scaled to integers by the same s_i as
-in the simplex (``_integer_row``), a point by the lcm of its
-denominators, and a dual y_i / s_i and the costs by one common
-denominator, so every comparison and every objective value is an integer
-sum.  A Fraction is built only for the lhs of a violation and for a
-returned objective value.
+are fraction-free too: they read the same integer rows as the simplex,
+scale a point by the lcm of its denominators, and a dual y_i / s_i and
+the costs by one common denominator, so every comparison and every
+objective value is an integer sum.  A Fraction is built only for the lhs
+of a violation and for a returned objective value.
+
+A program has one form, built once: each row is held as its scale s_i,
+its column indices in increasing order, the integer coefficients s_i * a_ij,
+the integer rhs s_i * b_i and its relation, with s_i the lcm of the row's
+denominators.  The objective is held the same way.  ``scaled_row`` is the
+one place rows are scaled; the builders emit rows through it, and the
+simplex, the checkers and the cache key all read them.  Variable names
+serve the records only, and ``LinearProgram.constraints`` and
+``objective`` give the rational view back on demand.
 
 Dual conventions (for a minimization program):
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
@@ -59,10 +67,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import uuid
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lt, mul
 
 from .errors import LpboundsError, ParseError
 from .rational import format_rational, parse_rational
@@ -73,60 +84,146 @@ _RELS = (LE, EQ, GE)
 MAX_PIVOTS = 2_000_000
 
 
-def _fraction(q) -> Fraction:
-    """``q`` as a Fraction; one that already is one is returned as it is."""
-    return q if isinstance(q, Fraction) else Fraction(q)
+@dataclass(frozen=True)
+class Row:
+    """One row in integer form: sum_k coeffs[k] * x[cols[k]]  rel  rhs.
+
+    It is the rational row times s > 0, the lcm of the row's denominators;
+    ``cols`` increase and no coefficient is 0; ``scaled_row`` makes it.
+    """
+
+    s: int
+    cols: tuple[int, ...]
+    coeffs: tuple[int, ...]
+    rel: str
+    rhs: int
+    label: str
+
+
+def scaled_row(cols, nums, den: int, rel: str, rhs: int, label: str) -> Row:
+    """The row sum_k (nums[k] / den) x_{cols[k]}  rel  rhs / den in integer form.
+
+    ``cols`` increase and den > 0.  The lcm of the reduced denominators is
+    den / g for g = gcd(den, rhs, *nums), so the row is divided by g; zero
+    coefficients are dropped.
+    """
+    if 0 in nums:
+        kept = [(j, a) for j, a in zip(cols, nums) if a]
+        cols, nums = [j for j, _ in kept], [a for _, a in kept]
+    g = gcd(den, rhs, *nums)
+    if g > 1:
+        nums = [a // g for a in nums]
+    return Row(den // g, tuple(cols), tuple(nums), rel, rhs // g, label)
+
+
+def unit_row(cols, rel: str, level: Fraction, label: str) -> Row:
+    """sum_{j in cols} x_j  rel  level."""
+    den = level.denominator
+    return scaled_row(cols, [den] * len(cols), den, rel, level.numerator, label)
 
 
 @dataclass(frozen=True)
 class Constraint:
+    """A row in rational form, by variable name."""
+
     coeffs: dict[str, Fraction]
     rel: str
     rhs: Fraction
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if self.rel not in _RELS:
-            raise LpboundsError(f"unknown relation {self.rel!r}")
-        # sparse rows carry no explicit zeros
-        cleaned = {v: _fraction(c) for v, c in self.coeffs.items() if c != 0}
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "rhs", _fraction(self.rhs))
-
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """A program in its one integer form.
+
+    ``cost`` is the objective as a row (its relation and rhs unused),
+    ``rows`` the constraints and ``free`` the columns of the variables not
+    bound to be >= 0.  Column j is ``variables[j]``.
+    """
+
     name: str
     sense: str  # "min" | "max"
     variables: tuple[str, ...]
-    objective: dict[str, Fraction]
-    constraints: tuple[Constraint, ...]
-    nonneg: dict[str, bool] = field(default_factory=dict)
+    cost: Row
+    rows: tuple[Row, ...]
+    free: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise LpboundsError(f"sense must be min or max, got {self.sense!r}")
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
+        n = len(self.variables)
+        if len(set(self.variables)) != n:
             raise LpboundsError("duplicate variable names")
-        for v in self.objective:
-            if v not in declared:
-                raise LpboundsError(f"objective references undeclared variable {v!r}")
-        for con in self.constraints:
-            for v in con.coeffs:
-                if v not in declared:
-                    raise LpboundsError(
-                        f"constraint {con.label!r} references undeclared variable {v!r}"
-                    )
-        object.__setattr__(
-            self, "objective", {v: _fraction(c) for v, c in self.objective.items() if c != 0}
+        for r in (self.cost, *self.rows):
+            if r.rel not in _RELS:
+                raise LpboundsError(f"unknown relation {r.rel!r}")
+            cols = r.cols
+            if cols and not (0 <= cols[0] and cols[-1] < n and all(map(lt, cols, cols[1:]))):
+                raise LpboundsError(f"row {r.label!r} has columns out of order or out of range")
+
+    @classmethod
+    def from_constraints(
+        cls,
+        name: str,
+        sense: str,
+        variables: tuple[str, ...],
+        objective: dict[str, Fraction],
+        constraints: tuple[Constraint, ...],
+        nonneg: dict[str, bool],
+    ) -> "LinearProgram":
+        """The program of rational rows; ``nonneg`` maps a variable to False to make it free."""
+        index = {v: j for j, v in enumerate(variables)}
+
+        def scale(con: Constraint, what: str) -> Row:
+            undeclared = [v for v in con.coeffs if v not in index]
+            if undeclared:
+                raise LpboundsError(f"{what} references undeclared variable {undeclared[0]!r}")
+            entries = sorted((index[v], Fraction(c)) for v, c in con.coeffs.items() if c)
+            rhs = Fraction(con.rhs)
+            den = lcm(rhs.denominator, *(c.denominator for _, c in entries))
+            nums = [c.numerator * (den // c.denominator) for _, c in entries]
+            rhs_num = rhs.numerator * (den // rhs.denominator)
+            return scaled_row([j for j, _ in entries], nums, den, con.rel, rhs_num, con.label)
+
+        return cls(
+            name,
+            sense,
+            variables,
+            scale(Constraint(objective, EQ, Fraction(0), "objective"), "objective"),
+            tuple(scale(c, f"constraint {c.label!r}") for c in constraints),
+            frozenset(index[v] for v, ok in nonneg.items() if not ok and v in index),
         )
 
+    @property
+    def constraints(self) -> Sequence[Constraint]:
+        """The rows in rational form, each built when it is read."""
+        return _RationalRows(self)
+
+    @property
+    def objective(self) -> dict[str, Fraction]:
+        """The objective in rational form."""
+        s = self.cost.s
+        return {self.variables[j]: Fraction(a, s) for j, a in zip(self.cost.cols, self.cost.coeffs)}
+
     def is_nonneg(self, var: str) -> bool:
-        return self.nonneg.get(var, True)
+        return all(self.variables[j] != var for j in self.free)
 
     def objective_value(self, assignment: dict[str, Fraction]) -> Fraction:
-        return _dot((c, assignment.get(v, 0)) for v, c in self.objective.items())
+        big_l, point = _scaled_point(self, assignment)
+        return Fraction(_row_dot(self.cost, point), self.cost.s * big_l)
+
+
+class _RationalRows(Sequence):
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+
+    def __len__(self) -> int:
+        return len(self.lp.rows)
+
+    def __getitem__(self, i: int) -> Constraint:
+        r, names = self.lp.rows[i], self.lp.variables
+        return Constraint({names[j]: Fraction(a, r.s) for j, a in zip(r.cols, r.coeffs)},
+                          r.rel, Fraction(r.rhs, r.s), r.label)
 
 
 @dataclass(frozen=True)
@@ -172,25 +269,23 @@ class LPSolution:
         return json.dumps(self.to_record(), sort_keys=True).encode()
 
 
-def _integer_row(con: Constraint) -> tuple[int, dict[str, int], int]:
-    """``(s, s * coeffs, s * rhs)``, s > 0 the lcm of the row's denominators.
+def _scaled_point(lp: LinearProgram, assignment: dict[str, Fraction]) -> tuple[int, list[int]]:
+    """L, the lcm of the assignment's denominators, and L * x by column.
 
-    The scaled row has integer entries and states the same relation; the
-    simplex and every checker scale rows this way.
+    Missing variables are 0; names the program does not declare are dropped.
     """
-    s = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs.values()))
-    row = {v: c.numerator * (s // c.denominator) for v, c in con.coeffs.items()}
-    return s, row, con.rhs.numerator * (s // con.rhs.denominator)
+    big_l = lcm(*(x.denominator for x in assignment.values()))
+    point = [0] * len(lp.variables)
+    index = dict(zip(lp.variables, range(len(lp.variables))))
+    for v, x in assignment.items():
+        j = index.get(v)
+        if j is not None:
+            point[j] = x.numerator * (big_l // x.denominator)
+    return big_l, point
 
 
-def _dot(pairs) -> Fraction:
-    """The exact sum of a * b over rational pairs, summed as integers over one denominator."""
-    pairs = [(a, b) for a, b in pairs if a and b]
-    da = lcm(*(a.denominator for a, _ in pairs))
-    db = lcm(*(b.denominator for _, b in pairs))
-    total = sum(a.numerator * (da // a.denominator) * b.numerator * (db // b.denominator)
-                for a, b in pairs)
-    return Fraction(total, da * db)
+def _row_dot(row: Row, point: list[int]) -> int:
+    return sum(map(mul, row.coeffs, map(point.__getitem__, row.cols)))
 
 
 def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[Violation]:
@@ -200,21 +295,17 @@ def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[V
     by s_i and the assignment by the lcm L of its denominators compare as
     integers; the Fraction lhs is built only for a violated row.
     """
-    big_l = lcm(*(x.denominator for x in assignment.values()))
-    point = {v: x.numerator * (big_l // x.denominator) for v, x in assignment.items() if x}
+    big_l, point = _scaled_point(lp, assignment)
     out: list[Violation] = []
-    for i, con in enumerate(lp.constraints):
-        s, row, rhs = _integer_row(con)
-        lhs = sum(a * point[v] for v, a in row.items() if v in point)
-        rhs *= big_l
-        ok = lhs <= rhs if con.rel == LE else lhs >= rhs if con.rel == GE else lhs == rhs
+    for i, row in enumerate(lp.rows):
+        lhs, rhs = _row_dot(row, point), row.rhs * big_l
+        ok = lhs <= rhs if row.rel == LE else lhs >= rhs if row.rel == GE else lhs == rhs
         if not ok:
-            lhs = Fraction(lhs, s * big_l)
-            out.append(Violation("constraint", i, con.label, lhs, con.rel, con.rhs))
+            out.append(Violation("constraint", i, row.label, Fraction(lhs, row.s * big_l),
+                                 row.rel, Fraction(row.rhs, row.s)))
     for j, v in enumerate(lp.variables):
-        val = assignment.get(v, Fraction(0))
-        if lp.is_nonneg(v) and val < 0:
-            out.append(Violation("domain", j, v, val, GE, Fraction(0)))
+        if point[j] < 0 and j not in lp.free:
+            out.append(Violation("domain", j, v, assignment[v], GE, Fraction(0)))
     return out
 
 
@@ -227,50 +318,56 @@ def check_dual_feasible(
     y_i / s_i and every objective coefficient, as is M * c_j; the Fraction
     sum is built only for a violated column.
     """
-    if len(dual) != len(lp.constraints):
+    if len(dual) != len(lp.rows):
         raise LpboundsError("dual vector length does not match constraint count")
     minimize = lp.sense == "min"
     out: list[Violation] = []
-    for i, con in enumerate(lp.constraints):
-        y = dual[i]
-        if con.rel == EQ:
+    for i, (y, row) in enumerate(zip(dual, lp.rows)):
+        if row.rel == EQ:
             continue
         # min: >= rows need y >= 0, <= rows need y <= 0; max is reversed.
-        wants_nonneg = (con.rel == GE) == minimize
+        wants_nonneg = (row.rel == GE) == minimize
         if wants_nonneg and y < 0:
-            out.append(Violation("dual-sign", i, con.label, y, GE, Fraction(0)))
+            out.append(Violation("dual-sign", i, row.label, y, GE, Fraction(0)))
         if not wants_nonneg and y > 0:
-            out.append(Violation("dual-sign", i, con.label, y, LE, Fraction(0)))
+            out.append(Violation("dual-sign", i, row.label, y, LE, Fraction(0)))
     # y_i * c_ij = (y_i / s_i) * a_ij on the integer row a_i = s_i * c_i
     weights = []
-    for y, con in zip(dual, lp.constraints):
+    for y, row in zip(dual, lp.rows):
         if y:
-            s, row, _ = _integer_row(con)
-            g = gcd(y.numerator, s)
-            weights.append((y.numerator // g, y.denominator * (s // g), row))
-    big_m = lcm(*(den for _, den, _ in weights), *(c.denominator for c in lp.objective.values()))
-    col_sums = dict.fromkeys(lp.variables, 0)
+            g = gcd(y.numerator, row.s)
+            weights.append((y.numerator // g, y.denominator * (row.s // g), row))
+    cost = lp.cost
+    big_m = lcm(cost.s, *(den for _, den, _ in weights))
+    col_sums = [0] * len(lp.variables)
     for num, den, row in weights:
         w = num * (big_m // den)
-        for v, a in row.items():
-            col_sums[v] += w * a
+        for j, a in zip(row.cols, row.coeffs):
+            col_sums[j] += w * a
+    costs = [0] * len(lp.variables)
+    for j, a in zip(cost.cols, cost.coeffs):
+        costs[j] = a
+    unit = big_m // cost.s
     for j, v in enumerate(lp.variables):
-        lhs = col_sums[v]
-        c = lp.objective.get(v, Fraction(0))
-        rhs = c.numerator * (big_m // c.denominator)
-        if lp.is_nonneg(v):
-            ok = lhs <= rhs if minimize else lhs >= rhs
-            rel = LE if minimize else GE
+        lhs, rhs = col_sums[j], costs[j] * unit
+        if j in lp.free:
+            ok, rel = lhs == rhs, EQ
+        elif minimize:
+            ok, rel = lhs <= rhs, LE
         else:
-            ok = lhs == rhs
-            rel = EQ
+            ok, rel = lhs >= rhs, GE
         if not ok:
-            out.append(Violation("dual-column", j, v, Fraction(lhs, big_m), rel, c))
+            out.append(Violation("dual-column", j, v, Fraction(lhs, big_m), rel,
+                                 Fraction(costs[j], cost.s)))
     return out
 
 
 def dual_objective(lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction]) -> Fraction:
-    return _dot(zip(dual, (con.rhs for con in lp.constraints)))
+    """sum_i y_i b_i, summed as integers over one denominator."""
+    pairs = [(y, row) for y, row in zip(dual, lp.rows) if y and row.rhs]
+    big_m = lcm(*(y.denominator * row.s for y, row in pairs))
+    return Fraction(sum(y.numerator * row.rhs * (big_m // (y.denominator * row.s))
+                        for y, row in pairs), big_m)
 
 
 def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
@@ -279,8 +376,8 @@ def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
     A Farkas vector is a feasible dual of the zero-objective minimization
     with a positive dual objective: no primal point can meet the rows.
     """
-    y = [vector.get(i, Fraction(0)) for i in range(len(lp.constraints))]
-    zero = replace(lp, sense="min", objective={})
+    y = [vector.get(i, Fraction(0)) for i in range(len(lp.rows))]
+    zero = replace(lp, sense="min", cost=Row(1, (), (), EQ, 0, "objective"))
     return not check_dual_feasible(zero, y) and dual_objective(lp, y) > 0
 
 
@@ -290,7 +387,7 @@ def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
     A ray is a feasible point of the homogeneous program (every rhs 0)
     along which the objective improves.
     """
-    homogeneous = replace(lp, constraints=tuple(replace(c, rhs=0) for c in lp.constraints))
+    homogeneous = replace(lp, rows=tuple(replace(r, rhs=0) for r in lp.rows))
     rate = lp.objective_value(ray)
     improving = rate < 0 if lp.sense == "min" else rate > 0
     return improving and not check_feasible(homogeneous, ray)
@@ -308,7 +405,7 @@ def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
         undeclared = sorted(set(sol.primal) - set(lp.variables))
         if undeclared:
             return [f"primal names undeclared variables {undeclared}"]
-        if len(sol.dual) != len(lp.constraints):
+        if len(sol.dual) != len(lp.rows):
             return ["dual vector length does not match constraint count"]
         failures = [f"optimal primal failed re-check: {v}" for v in check_feasible(lp, sol.primal)]
         failures += [f"optimal dual failed re-check: {v}" for v in check_dual_feasible(lp, sol.dual)]
@@ -336,42 +433,44 @@ class _Simplex:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        m = len(lp.constraints)
+        m = len(lp.rows)
         self.m = m
-        # columns: per-variable (split when free), then slacks, then artificials
-        self.cols: list[list[tuple[int, int]]] = []
-        self.var_cols: dict[str, tuple[int, int | None]] = {}
+        # columns: per-variable (split when free), then slacks, then artificials;
+        # the phase-2 costs are L times the min-form costs, L = lp.cost.s
         sense_sign = 1 if lp.sense == "min" else -1
-        cost2: list[Fraction] = []
-        for v in lp.variables:
-            c = sense_sign * lp.objective.get(v, Fraction(0))
+        costs = [0] * len(lp.variables)
+        for j, a in zip(lp.cost.cols, lp.cost.coeffs):
+            costs[j] = sense_sign * a
+        self.cols: list[list[tuple[int, int]]] = []
+        self.var_cols: list[tuple[int, int | None]] = []
+        cost2: list[int] = []
+        for j, c in enumerate(costs):
             plus, minus = len(self.cols), None
             self.cols.append([])
             cost2.append(c)
-            if not lp.is_nonneg(v):
+            if j in lp.free:
                 minus = len(self.cols)
                 self.cols.append([])
                 cost2.append(-c)
-            self.var_cols[v] = (plus, minus)
+            self.var_cols.append((plus, minus))
         self.n_real = len(self.cols)
 
         self.flip: list[int] = []
         self.scale: list[int] = []
         self.x: list[int] = []  # D * basic values; the scaled b while D = 1
         rels: list[str] = []
-        for i, con in enumerate(lp.constraints):
-            sign = -1 if con.rhs < 0 else 1
-            s, row, rhs = _integer_row(con)
-            for v, a in row.items():
+        for i, row in enumerate(lp.rows):
+            sign = -1 if row.rhs < 0 else 1
+            for j, a in zip(row.cols, row.coeffs):
                 a *= sign
-                plus, minus = self.var_cols[v]
+                plus, minus = self.var_cols[j]
                 self.cols[plus].append((i, a))
                 if minus is not None:
                     self.cols[minus].append((i, -a))
             self.flip.append(sign)
-            self.scale.append(s)
-            self.x.append(sign * rhs)
-            rels.append(con.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[con.rel])
+            self.scale.append(row.s)
+            self.x.append(sign * row.rhs)
+            rels.append(row.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[row.rel])
 
         self.basis: list[int] = [-1] * m
         for i, rel in enumerate(rels):
@@ -388,9 +487,8 @@ class _Simplex:
         self.n_total = len(self.cols)
 
         # integer costs: L * cost, L the lcm of the phase's denominators
-        self.l2 = lcm(*(c.denominator for c in cost2))
-        self.cost2 = [c.numerator * (self.l2 // c.denominator) for c in cost2]
-        self.cost2 += [0] * (self.n_total - self.n_real)
+        self.l2 = lp.cost.s
+        self.cost2 = cost2 + [0] * (self.n_total - self.n_real)
         self.l1 = lcm(*(self.scale[i] for i in artificial_rows))
         self.cost1 = [0] * self.n_structural + [self.l1 // self.scale[i] for i in artificial_rows]
 
@@ -501,7 +599,7 @@ class _Simplex:
     def _project(self, std: dict[int, Fraction]) -> dict[str, Fraction]:
         """Standard-form column values back on the program's variables, zeros dropped."""
         out: dict[str, Fraction] = {}
-        for v, (plus, minus) in self.var_cols.items():
+        for v, (plus, minus) in zip(self.lp.variables, self.var_cols):
             val = std.get(plus, Fraction(0))
             if minus is not None:
                 val -= std.get(minus, Fraction(0))
@@ -569,24 +667,21 @@ def set_cache_dir(path: str | None) -> None:
 
 
 def _program_key(lp: LinearProgram) -> str:
-    payload = json.dumps(
-        {
-            "sense": lp.sense,
-            "variables": list(lp.variables),
-            "objective": {v: format_rational(c) for v, c in sorted(lp.objective.items())},
-            "constraints": [
-                {
-                    "coeffs": {v: format_rational(c) for v, c in sorted(con.coeffs.items())},
-                    "rel": con.rel,
-                    "rhs": format_rational(con.rhs),
-                }
-                for con in lp.constraints
-            ],
-            "nonneg": {v: lp.is_nonneg(v) for v in lp.variables},
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """sha256 of a canonical encoding of the integer form.
+
+    The sense, the names and the free columns come first, then each row,
+    the objective first: its relation, scale, rhs, length and coefficients
+    as text (one coefficient for a row whose coefficients are all equal),
+    then its columns as 8-byte integers.  The program's name and the row
+    labels play no part.
+    """
+    h = hashlib.sha256(f"{lp.sense}\n{json.dumps(lp.variables)}\n{sorted(lp.free)}\n".encode())
+    for r in (lp.cost, *lp.rows):
+        c = r.coeffs
+        coeffs = f"*{c[0]}" if c and c.count(c[0]) == len(c) else ",".join(map(str, c))
+        h.update(f"{r.rel} {r.s} {r.rhs} {len(c)} {coeffs}\n".encode())
+        h.update(struct.pack(f"<{len(c)}q", *r.cols))
+    return h.hexdigest()
 
 
 def _solution_from_record(rec: object) -> LPSolution | None:
@@ -616,11 +711,8 @@ def _solution_from_record(rec: object) -> LPSolution | None:
         return None
 
 
-def _cache_load(lp: LinearProgram) -> LPSolution | None:
-    """The cached solution of ``lp`` if it certifies; any other entry is a miss."""
-    if _cache_dir is None:
-        return None
-    path = os.path.join(_cache_dir, _program_key(lp) + ".json")
+def _cache_load(lp: LinearProgram, path: str) -> LPSolution | None:
+    """The solution cached at ``path`` if it certifies for ``lp``; any other entry is a miss."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             sol = _solution_from_record(json.load(fh))
@@ -632,11 +724,10 @@ def _cache_load(lp: LinearProgram) -> LPSolution | None:
     return sol
 
 
-def _cache_store(lp: LinearProgram, sol: LPSolution) -> None:
-    if _cache_dir is None or sol.status != "optimal":
+def _cache_store(path: str, sol: LPSolution) -> None:
+    if sol.status != "optimal":
         return
-    os.makedirs(_cache_dir, exist_ok=True)
-    path = os.path.join(_cache_dir, _program_key(lp) + ".json")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     # a temp name of its own, so concurrent writers never share one
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
@@ -655,14 +746,17 @@ def solve(lp: LinearProgram) -> LPSolution:
     An optimal solution carries a primal point and a dual certificate that
     pass ``check_feasible`` and ``check_dual_feasible`` with equal objective
     values; an infeasible one a Farkas vector, an unbounded one a feasible
-    point and a ray.
+    point and a ray.  With a cache directory set, the program is keyed once
+    and the key serves both the load and the store.
     """
-    cached = _cache_load(lp)
-    if cached is not None:
+    path = None if _cache_dir is None else os.path.join(_cache_dir, _program_key(lp) + ".json")
+    cached = path and _cache_load(lp, path)
+    if cached:
         return cached
     sol = _Simplex(lp).run()
     failures = certify(lp, sol)
     if failures:
         raise LpboundsError(f"{failures[0]}; solver bug")
-    _cache_store(lp, sol)
+    if path:
+        _cache_store(path, sol)
     return sol

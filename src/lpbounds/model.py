@@ -243,10 +243,7 @@ class ProductDistribution2P:
         Cells are summed as integers over lcm(row denominators) *
         lcm(column denominators); only the two results are Fractions.
         """
-        if self.nx != f.nx or self.ny != f.ny:
-            raise DimensionMismatchError(
-                f"measure is {self.nx}x{self.ny} but function is {f.nx}x{f.ny}"
-            )
+        self._check_shape(f)
         dr, rows = _integer_weights(self.row_weights, rect.rows)
         dc, cols = _integer_weights(self.col_weights, rect.cols)
         sums = [0, 0]
@@ -254,6 +251,29 @@ class ProductDistribution2P:
             for y, c in cols:
                 sums[f.table[x][y]] += r * c
         return Fraction(sums[0], dr * dc), Fraction(sums[1], dr * dc)
+
+    def label_cells(self, f: TwoPartyFunction, z: int) -> tuple[int, list[list[int]]]:
+        """(D, W): W[x][y] = D * mu(x, y) on f^-1(z) and 0 elsewhere.
+
+        D is the denominator ``label_masses`` sums over, so mu_z(R) is the
+        sum of W over the cells of R, divided by D.
+        """
+        self._check_shape(f)
+        full = full_rectangle(f)
+        dr, rows = _integer_weights(self.row_weights, full.rows)
+        dc, cols = _integer_weights(self.col_weights, full.cols)
+        table = [[0] * f.ny for _ in range(f.nx)]
+        for x, r in rows:
+            for y, c in cols:
+                if f.table[x][y] == z:
+                    table[x][y] = r * c
+        return dr * dc, table
+
+    def _check_shape(self, f: TwoPartyFunction) -> None:
+        if self.nx != f.nx or self.ny != f.ny:
+            raise DimensionMismatchError(
+                f"measure is {self.nx}x{self.ny} but function is {f.nx}x{f.ny}"
+            )
 
     def restrict(self, rect: Rectangle) -> "ProductDistribution2P":
         """Zero out all weight outside the rectangle; stays in product form."""

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Generic, Hashable, Iterable, TypeVar
 
 from .boosting import majority_product_boost
 from .errors import DimensionMismatchError, InfeasibleConstructionError
-from .lp import Constraint, LinearProgram
+from .lp import LinearProgram, Row, scaled_row, unit_row
 from .rational import format_rational, majority_error
 
 P = TypeVar("P")
@@ -81,26 +82,29 @@ class LabelledFamily(Generic[P, K]):
     sort_key: Callable[[K], object]
 
     def primal(self, name: str, eps: Fraction, relaxed: bool) -> LinearProgram:
-        """The partition LP at error eps; ``relaxed`` relaxes total mass to <= 1."""
+        """The partition LP at error eps; ``relaxed`` relaxes total mass to <= 1.
+
+        Column 2k + z is the weight of label z on the k-th member.
+        """
         check_unit_interval("eps", eps)
         members = list(self.members())
-        names = [(f"w0_{self.tag(k)}", f"w1_{self.tag(k)}") for k in members]
-        objective = {v: self.cost(k) for k, pair in zip(members, names) for v in pair}
+        costs = [self.cost(k) for k in members]
+        den = lcm(*(c.denominator for c in costs))
+        nums = [c.numerator * (den // c.denominator) for c in costs for _ in (0, 1)]
+        cost = scaled_row(range(len(nums)), nums, den, "=", 0, "objective")
         rel = "<=" if relaxed else "="
-        covering: list[Constraint] = []
-        mass: list[Constraint] = []
+        covering: list[Row] = []
+        mass: list[Row] = []
         for p, label, tag in self.points:
-            inside = [pair for k, pair in zip(members, names) if self.contains(k, p)]
-            cov = {pair[label]: _ONE for pair in inside}
-            covering.append(Constraint(cov, ">=", 1 - eps, f"cov_{tag}"))
-            total = {v: _ONE for pair in inside for v in pair}
-            mass.append(Constraint(total, rel, _ONE, f"mass_{tag}"))
+            inside = [2 * k for k, member in enumerate(members) if self.contains(member, p)]
+            covering.append(unit_row([j + label for j in inside], ">=", 1 - eps, f"cov_{tag}"))
+            mass.append(unit_row([j + z for j in inside for z in (0, 1)], rel, _ONE, f"mass_{tag}"))
         return LinearProgram(
-            name=name,
-            sense="min",
-            variables=tuple(v for pair in names for v in pair),
-            objective=objective,
-            constraints=tuple(covering + mass),
+            name,
+            "min",
+            tuple(f"w{z}_{self.tag(k)}" for k in members for z in (0, 1)),
+            cost,
+            tuple(covering + mass),
         )
 
     def mass_at(self, weights: LabelledWeights, p: P, label: int | None = None) -> Fraction:

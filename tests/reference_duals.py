@@ -46,7 +46,7 @@ def _build_partition_dual(
     nonneg = {n: True for n in mu_names}
     for n in phi_names:
         nonneg[n] = relaxed  # free phi for the equality primal
-    return LinearProgram(
+    return LinearProgram.from_constraints(
         name=("rprt-dual" if relaxed else "prt-dual"),
         sense="max",
         variables=mu_names + phi_names,
@@ -89,7 +89,7 @@ def build_qprt_dual_lp(
     nonneg = {n: True for n in mu_names}
     for n in phi_names:
         nonneg[n] = False
-    return LinearProgram(
+    return LinearProgram.from_constraints(
         name="qprt-dual",
         sense="max",
         variables=mu_names + phi_names,

@@ -14,14 +14,23 @@ zero-objective dual and the homogeneous primal.  ``check_feasible``,
 checks summed term by term in Fractions, as ``lpbounds.lp`` had them before
 it compared integer rows over common denominators; the two must give equal
 values and equal ``Violation`` lists.
+
+``integer_row`` is the row scaling ``lpbounds.lp`` applied to every rational
+row in each consumer before programs were held in integer form, and
+``srec_parts`` and ``partition_parts`` are the builders' rational rows from
+then, with one ``label_masses`` call per rectangle for the averaged srec
+covering row.  ``reference_form`` of their rows must equal ``integer_form``
+of the program the builders now emit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from lpbounds.errors import LpboundsError
-from lpbounds.lp import EQ, GE, LE, MAX_PIVOTS, LinearProgram, LPSolution, Violation
+from lpbounds.lp import EQ, GE, LE, MAX_PIVOTS, Constraint, LinearProgram, LPSolution, Row, Violation
+from lpbounds.model import enumerate_rectangles, full_rectangle
 
 
 class _Simplex:
@@ -374,9 +383,10 @@ def check_dual_feasible(
             continue
         for v, c in con.coeffs.items():
             col_sums[v] += y * c
+    objective = lp.objective
     for j, v in enumerate(lp.variables):
         s = col_sums[v]
-        c = lp.objective.get(v, Fraction(0))
+        c = objective.get(v, Fraction(0))
         if lp.is_nonneg(v):
             ok = s <= c if minimize else s >= c
             rel = LE if minimize else GE
@@ -390,3 +400,76 @@ def check_dual_feasible(
 
 def dual_objective(lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction]) -> Fraction:
     return sum((y * con.rhs for y, con in zip(dual, lp.constraints)), Fraction(0))
+
+
+def integer_row(con: Constraint) -> tuple[int, dict[str, int], int]:
+    """``(s, s * coeffs, s * rhs)``, s > 0 the lcm of the row's denominators.
+
+    Zero coefficients are dropped first and every number is read as a
+    Fraction, as ``Constraint`` cleaned its rows.
+    """
+    coeffs = {v: Fraction(c) for v, c in con.coeffs.items() if c != 0}
+    rhs = Fraction(con.rhs)
+    s = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    row = {v: c.numerator * (s // c.denominator) for v, c in coeffs.items()}
+    return s, row, rhs.numerator * (s // rhs.denominator)
+
+
+def reference_form(variables, objective: dict, constraints) -> list:
+    """(variables, then (s, coeffs by name, rhs, rel, label) for the objective and each row)."""
+    rows = [Constraint(objective, EQ, Fraction(0), "objective"), *constraints]
+    return [tuple(variables)] + [(*integer_row(c), c.rel, c.label) for c in rows]
+
+
+def integer_form(lp: LinearProgram) -> list:
+    """``reference_form``'s layout, read from ``lp``'s integer rows."""
+
+    def form(row: Row) -> tuple:
+        coeffs = {lp.variables[j]: a for j, a in zip(row.cols, row.coeffs)}
+        return row.s, coeffs, row.rhs, row.rel, row.label
+
+    return [lp.variables] + [form(r) for r in (lp.cost, *lp.rows)]
+
+
+def srec_parts(inst) -> tuple[tuple[str, ...], dict[str, Fraction], list[Constraint]]:
+    """The variables, objective and rows of the smooth rectangle LP, built in Fractions."""
+    f, z = inst.f, inst.z
+    rects = list(enumerate_rectangles(f.nx, f.ny))
+    names = tuple(f"w_{r.rows:x}_{r.cols:x}" for r in rects)
+    one = Fraction(1)
+    containing = {
+        (x, y): {name: one for name, r in zip(names, rects) if r.contains(x, y)}
+        for x in range(f.nx)
+        for y in range(f.ny)
+    }
+    constraints: list[Constraint] = []
+    if inst.mu is None:
+        for (x, y), row in containing.items():
+            if f.value(x, y) == z:
+                constraints.append(Constraint(row, ">=", 1 - inst.eps, f"cov_{x}_{y}"))
+    else:
+        mu_z = inst.mu.label_masses(f, full_rectangle(f))[z]
+        row = {name: inst.mu.label_masses(f, r)[z] for name, r in zip(names, rects)}
+        constraints.append(Constraint(row, ">=", (1 - inst.eps) * mu_z, "cov"))
+    for (x, y), row in containing.items():
+        if f.value(x, y) != z:
+            constraints.append(Constraint(row, "<=", inst.delta, f"pack_{x}_{y}"))
+    for (x, y), row in containing.items():
+        constraints.append(Constraint(row, "<=", one, f"cap_{x}_{y}"))
+    return names, {name: one for name in names}, constraints
+
+
+def partition_parts(family, eps: Fraction, relaxed: bool):
+    """The variables, objective and rows of ``family``'s partition LP, built in Fractions."""
+    members = list(family.members())
+    names = [(f"w0_{family.tag(k)}", f"w1_{family.tag(k)}") for k in members]
+    objective = {v: family.cost(k) for k, pair in zip(members, names) for v in pair}
+    one = Fraction(1)
+    covering: list[Constraint] = []
+    mass: list[Constraint] = []
+    for p, label, tag in family.points:
+        inside = [pair for k, pair in zip(members, names) if family.contains(k, p)]
+        covering.append(Constraint({pair[label]: one for pair in inside}, ">=", 1 - eps, f"cov_{tag}"))
+        total = {v: one for pair in inside for v in pair}
+        mass.append(Constraint(total, "<=" if relaxed else "=", one, f"mass_{tag}"))
+    return tuple(v for pair in names for v in pair), objective, covering + mass

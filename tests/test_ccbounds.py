@@ -1,7 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+import reference_lp
 from conftest import CC_CORPUS, UNIFORM_4x4, chain_cached, srec_cached
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_duals import build_prt_dual_lp, build_rprt_dual_lp
 
 from lpbounds import families
@@ -9,6 +12,7 @@ from lpbounds.ccbounds import (
     SrecInstance,
     build_prt_lp,
     build_rprt_lp,
+    build_srec_lp,
     partition_weights,
     prt_bound,
     reduce_prt_error,
@@ -17,6 +21,7 @@ from lpbounds.ccbounds import (
 )
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
 from lpbounds.lp import check_feasible, dual_objective, solve
+from lpbounds.model import ProductDistribution2P, TwoPartyFunction
 from lpbounds.rational import majority_error
 
 
@@ -199,3 +204,22 @@ def test_bound_result_log_bracket():
     assert res.log2_lo == res.log2_hi == 2  # value 4
     res2 = srec_bound(SrecInstance(CC_CORPUS["eq2"], 1, F(1), F(0)))
     assert res2.log2_lo is None and res2.log2_hi is None
+
+
+WEIGHTS = st.builds(F, st.integers(0, 4), st.integers(1, 6))  # zeros are common
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), st.data())
+def test_srec_rows_match_per_rectangle_label_masses(a, b, data):
+    """The averaged covering row, summed from one integer cell table, is the
+    row of per-rectangle ``label_masses`` scaled as the reference scales it;
+    so is every other row.  Tables up to 4x4, product measures k/d with zero
+    weights, both outputs, error levels k/d in [0,1]."""
+    nx, ny = 1 << a, 1 << b
+    draw = data.draw
+    f = TwoPartyFunction(tuple(tuple(draw(st.integers(0, 1)) for _ in range(ny)) for _ in range(nx)))
+    mu = ProductDistribution2P(tuple(draw(WEIGHTS) for _ in range(nx)), tuple(draw(WEIGHTS) for _ in range(ny)))
+    level = st.builds(lambda k, d: F(min(k, d), d), st.integers(0, 6), st.integers(1, 6))
+    inst = SrecInstance(f, draw(st.integers(0, 1)), draw(level), draw(level), draw(st.sampled_from([None, mu])))
+    assert reference_lp.integer_form(build_srec_lp(inst)) == reference_lp.reference_form(*reference_lp.srec_parts(inst))

@@ -170,6 +170,24 @@ def test_synth_qc_and_oracle_sandwich(workspace):
     assert main(["verify", oracle_out]) == 0
 
 
+def test_oracle_sandwich_skips_an_artifact_deeper_than_the_search(workspace):
+    """A depth-2 tree with error 0 beats the best depth-1 tree; that is no
+    failure, since the sandwich bounds only artifacts within --depth."""
+    tree_out = str(workspace["dir"] / "xor2.dtree")
+    assert main(["synth-qc", workspace["xor2"], workspace["bits"],
+                 "--out", str(workspace["dir"] / "sqc.jsonl"), "--tree-out", tree_out]) == 0
+    oracle_out = str(workspace["dir"] / "oracle.jsonl")
+    argv = ["oracle", workspace["xor2"], workspace["bits"], "--artifact", tree_out, "--out", oracle_out]
+    assert main(argv + ["--depth", "1"]) == 0
+    recs = records_of(oracle_out)
+    (sandwich,) = [r for r in recs if r["record"] == "sandwich"]
+    assert (sandwich["artifact_depth"], sandwich["artifact_error"], sandwich["oracle_error"]) == (2, "0", "1/2")
+    assert recs[-1]["asserts"] == {"witness replays exactly": True} and recs[-1]["pass"] is True
+    assert main(["verify", oracle_out]) == 0
+    assert main(argv + ["--depth", "2"]) == 0
+    assert records_of(oracle_out)[-1]["asserts"]["oracle <= artifact error"] is True
+
+
 def test_report_determinism(workspace):
     out1 = str(workspace["dir"] / "d1.jsonl")
     out2 = str(workspace["dir"] / "d2.jsonl")

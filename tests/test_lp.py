@@ -12,7 +12,7 @@ from reference_lp import reference_solve
 
 from lpbounds import families
 from lpbounds import lp as lpmod
-from lpbounds.ccbounds import SrecInstance, build_prt_lp, build_rprt_lp, build_srec_lp
+from lpbounds.ccbounds import SrecInstance, _rect_family, build_prt_lp, build_rprt_lp, build_srec_lp
 from lpbounds.lp import (
     Constraint,
     LinearProgram,
@@ -26,11 +26,11 @@ from lpbounds.lp import (
     solve,
 )
 from lpbounds.model import enumerate_rectangles
-from lpbounds.qcbounds import build_qprt_lp
+from lpbounds.qcbounds import _cube_family, build_qprt_lp
 
 
 def lp_min(variables, objective, constraints, nonneg=None):
-    return LinearProgram("t", "min", tuple(variables), objective, tuple(constraints), nonneg or {})
+    return LinearProgram.from_constraints("t", "min", tuple(variables), objective, tuple(constraints), nonneg or {})
 
 
 def test_min_x_at_least_one():
@@ -98,13 +98,13 @@ def test_objective_scaling_preserves_basis():
     f = families.and2p(2)
     lp = build_srec_lp(SrecInstance(f, 1, F(1, 8), F(1, 8)))
     sol = solve(lp)
-    scaled = LinearProgram(
+    scaled = LinearProgram.from_constraints(
         lp.name,
         lp.sense,
         lp.variables,
         {v: F(3, 2) * c for v, c in lp.objective.items()},
         lp.constraints,
-        lp.nonneg,
+        {},
     )
     sol2 = solve(scaled)
     assert sol2.value == F(3, 2) * sol.value
@@ -145,7 +145,7 @@ def test_free_variables_and_equalities():
 
 
 def test_max_sense():
-    lp = LinearProgram(
+    lp = LinearProgram.from_constraints(
         "m",
         "max",
         ("x", "y"),
@@ -154,6 +154,7 @@ def test_max_sense():
             Constraint({"x": F(1), "y": F(1)}, "<=", F(4)),
             Constraint({"x": F(1)}, "<=", F(3)),
         ),
+        {},
     )
     sol = solve(lp)
     assert sol.value == 7
@@ -272,13 +273,75 @@ def test_cache_store_leaves_another_writers_temp_file_alone(cache_dir):
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted([entry.name, other.name])
 
 
+def test_solve_keys_a_program_once(cache_dir, monkeypatch):
+    """A cold cached solve and a cache hit each compute the program key once."""
+    keys = []
+    program_key = lpmod._program_key
+    monkeypatch.setattr(lpmod, "_program_key", lambda lp: keys.append(lp) or program_key(lp))
+    program = cached_program()
+    cold = solve(program)
+    assert len(keys) == 1 and len(list(cache_dir.glob("*.json"))) == 1
+    keys.clear()
+    monkeypatch.setattr(lpmod, "_Simplex", None)  # a hit never builds a simplex
+    assert solve(program).canonical_bytes() == cold.canonical_bytes()
+    assert len(keys) == 1
+
+
+def _key(sense="min", variables=("x", "y", "z"), objective=None, rows=None, nonneg=None):
+    objective = {"x": F(1), "y": F(1, 2)} if objective is None else objective
+    rows = rows or (
+        Constraint({"x": F(1), "y": F(2, 3)}, ">=", F(1, 2)),
+        Constraint({"y": F(1), "z": F(-1)}, "<=", F(3)),
+    )
+    program = LinearProgram.from_constraints("k", sense, variables, objective, rows, nonneg or {})
+    return lpmod._program_key(program)
+
+
+def test_program_key_is_canonical():
+    """Dict order, ints for whole Fractions, zero coefficients, names and
+    labels leave the key alone; any one change to the program alters it."""
+    key = _key()
+    respelled = LinearProgram.from_constraints(
+        "another name", "min", ("x", "y", "z"), {"y": F(2, 4), "x": 1, "z": 0},
+        (Constraint({"y": F(4, 6), "x": 1, "z": 0}, ">=", F(1, 2), "a label"),
+         Constraint({"z": -1, "y": F(1)}, "<=", 3, "another label")),
+        {"z": True},
+    )
+    assert lpmod._program_key(respelled) == key
+    changed = {
+        "row coefficient": _key(rows=(Constraint({"x": F(1), "y": F(1, 3)}, ">=", F(1, 2)),
+                                      Constraint({"y": F(1), "z": F(-1)}, "<=", F(3)))),
+        "objective coefficient": _key(objective={"x": F(1), "y": F(1, 3)}),
+        "relation": _key(rows=(Constraint({"x": F(1), "y": F(2, 3)}, "=", F(1, 2)),
+                               Constraint({"y": F(1), "z": F(-1)}, "<=", F(3)))),
+        "rhs": _key(rows=(Constraint({"x": F(1), "y": F(2, 3)}, ">=", F(1, 2)),
+                          Constraint({"y": F(1), "z": F(-1)}, "<=", F(4)))),
+        "sense": _key(sense="max"),
+        "nonneg": _key(nonneg={"z": False}),
+        "variable name": _key(variables=("x", "y", "w"),
+                              rows=(Constraint({"x": F(1), "y": F(2, 3)}, ">=", F(1, 2)),
+                                    Constraint({"y": F(1), "w": F(-1)}, "<=", F(3)))),
+    }
+    assert key not in changed.values()
+    assert len(set(changed.values())) == len(changed)
+
+
 # Differential tests against the Fraction simplex the integer core replaced.
 
 SMALL_RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
 
 
 @st.composite
-def small_programs(draw):
+def small_program_args(draw):
+    """The arguments of ``LinearProgram.from_constraints`` for ``small_programs``."""
+    return _small_program_args(draw)
+
+
+def small_programs():
+    return small_program_args().map(lambda args: LinearProgram.from_constraints(*args))
+
+
+def _small_program_args(draw):
     """Random programs with up to 4 variables and 5 rows.
 
     Fractional coefficients and negative right-hand sides are common; so are
@@ -300,7 +363,7 @@ def small_programs(draw):
         k = draw(SMALL_RATIONALS)
         coeffs = {v: a.coeffs.get(v, F(0)) + k * b.coeffs.get(v, F(0)) for v in names}
         rows.append(Constraint(coeffs, "=", a.rhs + k * b.rhs))
-    return LinearProgram(
+    return (
         "random",
         draw(st.sampled_from(["min", "max"])),
         tuple(names),
@@ -312,9 +375,10 @@ def small_programs(draw):
 
 # both rows start on artificials at level 0 and phase 1 makes no pivot; the
 # first can only be driven out by a pivot on -1, the second is dependent
-NEGATIVE_DRIVE_OUT = LinearProgram(
+NEGATIVE_DRIVE_OUT = LinearProgram.from_constraints(
     "negative drive-out", "min", ("x0", "x1"), {"x0": F(-1), "x1": F(2)},
     (Constraint({"x0": F(-1), "x1": F(-1)}, "=", F(0)), Constraint({"x0": F(-2), "x1": F(-2)}, "=", F(0))),
+    {},
 )
 
 
@@ -458,6 +522,36 @@ def test_corpus_checks_match_fraction_reference():
         _assert_checks_match_reference(program, moved, moved_dual)
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_program_args())
+def test_integer_form_matches_the_reference_rows(args):
+    """Each row, and the objective, is the reference scaling of its rational row."""
+    _, _, names, objective, rows, _ = args
+    program = LinearProgram.from_constraints(*args)
+    assert reference_lp.integer_form(program) == reference_lp.reference_form(names, objective, rows)
+
+
+def test_corpus_integer_form_matches_the_reference_rows():
+    """The builders emit the rows the Fraction builders made, scaled as the reference scales them."""
+    eps, count = F(1, 8), 0
+    for family in ("eq", "gt", "and", "xor", "disj"):
+        f = families.make_function(family, 2, "cc")
+        pairs = [(build_prt_lp(f, eps), reference_lp.partition_parts(_rect_family(f), eps, False)),
+                 (build_rprt_lp(f, eps), reference_lp.partition_parts(_rect_family(f), eps, True))]
+        for z in (0, 1):
+            inst = SrecInstance(f, z, eps, eps)
+            pairs.append((build_srec_lp(inst), reference_lp.srec_parts(inst)))
+        for program, parts in pairs:
+            assert reference_lp.integer_form(program) == reference_lp.reference_form(*parts)
+            count += 1
+    for family, n in (("and", 4), ("maj", 5), ("xor", 4), ("maj", 4)):
+        g = families.make_function(family, n, "qc")
+        parts = reference_lp.partition_parts(_cube_family(g), eps, False)
+        assert reference_lp.integer_form(build_qprt_lp(g, eps)) == reference_lp.reference_form(*parts)
+        count += 1
+    assert count == len(list(_corpus_programs()))
+
+
 def _highs(program, linprog):
     """``program`` solved by HiGHS in floating point, as (status, value)."""
     names, sign = program.variables, 1 if program.sense == "min" else -1
@@ -481,7 +575,7 @@ def _highs(program, linprog):
 
 # feasible (x3 = 1/6, the rest 0) and unbounded along x2 = -3 x3, but
 # HiGHS's presolve calls it infeasible, so the oracle runs without presolve
-PRESOLVE_MISREADS_UNBOUNDED = LinearProgram(
+PRESOLVE_MISREADS_UNBOUNDED = LinearProgram.from_constraints(
     "presolve", "min", ("x0", "x1", "x2", "x3"),
     {"x0": F(-1, 2), "x1": F(2), "x2": F(4), "x3": F(-2, 3)},
     (
@@ -532,7 +626,9 @@ def nonneg_programs(draw):
         rel = draw(st.sampled_from(["<=", "=", ">="]))
         rows.append(Constraint({v: draw(SMALL_RATIONALS) for v in names}, rel, rhs))
     objective = {v: draw(SMALL_RATIONALS) for v in names}
-    return LinearProgram("vertex", draw(st.sampled_from(["min", "max"])), tuple(names), objective, tuple(rows))
+    return LinearProgram.from_constraints(
+        "vertex", draw(st.sampled_from(["min", "max"])), tuple(names), objective, tuple(rows), {}
+    )
 
 
 def _vertices(rows, k):

@@ -19,12 +19,12 @@ from lpbounds.qcbounds import QprtSolution, boost_qprt, build_qprt_lp
 @pytest.mark.parametrize(
     ("build", "family", "m", "side", "key"),
     [
-        (build_prt_lp, "eq", 2, "cc", "6ca0b3674e64d69c22eb554246b584acc2b9353ba380c0cbab5f4d9e92aa9035"),
-        (build_rprt_lp, "eq", 2, "cc", "de6d4ddcf0f9975dfbaeead32b5b158d91a77919c87237dec84f6b717813ec39"),
-        (build_prt_lp, "and", 2, "cc", "a39979d3582147e5605ad2ff87da637fa001758b165ee964b769785951ac7ed5"),
-        (build_rprt_lp, "and", 2, "cc", "9c43c9bc2fafe5faded1adfd7e9d762f0dc5533d0f459ee32da3cf39afa8b876"),
-        (build_qprt_lp, "maj", 3, "qc", "b33b649053c951a1f4d9471e194184604bdb66b2c7f10a6b77fb4f315bcac768"),
-        (build_qprt_lp, "and", 4, "qc", "8e5836efd0a9930b92d7f9fd9db60471da71f12ff159b1c804ad302c88396eb5"),
+        (build_prt_lp, "eq", 2, "cc", "c1f94b5f98038e9ca3a7991e1e5cc5803e83e5eaf1eee05dc96c5aaf08f53b72"),
+        (build_rprt_lp, "eq", 2, "cc", "0ceb8fab4752db64ab246253e7038ec487a3901c84c91049451bbec1c26ddaed"),
+        (build_prt_lp, "and", 2, "cc", "8b4a27b9a3a5a31ee67635c3ba729d132e461bd9fea2e7ca776488854021d073"),
+        (build_rprt_lp, "and", 2, "cc", "9cce476927fdc22e3feaa90926884a16e2e32755297c1fa39d8789b528a765f4"),
+        (build_qprt_lp, "maj", 3, "qc", "f131eb231a2ac3fc7728f52e8ddb98300b8b6121a5913ab85134ec473495d8f5"),
+        (build_qprt_lp, "and", 4, "qc", "086e4f7e0790ade59721d582f03c1d5bd60506c6ea1614b4bd645d35664cbdf4"),
     ],
     ids=["prt-eq2", "rprt-eq2", "prt-and2", "rprt-and2", "qprt-maj3", "qprt-and4"],
 )
