@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -441,6 +442,7 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpbounds",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from typing import Iterator
 
@@ -147,13 +148,14 @@ class Subcube:
         return (x & self.support) == self.values
 
     def members(self) -> Iterator[int]:
-        free = [i for i in range(self.n) if not (self.support >> i) & 1]
-        for m in range(1 << len(free)):
-            x = self.values
-            for j, i in enumerate(free):
-                if (m >> j) & 1:
-                    x |= 1 << i
-            yield x
+        """The points of the subcube, ascending."""
+        free = ((1 << self.n) - 1) ^ self.support
+        sub = 0
+        while True:  # the submasks of ``free``, ascending
+            yield self.values | sub
+            if sub == free:
+                return
+            sub = (sub - free) & free
 
     def intersect(self, other: "Subcube") -> "Subcube | None":
         """Intersection subcube, or None when fixed coordinates conflict."""
@@ -326,22 +328,38 @@ class BitProductDistribution:
                 m *= q if (cube.values >> i) & 1 else 1 - q
         return m
 
-    def label_masses(self, g: QueryFunction, cube: Subcube) -> tuple[Fraction, Fraction]:
-        """(mu_0(A), mu_1(A)), mu_z(A) = mu(A intersect g^{-1}(z)), in one pass.
+    @cached_property
+    def point_weights(self) -> tuple[int, tuple[int, ...]]:
+        """(D, W): D = prod_i den(p_i) and W[x] = D * mu(x), an integer.
 
-        Over D = prod_i den(p_i) a point weighs the integer prod_i (num(p_i)
-        if x_i = 1 else den(p_i) - num(p_i)); only the two results are Fractions.
+        W[x] is prod_i (num(p_i) if x_i = 1 else den(p_i) - num(p_i)).
         """
+        weights = [1]
+        for q in self.p:
+            zero, one = q.denominator - q.numerator, q.numerator
+            weights = [w * zero for w in weights] + [w * one for w in weights]
+        return prod(q.denominator for q in self.p), tuple(weights)
+
+    def label_sums(self, g: QueryFunction, cube: Subcube) -> tuple[int, int]:
+        """(D * mu_0(A), D * mu_1(A)), summed over the integers of ``point_weights``."""
         if self.n != g.n or cube.n != g.n:
             raise DimensionMismatchError(
                 f"bit counts disagree: measure {self.n}, function {g.n}, subcube {cube.n}"
             )
-        factors = [(q.denominator - q.numerator, q.numerator) for q in self.p]
+        weights = self.point_weights[1]
         sums = [0, 0]
         for x in cube.members():
-            sums[g.table[x]] += prod(pair[(x >> i) & 1] for i, pair in enumerate(factors))
-        den = prod(q.denominator for q in self.p)
-        return Fraction(sums[0], den), Fraction(sums[1], den)
+            sums[g.table[x]] += weights[x]
+        return sums[0], sums[1]
+
+    def label_masses(self, g: QueryFunction, cube: Subcube) -> tuple[Fraction, Fraction]:
+        """(mu_0(A), mu_1(A)), mu_z(A) = mu(A intersect g^{-1}(z)), in one pass.
+
+        Only the two results are Fractions: ``label_sums`` over D.
+        """
+        s0, s1 = self.label_sums(g, cube)
+        den = self.point_weights[0]
+        return Fraction(s0, den), Fraction(s1, den)
 
     def fixed_cube(self) -> Subcube:
         """The points consistent with the coordinates whose marginal is 0 or 1."""

@@ -8,6 +8,11 @@ one memoised search: each supplies its start state (rectangle masks /
 subcube restriction), the state's two label masses and its moves, and the
 search returns a witness tree that replays to exactly the optimal error.
 
+The search adds and compares integers: each front end gives every label
+mass as an integer over one common denominator D of its measure (from
+``label_cells`` on X x Y, from ``point_weights`` on {0,1}^n), and only
+the optimum is divided by D, once.
+
 These searches are exponential and exist to validate synthesized
 artifacts, not to scale: caps are enforced.
 """
@@ -24,7 +29,6 @@ from .model import (
     BitProductDistribution,
     ProductDistribution2P,
     QueryFunction,
-    Rectangle,
     Subcube,
     TwoPartyFunction,
 )
@@ -74,9 +78,17 @@ def oracle_cc(
         )
     if depth_budget > ORACLE_CC_MAX_DEPTH:
         raise CapExceededError(f"protocol search capped at depth {ORACLE_CC_MAX_DEPTH}")
+    _check_depth(depth_budget)
+    den, zeros = mu.label_cells(f, 0)
+    ones = mu.label_cells(f, 1)[1]
 
-    def masses(rows: int, cols: int) -> tuple[Fraction, Fraction]:
-        return mu.label_masses(f, Rectangle(rows, cols))
+    def masses(rows: int, cols: int) -> tuple[int, int]:
+        xs = [x for x in range(f.nx) if (rows >> x) & 1]
+        ys = [y for y in range(f.ny) if (cols >> y) & 1]
+        return (
+            sum(zeros[x][y] for x in xs for y in ys),
+            sum(ones[x][y] for x in xs for y in ys),
+        )
 
     def moves(rows: int, cols: int) -> Iterator[Move]:
         for split in _proper_bipartitions(rows):
@@ -84,7 +96,7 @@ def oracle_cc(
         for split in _proper_bipartitions(cols):
             yield partial(PNode, "B", split), (rows, split), (rows, cols ^ split)
 
-    return _search(((1 << f.nx) - 1, (1 << f.ny) - 1), masses, moves, depth_budget)
+    return _search(((1 << f.nx) - 1, (1 << f.ny) - 1), den, masses, moves, depth_budget)
 
 
 def oracle_qc(
@@ -93,9 +105,10 @@ def oracle_qc(
     """Exact minimum error over decision trees of depth <= depth_budget."""
     if g.n > ORACLE_QC_MAX_BITS:
         raise CapExceededError(f"decision search capped at {ORACLE_QC_MAX_BITS} bits")
+    _check_depth(depth_budget)
 
-    def masses(support: int, values: int) -> tuple[Fraction, Fraction]:
-        return mu.label_masses(g, Subcube(g.n, support, values))
+    def masses(support: int, values: int) -> tuple[int, int]:
+        return mu.label_sums(g, Subcube(g.n, support, values))
 
     def moves(support: int, values: int) -> Iterator[Move]:
         for i in range(g.n):
@@ -103,27 +116,32 @@ def oracle_qc(
                 bit = 1 << i
                 yield partial(DNode, i), (support | bit, values), (support | bit, values | bit)
 
-    return _search((0, 0), masses, moves, depth_budget)
+    return _search((0, 0), mu.point_weights[0], masses, moves, depth_budget)
+
+
+def _check_depth(depth_budget: int) -> None:
+    if depth_budget < 0:
+        raise DimensionMismatchError(f"oracle depth must be >= 0, got {depth_budget}")
 
 
 def _search(
     start: State,
-    masses: Callable[[int, int], tuple[Fraction, Fraction]],
+    den: int,
+    masses: Callable[[int, int], tuple[int, int]],
     moves: Callable[[int, int], Iterator[Move]],
     depth_budget: int,
 ) -> OracleResult:
     """Minimum error over trees of depth <= depth_budget, memoised on (state, budget).
 
+    ``masses`` gives a state's two label masses times ``den``, as integers.
     A leaf answers the label of larger mass (0 on a tie).  ``moves`` yields
     each node as its constructor awaiting two subtrees, with the states
     they start from; a move wins only when it errs strictly less.
     """
-    if depth_budget < 0:
-        raise DimensionMismatchError(f"oracle depth must be >= 0, got {depth_budget}")
     masses = cache(masses)  # a state's masses do not depend on the budget
-    memo: dict[tuple[int, int, int], tuple[Fraction, Tree]] = {}
+    memo: dict[tuple[int, int, int], tuple[int, Tree]] = {}
 
-    def best(state: State, budget: int) -> tuple[Fraction, Tree]:
+    def best(state: State, budget: int) -> tuple[int, Tree]:
         key = (*state, budget)
         hit = memo.get(key)
         if hit is not None:
@@ -140,4 +158,5 @@ def _search(
         memo[key] = (err, tree)
         return err, tree
 
-    return OracleResult(*best(start, depth_budget))
+    err, tree = best(start, depth_budget)
+    return OracleResult(Fraction(err, den), tree)

@@ -201,31 +201,56 @@ def largest_fourth_power_at_most(target: Fraction) -> tuple[Fraction, Fraction]:
 def majority_error(correct_mass: Fraction, votes: int) -> Fraction:
     """P[at most floor(t/2) of t independent votes are correct], exactly.
 
-    ``correct_mass`` is the per-vote probability of a correct outcome; the
-    result is the exact binomial lower tail sum over j <= floor(t/2) of
-    C(t,j) * a**j * (1-a)**(t-j).
+    ``correct_mass`` a = p/q is the per-vote probability of a correct
+    outcome; the result is the binomial lower tail, the sum over
+    j <= floor(t/2) of C(t,j) * a**j * (1-a)**(t-j).  With r = q - p it is
+    summed as the integer sum of C(t,j) * p**j * r**(t-j) over q**t, so
+    only the result is a Fraction.
     """
     if votes < 1 or votes % 2 == 0:
         raise ValueError(f"vote count must be a positive odd integer, got {votes}")
+    p, q, r = _vote_terms(correct_mass)
+    half = votes // 2
+    # Horner in r: acc = sum over j <= half of C(t,j) * p**j * r**(half-j)
+    acc, p_pow = 0, 1
+    for j in range(half + 1):
+        acc = acc * r + math.comb(votes, j) * p_pow
+        p_pow *= p
+    return Fraction(acc * r ** (votes - half), q**votes)
+
+
+def _vote_terms(correct_mass: Fraction) -> tuple[int, int, int]:
+    """(p, q, q - p) for a per-vote correct mass p/q in [0,1]."""
     a = Fraction(correct_mass)
     if not 0 <= a <= 1:
         raise ValueError(f"correct mass must lie in [0,1], got {a}")
-    b = 1 - a
-    total = Fraction(0)
-    for j in range(votes // 2 + 1):
-        total += math.comb(votes, j) * a**j * b ** (votes - j)
-    return total
+    return a.numerator, a.denominator, a.denominator - a.numerator
 
 
 def min_odd_votes_for_error(correct_mass: Fraction, target: Fraction) -> int:
     """Smallest odd t <= 20001 whose exact majority error is <= target.
 
     Requires correct_mass > 1/2, otherwise no amount of voting converges.
+    The walk over t = 1, 3, 5, ... takes two votes per step by the exact
+    identity tail(t+2) = tail(t) - (a-b) * C(t, (t-1)/2) * (ab)**((t+1)/2),
+    b = 1 - a.  With a = p/q and r = q - p, the tail is held as the integer
+    tail(t) * q**t, and the last term as the integer
+    K = C(t, (t-1)/2) * (pr)**((t+1)/2), so a step costs a few products of
+    one large integer with small ones.
     """
-    a = Fraction(correct_mass)
-    if a <= Fraction(1, 2):
+    if Fraction(correct_mass) <= Fraction(1, 2):
         raise ValueError("majority voting needs per-vote correct mass > 1/2")
+    p, q, r = _vote_terms(correct_mass)
+    goal = Fraction(target)
+    u, v = goal.numerator, goal.denominator
+    qq, pr = q * q, p * r
+    tail, q_pow, k = r, q, pr  # at t = 1: tail = r/q and K = C(1, 0) * pr
     for t in range(1, 20002, 2):
-        if majority_error(a, t) <= target:
+        if tail * v <= u * q_pow:
             return t
+        half = t // 2  # (t-1)/2
+        tail = tail * qq - (p - r) * k
+        q_pow *= qq
+        # C(t+2, half+1) = C(t, half) * 2(2 half + 3) / (half + 2), exactly
+        k = k * (2 * pr * (2 * half + 3)) // (half + 2)
     raise ValueError(f"no odd vote count up to 20001 reaches error {target}")

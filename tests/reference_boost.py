@@ -1,10 +1,15 @@
-"""Reference majority product for differential tests of ``lpbounds.boosting``.
+"""Reference majority product and vote math for differential tests.
 
-This is the dynamic program ``lpbounds.boosting`` used before it interned
-intersections and packed the vote counts: every round walks every
-(votes-for-1, running intersection) state against every support entry and
-calls ``intersect`` each time.  It sums the same tuples in exact integers,
-so on every input the two must return equal mappings.  It is slow and only
+``reference_boost`` is the dynamic program ``lpbounds.boosting`` used
+before it interned intersections and packed the vote counts: every round
+walks every (votes-for-1, running intersection) state against every
+support entry and calls ``intersect`` each time.  It sums the same tuples
+in exact integers, so on every input the two must return equal mappings.
+
+``reference_majority_error`` is the binomial tail as ``lpbounds.rational``
+summed it in Fractions before it summed integers over q**t, and
+``reference_min_odd_votes`` the direct scan that evaluated one whole tail
+per odd vote count before the two-step walk.  All three are slow and only
 used by tests.
 """
 
@@ -65,3 +70,21 @@ def reference_boost(
         key = (z, k)
         out[key] = out.get(key, Fraction(0)) + Fraction(val, scale)
     return {key: w for key, w in out.items() if w != 0}
+
+
+def reference_majority_error(correct_mass: Fraction, votes: int) -> Fraction:
+    """The sum over j <= floor(t/2) of C(t,j) * a**j * (1-a)**(t-j), in Fractions."""
+    a = Fraction(correct_mass)
+    b = 1 - a
+    total = Fraction(0)
+    for j in range(votes // 2 + 1):
+        total += math.comb(votes, j) * a**j * b ** (votes - j)
+    return total
+
+
+def reference_min_odd_votes(correct_mass: Fraction, target: Fraction) -> int:
+    """Smallest odd t <= 20001 with reference_majority_error <= target."""
+    for t in range(1, 20002, 2):
+        if reference_majority_error(correct_mass, t) <= target:
+            return t
+    raise ValueError(f"no odd vote count up to 20001 reaches error {target}")

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -448,3 +452,37 @@ def test_gen_unknown_family_names_the_query_table(capsys):
     assert main(["gen", "foo", "1"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "error: unknown qc family 'foo'; available: ['and', 'maj', 'or', 'xor']"
+
+
+def _fresh(argv):
+    """(exit code, stdout, stderr) of ``lpbounds argv`` in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "lpbounds.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_synth_qc_near_half_eps_gives_up_on_the_vote_search(workspace):
+    """At eps = 499/1000 no odd vote count up to 20001 boosts xor2 to 9^-8."""
+    code, out, err = _fresh(["synth-qc", workspace["xor2"], workspace["bits"], "--eps", "499/1000"])
+    err = err.splitlines()
+    assert (code, out, len(err)) == (1, "", 2)
+    assert err[0] == "error: no odd vote count up to 20001 reaches error 1/43046721"
+
+
+def test_repeated_main_calls_match_fresh_processes(workspace, capsys):
+    """The parser is built once per process; no call may see state an earlier one left."""
+    oracle = ["oracle", workspace["xor2"], workspace["bits"], "--depth", "1"]
+    calls = [oracle, oracle + ["--bogus"], ["gen", "maj", "3"],
+             ["synth-qc", workspace["xor2"], workspace["bits"]]]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh_code, fresh_out, fresh_err = _fresh(argv)
+        assert (code, captured.out) == (fresh_code, fresh_out)
+        if code == 2:  # argparse's usage line and message carry no timing
+            assert captured.err == fresh_err

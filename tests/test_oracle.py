@@ -107,7 +107,8 @@ def test_negative_depth_rejected():
 
 # Differential tests against the two searches the shared one replaced.
 
-WEIGHTS = st.builds(F, st.integers(0, 8), st.just(8))
+# weights k/d in [0, 1] for d in 1..12, so one measure mixes denominators
+WEIGHTS = st.integers(1, 12).flatmap(lambda d: st.builds(F, st.integers(0, d), st.just(d)))
 
 
 @st.composite

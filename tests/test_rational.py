@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_boost import reference_majority_error, reference_min_odd_votes
 
 from lpbounds.errors import ParseError
 from lpbounds.rational import (
@@ -110,3 +113,43 @@ def test_min_odd_votes():
         assert majority_error(a, t - 2) > target
     with pytest.raises(ValueError):
         min_odd_votes_for_error(Fraction(1, 2), target)
+
+
+# Differential tests against the Fraction sum and the direct scan they replaced.
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda q: st.builds(Fraction, st.integers(0, q), st.just(q))),
+    st.integers(0, 50).map(lambda h: 2 * h + 1),
+)
+def test_majority_error_matches_the_fraction_sum(a, t):
+    assert majority_error(a, t) == reference_majority_error(a, t)
+
+
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 2), Fraction(1)])
+def test_majority_error_matches_the_fraction_sum_at_the_ends(a):
+    for t in range(1, 102, 2):
+        assert majority_error(a, t) == reference_majority_error(a, t)
+
+
+@pytest.mark.parametrize(
+    ("a", "target", "votes"),
+    [
+        (Fraction(5, 8), Fraction(1, 15**8), 587),
+        (Fraction(7, 8), Fraction(1, 64), 7),
+        (Fraction(7, 8), Fraction(1, 9**8), 37),
+        (Fraction(3, 4), Fraction(1, 4), 1),
+        (Fraction(3, 4), Fraction(1, 5), 3),
+        (Fraction(3, 5), Fraction(1, 10), 41),
+        (Fraction(2, 3), Fraction(1, 1000), 81),
+        (Fraction(11, 13), Fraction(3, 7**5), 19),
+        (Fraction(1), Fraction(0), 1),
+    ],
+)
+def test_min_odd_votes_matches_the_direct_scan(a, target, votes):
+    assert min_odd_votes_for_error(a, target) == reference_min_odd_votes(a, target) == votes
+
+
+def test_min_odd_votes_gives_up_after_20001():
+    with pytest.raises(ValueError, match="^no odd vote count up to 20001 reaches error 0$"):
+        min_odd_votes_for_error(Fraction(9, 10), Fraction(0))
