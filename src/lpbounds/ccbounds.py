@@ -151,7 +151,6 @@ def build_srec_lp(inst: SrecInstance) -> LinearProgram:
     tag = "dist" if inst.mu is not None else "wc"
     return LinearProgram(
         f"srec[z={z},{tag}]",
-        "min",
         names,
         unit_row(range(len(names)), "=", Fraction(0), "objective"),
         tuple(rows),

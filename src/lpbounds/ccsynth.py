@@ -223,10 +223,7 @@ class SynthParams:
             raise InfeasibleConstructionError("budgets must be non-negative")
 
     def validate(self, mu_total: Fraction, value0: Fraction, value1: Fraction) -> None:
-        if not 0 < self.big_delta < mu_total:
-            raise InfeasibleConstructionError(
-                f"Delta must lie strictly between 0 and |mu| = {mu_total}"
-            )
+        _check_big_delta(self.big_delta, mu_total)
         s_min = minimum_s(value0, value1)
         if self.s < s_min:
             raise InfeasibleConstructionError(f"s = {self.s} below the threshold {s_min}")
@@ -235,12 +232,34 @@ class SynthParams:
             raise InfeasibleConstructionError(f"t = {self.t} below the threshold {t_min}")
 
 
+def _check_big_delta(big_delta: Fraction, mu_total: Fraction) -> None:
+    if not 0 < big_delta < mu_total:
+        raise InfeasibleConstructionError(
+            f"Delta must lie strictly between 0 and |mu| = {mu_total}"
+        )
+
+
 def minimum_s(value0: Fraction, value1: Fraction) -> int:
     """ceil(100 * log2(2 (V0 + V1))), clamped to 0."""
     doubled = 2 * (value0 + value1)
     if doubled <= 1:
         return 0
     return max(0, ceil_mul_log2(100, doubled))
+
+
+def within_leaf_budget(leaves: int, s: int, t: int) -> bool:
+    """leaves <= 4 * C(s + t, min(s, t)) - 1, without building the binomial.
+
+    c = C(max(s, t) + i, i) for i = 0, 1, ..., min(s, t) never decreases
+    and ends at C(s + t, min(s, t)), so the first c with 4c - 1 >= leaves
+    settles it; the leaf counts here are small, the budgets can be huge.
+    """
+    c = 1
+    for i in range(1, min(s, t) + 1):
+        if 4 * c > leaves:
+            return True
+        c = c * (max(s, t) + i) // i
+    return 4 * c > leaves
 
 
 def minimum_t(s: int, mu_total: Fraction, big_delta: Fraction) -> int:
@@ -345,21 +364,18 @@ def synthesize(
                 rest_tree,
             )
 
-        sub_budget = 4 * math.comb(s - 1 + t, min(s - 1, t)) - 1
-        rest_budget = 4 * math.comb(s + t - 1, min(s, t - 1)) - 1
-        node_budget = 4 * math.comb(s + t, min(s, t)) - 1
         l_sub, l_rest = leaf_count(block_tree), leaf_count(rest_tree)
-        if l_sub > sub_budget or l_rest > rest_budget:
+        if not (within_leaf_budget(l_sub, s - 1, t) and within_leaf_budget(l_rest, s, t - 1)):
             raise InfeasibleConstructionError("child leaf budget exceeded")
-        if 1 + l_sub + l_rest > node_budget:
+        if not within_leaf_budget(1 + l_sub + l_rest, s, t):
             raise InfeasibleConstructionError("node leaf budget exceeded")
         return tree
 
     tree = build(full, mu, params.eps, params.s, params.t, weights0, weights1)
 
     leaves = leaf_count(tree)
-    budget = 4 * math.comb(params.s + params.t, min(params.s, params.t)) - 1
-    if leaves > budget:
+    if not within_leaf_budget(leaves, params.s, params.t):
+        budget = 4 * math.comb(params.s + params.t, min(params.s, params.t)) - 1
         raise InfeasibleConstructionError(f"leaf count {leaves} exceeds {budget}")
     adv = advantage(tree, f, mu)
     floor_adv = (
@@ -572,6 +588,7 @@ def protocol_pipeline(
     else:
         raise ValueError("part must be 1 or 2")
 
+    _check_big_delta(big_delta, mu.total)  # before either LP is solved
     r0 = srec_bound(SrecInstance(f, 0, eps, delta, mu))
     r1 = srec_bound(SrecInstance(f, 1, eps, delta, mu))
     v0, v1 = r0.value, r1.value

@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import math
 import os
 import sys
 import time
@@ -36,7 +35,7 @@ from .ccbounds import (
     rprt_bound,
     srec_bound,
 )
-from .ccsynth import balance_depth_target, protocol_pipeline
+from .ccsynth import balance_depth_target, protocol_pipeline, within_leaf_budget
 from .errors import LpboundsError, ParseError
 from .model import (
     BitProductDistribution,
@@ -184,8 +183,7 @@ def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
             twentieth_applicable=rep.twentieth_applicable,
         )
         asserts["advantage >= floor"] = adv >= rep.adv_floor
-        budget = 4 * math.comb(rep.s + rep.t, min(rep.s, rep.t)) - 1
-        asserts["leaves within binomial budget"] = leaves <= budget
+        asserts["leaves within binomial budget"] = within_leaf_budget(leaves, rep.s, rep.t)
         asserts["balanced depth within target"] = balanced_depth <= balance_depth_target(leaves)
         asserts["balanced tree agrees pointwise"] = all(
             evaluate(parsed, x, y) == evaluate(parsed_balanced, x, y)

@@ -1,5 +1,10 @@
 """Exact rational linear programming with certified primal/dual solutions.
 
+Every program has one shape: minimise cost . x subject to its rows, with
+x >= 0.  Each bound LP (srec, prt, rprt, qprt) minimises total weight over
+nonnegative weights, so the solver, the checkers and the cache key handle
+no other sense and no free variable.
+
 The solver is a two-phase revised simplex with Bland's pivoting rule:
 entering variable is the lowest-index column with a negative reduced cost,
 leaving row breaks ratio ties by lowest basic column index.  Bland's rule
@@ -54,12 +59,10 @@ simplex, the checkers and the cache key all read them.  Variable names
 serve the records only, and ``LinearProgram.constraints`` and
 ``objective`` give the rational view back on demand.
 
-Dual conventions (for a minimization program):
+Dual conventions:
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
-  nonneg var j:  sum_i y_i a_ij <= c_j;   free var j: equality
+  every column j:  sum_i y_i a_ij <= c_j
   optimal dual objective:  sum_i y_i b_i  ==  primal optimum
-For maximization the inequalities reverse (y_i >= 0 on ``<=`` rows, and
-sum_i y_i a_ij >= c_j on nonneg columns).
 """
 
 from __future__ import annotations
@@ -134,23 +137,18 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A program in its one integer form.
+    """min cost . x subject to ``rows`` and x >= 0, in its one integer form.
 
-    ``cost`` is the objective as a row (its relation and rhs unused),
-    ``rows`` the constraints and ``free`` the columns of the variables not
-    bound to be >= 0.  Column j is ``variables[j]``.
+    ``cost`` is the objective as a row (its relation and rhs unused) and
+    ``rows`` the constraints.  Column j is ``variables[j]``.
     """
 
     name: str
-    sense: str  # "min" | "max"
     variables: tuple[str, ...]
     cost: Row
     rows: tuple[Row, ...]
-    free: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.sense not in ("min", "max"):
-            raise LpboundsError(f"sense must be min or max, got {self.sense!r}")
         n = len(self.variables)
         if len(set(self.variables)) != n:
             raise LpboundsError("duplicate variable names")
@@ -165,13 +163,11 @@ class LinearProgram:
     def from_constraints(
         cls,
         name: str,
-        sense: str,
         variables: tuple[str, ...],
         objective: dict[str, Fraction],
         constraints: tuple[Constraint, ...],
-        nonneg: dict[str, bool],
     ) -> "LinearProgram":
-        """The program of rational rows; ``nonneg`` maps a variable to False to make it free."""
+        """The program of rational rows."""
         index = {v: j for j, v in enumerate(variables)}
 
         def scale(con: Constraint, what: str) -> Row:
@@ -187,11 +183,9 @@ class LinearProgram:
 
         return cls(
             name,
-            sense,
             variables,
             scale(Constraint(objective, EQ, Fraction(0), "objective"), "objective"),
             tuple(scale(c, f"constraint {c.label!r}") for c in constraints),
-            frozenset(index[v] for v, ok in nonneg.items() if not ok and v in index),
         )
 
     @property
@@ -204,9 +198,6 @@ class LinearProgram:
         """The objective in rational form."""
         s = self.cost.s
         return {self.variables[j]: Fraction(a, s) for j, a in zip(self.cost.cols, self.cost.coeffs)}
-
-    def is_nonneg(self, var: str) -> bool:
-        return all(self.variables[j] != var for j in self.free)
 
     def objective_value(self, assignment: dict[str, Fraction]) -> Fraction:
         big_l, point = _scaled_point(self, assignment)
@@ -304,7 +295,7 @@ def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[V
             out.append(Violation("constraint", i, row.label, Fraction(lhs, row.s * big_l),
                                  row.rel, Fraction(row.rhs, row.s)))
     for j, v in enumerate(lp.variables):
-        if point[j] < 0 and j not in lp.free:
+        if point[j] < 0:
             out.append(Violation("domain", j, v, assignment[v], GE, Fraction(0)))
     return out
 
@@ -320,16 +311,12 @@ def check_dual_feasible(
     """
     if len(dual) != len(lp.rows):
         raise LpboundsError("dual vector length does not match constraint count")
-    minimize = lp.sense == "min"
     out: list[Violation] = []
     for i, (y, row) in enumerate(zip(dual, lp.rows)):
-        if row.rel == EQ:
-            continue
-        # min: >= rows need y >= 0, <= rows need y <= 0; max is reversed.
-        wants_nonneg = (row.rel == GE) == minimize
-        if wants_nonneg and y < 0:
+        # >= rows need y >= 0, <= rows need y <= 0
+        if row.rel == GE and y < 0:
             out.append(Violation("dual-sign", i, row.label, y, GE, Fraction(0)))
-        if not wants_nonneg and y > 0:
+        if row.rel == LE and y > 0:
             out.append(Violation("dual-sign", i, row.label, y, LE, Fraction(0)))
     # y_i * c_ij = (y_i / s_i) * a_ij on the integer row a_i = s_i * c_i
     weights = []
@@ -349,15 +336,8 @@ def check_dual_feasible(
         costs[j] = a
     unit = big_m // cost.s
     for j, v in enumerate(lp.variables):
-        lhs, rhs = col_sums[j], costs[j] * unit
-        if j in lp.free:
-            ok, rel = lhs == rhs, EQ
-        elif minimize:
-            ok, rel = lhs <= rhs, LE
-        else:
-            ok, rel = lhs >= rhs, GE
-        if not ok:
-            out.append(Violation("dual-column", j, v, Fraction(lhs, big_m), rel,
+        if col_sums[j] > costs[j] * unit:
+            out.append(Violation("dual-column", j, v, Fraction(col_sums[j], big_m), LE,
                                  Fraction(costs[j], cost.s)))
     return out
 
@@ -377,7 +357,7 @@ def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
     with a positive dual objective: no primal point can meet the rows.
     """
     y = [vector.get(i, Fraction(0)) for i in range(len(lp.rows))]
-    zero = replace(lp, sense="min", cost=Row(1, (), (), EQ, 0, "objective"))
+    zero = replace(lp, cost=Row(1, (), (), EQ, 0, "objective"))
     return not check_dual_feasible(zero, y) and dual_objective(lp, y) > 0
 
 
@@ -388,9 +368,7 @@ def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
     along which the objective improves.
     """
     homogeneous = replace(lp, rows=tuple(replace(r, rhs=0) for r in lp.rows))
-    rate = lp.objective_value(ray)
-    improving = rate < 0 if lp.sense == "min" else rate > 0
-    return improving and not check_feasible(homogeneous, ray)
+    return lp.objective_value(ray) < 0 and not check_feasible(homogeneous, ray)
 
 
 def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
@@ -435,25 +413,9 @@ class _Simplex:
         self.lp = lp
         m = len(lp.rows)
         self.m = m
-        # columns: per-variable (split when free), then slacks, then artificials;
-        # the phase-2 costs are L times the min-form costs, L = lp.cost.s
-        sense_sign = 1 if lp.sense == "min" else -1
-        costs = [0] * len(lp.variables)
-        for j, a in zip(lp.cost.cols, lp.cost.coeffs):
-            costs[j] = sense_sign * a
-        self.cols: list[list[tuple[int, int]]] = []
-        self.var_cols: list[tuple[int, int | None]] = []
-        cost2: list[int] = []
-        for j, c in enumerate(costs):
-            plus, minus = len(self.cols), None
-            self.cols.append([])
-            cost2.append(c)
-            if j in lp.free:
-                minus = len(self.cols)
-                self.cols.append([])
-                cost2.append(-c)
-            self.var_cols.append((plus, minus))
-        self.n_real = len(self.cols)
+        # columns: one per variable, then slacks, then artificials
+        self.n_real = len(lp.variables)
+        self.cols: list[list[tuple[int, int]]] = [[] for _ in range(self.n_real)]
 
         self.flip: list[int] = []
         self.scale: list[int] = []
@@ -462,11 +424,7 @@ class _Simplex:
         for i, row in enumerate(lp.rows):
             sign = -1 if row.rhs < 0 else 1
             for j, a in zip(row.cols, row.coeffs):
-                a *= sign
-                plus, minus = self.var_cols[j]
-                self.cols[plus].append((i, a))
-                if minus is not None:
-                    self.cols[minus].append((i, -a))
+                self.cols[j].append((i, sign * a))
             self.flip.append(sign)
             self.scale.append(row.s)
             self.x.append(sign * row.rhs)
@@ -488,7 +446,9 @@ class _Simplex:
 
         # integer costs: L * cost, L the lcm of the phase's denominators
         self.l2 = lp.cost.s
-        self.cost2 = cost2 + [0] * (self.n_total - self.n_real)
+        self.cost2 = [0] * self.n_total
+        for j, a in zip(lp.cost.cols, lp.cost.coeffs):
+            self.cost2[j] = a
         self.l1 = lcm(*(self.scale[i] for i in artificial_rows))
         self.cost1 = [0] * self.n_structural + [self.l1 // self.scale[i] for i in artificial_rows]
 
@@ -597,15 +557,8 @@ class _Simplex:
             basis[leave] = enter
 
     def _project(self, std: dict[int, Fraction]) -> dict[str, Fraction]:
-        """Standard-form column values back on the program's variables, zeros dropped."""
-        out: dict[str, Fraction] = {}
-        for v, (plus, minus) in zip(self.lp.variables, self.var_cols):
-            val = std.get(plus, Fraction(0))
-            if minus is not None:
-                val -= std.get(minus, Fraction(0))
-            if val != 0:
-                out[v] = val
-        return out
+        """Standard-form values of columns 0..len(variables)-1 by variable name, zeros dropped."""
+        return {v: std[j] for j, v in enumerate(self.lp.variables) if std.get(j)}
 
     def run(self) -> LPSolution:
         """Both phases; the solution is returned uncertified."""
@@ -645,10 +598,9 @@ class _Simplex:
                 {"kind": "ray", "vector": self._project(ray_std)},
             )
 
-        sense_sign = 1 if self.lp.sense == "min" else -1
         den = self.l2 * self.d
         dual = tuple(
-            Fraction(sense_sign * self.flip[i] * self.scale[i] * y, den)
+            Fraction(self.flip[i] * self.scale[i] * y, den)
             for i, y in enumerate(self.y)
         )
         return LPSolution(
@@ -669,13 +621,14 @@ def set_cache_dir(path: str | None) -> None:
 def _program_key(lp: LinearProgram) -> str:
     """sha256 of a canonical encoding of the integer form.
 
-    The sense, the names and the free columns come first, then each row,
+    The names come first, between the constant lines ``min`` and ``[]``
+    that keep keys equal to those of existing cache entries, then each row,
     the objective first: its relation, scale, rhs, length and coefficients
     as text (one coefficient for a row whose coefficients are all equal),
     then its columns as 8-byte integers.  The program's name and the row
     labels play no part.
     """
-    h = hashlib.sha256(f"{lp.sense}\n{json.dumps(lp.variables)}\n{sorted(lp.free)}\n".encode())
+    h = hashlib.sha256(f"min\n{json.dumps(lp.variables)}\n[]\n".encode())
     for r in (lp.cost, *lp.rows):
         c = r.coeffs
         coeffs = f"*{c[0]}" if c and c.count(c[0]) == len(c) else ",".join(map(str, c))

@@ -425,24 +425,19 @@ def enumerate_rectangles(nx: int, ny: int) -> Iterator[Rectangle]:
             yield Rectangle(rows, cols)
 
 
-def enumerate_subcubes(n: int, max_support: int | None = None) -> Iterator[Subcube]:
-    """All subcubes with support size <= max_support, in canonical order.
+def enumerate_subcubes(n: int) -> Iterator[Subcube]:
+    """All 3^n subcubes, in canonical order.
 
     Order: support size ascending, then support mask ascending, then value
-    mask ascending.  The total count is sum over k <= max_support of
-    C(n,k) * 2^k.
+    mask ascending.
     """
     if n > MAX_QUERY_BITS:
         raise CapExceededError(f"n={n} exceeds the subcube cap of {MAX_QUERY_BITS}")
-    if max_support is None:
-        max_support = n
     by_size: list[list[int]] = [[] for _ in range(n + 1)]
     for support in range(1 << n):
-        k = support.bit_count()
-        if k <= max_support:
-            by_size[k].append(support)
-    for k in range(min(max_support, n) + 1):
-        for support in by_size[k]:
+        by_size[support.bit_count()].append(support)
+    for supports in by_size:
+        for support in supports:
             submask = 0
             while True:
                 yield Subcube(n, support, submask)

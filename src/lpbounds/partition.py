@@ -101,7 +101,6 @@ class LabelledFamily(Generic[P, K]):
             mass.append(unit_row([j + z for j in inside for z in (0, 1)], rel, _ONE, f"mass_{tag}"))
         return LinearProgram(
             name,
-            "min",
             tuple(f"w{z}_{self.tag(k)}" for k in members for z in (0, 1)),
             cost,
             tuple(covering + mass),

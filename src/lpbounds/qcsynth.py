@@ -293,6 +293,10 @@ def synthesis_pipeline(
 
     if eps >= Fraction(1, 2):
         raise ValueError("the base error level must be below 1/2")
+    if g.n != mu.n:  # before the qprt solve, with the message label_sums gives
+        raise DimensionMismatchError(
+            f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {g.n}"
+        )
     bound = qprt_bound(g, eps)
     value = bound.value
     ceil_value = -((-value.numerator) // value.denominator)

@@ -54,26 +54,12 @@ class _Simplex:
             rows.append((coeffs, rel, rhs))
         self.b = [r[2] for r in rows]
 
-        # columns: per-variable (split when free), then slacks, then artificials
+        # columns: one per variable, then slacks, then artificials
         self.cols: list[list[tuple[int, Fraction]]] = []
-        self.cost2: list[Fraction] = []  # phase-2 costs in min form
-        self.var_cols: dict[str, tuple[int, int | None]] = {}
-        sense_sign = 1 if lp.sense == "min" else -1
+        self.cost2: list[Fraction] = []  # phase-2 costs
         for v in lp.variables:
-            entries = [
-                (i, coeffs[v]) for i, (coeffs, _, _) in enumerate(rows) if v in coeffs
-            ]
-            c = sense_sign * lp.objective.get(v, Fraction(0))
-            plus = len(self.cols)
-            self.cols.append(entries)
-            self.cost2.append(c)
-            minus: int | None = None
-            if not lp.is_nonneg(v):
-                minus = len(self.cols)
-                self.cols.append([(i, -val) for i, val in entries])
-                self.cost2.append(-c)
-            self.var_cols[v] = (plus, minus)
-        self.n_real = len(self.cols)
+            self.cols.append([(i, coeffs[v]) for i, (coeffs, _, _) in enumerate(rows) if v in coeffs])
+            self.cost2.append(lp.objective.get(v, Fraction(0)))
 
         zero, one = Fraction(0), Fraction(1)
         self.basis: list[int] = [-1] * m
@@ -264,24 +250,16 @@ def reference_solve(lp: LinearProgram) -> LPSolution:
 
     x_std = {sx.basis[i]: sx.x_b[i] for i in range(sx.m) if sx.x_b[i] != 0}
     primal = _project(sx, x_std)
-    sense_sign = 1 if lp.sense == "min" else -1
     y_std = sx._duals(sx.cost2)
-    dual = tuple(sense_sign * sx.flip[i] * y_std[i] for i in range(sx.m))
+    dual = tuple(sx.flip[i] * y_std[i] for i in range(sx.m))
     return LPSolution(
         "optimal", objective_value(lp, primal), primal, dual, sx.iterations, phase1_iterations
     )
 
 
 def _project(sx: _Simplex, std: dict[int, Fraction]) -> dict[str, Fraction]:
-    """Standard-form column values back on the program's variables, zeros dropped."""
-    out: dict[str, Fraction] = {}
-    for v, (plus, minus) in sx.var_cols.items():
-        val = std.get(plus, Fraction(0))
-        if minus is not None:
-            val -= std.get(minus, Fraction(0))
-        if val != 0:
-            out[v] = val
-    return out
+    """Standard-form values of the variables' columns, zeros dropped."""
+    return {v: std[j] for j, v in enumerate(sx.lp.variables) if std.get(j, 0) != 0}
 
 
 def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
@@ -298,20 +276,15 @@ def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
             continue
         for v, c in con.coeffs.items():
             col_sums[v] += y[i] * c
-    for v in lp.variables:
-        if lp.is_nonneg(v):
-            if col_sums[v] > 0:
-                return False
-        elif col_sums[v] != 0:
-            return False
+    if any(col_sums[v] > 0 for v in lp.variables):
+        return False
     return sum((y[i] * con.rhs for i, con in enumerate(lp.constraints)), Fraction(0)) > 0
 
 
 def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
     """True iff ``ray`` is a feasible improving direction (proves unboundedness)."""
-    for v, val in ray.items():
-        if lp.is_nonneg(v) and val < 0:
-            return False
+    if any(val < 0 for val in ray.values()):
+        return False
     for con in lp.constraints:
         lhs = sum((c * ray.get(v, Fraction(0)) for v, c in con.coeffs.items()), Fraction(0))
         if con.rel == GE and lhs < 0:
@@ -320,8 +293,7 @@ def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
             return False
         if con.rel == EQ and lhs != 0:
             return False
-    rate = objective_value(lp, ray)
-    return rate < 0 if lp.sense == "min" else rate > 0
+    return objective_value(lp, ray) < 0
 
 
 def objective_value(lp: LinearProgram, assignment: dict[str, Fraction]) -> Fraction:
@@ -353,7 +325,7 @@ def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[V
             out.append(Violation("constraint", i, con.label, lhs, con.rel, con.rhs))
     for j, v in enumerate(lp.variables):
         val = assignment.get(v, Fraction(0))
-        if lp.is_nonneg(v) and val < 0:
+        if val < 0:
             out.append(Violation("domain", j, v, val, GE, Fraction(0)))
     return out
 
@@ -364,17 +336,12 @@ def check_dual_feasible(
     """Violations of the derived dual program for ``dual``; [] iff dual-feasible."""
     if len(dual) != len(lp.constraints):
         raise LpboundsError("dual vector length does not match constraint count")
-    minimize = lp.sense == "min"
     out: list[Violation] = []
     for i, con in enumerate(lp.constraints):
         y = dual[i]
-        if con.rel == EQ:
-            continue
-        # min: >= rows need y >= 0, <= rows need y <= 0; max is reversed.
-        wants_nonneg = (con.rel == GE) == minimize
-        if wants_nonneg and y < 0:
+        if con.rel == GE and y < 0:
             out.append(Violation("dual-sign", i, con.label, y, GE, Fraction(0)))
-        if not wants_nonneg and y > 0:
+        if con.rel == LE and y > 0:
             out.append(Violation("dual-sign", i, con.label, y, LE, Fraction(0)))
     col_sums: dict[str, Fraction] = {v: Fraction(0) for v in lp.variables}
     for i, con in enumerate(lp.constraints):
@@ -387,14 +354,8 @@ def check_dual_feasible(
     for j, v in enumerate(lp.variables):
         s = col_sums[v]
         c = objective.get(v, Fraction(0))
-        if lp.is_nonneg(v):
-            ok = s <= c if minimize else s >= c
-            rel = LE if minimize else GE
-        else:
-            ok = s == c
-            rel = EQ
-        if not ok:
-            out.append(Violation("dual-column", j, v, s, rel, c))
+        if s > c:
+            out.append(Violation("dual-column", j, v, s, LE, c))
     return out
 
 

@@ -5,7 +5,7 @@ import reference_lp
 from conftest import CC_CORPUS, UNIFORM_4x4, chain_cached, srec_cached
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_duals import build_prt_dual_lp, build_rprt_dual_lp
+from reference_duals import build_prt_dual_lp, build_rprt_dual_lp, split_free
 
 from lpbounds import families
 from lpbounds.ccbounds import (
@@ -113,7 +113,8 @@ def _map_partition_duals(plp, duals, relaxed):
     """Solver row duals -> the explicit dual's (mu, phi) variables.
 
     The relaxed dual's phi enters negatively with phi >= 0, so the <=-row
-    duals (which are nonpositive) flip sign.
+    duals (which are nonpositive) flip sign; a free phi is split into its
+    two nonnegative columns.
     """
     sign = -1 if relaxed else 1
     assign = {}
@@ -123,7 +124,7 @@ def _map_partition_duals(plp, duals, relaxed):
             assign[f"mu_{x}_{y}"] = duals[i]
         else:
             assign[f"phi_{x}_{y}"] = sign * duals[i]
-    return assign
+    return split_free(assign)
 
 
 def test_partition_duals_certify_optimality():
@@ -140,7 +141,7 @@ def test_partition_duals_certify_optimality():
         dlp = build_dual(f, eps)
         assign = _map_partition_duals(plp, primal.dual, relaxed)
         assert check_feasible(dlp, assign) == []
-        assert dlp.objective_value(assign) == primal.value
+        assert -dlp.objective_value(assign) == primal.value
         assert dual_objective(plp, primal.dual) == primal.value
 
 
@@ -153,7 +154,7 @@ def test_partition_dual_solves_match_on_2x2():
     ]:
         primal = solve(build_primal(f, eps))
         dual = solve(build_dual(f, eps))
-        assert primal.value == dual.value
+        assert -dual.value == primal.value
 
 
 def test_reduce_error_identity_at_one_vote():

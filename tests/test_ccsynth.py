@@ -5,6 +5,7 @@ import pytest
 from conftest import CC_CORPUS, UNIFORM_4x4
 
 from lpbounds import families
+from lpbounds import lp as lpmod
 from lpbounds.ccbounds import SrecInstance, srec_bound, srec_weights
 from lpbounds.ccsynth import (
     Decomposition,
@@ -17,6 +18,7 @@ from lpbounds.ccsynth import (
     minimum_t,
     synthesize,
     protocol_pipeline,
+    within_leaf_budget,
 )
 from lpbounds.errors import (
     DimensionMismatchError,
@@ -227,6 +229,29 @@ def test_pipeline_part2_small_k_reports_hypothesis_failure():
     rep = protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 2, k=20)
     assert not rep.hypothesis_ok
     assert rep.tree is None and rep.notes
+
+
+@pytest.mark.parametrize("part, k, big_delta", [(1, None, F(1, 1 << 8)), (2, 20, F(1, 1 << 2000))])
+@pytest.mark.parametrize("mass", ["zero", "Delta"])
+def test_pipeline_rejects_delta_at_least_mu_before_solving(monkeypatch, part, k, big_delta, mass):
+    def no_solve(lp):
+        raise AssertionError("an LP was solved")
+
+    row = F(0) if mass == "zero" else big_delta
+    mu = ProductDistribution2P((row,) + (F(0),) * 3, (F(1),) + (F(0),) * 3)
+    monkeypatch.setattr(lpmod, "solve", no_solve)
+    with pytest.raises(InfeasibleConstructionError, match="Delta must lie strictly between"):
+        protocol_pipeline(CC_CORPUS["gt2"], mu, part, k)
+
+
+def test_within_leaf_budget_matches_the_binomial():
+    big_t = 10**84 + 12345  # 85 digits, as on eq2 part 1
+    grid = [(s, t) for s in range(7) for t in range(7)] + [(271, big_t), (big_t, 271), (271, 3)]
+    for s, t in grid:
+        budget = 4 * math.comb(s + t, min(s, t)) - 1
+        leaves = {1, 2, 3, 4, budget - 1, budget, budget + 1, 10**30} - {0}
+        for n in leaves:
+            assert within_leaf_budget(n, s, t) == (n <= budget), (n, s, t)
 
 
 def test_pipeline_determinism():

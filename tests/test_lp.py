@@ -29,8 +29,8 @@ from lpbounds.model import enumerate_rectangles
 from lpbounds.qcbounds import _cube_family, build_qprt_lp
 
 
-def lp_min(variables, objective, constraints, nonneg=None):
-    return LinearProgram.from_constraints("t", "min", tuple(variables), objective, tuple(constraints), nonneg or {})
+def lp_min(variables, objective, constraints):
+    return LinearProgram.from_constraints("t", tuple(variables), objective, tuple(constraints))
 
 
 def test_min_x_at_least_one():
@@ -100,11 +100,9 @@ def test_objective_scaling_preserves_basis():
     sol = solve(lp)
     scaled = LinearProgram.from_constraints(
         lp.name,
-        lp.sense,
         lp.variables,
         {v: F(3, 2) * c for v, c in lp.objective.items()},
         lp.constraints,
-        {},
     )
     sol2 = solve(scaled)
     assert sol2.value == F(3, 2) * sol.value
@@ -134,32 +132,6 @@ def test_unbounded_with_ray_certificate():
     assert sol.status == "unbounded"
     assert sol.certificate is not None and sol.certificate["kind"] == "ray"
     assert check_ray(lp, sol.certificate["vector"])
-
-
-def test_free_variables_and_equalities():
-    # min y subject to y = -2, y free
-    lp = lp_min(["y"], {"y": F(1)}, [Constraint({"y": F(1)}, "=", F(-2))], {"y": False})
-    sol = solve(lp)
-    assert sol.value == -2 and sol.primal == {"y": F(-2)}
-    assert check_dual_feasible(lp, sol.dual) == []
-
-
-def test_max_sense():
-    lp = LinearProgram.from_constraints(
-        "m",
-        "max",
-        ("x", "y"),
-        {"x": F(2), "y": F(1)},
-        (
-            Constraint({"x": F(1), "y": F(1)}, "<=", F(4)),
-            Constraint({"x": F(1)}, "<=", F(3)),
-        ),
-        {},
-    )
-    sol = solve(lp)
-    assert sol.value == 7
-    assert dual_objective(lp, sol.dual) == 7
-    assert check_dual_feasible(lp, sol.dual) == []
 
 
 def test_negative_rhs_rows_are_handled():
@@ -287,13 +259,13 @@ def test_solve_keys_a_program_once(cache_dir, monkeypatch):
     assert len(keys) == 1
 
 
-def _key(sense="min", variables=("x", "y", "z"), objective=None, rows=None, nonneg=None):
+def _key(variables=("x", "y", "z"), objective=None, rows=None):
     objective = {"x": F(1), "y": F(1, 2)} if objective is None else objective
     rows = rows or (
         Constraint({"x": F(1), "y": F(2, 3)}, ">=", F(1, 2)),
         Constraint({"y": F(1), "z": F(-1)}, "<=", F(3)),
     )
-    program = LinearProgram.from_constraints("k", sense, variables, objective, rows, nonneg or {})
+    program = LinearProgram.from_constraints("k", variables, objective, rows)
     return lpmod._program_key(program)
 
 
@@ -302,10 +274,9 @@ def test_program_key_is_canonical():
     labels leave the key alone; any one change to the program alters it."""
     key = _key()
     respelled = LinearProgram.from_constraints(
-        "another name", "min", ("x", "y", "z"), {"y": F(2, 4), "x": 1, "z": 0},
+        "another name", ("x", "y", "z"), {"y": F(2, 4), "x": 1, "z": 0},
         (Constraint({"y": F(4, 6), "x": 1, "z": 0}, ">=", F(1, 2), "a label"),
          Constraint({"z": -1, "y": F(1)}, "<=", 3, "another label")),
-        {"z": True},
     )
     assert lpmod._program_key(respelled) == key
     changed = {
@@ -316,8 +287,6 @@ def test_program_key_is_canonical():
                                Constraint({"y": F(1), "z": F(-1)}, "<=", F(3)))),
         "rhs": _key(rows=(Constraint({"x": F(1), "y": F(2, 3)}, ">=", F(1, 2)),
                           Constraint({"y": F(1), "z": F(-1)}, "<=", F(4)))),
-        "sense": _key(sense="max"),
-        "nonneg": _key(nonneg={"z": False}),
         "variable name": _key(variables=("x", "y", "w"),
                               rows=(Constraint({"x": F(1), "y": F(2, 3)}, ">=", F(1, 2)),
                                     Constraint({"y": F(1), "w": F(-1)}, "<=", F(3)))),
@@ -344,8 +313,8 @@ def small_programs():
 def _small_program_args(draw):
     """Random programs with up to 4 variables and 5 rows.
 
-    Fractional coefficients and negative right-hand sides are common; so are
-    free variables, all three relations and both senses.  An optional last
+    Fractional coefficients and negative right-hand sides are common, and
+    all three relations occur.  An optional last
     ``=`` row is a combination of two earlier rows, which leaves the system
     linearly dependent.
     """
@@ -363,22 +332,14 @@ def _small_program_args(draw):
         k = draw(SMALL_RATIONALS)
         coeffs = {v: a.coeffs.get(v, F(0)) + k * b.coeffs.get(v, F(0)) for v in names}
         rows.append(Constraint(coeffs, "=", a.rhs + k * b.rhs))
-    return (
-        "random",
-        draw(st.sampled_from(["min", "max"])),
-        tuple(names),
-        {v: draw(SMALL_RATIONALS) for v in names},
-        tuple(rows),
-        {v: draw(st.booleans()) for v in names},
-    )
+    return "random", tuple(names), {v: draw(SMALL_RATIONALS) for v in names}, tuple(rows)
 
 
 # both rows start on artificials at level 0 and phase 1 makes no pivot; the
 # first can only be driven out by a pivot on -1, the second is dependent
 NEGATIVE_DRIVE_OUT = LinearProgram.from_constraints(
-    "negative drive-out", "min", ("x0", "x1"), {"x0": F(-1), "x1": F(2)},
+    "negative drive-out", ("x0", "x1"), {"x0": F(-1), "x1": F(2)},
     (Constraint({"x0": F(-1), "x1": F(-1)}, "=", F(0)), Constraint({"x0": F(-2), "x1": F(-2)}, "=", F(0))),
-    {},
 )
 
 
@@ -433,7 +394,7 @@ def test_certificate_checkers_match_reference(program, data):
     x = {v: data.draw(SMALL_RATIONALS) for v in names}
     sign = {">=": abs, "<=": lambda c: -abs(c), "=": lambda c: c}
     farkas = [y, {i: sign[r.rel](c) for (i, c), r in zip(y.items(), rows)}]
-    rays = [x, {v: abs(c) if program.is_nonneg(v) else c for v, c in x.items()}]
+    rays = [x, {v: abs(c) for v, c in x.items()}]
     cert = solve(program).certificate
     if cert is not None:
         k = data.draw(SMALL_RATIONALS)
@@ -516,8 +477,8 @@ def test_corpus_checks_match_fraction_reference():
         _assert_checks_match_reference(program, sol.primal, sol.dual)
         v = program.variables[0]
         moved = {**sol.primal, v: sol.primal.get(v, 0) + F(1, 7)}
-        # raises the column sums on row 0 (lowers them for max) past a tight column
-        moved_dual = (sol.dual[0] + F(1 if program.sense == "min" else -1, 3),) + sol.dual[1:]
+        # raises the column sums on row 0 past a tight column
+        moved_dual = (sol.dual[0] + F(1, 3),) + sol.dual[1:]
         assert check_feasible(program, moved) and check_dual_feasible(program, moved_dual)
         _assert_checks_match_reference(program, moved, moved_dual)
 
@@ -526,7 +487,7 @@ def test_corpus_checks_match_fraction_reference():
 @given(small_program_args())
 def test_integer_form_matches_the_reference_rows(args):
     """Each row, and the objective, is the reference scaling of its rational row."""
-    _, _, names, objective, rows, _ = args
+    _, names, objective, rows = args
     program = LinearProgram.from_constraints(*args)
     assert reference_lp.integer_form(program) == reference_lp.reference_form(names, objective, rows)
 
@@ -554,7 +515,7 @@ def test_corpus_integer_form_matches_the_reference_rows():
 
 def _highs(program, linprog):
     """``program`` solved by HiGHS in floating point, as (status, value)."""
-    names, sign = program.variables, 1 if program.sense == "min" else -1
+    names = program.variables
     ub, eq = ([], []), ([], [])
     for con in program.constraints:
         row = [float(con.coeffs.get(v, 0)) for v in names]
@@ -563,27 +524,27 @@ def _highs(program, linprog):
         target[0].append([flip * a for a in row])
         target[1].append(flip * float(con.rhs))
     res = linprog(
-        [sign * float(program.objective.get(v, 0)) for v in names],
+        [float(program.objective.get(v, 0)) for v in names],
         A_ub=ub[0] or None, b_ub=ub[1] or None, A_eq=eq[0] or None, b_eq=eq[1] or None,
-        bounds=[(0, None) if program.is_nonneg(v) else (None, None) for v in names],
+        bounds=[(0, None)] * len(names),
         method="highs",
         options={"presolve": False},
     )
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
-    return status, None if status != "optimal" else sign * res.fun
+    return status, None if status != "optimal" else res.fun
 
 
-# feasible (x3 = 1/6, the rest 0) and unbounded along x2 = -3 x3, but
+# feasible (x3 = 1/6, the rest 0) and unbounded along x2 = 3 x3, but
 # HiGHS's presolve calls it infeasible, so the oracle runs without presolve
 PRESOLVE_MISREADS_UNBOUNDED = LinearProgram.from_constraints(
-    "presolve", "min", ("x0", "x1", "x2", "x3"),
-    {"x0": F(-1, 2), "x1": F(2), "x2": F(4), "x3": F(-2, 3)},
+    "presolve", ("x0", "x1", "x2", "x3", "x4", "x5"),
+    {"x0": F(-1, 2), "x1": F(2), "x2": F(-4), "x3": F(-2, 3), "x4": F(4), "x5": F(2, 3)},
     (
-        Constraint({"x0": F(-2), "x2": F(1), "x3": F(3)}, ">=", F(1, 2)),
-        Constraint({"x0": F(1, 2), "x1": F(3, 5), "x2": F(3, 2), "x3": F(2)}, "<=", F(4)),
-        Constraint({"x0": F(-4), "x1": F(-1), "x2": F(-1, 3)}, ">=", F(0)),
+        Constraint({"x0": F(-2), "x2": F(-1), "x3": F(3), "x4": F(1), "x5": F(-3)}, ">=", F(1, 2)),
+        Constraint({"x0": F(1, 2), "x1": F(3, 5), "x2": F(-3, 2), "x3": F(2), "x4": F(3, 2), "x5": F(-2)},
+                   "<=", F(4)),
+        Constraint({"x0": F(-4), "x1": F(-1), "x2": F(1, 3), "x4": F(-1, 3)}, ">=", F(0)),
     ),
-    {"x2": False, "x3": False},
 )
 
 
@@ -626,9 +587,7 @@ def nonneg_programs(draw):
         rel = draw(st.sampled_from(["<=", "=", ">="]))
         rows.append(Constraint({v: draw(SMALL_RATIONALS) for v in names}, rel, rhs))
     objective = {v: draw(SMALL_RATIONALS) for v in names}
-    return LinearProgram.from_constraints(
-        "vertex", draw(st.sampled_from(["min", "max"])), tuple(names), objective, tuple(rows), {}
-    )
+    return LinearProgram.from_constraints("vertex", tuple(names), objective, tuple(rows))
 
 
 def _vertices(rows, k):
@@ -672,8 +631,7 @@ def _by_vertex_enumeration(program):
     Otherwise the optimum is attained at a vertex.
     """
     names, k = program.variables, len(program.variables)
-    sign = 1 if program.sense == "min" else -1
-    c = [sign * program.objective.get(v, F(0)) for v in names]
+    c = [program.objective.get(v, F(0)) for v in names]
     rows = [(tuple(con.coeffs.get(v, F(0)) for v in names), con.rel, con.rhs) for con in program.constraints]
     points = _vertices(rows, k)
     if not points:
@@ -681,7 +639,7 @@ def _by_vertex_enumeration(program):
     cone = [(a, rel, F(0)) for a, rel, _ in rows] + [((F(1),) * k, "=", F(1))]
     if any(_dot(c, d) < 0 for d in _vertices(cone, k)):
         return "unbounded", None
-    return "optimal", sign * min(_dot(c, x) for x in points)
+    return "optimal", min(_dot(c, x) for x in points)
 
 
 def _dot(a, b):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import QC_CORPUS, qprt_cached
-from reference_duals import build_qprt_dual_lp
+from reference_duals import build_qprt_dual_lp, split_free
 
 from lpbounds import families, qcbounds
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
@@ -46,7 +46,8 @@ def test_qprt_xor2_zero_error_is_sixteen():
     """Zero error pins every point's full unit of mass to correct-label
     subcubes; parity has no monochromatic subcube besides singletons, so
     each of the four points costs 2^2 and the optimum is 16.  The explicit
-    dual point mu = 8, phi = -4 certifies the floor independently.
+    dual point mu = 8, phi = -4 certifies the floor independently (the dual
+    program minimises minus the dual objective).
     """
     g = QC_CORPUS["xor2"]
     for cube in enumerate_subcubes(2):
@@ -58,8 +59,8 @@ def test_qprt_xor2_zero_error_is_sixteen():
     dual = build_qprt_dual_lp(g, F(0))
     point = {f"mu_{x}": F(8) for x in range(4)}
     point.update({f"phi_{x}": F(-4) for x in range(4)})
-    assert check_feasible(dual, point) == []
-    assert dual.objective_value(point) == 16
+    assert check_feasible(dual, split_free(point)) == []
+    assert -dual.objective_value(split_free(point)) == 16
 
 
 def test_qprt_dual_program_matches():
@@ -67,13 +68,13 @@ def test_qprt_dual_program_matches():
     eps = F(1, 8)
     primal = solve(build_qprt_lp(g, eps))
     dual = solve(build_qprt_dual_lp(g, eps))
-    assert primal.value == dual.value
+    assert -dual.value == primal.value
     plp = build_qprt_lp(g, eps)
     assign = {}
     for i, con in enumerate(plp.constraints):
         kind, x = con.label.split("_")
         assign[("mu" if kind == "cov" else "phi") + f"_{x}"] = primal.dual[i]
-    assert check_feasible(build_qprt_dual_lp(g, eps), assign) == []
+    assert check_feasible(build_qprt_dual_lp(g, eps), split_free(assign)) == []
 
 
 def test_qprt_monotone_in_eps():

@@ -4,6 +4,7 @@ import pytest
 from conftest import QC_CORPUS, qprt_cached
 
 from lpbounds import families
+from lpbounds import lp as lpmod
 from lpbounds.errors import (
     DimensionMismatchError,
     InfeasibleConstructionError,
@@ -149,6 +150,15 @@ def test_build_tree_and3_full_guarantees():
     assert tree_depth(tree) <= system.a * system.b
     assert dtree_error(tree, g, U3) <= certified_error_budget(system, delta)
     assert dtree_queried_bits_ok(tree)
+
+
+def test_pipeline_rejects_a_measure_of_another_bit_count_before_solving(monkeypatch):
+    def no_solve(lp):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lpmod, "solve", no_solve)
+    with pytest.raises(DimensionMismatchError, match="bit counts disagree: measure 2, function 3"):
+        synthesis_pipeline(QC_CORPUS["maj3"], U2)
 
 
 def test_pipeline_constant_one():
