@@ -30,11 +30,21 @@ A pivot on row l for the entering column a_e, with u = N a_e and p = u_l,
 replaces every other row i of N and x by (p * row_i - u_i * row_l) / D and
 sets D = p.  By Sylvester's identity each of these divisions is exact, so
 ``//`` never rounds; were one wrong it would floor silently, which is why
-every result is certified before it is returned.  Only when artificials
-are driven out after phase 1 can p be negative; N, x and D are then
-negated.  The integer duals Y = L * D * y are built once per phase and then
-updated in O(m) per pivot, Y' = (p * Y + d_e * N_l) / D, where d_e is L * D
-times the reduced cost of the entering column.  Fractions are made only at
+every result is certified before it is returned.  N is scaled lazily:
+row i is stored as n[i] with the determinant dd[i] at which it was last
+written, and reads as n[i] * D // dd[i].  A row with u_i = 0 would only be
+rescaled by p / D, so the pivot leaves it alone and the new D implies the
+factor; the division is exact because n[i] * D / dd[i] is the row N holds,
+an integer by the same identity.  A pivot writes row l (dd = p) and the
+rows with u_i != 0, which it first rescales to D; when p = D it changes
+only their entries where row l is nonzero.  ``_column`` rescales each
+row's dot product once, and the duals, their update and the drive-out
+read rescaled rows.  x is never stale: each pivot rewrites every entry
+that changes.  Only when artificials are driven out after phase 1 can p
+be negative; every row is then rescaled, and N, x and D are negated.  The
+integer duals Y = L * D * y are built once per phase and then updated in
+O(m) per pivot, Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the
+reduced cost of the entering column.  Fractions are made only at
 the boundary: basic values, duals, the Farkas vector and the ray.
 
 Every solve is certified before it is returned (``certify``): an optimal
@@ -423,8 +433,11 @@ class _Simplex:
         rels: list[str] = []
         for i, row in enumerate(lp.rows):
             sign = -1 if row.rhs < 0 else 1
+            # columns share one (row, value) pair per distinct coefficient of the
+            # row, so a wide program holds few tuples
+            entry = {a: (i, sign * a) for a in set(row.coeffs)}
             for j, a in zip(row.cols, row.coeffs):
-                self.cols[j].append((i, sign * a))
+                self.cols[j].append(entry[a])
             self.flip.append(sign)
             self.scale.append(row.s)
             self.x.append(sign * row.rhs)
@@ -453,35 +466,53 @@ class _Simplex:
         self.cost1 = [0] * self.n_structural + [self.l1 // self.scale[i] for i in artificial_rows]
 
         self.n: list[list[int]] = [[int(i == k) for k in range(m)] for i in range(m)]
+        self.dd: list[int] = [1] * m  # row i of N is n[i] * d // dd[i]
         self.d = 1
         self.y: list[int] = []  # L * D * duals of the last phase run
         self.iterations = 0
 
     def _column(self, j: int) -> list[int]:
         """N * a_j, i.e. D times the basic direction of column j."""
-        col = self.cols[j]
-        return [sum(row[r] * v for r, v in col) for row in self.n]
+        col, d = self.cols[j], self.d
+        return [s if e == d else s * d // e
+                for s, e in zip([sum(row[r] * v for r, v in col) for row in self.n], self.dd)]
+
+    def _row(self, i: int) -> list[int]:
+        """Row i of N, rescaled in place to the current D if it is stale."""
+        row, e, d = self.n[i], self.dd[i], self.d
+        if e != d:
+            row = self.n[i] = [a * d // e for a in row]
+            self.dd[i] = d
+        return row
 
     def _duals(self, cost: list[int]) -> list[int]:
         y = [0] * self.m
         for k, j in enumerate(self.basis):
             if cost[j]:
-                y = [a + cost[j] * b for a, b in zip(y, self.n[k])]
+                y = [a + cost[j] * b for a, b in zip(y, self._row(k))]
         return y
 
     def _pivot(self, l: int, u: list[int]) -> None:
         """Exchange the basic column of row ``l`` for the column with N * a = u."""
-        p, d, n, x = u[l], self.d, self.n, self.x
-        nl, xl = n[l], x[l]
+        p, d, n, dd, x = u[l], self.d, self.n, self.dd, self.x
+        nl, xl = self._row(l), x[l]
+        if p == d:
+            nonzero = [(k, b) for k, b in enumerate(nl) if b]
         for i, ui in enumerate(u):
             if i == l:
                 continue
             if ui:
-                n[i] = [(p * a - ui * b) // d for a, b in zip(n[i], nl)]
+                row = self._row(i)
+                if p == d:  # (p * a - ui * b) / d moves only where b != 0
+                    for k, b in nonzero:
+                        row[k] -= ui * b // d
+                else:
+                    n[i] = [(p * a - ui * b) // d for a, b in zip(row, nl)]
+                dd[i] = p
                 x[i] = (p * x[i] - ui * xl) // d
             elif p != d:
-                n[i] = [p * a // d for a in n[i]]
                 x[i] = p * x[i] // d
+        dd[l] = p
         self.d = p
 
     def _drive_out_artificials(self) -> None:
@@ -498,14 +529,15 @@ class _Simplex:
         for i in range(self.m):
             if self.basis[i] < self.n_structural:
                 continue
-            row_i = self.n[i]
+            row_i = self._row(i)
             for j in range(self.n_structural):
                 if j in in_basis or sum(row_i[r] * v for r, v in self.cols[j]) == 0:
                     continue
                 self._pivot(i, self._column(j))
                 if self.d < 0:
+                    self.n[:] = [[-a for a in self._row(k)] for k in range(self.m)]
                     self.d = -self.d
-                    self.n[:] = [[-a for a in row] for row in self.n]
+                    self.dd[:] = [self.d] * self.m
                     self.x[:] = [-a for a in self.x]
                 in_basis.discard(self.basis[i])
                 in_basis.add(j)
@@ -550,7 +582,7 @@ class _Simplex:
                 self.unbounded = (enter, u)
                 return "unbounded"
             p = u[leave]
-            y = [(a * p + d_e * b) // d for a, b in zip(y, self.n[leave])]
+            y = [(a * p + d_e * b) // d for a, b in zip(y, self._row(leave))]
             self._pivot(leave, u)
             in_basis.discard(basis[leave])
             in_basis.add(enter)

@@ -381,6 +381,77 @@ def test_drive_out_pivots_on_a_negative_element(monkeypatch):
     assert sol.canonical_bytes() == reference_solve(NEGATIVE_DRIVE_OUT).canonical_bytes()
 
 
+# Lazily scaled rows: row i of N is stored as n[i] with the determinant dd[i]
+# at which it was last written, and reads as n[i] * D / dd[i].
+
+def _materialized(sx):
+    """Every row of N at the current D; each rescaling must be exact."""
+    rows = []
+    for row, e in zip(sx.n, sx.dd):
+        assert all(a * sx.d % e == 0 for a in row)
+        rows.append([a * sx.d // e for a in row])
+    return rows
+
+
+def _assert_basis_identity(sx):
+    """N * a_basis[k] = D * e_k for every basic column, and x = N * b."""
+    rows, rhs = _materialized(sx), [f * row.rhs for f, row in zip(sx.flip, sx.lp.rows)]
+    for k, j in enumerate(sx.basis):
+        assert [sum(row[r] * v for r, v in sx.cols[j]) for row in rows] == [
+            sx.d * (i == k) for i in range(sx.m)]
+    assert sx.x == [sum(a * b for a, b in zip(row, rhs)) for row in rows]
+
+
+def _audited_solve(program):
+    """``solve`` with the basis identity checked after every pivot.
+
+    Each pivot is checked at the next pivot (after the drive-out negation and
+    the basis update) and at the end of the run.  Every column read is
+    compared with N * a_j on materialized rows.  Returns the solution and
+    the counts of p = D pivots, p != D pivots and stale rows read; a stale
+    row is one a p != D pivot left alone because its u_i was 0.
+    """
+    counts = dict.fromkeys(("p = D", "p != D", "stale rows read"), 0)
+    pivot, column, run = lpmod._Simplex._pivot, lpmod._Simplex._column, lpmod._Simplex.run
+
+    def audit_column(sx, j):
+        u = column(sx, j)
+        assert u == [sum(row[r] * v for r, v in sx.cols[j]) for row in _materialized(sx)]
+        counts["stale rows read"] += sum(e != sx.d for e in sx.dd)
+        return u
+
+    def audit_pivot(sx, l, u):
+        _assert_basis_identity(sx)
+        counts["p = D" if u[l] == sx.d else "p != D"] += 1
+        pivot(sx, l, u)
+
+    def audit_run(sx):
+        sol = run(sx)
+        _assert_basis_identity(sx)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "_column", audit_column)
+        mp.setattr(lpmod._Simplex, "_pivot", audit_pivot)
+        mp.setattr(lpmod._Simplex, "run", audit_run)
+        sol = solve(program)
+    return sol, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+@example(NEGATIVE_DRIVE_OUT)
+def test_lazy_rows_keep_the_basis_identity(program):
+    _audited_solve(program)
+
+
+def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
+    program = build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8))
+    sol, counts = _audited_solve(program)
+    assert sol.status == "optimal"
+    assert all(counts.values()), counts
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_programs(), st.data())
 def test_certificate_checkers_match_reference(program, data):

@@ -54,9 +54,13 @@ CHAIN = {
     ),
 }
 
+# (n, digest) of qprt_bound(g, 1/8); with these four every chain and qprt
+# bench solve is pinned, xor4 and maj5 being the two with the most pivots
 QPRT = {
-    "and4": "5dcee7ae98ed555c0c34b976361aa865914e2befc5ad47b7cb7ee4f1e5bb9372",
-    "maj4": "081867a08af06af48675accf43fd491d61c1e60bdcc70e151323703070378b7b",
+    "and4": (4, "5dcee7ae98ed555c0c34b976361aa865914e2befc5ad47b7cb7ee4f1e5bb9372"),
+    "maj4": (4, "081867a08af06af48675accf43fd491d61c1e60bdcc70e151323703070378b7b"),
+    "xor4": (4, "8af3bd3c7e0c8571975e9f4dd217f3f06139199e0cb4b92c2a935f8cbd0d2a4d"),
+    "maj5": (5, "35b263842b310258c9a88ec3742d9a72c4cd46e0ba4cdcaff25668ba3ef4efa2"),
 }
 
 SREC_DIST_EQ2 = "7740d271a0cfe56e7c39d2f30a6497072e5858d1102d9b120fa7d20d181a97fe"  # srec^1, eps = delta = 1/8, uniform measure
@@ -75,7 +79,8 @@ def test_chain_solution_bytes_are_pinned(name):
 
 @pytest.mark.parametrize("name", QPRT)
 def test_qprt_solution_bytes_are_pinned(name):
-    assert _digest(qprt_bound(families.make_function(name[:-1], 4, "qc"), EPS)) == QPRT[name]
+    n, digest = QPRT[name]
+    assert _digest(qprt_bound(families.make_function(name[:-1], n, "qc"), EPS)) == digest
 
 
 def test_distributional_srec_solution_bytes_are_pinned():
