@@ -14,16 +14,22 @@ solutions.
 
 The core is integer-preserving (Edmonds 1967; Bareiss 1968); no gcd is
 taken while pivoting.  Each row, sign-flipped to a nonnegative right-hand
-side, is multiplied by the lcm ``s_i`` of its denominators.  Slack, surplus
-and artificial columns keep the entry +-1 in the scaled row, so each stands
-for its original variable times ``s_i``; the artificial of row i costs
-``1/s_i`` so that the phase-1 objective is unchanged.  Positive row and
-column scaling leaves every reduced-cost sign and every ratio-test value
-as it was, so Bland's rule takes the pivots it would take on the unscaled
+side, is multiplied by the lcm ``sigma_i`` of its coefficient denominators
+only: the integer row of scale s_i is divided by g_i = gcd(s_i, *coeffs),
+so sigma_i = s_i / g_i.  A covering row sum w >= 7/8 keeps its unit
+coefficients and adds no factor 8 to det B.  The right-hand sides
+rhs_i / g_i that are left share one common denominator L_b, the lcm of
+g_i / gcd(g_i, rhs_i), which the simplex carries as a factor of x.  Slack,
+surplus and artificial columns keep the entry +-1 in the scaled row, so
+each stands for its original variable times ``sigma_i``; the artificial of
+row i costs ``1/sigma_i`` so that the phase-1 objective is unchanged.
+Positive row and column scaling, and one positive factor on all of b,
+leave every reduced-cost sign and the order of the ratio-test values as
+they were, so Bland's rule takes the pivots it would take on the unscaled
 program.  The state is integer throughout:
 
   B^-1 = N / D for the scaled basis B, with N integer and D = |det B| > 0;
-  D * x_B and L * D * y are integers (L = lcm of the phase's cost
+  D * L_b * x_B and L * D * y are integers (L = lcm of the phase's cost
   denominators), as is L * D times every reduced cost.
 
 A pivot on row l for the entering column a_e, with u = N a_e and p = u_l,
@@ -45,7 +51,8 @@ be negative; every row is then rescaled, and N, x and D are negated.  The
 integer duals Y = L * D * y are built once per phase and then updated in
 O(m) per pivot, Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the
 reduced cost of the entering column.  Fractions are made only at
-the boundary: basic values, duals, the Farkas vector and the ray.
+the boundary: basic values X_i / (D * L_b), duals, the Farkas vector and
+the ray.
 
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
@@ -166,6 +173,9 @@ class LinearProgram:
             if r.rel not in _RELS:
                 raise LpboundsError(f"unknown relation {r.rel!r}")
             cols = r.cols
+            if r.s <= 0 or 0 in r.coeffs or len(cols) != len(r.coeffs):
+                raise LpboundsError(
+                    f"row {r.label!r} needs a positive scale and one nonzero coefficient per column")
             if cols and not (0 <= cols[0] and cols[-1] < n and all(map(lt, cols, cols[1:]))):
                 raise LpboundsError(f"row {r.label!r} has columns out of order or out of range")
 
@@ -428,20 +438,24 @@ class _Simplex:
         self.cols: list[list[tuple[int, int]]] = [[] for _ in range(self.n_real)]
 
         self.flip: list[int] = []
-        self.scale: list[int] = []
-        self.x: list[int] = []  # D * basic values; the scaled b while D = 1
+        self.sigma: list[int] = []  # the lcm of row i's coefficient denominators
+        rhs: list[tuple[int, int]] = []  # sign * rhs_i / g_i in lowest terms
         rels: list[str] = []
         for i, row in enumerate(lp.rows):
             sign = -1 if row.rhs < 0 else 1
+            g = gcd(row.s, *row.coeffs)
             # columns share one (row, value) pair per distinct coefficient of the
             # row, so a wide program holds few tuples
-            entry = {a: (i, sign * a) for a in set(row.coeffs)}
+            entry = {a: (i, sign * a // g) for a in set(row.coeffs)}
             for j, a in zip(row.cols, row.coeffs):
                 self.cols[j].append(entry[a])
             self.flip.append(sign)
-            self.scale.append(row.s)
-            self.x.append(sign * row.rhs)
+            self.sigma.append(row.s // g)
+            h = gcd(g, row.rhs)
+            rhs.append((sign * row.rhs // h, g // h))
             rels.append(row.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[row.rel])
+        self.lb = lcm(*(den for _, den in rhs))  # L_b, one common denominator of b
+        self.x: list[int] = [num * (self.lb // den) for num, den in rhs]  # D * L_b * x_B
 
         self.basis: list[int] = [-1] * m
         for i, rel in enumerate(rels):
@@ -462,8 +476,8 @@ class _Simplex:
         self.cost2 = [0] * self.n_total
         for j, a in zip(lp.cost.cols, lp.cost.coeffs):
             self.cost2[j] = a
-        self.l1 = lcm(*(self.scale[i] for i in artificial_rows))
-        self.cost1 = [0] * self.n_structural + [self.l1 // self.scale[i] for i in artificial_rows]
+        self.l1 = lcm(*(self.sigma[i] for i in artificial_rows))
+        self.cost1 = [0] * self.n_structural + [self.l1 // self.sigma[i] for i in artificial_rows]
 
         self.n: list[list[int]] = [[int(i == k) for k in range(m)] for i in range(m)]
         self.dd: list[int] = [1] * m  # row i of N is n[i] * d // dd[i]
@@ -603,7 +617,7 @@ class _Simplex:
             if any(self.x[i] for i in range(self.m) if self.basis[i] >= self.n_structural):
                 den = self.l1 * self.d
                 vector = {
-                    i: Fraction(self.flip[i] * self.scale[i] * y, den)
+                    i: Fraction(self.flip[i] * self.sigma[i] * y, den)
                     for i, y in enumerate(self.y)
                     if y
                 }
@@ -614,13 +628,14 @@ class _Simplex:
             self._drive_out_artificials()
 
         status = self._iterate(self.cost2, self.n_structural)
-        x_std = {self.basis[i]: Fraction(xi, self.d) for i, xi in enumerate(self.x) if xi}
+        x_den = self.d * self.lb
+        x_std = {self.basis[i]: Fraction(xi, x_den) for i, xi in enumerate(self.x) if xi}
         primal = self._project(x_std)
         if status == "unbounded":
             enter, u = self.unbounded
-            # an entering slack or surplus of row k stands for s_k times the
-            # original one, so the original program's ray is s_k times this
-            unit = 1 if enter < self.n_real else self.scale[self.cols[enter][0][0]]
+            # an entering slack or surplus of row k stands for sigma_k times the
+            # original one, so the original program's ray is sigma_k times this
+            unit = 1 if enter < self.n_real else self.sigma[self.cols[enter][0][0]]
             ray_std = {enter: Fraction(1)}
             for i, ui in enumerate(u):
                 if ui:
@@ -632,7 +647,7 @@ class _Simplex:
 
         den = self.l2 * self.d
         dual = tuple(
-            Fraction(self.flip[i] * self.scale[i] * y, den)
+            Fraction(self.flip[i] * self.sigma[i] * y, den)
             for i, y in enumerate(self.y)
         )
         return LPSolution(

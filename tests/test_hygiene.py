@@ -1,6 +1,7 @@
 """Static checks on the source of ``src/lpbounds``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,18 @@ def _private_imports(tree: ast.Module) -> list[str]:
     return out
 
 
+def _foreign_imports(tree: ast.Module) -> list[str]:
+    """The modules ``tree`` imports from outside the standard library and lpbounds."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.append(node.module)
+    return [name for name in out
+            if name.split(".")[0] not in (*sys.stdlib_module_names, "lpbounds")]
+
+
 def _defaulted_parameters(tree: ast.Module) -> int:
     return sum(
         len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
@@ -93,3 +106,24 @@ def test_private_import_scan_sees_each_form():
 def test_defaulted_parameter_count_is_pinned():
     assert SOURCES
     assert sum(_defaulted_parameters(_tree(path)) for path in SOURCES) == DEFAULTED_PARAMETERS
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_imports_only_the_standard_library_and_lpbounds(path):
+    # pyproject.toml declares no dependency: the package is pure Python
+    assert _foreign_imports(_tree(path)) == []
+
+
+def test_foreign_import_scan_sees_each_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import json, numpy as np\n"
+        "import os.path\n"
+        "from scipy.optimize import linprog\n"
+        "from . import lp\n"
+        "from .model import A\n"
+        "from lpbounds.trees import Leaf\n"
+        "def f():\n"
+        "    import sympy\n"
+    )
+    assert _foreign_imports(tree) == ["numpy", "scipy.optimize", "sympy"]

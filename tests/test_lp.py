@@ -13,9 +13,11 @@ from reference_lp import reference_solve
 from lpbounds import families
 from lpbounds import lp as lpmod
 from lpbounds.ccbounds import SrecInstance, _rect_family, build_prt_lp, build_rprt_lp, build_srec_lp
+from lpbounds.errors import LpboundsError
 from lpbounds.lp import (
     Constraint,
     LinearProgram,
+    Row,
     check_dual_feasible,
     check_farkas,
     check_feasible,
@@ -68,6 +70,29 @@ def test_eq2_zero_error_srec_is_four():
     assert sol.value == 4
     # the solver's optimum is supported exactly on those singletons, each at 1
     assert sol.primal == {f"w_{r.rows:x}_{r.cols:x}": F(1) for r in diagonal_only}
+
+
+MALFORMED_ROWS = {
+    "zero scale": Row(0, (0,), (1,), ">=", 1, "r"),
+    "negative scale": Row(-1, (0,), (1,), ">=", 1, "r"),
+    "zero coefficient": Row(1, (0, 1), (1, 0), ">=", 1, "r"),
+    "a column without a coefficient": Row(1, (0, 1), (1,), ">=", 1, "r"),
+    "a coefficient without a column": Row(1, (0,), (1, 1), ">=", 1, "r"),
+}
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_malformed_row_is_a_typed_error(row):
+    """A program with such a row, or such an objective, is refused when it is built.
+
+    min x subject to ``Row(0, (0,), (1,), ">=", 1, "r")`` used to divide by
+    zero in the solver, and the same row with s = -1 to end as a solver bug.
+    """
+    cost = Row(1, (0,), (1,), "=", 0, "objective")
+    with pytest.raises(LpboundsError, match="'r'"):
+        LinearProgram("t", ("x", "y"), cost, (row,))
+    with pytest.raises(LpboundsError, match="'r'"):
+        LinearProgram("t", ("x", "y"), row, ())
 
 
 def test_check_feasible_reports_slack():
@@ -393,9 +418,24 @@ def _materialized(sx):
     return rows
 
 
+def _integer_rhs(sx):
+    """b as the simplex holds it: row i divided by g_i = gcd(s_i, *coeffs), times L_b.
+
+    sigma_i = s_i / g_i, and L_b is the least common multiple that makes
+    every flip_i * rhs_i / g_i an integer.
+    """
+    rhs = []
+    for f, row, sigma in zip(sx.flip, sx.lp.rows, sx.sigma):
+        g = math.gcd(row.s, *row.coeffs)
+        assert sigma == row.s // g
+        rhs.append(F(f * row.rhs, g))
+    assert sx.lb == math.lcm(*(b.denominator for b in rhs))
+    return [int(b * sx.lb) for b in rhs]
+
+
 def _assert_basis_identity(sx):
     """N * a_basis[k] = D * e_k for every basic column, and x = N * b."""
-    rows, rhs = _materialized(sx), [f * row.rhs for f, row in zip(sx.flip, sx.lp.rows)]
+    rows, rhs = _materialized(sx), _integer_rhs(sx)
     for k, j in enumerate(sx.basis):
         assert [sum(row[r] * v for r, v in sx.cols[j]) for row in rows] == [
             sx.d * (i == k) for i in range(sx.m)]
@@ -450,6 +490,47 @@ def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
     sol, counts = _audited_solve(program)
     assert sol.status == "optimal"
     assert all(counts.values()), counts
+
+
+def _pivot_trace(program):
+    """The solution, and the basis and D before every pivot and at the end of the run."""
+    trace = []
+    pivot, run = lpmod._Simplex._pivot, lpmod._Simplex.run
+
+    def record_pivot(sx, l, u):
+        trace.append((tuple(sx.basis), sx.d, l))
+        pivot(sx, l, u)
+
+    def record_run(sx):
+        sol = run(sx)
+        trace.append((tuple(sx.basis), sx.d))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "_pivot", record_pivot)
+        mp.setattr(lpmod._Simplex, "run", record_run)
+        sol = solve(program)
+    return sol, trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_program_args(), st.sampled_from([2, 7, 8]))
+def test_dividing_every_rhs_keeps_the_bases_and_d(args, k):
+    """b / k is one common factor on x: the same bases and D after every pivot.
+
+    A row's rhs denominator does not scale the row, so D = |det B| depends on
+    the coefficients alone; the point is divided by k, the dual and any
+    certificate are unchanged.
+    """
+    name, variables, objective, rows = args
+    divided = tuple(dataclasses.replace(c, rhs=c.rhs / k) for c in rows)
+    sol, trace = _pivot_trace(LinearProgram.from_constraints(*args))
+    got, got_trace = _pivot_trace(LinearProgram.from_constraints(name, variables, objective, divided))
+    assert got_trace == trace
+    assert got.status == sol.status
+    assert got.primal == {v: x / k for v, x in sol.primal.items()}
+    assert got.value == (None if sol.value is None else sol.value / k)
+    assert (got.dual, got.certificate) == (sol.dual, sol.certificate)
 
 
 @settings(max_examples=300, deadline=None)
