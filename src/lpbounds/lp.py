@@ -1,9 +1,11 @@
 """Exact rational linear programming with certified primal/dual solutions.
 
 Every program has one shape: minimise cost . x subject to its rows, with
-x >= 0.  Each bound LP (srec, prt, rprt, qprt) minimises total weight over
-nonnegative weights, so the solver, the checkers and the cache key handle
-no other sense and no free variable.
+x >= 0 and cost >= 0.  Each bound LP (srec, prt, rprt, qprt) minimises
+total weight over nonnegative weights, so the solver, the checkers and the
+cache key handle no other sense and no free variable.  No optimum is
+below 0, so every program is optimal or infeasible.  ``solve`` refuses a
+negative cost coefficient; the checkers take any program.
 
 The solver is a two-phase revised simplex with Bland's pivoting rule:
 entering variable is the lowest-index column with a negative reduced cost,
@@ -51,16 +53,14 @@ be negative; every row is then rescaled, and N, x and D are negated.  The
 integer duals Y = L * D * y are built once per phase and then updated in
 O(m) per pivot, Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the
 reduced cost of the entering column.  Fractions are made only at
-the boundary: basic values X_i / (D * L_b), duals, the Farkas vector and
-the ray.
+the boundary: basic values X_i / (D * L_b), duals and the Farkas vector.
 
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
 the derived dual program, and the two objective values are compared as
 exact rationals.  Infeasible programs come with a Farkas certificate,
-unbounded ones with an improving ray, checked by ``check_farkas`` and
-``check_ray``, and an unbounded one also with the feasible point the ray
-leaves.  Cached solutions pass the same ``certify`` on load.  The checks
+checked by ``check_farkas``.  Cached solutions pass the same ``certify``
+on load.  The checks
 are fraction-free too: they read the same integer rows as the simplex,
 scale a point by the lcm of its denominators, and a dual y_i / s_i and
 the costs by one common denominator, so every comparison and every
@@ -73,8 +73,7 @@ the integer rhs s_i * b_i and its relation, with s_i the lcm of the row's
 denominators.  The objective is held the same way.  ``scaled_row`` is the
 one place rows are scaled; the builders emit rows through it, and the
 simplex, the checkers and the cache key all read them.  Variable names
-serve the records only, and ``LinearProgram.constraints`` and
-``objective`` give the rational view back on demand.
+serve the records only.
 
 Dual conventions:
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
@@ -89,7 +88,6 @@ import json
 import os
 import struct
 import uuid
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -143,16 +141,6 @@ def unit_row(cols, rel: str, level: Fraction, label: str) -> Row:
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """A row in rational form, by variable name."""
-
-    coeffs: dict[str, Fraction]
-    rel: str
-    rhs: Fraction
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class LinearProgram:
     """min cost . x subject to ``rows`` and x >= 0, in its one integer form.
 
@@ -179,62 +167,14 @@ class LinearProgram:
             if cols and not (0 <= cols[0] and cols[-1] < n and all(map(lt, cols, cols[1:]))):
                 raise LpboundsError(f"row {r.label!r} has columns out of order or out of range")
 
-    @classmethod
-    def from_constraints(
-        cls,
-        name: str,
-        variables: tuple[str, ...],
-        objective: dict[str, Fraction],
-        constraints: tuple[Constraint, ...],
-    ) -> "LinearProgram":
-        """The program of rational rows."""
-        index = {v: j for j, v in enumerate(variables)}
-
-        def scale(con: Constraint, what: str) -> Row:
-            undeclared = [v for v in con.coeffs if v not in index]
-            if undeclared:
-                raise LpboundsError(f"{what} references undeclared variable {undeclared[0]!r}")
-            entries = sorted((index[v], Fraction(c)) for v, c in con.coeffs.items() if c)
-            rhs = Fraction(con.rhs)
-            den = lcm(rhs.denominator, *(c.denominator for _, c in entries))
-            nums = [c.numerator * (den // c.denominator) for _, c in entries]
-            rhs_num = rhs.numerator * (den // rhs.denominator)
-            return scaled_row([j for j, _ in entries], nums, den, con.rel, rhs_num, con.label)
-
-        return cls(
-            name,
-            variables,
-            scale(Constraint(objective, EQ, Fraction(0), "objective"), "objective"),
-            tuple(scale(c, f"constraint {c.label!r}") for c in constraints),
-        )
-
     @property
-    def constraints(self) -> Sequence[Constraint]:
-        """The rows in rational form, each built when it is read."""
-        return _RationalRows(self)
-
-    @property
-    def objective(self) -> dict[str, Fraction]:
-        """The objective in rational form."""
-        s = self.cost.s
-        return {self.variables[j]: Fraction(a, s) for j, a in zip(self.cost.cols, self.cost.coeffs)}
+    def constraints(self) -> tuple[Row, ...]:
+        """``rows``; kept only because the benchmark harness reads ``len(program.constraints)``."""
+        return self.rows
 
     def objective_value(self, assignment: dict[str, Fraction]) -> Fraction:
         big_l, point = _scaled_point(self, assignment)
         return Fraction(_row_dot(self.cost, point), self.cost.s * big_l)
-
-
-class _RationalRows(Sequence):
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-
-    def __len__(self) -> int:
-        return len(self.lp.rows)
-
-    def __getitem__(self, i: int) -> Constraint:
-        r, names = self.lp.rows[i], self.lp.variables
-        return Constraint({names[j]: Fraction(a, r.s) for j, a in zip(r.cols, r.coeffs)},
-                          r.rel, Fraction(r.rhs, r.s), r.label)
 
 
 @dataclass(frozen=True)
@@ -249,7 +189,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     value: Fraction | None
     primal: dict[str, Fraction]
     dual: tuple[Fraction, ...]
@@ -381,23 +321,12 @@ def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
     return not check_dual_feasible(zero, y) and dual_objective(lp, y) > 0
 
 
-def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
-    """True iff ``ray`` is a feasible improving direction (proves unboundedness).
-
-    A ray is a feasible point of the homogeneous program (every rhs 0)
-    along which the objective improves.
-    """
-    homogeneous = replace(lp, rows=tuple(replace(r, rhs=0) for r in lp.rows))
-    return lp.objective_value(ray) < 0 and not check_feasible(homogeneous, ray)
-
-
 def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
     """Every way ``sol`` fails to certify its status for ``lp``; [] iff it holds.
 
     An optimal solution needs a feasible primal over declared variables, a
     feasible dual of matching length and equal primal, dual and reported
-    values; an infeasible one a Farkas vector, an unbounded one a feasible
-    primal point (a ray alone shows no point is feasible) and a ray.
+    values; an infeasible one a Farkas vector.  Any other status is unknown.
     """
     if sol.status == "optimal":
         undeclared = sorted(set(sol.primal) - set(lp.variables))
@@ -412,18 +341,12 @@ def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
         if dual_objective(lp, sol.dual) != sol.value:
             failures.append("strong duality certificate failed")
         return failures
-    checks = {"infeasible": ("farkas", check_farkas), "unbounded": ("ray", check_ray)}
-    if sol.status not in checks:
+    if sol.status != "infeasible":
         return [f"unknown status {sol.status!r}"]
-    kind, check = checks[sol.status]
     cert = sol.certificate
-    failures = []
-    if cert is None or cert.get("kind") != kind or not check(lp, cert["vector"]):
-        failures.append(f"invalid {kind} certificate")
-    if sol.status == "unbounded":
-        failures += [f"unbounded primal failed re-check: {v}"
-                     for v in check_feasible(lp, sol.primal)]
-    return failures
+    if cert is None or cert.get("kind") != "farkas" or not check_farkas(lp, cert["vector"]):
+        return ["invalid farkas certificate"]
+    return []
 
 
 class _Simplex:
@@ -558,8 +481,13 @@ class _Simplex:
                 self.basis[i] = j
                 break
 
-    def _iterate(self, cost: list[int], limit: int) -> str:
-        """Run simplex to optimality; returns "optimal" or "unbounded"."""
+    def _iterate(self, cost: list[int], limit: int) -> None:
+        """Run simplex to optimality.
+
+        Both phases minimise a cost >= 0 (phase 1 the artificials, phase 2
+        the program's own, as ``solve`` checks), so an improving column
+        always meets a leaving row; one that does not is a solver bug.
+        """
         m, cols, basis, x = self.m, self.cols, self.basis, self.x
         in_basis = set(basis)
         y = self._duals(cost)
@@ -580,7 +508,7 @@ class _Simplex:
                     break
             if enter < 0:
                 self.y = y
-                return "optimal"
+                return
             u = self._column(enter)
             # ratio x_i / u_i over u_i > 0, compared by cross-multiplying
             leave = -1
@@ -593,8 +521,7 @@ class _Simplex:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
-                self.unbounded = (enter, u)
-                return "unbounded"
+                raise LpboundsError(f"no row leaves the basis for improving column {enter}; solver bug")
             p = u[leave]
             y = [(a * p + d_e * b) // d for a, b in zip(y, self._row(leave))]
             self._pivot(leave, u)
@@ -602,18 +529,12 @@ class _Simplex:
             in_basis.add(enter)
             basis[leave] = enter
 
-    def _project(self, std: dict[int, Fraction]) -> dict[str, Fraction]:
-        """Standard-form values of columns 0..len(variables)-1 by variable name, zeros dropped."""
-        return {v: std[j] for j, v in enumerate(self.lp.variables) if std.get(j)}
-
     def run(self) -> LPSolution:
         """Both phases; the solution is returned uncertified."""
         phase1_iterations = 0
         if self.n_total > self.n_structural:
-            status = self._iterate(self.cost1, self.n_total)
+            self._iterate(self.cost1, self.n_total)
             phase1_iterations = self.iterations
-            if status != "optimal":
-                raise LpboundsError("phase-1 objective is bounded; solver bug")
             if any(self.x[i] for i in range(self.m) if self.basis[i] >= self.n_structural):
                 den = self.l1 * self.d
                 vector = {
@@ -627,24 +548,10 @@ class _Simplex:
                 )
             self._drive_out_artificials()
 
-        status = self._iterate(self.cost2, self.n_structural)
+        self._iterate(self.cost2, self.n_structural)
         x_den = self.d * self.lb
         x_std = {self.basis[i]: Fraction(xi, x_den) for i, xi in enumerate(self.x) if xi}
-        primal = self._project(x_std)
-        if status == "unbounded":
-            enter, u = self.unbounded
-            # an entering slack or surplus of row k stands for sigma_k times the
-            # original one, so the original program's ray is sigma_k times this
-            unit = 1 if enter < self.n_real else self.sigma[self.cols[enter][0][0]]
-            ray_std = {enter: Fraction(1)}
-            for i, ui in enumerate(u):
-                if ui:
-                    ray_std[self.basis[i]] = Fraction(-ui * unit, self.d)
-            return LPSolution(
-                "unbounded", None, primal, (), self.iterations, phase1_iterations,
-                {"kind": "ray", "vector": self._project(ray_std)},
-            )
-
+        primal = {v: x_std[j] for j, v in enumerate(self.lp.variables) if j in x_std}
         den = self.l2 * self.d
         dual = tuple(
             Fraction(self.flip[i] * self.sigma[i] * y, den)
@@ -743,12 +650,18 @@ def _cache_store(path: str, sol: LPSolution) -> None:
 def solve(lp: LinearProgram) -> LPSolution:
     """Solve exactly; every result has passed ``certify`` before it is returned.
 
-    An optimal solution carries a primal point and a dual certificate that
-    pass ``check_feasible`` and ``check_dual_feasible`` with equal objective
-    values; an infeasible one a Farkas vector, an unbounded one a feasible
-    point and a ray.  With a cache directory set, the program is keyed once
-    and the key serves both the load and the store.
+    A program with a negative cost coefficient is refused, before it is
+    keyed: with cost >= 0 and x >= 0 no optimum is below 0.  An optimal
+    solution carries a primal point and a dual certificate that pass
+    ``check_feasible`` and ``check_dual_feasible`` with equal objective
+    values; an infeasible one a Farkas vector.  With a cache directory set,
+    the program is keyed once and the key serves both the load and the
+    store.
     """
+    cost = lp.cost
+    for j, a in zip(cost.cols, cost.coeffs):
+        if a < 0:
+            raise LpboundsError(f"negative cost {Fraction(a, cost.s)} on column {lp.variables[j]!r}")
     path = None if _cache_dir is None else os.path.join(_cache_dir, _program_key(lp) + ".json")
     cached = path and _cache_load(lp, path)
     if cached:

@@ -6,13 +6,18 @@ constructed separately.  Each dual maximises over (mu, phi); it is built
 as the minimisation of its negated objective over nonnegative columns, so
 its optimal value is minus the primal optimum.  A free phi is the
 difference of two nonnegative columns, ``phi_<p>`` minus ``nphi_<p>``.
+The negated objective has negative costs, which ``lpbounds.lp.solve``
+refuses: the tests check these programs with ``check_feasible`` and
+``objective_value`` and solve them with ``reference_lp.reference_solve``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lpbounds.lp import Constraint, LinearProgram
+from reference_lp import Constraint, from_constraints
+
+from lpbounds.lp import LinearProgram
 from lpbounds.model import QueryFunction, TwoPartyFunction, enumerate_rectangles, enumerate_subcubes
 from lpbounds.partition import check_unit_interval
 
@@ -49,8 +54,7 @@ def _dual_program(name, points, rows, eps, relaxed) -> LinearProgram:
         if not relaxed:
             row.update({f"nphi_{p}": -phi_sign for p in inside})
         constraints.append(Constraint(row, "<=", rhs, label))
-    return LinearProgram.from_constraints(name, mu_names + phi_names + nphi_names, objective,
-                                          tuple(constraints))
+    return from_constraints(name, mu_names + phi_names + nphi_names, objective, tuple(constraints))
 
 
 def _build_partition_dual(

@@ -7,9 +7,14 @@ Fraction arithmetic.  It takes the same Bland pivots on the unscaled
 program, so on every input the two solvers must return byte-identical
 ``LPSolution``s.  It is slow, uncached and only used by tests.
 
-``check_farkas`` and ``check_ray`` are the certificate checkers written out
-row by row, as ``lpbounds.lp`` had them before they became checks of the
-zero-objective dual and the homogeneous primal.  ``check_feasible``,
+``Constraint``, ``from_constraints``, ``rational_rows`` and ``objective``
+are the rational view of a program: the tests build programs from rational
+rows by variable name and read them back that way.  ``lpbounds.lp`` holds
+only the integer form.
+
+``check_farkas`` is the Farkas check written out row by row, as
+``lpbounds.lp`` had it before it became a check of the zero-objective
+dual.  ``check_feasible``,
 ``check_dual_feasible``, ``objective_value`` and ``dual_objective`` are the
 checks summed term by term in Fractions, as ``lpbounds.lp`` had them before
 it compared integer rows over common denominators; the two must give equal
@@ -25,12 +30,67 @@ of the program the builders now emit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from lpbounds.errors import LpboundsError
-from lpbounds.lp import EQ, GE, LE, MAX_PIVOTS, Constraint, LinearProgram, LPSolution, Row, Violation
+from lpbounds.lp import EQ, GE, LE, MAX_PIVOTS, LinearProgram, LPSolution, Row, Violation, scaled_row
 from lpbounds.model import enumerate_rectangles, full_rectangle
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """A row in rational form, by variable name."""
+
+    coeffs: dict[str, Fraction]
+    rel: str
+    rhs: Fraction
+    label: str = ""
+
+
+def from_constraints(
+    name: str,
+    variables: tuple[str, ...],
+    objective: dict[str, Fraction],
+    constraints: tuple[Constraint, ...],
+) -> LinearProgram:
+    """The program of rational rows; a coefficient of an undeclared name is an error."""
+    index = {v: j for j, v in enumerate(variables)}
+
+    def scale(con: Constraint, what: str) -> Row:
+        undeclared = [v for v in con.coeffs if v not in index]
+        if undeclared:
+            raise LpboundsError(f"{what} references undeclared variable {undeclared[0]!r}")
+        entries = sorted((index[v], Fraction(c)) for v, c in con.coeffs.items() if c)
+        rhs = Fraction(con.rhs)
+        den = lcm(rhs.denominator, *(c.denominator for _, c in entries))
+        nums = [c.numerator * (den // c.denominator) for _, c in entries]
+        rhs_num = rhs.numerator * (den // rhs.denominator)
+        return scaled_row([j for j, _ in entries], nums, den, con.rel, rhs_num, con.label)
+
+    return LinearProgram(
+        name,
+        variables,
+        scale(Constraint(objective, EQ, Fraction(0), "objective"), "objective"),
+        tuple(scale(c, f"constraint {c.label!r}") for c in constraints),
+    )
+
+
+def _rational(lp: LinearProgram, row: Row) -> Constraint:
+    names = lp.variables
+    return Constraint({names[j]: Fraction(a, row.s) for j, a in zip(row.cols, row.coeffs)},
+                      row.rel, Fraction(row.rhs, row.s), row.label)
+
+
+def rational_rows(lp: LinearProgram) -> list[Constraint]:
+    """``lp``'s rows in rational form."""
+    return [_rational(lp, r) for r in lp.rows]
+
+
+def objective(lp: LinearProgram) -> dict[str, Fraction]:
+    """``lp``'s objective in rational form."""
+    return _rational(lp, lp.cost).coeffs
 
 
 class _Simplex:
@@ -38,11 +98,11 @@ class _Simplex:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        m = len(lp.constraints)
+        m = len(lp.rows)
         self.m = m
         self.flip: list[int] = []
         rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
-        for con in lp.constraints:
+        for con in rational_rows(lp):
             coeffs, rel, rhs = con.coeffs, con.rel, con.rhs
             if rhs < 0:
                 coeffs = {v: -c for v, c in coeffs.items()}
@@ -57,9 +117,10 @@ class _Simplex:
         # columns: one per variable, then slacks, then artificials
         self.cols: list[list[tuple[int, Fraction]]] = []
         self.cost2: list[Fraction] = []  # phase-2 costs
+        cost = objective(lp)
         for v in lp.variables:
             self.cols.append([(i, coeffs[v]) for i, (coeffs, _, _) in enumerate(rows) if v in coeffs])
-            self.cost2.append(lp.objective.get(v, Fraction(0)))
+            self.cost2.append(cost.get(v, Fraction(0)))
 
         zero, one = Fraction(0), Fraction(1)
         self.basis: list[int] = [-1] * m
@@ -264,41 +325,27 @@ def _project(sx: _Simplex, std: dict[int, Fraction]) -> dict[str, Fraction]:
 
 def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
     """True iff ``vector`` certifies infeasibility of ``lp``'s constraints."""
-    y = [vector.get(i, Fraction(0)) for i in range(len(lp.constraints))]
-    for i, con in enumerate(lp.constraints):
+    rows = rational_rows(lp)
+    y = [vector.get(i, Fraction(0)) for i in range(len(rows))]
+    for i, con in enumerate(rows):
         if con.rel == GE and y[i] < 0:
             return False
         if con.rel == LE and y[i] > 0:
             return False
     col_sums: dict[str, Fraction] = {v: Fraction(0) for v in lp.variables}
-    for i, con in enumerate(lp.constraints):
+    for i, con in enumerate(rows):
         if y[i] == 0:
             continue
         for v, c in con.coeffs.items():
             col_sums[v] += y[i] * c
     if any(col_sums[v] > 0 for v in lp.variables):
         return False
-    return sum((y[i] * con.rhs for i, con in enumerate(lp.constraints)), Fraction(0)) > 0
-
-
-def check_ray(lp: LinearProgram, ray: dict[str, Fraction]) -> bool:
-    """True iff ``ray`` is a feasible improving direction (proves unboundedness)."""
-    if any(val < 0 for val in ray.values()):
-        return False
-    for con in lp.constraints:
-        lhs = sum((c * ray.get(v, Fraction(0)) for v, c in con.coeffs.items()), Fraction(0))
-        if con.rel == GE and lhs < 0:
-            return False
-        if con.rel == LE and lhs > 0:
-            return False
-        if con.rel == EQ and lhs != 0:
-            return False
-    return objective_value(lp, ray) < 0
+    return sum((y[i] * con.rhs for i, con in enumerate(rows)), Fraction(0)) > 0
 
 
 def objective_value(lp: LinearProgram, assignment: dict[str, Fraction]) -> Fraction:
     return sum(
-        (c * assignment.get(v, Fraction(0)) for v, c in lp.objective.items()),
+        (c * assignment.get(v, Fraction(0)) for v, c in objective(lp).items()),
         Fraction(0),
     )
 
@@ -309,7 +356,7 @@ def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[V
     Variables missing from the assignment are treated as 0.
     """
     out: list[Violation] = []
-    for i, con in enumerate(lp.constraints):
+    for i, con in enumerate(rational_rows(lp)):
         lhs = sum(
             (c * assignment.get(v, Fraction(0)) for v, c in con.coeffs.items()),
             Fraction(0),
@@ -334,33 +381,34 @@ def check_dual_feasible(
     lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction]
 ) -> list[Violation]:
     """Violations of the derived dual program for ``dual``; [] iff dual-feasible."""
-    if len(dual) != len(lp.constraints):
+    rows = rational_rows(lp)
+    if len(dual) != len(rows):
         raise LpboundsError("dual vector length does not match constraint count")
     out: list[Violation] = []
-    for i, con in enumerate(lp.constraints):
+    for i, con in enumerate(rows):
         y = dual[i]
         if con.rel == GE and y < 0:
             out.append(Violation("dual-sign", i, con.label, y, GE, Fraction(0)))
         if con.rel == LE and y > 0:
             out.append(Violation("dual-sign", i, con.label, y, LE, Fraction(0)))
     col_sums: dict[str, Fraction] = {v: Fraction(0) for v in lp.variables}
-    for i, con in enumerate(lp.constraints):
+    for i, con in enumerate(rows):
         y = dual[i]
         if y == 0:
             continue
         for v, c in con.coeffs.items():
             col_sums[v] += y * c
-    objective = lp.objective
+    cost = objective(lp)
     for j, v in enumerate(lp.variables):
         s = col_sums[v]
-        c = objective.get(v, Fraction(0))
+        c = cost.get(v, Fraction(0))
         if s > c:
             out.append(Violation("dual-column", j, v, s, LE, c))
     return out
 
 
 def dual_objective(lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction]) -> Fraction:
-    return sum((y * con.rhs for y, con in zip(dual, lp.constraints)), Fraction(0))
+    return sum((y * con.rhs for y, con in zip(dual, rational_rows(lp))), Fraction(0))
 
 
 def integer_row(con: Constraint) -> tuple[int, dict[str, int], int]:
@@ -376,9 +424,9 @@ def integer_row(con: Constraint) -> tuple[int, dict[str, int], int]:
     return s, row, rhs.numerator * (s // rhs.denominator)
 
 
-def reference_form(variables, objective: dict, constraints) -> list:
+def reference_form(variables, cost: dict, constraints) -> list:
     """(variables, then (s, coeffs by name, rhs, rel, label) for the objective and each row)."""
-    rows = [Constraint(objective, EQ, Fraction(0), "objective"), *constraints]
+    rows = [Constraint(cost, EQ, Fraction(0), "objective"), *constraints]
     return [tuple(variables)] + [(*integer_row(c), c.rel, c.label) for c in rows]
 
 
@@ -424,7 +472,7 @@ def partition_parts(family, eps: Fraction, relaxed: bool):
     """The variables, objective and rows of ``family``'s partition LP, built in Fractions."""
     members = list(family.members())
     names = [(f"w0_{family.tag(k)}", f"w1_{family.tag(k)}") for k in members]
-    objective = {v: family.cost(k) for k, pair in zip(members, names) for v in pair}
+    cost = {v: family.cost(k) for k, pair in zip(members, names) for v in pair}
     one = Fraction(1)
     covering: list[Constraint] = []
     mass: list[Constraint] = []
@@ -433,4 +481,4 @@ def partition_parts(family, eps: Fraction, relaxed: bool):
         covering.append(Constraint({pair[label]: one for pair in inside}, ">=", 1 - eps, f"cov_{tag}"))
         total = {v: one for pair in inside for v in pair}
         mass.append(Constraint(total, "<=" if relaxed else "=", one, f"mass_{tag}"))
-    return tuple(v for pair in names for v in pair), objective, covering + mass
+    return tuple(v for pair in names for v in pair), cost, covering + mass

@@ -118,8 +118,8 @@ def _map_partition_duals(plp, duals, relaxed):
     """
     sign = -1 if relaxed else 1
     assign = {}
-    for i, con in enumerate(plp.constraints):
-        kind, x, y = con.label.split("_")
+    for i, row in enumerate(plp.rows):
+        kind, x, y = row.label.split("_")
         if kind == "cov":
             assign[f"mu_{x}_{y}"] = duals[i]
         else:
@@ -153,7 +153,7 @@ def test_partition_dual_solves_match_on_2x2():
         (build_rprt_lp, build_rprt_dual_lp),
     ]:
         primal = solve(build_primal(f, eps))
-        dual = solve(build_dual(f, eps))
+        dual = reference_lp.reference_solve(build_dual(f, eps))
         assert -dual.value == primal.value
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import QC_CORPUS, qprt_cached
 from reference_duals import build_qprt_dual_lp, split_free
+from reference_lp import reference_solve
 
 from lpbounds import families, qcbounds
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
@@ -67,12 +68,12 @@ def test_qprt_dual_program_matches():
     g = QC_CORPUS["maj3"]
     eps = F(1, 8)
     primal = solve(build_qprt_lp(g, eps))
-    dual = solve(build_qprt_dual_lp(g, eps))
+    dual = reference_solve(build_qprt_dual_lp(g, eps))
     assert -dual.value == primal.value
     plp = build_qprt_lp(g, eps)
     assign = {}
-    for i, con in enumerate(plp.constraints):
-        kind, x = con.label.split("_")
+    for i, row in enumerate(plp.rows):
+        kind, x = row.label.split("_")
         assign[("mu" if kind == "cov" else "phi") + f"_{x}"] = primal.dual[i]
     assert check_feasible(build_qprt_dual_lp(g, eps), split_free(assign)) == []
 
