@@ -18,7 +18,7 @@ They stay apart from the partition LP: one label, packing and cap rows,
 and an averaged distributional row.  The partition bound prt and the
 relaxed partition bound rprt are the labelled partition LP of
 ``partition`` over the cells of X x Y and the nonempty rectangles at cost
-1; this module only describes that family.
+1; this module describes that family, one per shape, whose layout srec reads too.
 """
 
 from __future__ import annotations
@@ -42,14 +42,10 @@ from .rational import log2_bracket
 LabeledRectWeights = dict[tuple[int, Rectangle], Fraction]
 
 
-def _rect_var(rect: Rectangle) -> str:
-    return f"w_{rect.rows:x}_{rect.cols:x}"
-
-
-def _rect_from_var(name: str) -> tuple[int | None, Rectangle]:
-    head, rows, cols = name.split("_")
-    z = None if head == "w" else int(head[1:])
-    return z, Rectangle(int(rows, 16), int(cols, 16))
+def _rect_from_var(name: str) -> Rectangle:
+    """The rectangle of ``w_<rows>_<cols>`` or ``w<z>_<rows>_<cols>``."""
+    _, rows, cols = name.split("_")
+    return Rectangle(int(rows, 16), int(cols, 16))
 
 
 @dataclass(frozen=True)
@@ -101,23 +97,36 @@ def finish(kind: str, sol: LPSolution) -> BoundResult:
     return BoundResult(kind, sol.value, sol, lo, hi)
 
 
-@cache
-def _rect_layout(nx: int, ny: int) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-    """The variable names of the nonempty nx x ny rectangles, and for each
-    cell, x-major, the increasing columns of the rectangles containing it.
+def _rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
+    c = a.intersect(b)
+    return None if c.is_empty() else c
 
-    It depends on the shape alone, and every cache hit builds its program
-    again to find the key, so one layout serves every build of a shape.
-    """
-    rects = list(enumerate_rectangles(nx, ny))
-    containing: list[list[int]] = [[] for _ in range(nx * ny)]
-    for j, r in enumerate(rects):
-        xs = [x for x in range(nx) if (r.rows >> x) & 1]
-        for y in range(ny):
-            if (r.cols >> y) & 1:
-                for x in xs:
-                    containing[x * ny + y].append(j)
-    return tuple(map(_rect_var, rects)), tuple(map(tuple, containing))
+
+@cache
+def _rect_family(nx: int, ny: int) -> LabelledFamily:
+    """The nonempty nx x ny rectangles at cost 1, over the cells of X x Y, x-major."""
+    # cell (x, y) is x * ny + y: the x * ny of each row mask, the y of each column mask
+    starts = [[x * ny for x in range(nx) if (rows >> x) & 1] for rows in range(1 << nx)]
+    ys = [[y for y in range(ny) if (cols >> y) & 1] for cols in range(1 << ny)]
+    return LabelledFamily(
+        tags=tuple(f"{x}_{y}" for x in range(nx) for y in range(ny)),
+        members=tuple(enumerate_rectangles(nx, ny)),
+        cost=lambda r: Fraction(1),
+        tag=lambda r: f"{r.rows:x}_{r.cols:x}",
+        cells=lambda r: [s + y for s in starts[r.rows] for y in ys[r.cols]],
+        intersect=_rect_intersect,
+        sort_key=lambda r: (r.rows, r.cols),
+    )
+
+
+@cache
+def _srec_variables(nx: int, ny: int) -> tuple[str, ...]:
+    """``w_<tag>`` for each rectangle; every cache hit builds its program again to find the key."""
+    return tuple(f"w_{r.rows:x}_{r.cols:x}" for r in _rect_family(nx, ny).members)
+
+
+def _labels(f: TwoPartyFunction) -> list[int]:  # x-major, as the cells
+    return [v for row in f.table for v in row]
 
 
 def build_srec_lp(inst: SrecInstance) -> LinearProgram:
@@ -127,26 +136,26 @@ def build_srec_lp(inst: SrecInstance) -> LinearProgram:
     integer table, ``label_cells``.
     """
     f, z = inst.f, inst.z
-    names, containing = _rect_layout(f.nx, f.ny)
-    cells = list(zip([(x, y) for x in range(f.nx) for y in range(f.ny)], containing))
+    family = _rect_family(f.nx, f.ny)
+    names = _srec_variables(f.nx, f.ny)
+    cells = list(zip(family.tags, _labels(f), family.containing))
     rows: list[Row] = []
     if inst.mu is None:
-        rows += [unit_row(cols, ">=", 1 - inst.eps, f"cov_{x}_{y}")
-                 for (x, y), cols in cells if f.value(x, y) == z]
+        rows += [unit_row(cols, ">=", 1 - inst.eps, f"cov_{tag}")
+                 for tag, v, cols in cells if v == z]
     else:
         den, table = inst.mu.label_cells(f, z)
         masses = [0] * len(names)
-        for (x, y), cols in cells:
-            if table[x][y]:
+        for m, cols in zip([m for row in table for m in row], family.containing):
+            if m:
                 for j in cols:
-                    masses[j] += table[x][y]
+                    masses[j] += m
         level = 1 - inst.eps
         rows.append(scaled_row(range(len(names)), [level.denominator * m for m in masses],
                                level.denominator * den, ">=",
                                level.numerator * sum(map(sum, table)), "cov"))
-    rows += [unit_row(cols, "<=", inst.delta, f"pack_{x}_{y}")
-             for (x, y), cols in cells if f.value(x, y) != z]
-    rows += [unit_row(cols, "<=", Fraction(1), f"cap_{x}_{y}") for (x, y), cols in cells]
+    rows += [unit_row(cols, "<=", inst.delta, f"pack_{tag}") for tag, v, cols in cells if v != z]
+    rows += [unit_row(cols, "<=", Fraction(1), f"cap_{tag}") for tag, _, cols in cells]
 
     tag = "dist" if inst.mu is not None else "wc"
     return LinearProgram(
@@ -163,34 +172,15 @@ def srec_bound(inst: SrecInstance) -> BoundResult:
 
 
 def srec_weights(result: BoundResult) -> dict[Rectangle, Fraction]:
-    return {_rect_from_var(v)[1]: w for v, w in result.solution.primal.items()}
-
-
-def _rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
-    c = a.intersect(b)
-    return None if c.is_empty() else c
-
-
-def _rect_family(f: TwoPartyFunction) -> LabelledFamily:
-    return LabelledFamily(
-        points=tuple(
-            ((x, y), f.value(x, y), f"{x}_{y}") for x in range(f.nx) for y in range(f.ny)
-        ),
-        members=lambda: enumerate_rectangles(f.nx, f.ny),
-        cost=lambda r: Fraction(1),
-        tag=lambda r: f"{r.rows:x}_{r.cols:x}",
-        contains=lambda r, p: r.contains(*p),
-        intersect=_rect_intersect,
-        sort_key=lambda r: (r.rows, r.cols),
-    )
+    return {_rect_from_var(v): w for v, w in result.solution.primal.items()}
 
 
 def build_prt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _rect_family(f).primal("prt", eps, relaxed=False)
+    return _rect_family(f.nx, f.ny).primal("prt", _labels(f), eps, relaxed=False)
 
 
 def build_rprt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _rect_family(f).primal("rprt", eps, relaxed=True)
+    return _rect_family(f.nx, f.ny).primal("rprt", _labels(f), eps, relaxed=True)
 
 
 def prt_bound(f: TwoPartyFunction, eps: Fraction) -> BoundResult:
@@ -202,12 +192,7 @@ def rprt_bound(f: TwoPartyFunction, eps: Fraction) -> BoundResult:
 
 
 def partition_weights(result: BoundResult) -> LabeledRectWeights:
-    out: LabeledRectWeights = {}
-    for v, w in result.solution.primal.items():
-        z, rect = _rect_from_var(v)
-        assert z is not None
-        out[(z, rect)] = w
-    return out
+    return {(int(v[1]), _rect_from_var(v)): w for v, w in result.solution.primal.items()}
 
 
 def reduce_prt_error(
@@ -217,7 +202,7 @@ def reduce_prt_error(
 
     Every pre- and postcondition is verified by ``LabelledFamily.boost``.
     """
-    return _rect_family(f).boost(weights, t)
+    return _rect_family(f.nx, f.ny).boost(weights, _labels(f), t)
 
 
 @dataclass(frozen=True)

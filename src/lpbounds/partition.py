@@ -1,9 +1,9 @@
 """The labelled partition LP behind prt, rprt and qprt, and its verified boost.
 
-One side of the paper is a ``LabelledFamily``: a set of points p, each with
-a label z(p) in {0,1}, and an intersection-closed family of members K
-(rectangles or subcubes), each with a cost c(K).  Its partition LP has one
-weight per label and member:
+One side of the paper is a ``LabelledFamily``: the points p of one shape
+and an intersection-closed family of members K (rectangles or subcubes),
+each with a cost c(K).  A function's labels z(p) in {0,1} are passed in.
+Its partition LP has one weight per label and member:
 
     min  sum_z sum_K c(K) * w_{z,K}
     sum_{K ni p} w_{z(p),K} >= 1 - eps        for every point p  (covering)
@@ -27,18 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Callable, Generic, Hashable, Iterable, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
 
 from .boosting import majority_product_boost
 from .errors import DimensionMismatchError, InfeasibleConstructionError
 from .lp import LinearProgram, Row, scaled_row, unit_row
 from .rational import format_rational, majority_error
 
-P = TypeVar("P")
 K = TypeVar("K", bound=Hashable)
 
 LabelledWeights = dict[tuple[int, K], Fraction]
+Labels = Sequence[int]  # one label in {0,1} per point, in point order
 
 _ONE = Fraction(1)
 
@@ -64,71 +65,91 @@ class BoostResult(Generic[K]):
 
 
 @dataclass(frozen=True)
-class LabelledFamily(Generic[P, K]):
-    """Labelled points and an intersection-closed family of members.
+class LabelledFamily(Generic[K]):
+    """The points of one shape and an intersection-closed family of members.
 
-    ``points`` holds (point, label, tag) triples in row order.  ``members``
-    enumerates the family in variable order; only ``primal`` calls it, so a
-    boost never enumerates the family.  ``intersect`` returns None for an
-    empty intersection.
+    ``tags`` names the points in row order and ``members`` lists the family
+    in variable order; ``cells(member)`` gives the indices of the points a
+    member contains.  ``intersect`` returns None for an empty intersection.
+    Labels are passed in, one per point, so one family, with its layout
+    ``containing`` and its variable names worked out once, serves every build.
     """
 
-    points: tuple[tuple[P, int, str], ...]
-    members: Callable[[], Iterable[K]]
+    tags: tuple[str, ...]
+    members: tuple[K, ...]
     cost: Callable[[K], Fraction]
     tag: Callable[[K], str]
-    contains: Callable[[K, P], bool]
+    cells: Callable[[K], Iterable[int]]
     intersect: Callable[[K, K], K | None]
     sort_key: Callable[[K], object]
 
-    def primal(self, name: str, eps: Fraction, relaxed: bool) -> LinearProgram:
+    @cached_property
+    def containing(self) -> tuple[tuple[int, ...], ...]:
+        """For each point, the increasing indices of the members containing it."""
+        out: list[list[int]] = [[] for _ in self.tags]
+        appends = [column.append for column in out]  # bound once: 1 M appends at 8x8
+        for k, member in enumerate(self.members):
+            for i in self.cells(member):
+                appends[i](k)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def _member_set(self) -> frozenset[K]:
+        return frozenset(self.members)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[str, ...], Row]:
+        """The variable names of ``primal`` and its cost row."""
+        costs = [self.cost(k) for k in self.members]
+        den = lcm(*(c.denominator for c in costs))
+        nums = [c.numerator * (den // c.denominator) for c in costs for _ in (0, 1)]
+        names = tuple(f"w{z}_{self.tag(k)}" for k in self.members for z in (0, 1))
+        return names, scaled_row(range(len(nums)), nums, den, "=", 0, "objective")
+
+    def primal(self, name: str, labels: Labels, eps: Fraction, relaxed: bool) -> LinearProgram:
         """The partition LP at error eps; ``relaxed`` relaxes total mass to <= 1.
 
         Column 2k + z is the weight of label z on the k-th member.
         """
         check_unit_interval("eps", eps)
-        members = list(self.members())
-        costs = [self.cost(k) for k in members]
-        den = lcm(*(c.denominator for c in costs))
-        nums = [c.numerator * (den // c.denominator) for c in costs for _ in (0, 1)]
-        cost = scaled_row(range(len(nums)), nums, den, "=", 0, "objective")
         rel = "<=" if relaxed else "="
         covering: list[Row] = []
         mass: list[Row] = []
-        for p, label, tag in self.points:
-            inside = [2 * k for k, member in enumerate(members) if self.contains(member, p)]
-            covering.append(unit_row([j + label for j in inside], ">=", 1 - eps, f"cov_{tag}"))
-            mass.append(unit_row([j + z for j in inside for z in (0, 1)], rel, _ONE, f"mass_{tag}"))
-        return LinearProgram(
-            name,
-            tuple(f"w{z}_{self.tag(k)}" for k in members for z in (0, 1)),
-            cost,
-            tuple(covering + mass),
-        )
+        for tag, label, ks in zip(self.tags, labels, self.containing):
+            covering.append(unit_row([2 * k + label for k in ks], ">=", 1 - eps, f"cov_{tag}"))
+            mass.append(unit_row([2 * k + z for k in ks for z in (0, 1)], rel, _ONE, f"mass_{tag}"))
+        return LinearProgram(name, *self._columns, tuple(covering + mass))
 
-    def mass_at(self, weights: LabelledWeights, p: P, label: int | None = None) -> Fraction:
-        """Weight on the members containing p: all labels, or ``label`` only."""
-        inside = (
-            w for (z, k), w in weights.items() if label in (None, z) and self.contains(k, p)
-        )
-        return sum(inside, Fraction(0))
+    def masses(self, weights: LabelledWeights, labels: Labels) -> tuple[list[Fraction], ...]:
+        """Per point, the weight on the members containing it: in all, and of its own label."""
+        total = [Fraction(0)] * len(self.tags)
+        correct = list(total)
+        for (z, k), w in weights.items():
+            for i in self.cells(k):
+                total[i] += w
+                if labels[i] == z:
+                    correct[i] += w
+        return total, correct
 
     def objective(self, weights: LabelledWeights) -> Fraction:
         return sum((self.cost(k) * w for (_, k), w in weights.items()), Fraction(0))
 
-    def boost(self, weights: LabelledWeights, t: int) -> BoostResult:
+    def boost(self, weights: LabelledWeights, labels: Labels, t: int) -> BoostResult:
         """t-fold majority product of an exact-total-mass solution.
 
-        Preconditions (verified): t odd; per-point total mass is exactly 1.
+        Preconditions (verified): every member is in the family; per-point
+        total mass is exactly 1; t odd (by ``majority_product_boost``).
         Postconditions (verified): the objective is at most (input
         objective)**t; per-point total mass stays exactly 1; per-point
         correct mass equals 1 - tail(a_p, t), where a_p is the input's
         correct mass at p.
         """
-        if t < 1 or t % 2 == 0:
-            raise ValueError(f"vote count must be a positive odd integer, got {t}")
-        for p, _, tag in self.points:
-            if self.mass_at(weights, p) != 1:
+        for _, k in weights:
+            if k not in self._member_set:
+                raise DimensionMismatchError(f"member {self.tag(k)} is outside the family's shape")
+        total, correct = self.masses(weights, labels)
+        for tag, mass in zip(self.tags, total):
+            if mass != 1:
                 raise InfeasibleConstructionError(
                     f"input is not an exact-mass partition solution at {tag}"
                 )
@@ -137,11 +158,11 @@ class LabelledFamily(Generic[P, K]):
         if objective > self.objective(weights) ** t:
             raise InfeasibleConstructionError("boosted objective exceeds the product bound")
         worst = Fraction(0)
-        for p, label, tag in self.points:
-            if self.mass_at(boosted, p) != 1:
+        for tag, a, mass, hit in zip(self.tags, correct, *self.masses(boosted, labels)):
+            if mass != 1:
                 raise InfeasibleConstructionError(f"boosted total mass at {tag} is not 1")
-            tail = majority_error(self.mass_at(weights, p, label), t)
-            if self.mass_at(boosted, p, label) != 1 - tail:
+            tail = majority_error(a, t)
+            if hit != 1 - tail:
                 raise InfeasibleConstructionError(
                     f"boosted correct mass at {tag} differs from the binomial tail"
                 )

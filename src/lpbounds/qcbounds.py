@@ -2,8 +2,8 @@
 
 The query partition bound qprt is the labelled partition LP of
 ``partition`` over the points of {0,1}^n and the subcubes A at cost
-2^{|A|}, where |A| is the support size; this module only describes that
-family.
+2^{|A|}, where |A| is the support size; this module describes that
+family, one per bit count.
 
 Error boosting is majority voting over t independent copies; the exact
 per-point guarantee is the binomial tail, not a Chernoff estimate.  A
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import lp as lpmod
 from .ccbounds import BoundResult, finish
@@ -45,26 +46,24 @@ def _cube_from_var(name: str) -> tuple[int, Subcube]:
     return int(head[1:]), Subcube.from_pattern(pattern)
 
 
-def _cube_family(g: QueryFunction) -> LabelledFamily:
-    def members() -> list[Subcube]:
-        cubes = list(enumerate_subcubes(g.n))
-        if 2 * len(cubes) > QPRT_VARIABLE_CAP:
-            raise CapExceededError(f"{2 * len(cubes)} variables exceed the qprt cap")
-        return cubes
-
+@cache
+def _cube_family(n: int) -> LabelledFamily:
+    """The subcubes of {0,1}^n at cost 2^|A|, over its points in increasing order."""
+    if 2 * 3**n > QPRT_VARIABLE_CAP:
+        raise CapExceededError(f"{2 * 3**n} variables exceed the qprt cap")
     return LabelledFamily(
-        points=tuple((x, g.value(x), str(x)) for x in range(1 << g.n)),
-        members=members,
+        tags=tuple(map(str, range(1 << n))),
+        members=tuple(enumerate_subcubes(n)),
         cost=lambda cube: Fraction(1 << cube.size),
         tag=Subcube.pattern,
-        contains=Subcube.contains,
+        cells=Subcube.members,
         intersect=Subcube.intersect,
         sort_key=cube_key,
     )
 
 
 def build_qprt_lp(g: QueryFunction, eps: Fraction) -> LinearProgram:
-    return _cube_family(g).primal("qprt", eps, relaxed=False)
+    return _cube_family(g.n).primal("qprt", g.table, eps, relaxed=False)
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,7 @@ class QprtSolution:
 
     @property
     def objective(self) -> Fraction:
-        return sum(
-            (w * (1 << cube.size) for (_, cube), w in self.weights.items()),
-            Fraction(0),
-        )
+        return _cube_family(self.n).objective(self.weights)
 
 
 def qprt_bound(g: QueryFunction, eps: Fraction) -> BoundResult:
@@ -87,11 +83,7 @@ def qprt_bound(g: QueryFunction, eps: Fraction) -> BoundResult:
 
 
 def qprt_solution(g: QueryFunction, result: BoundResult) -> QprtSolution:
-    weights: LabeledCubeWeights = {}
-    for name, w in result.solution.primal.items():
-        z, cube = _cube_from_var(name)
-        weights[(z, cube)] = w
-    return QprtSolution(g.n, weights)
+    return QprtSolution(g.n, {_cube_from_var(v): w for v, w in result.solution.primal.items()})
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,7 @@ def boost_qprt(sol: QprtSolution, g: QueryFunction, t: int) -> BoostedQprt:
 
     Every pre- and postcondition is verified by ``LabelledFamily.boost``.
     """
-    boosted = _cube_family(g).boost(sol.weights, t)
+    boosted = _cube_family(g.n).boost(sol.weights, g.table, t)
     return BoostedQprt(QprtSolution(sol.n, boosted.weights), t, boosted.achieved_error)
 
 

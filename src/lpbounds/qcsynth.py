@@ -293,6 +293,8 @@ def synthesis_pipeline(
 
     if eps >= Fraction(1, 2):
         raise ValueError("the base error level must be below 1/2")
+    if delta is not None and delta <= 0:  # build_decision_tree checks it too, after the solve
+        raise ValueError("delta must be positive")
     if g.n != mu.n:  # before the qprt solve, with the message label_sums gives
         raise DimensionMismatchError(
             f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {g.n}"

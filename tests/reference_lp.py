@@ -468,17 +468,23 @@ def srec_parts(inst) -> tuple[tuple[str, ...], dict[str, Fraction], list[Constra
     return names, {name: one for name in names}, constraints
 
 
-def partition_parts(family, eps: Fraction, relaxed: bool):
-    """The variables, objective and rows of ``family``'s partition LP, built in Fractions."""
-    members = list(family.members())
+def partition_parts(family, fn, points, eps: Fraction, relaxed: bool):
+    """The variables, objective and rows of ``fn``'s partition LP over ``family``'s members,
+    built in Fractions.
+
+    ``points`` are the arguments of ``fn`` in row order.  Containment comes
+    from the members' own ``contains``, not from the family's ``cells``.
+    """
+    members = family.members
     names = [(f"w0_{family.tag(k)}", f"w1_{family.tag(k)}") for k in members]
     cost = {v: family.cost(k) for k, pair in zip(members, names) for v in pair}
     one = Fraction(1)
     covering: list[Constraint] = []
     mass: list[Constraint] = []
-    for p, label, tag in family.points:
-        inside = [pair for k, pair in zip(members, names) if family.contains(k, p)]
-        covering.append(Constraint({pair[label]: one for pair in inside}, ">=", 1 - eps, f"cov_{tag}"))
+    for p in points:
+        tag = "_".join(map(str, p))
+        inside = [pair for k, pair in zip(members, names) if k.contains(*p)]
+        covering.append(Constraint({pair[fn.value(*p)]: one for pair in inside}, ">=", 1 - eps, f"cov_{tag}"))
         total = {v: one for pair in inside for v in pair}
         mass.append(Constraint(total, "<=" if relaxed else "=", one, f"mass_{tag}"))
     return tuple(v for pair in names for v in pair), cost, covering + mass

@@ -625,8 +625,9 @@ def test_corpus_integer_form_matches_the_reference_rows():
     eps, count = F(1, 8), 0
     for family in ("eq", "gt", "and", "xor", "disj"):
         f = families.make_function(family, 2, "cc")
-        pairs = [(build_prt_lp(f, eps), reference_lp.partition_parts(_rect_family(f), eps, False)),
-                 (build_rprt_lp(f, eps), reference_lp.partition_parts(_rect_family(f), eps, True))]
+        rects, cells = _rect_family(f.nx, f.ny), [(x, y) for x in range(f.nx) for y in range(f.ny)]
+        pairs = [(build_prt_lp(f, eps), reference_lp.partition_parts(rects, f, cells, eps, False)),
+                 (build_rprt_lp(f, eps), reference_lp.partition_parts(rects, f, cells, eps, True))]
         for z in (0, 1):
             inst = SrecInstance(f, z, eps, eps)
             pairs.append((build_srec_lp(inst), reference_lp.srec_parts(inst)))
@@ -635,7 +636,8 @@ def test_corpus_integer_form_matches_the_reference_rows():
             count += 1
     for family, n in (("and", 4), ("maj", 5), ("xor", 4), ("maj", 4)):
         g = families.make_function(family, n, "qc")
-        parts = reference_lp.partition_parts(_cube_family(g), eps, False)
+        points = [(x,) for x in range(1 << n)]
+        parts = reference_lp.partition_parts(_cube_family(n), g, points, eps, False)
         assert reference_lp.integer_form(build_qprt_lp(g, eps)) == reference_lp.reference_form(*parts)
         count += 1
     assert count == len(list(_corpus_programs()))

@@ -10,10 +10,17 @@ from fractions import Fraction as F
 import pytest
 
 from lpbounds import families, lp
-from lpbounds.ccbounds import build_prt_lp, build_rprt_lp
-from lpbounds.errors import InfeasibleConstructionError
-from lpbounds.model import Subcube
-from lpbounds.qcbounds import QprtSolution, boost_qprt, build_qprt_lp
+from lpbounds.ccbounds import (
+    SrecInstance,
+    _rect_family,
+    build_prt_lp,
+    build_rprt_lp,
+    build_srec_lp,
+    reduce_prt_error,
+)
+from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
+from lpbounds.model import ProductDistribution2P, Rectangle, Subcube
+from lpbounds.qcbounds import QprtSolution, _cube_family, boost_qprt, build_qprt_lp
 
 
 @pytest.mark.parametrize(
@@ -32,8 +39,62 @@ def test_partition_program_keys_are_pinned(build, family, m, side, key):
     assert lp._program_key(build(families.make_function(family, m, side), F(1, 8))) == key
 
 
+@pytest.mark.parametrize(("nx", "ny"), [(nx, ny) for nx in range(1, 5) for ny in range(1, 5)])
+def test_rectangle_layout_is_the_contains_scan(nx, ny):
+    family = _rect_family(nx, ny)
+    cells = [(x, y) for x in range(nx) for y in range(ny)]
+    assert family.containing == tuple(
+        tuple(k for k, r in enumerate(family.members) if r.contains(x, y)) for x, y in cells
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_subcube_layout_is_the_contains_scan(n):
+    family = _cube_family(n)
+    assert family.containing == tuple(
+        tuple(k for k, c in enumerate(family.members) if c.contains(x)) for x in range(1 << n)
+    )
+
+
+def test_builds_of_one_shape_share_one_layout():
+    eps = F(1, 8)
+    _rect_family.cache_clear()
+    _cube_family.cache_clear()
+    layout = _rect_family(4, 4).containing
+    for f in (families.eq(2), families.gt(2)):
+        build_srec_lp(SrecInstance(f, 1, eps, eps))
+        build_srec_lp(SrecInstance(f, 0, eps, eps, ProductDistribution2P.uniform(4, 4)))
+        build_prt_lp(f, eps)
+        build_rprt_lp(f, eps)
+    assert _rect_family(4, 4).containing is layout
+    assert _rect_family.cache_info().misses == 1
+    build_qprt_lp(families.maj_q(3), eps)
+    layout = _cube_family(3).containing
+    build_qprt_lp(families.and_q(3), eps)
+    assert _cube_family(3).containing is layout
+    assert _cube_family.cache_info().misses == 1
+
+
 def test_qprt_boost_requires_exact_total_mass():
     g = families.and_q(2)
     half = QprtSolution(2, {(0, Subcube(2, 0, 0)): F(1, 2)})
     with pytest.raises(InfeasibleConstructionError, match="input is not an exact-mass"):
         boost_qprt(half, g, 3)
+
+
+@pytest.mark.parametrize(
+    ("boost", "weights"),
+    [
+        (lambda w: boost_qprt(QprtSolution(2, w), families.and_q(2), 3), {(0, Subcube(3, 0, 0)): F(1)}),
+        (lambda w: boost_qprt(QprtSolution(2, w), families.and_q(2), 3), {(0, Subcube(3, 0, 0)): F(1, 2)}),
+        (lambda w: reduce_prt_error(w, families.and2p(1), 3), {(0, Rectangle(0xFF, 0xF)): F(1)}),
+        # every cell of this one has an index inside the 2x2 shape
+        (lambda w: reduce_prt_error(w, families.and2p(1), 3), {(0, Rectangle(0b1, 0b100)): F(1)}),
+        (lambda w: reduce_prt_error(w, families.and2p(1), 3), {(1, Rectangle(0, 0b1)): F(1)}),
+    ],
+    ids=["cube-n3", "cube-n3-half-mass", "rect-8x4", "rect-col-2", "rect-empty"],
+)
+def test_boost_rejects_a_member_outside_the_shape(boost, weights):
+    """The member check comes before any mass is summed: not an IndexError, not a mass error."""
+    with pytest.raises(DimensionMismatchError, match="is outside the family.s shape"):
+        boost(weights)

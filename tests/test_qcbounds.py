@@ -99,11 +99,12 @@ def test_boost_three_votes_exact_guarantees():
     res = qprt_bound(g, F(1, 4))
     sol = qprt_solution(g, res)
     boosted = boost_qprt(sol, g, 3)  # verifies mass, tails, objective internally
-    family = qcbounds._cube_family(g)
+    family = qcbounds._cube_family(g.n)
+    _, correct = family.masses(sol.weights, g.table)
+    total, boosted_correct = family.masses(boosted.solution.weights, g.table)
     for x in range(4):
-        assert family.mass_at(boosted.solution.weights, x) == 1
-        a = family.mass_at(sol.weights, x, g.value(x))
-        assert family.mass_at(boosted.solution.weights, x, g.value(x)) == 1 - majority_error(a, 3)
+        assert total[x] == 1
+        assert boosted_correct[x] == 1 - majority_error(correct[x], 3)
     assert boosted.solution.objective <= res.value**3
     # independent feasibility re-check at the achieved error level
     lp = build_qprt_lp(g, boosted.achieved_error)

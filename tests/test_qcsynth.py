@@ -161,6 +161,16 @@ def test_pipeline_rejects_a_measure_of_another_bit_count_before_solving(monkeypa
         synthesis_pipeline(QC_CORPUS["maj3"], U2)
 
 
+@pytest.mark.parametrize("delta", [F(0), F(-1, 16)])
+def test_pipeline_rejects_a_nonpositive_delta_before_solving(monkeypatch, delta):
+    def no_solve(lp):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lpmod, "solve", no_solve)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        synthesis_pipeline(QC_CORPUS["maj3"], U3, F(1, 8), delta)
+
+
 def test_pipeline_constant_one():
     g = families.const_q(3, 1)
     rep = synthesis_pipeline(g, U3)
