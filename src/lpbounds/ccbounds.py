@@ -115,14 +115,14 @@ def _rect_family(nx: int, ny: int) -> LabelledFamily:
         tag=lambda r: f"{r.rows:x}_{r.cols:x}",
         cells=lambda r: [s + y for s in starts[r.rows] for y in ys[r.cols]],
         intersect=_rect_intersect,
-        sort_key=lambda r: (r.rows, r.cols),
     )
 
 
 @cache
-def _srec_variables(nx: int, ny: int) -> tuple[str, ...]:
-    """``w_<tag>`` for each rectangle; every cache hit builds its program again to find the key."""
-    return tuple(f"w_{r.rows:x}_{r.cols:x}" for r in _rect_family(nx, ny).members)
+def _srec_columns(nx: int, ny: int) -> tuple[tuple[str, ...], Row]:
+    """``w_<tag>`` per rectangle and the unit cost row; every cache hit builds its program again."""
+    names = tuple(f"w_{r.rows:x}_{r.cols:x}" for r in _rect_family(nx, ny).members)
+    return names, unit_row(range(len(names)), "=", Fraction(0), "objective")
 
 
 def _labels(f: TwoPartyFunction) -> list[int]:  # x-major, as the cells
@@ -137,7 +137,7 @@ def build_srec_lp(inst: SrecInstance) -> LinearProgram:
     """
     f, z = inst.f, inst.z
     family = _rect_family(f.nx, f.ny)
-    names = _srec_variables(f.nx, f.ny)
+    names, cost = _srec_columns(f.nx, f.ny)
     cells = list(zip(family.tags, _labels(f), family.containing))
     rows: list[Row] = []
     if inst.mu is None:
@@ -156,14 +156,7 @@ def build_srec_lp(inst: SrecInstance) -> LinearProgram:
                                level.numerator * sum(map(sum, table)), "cov"))
     rows += [unit_row(cols, "<=", inst.delta, f"pack_{tag}") for tag, v, cols in cells if v != z]
     rows += [unit_row(cols, "<=", Fraction(1), f"cap_{tag}") for tag, _, cols in cells]
-
-    tag = "dist" if inst.mu is not None else "wc"
-    return LinearProgram(
-        f"srec[z={z},{tag}]",
-        names,
-        unit_row(range(len(names)), "=", Fraction(0), "objective"),
-        tuple(rows),
-    )
+    return LinearProgram(names, cost, tuple(rows))
 
 
 def srec_bound(inst: SrecInstance) -> BoundResult:
@@ -176,11 +169,11 @@ def srec_weights(result: BoundResult) -> dict[Rectangle, Fraction]:
 
 
 def build_prt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _rect_family(f.nx, f.ny).primal("prt", _labels(f), eps, relaxed=False)
+    return _rect_family(f.nx, f.ny).primal(_labels(f), eps, relaxed=False)
 
 
 def build_rprt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _rect_family(f.nx, f.ny).primal("rprt", _labels(f), eps, relaxed=True)
+    return _rect_family(f.nx, f.ny).primal(_labels(f), eps, relaxed=True)
 
 
 def prt_bound(f: TwoPartyFunction, eps: Fraction) -> BoundResult:

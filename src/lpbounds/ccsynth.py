@@ -333,8 +333,7 @@ def synthesize(
             block_tree = Leaf(popular_label(*cur.label_masses(f, dec.block)))
         else:
             assert dec.restricted is not None and dec.sub_eps is not None
-            restricted = dec.restricted
-            sub_w0, sub_w1 = (w0, restricted) if z_star == 0 else (restricted, w1)
+            sub_w0, sub_w1 = (w0, dec.restricted) if z_star == 0 else (dec.restricted, w1)
             block_tree = build(
                 dec.block,
                 cur.restrict(dec.block),
@@ -345,24 +344,14 @@ def synthesize(
                 sub_w1,
             )
 
-        if dec.case == "01":
-            rest = Rectangle(active.rows & ~s_rect.rows, active.cols)
-            rest_tree = build(rest, cur.restrict(rest), eps, s, t - 1, w0, w1)
-            tree: ProtocolTree = PNode(
-                "A",
-                s_rect.rows,
-                PNode("B", s_rect.cols, Leaf(z_star), block_tree),
-                rest_tree,
-            )
-        else:
+        # block "01" (X0 x Y1): A asks about X0, then B about Y0; block "10" the other way round
+        first, second = ("A", s_rect.rows), ("B", s_rect.cols)
+        rest = Rectangle(active.rows & ~s_rect.rows, active.cols)
+        if dec.case == "10":
+            first, second = second, first
             rest = Rectangle(active.rows, active.cols & ~s_rect.cols)
-            rest_tree = build(rest, cur.restrict(rest), eps, s, t - 1, w0, w1)
-            tree = PNode(
-                "B",
-                s_rect.cols,
-                PNode("A", s_rect.rows, Leaf(z_star), block_tree),
-                rest_tree,
-            )
+        rest_tree = build(rest, cur.restrict(rest), eps, s, t - 1, w0, w1)
+        tree = PNode(*first, PNode(*second, Leaf(z_star), block_tree), rest_tree)
 
         l_sub, l_rest = leaf_count(block_tree), leaf_count(rest_tree)
         if not (within_leaf_budget(l_sub, s - 1, t) and within_leaf_budget(l_rest, s, t - 1)):
@@ -575,18 +564,16 @@ def protocol_pipeline(
         if n < 2:  # delta <= 1/n**2 must lie in (0, 1)
             raise DimensionMismatchError("part 1 needs at least 4 x 4 inputs")
         target = Fraction(1, n * n)
-        q, delta = largest_fourth_power_at_most(target)
-        eps = delta
         big_delta = Fraction(1, 1 << (4 * n))
     elif part == 2:
         if k is None or k < 20:
             raise ValueError("part 2 requires an explicit k >= 20")
         target = Fraction(1, 3000 * (k + 1) ** 4)
-        q, delta = largest_fourth_power_at_most(target)
-        eps = delta
         big_delta = Fraction(1, 1 << (5 * k * k))
     else:
         raise ValueError("part must be 1 or 2")
+    q, delta = largest_fourth_power_at_most(target)
+    eps = delta
 
     _check_big_delta(big_delta, mu.total)  # before either LP is solved
     r0 = srec_bound(SrecInstance(f, 0, eps, delta, mu))

@@ -85,13 +85,17 @@ _BOUNDS = {
 }
 
 
-def run_bounds(args: dict) -> list[dict]:
+def run_bounds(args: dict) -> tuple[list[dict], None]:
     fn = serialize.parse_function(_read(args["function"]))
     fn_hash = serialize.function_hash(fn)
     eps = parse_rational(args["eps"])
     which = args["which"]
     if which not in _BOUNDS:
         raise ParseError(f"unknown bound kind {which!r}")
+    if which != "srec":
+        for key in ("delta", "z", "dist"):  # read by srec alone; a run record must not hold them
+            if args.get(key) is not None:
+                raise ParseError(f"{which} takes no --{key}; only srec reads it")
     # checked after eps is parsed: a replayed record with both faults reports the eps one
     side, kind, partition_bound = _BOUNDS[which]
     if not isinstance(fn, kind):
@@ -132,7 +136,7 @@ def run_bounds(args: dict) -> list[dict]:
         )
         asserts["chain prt>=rprt>=srec"] = prt_v >= rprt_v >= srec_v
     records.append(_summary(asserts))
-    return records
+    return records, None
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,7 @@ def run_synth_qc(args: dict) -> tuple[list[dict], str | None]:
 # oracle
 
 
-def run_oracle(args: dict) -> list[dict]:
+def run_oracle(args: dict) -> tuple[list[dict], None]:
     fn = serialize.parse_function(_read(args["function"]))
     depth = int(args["depth"])
     if isinstance(fn, TwoPartyFunction):
@@ -289,7 +293,7 @@ def run_oracle(args: dict) -> list[dict]:
         if artifact_depth <= depth:
             asserts["oracle <= artifact error"] = res.best_error <= measured
     records.append(_summary(asserts))
-    return records
+    return records, None
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +312,7 @@ def _rational_arg(text: str) -> str:
 class _Command:
     """A replayable command: its runner, its flags, and what its run record holds."""
 
-    run: Callable[[dict], object]  # records, or (records, tree text) if writes_tree
+    run: Callable[[dict], tuple[list[dict], str | None]]  # records and tree text, if any
     help: str
     flags: dict[str, dict]  # argparse name -> add_argument options; each is a run-record arg
     inputs: tuple[str, ...]  # the args naming input files, whose hashes it records
@@ -373,12 +377,6 @@ _COMMANDS = {
 }
 
 
-def _run(command: _Command, args: dict) -> tuple[list[dict], str | None]:
-    """Records and tree text (None for commands that write no tree)."""
-    result = command.run(args)
-    return result if command.writes_tree else (result, None)
-
-
 def _check_run_record(run: dict) -> None:
     command, args = run.get("command"), run.get("args")
     if not isinstance(command, str) or command not in _COMMANDS:
@@ -413,7 +411,7 @@ def run_verify(path: str) -> int:
         print(f"{'PASS' if good else 'FAIL'} input {ref}")
         ok = ok and good
     if ok:
-        recomputed = [run] + _run(_COMMANDS[run["command"]], run["args"])[0]
+        recomputed = [run] + _COMMANDS[run["command"]].run(run["args"])[0]
         same = serialize.dump_records(recomputed) == serialize.dump_records(records)
         print(f"{'PASS' if same else 'FAIL'} records reproduce byte-identically")
         ok = ok and same
@@ -488,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         command = _COMMANDS[ns.command]
         args = {key: getattr(ns, key) for key in command.arg_types()}
         inputs = {args[key]: _sha256(_read(args[key])) for key in command.inputs if args[key]}
-        records, tree_text = _run(command, args)
+        records, tree_text = command.run(args)
         if tree_text and ns.tree_out:
             _write(ns.tree_out, tree_text)
         elif command.writes_tree and ns.tree_out:

@@ -58,9 +58,9 @@ the boundary: basic values X_i / (D * L_b), duals and the Farkas vector.
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
 the derived dual program, and the two objective values are compared as
-exact rationals.  Infeasible programs come with a Farkas certificate,
-checked by ``check_farkas``.  Cached solutions pass the same ``certify``
-on load.  The checks
+exact rationals.  An infeasible program comes with its Farkas vector,
+``LPSolution.farkas`` (y_i by row i), checked by ``check_farkas``.
+Cached solutions pass the same ``certify`` on load.  The checks
 are fraction-free too: they read the same integer rows as the simplex,
 scale a point by the lcm of its denominators, and a dual y_i / s_i and
 the costs by one common denominator, so every comparison and every
@@ -72,8 +72,10 @@ its column indices in increasing order, the integer coefficients s_i * a_ij,
 the integer rhs s_i * b_i and its relation, with s_i the lcm of the row's
 denominators.  The objective is held the same way.  ``scaled_row`` is the
 one place rows are scaled; the builders emit rows through it, and the
-simplex, the checkers and the cache key all read them.  Variable names
-serve the records only.
+simplex, the checkers and the cache key all read them.  A row checks its
+own form once (``Row.fault``), so the shape-only rows that many programs
+share are not checked again per build.  Variable names serve the records
+only.
 
 Dual conventions:
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
@@ -90,6 +92,7 @@ import struct
 import uuid
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import lt, mul
 
@@ -116,6 +119,14 @@ class Row:
     rel: str
     rhs: int
     label: str
+
+    @cached_property
+    def fault(self) -> str | None:
+        """What breaks that form, or None; checked once per row, which programs may share."""
+        cols = self.cols
+        if self.s <= 0 or 0 in self.coeffs or len(cols) != len(self.coeffs):
+            return "needs a positive scale and one nonzero coefficient per column"
+        return None if all(map(lt, cols, cols[1:])) else "has columns out of order"
 
 
 def scaled_row(cols, nums, den: int, rel: str, rhs: int, label: str) -> Row:
@@ -148,7 +159,6 @@ class LinearProgram:
     ``rows`` the constraints.  Column j is ``variables[j]``.
     """
 
-    name: str
     variables: tuple[str, ...]
     cost: Row
     rows: tuple[Row, ...]
@@ -160,12 +170,10 @@ class LinearProgram:
         for r in (self.cost, *self.rows):
             if r.rel not in _RELS:
                 raise LpboundsError(f"unknown relation {r.rel!r}")
-            cols = r.cols
-            if r.s <= 0 or 0 in r.coeffs or len(cols) != len(r.coeffs):
-                raise LpboundsError(
-                    f"row {r.label!r} needs a positive scale and one nonzero coefficient per column")
-            if cols and not (0 <= cols[0] and cols[-1] < n and all(map(lt, cols, cols[1:]))):
-                raise LpboundsError(f"row {r.label!r} has columns out of order or out of range")
+            if r.fault:
+                raise LpboundsError(f"row {r.label!r} {r.fault}")
+            if r.cols and not 0 <= r.cols[0] <= r.cols[-1] < n:
+                raise LpboundsError(f"row {r.label!r} has columns out of range")
 
     @property
     def constraints(self) -> tuple[Row, ...]:
@@ -195,7 +203,7 @@ class LPSolution:
     dual: tuple[Fraction, ...]
     iterations: int
     phase1_iterations: int
-    certificate: dict | None = None
+    farkas: dict[int, Fraction] | None = None  # y_i by row i, for an infeasible program
 
     def to_record(self) -> dict:
         rec = {
@@ -206,14 +214,8 @@ class LPSolution:
             "iterations": self.iterations,
             "phase1_iterations": self.phase1_iterations,
         }
-        if self.certificate is not None:
-            rec["certificate"] = {
-                "kind": self.certificate["kind"],
-                "vector": {
-                    k: format_rational(v)
-                    for k, v in sorted(self.certificate["vector"].items())
-                },
-            }
+        if self.farkas is not None:
+            rec["farkas"] = {i: format_rational(y) for i, y in sorted(self.farkas.items())}
         return rec
 
     def canonical_bytes(self) -> bytes:
@@ -343,8 +345,7 @@ def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
         return failures
     if sol.status != "infeasible":
         return [f"unknown status {sol.status!r}"]
-    cert = sol.certificate
-    if cert is None or cert.get("kind") != "farkas" or not check_farkas(lp, cert["vector"]):
+    if sol.farkas is None or not check_farkas(lp, sol.farkas):
         return ["invalid farkas certificate"]
     return []
 
@@ -536,15 +537,9 @@ class _Simplex:
             self._iterate(self.cost1, self.n_total)
             phase1_iterations = self.iterations
             if any(self.x[i] for i in range(self.m) if self.basis[i] >= self.n_structural):
-                den = self.l1 * self.d
-                vector = {
-                    i: Fraction(self.flip[i] * self.sigma[i] * y, den)
-                    for i, y in enumerate(self.y)
-                    if y
-                }
+                farkas = {i: y for i, y in enumerate(self._row_duals(self.l1)) if y}
                 return LPSolution(
-                    "infeasible", None, {}, (), self.iterations, phase1_iterations,
-                    {"kind": "farkas", "vector": vector},
+                    "infeasible", None, {}, (), self.iterations, phase1_iterations, farkas
                 )
             self._drive_out_artificials()
 
@@ -552,15 +547,15 @@ class _Simplex:
         x_den = self.d * self.lb
         x_std = {self.basis[i]: Fraction(xi, x_den) for i, xi in enumerate(self.x) if xi}
         primal = {v: x_std[j] for j, v in enumerate(self.lp.variables) if j in x_std}
-        den = self.l2 * self.d
-        dual = tuple(
-            Fraction(self.flip[i] * self.sigma[i] * y, den)
-            for i, y in enumerate(self.y)
-        )
         return LPSolution(
-            "optimal", self.lp.objective_value(primal), primal, dual,
+            "optimal", self.lp.objective_value(primal), primal, tuple(self._row_duals(self.l2)),
             self.iterations, phase1_iterations,
         )
+
+    def _row_duals(self, big_l: int) -> list[Fraction]:
+        """The last phase's duals of the program's rows: L * D, sigma_i and the flip undone."""
+        den = big_l * self.d
+        return [Fraction(f * s * y, den) for f, s, y in zip(self.flip, self.sigma, self.y)]
 
 
 _cache_dir: str | None = None
@@ -579,8 +574,7 @@ def _program_key(lp: LinearProgram) -> str:
     that keep keys equal to those of existing cache entries, then each row,
     the objective first: its relation, scale, rhs, length and coefficients
     as text (one coefficient for a row whose coefficients are all equal),
-    then its columns as 8-byte integers.  The program's name and the row
-    labels play no part.
+    then its columns as 8-byte integers.  The row labels play no part.
     """
     h = hashlib.sha256(f"min\n{json.dumps(lp.variables)}\n[]\n".encode())
     for r in (lp.cost, *lp.rows):

@@ -318,16 +318,6 @@ class BitProductDistribution:
     def n(self) -> int:
         return len(self.p)
 
-    def mass(self, cube: Subcube) -> Fraction:
-        """mu(cube); free coordinates marginalize out exactly."""
-        if cube.n != self.n:
-            raise DimensionMismatchError("subcube bit count does not match measure")
-        m = Fraction(1)
-        for i, q in enumerate(self.p):
-            if (cube.support >> i) & 1:
-                m *= q if (cube.values >> i) & 1 else 1 - q
-        return m
-
     @cached_property
     def point_weights(self) -> tuple[int, tuple[int, ...]]:
         """(D, W): D = prod_i den(p_i) and W[x] = D * mu(x), an integer.

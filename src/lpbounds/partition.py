@@ -25,7 +25,7 @@ on an exact-total-mass solution and re-verifies every guarantee exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -69,10 +69,11 @@ class LabelledFamily(Generic[K]):
     """The points of one shape and an intersection-closed family of members.
 
     ``tags`` names the points in row order and ``members`` lists the family
-    in variable order; ``cells(member)`` gives the indices of the points a
-    member contains.  ``intersect`` returns None for an empty intersection.
-    Labels are passed in, one per point, so one family, with its layout
-    ``containing`` and its variable names worked out once, serves every build.
+    in variable order, which is also the order of the boost's result;
+    ``cells(member)`` gives the indices of the points a member contains.
+    ``intersect`` returns None for an empty intersection.  Labels are passed
+    in, one per point, so one family, with its layout ``containing``, its
+    variable names and its total-mass rows worked out once, serves every build.
     """
 
     tags: tuple[str, ...]
@@ -81,7 +82,6 @@ class LabelledFamily(Generic[K]):
     tag: Callable[[K], str]
     cells: Callable[[K], Iterable[int]]
     intersect: Callable[[K, K], K | None]
-    sort_key: Callable[[K], object]
 
     @cached_property
     def containing(self) -> tuple[tuple[int, ...], ...]:
@@ -94,8 +94,9 @@ class LabelledFamily(Generic[K]):
         return tuple(map(tuple, out))
 
     @cached_property
-    def _member_set(self) -> frozenset[K]:
-        return frozenset(self.members)
+    def _position(self) -> dict[K, int]:
+        """Each member's index in ``members``."""
+        return {member: k for k, member in enumerate(self.members)}
 
     @cached_property
     def _columns(self) -> tuple[tuple[str, ...], Row]:
@@ -106,19 +107,31 @@ class LabelledFamily(Generic[K]):
         names = tuple(f"w{z}_{self.tag(k)}" for k in self.members for z in (0, 1))
         return names, scaled_row(range(len(nums)), nums, den, "=", 0, "objective")
 
-    def primal(self, name: str, labels: Labels, eps: Fraction, relaxed: bool) -> LinearProgram:
+    @cached_property
+    def _label_columns(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per point, its columns 2k + z for label 0 and for label 1, increasing."""
+        # one int object per column, shared by every row that holds it
+        by_label = [list(range(z, 2 * len(self.members), 2)) for z in (0, 1)]
+        return tuple(tuple(tuple(map(columns.__getitem__, ks)) for columns in by_label)
+                     for ks in self.containing)
+
+    @cached_property
+    def _mass_rows(self) -> dict[bool, tuple[Row, ...]]:
+        """The total-mass rows by ``relaxed``: exact, and relaxed to <= 1 on the same columns."""
+        exact = tuple(unit_row(sorted(zero + one), "=", _ONE, f"mass_{tag}")
+                      for tag, (zero, one) in zip(self.tags, self._label_columns))
+        return {False: exact, True: tuple(replace(row, rel="<=") for row in exact)}
+
+    def primal(self, labels: Labels, eps: Fraction, relaxed: bool) -> LinearProgram:
         """The partition LP at error eps; ``relaxed`` relaxes total mass to <= 1.
 
-        Column 2k + z is the weight of label z on the k-th member.
+        Column 2k + z is the weight of label z on the k-th member.  Only the
+        covering rows depend on the labels and eps.
         """
         check_unit_interval("eps", eps)
-        rel = "<=" if relaxed else "="
-        covering: list[Row] = []
-        mass: list[Row] = []
-        for tag, label, ks in zip(self.tags, labels, self.containing):
-            covering.append(unit_row([2 * k + label for k in ks], ">=", 1 - eps, f"cov_{tag}"))
-            mass.append(unit_row([2 * k + z for k in ks for z in (0, 1)], rel, _ONE, f"mass_{tag}"))
-        return LinearProgram(name, *self._columns, tuple(covering + mass))
+        covering = tuple(unit_row(cols[z], ">=", 1 - eps, f"cov_{tag}")
+                         for tag, z, cols in zip(self.tags, labels, self._label_columns))
+        return LinearProgram(*self._columns, covering + self._mass_rows[relaxed])
 
     def masses(self, weights: LabelledWeights, labels: Labels) -> tuple[list[Fraction], ...]:
         """Per point, the weight on the members containing it: in all, and of its own label."""
@@ -144,8 +157,9 @@ class LabelledFamily(Generic[K]):
         correct mass equals 1 - tail(a_p, t), where a_p is the input's
         correct mass at p.
         """
+        position = self._position
         for _, k in weights:
-            if k not in self._member_set:
+            if k not in position:
                 raise DimensionMismatchError(f"member {self.tag(k)} is outside the family's shape")
         total, correct = self.masses(weights, labels)
         for tag, mass in zip(self.tags, total):
@@ -153,7 +167,7 @@ class LabelledFamily(Generic[K]):
                 raise InfeasibleConstructionError(
                     f"input is not an exact-mass partition solution at {tag}"
                 )
-        boosted = majority_product_boost(weights, t, self.intersect, self.sort_key)
+        boosted = majority_product_boost(weights, t, self.intersect, position.__getitem__)
         objective = self.objective(boosted)
         if objective > self.objective(weights) ** t:
             raise InfeasibleConstructionError("boosted objective exceeds the product bound")

@@ -28,7 +28,6 @@ from .model import (
     BitProductDistribution,
     QueryFunction,
     Subcube,
-    cube_key,
     enumerate_subcubes,
     full_cube,
     project_weights,
@@ -58,12 +57,11 @@ def _cube_family(n: int) -> LabelledFamily:
         tag=Subcube.pattern,
         cells=Subcube.members,
         intersect=Subcube.intersect,
-        sort_key=cube_key,
     )
 
 
 def build_qprt_lp(g: QueryFunction, eps: Fraction) -> LinearProgram:
-    return _cube_family(g.n).primal("qprt", g.table, eps, relaxed=False)
+    return _cube_family(g.n).primal(g.table, eps, relaxed=False)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import qcbounds
 from .errors import (
     DimensionMismatchError,
     InfeasibleConstructionError,
@@ -42,7 +43,7 @@ from .model import (
     popular_label,
     project_weights,
 )
-from .qcbounds import FeasibleSystem
+from .rational import ceil_mul_log2, min_odd_votes_for_error
 from .trees import DecisionTree, DNode, Leaf, dtree_error, dtree_queried_bits_ok, tree_depth
 
 
@@ -126,7 +127,7 @@ class BuildStats:
 def build_decision_tree(
     g: QueryFunction,
     mu: BitProductDistribution,
-    system: FeasibleSystem,
+    system: qcbounds.FeasibleSystem,
     delta: Fraction,
 ) -> tuple[DecisionTree, BuildStats]:
     """Decision tree of depth at most a*b with certified error.
@@ -196,7 +197,8 @@ def build_decision_tree(
                     Fraction(0),
                 )
                 sub_alpha1 = 1 - carried / sub_m1
-            expectation += cur_mu.mass(outcome) * sub_m1 * sub_alpha1
+            # mu(outcome) * sub_m1 is mu_1(outcome): sub_mu is mu conditioned on the outcome
+            expectation += cur_mu.label_masses(g, outcome)[1] * sub_alpha1
             if sub_alpha1 >= 1:
                 stats.margin_leaves += 1
                 outcomes[values] = Leaf(popular_label(sub_m0, sub_m1))
@@ -239,7 +241,7 @@ def build_decision_tree(
     return tree, stats
 
 
-def certified_error_budget(system: FeasibleSystem, delta: Fraction) -> Fraction:
+def certified_error_budget(system: qcbounds.FeasibleSystem, delta: Fraction) -> Fraction:
     """1/4 + alpha1 + beta1 + 4 b (beta1 + delta) + beta0 / ((1-alpha0) delta)."""
     return (
         Fraction(1, 4)
@@ -259,7 +261,7 @@ class QCSynthReport:
     gamma: Fraction
     votes: int
     boosted_error: Fraction
-    system: FeasibleSystem
+    system: qcbounds.FeasibleSystem
     delta: Fraction
     tree: DecisionTree
     depth: int
@@ -287,10 +289,6 @@ def synthesis_pipeline(
     constructed system permits it; otherwise the measured error is reported
     against the budget alone.
     """
-    # imported per call, so that the wrappers bench/layers.py puts on these names see the calls
-    from .qcbounds import boost_qprt, extract_feasible, qprt_bound, qprt_solution
-    from .rational import ceil_mul_log2, min_odd_votes_for_error
-
     if eps >= Fraction(1, 2):
         raise ValueError("the base error level must be below 1/2")
     if delta is not None and delta <= 0:  # build_decision_tree checks it too, after the solve
@@ -299,15 +297,15 @@ def synthesis_pipeline(
         raise DimensionMismatchError(
             f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {g.n}"
         )
-    bound = qprt_bound(g, eps)
+    bound = qcbounds.qprt_bound(g, eps)
     value = bound.value
     ceil_value = -((-value.numerator) // value.denominator)
     c = 8 + (ceil_mul_log2(1, Fraction(ceil_value)) if ceil_value > 1 else 0)
     gamma = Fraction(1, c**8)
     votes = min_odd_votes_for_error(1 - eps, gamma)
-    sol = qprt_solution(g, bound)
-    boosted = boost_qprt(sol, g, votes)
-    system = extract_feasible(boosted, gamma, g, mu)
+    sol = qcbounds.qprt_solution(g, bound)
+    boosted = qcbounds.boost_qprt(sol, g, votes)
+    system = qcbounds.extract_feasible(boosted, gamma, g, mu)
     if delta is None:
         delta = Fraction(1, c**4)
     tree, stats = build_decision_tree(g, mu, system, delta)

@@ -279,14 +279,9 @@ def feasible_system_record(system) -> dict:
     return record(
         "feasible-system",
         n=system.n,
-        u={
-            cube.pattern(): format_rational(w)
-            for cube, w in sorted(system.u.items(), key=lambda cw: cw[0].pattern())
-        },
-        w={
-            cube.pattern(): format_rational(w)
-            for cube, w in sorted(system.w.items(), key=lambda cw: cw[0].pattern())
-        },
+        # dump_records sorts these patterns, as every key
+        u={cube.pattern(): format_rational(w) for cube, w in system.u.items()},
+        w={cube.pattern(): format_rational(w) for cube, w in system.w.items()},
         alpha0=format_rational(system.alpha0),
         beta0=format_rational(system.beta0),
         alpha1=format_rational(system.alpha1),

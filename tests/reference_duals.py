@@ -32,7 +32,7 @@ def split_free(point: dict[str, Fraction]) -> dict[str, Fraction]:
     return out
 
 
-def _dual_program(name, points, rows, eps, relaxed) -> LinearProgram:
+def _dual_program(points, rows, eps, relaxed) -> LinearProgram:
     """min -(1 - eps) sum mu - phi_sign sum phi over the columns of ``rows``.
 
     ``rows`` holds (points of the member, points of it with the label,
@@ -54,7 +54,7 @@ def _dual_program(name, points, rows, eps, relaxed) -> LinearProgram:
         if not relaxed:
             row.update({f"nphi_{p}": -phi_sign for p in inside})
         constraints.append(Constraint(row, "<=", rhs, label))
-    return from_constraints(name, mu_names + phi_names + nphi_names, objective, tuple(constraints))
+    return from_constraints(mu_names + phi_names + nphi_names, objective, tuple(constraints))
 
 
 def _build_partition_dual(
@@ -74,8 +74,7 @@ def _build_partition_dual(
             labelled = [(x, y) for x, y in inside if f.value(x, y) == z]
             rows.append(([f"{x}_{y}" for x, y in inside], [f"{x}_{y}" for x, y in labelled],
                          Fraction(1), f"dual_{z}_{r.rows:x}_{r.cols:x}"))
-    return _dual_program("rprt-dual" if relaxed else "prt-dual", [f"{x}_{y}" for x, y in cells],
-                         rows, eps, relaxed)
+    return _dual_program([f"{x}_{y}" for x, y in cells], rows, eps, relaxed)
 
 
 def build_prt_dual_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
@@ -94,4 +93,4 @@ def build_qprt_dual_lp(g: QueryFunction, eps: Fraction) -> LinearProgram:
         for z in (0, 1):
             labelled = [x for x in inside if g.value(x) == z]
             rows.append((inside, labelled, Fraction(1 << cube.size), f"dual_{z}_{cube.pattern()}"))
-    return _dual_program("qprt-dual", range(1 << g.n), rows, eps, relaxed=False)
+    return _dual_program(range(1 << g.n), rows, eps, relaxed=False)

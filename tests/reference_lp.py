@@ -50,7 +50,6 @@ class Constraint:
 
 
 def from_constraints(
-    name: str,
     variables: tuple[str, ...],
     objective: dict[str, Fraction],
     constraints: tuple[Constraint, ...],
@@ -70,7 +69,6 @@ def from_constraints(
         return scaled_row([j for j, _ in entries], nums, den, con.rel, rhs_num, con.label)
 
     return LinearProgram(
-        name,
         variables,
         scale(Constraint(objective, EQ, Fraction(0), "objective"), "objective"),
         tuple(scale(c, f"constraint {c.label!r}") for c in constraints),
@@ -252,8 +250,6 @@ class _Simplex:
                         best = ratio
                         leave = i
             if leave < 0:
-                self._unbounded_enter = enter
-                self._unbounded_direction = u
                 return "unbounded"
             piv = u[leave]
             row = self.binv[leave]
@@ -290,24 +286,13 @@ def reference_solve(lp: LinearProgram) -> LPSolution:
         )
         if infeas > 0:
             y = sx._duals(sx.cost1)
-            vector = {i: sx.flip[i] * y[i] for i in range(sx.m) if y[i] != 0}
-            return LPSolution(
-                "infeasible", None, {}, (), sx.iterations, phase1_iterations,
-                {"kind": "farkas", "vector": vector},
-            )
+            farkas = {i: sx.flip[i] * y[i] for i in range(sx.m) if y[i] != 0}
+            return LPSolution("infeasible", None, {}, (), sx.iterations, phase1_iterations, farkas)
         sx._drive_out_artificials()
 
     status = sx._iterate(sx.cost2, sx.n_structural)
-    if status == "unbounded":
-        u = sx._unbounded_direction
-        ray_std: dict[int, Fraction] = {sx._unbounded_enter: Fraction(1)}
-        for i in range(sx.m):
-            if u[i] != 0:
-                ray_std[sx.basis[i]] = ray_std.get(sx.basis[i], Fraction(0)) - u[i]
-        return LPSolution(
-            "unbounded", None, {}, (), sx.iterations, phase1_iterations,
-            {"kind": "ray", "vector": _project(sx, ray_std)},
-        )
+    if status == "unbounded":  # no program ``solve`` accepts ends here; no ray is kept
+        return LPSolution("unbounded", None, {}, (), sx.iterations, phase1_iterations)
 
     x_std = {sx.basis[i]: sx.x_b[i] for i in range(sx.m) if sx.x_b[i] != 0}
     primal = _project(sx, x_std)

@@ -388,10 +388,20 @@ def _fill(workspace, text):
          "two-party oracle needs a rows/cols distribution"),
         (["synth-qc", "@xor2", "@dist"], "synth-qc needs a bit-wise `p:` distribution"),
         (["oracle", "@xor2", "@dist", "--depth", "1"], "query oracle needs a `p:` distribution"),
+        # --delta, --z and --dist are srec's alone; the first one set is named
+        (["bounds", "@and2", "--which", "prt", "--eps", "1/8", "--dist", "@dist", "--z", "1",
+          "--delta", "1/2"], "prt takes no --delta; only srec reads it"),
+        (["bounds", "@and2", "--which", "rprt", "--eps", "1/8", "--z", "0"],
+         "rprt takes no --z; only srec reads it"),
+        (["bounds", "@and2", "--which", "chain", "--eps", "1/8", "--dist", "@dist"],
+         "chain takes no --dist; only srec reads it"),
+        (["bounds", "@xor2", "--which", "qprt", "--eps", "1/8", "--delta", "1/16"],
+         "qprt takes no --delta; only srec reads it"),
     ],
     ids=["synth-cc-qc-fn", "prt-qc-fn", "chain-qc-fn", "srec-qc-fn", "synth-qc-cc-fn",
          "qprt-cc-fn", "synth-cc-p-dist", "srec-p-dist", "oracle-cc-p-dist",
-         "synth-qc-rows-dist", "oracle-qc-rows-dist"],
+         "synth-qc-rows-dist", "oracle-qc-rows-dist", "prt-srec-flags", "rprt-z",
+         "chain-dist", "qprt-delta"],
 )
 def test_wrong_kind_of_input_exits_1(workspace, capsys, argv, message):
     assert main([_fill(workspace, arg) for arg in argv]) == 1

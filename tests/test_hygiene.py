@@ -127,3 +127,42 @@ def test_foreign_import_scan_sees_each_form():
         "    import sympy\n"
     )
     assert _foreign_imports(tree) == ["numpy", "scipy.optimize", "sympy"]
+
+
+def _function_imports(tree: ast.Module) -> list[str]:
+    """The modules ``tree`` imports inside a function, in source order."""
+    nodes = {
+        node
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    out = []
+    for node in sorted(nodes, key=lambda node: node.lineno):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        else:
+            out.append("." * node.level + (node.module or ""))
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_imports_only_at_module_level(path):
+    # a call-time import hides a dependency and runs on every call
+    assert _function_imports(_tree(path)) == []
+
+
+def test_function_import_scan_sees_each_form():
+    tree = ast.parse(
+        "import json\n"
+        "from . import lp\n"
+        "def f():\n"
+        "    from .qcbounds import qprt_bound\n"
+        "    def g():\n"
+        "        import os.path, sys\n"
+        "class C:\n"
+        "    async def h(self):\n"
+        "        from . import rational\n"
+    )
+    assert _function_imports(tree) == [".qcbounds", "os.path", "sys", "."]

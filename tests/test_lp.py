@@ -30,7 +30,7 @@ from lpbounds.qcbounds import _cube_family, build_qprt_lp
 
 
 def lp_min(variables, objective, constraints):
-    return from_constraints("t", tuple(variables), objective, tuple(constraints))
+    return from_constraints(tuple(variables), objective, tuple(constraints))
 
 
 def test_min_x_at_least_one():
@@ -76,6 +76,9 @@ MALFORMED_ROWS = {
     "zero coefficient": Row(1, (0, 1), (1, 0), ">=", 1, "r"),
     "a column without a coefficient": Row(1, (0, 1), (1,), ">=", 1, "r"),
     "a coefficient without a column": Row(1, (0,), (1, 1), ">=", 1, "r"),
+    "columns out of order": Row(1, (1, 0), (1, 1), ">=", 1, "r"),
+    "a repeated column": Row(1, (0, 0), (1, 1), ">=", 1, "r"),
+    "a column out of range": Row(1, (0, 2), (1, 1), ">=", 1, "r"),
 }
 
 
@@ -88,9 +91,9 @@ def test_malformed_row_is_a_typed_error(row):
     """
     cost = Row(1, (0,), (1,), "=", 0, "objective")
     with pytest.raises(LpboundsError, match="'r'"):
-        LinearProgram("t", ("x", "y"), cost, (row,))
+        LinearProgram(("x", "y"), cost, (row,))
     with pytest.raises(LpboundsError, match="'r'"):
-        LinearProgram("t", ("x", "y"), row, ())
+        LinearProgram(("x", "y"), row, ())
 
 
 def test_check_feasible_reports_slack():
@@ -122,7 +125,6 @@ def test_objective_scaling_preserves_basis():
     lp = build_srec_lp(SrecInstance(f, 1, F(1, 8), F(1, 8)))
     sol = solve(lp)
     scaled = from_constraints(
-        lp.name,
         lp.variables,
         {v: F(3, 2) * c for v, c in reference_lp.objective(lp).items()},
         reference_lp.rational_rows(lp),
@@ -141,8 +143,7 @@ def test_infeasible_with_farkas_certificate():
     )
     sol = solve(lp)
     assert sol.status == "infeasible"
-    assert sol.certificate is not None and sol.certificate["kind"] == "farkas"
-    assert check_farkas(lp, sol.certificate["vector"])
+    assert sol.farkas is not None and check_farkas(lp, sol.farkas)
 
 
 def test_negative_rhs_rows_are_handled():
@@ -160,8 +161,10 @@ def test_certify_lists_every_failure():
     program = lp_min(["x"], {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(3)), Constraint({"x": F(1)}, "<=", F(1))])
     infeasible = solve(program)
     assert certify(program, infeasible) == []
-    wrong_kind = dataclasses.replace(infeasible, certificate={"kind": "ray", "vector": {}})
-    assert certify(program, wrong_kind) == ["invalid farkas certificate"]
+    # None; all zero; dual-feasible with dual objective 3 - 3 = 0, and 3 - 4 < 0
+    for farkas in (None, {}, {0: F(1), 1: F(-3)}, {0: F(1), 1: F(-4)}):
+        wrong = dataclasses.replace(infeasible, farkas=farkas)
+        assert certify(program, wrong) == ["invalid farkas certificate"]
     assert certify(program, dataclasses.replace(infeasible, status="unbounded")) == ["unknown status 'unbounded'"]
     assert certify(program, dataclasses.replace(infeasible, status="lost")) == ["unknown status 'lost'"]
 
@@ -277,16 +280,16 @@ def _key(variables=("x", "y", "z"), objective=None, rows=None):
         Constraint({"x": F(1), "y": F(2, 3)}, ">=", F(1, 2)),
         Constraint({"y": F(1), "z": F(-1)}, "<=", F(3)),
     )
-    program = from_constraints("k", variables, objective, rows)
+    program = from_constraints(variables, objective, rows)
     return lpmod._program_key(program)
 
 
 def test_program_key_is_canonical():
-    """Dict order, ints for whole Fractions, zero coefficients, names and
-    labels leave the key alone; any one change to the program alters it."""
+    """Dict order, ints for whole Fractions, zero coefficients and row labels
+    leave the key alone; any one change to the program alters it."""
     key = _key()
     respelled = from_constraints(
-        "another name", ("x", "y", "z"), {"y": F(2, 4), "x": 1, "z": 0},
+        ("x", "y", "z"), {"y": F(2, 4), "x": 1, "z": 0},
         (Constraint({"y": F(4, 6), "x": 1, "z": 0}, ">=", F(1, 2), "a label"),
          Constraint({"z": -1, "y": F(1)}, "<=", 3, "another label")),
     )
@@ -346,13 +349,13 @@ def _small_program_args(draw):
         k = draw(SMALL_RATIONALS)
         coeffs = {v: a.coeffs.get(v, F(0)) + k * b.coeffs.get(v, F(0)) for v in names}
         rows.append(Constraint(coeffs, "=", a.rhs + k * b.rhs))
-    return "random", tuple(names), {v: draw(COSTS) for v in names}, tuple(rows)
+    return tuple(names), {v: draw(COSTS) for v in names}, tuple(rows)
 
 
 # both rows start on artificials at level 0 and phase 1 makes no pivot; the
 # first can only be driven out by a pivot on -1, the second is dependent
 NEGATIVE_DRIVE_OUT = from_constraints(
-    "negative drive-out", ("x0", "x1"), {"x0": F(1), "x1": F(2)},
+    ("x0", "x1"), {"x0": F(1), "x1": F(2)},
     (Constraint({"x0": F(-1), "x1": F(-1)}, "=", F(0)), Constraint({"x0": F(-2), "x1": F(-2)}, "=", F(0))),
 )
 
@@ -363,7 +366,7 @@ NEGATIVE_DRIVE_OUT = from_constraints(
 def test_integer_core_matches_fraction_reference(program):
     """Byte-equal solutions, certificate included."""
     got, want = solve(program), reference_solve(program)
-    assert got.certificate == want.certificate
+    assert got.farkas == want.farkas
     assert got.canonical_bytes() == want.canonical_bytes()
 
 
@@ -503,15 +506,15 @@ def test_dividing_every_rhs_keeps_the_bases_and_d(args, k):
     the coefficients alone; the point is divided by k, the dual and any
     certificate are unchanged.
     """
-    name, variables, objective, rows = args
+    variables, objective, rows = args
     divided = tuple(dataclasses.replace(c, rhs=c.rhs / k) for c in rows)
     sol, trace = _pivot_trace(from_constraints(*args))
-    got, got_trace = _pivot_trace(from_constraints(name, variables, objective, divided))
+    got, got_trace = _pivot_trace(from_constraints(variables, objective, divided))
     assert got_trace == trace
     assert got.status == sol.status
     assert got.primal == {v: x / k for v, x in sol.primal.items()}
     assert got.value == (None if sol.value is None else sol.value / k)
-    assert (got.dual, got.certificate) == (sol.dual, sol.certificate)
+    assert (got.dual, got.farkas) == (sol.dual, sol.farkas)
 
 
 @settings(max_examples=300, deadline=None)
@@ -526,10 +529,10 @@ def test_certificate_checkers_match_reference(program, data):
     y = {i: data.draw(SMALL_RATIONALS) for i in range(len(rows))}
     sign = {">=": abs, "<=": lambda c: -abs(c), "=": lambda c: c}
     farkas = [y, {i: sign[r.rel](c) for (i, c), r in zip(y.items(), rows)}]
-    cert = solve(program).certificate
+    cert = solve(program).farkas
     if cert is not None:
         k = data.draw(SMALL_RATIONALS)
-        farkas += [cert["vector"], {key: k * c for key, c in cert["vector"].items()}]
+        farkas += [cert, {key: k * c for key, c in cert.items()}]
     for vector in farkas:
         assert check_farkas(program, vector) == reference_lp.check_farkas(program, vector)
 
@@ -573,7 +576,7 @@ def test_integer_checks_match_fraction_reference(program, data):
     sol = solve(program)
     point, dual = dict(sol.primal), list(sol.dual) or cases[0][1]
     if sol.status == "infeasible":
-        dual = [sol.certificate["vector"].get(i, F(0)) for i in range(m)]
+        dual = [sol.farkas.get(i, F(0)) for i in range(m)]
     v, i = data.draw(st.sampled_from(names)), data.draw(st.integers(0, m - 1))
     moved, moved_dual = dict(point), list(dual)
     moved[v] = moved.get(v, 0) + data.draw(NONZERO_RATIONALS)
@@ -615,7 +618,7 @@ def test_corpus_checks_match_fraction_reference():
 @given(small_program_args())
 def test_integer_form_matches_the_reference_rows(args):
     """Each row, and the objective, is the reference scaling of its rational row."""
-    _, names, objective, rows = args
+    names, objective, rows = args
     program = from_constraints(*args)
     assert reference_lp.integer_form(program) == reference_lp.reference_form(names, objective, rows)
 
@@ -706,7 +709,7 @@ def nonneg_programs(draw):
         rel = draw(st.sampled_from(["<=", "=", ">="]))
         rows.append(Constraint({v: draw(SMALL_RATIONALS) for v in names}, rel, rhs))
     objective = {v: draw(COSTS) for v in names}
-    return from_constraints("vertex", tuple(names), objective, tuple(rows))
+    return from_constraints(tuple(names), objective, tuple(rows))
 
 
 def _vertices(rows, k):

@@ -247,7 +247,10 @@ def test_disjoint_support_product_identity(nums, sa, va, sb, vb):
     b = Subcube(3, sb & ~sa, vb & sb & ~sa)  # force disjoint supports
     both = a.intersect(b)
     assert both is not None
-    assert mu.mass(a) * mu.mass(b) == mu.mass(both)
+    def cube_mass(cube):  # mu(cube): its 1-mass under the constant-1 function
+        return bit_measure(mu, families.const_q(3, 1), 1, cube)
+
+    assert cube_mass(a) * cube_mass(b) == cube_mass(both)
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,7 +19,7 @@ from lpbounds.ccbounds import (
     reduce_prt_error,
 )
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
-from lpbounds.model import ProductDistribution2P, Rectangle, Subcube
+from lpbounds.model import ProductDistribution2P, Rectangle, Subcube, cube_key
 from lpbounds.qcbounds import QprtSolution, _cube_family, boost_qprt, build_qprt_lp
 
 
@@ -56,6 +56,19 @@ def test_subcube_layout_is_the_contains_scan(n):
     )
 
 
+@pytest.mark.parametrize(("nx", "ny"), [(nx, ny) for nx in range(1, 5) for ny in range(1, 5)])
+def test_rectangles_are_listed_in_the_boost_order(nx, ny):
+    """The boost sorts by member position, which for rectangles is the (rows, cols) order."""
+    members = _rect_family(nx, ny).members
+    assert list(members) == sorted(members, key=lambda r: (r.rows, r.cols))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_subcubes_are_listed_in_the_boost_order(n):
+    members = _cube_family(n).members
+    assert list(members) == sorted(members, key=cube_key)
+
+
 def test_builds_of_one_shape_share_one_layout():
     eps = F(1, 8)
     _rect_family.cache_clear()
@@ -68,6 +81,10 @@ def test_builds_of_one_shape_share_one_layout():
         build_rprt_lp(f, eps)
     assert _rect_family(4, 4).containing is layout
     assert _rect_family.cache_info().misses == 1
+    # the total-mass rows depend on the shape and the relation only: built once each
+    for build in (build_prt_lp, build_rprt_lp):
+        mass = [build(f, eps).rows[16:] for f in (families.eq(2), families.gt(2))]
+        assert all(a is b for a, b in zip(*mass)) and len(mass[0]) == 16
     build_qprt_lp(families.maj_q(3), eps)
     layout = _cube_family(3).containing
     build_qprt_lp(families.and_q(3), eps)
