@@ -119,10 +119,13 @@ def _rect_family(nx: int, ny: int) -> LabelledFamily:
 
 
 @cache
-def _srec_columns(nx: int, ny: int) -> tuple[tuple[str, ...], Row]:
-    """``w_<tag>`` per rectangle and the unit cost row; every cache hit builds its program again."""
-    names = tuple(f"w_{r.rows:x}_{r.cols:x}" for r in _rect_family(nx, ny).members)
-    return names, unit_row(range(len(names)), "=", Fraction(0), "objective")
+def _srec_columns(nx: int, ny: int) -> tuple[tuple[str, ...], Row, tuple[Row, ...]]:
+    """``w_<tag>`` per rectangle, the unit cost row and the cap rows, shared by every build."""
+    family = _rect_family(nx, ny)
+    names = tuple(f"w_{r.rows:x}_{r.cols:x}" for r in family.members)
+    caps = tuple(unit_row(cols, "<=", Fraction(1), f"cap_{tag}")
+                 for tag, cols in zip(family.tags, family.containing))
+    return names, unit_row(range(len(names)), "=", Fraction(0), "objective"), caps
 
 
 def _labels(f: TwoPartyFunction) -> list[int]:  # x-major, as the cells
@@ -137,7 +140,7 @@ def build_srec_lp(inst: SrecInstance) -> LinearProgram:
     """
     f, z = inst.f, inst.z
     family = _rect_family(f.nx, f.ny)
-    names, cost = _srec_columns(f.nx, f.ny)
+    names, cost, caps = _srec_columns(f.nx, f.ny)
     cells = list(zip(family.tags, _labels(f), family.containing))
     rows: list[Row] = []
     if inst.mu is None:
@@ -155,8 +158,7 @@ def build_srec_lp(inst: SrecInstance) -> LinearProgram:
                                level.denominator * den, ">=",
                                level.numerator * sum(map(sum, table)), "cov"))
     rows += [unit_row(cols, "<=", inst.delta, f"pack_{tag}") for tag, v, cols in cells if v != z]
-    rows += [unit_row(cols, "<=", Fraction(1), f"cap_{tag}") for tag, _, cols in cells]
-    return LinearProgram(names, cost, tuple(rows))
+    return LinearProgram(names, cost, tuple(rows) + caps)
 
 
 def srec_bound(inst: SrecInstance) -> BoundResult:

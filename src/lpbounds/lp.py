@@ -55,6 +55,14 @@ O(m) per pivot, Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the
 reduced cost of the entering column.  Fractions are made only at
 the boundary: basic values X_i / (D * L_b), duals and the Farkas vector.
 
+Columns are read in C.  Once row i is divided by g_i, nearly every entry
+of a bound program is +1: column j reads those rows with one
+``operator.itemgetter``, ``gets[j]``, and keeps its other entries (a
+surplus's -1, an entry a negative-rhs row's flip negates, a non-unit
+value) as (row, value) pairs in ``rests[j]``.  Pricing, ``_column`` and
+``_dot`` read a_j . v as sum(gets[j](v)) plus the rest; no integer
+changes, so Bland's rule takes the same pivots.
+
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
 the derived dual program, and the two objective values are compared as
@@ -74,8 +82,8 @@ denominators.  The objective is held the same way.  ``scaled_row`` is the
 one place rows are scaled; the builders emit rows through it, and the
 simplex, the checkers and the cache key all read them.  A row checks its
 own form once (``Row.fault``), so the shape-only rows that many programs
-share are not checked again per build.  Variable names serve the records
-only.
+share are not checked again per build; unit rows of one length and level
+share one coefficient tuple.  Variable names serve the records only.
 
 Dual conventions:
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
@@ -94,7 +102,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import lt, mul
+from operator import itemgetter, lt, mul
 
 from .errors import LpboundsError, ParseError
 from .rational import format_rational, parse_rational
@@ -145,10 +153,13 @@ def scaled_row(cols, nums, den: int, rel: str, rhs: int, label: str) -> Row:
     return Row(den // g, tuple(cols), tuple(nums), rel, rhs // g, label)
 
 
+_UNITS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
 def unit_row(cols, rel: str, level: Fraction, label: str) -> Row:
-    """sum_{j in cols} x_j  rel  level."""
-    den = level.denominator
-    return scaled_row(cols, [den] * len(cols), den, rel, level.numerator, label)
+    """sum_{j in cols} x_j  rel  level; rows of one length and level share their coefficients."""
+    den, n = level.denominator, len(cols)
+    return scaled_row(cols, _UNITS.setdefault((den, n), (den,) * n), den, rel, level.numerator, label)
 
 
 @dataclass(frozen=True)
@@ -350,16 +361,26 @@ def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
     return []
 
 
+def _getter(rows: list[int]) -> itemgetter:
+    """Reads v at ``rows`` in C: a tuple for two rows or more, else a slice of v."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
+
+
 class _Simplex:
     """Integer standard form and basis state for one solve; used once."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        m = len(lp.rows)
-        self.m = m
+        m = self.m = len(lp.rows)
         # columns: one per variable, then slacks, then artificials
         self.n_real = len(lp.variables)
-        self.cols: list[list[tuple[int, int]]] = [[] for _ in range(self.n_real)]
+        # column j is gets[j], over its +1 rows once the lists below are read, and
+        # rests[j], its other entries; most columns share one empty rest
+        gets: list = [[] for _ in range(self.n_real)]
+        rests: list[tuple[tuple[int, int], ...]] = [()] * self.n_real
+        self.gets, self.rests = gets, rests
 
         self.flip: list[int] = []
         self.sigma: list[int] = []  # the lcm of row i's coefficient denominators
@@ -368,32 +389,39 @@ class _Simplex:
         for i, row in enumerate(lp.rows):
             sign = -1 if row.rhs < 0 else 1
             g = gcd(row.s, *row.coeffs)
-            # columns share one (row, value) pair per distinct coefficient of the
-            # row, so a wide program holds few tuples
-            entry = {a: (i, sign * a // g) for a in set(row.coeffs)}
+            unit = sign * g  # the coefficient that becomes +1
+            entry: dict[int, tuple[int, int]] = {}  # one (row, value) pair per other coefficient
             for j, a in zip(row.cols, row.coeffs):
-                self.cols[j].append(entry[a])
+                if a == unit:
+                    gets[j].append(i)
+                else:
+                    rests[j] += (entry.setdefault(a, (i, sign * a // g)),)
             self.flip.append(sign)
             self.sigma.append(row.s // g)
             h = gcd(g, row.rhs)
             rhs.append((sign * row.rhs // h, g // h))
             rels.append(row.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[row.rel])
+        for j, rows in enumerate(gets):  # each index list goes once its getter exists
+            gets[j] = _getter(rows)
         self.lb = lcm(*(den for _, den in rhs))  # L_b, one common denominator of b
         self.x: list[int] = [num * (self.lb // den) for num, den in rhs]  # D * L_b * x_B
 
         self.basis: list[int] = [-1] * m
         for i, rel in enumerate(rels):
             if rel == LE:
-                self.basis[i] = len(self.cols)
-                self.cols.append([(i, 1)])
+                self.basis[i] = len(gets)
+                gets.append(_getter([i]))
+                rests.append(())
             elif rel == GE:
-                self.cols.append([(i, -1)])
-        self.n_structural = len(self.cols)
+                gets.append(_getter([]))
+                rests.append(((i, -1),))
+        self.n_structural = len(gets)
         artificial_rows = [i for i in range(m) if self.basis[i] == -1]
         for i in artificial_rows:
-            self.basis[i] = len(self.cols)
-            self.cols.append([(i, 1)])
-        self.n_total = len(self.cols)
+            self.basis[i] = len(gets)
+            gets.append(_getter([i]))
+            rests.append(())
+        self.n_total = len(gets)
 
         # integer costs: L * cost, L the lcm of the phase's denominators
         self.l2 = lp.cost.s
@@ -409,11 +437,15 @@ class _Simplex:
         self.y: list[int] = []  # L * D * duals of the last phase run
         self.iterations = 0
 
+    def _dot(self, vec: list[int], j: int) -> int:
+        """a_j . vec."""
+        return sum(self.gets[j](vec)) + sum([vec[r] * v for r, v in self.rests[j]])
+
     def _column(self, j: int) -> list[int]:
         """N * a_j, i.e. D times the basic direction of column j."""
-        col, d = self.cols[j], self.d
-        return [s if e == d else s * d // e
-                for s, e in zip([sum(row[r] * v for r, v in col) for row in self.n], self.dd)]
+        d, n = self.d, self.n
+        sums = [self._dot(row, j) for row in n] if self.rests[j] else map(sum, map(self.gets[j], n))
+        return [s if e == d else s * d // e for s, e in zip(sums, self.dd)]
 
     def _row(self, i: int) -> list[int]:
         """Row i of N, rescaled in place to the current D if it is stale."""
@@ -469,7 +501,7 @@ class _Simplex:
                 continue
             row_i = self._row(i)
             for j in range(self.n_structural):
-                if j in in_basis or sum(row_i[r] * v for r, v in self.cols[j]) == 0:
+                if j in in_basis or self._dot(row_i, j) == 0:
                     continue
                 self._pivot(i, self._column(j))
                 if self.d < 0:
@@ -489,7 +521,7 @@ class _Simplex:
         the program's own, as ``solve`` checks), so an improving column
         always meets a leaving row; one that does not is a solver bug.
         """
-        m, cols, basis, x = self.m, self.cols, self.basis, self.x
+        m, gets, rests, basis, x = self.m, self.gets, self.rests, self.basis, self.x
         in_basis = set(basis)
         y = self._duals(cost)
         while True:
@@ -501,8 +533,8 @@ class _Simplex:
             for j in range(limit):
                 if j in in_basis:
                     continue
-                d_e = cost[j] * d  # L * D * reduced cost
-                for r, v in cols[j]:
+                d_e = cost[j] * d - sum(gets[j](y))  # L * D * reduced cost
+                for r, v in rests[j]:
                     d_e -= y[r] * v
                 if d_e < 0:
                     enter = j
@@ -617,7 +649,7 @@ def _cache_load(lp: LinearProgram, path: str) -> LPSolution | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             sol = _solution_from_record(json.load(fh))
-    except (OSError, ValueError):  # missing, unreadable or not JSON
+    except (OSError, ValueError, RecursionError):  # missing, unreadable, not JSON or nested too deep
         return None
     # never trust the cache blindly: the entry must certify itself
     if sol is None or certify(lp, sol):

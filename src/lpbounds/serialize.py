@@ -297,8 +297,11 @@ def dump_records(records: list[dict]) -> str:
 
 def load_records(text: str) -> list[dict]:
     out = []
-    for ln in text.strip().splitlines():
+    for number, ln in enumerate(text.splitlines(), 1):
         ln = ln.strip()
         if ln:
-            out.append(json.loads(ln))
+            try:
+                out.append(json.loads(ln))
+            except RecursionError:
+                raise ParseError(f"record line {number} is nested too deeply") from None
     return out

@@ -251,6 +251,16 @@ def test_verify_malformed_run_record_exits_1(workspace, capsys, run):
     assert err[1].startswith("[verify ")
 
 
+@pytest.mark.parametrize("before", ["", "\n", '{"record": "run"}\n'], ids=["first", "after-blank", "second"])
+def test_verify_deeply_nested_record_exits_1(workspace, capsys, before):
+    path = write(workspace["dir"] / "deep.jsonl", before + "[" * 100000 + "]" * 100000 + "\n")
+    assert main(["verify", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    line = before.count("\n") + 1
+    assert len(err) == 2 and err[0] == f"error: record line {line} is nested too deeply"
+    assert err[1].startswith("[verify ")
+
+
 @pytest.mark.parametrize(
     ("fn", "dist", "tree"),
     [

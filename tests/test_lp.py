@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -202,6 +203,7 @@ CORRUPT_ENTRIES = {
     "not utf-8": lambda rec: b"\xff\xfe\x00",
     "empty file": lambda rec: b"",
     "json list": lambda rec: b"[]",
+    "deeply nested json": lambda rec: b"[" * 100000 + b"]" * 100000,
     "missing value": _drop("value"),
     "missing primal": _drop("primal"),
     "missing iterations": _drop("iterations"),
@@ -421,7 +423,7 @@ def _assert_basis_identity(sx):
     """N * a_basis[k] = D * e_k for every basic column, and x = N * b."""
     rows, rhs = _materialized(sx), _integer_rhs(sx)
     for k, j in enumerate(sx.basis):
-        assert [sum(row[r] * v for r, v in sx.cols[j]) for row in rows] == [
+        assert [sx._dot(row, j) for row in rows] == [
             sx.d * (i == k) for i in range(sx.m)]
     assert sx.x == [sum(a * b for a, b in zip(row, rhs)) for row in rows]
 
@@ -440,7 +442,7 @@ def _audited_solve(program):
 
     def audit_column(sx, j):
         u = column(sx, j)
-        assert u == [sum(row[r] * v for r, v in sx.cols[j]) for row in _materialized(sx)]
+        assert u == [sx._dot(row, j) for row in _materialized(sx)]
         counts["stale rows read"] += sum(e != sx.d for e in sx.dd)
         return u
 
@@ -474,6 +476,146 @@ def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
     sol, counts = _audited_solve(program)
     assert sol.status == "optimal"
     assert all(counts.values()), counts
+
+
+# The column layout: column j is read as sum(gets[j](v)) plus its rest.
+
+def _dense_columns(sx):
+    """Every column of the standard form as {row: value}, rebuilt from the program's rows.
+
+    Row i is flipped to a nonnegative rhs and divided by gcd(s_i, *coeffs);
+    then come a slack per ``<=`` row, a surplus per ``>=`` row and an
+    artificial per ``>=`` and ``=`` row, each in row order.
+    """
+    cols = [{} for _ in sx.lp.variables]
+    rels = []
+    for i, (f, row) in enumerate(zip(sx.flip, sx.lp.rows)):
+        g = math.gcd(row.s, *row.coeffs)
+        for j, a in zip(row.cols, row.coeffs):
+            cols[j][i] = f * a // g
+        rels.append(row.rel if f > 0 else {"<=": ">=", ">=": "<=", "=": "="}[row.rel])
+    cols += [{i: 1 if rel == "<=" else -1} for i, rel in enumerate(rels) if rel != "="]
+    cols += [{i: 1} for i, rel in enumerate(rels) if rel != "<="]
+    assert len(cols) == sx.n_total
+    return cols
+
+
+def _bland_entering(sx, cost, limit, dense):
+    """The lowest nonbasic column below ``limit`` whose materialized reduced cost is negative, or -1."""
+    rows = _materialized(sx)
+    y = [sum(cost[b] * row[k] for b, row in zip(sx.basis, rows)) for k in range(sx.m)]
+    for j in range(limit):
+        if j not in sx.basis and cost[j] * sx.d < sum(y[i] * a for i, a in dense[j].items()):
+            return j
+    return -1
+
+
+def _layout_audited_solve(program):
+    """``solve`` with every column read checked against the dense columns.
+
+    Each ``_column(j)`` equals N * a_j on materialized rows, and ``_dot``
+    agrees on every row; inside ``_iterate`` the column read is the one a
+    reference Bland scan over the materialized reduced costs enters, and
+    ``_iterate`` returns only when that scan finds none.  Returns the
+    solution and the number of entering columns checked.
+    """
+    checked = []
+    column, iterate = lpmod._Simplex._column, lpmod._Simplex._iterate
+
+    def audit_column(sx, j):
+        dense = _dense_columns(sx)
+        rows = _materialized(sx)
+        want = [sum(row[i] * a for i, a in dense[j].items()) for row in rows]
+        assert [sx._dot(row, j) for row in rows] == want
+        phase = getattr(sx, "audit_phase", None)
+        if phase:
+            assert _bland_entering(sx, *phase, dense) == j
+            checked.append(j)
+        u = column(sx, j)
+        assert u == want
+        return u
+
+    def audit_iterate(sx, cost, limit):
+        sx.audit_phase = (cost, limit)
+        iterate(sx, cost, limit)
+        sx.audit_phase = None
+        assert _bland_entering(sx, cost, limit, _dense_columns(sx)) == -1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "_column", audit_column)
+        mp.setattr(lpmod._Simplex, "_iterate", audit_iterate)
+        sol = solve(program)
+    return sol, len(checked)
+
+
+# +1 is the common entry; 0 leaves a column out of a row, -1 becomes +1 in a
+# row with a negative rhs, and the rest are non-unit after division by g
+LAYOUT_ENTRIES = st.sampled_from([F(0), F(0), F(1), F(1), F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
+
+
+@st.composite
+def layout_programs(draw):
+    """Programs of up to 5 variables and 5 rows whose columns hold every kind of entry.
+
+    Rows have negative and nonnegative right-hand sides and every relation;
+    columns may hold two or more +1 entries, one entry or none.
+    """
+    names = tuple(f"x{j}" for j in range(draw(st.integers(1, 5))))
+    rows = tuple(
+        Constraint({v: draw(LAYOUT_ENTRIES) for v in names},
+                   draw(st.sampled_from(["<=", "=", ">="])), draw(SMALL_RATIONALS))
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    return from_constraints(names, {v: draw(COSTS) for v in names}, rows)
+
+
+# x0 holds +1 in three rows, one flipped from -1; x1 holds one non-unit entry;
+# x2 holds a lone +1 and a -2 that the flip makes 2; x3 is in no row
+EVERY_KIND_OF_ENTRY = from_constraints(
+    ("x0", "x1", "x2", "x3"), {"x0": F(1), "x1": F(2), "x2": F(1), "x3": F(1)},
+    (Constraint({"x0": F(1), "x1": F(3)}, ">=", F(1)),
+     Constraint({"x0": F(-1)}, "<=", F(-1, 2)),
+     Constraint({"x0": F(1), "x2": F(1)}, "=", F(2)),
+     Constraint({"x2": F(-2)}, ">=", F(-4))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_programs())
+@example(EVERY_KIND_OF_ENTRY)
+@example(NEGATIVE_DRIVE_OUT)
+def test_column_layout_reads_the_dense_columns(program):
+    sol, _ = _layout_audited_solve(program)
+    assert sol.canonical_bytes() == reference_solve(program).canonical_bytes()
+
+
+def test_every_kind_of_entry_takes_its_place_in_the_layout():
+    sx = lpmod._Simplex(EVERY_KIND_OF_ENTRY)
+    assert sx.flip == [1, -1, 1, -1]
+    v = [10, 20, 30, 40]
+    # x0..x3, the surpluses of rows 0 and 1 (flipped to >=), the slack of row 3 (flipped
+    # to <=) and the artificials of rows 0, 1 and 2
+    assert [list(get(v)) for get in sx.gets] == [[10, 20, 30], [], [30], [], [], [], [40], [10], [20], [30]]
+    assert sx.rests == [(), ((0, 3),), ((3, 2),), (), ((0, -1),), ((1, -1),), (), (), (), ()]
+    sol, entered = _layout_audited_solve(EVERY_KIND_OF_ENTRY)
+    assert sol.status == "optimal" and entered > 0
+
+
+def test_corpus_columns_are_read_by_their_getters_alone():
+    """Every structural entry of these corpus programs is +1 once its row is divided by g.
+
+    So each variable's column has an empty rest; a build that stopped using
+    the getters would fail here.
+    """
+    eps, f = F(1, 8), families.eq(2)
+    programs = [build_qprt_lp(families.make_function(family, n, "qc"), eps)
+                for family, n in (("and", 4), ("maj", 5))]
+    programs += [build_prt_lp(f, eps), build_rprt_lp(f, eps)]
+    programs += [build_srec_lp(SrecInstance(f, z, eps, eps)) for z in (0, 1)]
+    for program in programs:
+        sx = lpmod._Simplex(program)
+        assert all(rest == () for rest in sx.rests[:sx.n_real])
+        assert all(isinstance(get, operator.itemgetter) for get in sx.gets[:sx.n_real])
 
 
 def _pivot_trace(program):

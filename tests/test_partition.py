@@ -92,6 +92,17 @@ def test_builds_of_one_shape_share_one_layout():
     assert _cube_family.cache_info().misses == 1
 
 
+def test_srec_builds_of_one_shape_share_their_cap_rows():
+    """The cap rows depend on the shape only: every srec build of it reads the same rows."""
+    eps, mu = F(1, 8), ProductDistribution2P.uniform(4, 4)
+    programs = [build_srec_lp(SrecInstance(f, z, eps, delta, dist))
+                for f in (families.eq(2), families.gt(2)) for z in (0, 1)
+                for delta in (eps, F(0)) for dist in (None, mu)]
+    caps = [program.rows[-16:] for program in programs]
+    assert [row.label for row in caps[0]] == [f"cap_{x}_{y}" for x in range(4) for y in range(4)]
+    assert all(a is b for other in caps[1:] for a, b in zip(caps[0], other))
+
+
 def test_qprt_boost_requires_exact_total_mass():
     g = families.and_q(2)
     half = QprtSolution(2, {(0, Subcube(2, 0, 0)): F(1, 2)})
