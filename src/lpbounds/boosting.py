@@ -12,24 +12,31 @@ Tuples with an empty intersection are dropped: they contribute to no
 point's constraint, and dropping them only lowers the objective.  Weights
 must be non-negative.
 
-The sum is a dynamic program over running intersections, in exact integer
-numerators over a common denominator.  Each member of the intersection
-closure reached by the program is interned as an integer id, and its merge
-row (the ids it reaches by one more vote, with their summed multipliers)
-is built once, on first use.  The votes-for-1 axis is packed into one
-integer per id (Kronecker substitution): the count for j votes for 1 sits
-in bit slot j of ``width`` bits, so adding a vote is one big-integer
-multiply-add per (id, target) pair.  The cost is
-O(closure * support) calls to ``intersect`` plus
-O(t * closure * row length) multiply-adds on integers of O(t^2 * bits)
-bits, instead of O(t^2 * closure * support) intersections.
+The sum has a closed form, in exact integer numerators over a common
+denominator.  The votes-for-1 axis is packed into one integer (Kronecker
+substitution): member k's step is a_k + b_k * 2^width, its label-0 and
+label-1 numerators, and the count for j votes for 1 sits in bit slot j of
+``width`` bits.  The intersection closure of the support is interned, and
+each closure element c records ``mask[c]``, the members that contain it.
+The t-tuples whose members all contain c are counted by one power,
+G(c) = (sum of the steps in mask[c]) ** t.  Their intersection is c or a
+closure element inside c, whose mask is a strict subset of mask[c], so
+Moebius inversion over the closure, in increasing mask size, leaves the
+tuples that intersect to exactly c:
+
+    v(c) = G(c) - sum of v(c') over mask[c'] strictly inside mask[c].
+
+The cost is O(closure * support) calls to ``intersect``, one power per
+closure element and a pass over the pairs of closure elements; no term
+grows with t except the size of the integers, O(t^2 * bits) bits.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Hashable, TypeVar
+
+from .rational import numerators
 
 K = TypeVar("K", bound=Hashable)
 
@@ -60,43 +67,32 @@ def majority_product_boost(
     if t == 1:
         return {(z, k): w for z, k, w in entries}
 
-    den = math.lcm(*(w.denominator for _, _, w in entries))
-    nums = [(z, k, w.numerator * (den // w.denominator)) for z, k, w in entries]
-    # All slots of all states sum to at most (sum of numerators)**t, which
+    den, nums = numerators(w for _, _, w in entries)
+    # The slots of every G(c) sum to at most (sum of numerators)**t, which
     # fits in t * bitlen bits: no slot carries into its neighbour, and the
     # spare bit keeps every digit sum below 2^width - 1 (read-off below).
-    width = t * sum(num for _, _, num in nums).bit_length() + 1
+    width = t * sum(nums).bit_length() + 1
     step: dict[K, int] = {}
-    for z, k, num in nums:
+    for (z, k, _), num in zip(entries, nums):
         step[k] = step.get(k, 0) + (num << (width * z))
 
-    keys: list[K] = list(step)
+    # The closure, members first; c cap k = m puts k into mask[m], and
+    # c = m finds every member containing m.  ``keys`` grows as it is read.
+    members, steps = list(step), list(step.values())
+    keys: list[K] = list(members)
     ids: dict[K, int] = {k: i for i, k in enumerate(keys)}
-    rows: dict[int, list[tuple[int, int]]] = {}
-
-    def merge_row(i: int) -> list[tuple[int, int]]:
-        row: dict[int, int] = {}
-        for k2, mult in step.items():
-            merged = intersect(keys[i], k2)
-            if merged is None:
+    masks = [0] * len(keys)
+    for c in keys:
+        for bit, k in enumerate(members):
+            m = intersect(c, k)
+            if m is None:
                 continue
-            j = ids.get(merged)
-            if j is None:
-                j = ids[merged] = len(keys)
-                keys.append(merged)
-            row[j] = row.get(j, 0) + mult
-        return list(row.items())
-
-    state = {ids[k]: mult for k, mult in step.items()}
-    for _ in range(t - 1):
-        nxt: dict[int, int] = {}
-        for i, val in state.items():
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = merge_row(i)
-            for j, mult in row:
-                nxt[j] = nxt.get(j, 0) + val * mult
-        state = nxt
+            i = ids.get(m)
+            if i is None:
+                i = ids[m] = len(keys)
+                keys.append(m)
+                masks.append(0)
+            masks[i] |= 1 << bit
 
     # Slots 0 .. t//2 carry majority label 0, the rest label 1.  A sum of
     # base-2^width digits equals the number mod 2^width - 1, and is below
@@ -104,8 +100,15 @@ def majority_product_boost(
     split = width * (t // 2 + 1)
     digits = (1 << width) - 1
     scale = den**t
+    inside: list[tuple[int, int]] = []  # (mask, v) of the nonzero v read so far
     out = []
-    for i, val in state.items():
+    for i in sorted(range(len(keys)), key=lambda i: masks[i].bit_count()):
+        mask = masks[i]
+        val = sum(s for bit, s in enumerate(steps) if mask >> bit & 1) ** t
+        val -= sum(v for sub, v in inside if sub & mask == sub)
+        if not val:
+            continue
+        inside.append((mask, val))
         for z, packed in ((0, val & ((1 << split) - 1)), (1, val >> split)):
             total = packed % digits
             if total:

@@ -192,8 +192,7 @@ class LinearProgram:
         return self.rows
 
     def objective_value(self, assignment: dict[str, Fraction]) -> Fraction:
-        big_l, point = _scaled_point(self, assignment)
-        return Fraction(_row_dot(self.cost, point), self.cost.s * big_l)
+        return _point_value(self, *_scaled_point(self, assignment))
 
 
 @dataclass(frozen=True)
@@ -252,6 +251,11 @@ def _row_dot(row: Row, point: list[int]) -> int:
     return sum(map(mul, row.coeffs, map(point.__getitem__, row.cols)))
 
 
+def _point_value(lp: LinearProgram, big_l: int, point: list[int]) -> Fraction:
+    """cost . x for the point L * x of ``_scaled_point``."""
+    return Fraction(_row_dot(lp.cost, point), lp.cost.s * big_l)
+
+
 def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[Violation]:
     """every violated constraint with its exact slack; [] iff feasible.
 
@@ -259,7 +263,13 @@ def check_feasible(lp: LinearProgram, assignment: dict[str, Fraction]) -> list[V
     by s_i and the assignment by the lcm L of its denominators compare as
     integers; the Fraction lhs is built only for a violated row.
     """
-    big_l, point = _scaled_point(lp, assignment)
+    return _violations(lp, assignment, *_scaled_point(lp, assignment))
+
+
+def _violations(
+    lp: LinearProgram, assignment: dict[str, Fraction], big_l: int, point: list[int]
+) -> list[Violation]:
+    """``check_feasible`` on the point L * x of ``_scaled_point``."""
     out: list[Violation] = []
     for i, row in enumerate(lp.rows):
         lhs, rhs = _row_dot(row, point), row.rhs * big_l
@@ -342,14 +352,15 @@ def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
     values; an infeasible one a Farkas vector.  Any other status is unknown.
     """
     if sol.status == "optimal":
-        undeclared = sorted(set(sol.primal) - set(lp.variables))
+        undeclared = sorted(set(sol.primal).difference(lp.variables))
         if undeclared:
             return [f"primal names undeclared variables {undeclared}"]
         if len(sol.dual) != len(lp.rows):
             return ["dual vector length does not match constraint count"]
-        failures = [f"optimal primal failed re-check: {v}" for v in check_feasible(lp, sol.primal)]
+        scaled = _scaled_point(lp, sol.primal)  # once, for the rows and the objective
+        failures = [f"optimal primal failed re-check: {v}" for v in _violations(lp, sol.primal, *scaled)]
         failures += [f"optimal dual failed re-check: {v}" for v in check_dual_feasible(lp, sol.dual)]
-        if lp.objective_value(sol.primal) != sol.value:
+        if _point_value(lp, *scaled) != sol.value:
             failures.append("primal objective differs from the reported value")
         if dual_objective(lp, sol.dual) != sol.value:
             failures.append("strong duality certificate failed")
@@ -577,10 +588,13 @@ class _Simplex:
 
         self._iterate(self.cost2, self.n_structural)
         x_den = self.d * self.lb
-        x_std = {self.basis[i]: Fraction(xi, x_den) for i, xi in enumerate(self.x) if xi}
-        primal = {v: x_std[j] for j, v in enumerate(self.lp.variables) if j in x_std}
+        basic = sorted((j, xi) for j, xi in zip(self.basis, self.x) if xi and j < self.n_real)
+        primal = {self.lp.variables[j]: Fraction(xi, x_den) for j, xi in basic}
+        # cost . x from the basis: sum of L * c_j * (D * L_b * x_j) over L * D * L_b
+        value = Fraction(sum(map(mul, map(self.cost2.__getitem__, self.basis), self.x)),
+                         self.l2 * x_den)
         return LPSolution(
-            "optimal", self.lp.objective_value(primal), primal, tuple(self._row_duals(self.l2)),
+            "optimal", value, primal, tuple(self._row_duals(self.l2)),
             self.iterations, phase1_iterations,
         )
 

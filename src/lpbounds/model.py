@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from typing import Iterator
 
 from .errors import CapExceededError, DimensionMismatchError
+from .rational import numerators
 
 RECTANGLE_VARIABLE_CAP = 1 << 20
 MAX_QUERY_BITS = 12
@@ -206,9 +207,8 @@ class Subcube:
 
 def _integer_weights(weights: tuple[Fraction, ...], mask: int) -> tuple[int, list[tuple[int, int]]]:
     """D = lcm of the denominators, and (i, w_i * D) for the nonzero w_i in ``mask``."""
-    den = lcm(*(w.denominator for w in weights))
-    picked = ((i, w) for i, w in enumerate(weights) if (mask >> i) & 1 and w)
-    return den, [(i, w.numerator * (den // w.denominator)) for i, w in picked]
+    den, nums = numerators(weights)
+    return den, [(i, num) for i, num in enumerate(nums) if (mask >> i) & 1 and num]
 
 
 @dataclass(frozen=True)

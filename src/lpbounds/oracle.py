@@ -136,7 +136,10 @@ def _search(
     ``masses`` gives a state's two label masses times ``den``, as integers.
     A leaf answers the label of larger mass (0 on a tie).  ``moves`` yields
     each node as its constructor awaiting two subtrees, with the states
-    they start from; a move wins only when it errs strictly less.
+    they start from; a move wins only when it errs strictly less.  So a
+    move whose first subtree already errs >= the best error so far is not
+    finished, and no move is tried once that error is 0: the pruned search
+    returns the same (error, witness) for every (state, budget).
     """
     masses = cache(masses)  # a state's masses do not depend on the budget
     memo: dict[tuple[int, int, int], tuple[int, Tree]] = {}
@@ -148,13 +151,17 @@ def _search(
             return hit
         m0, m1 = masses(*state)
         err, tree = (m1, Leaf(0)) if m1 <= m0 else (m0, Leaf(1))
-        if budget >= 1:
+        if budget >= 1 and err:
             for node, first, second in moves(*state):
                 e_first, t_first = best(first, budget - 1)
+                if e_first >= err:  # errors are >= 0: the move cannot err strictly less
+                    continue
                 e_second, t_second = best(second, budget - 1)
                 if e_first + e_second < err:
                     err = e_first + e_second
                     tree = node(t_first, t_second)
+                    if not err:
+                        break
         memo[key] = (err, tree)
         return err, tree
 

@@ -28,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from operator import mul
 from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
 
 from .boosting import majority_product_boost
 from .errors import DimensionMismatchError, InfeasibleConstructionError
 from .lp import LinearProgram, Row, scaled_row, unit_row
-from .rational import format_rational, majority_error
+from .rational import format_rational, majority_error, numerators
 
 K = TypeVar("K", bound=Hashable)
 
@@ -101,9 +101,8 @@ class LabelledFamily(Generic[K]):
     @cached_property
     def _columns(self) -> tuple[tuple[str, ...], Row]:
         """The variable names of ``primal`` and its cost row."""
-        costs = [self.cost(k) for k in self.members]
-        den = lcm(*(c.denominator for c in costs))
-        nums = [c.numerator * (den // c.denominator) for c in costs for _ in (0, 1)]
+        den, costs = numerators(map(self.cost, self.members))
+        nums = [c for c in costs for _ in (0, 1)]
         names = tuple(f"w{z}_{self.tag(k)}" for k in self.members for z in (0, 1))
         return names, scaled_row(range(len(nums)), nums, den, "=", 0, "objective")
 
@@ -134,18 +133,26 @@ class LabelledFamily(Generic[K]):
         return LinearProgram(*self._columns, covering + self._mass_rows[relaxed])
 
     def masses(self, weights: LabelledWeights, labels: Labels) -> tuple[list[Fraction], ...]:
-        """Per point, the weight on the members containing it: in all, and of its own label."""
-        total = [Fraction(0)] * len(self.tags)
+        """Per point, the weight on the members containing it: in all, and of its own label.
+
+        Integer numerators are summed over one common denominator; only the
+        results are Fractions.
+        """
+        den, nums = numerators(weights.values())
+        total = [0] * len(self.tags)
         correct = list(total)
-        for (z, k), w in weights.items():
+        for (z, k), num in zip(weights, nums):
             for i in self.cells(k):
-                total[i] += w
+                total[i] += num
                 if labels[i] == z:
-                    correct[i] += w
-        return total, correct
+                    correct[i] += num
+        return [Fraction(m, den) for m in total], [Fraction(m, den) for m in correct]
 
     def objective(self, weights: LabelledWeights) -> Fraction:
-        return sum((self.cost(k) * w for (_, k), w in weights.items()), Fraction(0))
+        """sum c(K) * w_{z,K}, summed as integers over one common denominator."""
+        den, nums = numerators(weights.values())
+        cden, costs = numerators(self.cost(k) for _, k in weights)
+        return Fraction(sum(map(mul, costs, nums)), cden * den)
 
     def boost(self, weights: LabelledWeights, labels: Labels, t: int) -> BoostResult:
         """t-fold majority product of an exact-total-mass solution.

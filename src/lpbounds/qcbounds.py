@@ -33,7 +33,7 @@ from .model import (
     project_weights,
 )
 from .partition import LabelledFamily
-from .rational import ceil_mul_log2
+from .rational import ceil_mul_log2, numerators
 
 QPRT_VARIABLE_CAP = 1 << 20
 
@@ -144,13 +144,12 @@ class FeasibleSystem:
         for c in list(self.u) + list(self.w):
             if c.support & consistent.support:
                 out.append(f"support {c.pattern()} uses a mu-fixed bit")
-        for x in consistent.members():
-            um = _mass_at(self.u, x)
+        points = list(consistent.members())
+        for x, um, wm in zip(points, _masses_at(self.u, points), _masses_at(self.w, points)):
             if g.value(x) == 0 and um < 1 - self.alpha0:
                 out.append(f"u covering below 1-alpha0 at {x}")
             if g.value(x) == 1 and um > self.beta0:
                 out.append(f"u mass above beta0 at {x}")
-            wm = _mass_at(self.w, x)
             if wm > 1:
                 out.append(f"w mass above 1 at {x}")
             if g.value(x) == 0 and wm > self.beta1:
@@ -164,9 +163,15 @@ class FeasibleSystem:
         return out
 
 
-def _mass_at(cubes: dict[Subcube, Fraction], x: int) -> Fraction:
-    """Total weight of the subcubes containing the point x."""
-    return sum((v for c, v in cubes.items() if c.contains(x)), Fraction(0))
+def _masses_at(cubes: dict[Subcube, Fraction], points: list[int]) -> list[Fraction]:
+    """Per point, the total weight of the subcubes containing it.
+
+    Integer numerators are summed over one common denominator; only the
+    results are Fractions.
+    """
+    den, nums = numerators(cubes.values())
+    weighted = list(zip(cubes, nums))
+    return [Fraction(sum(num for c, num in weighted if c.contains(x)), den) for x in points]
 
 
 def extract_feasible(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -23,6 +24,7 @@ __all__ = [
     "largest_fourth_power_at_most",
     "majority_error",
     "min_odd_votes_for_error",
+    "numerators",
 ]
 
 
@@ -56,6 +58,13 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def numerators(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(D, [v * D for each value]): D is the lcm of the denominators, so each v * D is an integer."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def power_of_two_exponent(r: Fraction) -> int | None:

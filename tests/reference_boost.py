@@ -1,10 +1,14 @@
 """Reference majority product and vote math for differential tests.
 
-``reference_boost`` is the dynamic program ``lpbounds.boosting`` used
-before it interned intersections and packed the vote counts: every round
-walks every (votes-for-1, running intersection) state against every
-support entry and calls ``intersect`` each time.  It sums the same tuples
-in exact integers, so on every input the two must return equal mappings.
+``reference_boost`` is the first dynamic program of ``lpbounds.boosting``:
+every one of its t - 1 rounds walks every (votes-for-1, running
+intersection) state against every support entry and calls ``intersect``
+each time.  Its successor, which interned the intersections and packed
+the vote counts into one integer per state but still ran t - 1 rounds, is
+retired too: the module now takes one power per closure element and a
+Moebius inversion.  All of them sum the same tuples in exact integers, so
+on every input ``reference_boost`` and the module must return equal
+mappings.
 
 ``reference_majority_error`` is the binomial tail as ``lpbounds.rational``
 summed it in Fractions before it summed integers over q**t, and

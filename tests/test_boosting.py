@@ -51,7 +51,8 @@ def rectangle_families(draw):
     return family
 
 
-votes = st.sampled_from([1, 3, 5, 7, 9])
+# small counts, and 21 and 47, counts the synthesis pipelines boost with
+votes = st.sampled_from([1, 3, 5, 7, 9, 21, 47])
 
 
 def assert_matches_reference(family, t, intersect, key):
@@ -71,6 +72,40 @@ def test_boost_matches_reference_on_subcubes(family, t):
 @given(rectangle_families(), votes)
 def test_boost_matches_reference_on_rectangles(family, t):
     assert_matches_reference(family, t, rect_intersect, rect_key)
+
+
+def test_boost_weighs_an_intersection_only_when_t_members_reach_it():
+    """The four members x_i = 1 of {0,1}^4 meet in the point 1111 only all together.
+
+    The closure holds 1111 at every t, but a t-tuple reaches it only when
+    t >= 4, so t = 3 gives it no weight and t = 5 does.
+    """
+    family = {(1, Subcube(4, 1 << i, 1 << i)): F(1, 4) for i in range(4)}
+    point = Subcube(4, 0b1111, 0b1111)
+    assert (1, point) not in majority_product_boost(family, 3, cube_intersect, cube_key)
+    assert majority_product_boost(family, 5, cube_intersect, cube_key)[(1, point)] > 0
+    for t in (3, 5):
+        assert_matches_reference(family, t, cube_intersect, cube_key)
+
+
+def test_boost_intersections_do_not_grow_with_t():
+    family = {
+        (z, Subcube(4, support, values)): F(1 + support + values, 40)
+        for z, support, values in [(0, 0b0011, 0b0001), (1, 0b0110, 0b0110), (0, 0b1100, 0b0100),
+                                   (1, 0b1001, 0b1000), (1, 0b0000, 0b0000)]
+    }
+    calls = []
+
+    def counting_intersect(a, b):
+        calls.append(1)
+        return cube_intersect(a, b)
+
+    counts = []
+    for t in (3, 47):
+        calls.clear()
+        majority_product_boost(family, t, counting_intersect, cube_key)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_boost_slot_width_holds_the_largest_vote_counts():

@@ -107,6 +107,23 @@ def test_negative_depth_rejected():
 
 # Differential tests against the two searches the shared one replaced.
 
+
+@pytest.mark.parametrize("name", sorted(CC_CORPUS))
+def test_cc_search_matches_reference_on_corpus(name):
+    """Depth 4 on a 4x4 table is where the pruned search skips the most moves."""
+    f = CC_CORPUS[name]
+    for depth in range(ORACLE_CC_MAX_DEPTH + 1):
+        assert oracle_cc(f, UNIFORM_4x4, depth) == reference_oracle_cc(f, UNIFORM_4x4, depth)
+
+
+@pytest.mark.parametrize("name", sorted(QC_CORPUS))
+def test_qc_search_matches_reference_on_corpus(name):
+    g = QC_CORPUS[name]
+    mu = BitProductDistribution.uniform(g.n)
+    for depth in range(g.n + 2):
+        assert oracle_qc(g, mu, depth) == reference_oracle_qc(g, mu, depth)
+
+
 # weights k/d in [0, 1] for d in 1..12, so one measure mixes denominators
 WEIGHTS = st.integers(1, 12).flatmap(lambda d: st.builds(F, st.integers(0, d), st.just(d)))
 
