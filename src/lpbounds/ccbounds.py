@@ -35,6 +35,7 @@ from .model import (
     Rectangle,
     TwoPartyFunction,
     enumerate_rectangles,
+    full_rectangle,
 )
 from .partition import BoostResult, LabelledFamily, check_unit_interval
 from .rational import log2_bracket
@@ -128,35 +129,31 @@ def _srec_columns(nx: int, ny: int) -> tuple[tuple[str, ...], Row, tuple[Row, ..
     return names, unit_row(range(len(names)), "=", Fraction(0), "objective"), caps
 
 
-def _labels(f: TwoPartyFunction) -> list[int]:  # x-major, as the cells
-    return [v for row in f.table for v in row]
-
-
 def build_srec_lp(inst: SrecInstance) -> LinearProgram:
     """Column j is the weight of the j-th rectangle; rows in the order of the module docstring.
 
-    The averaged covering row sums mu_z over the rectangles' cells from one
-    integer table, ``label_cells``.
+    The averaged covering row sums mu_z over the rectangles' cells from the
+    measure's integer ``point_weights``, whose cells are x-major as ``f.labels``.
     """
     f, z = inst.f, inst.z
     family = _rect_family(f.nx, f.ny)
     names, cost, caps = _srec_columns(f.nx, f.ny)
-    cells = list(zip(family.tags, _labels(f), family.containing))
+    cells = list(zip(family.tags, f.labels, family.containing))
     rows: list[Row] = []
     if inst.mu is None:
         rows += [unit_row(cols, ">=", 1 - inst.eps, f"cov_{tag}")
                  for tag, v, cols in cells if v == z]
     else:
-        den, table = inst.mu.label_cells(f, z)
+        den, weights = inst.mu.point_weights
         masses = [0] * len(names)
-        for m, cols in zip([m for row in table for m in row], family.containing):
-            if m:
+        for m, v, cols in zip(weights, f.labels, family.containing):
+            if m and v == z:
                 for j in cols:
                     masses[j] += m
         level = 1 - inst.eps
+        total = inst.mu.label_sums(f, full_rectangle(f))[z]
         rows.append(scaled_row(range(len(names)), [level.denominator * m for m in masses],
-                               level.denominator * den, ">=",
-                               level.numerator * sum(map(sum, table)), "cov"))
+                               level.denominator * den, ">=", level.numerator * total, "cov"))
     rows += [unit_row(cols, "<=", inst.delta, f"pack_{tag}") for tag, v, cols in cells if v != z]
     return LinearProgram(names, cost, tuple(rows) + caps)
 
@@ -171,11 +168,11 @@ def srec_weights(result: BoundResult) -> dict[Rectangle, Fraction]:
 
 
 def build_prt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _rect_family(f.nx, f.ny).primal(_labels(f), eps, relaxed=False)
+    return _rect_family(f.nx, f.ny).primal(f.labels, eps, relaxed=False)
 
 
 def build_rprt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
-    return _rect_family(f.nx, f.ny).primal(_labels(f), eps, relaxed=True)
+    return _rect_family(f.nx, f.ny).primal(f.labels, eps, relaxed=True)
 
 
 def prt_bound(f: TwoPartyFunction, eps: Fraction) -> BoundResult:
@@ -197,7 +194,7 @@ def reduce_prt_error(
 
     Every pre- and postcondition is verified by ``LabelledFamily.boost``.
     """
-    return _rect_family(f.nx, f.ny).boost(weights, _labels(f), t)
+    return _rect_family(f.nx, f.ny).boost(weights, f.labels, t)
 
 
 @dataclass(frozen=True)

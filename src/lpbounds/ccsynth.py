@@ -514,21 +514,16 @@ def _replace(
 class CCSynthReport:
     """End-to-end protocol synthesis record with its exact assertions."""
 
-    part: int
-    k: int | None
     eps: Fraction
     delta: Fraction
     delta_root: Fraction
     big_delta: Fraction
     s: int
     t: int
-    value0: Fraction
-    value1: Fraction
     hypothesis_ok: bool
     tree: ProtocolTree | None
     balanced: ProtocolTree | None
     leaves: int | None
-    depth: int | None
     balanced_depth: int | None
     adv: Fraction | None
     adv_floor: Fraction | None
@@ -544,8 +539,8 @@ def protocol_pipeline(
 ) -> CCSynthReport:
     """Solve both distributional LPs, synthesize, balance, and certify.
 
-    Part 1 uses eps = delta = the largest fourth power at most 1/n**2 and
-    Delta = 2**(-4n), with minimal valid (s, t).  Part 2 requires k >= 20,
+    Part 1 takes no k and uses eps = delta = the largest fourth power at
+    most 1/n**2 and Delta = 2**(-4n), with minimal valid (s, t).  Part 2 requires k >= 20,
     uses eps = delta = the largest fourth power at most
     1/(3000 (k+1)**4) and Delta = 2**(-5 k**2) with s = k; the premise
     ceil(100 log2 srec) <= k (and s = k clearing the induction threshold)
@@ -561,6 +556,8 @@ def protocol_pipeline(
     n = f.nx.bit_length() - 1
     notes: list[str] = []
     if part == 1:
+        if k is not None:
+            raise ValueError("part 1 takes no k; only part 2 reads it")
         if n < 2:  # delta <= 1/n**2 must lie in (0, 1)
             raise DimensionMismatchError("part 1 needs at least 4 x 4 inputs")
         target = Fraction(1, n * n)
@@ -596,10 +593,8 @@ def protocol_pipeline(
         s = k
 
     if not hypothesis_ok:
-        return CCSynthReport(
-            part, k, eps, delta, q, big_delta, s, 0, v0, v1, False,
-            None, None, None, None, None, None, None, False, tuple(notes),
-        )
+        return CCSynthReport(eps, delta, q, big_delta, s, 0, False,
+                             None, None, None, None, None, None, False, tuple(notes))
 
     t = minimum_t(s, mu.total, big_delta)
     params = SynthParams(eps, delta, q, big_delta, s, t)
@@ -619,21 +614,16 @@ def protocol_pipeline(
     if advantage(balanced, f, mu) != adv:
         raise InfeasibleConstructionError("balancing changed the advantage")
     return CCSynthReport(
-        part=part,
-        k=k,
         eps=eps,
         delta=delta,
         delta_root=q,
         big_delta=big_delta,
         s=s,
         t=t,
-        value0=v0,
-        value1=v1,
         hypothesis_ok=True,
         tree=tree,
         balanced=balanced,
         leaves=leaves,
-        depth=tree_depth(tree),
         balanced_depth=tree_depth(balanced),
         adv=adv,
         adv_floor=adv_floor,

@@ -16,7 +16,8 @@ fixed coordinates, i.e. popcount(support).
 Measures are exact rationals and are *not* required to be normalized;
 ``ProductDistribution2P`` totals may be any non-negative rational, while
 ``BitProductDistribution`` is normalized by construction (each coordinate
-carries a marginal p_i in [0,1] whose complement is 1 - p_i).
+carries a marginal p_i in [0,1] whose complement is 1 - p_i).  Both are
+summed by label through one integer layer, ``_PointMeasure``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class TwoPartyFunction:
     def ny(self) -> int:
         return len(self.table[0])
 
+    @cached_property
+    def labels(self) -> tuple[int, ...]:  # f(x, y) at cell x * ny + y, x-major
+        return tuple(v for row in self.table for v in row)
+
     def value(self, x: int, y: int) -> int:
         return self.table[x][y]
 
@@ -96,6 +101,10 @@ class QueryFunction:
         for v in self.table:
             if v not in (0, 1):
                 raise DimensionMismatchError(f"table entries must be bits, got {v!r}")
+
+    @property
+    def labels(self) -> tuple[int, ...]:  # g(x) at point x
+        return self.table
 
     def value(self, x: int) -> int:
         return self.table[x]
@@ -205,14 +214,42 @@ class Subcube:
         return Subcube(len(text), support, values)
 
 
-def _integer_weights(weights: tuple[Fraction, ...], mask: int) -> tuple[int, list[tuple[int, int]]]:
-    """D = lcm of the denominators, and (i, w_i * D) for the nonzero w_i in ``mask``."""
-    den, nums = numerators(weights)
-    return den, [(i, num) for i, num in enumerate(nums) if (mask >> i) & 1 and num]
+class _PointMeasure:
+    """The label sums of both measures, over integer point weights.
+
+    A measure supplies ``point_weights`` (D, W), W[p] = D * mu(p) an integer
+    at each point p, and ``_points(fn, region)``, a region's points after
+    one shape check, indexed as ``fn.labels``.
+    """
+
+    def label_sums(self, fn, region) -> tuple[int, int]:
+        """(D * mu_0(region), D * mu_1(region)), summed as integers."""
+        weights, labels = self.point_weights[1], fn.labels
+        sums = [0, 0]
+        for p in self._points(fn, region):
+            sums[labels[p]] += weights[p]
+        return sums[0], sums[1]
+
+    def label_masses(self, fn, region) -> tuple[Fraction, Fraction]:
+        """(mu_0(region), mu_1(region)), mu_z = mu(region & fn^-1(z)): ``label_sums`` / D."""
+        s0, s1 = self.label_sums(fn, region)
+        den = self.point_weights[0]
+        return Fraction(s0, den), Fraction(s1, den)
+
+    def weighted_label_masses(self, fn, weights: dict) -> tuple[Fraction, Fraction]:
+        """(sum_K w_K mu_0(K), sum_K w_K mu_1(K)), summed as integers over one denominator."""
+        den, nums = numerators(weights.values())
+        sums = [0, 0]
+        for region, num in zip(weights, nums):
+            s0, s1 = self.label_sums(fn, region)
+            sums[0] += num * s0
+            sums[1] += num * s1
+        den *= self.point_weights[0]
+        return Fraction(sums[0], den), Fraction(sums[1], den)
 
 
 @dataclass(frozen=True)
-class ProductDistribution2P:
+class ProductDistribution2P(_PointMeasure):
     """Product measure mu(x, y) = row_weights[x] * col_weights[y].
 
     Weights are non-negative rationals; the total mass may be any
@@ -239,43 +276,20 @@ class ProductDistribution2P:
     def total(self) -> Fraction:
         return sum(self.row_weights, Fraction(0)) * sum(self.col_weights, Fraction(0))
 
-    def label_masses(self, f: TwoPartyFunction, rect: Rectangle) -> tuple[Fraction, Fraction]:
-        """(mu_0(R), mu_1(R)), mu_z(R) = mu(R intersect f^{-1}(z)), in one pass.
+    @cached_property
+    def point_weights(self) -> tuple[int, tuple[int, ...]]:
+        """(D, W): D = lcm(row dens) * lcm(column dens), W[x * ny + y] = D * mu(x, y)."""
+        dr, rows = numerators(self.row_weights)
+        dc, cols = numerators(self.col_weights)
+        return dr * dc, tuple(r * c for r in rows for c in cols)
 
-        Cells are summed as integers over lcm(row denominators) *
-        lcm(column denominators); only the two results are Fractions.
-        """
-        self._check_shape(f)
-        dr, rows = _integer_weights(self.row_weights, rect.rows)
-        dc, cols = _integer_weights(self.col_weights, rect.cols)
-        sums = [0, 0]
-        for x, r in rows:
-            for y, c in cols:
-                sums[f.table[x][y]] += r * c
-        return Fraction(sums[0], dr * dc), Fraction(sums[1], dr * dc)
-
-    def label_cells(self, f: TwoPartyFunction, z: int) -> tuple[int, list[list[int]]]:
-        """(D, W): W[x][y] = D * mu(x, y) on f^-1(z) and 0 elsewhere.
-
-        D is the denominator ``label_masses`` sums over, so mu_z(R) is the
-        sum of W over the cells of R, divided by D.
-        """
-        self._check_shape(f)
-        full = full_rectangle(f)
-        dr, rows = _integer_weights(self.row_weights, full.rows)
-        dc, cols = _integer_weights(self.col_weights, full.cols)
-        table = [[0] * f.ny for _ in range(f.nx)]
-        for x, r in rows:
-            for y, c in cols:
-                if f.table[x][y] == z:
-                    table[x][y] = r * c
-        return dr * dc, table
-
-    def _check_shape(self, f: TwoPartyFunction) -> None:
+    def _points(self, f: TwoPartyFunction, rect: Rectangle) -> list[int]:
         if self.nx != f.nx or self.ny != f.ny:
             raise DimensionMismatchError(
                 f"measure is {self.nx}x{self.ny} but function is {f.nx}x{f.ny}"
             )
+        ys = [y for y in range(self.ny) if (rect.cols >> y) & 1]
+        return [x * self.ny + y for x in range(self.nx) if (rect.rows >> x) & 1 for y in ys]
 
     def restrict(self, rect: Rectangle) -> "ProductDistribution2P":
         """Zero out all weight outside the rectangle; stays in product form."""
@@ -300,7 +314,7 @@ class ProductDistribution2P:
 
 
 @dataclass(frozen=True)
-class BitProductDistribution:
+class BitProductDistribution(_PointMeasure):
     """Bit-wise product measure on {0,1}^n: mu(x) = prod_i p_i(x_i).
 
     ``p[i]`` is the probability that coordinate i equals 1; the complement
@@ -330,26 +344,12 @@ class BitProductDistribution:
             weights = [w * zero for w in weights] + [w * one for w in weights]
         return prod(q.denominator for q in self.p), tuple(weights)
 
-    def label_sums(self, g: QueryFunction, cube: Subcube) -> tuple[int, int]:
-        """(D * mu_0(A), D * mu_1(A)), summed over the integers of ``point_weights``."""
+    def _points(self, g: QueryFunction, cube: Subcube) -> Iterator[int]:
         if self.n != g.n or cube.n != g.n:
             raise DimensionMismatchError(
                 f"bit counts disagree: measure {self.n}, function {g.n}, subcube {cube.n}"
             )
-        weights = self.point_weights[1]
-        sums = [0, 0]
-        for x in cube.members():
-            sums[g.table[x]] += weights[x]
-        return sums[0], sums[1]
-
-    def label_masses(self, g: QueryFunction, cube: Subcube) -> tuple[Fraction, Fraction]:
-        """(mu_0(A), mu_1(A)), mu_z(A) = mu(A intersect g^{-1}(z)), in one pass.
-
-        Only the two results are Fractions: ``label_sums`` over D.
-        """
-        s0, s1 = self.label_sums(g, cube)
-        den = self.point_weights[0]
-        return Fraction(s0, den), Fraction(s1, den)
+        return cube.members()
 
     def fixed_cube(self) -> Subcube:
         """The points consistent with the coordinates whose marginal is 0 or 1."""

@@ -5,13 +5,12 @@ protocol trees of a given depth: at every node either party may speak, and
 a speaker's message is an arbitrary bipartition of their active index set.
 ``oracle_qc`` does the same over decision trees.  Both are front ends of
 one memoised search: each supplies its start state (rectangle masks /
-subcube restriction), the state's two label masses and its moves, and the
+subcube restriction), the region a state stands for and its moves, and the
 search returns a witness tree that replays to exactly the optimal error.
 
-The search adds and compares integers: each front end gives every label
-mass as an integer over one common denominator D of its measure (from
-``label_cells`` on X x Y, from ``point_weights`` on {0,1}^n), and only
-the optimum is divided by D, once.
+The search adds and compares integers: a state's two label masses are
+``mu.label_sums`` over its region, integers over the denominator D of the
+measure's ``point_weights``, and only the optimum is divided by D, once.
 
 These searches are exponential and exist to validate synthesized
 artifacts, not to scale: caps are enforced.
@@ -29,6 +28,7 @@ from .model import (
     BitProductDistribution,
     ProductDistribution2P,
     QueryFunction,
+    Rectangle,
     Subcube,
     TwoPartyFunction,
 )
@@ -79,16 +79,6 @@ def oracle_cc(
     if depth_budget > ORACLE_CC_MAX_DEPTH:
         raise CapExceededError(f"protocol search capped at depth {ORACLE_CC_MAX_DEPTH}")
     _check_depth(depth_budget)
-    den, zeros = mu.label_cells(f, 0)
-    ones = mu.label_cells(f, 1)[1]
-
-    def masses(rows: int, cols: int) -> tuple[int, int]:
-        xs = [x for x in range(f.nx) if (rows >> x) & 1]
-        ys = [y for y in range(f.ny) if (cols >> y) & 1]
-        return (
-            sum(zeros[x][y] for x in xs for y in ys),
-            sum(ones[x][y] for x in xs for y in ys),
-        )
 
     def moves(rows: int, cols: int) -> Iterator[Move]:
         for split in _proper_bipartitions(rows):
@@ -96,7 +86,7 @@ def oracle_cc(
         for split in _proper_bipartitions(cols):
             yield partial(PNode, "B", split), (rows, split), (rows, cols ^ split)
 
-    return _search(((1 << f.nx) - 1, (1 << f.ny) - 1), den, masses, moves, depth_budget)
+    return _search(mu, f, Rectangle, ((1 << f.nx) - 1, (1 << f.ny) - 1), moves, depth_budget)
 
 
 def oracle_qc(
@@ -107,16 +97,13 @@ def oracle_qc(
         raise CapExceededError(f"decision search capped at {ORACLE_QC_MAX_BITS} bits")
     _check_depth(depth_budget)
 
-    def masses(support: int, values: int) -> tuple[int, int]:
-        return mu.label_sums(g, Subcube(g.n, support, values))
-
     def moves(support: int, values: int) -> Iterator[Move]:
         for i in range(g.n):
             if not (support >> i) & 1:
                 bit = 1 << i
                 yield partial(DNode, i), (support | bit, values), (support | bit, values | bit)
 
-    return _search((0, 0), mu.point_weights[0], masses, moves, depth_budget)
+    return _search(mu, g, partial(Subcube, g.n), (0, 0), moves, depth_budget)
 
 
 def _check_depth(depth_budget: int) -> None:
@@ -125,15 +112,16 @@ def _check_depth(depth_budget: int) -> None:
 
 
 def _search(
+    mu: ProductDistribution2P | BitProductDistribution,
+    fn: TwoPartyFunction | QueryFunction,
+    region: Callable[[int, int], Rectangle | Subcube],
     start: State,
-    den: int,
-    masses: Callable[[int, int], tuple[int, int]],
     moves: Callable[[int, int], Iterator[Move]],
     depth_budget: int,
 ) -> OracleResult:
     """Minimum error over trees of depth <= depth_budget, memoised on (state, budget).
 
-    ``masses`` gives a state's two label masses times ``den``, as integers.
+    ``region(*state)`` is the rectangle or subcube a state stands for.
     A leaf answers the label of larger mass (0 on a tie).  ``moves`` yields
     each node as its constructor awaiting two subtrees, with the states
     they start from; a move wins only when it errs strictly less.  So a
@@ -141,7 +129,10 @@ def _search(
     finished, and no move is tried once that error is 0: the pruned search
     returns the same (error, witness) for every (state, budget).
     """
-    masses = cache(masses)  # a state's masses do not depend on the budget
+    @cache  # a state's masses do not depend on the budget
+    def masses(*state: int) -> tuple[int, int]:
+        return mu.label_sums(fn, region(*state))
+
     memo: dict[tuple[int, int, int], tuple[int, Tree]] = {}
 
     def best(state: State, budget: int) -> tuple[int, Tree]:
@@ -166,4 +157,4 @@ def _search(
         return err, tree
 
     err, tree = best(start, depth_budget)
-    return OracleResult(Fraction(err, den), tree)
+    return OracleResult(Fraction(err, mu.point_weights[0]), tree)

@@ -61,7 +61,7 @@ def _cube_family(n: int) -> LabelledFamily:
 
 
 def build_qprt_lp(g: QueryFunction, eps: Fraction) -> LinearProgram:
-    return _cube_family(g.n).primal(g.table, eps, relaxed=False)
+    return _cube_family(g.n).primal(g.labels, eps, relaxed=False)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def boost_qprt(sol: QprtSolution, g: QueryFunction, t: int) -> BoostedQprt:
 
     Every pre- and postcondition is verified by ``LabelledFamily.boost``.
     """
-    boosted = _cube_family(g.n).boost(sol.weights, g.table, t)
+    boosted = _cube_family(g.n).boost(sol.weights, g.labels, t)
     return BoostedQprt(QprtSolution(sol.n, boosted.weights), t, boosted.achieved_error)
 
 
@@ -154,10 +154,7 @@ class FeasibleSystem:
                 out.append(f"w mass above 1 at {x}")
             if g.value(x) == 0 and wm > self.beta1:
                 out.append(f"w mass above beta1 at {x}")
-        carried = sum(
-            (v * mu.label_masses(g, c)[1] for c, v in self.w.items()),
-            Fraction(0),
-        )
+        carried = mu.weighted_label_masses(g, self.w)[1]
         if carried < (1 - self.alpha1) * mu1:
             out.append("w carries less than (1-alpha1) mu_1 of 1-mass")
         return out

@@ -102,10 +102,8 @@ def elimination_bound(
     m0, m1 = mu.label_masses(g, cube)
     if m1 > delta * m0:
         raise InfeasibleConstructionError("elimination bound requires a biased subcube")
-    total = Fraction(0)
-    for b, wv in w.items():
-        if b.support & cube.support == 0:
-            total += wv * mu.label_masses(g, b)[1]
+    disjoint = {b: wv for b, wv in w.items() if b.support & cube.support == 0}
+    total = mu.weighted_label_masses(g, disjoint)[1]
     if total > beta1 + delta:
         raise InfeasibleConstructionError(
             f"disjoint-support 1-mass {total} exceeds beta1 + delta = {beta1 + delta}"
@@ -192,11 +190,7 @@ def build_decision_tree(
             if sub_m1 == 0:
                 sub_alpha1 = Fraction(0)
             else:
-                carried = sum(
-                    (v * sub_mu.label_masses(g, c)[1] for c, v in sub_w.items()),
-                    Fraction(0),
-                )
-                sub_alpha1 = 1 - carried / sub_m1
+                sub_alpha1 = 1 - sub_mu.weighted_label_masses(g, sub_w)[1] / sub_m1
             # mu(outcome) * sub_m1 is mu_1(outcome): sub_mu is mu conditioned on the outcome
             expectation += cur_mu.label_masses(g, outcome)[1] * sub_alpha1
             if sub_alpha1 >= 1:
@@ -293,7 +287,7 @@ def synthesis_pipeline(
         raise ValueError("the base error level must be below 1/2")
     if delta is not None and delta <= 0:  # build_decision_tree checks it too, after the solve
         raise ValueError("delta must be positive")
-    if g.n != mu.n:  # before the qprt solve, with the message label_sums gives
+    if g.n != mu.n:  # before the qprt solve, with the message label_masses gives
         raise DimensionMismatchError(
             f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {g.n}"
         )

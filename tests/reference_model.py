@@ -8,11 +8,13 @@ through ``ProductDistribution2P`` weights and ``BitProductDistribution.point``
 ``fixed_cube`` is ``qcbounds._fixed_cube`` over ``fixed_bits``,
 ``project_cube`` is ``qcbounds._project_cube``, and ``split_loop`` and
 ``project_loop`` are the loops ``extract_feasible`` and
-``build_decision_tree`` wrote around it.
+``build_decision_tree`` wrote around it.  ``weighted_masses`` is the
+Fraction loop of sum w_K mu_z(K) that ``FeasibleSystem.verify``,
+``elimination_bound`` and ``build_decision_tree`` each wrote for z = 1.
 They are kept here verbatim, apart from names, as the reference that
 ``tests/test_model.py`` compares ``label_masses``, the error measures of
 ``lpbounds.trees``, ``BitProductDistribution.fixed_cube``,
-``Subcube.project`` and ``project_weights`` against;
+``Subcube.project``, ``project_weights`` and ``weighted_label_masses`` against;
 ``tests/reference_oracle.py`` still uses ``measure`` and ``bit_measure``.
 """
 
@@ -67,6 +69,15 @@ def bit_measure(
         if g.table[x] == z:
             total += point(mu, x)
     return total
+
+
+def weighted_masses(mu, fn, weights: dict) -> tuple[Fraction, Fraction]:
+    """(sum_K w_K mu_0(K), sum_K w_K mu_1(K)), one Fraction product per region and label."""
+    label_mass = measure if isinstance(mu, ProductDistribution2P) else bit_measure
+    return tuple(
+        sum((w * label_mass(mu, fn, z, region) for region, w in weights.items()), Fraction(0))
+        for z in (0, 1)
+    )
 
 
 def point(mu: BitProductDistribution, x: int) -> Fraction:

@@ -220,6 +220,11 @@ def test_pipeline_part1_gt2_all_assertions():
     assert rep.balanced_depth <= balance_depth_target(rep.leaves)
 
 
+def test_pipeline_part1_refuses_k():
+    with pytest.raises(ValueError, match="part 1 takes no k"):
+        protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 1, k=7)
+
+
 def test_pipeline_part2_k19_rejected():
     with pytest.raises(ValueError):
         protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 2, k=19)

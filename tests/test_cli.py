@@ -407,11 +407,13 @@ def _fill(workspace, text):
          "chain takes no --dist; only srec reads it"),
         (["bounds", "@xor2", "--which", "qprt", "--eps", "1/8", "--delta", "1/16"],
          "qprt takes no --delta; only srec reads it"),
+        (["synth-cc", "@and2", "@dist", "--part", "1", "--k", "7"],
+         "part 1 takes no k; only part 2 reads it"),
     ],
     ids=["synth-cc-qc-fn", "prt-qc-fn", "chain-qc-fn", "srec-qc-fn", "synth-qc-cc-fn",
          "qprt-cc-fn", "synth-cc-p-dist", "srec-p-dist", "oracle-cc-p-dist",
          "synth-qc-rows-dist", "oracle-qc-rows-dist", "prt-srec-flags", "rprt-z",
-         "chain-dist", "qprt-delta"],
+         "chain-dist", "qprt-delta", "synth-cc-part1-k"],
 )
 def test_wrong_kind_of_input_exits_1(workspace, capsys, argv, message):
     assert main([_fill(workspace, arg) for arg in argv]) == 1

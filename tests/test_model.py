@@ -13,6 +13,7 @@ from reference_model import (
     project_loop,
     protocol_error as reference_protocol_error,
     split_loop,
+    weighted_masses,
 )
 from test_serialize import DECISION_TREES, PROTOCOL_TREES
 
@@ -322,6 +323,50 @@ def test_project_weights_matches_the_old_loops(n, data):
 def test_fixed_cube_matches_the_reference(n, data):
     mu = BitProductDistribution(small_fractions(data.draw, n, 1))
     assert mu.fixed_cube() == fixed_cube(n, mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), st.booleans(), st.data())
+def test_weighted_label_masses_match_the_loop_cc(a, b, restricted, data):
+    """Integer sums over one denominator equal the Fraction loop, on both labels.
+
+    Weights k/d with zeros, measures whose total is not 1, and measures
+    restricted to a rectangle.
+    """
+    nx, ny = 1 << a, 1 << b
+    draw = data.draw
+    f = TwoPartyFunction(
+        tuple(tuple(draw(st.integers(0, 1)) for _ in range(ny)) for _ in range(nx))
+    )
+    mu = ProductDistribution2P(small_fractions(draw, nx, 2), small_fractions(draw, ny, 2))
+
+    def rectangle():
+        return Rectangle(draw(st.integers(0, (1 << nx) - 1)), draw(st.integers(0, (1 << ny) - 1)))
+
+    if restricted:
+        mu = mu.restrict(rectangle())
+    weights = {rectangle(): Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 6)))
+               for _ in range(draw(st.integers(0, 8)))}
+    assert mu.weighted_label_masses(f, weights) == weighted_masses(mu, f, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_weighted_label_masses_match_the_loop_qc(n, data):
+    """The same on {0,1}^n, with marginals 0 and 1 (fixed bits) among the k/d."""
+    draw = data.draw
+    g = QueryFunction(n, tuple(draw(st.integers(0, 1)) for _ in range(1 << n)))
+    mu = BitProductDistribution(small_fractions(draw, n, 1))
+    weights = draw(weighted_subcubes(n))
+    assert mu.weighted_label_masses(g, weights) == weighted_masses(mu, g, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_measures())
+def test_point_weights_sum_to_den_times_total(mu):
+    den, weights = mu.point_weights
+    assert len(weights) == mu.nx * mu.ny
+    assert sum(weights) == den * mu.total
 
 
 def test_distribution_validation():
