@@ -38,30 +38,46 @@ A pivot on row l for the entering column a_e, with u = N a_e and p = u_l,
 replaces every other row i of N and x by (p * row_i - u_i * row_l) / D and
 sets D = p.  By Sylvester's identity each of these divisions is exact, so
 ``//`` never rounds; were one wrong it would floor silently, which is why
-every result is certified before it is returned.  N is scaled lazily:
-row i is stored as n[i] with the determinant dd[i] at which it was last
-written, and reads as n[i] * D // dd[i].  A row with u_i = 0 would only be
-rescaled by p / D, so the pivot leaves it alone and the new D implies the
-factor; the division is exact because n[i] * D / dd[i] is the row N holds,
-an integer by the same identity.  A pivot writes row l (dd = p) and the
-rows with u_i != 0, which it first rescales to D; when p = D it changes
-only their entries where row l is nonzero.  ``_column`` rescales each
-row's dot product once, and the duals, their update and the drive-out
-read rescaled rows.  x is never stale: each pivot rewrites every entry
-that changes.  Only when artificials are driven out after phase 1 can p
-be negative; every row is then rescaled, and N, x and D are negated.  The
-integer duals Y = L * D * y are built once per phase and then updated in
-O(m) per pivot, Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the
-reduced cost of the entering column.  Fractions are made only at
-the boundary: basic values X_i / (D * L_b), duals and the Farkas vector.
+every result is certified before it is returned.  The integer duals
+Y = L * D * y are built once per phase and then updated in O(m) per pivot,
+Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the reduced cost of
+the entering column.  Fractions are made only at the boundary: basic
+values X_i / (D * L_b), duals and the Farkas vector.
+
+N is stored by columns, each one Python int: ``cols[k]`` is
+sum_i N_ik * 2^(w i) in signed w-bit slots, written at the determinant
+``cdd[k]``, and column k reads as cols[k] * D // cdd[k].  Packing is
+linear, so a pivot acts on whole columns: column k becomes
+(p * col_k - N_lk * u') / D, u' the packed u with slot l set to p - D
+(which keeps row l).  Every slot of that numerator is divisible by D, so
+the packed division is exact however wide an intermediate slot grows.  A
+column with N_lk = 0 would only be rescaled by p / D, so the pivot leaves
+it alone, whether p = D or not, and the new D implies the factor; the
+rescale is exact because each slot then reads an entry of N, an integer by
+the same identity.  ``_column`` brings the columns that a_j reads to D,
+sums them packed and unpacks the sum once; a pivot reads row l (slot l of
+every column) once and hands it to the dual update.  x is never stale:
+each pivot rewrites every entry that changes.  Only when artificials are
+driven out after phase 1 can p be negative; D and x are then negated,
+which negates every column as it reads.
+
+A slot holds only what is unpacked: N and N a_j.  The simplex keeps a
+bound M >= |N_ik| and, before each column read and each pivot, checks the
+worst case of what it will unpack against 2^(w-2): M times the l1 norm of
+a_j, or (|p| M + max |u_i| * max |N_lk|) / |D| for the entries a pivot
+writes.  If the check fails, M is measured exactly from the stored
+columns; if it still fails, every column is repacked at 2w, so no slot
+overflows silently.  w starts at 64, where one ``to_bytes`` and a
+``memoryview`` cast unpack a column.
 
 Columns are read in C.  Once row i is divided by g_i, nearly every entry
 of a bound program is +1: column j reads those rows with one
 ``operator.itemgetter``, ``gets[j]``, and keeps its other entries (a
 surplus's -1, an entry a negative-rhs row's flip negates, a non-unit
-value) as (row, value) pairs in ``rests[j]``.  Pricing, ``_column`` and
-``_dot`` read a_j . v as sum(gets[j](v)) plus the rest; no integer
-changes, so Bland's rule takes the same pivots.
+value) as (row, value) pairs in ``rests[j]``.  Pricing and ``_dot`` read
+a_j . v as sum(gets[j](v)) plus the rest, and ``_column`` reads N a_j as
+sum(gets[j](cols)) plus v * cols[r] over the rest; no integer changes, so
+Bland's rule takes the same pivots.
 
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
@@ -97,7 +113,9 @@ import hashlib
 import json
 import os
 import struct
+import sys
 import uuid
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -379,6 +397,40 @@ def _getter(rows: list[int]) -> itemgetter:
     return itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
 
 
+_NATIVE_Q = sys.byteorder == "little"  # then native "q" words are the slots of w = 64
+
+
+def _offset(m: int, w: int) -> int:
+    """2^(w-1) in each of m slots of w bits."""
+    return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * m, "little")
+
+
+def _pack(values: list[int], w: int, off: int) -> int:
+    """sum_i values[i] * 2^(w*i) for |values[i]| < 2^(w-1); ``off`` is ``_offset(len(values), w)``.
+
+    Two's complement slots XOR the offset are values[i] + 2^(w-1); taking the
+    offset away leaves the signed sum.  A value too wide raises OverflowError.
+    """
+    if w == 64 and _NATIVE_Q:
+        raw = array("q", values).tobytes()
+    else:
+        raw = b"".join(v.to_bytes(w // 8, "little", signed=True) for v in values)
+    return (int.from_bytes(raw, "little") ^ off) - off
+
+
+def _unpack(c: int, m: int, w: int, off: int) -> list[int]:
+    """The m slot values of ``c = _pack(values, w, off)``, each |value| < 2^(w-1).
+
+    Adding the offset makes every slot nonnegative, so no slot borrows from
+    the next; XOR takes it back off bit by bit, leaving two's complement slots.
+    """
+    raw = ((c + off) ^ off).to_bytes(m * w // 8, "little")
+    if w == 64 and _NATIVE_Q:
+        return memoryview(raw).cast("q").tolist()
+    k = w // 8
+    return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, len(raw), k)]
+
+
 class _Simplex:
     """Integer standard form and basis state for one solve; used once."""
 
@@ -442,59 +494,119 @@ class _Simplex:
         self.l1 = lcm(*(self.sigma[i] for i in artificial_rows))
         self.cost1 = [0] * self.n_structural + [self.l1 // self.sigma[i] for i in artificial_rows]
 
-        self.n: list[list[int]] = [[int(i == k) for k in range(m)] for i in range(m)]
-        self.dd: list[int] = [1] * m  # row i of N is n[i] * d // dd[i]
+        self._set_width(64)
+        self.cols: list[int] = [1 << (self.w * k) for k in range(m)]  # column k of N, packed
+        self.cdd: list[int] = [1] * m  # column k of N is cols[k] * d // cdd[k]
+        self.bound = 1  # >= |every entry of N|
         self.d = 1
         self.y: list[int] = []  # L * D * duals of the last phase run
         self.iterations = 0
+
+    def _set_width(self, w: int) -> None:
+        """Slots of w bits; a value to unpack must stay below room = 2^(w-2)."""
+        self.w, self.off, self.room = w, _offset(self.m, w), 1 << (w - 2)
+
+    def _measure(self) -> int:
+        """max |N_ik|, read exactly from the stored columns."""
+        m, w, off, d = self.m, self.w, self.off, abs(self.d)
+        return max((max(map(abs, _unpack(c, m, w, off))) * d // abs(e)
+                    for c, e in zip(self.cols, self.cdd)), default=0)
+
+    def _widen(self) -> None:
+        """Repack every column in slots twice as wide."""
+        m, w, off = self.m, self.w, self.off
+        values = [_unpack(c, m, w, off) for c in self.cols]
+        self._set_width(2 * w)
+        self.cols[:] = [_pack(v, self.w, self.off) for v in values]
+
+    def _fit(self, need) -> None:
+        """Make need(M) < 2^(w-2): re-measure M, then widen while it is still too wide."""
+        self.bound = self._measure()
+        while need(self.bound) >= self.room:
+            self._widen()
+
+    def _refresh(self, rows) -> None:
+        """Rescale the columns ``rows`` of N to the current D."""
+        cols, cdd, d = self.cols, self.cdd, self.d
+        for i in rows:
+            if cdd[i] != d:
+                cols[i] = cols[i] * d // cdd[i]
+                cdd[i] = d
 
     def _dot(self, vec: list[int], j: int) -> int:
         """a_j . vec."""
         return sum(self.gets[j](vec)) + sum([vec[r] * v for r, v in self.rests[j]])
 
     def _column(self, j: int) -> list[int]:
-        """N * a_j, i.e. D times the basic direction of column j."""
-        d, n = self.d, self.n
-        sums = [self._dot(row, j) for row in n] if self.rests[j] else map(sum, map(self.gets[j], n))
-        return [s if e == d else s * d // e for s, e in zip(sums, self.dd)]
+        """N * a_j, i.e. D times the basic direction of column j.
+
+        It is the sum of the columns of N that a_j reads, packed, so one
+        unpack reads every row.
+        """
+        get, rest = self.gets[j], self.rests[j]
+        rows = get(range(self.m))
+        reach = len(rows) + sum([abs(v) for _, v in rest])  # |u_i| <= M * reach
+        if self.bound * reach >= self.room:
+            self._fit(lambda big: big * reach)
+        self._refresh(rows)
+        cols = self.cols
+        packed = sum(get(cols))
+        if rest:
+            self._refresh([r for r, _ in rest])
+            packed += sum([v * cols[r] for r, v in rest])
+        return _unpack(packed, self.m, self.w, self.off)
 
     def _row(self, i: int) -> list[int]:
-        """Row i of N, rescaled in place to the current D if it is stale."""
-        row, e, d = self.n[i], self.dd[i], self.d
-        if e != d:
-            row = self.n[i] = [a * d // e for a in row]
-            self.dd[i] = d
-        return row
+        """Row i of N: slot i of every column, each rescaled to the current D.
+
+        Shifting to one bit below slot i and rounding off that bit undoes the
+        borrow of the slots below, which together are less than half a slot.
+        """
+        d, half = self.d, 1 << (self.w - 1)
+        mask = 2 * half - 1
+        if i:
+            shift, bits = self.w * i - 1, 2 * mask + 1
+            raw = [(((((c >> shift) & bits) + 1) >> 1) & mask ^ half) - half for c in self.cols]
+        else:
+            raw = [(c & mask ^ half) - half for c in self.cols]
+        return [a * d // e if a and e != d else a for a, e in zip(raw, self.cdd)]
 
     def _duals(self, cost: list[int]) -> list[int]:
-        y = [0] * self.m
-        for k, j in enumerate(self.basis):
-            if cost[j]:
-                y = [a + cost[j] * b for a, b in zip(y, self._row(k))]
-        return y
+        """Y = L * D * y = c_B N, one entry per column of N."""
+        m, w, off, cols = self.m, self.w, self.off, self.cols
+        cb = [cost[j] for j in self.basis]
+        self._refresh(range(m))
+        return [sum(map(mul, cb, _unpack(c, m, w, off))) for c in cols]
 
-    def _pivot(self, l: int, u: list[int]) -> None:
-        """Exchange the basic column of row ``l`` for the column with N * a = u."""
-        p, d, n, dd, x = u[l], self.d, self.n, self.dd, self.x
-        nl, xl = self._row(l), x[l]
-        if p == d:
-            nonzero = [(k, b) for k, b in enumerate(nl) if b]
-        for i, ui in enumerate(u):
-            if i == l:
-                continue
-            if ui:
-                row = self._row(i)
-                if p == d:  # (p * a - ui * b) / d moves only where b != 0
-                    for k, b in nonzero:
-                        row[k] -= ui * b // d
-                else:
-                    n[i] = [(p * a - ui * b) // d for a, b in zip(row, nl)]
-                dd[i] = p
-                x[i] = (p * x[i] - ui * xl) // d
-            elif p != d:
-                x[i] = p * x[i] // d
-        dd[l] = p
+    def _pivot(self, l: int, u: list[int]) -> list[int]:
+        """Exchange the basic column of row ``l`` for the column with N * a = u.
+
+        Returns row l of N as it was, which the dual update reads.
+        """
+        p, d, cols, cdd, x = u[l], self.d, self.cols, self.cdd, self.x
+        row = self._row(l)
+        top, spread = max(map(abs, row)), max(map(abs, u))
+
+        def need(big: int) -> int:  # bounds |N'_ik| <= (|p| M + |u_i| |N_lk|) / |D|
+            return max(top, -(-(abs(p) * big + spread * top) // abs(d)))
+
+        bound = need(self.bound)
+        if bound >= self.room:
+            self._fit(need)
+            bound = need(self.bound)
+        self.bound = bound
+        # u with slot l at p - D: (p * N_lk - (p - D) * N_lk) / D keeps row l
+        packed_u = _pack(u, self.w, self.off) - (d << (self.w * l))
+        touched = [k for k, b in enumerate(row) if b]
+        self._refresh(touched)
+        for k in touched:
+            cols[k] = (p * cols[k] - row[k] * packed_u) // d
+            cdd[k] = p
+        xl = x[l]
+        x[:] = [(p * a - b * xl) // d for a, b in zip(x, u)]
+        x[l] = xl
         self.d = p
+        return row
 
     def _drive_out_artificials(self) -> None:
         """Pivot zero-level artificials out of the basis where possible.
@@ -503,8 +615,8 @@ class _Simplex:
         the rest; their basic value can never move, so leaving the
         artificial in place is safe.  Without this step a later pivot could
         push a basic artificial positive and silently break feasibility.
-        The pivot element may be negative here; N, x and D are then negated
-        to keep D > 0.
+        The pivot element may be negative here; D and x are then negated
+        to keep D > 0, which negates every column of N as it reads.
         """
         in_basis = set(self.basis)
         for i in range(self.m):
@@ -516,9 +628,7 @@ class _Simplex:
                     continue
                 self._pivot(i, self._column(j))
                 if self.d < 0:
-                    self.n[:] = [[-a for a in self._row(k)] for k in range(self.m)]
                     self.d = -self.d
-                    self.dd[:] = [self.d] * self.m
                     self.x[:] = [-a for a in self.x]
                 in_basis.discard(self.basis[i])
                 in_basis.add(j)
@@ -567,8 +677,7 @@ class _Simplex:
             if leave < 0:
                 raise LpboundsError(f"no row leaves the basis for improving column {enter}; solver bug")
             p = u[leave]
-            y = [(a * p + d_e * b) // d for a, b in zip(y, self._row(leave))]
-            self._pivot(leave, u)
+            y = [(a * p + d_e * b) // d for a, b in zip(y, self._pivot(leave, u))]
             in_basis.discard(basis[leave])
             in_basis.add(enter)
             basis[leave] = enter

@@ -322,15 +322,15 @@ COSTS = st.builds(F, st.integers(0, 4), st.integers(1, 6))
 @st.composite
 def small_program_args(draw):
     """The arguments of ``reference_lp.from_constraints`` for ``small_programs``."""
-    return _small_program_args(draw)
+    return _small_program_args(draw, SMALL_RATIONALS)
 
 
 def small_programs():
     return small_program_args().map(lambda args: from_constraints(*args))
 
 
-def _small_program_args(draw):
-    """Random programs with up to 4 variables and 5 rows.
+def _small_program_args(draw, entries):
+    """Random programs with up to 4 variables and 5 rows, their coefficients and rhs from ``entries``.
 
     Fractional coefficients and negative right-hand sides are common, and
     all three relations occur; costs are >= 0.  An optional last
@@ -340,9 +340,9 @@ def _small_program_args(draw):
     names = [f"x{j}" for j in range(draw(st.integers(1, 4)))]
     rows = [
         Constraint(
-            {v: draw(SMALL_RATIONALS) for v in names},
+            {v: draw(entries) for v in names},
             draw(st.sampled_from(["<=", "=", ">="])),
-            draw(SMALL_RATIONALS),
+            draw(entries),
         )
         for _ in range(draw(st.integers(1, 4)))
     ]
@@ -362,6 +362,16 @@ NEGATIVE_DRIVE_OUT = from_constraints(
 )
 
 
+# a, b and c each cost 1 and cover three rows whose diagonal is near 3^40: D and
+# the entries of N outgrow 64-bit slots
+THREE_TO_THE_40 = from_constraints(
+    ("a", "b", "c"), {"a": F(1), "b": F(1), "c": F(1)},
+    (Constraint({"a": F(3**40), "b": F(1), "c": F(2)}, ">=", F(1)),
+     Constraint({"a": F(1), "b": F(3**40 + 1), "c": F(3)}, ">=", F(1)),
+     Constraint({"a": F(5), "b": F(7), "c": F(2 * 3**40 + 1)}, ">=", F(1))),
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(small_programs())
 @example(NEGATIVE_DRIVE_OUT)
@@ -378,7 +388,7 @@ def test_drive_out_pivots_on_a_negative_element(monkeypatch):
 
     def record_pivot(sx, l, u):
         pivots.append(u[l])
-        pivot(sx, l, u)
+        return pivot(sx, l, u)
 
     def record_run(sx):
         states.append(sx)
@@ -392,16 +402,17 @@ def test_drive_out_pivots_on_a_negative_element(monkeypatch):
     assert sol.canonical_bytes() == reference_solve(NEGATIVE_DRIVE_OUT).canonical_bytes()
 
 
-# Lazily scaled rows: row i of N is stored as n[i] with the determinant dd[i]
-# at which it was last written, and reads as n[i] * D / dd[i].
+# Lazily scaled columns: column k of N is packed in sx.cols[k] with the
+# determinant cdd[k] at which it was last written, and reads as cols[k] * D / cdd[k].
 
 def _materialized(sx):
     """Every row of N at the current D; each rescaling must be exact."""
-    rows = []
-    for row, e in zip(sx.n, sx.dd):
-        assert all(a * sx.d % e == 0 for a in row)
-        rows.append([a * sx.d // e for a in row])
-    return rows
+    columns = []
+    for c, e in zip(sx.cols, sx.cdd):
+        column = lpmod._unpack(c, sx.m, sx.w, sx.off)
+        assert all(a * sx.d % e == 0 for a in column)
+        columns.append([a * sx.d // e for a in column])
+    return [list(row) for row in zip(*columns)] if columns else []
 
 
 def _integer_rhs(sx):
@@ -433,23 +444,31 @@ def _audited_solve(program):
 
     Each pivot is checked at the next pivot (after the drive-out negation and
     the basis update) and at the end of the run.  Every column read is
-    compared with N * a_j on materialized rows.  Returns the solution and
-    the counts of p = D pivots, p != D pivots and stale rows read; a stale
-    row is one a p != D pivot left alone because its u_i was 0.
+    compared with N * a_j on materialized rows, and the bound M is checked
+    against them before every pivot.  Returns the solution and the counts of
+    p = D pivots, p != D pivots, stale columns read and exact re-measures of
+    M; a stale column is one a pivot left alone because its N_lk was 0.
     """
-    counts = dict.fromkeys(("p = D", "p != D", "stale rows read"), 0)
+    counts = dict.fromkeys(("p = D", "p != D", "stale columns read", "re-measures"), 0)
     pivot, column, run = lpmod._Simplex._pivot, lpmod._Simplex._column, lpmod._Simplex.run
+    measure = lpmod._Simplex._measure
 
     def audit_column(sx, j):
+        read = [*sx.gets[j](range(sx.m)), *(r for r, _ in sx.rests[j])]
+        counts["stale columns read"] += sum(sx.cdd[i] != sx.d for i in read)
         u = column(sx, j)
         assert u == [sx._dot(row, j) for row in _materialized(sx)]
-        counts["stale rows read"] += sum(e != sx.d for e in sx.dd)
         return u
 
     def audit_pivot(sx, l, u):
         _assert_basis_identity(sx)
+        assert all(abs(a) <= sx.bound < sx.room for row in _materialized(sx) for a in row)
         counts["p = D" if u[l] == sx.d else "p != D"] += 1
-        pivot(sx, l, u)
+        return pivot(sx, l, u)
+
+    def audit_measure(sx):
+        counts["re-measures"] += 1
+        return measure(sx)
 
     def audit_run(sx):
         sol = run(sx)
@@ -459,6 +478,7 @@ def _audited_solve(program):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod._Simplex, "_column", audit_column)
         mp.setattr(lpmod._Simplex, "_pivot", audit_pivot)
+        mp.setattr(lpmod._Simplex, "_measure", audit_measure)
         mp.setattr(lpmod._Simplex, "run", audit_run)
         sol = solve(program)
     return sol, counts
@@ -475,7 +495,71 @@ def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
     program = build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8))
     sol, counts = _audited_solve(program)
     assert sol.status == "optimal"
-    assert all(counts.values()), counts
+    assert all(counts[k] for k in ("p = D", "p != D", "stale columns read")), counts
+    # M stays far below 2^62 on the corpus; only the wide program re-measures it
+    wide, wide_counts = _audited_solve(THREE_TO_THE_40)
+    assert wide.status == "optimal"
+    assert counts["re-measures"] == 0 < wide_counts["re-measures"]
+
+
+@pytest.mark.parametrize("w", [64, 256])
+def test_packed_slots_round_trip(w):
+    """Zeros and the widest slot values the bound admits survive pack, unpack and the row read."""
+    top = (1 << (w - 2)) - 1
+    columns = [[0, 0, 0, 0, 0], [top, -top, 0, 1, 0], [-top, -top, -top, -top, -top],
+               [top, 0, -1, top, top], [-1, top, -top, 0, -top]]
+    for values in ([], *columns):
+        off = lpmod._offset(len(values), w)
+        packed = lpmod._pack(values, w, off)
+        assert packed == sum(v << (w * i) for i, v in enumerate(values))
+        assert lpmod._unpack(packed, len(values), w, off) == values
+    sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 5))
+    sx._set_width(w)
+    sx.cols = [lpmod._pack(column, w, sx.off) for column in columns]
+    assert [sx._row(i) for i in range(5)] == [list(row) for row in zip(*columns)]
+
+
+def test_a_pivot_that_outgrows_the_slots_widens_them_first():
+    """N = 2^40 I at D = 1, pivoting on u = (2^30, 2^30): row 1 becomes (-2^70, 2^70).
+
+    The column read passes its check, so only the pivot's own bound can see
+    that the new entries need wider slots.
+    """
+    sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
+    big = 1 << 40
+    sx.cols = [lpmod._pack(column, sx.w, sx.off) for column in ([big, 0], [0, big])]
+    sx.bound = big
+    sx._pivot(0, [1 << 30, 1 << 30])
+    assert sx.w > 64
+    assert (sx.d, _materialized(sx)) == (1 << 30, [[big, 0], [-(1 << 70), 1 << 70]])
+
+
+WIDE_RATIONALS = st.one_of(SMALL_RATIONALS, st.builds(F, st.integers(-2**40, 2**40), st.integers(1, 6)))
+
+
+@st.composite
+def wide_programs(draw):
+    return from_constraints(*_small_program_args(draw, WIDE_RATIONALS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_programs())
+@example(THREE_TO_THE_40)
+def test_wide_coefficients_widen_the_slots(program):
+    """Entries of N past 2^62 repack the columns at twice the width, never overflowing a slot."""
+    widths = []
+    widen = lpmod._Simplex._widen
+
+    def count_widen(sx):
+        widths.append(sx.w)
+        widen(sx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "_widen", count_widen)
+        got = solve(program)
+    assert got.canonical_bytes() == reference_solve(program).canonical_bytes()
+    if program is THREE_TO_THE_40:
+        assert widths
 
 
 # The column layout: column j is read as sum(gets[j](v)) plus its rest.
@@ -625,7 +709,7 @@ def _pivot_trace(program):
 
     def record_pivot(sx, l, u):
         trace.append((tuple(sx.basis), sx.d, l))
-        pivot(sx, l, u)
+        return pivot(sx, l, u)
 
     def record_run(sx):
         sol = run(sx)
