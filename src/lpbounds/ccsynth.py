@@ -13,11 +13,12 @@ whose covering level is recomputed exactly.  The recursion then branches:
       inside,outside -> recurse at (s-1, t) on the restricted solution
       outside        -> recurse at (s, t-1), same solutions and error
 
-Leaves absorb the degenerate cases: lopsided mass (one label holds at
-least twice the other), an exhausted advantage budget
-(eps + 30 (s+1) delta^(1/4) >= 1/10), s = 0 (a three-leaf one-exchange
-protocol from the best support rectangle), t = 0, and an overflowing
-recomputed covering level.
+Leaves take the popular label when the mass is lopsided (one label holds
+at least twice the other), the advantage budget is exhausted
+(eps + 30 (s+1) delta^(1/4) >= 1/10; a covering level above 1 exhausts
+the child's), or s = 0 or t = 0.  Weights feasible for both LPs never
+reach s = 0: V0 + V1 >= 1 - eps > 9/10 past the budget exit, so s >= 85
+at the root; each edge shrinks the active rectangle, so s >= 85 - 31.
 
 delta must be a fourth power q**4 of a rational q so that sqrt(delta) and
 delta^(1/4) stay rational; every threshold comparison is exact.
@@ -44,6 +45,7 @@ from fractions import Fraction
 
 from .ccbounds import SrecInstance, srec_bound, srec_weights
 from .errors import (
+    CapExceededError,
     DecompositionError,
     DimensionMismatchError,
     InfeasibleConstructionError,
@@ -60,6 +62,9 @@ from .rational import ceil_mul_log2, largest_fourth_power_at_most
 from .trees import Leaf, PNode, ProtocolTree, advantage, evaluate, leaf_count, tree_depth
 
 RectWeights = dict[Rectangle, Fraction]
+
+# part 2 builds Delta = 2**(-5 k**2): about 10 MB of integer at this k
+MAX_PART2_K = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +128,13 @@ class Decomposition:
     """Outcome of the off-diagonal case analysis for a biased block S.
 
     ``case`` names the off-diagonal block ("01" is X0 x Y1, "10" is
-    X1 x Y0).  Alternative "a" means the block is already lopsided toward
-    the biased label and a single leaf suffices; alternative "b" carries
-    the restricted covering-side solution and its recomputed error level.
+    X1 x Y0).  ``restricted`` is None when the block is already lopsided
+    toward the biased label and a single leaf suffices; else it holds the
+    restricted covering-side solution (maybe empty) and ``sub_eps`` its
+    recomputed error level.
     """
 
     case: str
-    alternative: str
     restricted: RectWeights | None
     sub_eps: Fraction | None
     block: Rectangle
@@ -164,11 +169,9 @@ def decompose(
         block = blocks[case]
         masses = mu.label_masses(f, block)
         m_biased, m_cover = masses[z], masses[cover_z]
-        if 2 * m_cover <= m_biased:
-            return Decomposition(case, "a", None, None, block)
+        if 2 * m_cover <= m_biased:  # also every zero-mass block
+            return Decomposition(case, None, None, block)
         block_mass = m_biased + m_cover
-        if block_mass == 0:
-            return Decomposition(case, "a", None, None, block)
         # the restricted family: rectangles meeting the block heavily
         threshold = (10 * q / d_value) * block_mass if d_value > 0 else None
         restricted: RectWeights = {}
@@ -188,7 +191,7 @@ def decompose(
         objective_ok = weight_value(restricted) <= Fraction(9, 10) * d_value
         covering_ok = covered >= (1 - sub_eps) * m_cover
         if objective_ok and covering_ok:
-            return Decomposition(case, "b", restricted, sub_eps, block)
+            return Decomposition(case, restricted, sub_eps, block)
     raise DecompositionError(
         "neither off-diagonal case verified; non-product measure or solver bug"
     )
@@ -240,11 +243,11 @@ def _check_big_delta(big_delta: Fraction, mu_total: Fraction) -> None:
 
 
 def minimum_s(value0: Fraction, value1: Fraction) -> int:
-    """ceil(100 * log2(2 (V0 + V1))), clamped to 0."""
+    """ceil(100 * log2(2 (V0 + V1))), or 0 when that is not positive."""
     doubled = 2 * (value0 + value1)
     if doubled <= 1:
         return 0
-    return max(0, ceil_mul_log2(100, doubled))
+    return ceil_mul_log2(100, doubled)
 
 
 def within_leaf_budget(leaves: int, s: int, t: int) -> bool:
@@ -263,11 +266,11 @@ def within_leaf_budget(leaves: int, s: int, t: int) -> bool:
 
 
 def minimum_t(s: int, mu_total: Fraction, big_delta: Fraction) -> int:
-    """ceil(100 * 2^s * log2(|mu| / Delta)), clamped to 0."""
+    """ceil(100 * 2^s * log2(|mu| / Delta)), or 0 when that is not positive."""
     ratio = mu_total / big_delta
     if ratio <= 1:
         return 0
-    return max(0, ceil_mul_log2(100 * (1 << s), ratio))
+    return ceil_mul_log2(100 * (1 << s), ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +310,12 @@ def synthesize(
         w0: RectWeights,
         w1: RectWeights,
     ) -> ProtocolTree:
+        """The subtree on ``active`` with budgets (s, t); the module
+        docstring lists its leaves and why s = 0 is never reached."""
         m0, m1 = cur.label_masses(f, full)
-        if max(m0, m1) >= 2 * min(m0, m1):
-            return Leaf(popular_label(m0, m1))
-        if eps + 30 * (s + 1) * q >= tenth:
-            return Leaf(popular_label(m0, m1))
-        if s == 0:
-            return _one_exchange(f, cur, w1, active)
-        if t == 0:
+        lopsided = max(m0, m1) >= 2 * min(m0, m1)
+        budget = eps + 30 * (s + 1) * q >= tenth
+        if lopsided or budget or s == 0 or t == 0:
             return Leaf(popular_label(m0, m1))
 
         value0 = weight_value(w0)
@@ -327,12 +328,10 @@ def synthesize(
         s_rect = Rectangle(s_rect.rows & active.rows, s_rect.cols & active.cols)
         dec = decompose(f, cur, s_rect, cover_w, q, active, z_star)
 
-        if dec.alternative == "a":
+        if dec.restricted is None:
             block_tree: ProtocolTree = Leaf(z_star)
-        elif dec.sub_eps is not None and dec.sub_eps > 1:
-            block_tree = Leaf(popular_label(*cur.label_masses(f, dec.block)))
         else:
-            assert dec.restricted is not None and dec.sub_eps is not None
+            assert dec.sub_eps is not None
             sub_w0, sub_w1 = (w0, dec.restricted) if z_star == 0 else (dec.restricted, w1)
             block_tree = build(
                 dec.block,
@@ -376,40 +375,6 @@ def synthesize(
             f"measured advantage {adv} below the guaranteed floor {floor_adv}"
         )
     return tree
-
-
-def _one_exchange(
-    f: TwoPartyFunction,
-    cur: ProductDistribution2P,
-    cover_weights: RectWeights,
-    active: Rectangle,
-) -> ProtocolTree:
-    """s = 0 base: one bit from each party around the best support rectangle.
-
-    Answer 1 inside the chosen rectangle, 0 elsewhere.  The rectangle is
-    the support element minimizing exact error mass (scanning replaces
-    sampling in proportion to the weights: the minimum cannot exceed the
-    average).  Empty support degrades to the most popular label.
-    """
-    m0, m1 = cur.label_masses(f, full_rectangle(f))
-    best: Rectangle | None = None
-    best_err: Fraction | None = None
-    for rect in sorted(cover_weights, key=lambda r: (r.rows, r.cols)):
-        if cover_weights[rect] <= 0:
-            continue
-        clipped = Rectangle(rect.rows & active.rows, rect.cols & active.cols)
-        c0, c1 = cur.label_masses(f, clipped)
-        err = (m1 - c1) + c0
-        if best_err is None or err < best_err:
-            best, best_err = clipped, err
-    if best is None:
-        return Leaf(popular_label(m0, m1))
-    return PNode(
-        "A",
-        best.rows,
-        PNode("B", best.cols, Leaf(1), Leaf(0)),
-        Leaf(0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +505,12 @@ def protocol_pipeline(
     """Solve both distributional LPs, synthesize, balance, and certify.
 
     Part 1 takes no k and uses eps = delta = the largest fourth power at
-    most 1/n**2 and Delta = 2**(-4n), with minimal valid (s, t).  Part 2 requires k >= 20,
-    uses eps = delta = the largest fourth power at most
-    1/(3000 (k+1)**4) and Delta = 2**(-5 k**2) with s = k; the premise
-    ceil(100 log2 srec) <= k (and s = k clearing the induction threshold)
-    is verified from the solved values, and failure is reported, not fatal.
+    most 1/n**2 and Delta = 2**(-4n), with minimal valid (s, t).  Part 2
+    requires 20 <= k <= MAX_PART2_K, uses eps = delta = the largest fourth
+    power at most 1/(3000 (k+1)**4) and Delta = 2**(-5 k**2) with s = k;
+    the premise ceil(100 log2 srec) <= k (and s = k clearing the induction
+    threshold) is verified from the solved values, and failure is
+    reported, not fatal.
 
     The advantage floor of the induction is always asserted.  The stronger
     |mu|/20 - Delta*L form is asserted only when the instance's exact
@@ -565,6 +531,8 @@ def protocol_pipeline(
     elif part == 2:
         if k is None or k < 20:
             raise ValueError("part 2 requires an explicit k >= 20")
+        if k > MAX_PART2_K:  # checked before 2**(5 k**2) is built
+            raise CapExceededError(f"part 2 takes k <= {MAX_PART2_K}, got {k}")
         target = Fraction(1, 3000 * (k + 1) ** 4)
         big_delta = Fraction(1, 1 << (5 * k * k))
     else:

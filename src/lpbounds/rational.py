@@ -85,12 +85,8 @@ def _floor_log2(r: Fraction) -> int:
     """Largest e with 2**e <= r, for r > 0, by exact comparison."""
     p, q = r.numerator, r.denominator
     e = p.bit_length() - q.bit_length()
-    # bit_length estimate can be off by one in either direction
-    while not _le_pow2(e, p, q):
-        e -= 1
-    while _le_pow2(e + 1, p, q):
-        e += 1
-    return e
+    # 2**(e-1) < p/q < 2**(e+1), so the estimate is e or one too high
+    return e if _le_pow2(e, p, q) else e - 1
 
 
 def _le_pow2(e: int, p: int, q: int) -> bool:
@@ -136,7 +132,7 @@ def _log2_fraction_bits(x: Fraction, nbits: int, work: int) -> int | None:
     repeatedly squared value; a straddle of 2 means the working precision was
     insufficient to separate the next digit.
     """
-    one = 1 << work
+    # lo starts >= 2**work; squaring it, or halving it from >= 2 * 2**work, keeps it so
     two = 2 << work
     lo = (x.numerator << work) // x.denominator
     hi = -((-x.numerator << work) // x.denominator)
@@ -153,8 +149,6 @@ def _log2_fraction_bits(x: Fraction, nbits: int, work: int) -> int | None:
             hi = (hi + 1) >> 1
         else:
             return None
-        if lo < one:
-            lo = one  # squaring of a value >= 1 stays >= 1
     return bits
 
 

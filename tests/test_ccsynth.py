@@ -4,10 +4,11 @@ from fractions import Fraction as F
 import pytest
 from conftest import CC_CORPUS, UNIFORM_4x4
 
-from lpbounds import families
+from lpbounds import ccsynth, families
 from lpbounds import lp as lpmod
 from lpbounds.ccbounds import SrecInstance, srec_bound, srec_weights
 from lpbounds.ccsynth import (
+    MAX_PART2_K,
     Decomposition,
     SynthParams,
     balance,
@@ -21,23 +22,24 @@ from lpbounds.ccsynth import (
     within_leaf_budget,
 )
 from lpbounds.errors import (
+    CapExceededError,
     DimensionMismatchError,
     InfeasibleConstructionError,
     NoBiasedRectangleError,
 )
-from lpbounds.model import ProductDistribution2P, Rectangle, full_rectangle
+from lpbounds.model import ProductDistribution2P, Rectangle, TwoPartyFunction, full_rectangle
 from lpbounds.trees import Leaf, PNode, advantage, evaluate, leaf_count, protocol_error, tree_depth
 
 
-def deep_params(f, eps=F(0), qbits=17, delta_exp=20):
+def deep_params(f, eps=F(0), qbits=17, delta_exp=20, mu=UNIFORM_4x4, big_delta=None):
     """Minimal valid parameters that keep the advantage floor positive."""
-    mu = UNIFORM_4x4
     q = F(1, 1 << qbits)
     delta = q**4
     r0 = srec_bound(SrecInstance(f, 0, eps, delta, mu))
     r1 = srec_bound(SrecInstance(f, 1, eps, delta, mu))
     s = minimum_s(r0.value, r1.value)
-    big_delta = F(1, 1 << delta_exp)
+    if big_delta is None:
+        big_delta = F(1, 1 << delta_exp)
     t = minimum_t(s, mu.total, big_delta)
     params = SynthParams(eps, delta, q, big_delta, s, t)
     return mu, params, srec_weights(r0), srec_weights(r1)
@@ -90,7 +92,7 @@ def test_decompose_constant_zero_is_case_a():
     f = families.const2p(2, 0)
     active = full_rectangle(f)
     dec = decompose(f, UNIFORM_4x4, Rectangle(0b0011, 0b0011), {}, F(1, 16), active, z=0)
-    assert (dec.case, dec.alternative) == ("01", "a")
+    assert dec.case == "01" and dec.restricted is None
 
 
 def test_decompose_zero_mass_blocks():
@@ -101,7 +103,7 @@ def test_decompose_zero_mass_blocks():
         f, UNIFORM_4x4, Rectangle(0b1111, 0b1111), {}, F(1, 16), active, z=0
     )
     assert isinstance(dec, Decomposition)
-    assert (dec.case, dec.alternative) == ("01", "a")
+    assert dec.case == "01" and dec.restricted is None
 
 
 def test_decompose_case_b_covering_verified():
@@ -115,8 +117,8 @@ def test_decompose_case_b_covering_verified():
     w0 = srec_weights(r0)
     s_rect = find_biased_rectangle(f, mu, w0, q * q, r0.value, F(0), delta, z=0)
     dec = decompose(f, mu, s_rect, w1, q, full_rectangle(f), z=0)
-    if dec.alternative == "b":
-        assert dec.restricted is not None and dec.sub_eps is not None
+    if dec.restricted is not None:
+        assert dec.sub_eps is not None
         block = dec.block
         covered = sum(
             (
@@ -127,6 +129,67 @@ def test_decompose_case_b_covering_verified():
         )
         assert covered >= (1 - dec.sub_eps) * mu.label_masses(f, block)[1]
         assert sum(dec.restricted.values(), F(0)) <= F(9, 10) * r1.value
+
+
+def test_decompose_case_10_with_a_covering_level_above_one():
+    # block "01" fails the objective test; block "10" misses the only cover rectangle
+    f = CC_CORPUS["xor2"]
+    cover = {Rectangle(0b0011, 0b1100): F(1)}
+    q = F(1, 1 << 17)
+    dec = decompose(f, UNIFORM_4x4, Rectangle(0b0011, 0b0011), cover, q, full_rectangle(f), z=0)
+    assert (dec.case, dec.restricted, dec.block) == ("10", {}, Rectangle(0b1100, 0b0011))
+    assert dec.sub_eps == 1 + 30 * q == F(65551, 65536)
+
+
+def _spy_decompose(monkeypatch):
+    """The decompositions ``synthesize`` makes, in call order."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(decompose(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(ccsynth, "decompose", spy)
+    return seen
+
+
+def test_synthesize_alternative_a_block_leaf(monkeypatch):
+    f = TwoPartyFunction(((1, 0, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0)))
+    mu = ProductDistribution2P(
+        tuple(F(w, 9) for w in (1, 1, 4, 3)), tuple(F(w, 13) for w in (4, 3, 2, 4))
+    )
+    seen = _spy_decompose(monkeypatch)
+    tree = synthesize(f, mu, *deep_params(f, mu=mu)[1:])
+    assert [(d.case, d.restricted) for d in seen] == [("01", None)]
+    # S = row 3 x all columns, biased to 0; the lopsided block X0 x Y1 is empty
+    assert tree == PNode("A", 0b1000, PNode("B", 0b1111, Leaf(0), Leaf(0)), Leaf(1))
+    assert advantage(tree, f, mu) == F(7, 9)
+
+
+def test_synthesize_case_10_lets_b_speak_first(monkeypatch):
+    f = TwoPartyFunction(((1, 1, 0, 0), (0, 1, 0, 0), (0, 1, 1, 1), (0, 1, 1, 0)))
+    mu = ProductDistribution2P(
+        tuple(F(w, 5) for w in (0, 4, 0, 1)), tuple(F(w, 17) for w in (3, 5, 4, 5))
+    )
+    seen = _spy_decompose(monkeypatch)
+    tree = synthesize(f, mu, *deep_params(f, eps=F(1, 1 << 40), mu=mu)[1:])
+    assert [(d.case, d.restricted) for d in seen] == [("10", None)]
+    # S = rows {1, 3} x column 1: B announces column 1 first, the rest is columns {0, 2, 3}
+    assert tree == PNode("B", 0b0010, PNode("A", 0b1010, Leaf(1), Leaf(1)), Leaf(0))
+    assert advantage(tree, f, mu) == F(77, 85)
+
+
+def test_synthesize_t_zero_exit():
+    f = CC_CORPUS["xor2"]
+    mu = UNIFORM_4x4
+    _, params, w0, w1 = deep_params(f, big_delta=mu.total * (1 - F(1, 1 << 400)))
+    assert (params.s, params.t) == (300, 1)
+    tree = synthesize(f, mu, params, w0, w1)
+    # the rest child at t = 0 is neither lopsided nor out of advantage budget
+    assert mu.label_masses(f, Rectangle(0b1001, 0b1111)) == (F(1, 4), F(1, 4))
+    assert params.eps + 30 * (params.s + 1) * params.delta_root < F(1, 10)
+    assert tree == PNode("A", 0b0110, PNode("B", 0b0110, Leaf(0), Leaf(1)), Leaf(0))
+    assert leaf_count(tree) == 3 and advantage(tree, f, mu) == F(1, 2)
 
 
 def test_synthesize_constant_zero_single_leaf():
@@ -228,6 +291,15 @@ def test_pipeline_part1_refuses_k():
 def test_pipeline_part2_k19_rejected():
     with pytest.raises(ValueError):
         protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 2, k=19)
+
+
+def test_pipeline_part2_refuses_k_above_the_cap_before_solving(monkeypatch):
+    def no_solve(lp):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lpmod, "solve", no_solve)
+    with pytest.raises(CapExceededError, match=f"part 2 takes k <= {MAX_PART2_K}"):
+        protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 2, k=MAX_PART2_K + 1)
 
 
 def test_pipeline_part2_small_k_reports_hypothesis_failure():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lpbounds import cli, families, serialize
+from lpbounds import ccsynth, cli, families, serialize
 from lpbounds.cli import main
 
 
@@ -136,6 +136,27 @@ def test_synth_cc_part2_requires_k20(workspace, capsys):
     )
     assert code == 1
     assert "k >= 20" in capsys.readouterr().err
+
+
+def test_synth_cc_part2_writes_a_report_when_its_hypothesis_holds(workspace):
+    """k = 100 is the least k whose hypothesis holds for a constant table."""
+    fn = write(workspace["dir"] / "zero.cc", "cc 4 4\n0000\n0000\n0000\n0000\n")
+    out = str(workspace["dir"] / "p2.jsonl")
+    assert main(["synth-cc", fn, workspace["dist"], "--part", "2", "--k", "100", "--out", out]) == 0
+    recs = records_of(out)
+    assert recs[1]["hypothesis_ok"] is True and recs[1]["leaves"] == 1
+    assert recs[1]["advantage"] == "1" and recs[1]["advantage_floor"] is None
+    asserts = recs[-1]["asserts"]
+    assert asserts["advantage >= floor"] is True and asserts["leaves <= 2^(4k^2)"] is True
+    assert main(["verify", out]) == 0
+
+
+def test_synth_cc_part2_k_above_the_cap_exits_1(workspace, capsys):
+    k = ccsynth.MAX_PART2_K + 1
+    argv = ["synth-cc", workspace["and2"], workspace["dist"], "--part", "2", "--k", str(k)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == f"error: part 2 takes k <= {k - 1}, got {k}"
 
 
 def test_synth_cc_without_a_tree_removes_an_older_tree_file(workspace, capsys):
@@ -372,6 +393,34 @@ def test_verify_wrongly_typed_run_arg_exits_1(workspace, capsys, command, key, v
     assert len(err) == 2 and err[0] == f"error: {message}"
 
 
+def test_verify_replayed_unknown_bound_kind_exits_1(workspace, capsys):
+    out = str(workspace["dir"] / "r.jsonl")
+    assert main(["bounds", workspace["and2"], "--which", "prt", "--eps", "1/3", "--out", out]) == 0
+    _rewrite(out, lambda recs: recs[0]["args"].__setitem__("which", "foo"))
+    capsys.readouterr()
+    assert main(["verify", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == "error: unknown bound kind 'foo'"
+
+
+@pytest.mark.parametrize("text", ["", '{"record": "summary", "pass": true}\n'], ids=["empty", "summary"])
+def test_verify_report_without_a_run_record_fails(workspace, capsys, text):
+    path = write(workspace["dir"] / "norun.jsonl", text)
+    assert main(["verify", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"FAIL {path}: missing run record"
+
+
+def test_verify_report_with_a_deleted_input_fails(workspace, capsys):
+    out = str(workspace["dir"] / "chain.jsonl")
+    assert main(["bounds", workspace["and2"], "--which", "chain", "--eps", "1/3", "--out", out]) == 0
+    os.remove(workspace["and2"])
+    capsys.readouterr()
+    assert main(["verify", out]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"FAIL input {workspace['and2']}: unreadable", "verify: FAIL"]
+
+
 def _fill(workspace, text):
     """``text`` with each ``@name`` replaced by the workspace file of that name."""
     for name, path in workspace.items():
@@ -468,6 +517,11 @@ def test_gen_default_side(workspace, family, side):
     assert main(["gen", family, "1", "--out", out]) == 0
     with open(out) as fh:
         assert fh.read() == serialize.write_function(families.make_function(family, 1, side))
+
+
+def test_gen_or_cc_side(capsys):
+    assert main(["gen", "or", "2", "--side", "cc"]) == 0
+    assert capsys.readouterr().out == "cc 4 4\n0111\n1111\n1111\n1111\n"
 
 
 def test_gen_unknown_family_names_the_query_table(capsys):

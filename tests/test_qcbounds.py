@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -175,3 +176,37 @@ def test_extract_requires_error_within_gamma():
     boosted = boost_qprt(sol, g, 1)
     with pytest.raises(InfeasibleConstructionError):
         extract_feasible(boosted, F(1, 1000), g, BitProductDistribution.uniform(g.n))
+
+
+X0_IS_1 = Subcube(3, 0b001, 0b001)  # maj3 is 1 on all of it once bit 2 is pinned to 1
+X01_ARE_0 = Subcube(3, 0b011, 0b000)  # the one point where maj3 is 0 then
+
+
+def _scaled(weights, factor):
+    return {c: factor * w for c, w in weights.items()}
+
+
+@pytest.mark.parametrize(
+    "perturb, message",
+    [
+        (lambda s: {"u": {**s.u, X0_IS_1: F(-1)}}, "negative weight on "),
+        (lambda s: {"a": 0}, "u support "),
+        (lambda s: {"b": 0}, "w support "),
+        (lambda s: {"u": {**s.u, Subcube(3, 0b100, 0b100): F(0)}}, " uses a mu-fixed bit"),
+        (lambda s: {"u": _scaled(s.u, F(1, 2))}, "u covering below 1-alpha0 at "),
+        (lambda s: {"u": {**s.u, X0_IS_1: s.u.get(X0_IS_1, F(0)) + 1}}, "u mass above beta0 at "),
+        (lambda s: {"w": {**s.w, X0_IS_1: s.w.get(X0_IS_1, F(0)) + 1}}, "w mass above 1 at "),
+        (lambda s: {"w": {**s.w, X01_ARE_0: s.w.get(X01_ARE_0, F(0)) + F(1, 2)}}, "w mass above beta1 at "),
+        (lambda s: {"w": _scaled(s.w, F(1, 2))}, "w carries less than (1-alpha1) mu_1 of 1-mass"),
+    ],
+    ids=["negative", "a", "b", "fixed-bit", "alpha0", "beta0", "cap", "beta1", "alpha1"],
+)
+def test_verify_reports_each_violated_inequality(perturb, message):
+    g = QC_CORPUS["maj3"]
+    mu = BitProductDistribution((F(1, 2), F(1, 2), F(1)))  # bit 2 pinned to 1
+    sol = qprt_solution(g, qprt_cached("maj3", F(1, 8)))
+    gamma = F(1, 64)
+    boosted = boost_qprt(sol, g, min_odd_votes_for_error(F(7, 8), gamma))
+    system = extract_feasible(boosted, gamma, g, mu)
+    problems = dataclasses.replace(system, **perturb(system)).verify(g, mu)
+    assert problems and all(message in p for p in problems), problems
