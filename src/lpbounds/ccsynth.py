@@ -242,6 +242,20 @@ def _check_big_delta(big_delta: Fraction, mu_total: Fraction) -> None:
         )
 
 
+def advantage_floor(
+    eps: Fraction, q: Fraction, s: int, mu_total: Fraction, big_delta: Fraction, leaves: int
+) -> tuple[int, int]:
+    """(1/10 - eps - 30 (s+1) q) |mu| - Delta * L as (numerator, denominator), not reduced.
+
+    The first term is a small Fraction a / b; Delta = e / f has f = 2^(5 k^2)
+    in part 2.  Over b * f the floor costs three products, where a Fraction
+    sum takes gcds and divisions over f's millions of bits.
+    """
+    c = (Fraction(1, 10) - eps - 30 * (s + 1) * q) * mu_total
+    a, b, f = c.numerator, c.denominator, big_delta.denominator
+    return a * f - big_delta.numerator * leaves * b, b * f
+
+
 def minimum_s(value0: Fraction, value1: Fraction) -> int:
     """ceil(100 * log2(2 (V0 + V1))), or 0 when that is not positive."""
     doubled = 2 * (value0 + value1)
@@ -366,13 +380,10 @@ def synthesize(
         budget = 4 * math.comb(params.s + params.t, min(params.s, params.t)) - 1
         raise InfeasibleConstructionError(f"leaf count {leaves} exceeds {budget}")
     adv = advantage(tree, f, mu)
-    floor_adv = (
-        (tenth - params.eps - 30 * (params.s + 1) * q) * mu.total
-        - params.big_delta * leaves
-    )
-    if adv < floor_adv:
+    num, den = advantage_floor(params.eps, q, params.s, mu.total, params.big_delta, leaves)
+    if adv.numerator * den < num * adv.denominator:
         raise InfeasibleConstructionError(
-            f"measured advantage {adv} below the guaranteed floor {floor_adv}"
+            f"measured advantage {float(adv):.6g} below the guaranteed floor {num / den:.6g}"
         )
     return tree
 
@@ -570,9 +581,8 @@ def protocol_pipeline(
     balanced = balance(tree, f.nx, f.ny)
     leaves = leaf_count(tree)
     adv = advantage(tree, f, mu)
-    coeff = Fraction(1, 10) - eps - 30 * (s + 1) * q
-    adv_floor = coeff * mu.total - big_delta * leaves
-    twentieth = coeff >= Fraction(1, 20)
+    adv_floor = Fraction(*advantage_floor(eps, q, s, mu.total, big_delta, leaves))
+    twentieth = Fraction(1, 10) - eps - 30 * (s + 1) * q >= Fraction(1, 20)
     if twentieth and adv < mu.total / 20 - big_delta * leaves:
         raise InfeasibleConstructionError("advantage below |mu|/20 - Delta*L")
     if part == 2:

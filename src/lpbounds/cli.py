@@ -399,7 +399,7 @@ def run_verify(path: str) -> int:
     records = serialize.load_records(_read(path))
     run = records[0] if records else None
     if not isinstance(run, dict) or run.get("record") != "run":
-        print(f"FAIL {path}: missing run record", file=sys.stderr)
+        print(f"FAIL {path}: missing run record\nverify: FAIL")
         return 1
     _check_run_record(run)
     ok = True

@@ -67,8 +67,9 @@ worst case of what it will unpack against 2^(w-2): M times the l1 norm of
 a_j, or (|p| M + max |u_i| * max |N_lk|) / |D| for the entries a pivot
 writes.  If the check fails, M is measured exactly from the stored
 columns; if it still fails, every column is repacked at 2w, so no slot
-overflows silently.  w starts at 64, where one ``to_bytes`` and a
-``memoryview`` cast unpack a column.
+overflows silently.  w starts at 32; at 32 and 64 a column packs through
+one native ``array`` and unpacks with one ``to_bytes`` and a ``memoryview``
+cast (typecode "i" and "q" on a little-endian host, ``_WORDS``).
 
 Columns are read in C.  Once row i is divided by g_i, nearly every entry
 of a bound program is +1: column j reads those rows with one
@@ -397,7 +398,9 @@ def _getter(rows: list[int]) -> itemgetter:
     return itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
 
 
-_NATIVE_Q = sys.byteorder == "little"  # then native "q" words are the slots of w = 64
+# w -> the typecode whose native array words are slots of w bits, where the host has one
+_WORDS = {w: c for w, c in ((32, "i"), (64, "q"))
+          if sys.byteorder == "little" and array(c).itemsize * 8 == w}
 
 
 def _offset(m: int, w: int) -> int:
@@ -411,8 +414,8 @@ def _pack(values: list[int], w: int, off: int) -> int:
     Two's complement slots XOR the offset are values[i] + 2^(w-1); taking the
     offset away leaves the signed sum.  A value too wide raises OverflowError.
     """
-    if w == 64 and _NATIVE_Q:
-        raw = array("q", values).tobytes()
+    if code := _WORDS.get(w):
+        raw = array(code, values).tobytes()
     else:
         raw = b"".join(v.to_bytes(w // 8, "little", signed=True) for v in values)
     return (int.from_bytes(raw, "little") ^ off) - off
@@ -425,8 +428,8 @@ def _unpack(c: int, m: int, w: int, off: int) -> list[int]:
     the next; XOR takes it back off bit by bit, leaving two's complement slots.
     """
     raw = ((c + off) ^ off).to_bytes(m * w // 8, "little")
-    if w == 64 and _NATIVE_Q:
-        return memoryview(raw).cast("q").tolist()
+    if code := _WORDS.get(w):
+        return memoryview(raw).cast(code).tolist()
     k = w // 8
     return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, len(raw), k)]
 
@@ -494,7 +497,7 @@ class _Simplex:
         self.l1 = lcm(*(self.sigma[i] for i in artificial_rows))
         self.cost1 = [0] * self.n_structural + [self.l1 // self.sigma[i] for i in artificial_rows]
 
-        self._set_width(64)
+        self._set_width(32)
         self.cols: list[int] = [1 << (self.w * k) for k in range(m)]  # column k of N, packed
         self.cdd: list[int] = [1] * m  # column k of N is cols[k] * d // cdd[k]
         self.bound = 1  # >= |every entry of N|

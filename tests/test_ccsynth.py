@@ -28,6 +28,7 @@ from lpbounds.errors import (
     NoBiasedRectangleError,
 )
 from lpbounds.model import ProductDistribution2P, Rectangle, TwoPartyFunction, full_rectangle
+from lpbounds.rational import largest_fourth_power_at_most
 from lpbounds.trees import Leaf, PNode, advantage, evaluate, leaf_count, protocol_error, tree_depth
 
 
@@ -198,6 +199,26 @@ def test_synthesize_constant_zero_single_leaf():
     tree = synthesize(f, mu, params, w0, w1)
     assert tree == Leaf(0)
     assert advantage(tree, f, mu) == mu.total
+
+
+@pytest.mark.parametrize("delta_exp", [20, 20000])  # a floor too long to print exactly
+def test_synthesize_refuses_an_advantage_one_step_below_the_floor(monkeypatch, delta_exp):
+    f = families.const2p(2, 0)
+    mu, params, w0, w1 = deep_params(f, delta_exp=delta_exp)
+    num, den = ccsynth.advantage_floor(params.eps, params.delta_root, params.s, mu.total, params.big_delta, 1)
+    monkeypatch.setattr(ccsynth, "advantage", lambda tree, f, mu: F(num - 1, den))
+    with pytest.raises(InfeasibleConstructionError, match="below the guaranteed floor"):
+        synthesize(f, mu, params, w0, w1)
+    monkeypatch.setattr(ccsynth, "advantage", lambda tree, f, mu: F(num, den))
+    assert synthesize(f, mu, params, w0, w1) == Leaf(0)
+
+
+@pytest.mark.parametrize("k", [20, 100, 4096])
+def test_advantage_floor_is_the_fraction_expression(k):
+    q, eps = largest_fourth_power_at_most(F(1, 3000 * (k + 1) ** 4))
+    mu_total, big_delta, leaves = F(3, 7), F(1, 1 << (5 * k * k)), 12
+    want = (F(1, 10) - eps - 30 * (k + 1) * q) * mu_total - big_delta * leaves
+    assert F(*ccsynth.advantage_floor(eps, q, k, mu_total, big_delta, leaves)) == want
 
 
 def test_synthesize_vacuous_budget_single_leaf():

@@ -407,8 +407,8 @@ def test_verify_replayed_unknown_bound_kind_exits_1(workspace, capsys):
 def test_verify_report_without_a_run_record_fails(workspace, capsys, text):
     path = write(workspace["dir"] / "norun.jsonl", text)
     assert main(["verify", path]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err[0] == f"FAIL {path}: missing run record"
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"FAIL {path}: missing run record", "verify: FAIL"]
 
 
 def test_verify_report_with_a_deleted_input_fails(workspace, capsys):

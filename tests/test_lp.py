@@ -446,12 +446,13 @@ def _audited_solve(program):
     the basis update) and at the end of the run.  Every column read is
     compared with N * a_j on materialized rows, and the bound M is checked
     against them before every pivot.  Returns the solution and the counts of
-    p = D pivots, p != D pivots, stale columns read and exact re-measures of
-    M; a stale column is one a pivot left alone because its N_lk was 0.
+    p = D pivots, p != D pivots, stale columns read, exact re-measures of M
+    and widenings, with the slot width w the run ended at; a stale column is
+    one a pivot left alone because its N_lk was 0.
     """
-    counts = dict.fromkeys(("p = D", "p != D", "stale columns read", "re-measures"), 0)
+    counts = dict.fromkeys(("p = D", "p != D", "stale columns read", "re-measures", "widenings"), 0)
     pivot, column, run = lpmod._Simplex._pivot, lpmod._Simplex._column, lpmod._Simplex.run
-    measure = lpmod._Simplex._measure
+    measure, widen = lpmod._Simplex._measure, lpmod._Simplex._widen
 
     def audit_column(sx, j):
         read = [*sx.gets[j](range(sx.m)), *(r for r, _ in sx.rests[j])]
@@ -470,15 +471,21 @@ def _audited_solve(program):
         counts["re-measures"] += 1
         return measure(sx)
 
+    def audit_widen(sx):
+        counts["widenings"] += 1
+        widen(sx)
+
     def audit_run(sx):
         sol = run(sx)
         _assert_basis_identity(sx)
+        counts["w"] = sx.w
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod._Simplex, "_column", audit_column)
         mp.setattr(lpmod._Simplex, "_pivot", audit_pivot)
         mp.setattr(lpmod._Simplex, "_measure", audit_measure)
+        mp.setattr(lpmod._Simplex, "_widen", audit_widen)
         mp.setattr(lpmod._Simplex, "run", audit_run)
         sol = solve(program)
     return sol, counts
@@ -502,7 +509,22 @@ def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
     assert counts["re-measures"] == 0 < wide_counts["re-measures"]
 
 
-@pytest.mark.parametrize("w", [64, 256])
+@pytest.mark.parametrize("build", [
+    lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)),
+    lambda: build_prt_lp(families.make_function("eq", 2, "cc"), F(1, 8)),
+], ids=["qprt maj4", "prt eq2"])
+def test_corpus_programs_stay_in_32_bit_slots(build):
+    """No loose bound near 2^30 re-measures M or widens on a qprt or chain program.
+
+    A pivot bound that kept failing without widening would re-measure M, an
+    O(m^2) read, on every check and lose the narrow slots' gain unseen.
+    """
+    sol, counts = _audited_solve(build())
+    assert sol.status == "optimal"
+    assert (counts["w"], counts["re-measures"], counts["widenings"]) == (32, 0, 0), counts
+
+
+@pytest.mark.parametrize("w", [32, 64, 256])
 def test_packed_slots_round_trip(w):
     """Zeros and the widest slot values the bound admits survive pack, unpack and the row read."""
     top = (1 << (w - 2)) - 1
@@ -520,18 +542,31 @@ def test_packed_slots_round_trip(w):
 
 
 def test_a_pivot_that_outgrows_the_slots_widens_them_first():
-    """N = 2^40 I at D = 1, pivoting on u = (2^30, 2^30): row 1 becomes (-2^70, 2^70).
+    """N = 2^40 I at D = 1 in 64-bit slots, pivoting on u = (2^30, 2^30): row 1 becomes (-2^70, 2^70).
 
     The column read passes its check, so only the pivot's own bound can see
     that the new entries need wider slots.
     """
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
+    sx._set_width(64)
     big = 1 << 40
     sx.cols = [lpmod._pack(column, sx.w, sx.off) for column in ([big, 0], [0, big])]
     sx.bound = big
     sx._pivot(0, [1 << 30, 1 << 30])
     assert sx.w > 64
     assert (sx.d, _materialized(sx)) == (1 << 30, [[big, 0], [-(1 << 70), 1 << 70]])
+
+
+def test_a_pivot_that_outgrows_the_32_bit_slots_widens_them_to_64():
+    """N = 2^20 I at D = 1 in the starting slots, pivoting on u = (2^15, 2^15): row 1 becomes (-2^35, 2^35)."""
+    sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
+    assert sx.w == 32
+    big = 1 << 20
+    sx.cols = [lpmod._pack(column, sx.w, sx.off) for column in ([big, 0], [0, big])]
+    sx.bound = big
+    sx._pivot(0, [1 << 15, 1 << 15])
+    assert sx.w == 64
+    assert (sx.d, _materialized(sx)) == (1 << 15, [[big, 0], [-(1 << 35), 1 << 35]])
 
 
 WIDE_RATIONALS = st.one_of(SMALL_RATIONALS, st.builds(F, st.integers(-2**40, 2**40), st.integers(1, 6)))
@@ -542,11 +577,21 @@ def wide_programs(draw):
     return from_constraints(*_small_program_args(draw, WIDE_RATIONALS))
 
 
+# a and b each cost 1 and cover two rows whose diagonal is near 3^20: entries of
+# N pass 2^30 but stay under 2^62
+THREE_TO_THE_20 = from_constraints(
+    ("a", "b"), {"a": F(1), "b": F(1)},
+    (Constraint({"a": F(3**20), "b": F(1)}, ">=", F(1)),
+     Constraint({"a": F(1), "b": F(3**20 + 1)}, ">=", F(1))),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(wide_programs())
 @example(THREE_TO_THE_40)
+@example(THREE_TO_THE_20)
 def test_wide_coefficients_widen_the_slots(program):
-    """Entries of N past 2^62 repack the columns at twice the width, never overflowing a slot."""
+    """Entries of N past 2^(w-2) repack the columns at twice the width, never overflowing a slot."""
     widths = []
     widen = lpmod._Simplex._widen
 
@@ -560,6 +605,8 @@ def test_wide_coefficients_widen_the_slots(program):
     assert got.canonical_bytes() == reference_solve(program).canonical_bytes()
     if program is THREE_TO_THE_40:
         assert widths
+    if program is THREE_TO_THE_20:
+        assert widths[:1] == [32]
 
 
 # The column layout: column j is read as sum(gets[j](v)) plus its rest.
