@@ -39,6 +39,7 @@ round); the rewritten tree is verified pointwise equal to the input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -279,8 +280,13 @@ def within_leaf_budget(leaves: int, s: int, t: int) -> bool:
     return 4 * c > leaves
 
 
+@functools.lru_cache(maxsize=1)
 def minimum_t(s: int, mu_total: Fraction, big_delta: Fraction) -> int:
-    """ceil(100 * 2^s * log2(|mu| / Delta)), or 0 when that is not positive."""
+    """ceil(100 * 2^s * log2(|mu| / Delta)), or 0 when that is not positive.
+
+    Cached for its last arguments: ``protocol_pipeline`` and then
+    ``SynthParams.validate`` ask for the same t.
+    """
     ratio = mu_total / big_delta
     if ratio <= 1:
         return 0

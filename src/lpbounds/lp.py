@@ -12,7 +12,9 @@ entering variable is the lowest-index column with a negative reduced cost,
 leaving row breaks ratio ties by lowest basic column index.  Bland's rule
 guarantees termination and makes every solve deterministic: the same
 program always produces the same pivot sequence, hence byte-identical
-solutions.
+solutions.  Pricing reads the reduced costs ``_BLOCK`` = 64 columns at a
+time (see "Pricing in blocks" below) and enters the lowest negative one,
+the column a scan one by one would enter.
 
 The core is integer-preserving (Edmonds 1967; Bareiss 1968); no gcd is
 taken while pivoting.  Each row, sign-flipped to a nonnegative right-hand
@@ -71,14 +73,34 @@ overflows silently.  w starts at 32; at 32 and 64 a column packs through
 one native ``array`` and unpacks with one ``to_bytes`` and a ``memoryview``
 cast (typecode "i" and "q" on a little-endian host, ``_WORDS``).
 
+Pricing in blocks.  The standard form A, slacks and artificials included,
+is held by rows in blocks of 64 columns: ``blocks[b][i]`` packs row i's
+coefficients on columns 64 b .. 64 b + 63 in signed slots of pw bits, as
+B^-1's columns are packed, and the costs of a phase are packed the same
+way.  Packing is linear, so D * C_b - sum_i Y_i * blocks[b][i], one
+big-int sum, holds L * D times the reduced cost of all 64 columns; a
+basic column reads exactly 0, so no basis set is kept.  Every slot is at
+most D max c + l1 max |Y| in size, l1 >= every column's l1 norm (the sum
+of each row's largest entry), and that bound is checked against 2^(pw-2)
+before every pricing pass; if it fails, every block is repacked at 2 pw,
+so no slot overflows silently.  pw starts at 32 and doubles before
+packing while l1 does not fit.  Adding the offset 2^(pw-1) to each slot
+leaves its top bit clear exactly where the reduced cost is negative;
+masked to the columns below the phase's limit, the lowest such bit names
+the entering column, and pricing stops at the first block that has one.
+The drive-out of artificials reads row_i . A from the same blocks, whose
+values are at most M l1, and takes the lowest nonzero slot.  Rows are
+packed from one native array per row, sliced into blocks, so no m x n
+Python list is ever held.
+
 Columns are read in C.  Once row i is divided by g_i, nearly every entry
-of a bound program is +1: column j reads those rows with one
-``operator.itemgetter``, ``gets[j]``, and keeps its other entries (a
-surplus's -1, an entry a negative-rhs row's flip negates, a non-unit
-value) as (row, value) pairs in ``rests[j]``.  Pricing and ``_dot`` read
-a_j . v as sum(gets[j](v)) plus the rest, and ``_column`` reads N a_j as
-sum(gets[j](cols)) plus v * cols[r] over the rest; no integer changes, so
-Bland's rule takes the same pivots.
+of a bound program is +1.  The first time column j enters (or is read),
+its block is unpacked once for all rows and its slots give
+``_layout(j)``: one ``operator.itemgetter`` over its +1 rows and its
+other entries (a surplus's -1, an entry a negative-rhs row's flip
+negates, a non-unit value) as (row, value) pairs.  ``_column`` reads
+N a_j as the sum of the columns of N the getter picks plus v * cols[r]
+over the rest; no integer changes, so Bland's rule takes the same pivots.
 
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
@@ -117,11 +139,13 @@ import struct
 import sys
 import uuid
 from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import itemgetter, lt, mul
+from operator import floordiv, itemgetter, lt, mul, setitem
 
 from .errors import LpboundsError, ParseError
 from .rational import format_rational, parse_rational
@@ -398,6 +422,10 @@ def _getter(rows: list[int]) -> itemgetter:
     return itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
 
 
+# columns priced by one big-int sum, and the slot width both packings start at
+_BLOCK = 64
+_WIDTH = 32
+
 # w -> the typecode whose native array words are slots of w bits, where the host has one
 _WORDS = {w: c for w, c in ((32, "i"), (64, "q"))
           if sys.byteorder == "little" and array(c).itemsize * 8 == w}
@@ -408,17 +436,30 @@ def _offset(m: int, w: int) -> int:
     return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * m, "little")
 
 
+def _slot_bytes(values, w: int) -> bytes:
+    """``values`` as little-endian two's complement slots of w bits; a value too wide raises OverflowError."""
+    if code := _WORDS.get(w):
+        return array(code, values).tobytes()
+    return b"".join(v.to_bytes(w // 8, "little", signed=True) for v in values)
+
+
 def _pack(values: list[int], w: int, off: int) -> int:
     """sum_i values[i] * 2^(w*i) for |values[i]| < 2^(w-1); ``off`` is ``_offset(len(values), w)``.
 
     Two's complement slots XOR the offset are values[i] + 2^(w-1); taking the
-    offset away leaves the signed sum.  A value too wide raises OverflowError.
+    offset away leaves the signed sum.
     """
-    if code := _WORDS.get(w):
-        raw = array(code, values).tobytes()
-    else:
-        raw = b"".join(v.to_bytes(w // 8, "little", signed=True) for v in values)
-    return (int.from_bytes(raw, "little") ^ off) - off
+    return (int.from_bytes(_slot_bytes(values, w), "little") ^ off) - off
+
+
+def _blocks(values, w: int, off: int) -> list[int]:
+    """``values`` packed ``_BLOCK`` at a time, as ``_pack`` packs them; ``off`` is ``_offset(_BLOCK, w)``.
+
+    The last block may be short.  It reads as if padded with zeros: its
+    missing slots are 0, and 0 XOR the offset less the offset is 0.
+    """
+    raw, size = memoryview(_slot_bytes(values, w)), _BLOCK * w // 8
+    return [(int.from_bytes(raw[s:s + size], "little") ^ off) - off for s in range(0, len(raw), size)]
 
 
 def _unpack(c: int, m: int, w: int, off: int) -> list[int]:
@@ -427,7 +468,17 @@ def _unpack(c: int, m: int, w: int, off: int) -> list[int]:
     Adding the offset makes every slot nonnegative, so no slot borrows from
     the next; XOR takes it back off bit by bit, leaving two's complement slots.
     """
-    raw = ((c + off) ^ off).to_bytes(m * w // 8, "little")
+    return _words(((c + off) ^ off).to_bytes(m * w // 8, "little"), w)
+
+
+def _repack(ints, slots: int, w: int, off: int) -> list[int]:
+    """``ints``, each packed in ``slots`` slots of w bits with offset ``off``, packed again at 2w."""
+    wide = _offset(slots, 2 * w)
+    return [_pack(_unpack(c, slots, w, off), 2 * w, wide) for c in ints]
+
+
+def _words(raw: bytes, w: int) -> list[int]:
+    """The little-endian two's complement slots of w bits in ``raw``."""
     if code := _WORDS.get(w):
         return memoryview(raw).cast(code).tolist()
     k = w // 8
@@ -440,54 +491,43 @@ class _Simplex:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         m = self.m = len(lp.rows)
-        # columns: one per variable, then slacks, then artificials
         self.n_real = len(lp.variables)
-        # column j is gets[j], over its +1 rows once the lists below are read, and
-        # rests[j], its other entries; most columns share one empty rest
-        gets: list = [[] for _ in range(self.n_real)]
-        rests: list[tuple[tuple[int, int], ...]] = [()] * self.n_real
-        self.gets, self.rests = gets, rests
-
         self.flip: list[int] = []
         self.sigma: list[int] = []  # the lcm of row i's coefficient denominators
+        scales: list[tuple[int, int]] = []  # the flip and g_i
         rhs: list[tuple[int, int]] = []  # sign * rhs_i / g_i in lowest terms
         rels: list[str] = []
-        for i, row in enumerate(lp.rows):
+        self.reach = 0  # >= the l1 norm of every column: the sum of the rows' largest entries
+        for row in lp.rows:
             sign = -1 if row.rhs < 0 else 1
             g = gcd(row.s, *row.coeffs)
-            unit = sign * g  # the coefficient that becomes +1
-            entry: dict[int, tuple[int, int]] = {}  # one (row, value) pair per other coefficient
-            for j, a in zip(row.cols, row.coeffs):
-                if a == unit:
-                    gets[j].append(i)
-                else:
-                    rests[j] += (entry.setdefault(a, (i, sign * a // g)),)
             self.flip.append(sign)
             self.sigma.append(row.s // g)
             h = gcd(g, row.rhs)
             rhs.append((sign * row.rhs // h, g // h))
             rels.append(row.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[row.rel])
-        for j, rows in enumerate(gets):  # each index list goes once its getter exists
-            gets[j] = _getter(rows)
+            scales.append((sign, g))
+            self.reach += max(1, max(map(abs, row.coeffs), default=0) // g)
         self.lb = lcm(*(den for _, den in rhs))  # L_b, one common denominator of b
         self.x: list[int] = [num * (self.lb // den) for num, den in rhs]  # D * L_b * x_B
 
-        self.basis: list[int] = [-1] * m
-        for i, rel in enumerate(rels):
-            if rel == LE:
-                self.basis[i] = len(gets)
-                gets.append(_getter([i]))
-                rests.append(())
-            elif rel == GE:
-                gets.append(_getter([]))
-                rests.append(((i, -1),))
-        self.n_structural = len(gets)
-        artificial_rows = [i for i in range(m) if self.basis[i] == -1]
-        for i in artificial_rows:
-            self.basis[i] = len(gets)
-            gets.append(_getter([i]))
-            rests.append(())
-        self.n_total = len(gets)
+        # columns: one per variable, then a slack or surplus per inequality row, then an
+        # artificial per >= and = row, each in row order; the basis starts at the last of
+        # a row's own columns
+        self.n_structural = self.n_real + sum(rel != EQ for rel in rels)
+        own: list[list[tuple[int, int]]] = []
+        slack, artificial = self.n_real, self.n_structural
+        for rel in rels:
+            own.append([])
+            if rel != EQ:
+                own[-1].append((slack, 1 if rel == LE else -1))
+                slack += 1
+            if rel != LE:
+                own[-1].append((artificial, 1))
+                artificial += 1
+        self.n_total = artificial
+        self.basis: list[int] = [cols[-1][0] for cols in own]
+        artificial_rows = [i for i in range(m) if self.basis[i] >= self.n_structural]
 
         # integer costs: L * cost, L the lcm of the phase's denominators
         self.l2 = lp.cost.s
@@ -497,7 +537,28 @@ class _Simplex:
         self.l1 = lcm(*(self.sigma[i] for i in artificial_rows))
         self.cost1 = [0] * self.n_structural + [self.l1 // self.sigma[i] for i in artificial_rows]
 
-        self._set_width(32)
+        # each row of the standard form packed in blocks; a coefficient wider than a
+        # slot widens the slots before it is packed
+        self.blocks: list[tuple[int, ...]] = []
+        self._set_price_width(_WIDTH)
+        self._fit_prices(self.reach)
+        w = self.pw
+        code = _WORDS.get(w)
+        blank = array(code, bytes(self.n_total * w // 8)) if code else [0] * self.n_total
+        packed = []
+        for row, (sign, g), entries in zip(lp.rows, scales, own):
+            values = blank[:]
+            # g_i divides every coefficient, so each quotient is exact
+            deque(map(setitem, repeat(values), row.cols, map(floordiv, row.coeffs, repeat(sign * g))), 0)
+            for j, a in entries:
+                values[j] = a
+            packed.append(_blocks(values, w, self.poff))
+        # blocks[b][i] is row i's block b, so one sum over the rows prices a block
+        self.blocks = list(zip(*packed)) or [()] * -(-self.n_total // _BLOCK)
+        self.layouts: dict[int, tuple] = {}  # column j's getter and rest, read when first asked for
+        self.unpacked: dict = {}  # block b's slots, row after row, once one of its columns is read
+
+        self._set_width(_WIDTH)
         self.cols: list[int] = [1 << (self.w * k) for k in range(m)]  # column k of N, packed
         self.cdd: list[int] = [1] * m  # column k of N is cols[k] * d // cdd[k]
         self.bound = 1  # >= |every entry of N|
@@ -509,6 +570,48 @@ class _Simplex:
         """Slots of w bits; a value to unpack must stay below room = 2^(w-2)."""
         self.w, self.off, self.room = w, _offset(self.m, w), 1 << (w - 2)
 
+    def _set_price_width(self, w: int) -> None:
+        """Pricing slots of w bits; a value read from a block must stay below 2^(w-2)."""
+        self.pw, self.poff = w, _offset(_BLOCK, w)
+
+    def _fit_prices(self, need: int) -> None:
+        """Repack every block at twice the width while ``need`` >= 2^(pw-2)."""
+        while need >= 1 << (self.pw - 2):
+            self.blocks = [tuple(_repack(block, _BLOCK, self.pw, self.poff)) for block in self.blocks]
+            self._set_price_width(2 * self.pw)
+
+    def _masks(self, limit: int) -> list[int]:
+        """Per block, the bits of its slots for the columns below ``limit``."""
+        full, last = divmod(limit, _BLOCK)
+        w = self.pw
+        return [(1 << (w * _BLOCK)) - 1] * full + ([(1 << (w * last)) - 1] if last else [])
+
+    def _layout(self, j: int) -> tuple[itemgetter, tuple[tuple[int, int], ...]]:
+        """Column j as a getter over its +1 rows and its other entries as (row, value) pairs.
+
+        Both are read the first time they are asked for, from the slots of
+        column j's block, which is unpacked once for every row; only the
+        blocks of columns that enter or are audited are unpacked.
+        """
+        layout = self.layouts.get(j)
+        if layout is None:
+            b, k = divmod(j, _BLOCK)
+            flat = self.unpacked.get(b)
+            if flat is None:  # row by row, each row's slots as _unpack reads them
+                w, off = self.pw, self.poff
+                raw = b"".join([((c + off) ^ off).to_bytes(_BLOCK * w // 8, "little") for c in self.blocks[b]])
+                code = _WORDS.get(w)
+                flat = self.unpacked[b] = memoryview(raw).cast(code) if code else _words(raw, w)
+            values = list(flat[k::_BLOCK])
+            rows = list(compress(range(self.m), values))  # the nonzero rows, as a rule all +1
+            if values.count(1) == len(rows):
+                layout = _getter(rows), ()
+            else:
+                layout = (_getter([i for i in rows if values[i] == 1]),
+                          tuple((i, values[i]) for i in rows if values[i] != 1))
+            self.layouts[j] = layout
+        return layout
+
     def _measure(self) -> int:
         """max |N_ik|, read exactly from the stored columns."""
         m, w, off, d = self.m, self.w, self.off, abs(self.d)
@@ -517,10 +620,8 @@ class _Simplex:
 
     def _widen(self) -> None:
         """Repack every column in slots twice as wide."""
-        m, w, off = self.m, self.w, self.off
-        values = [_unpack(c, m, w, off) for c in self.cols]
-        self._set_width(2 * w)
-        self.cols[:] = [_pack(v, self.w, self.off) for v in values]
+        self.cols[:] = _repack(self.cols, self.m, self.w, self.off)
+        self._set_width(2 * self.w)
 
     def _fit(self, need) -> None:
         """Make need(M) < 2^(w-2): re-measure M, then widen while it is still too wide."""
@@ -536,17 +637,13 @@ class _Simplex:
                 cols[i] = cols[i] * d // cdd[i]
                 cdd[i] = d
 
-    def _dot(self, vec: list[int], j: int) -> int:
-        """a_j . vec."""
-        return sum(self.gets[j](vec)) + sum([vec[r] * v for r, v in self.rests[j]])
-
     def _column(self, j: int) -> list[int]:
         """N * a_j, i.e. D times the basic direction of column j.
 
         It is the sum of the columns of N that a_j reads, packed, so one
         unpack reads every row.
         """
-        get, rest = self.gets[j], self.rests[j]
+        get, rest = self._layout(j)
         rows = get(range(self.m))
         reach = len(rows) + sum([abs(v) for _, v in rest])  # |u_i| <= M * reach
         if self.bound * reach >= self.room:
@@ -614,6 +711,9 @@ class _Simplex:
     def _drive_out_artificials(self) -> None:
         """Pivot zero-level artificials out of the basis where possible.
 
+        Row i's replacement is the lowest structural column j with
+        (N a_j)_i = row_i . a_j != 0, read block by block as the nonzero slots
+        of sum_k N_ik A_k; a basic column reads 0 there, as N a_j = D e_k.
         Rows whose artificial cannot be replaced are linearly dependent on
         the rest; their basic value can never move, so leaving the
         artificial in place is safe.  Without this step a later pivot could
@@ -621,49 +721,61 @@ class _Simplex:
         The pivot element may be negative here; D and x are then negated
         to keep D > 0, which negates every column of N as it reads.
         """
-        in_basis = set(self.basis)
         for i in range(self.m):
             if self.basis[i] < self.n_structural:
                 continue
             row_i = self._row(i)
-            for j in range(self.n_structural):
-                if j in in_basis or self._dot(row_i, j) == 0:
-                    continue
-                self._pivot(i, self._column(j))
-                if self.d < 0:
-                    self.d = -self.d
-                    self.x[:] = [-a for a in self.x]
-                in_basis.discard(self.basis[i])
-                in_basis.add(j)
-                self.basis[i] = j
-                break
+            self._fit_prices(max(map(abs, row_i)) * self.reach)  # |row_i . a_j| <= M * l1(a_j)
+            w, off = self.pw, self.poff
+            for b, mask in enumerate(self._masks(self.n_structural)):
+                if z := (sum(map(mul, row_i, self.blocks[b])) + off ^ off) & mask:
+                    j = b * _BLOCK + ((z & -z).bit_length() - 1) // w
+                    self._pivot(i, self._column(j))
+                    if self.d < 0:
+                        self.d = -self.d
+                        self.x[:] = [-a for a in self.x]
+                    self.basis[i] = j
+                    break
 
     def _iterate(self, cost: list[int], limit: int) -> None:
         """Run simplex to optimality.
+
+        Bland's rule prices a block of ``_BLOCK`` columns at a time: with
+        the costs packed like the rows, D * C_b - sum_i Y_i A_ib holds L * D
+        times the reduced cost of every column of block b, a basic one 0.
+        Each of those is at most D max c + l1(a_j) max |Y| in size, so the
+        blocks are widened until that is below 2^(pw-2) before a block is
+        read.  Adding the offset leaves a slot's top bit clear exactly where
+        its reduced cost is negative, the lowest such bit below ``limit``
+        names the entering column, and that slot less the offset is the
+        d_e of the dual update.
 
         Both phases minimise a cost >= 0 (phase 1 the artificials, phase 2
         the program's own, as ``solve`` checks), so an improving column
         always meets a leaving row; one that does not is a solver bug.
         """
-        m, gets, rests, basis, x = self.m, self.gets, self.rests, self.basis, self.x
-        in_basis = set(basis)
+        m, basis, x, reach = self.m, self.basis, self.x, self.reach
         y = self._duals(cost)
+        top, room = max(cost, default=0), 0  # room 0 packs the costs on the first pass
         while True:
             self.iterations += 1
             if self.iterations > MAX_PIVOTS:
                 raise LpboundsError("pivot cap exceeded; possible solver bug")
             d = self.d
-            enter = -1
-            for j in range(limit):
-                if j in in_basis:
-                    continue
-                d_e = cost[j] * d - sum(gets[j](y))  # L * D * reduced cost
-                for r, v in rests[j]:
-                    d_e -= y[r] * v
-                if d_e < 0:
-                    enter = j
+            need = d * top + reach * max(map(abs, y), default=0)
+            if need >= room:
+                self._fit_prices(need)
+                w, off = self.pw, self.poff
+                room, mask, half = 1 << (w - 2), (1 << w) - 1, 1 << (w - 1)
+                # per block: its costs, its rows and the top bit of each slot below limit
+                priced = list(zip(_blocks(cost, w, off), self.blocks, [off & b for b in self._masks(limit)]))
+            for b, (c_b, a_b, top_bits) in enumerate(priced):
+                t = d * c_b - sum(map(mul, y, a_b)) + off
+                if neg := ~t & top_bits:
+                    k = (neg & -neg).bit_length() // w - 1
+                    enter, d_e = b * _BLOCK + k, (t >> (w * k) & mask) - half  # L * D * reduced cost
                     break
-            if enter < 0:
+            else:
                 self.y = y
                 return
             u = self._column(enter)
@@ -681,8 +793,6 @@ class _Simplex:
                 raise LpboundsError(f"no row leaves the basis for improving column {enter}; solver bug")
             p = u[leave]
             y = [(a * p + d_e * b) // d for a, b in zip(y, self._pivot(leave, u))]
-            in_basis.discard(basis[leave])
-            in_basis.add(enter)
             basis[leave] = enter
 
     def run(self) -> LPSolution:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -262,6 +263,29 @@ def test_synthesize_rejects_bad_params():
     bad = SynthParams(params.eps, params.delta, params.delta_root, params.big_delta, 0, params.t)
     with pytest.raises(InfeasibleConstructionError):
         synthesize(f, mu, bad, w0, w1)
+
+
+@pytest.mark.parametrize("part, k", [(1, None), (2, 100)])
+def test_pipeline_computes_the_t_threshold_once(part, k):
+    minimum_t.cache_clear()
+    rep = protocol_pipeline(families.const2p(2, 0), UNIFORM_4x4, part, k)
+    assert rep.hypothesis_ok and minimum_t.cache_info().misses == 1
+    assert rep.t == minimum_t.__wrapped__(rep.s, UNIFORM_4x4.total, rep.big_delta)
+
+
+def test_validate_checks_t_after_the_threshold_is_cached():
+    f = CC_CORPUS["xor2"]
+    mu, params, w0, w1 = deep_params(f)
+    value0, value1 = ccsynth.weight_value(w0), ccsynth.weight_value(w1)
+    params.validate(mu.total, value0, value1)  # the cache now holds this t
+    # the same t falls below the threshold of a larger measure
+    heavier = ProductDistribution2P((F(1),) * 4, (F(1),) * 4)
+    with pytest.raises(InfeasibleConstructionError, match=f"t = {params.t} below the threshold"):
+        params.validate(heavier.total, value0, value1)
+    # a copy with a smaller t is checked against the cached threshold
+    lower = dataclasses.replace(params, t=params.t - 1)
+    with pytest.raises(InfeasibleConstructionError, match=f"t = {lower.t} below the threshold"):
+        synthesize(f, mu, lower, w0, w1)
 
 
 def test_balance_single_leaf_unchanged():

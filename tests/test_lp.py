@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_lp import Constraint, from_constraints, reference_solve
 
-from lpbounds import families
+from lpbounds import ccbounds, families, qcbounds
 from lpbounds import lp as lpmod
 from lpbounds.ccbounds import SrecInstance, _rect_family, build_prt_lp, build_rprt_lp, build_srec_lp
 from lpbounds.errors import LpboundsError
@@ -415,6 +415,12 @@ def _materialized(sx):
     return [list(row) for row in zip(*columns)] if columns else []
 
 
+def _layout_dot(sx, vec, j):
+    """a_j . vec, read through column j's layout as ``_column`` reads it."""
+    get, rest = sx._layout(j)
+    return sum(get(vec)) + sum(vec[r] * v for r, v in rest)
+
+
 def _integer_rhs(sx):
     """b as the simplex holds it: row i divided by g_i = gcd(s_i, *coeffs), times L_b.
 
@@ -434,7 +440,7 @@ def _assert_basis_identity(sx):
     """N * a_basis[k] = D * e_k for every basic column, and x = N * b."""
     rows, rhs = _materialized(sx), _integer_rhs(sx)
     for k, j in enumerate(sx.basis):
-        assert [sx._dot(row, j) for row in rows] == [
+        assert [_layout_dot(sx, row, j) for row in rows] == [
             sx.d * (i == k) for i in range(sx.m)]
     assert sx.x == [sum(a * b for a, b in zip(row, rhs)) for row in rows]
 
@@ -446,19 +452,22 @@ def _audited_solve(program):
     the basis update) and at the end of the run.  Every column read is
     compared with N * a_j on materialized rows, and the bound M is checked
     against them before every pivot.  Returns the solution and the counts of
-    p = D pivots, p != D pivots, stale columns read, exact re-measures of M
-    and widenings, with the slot width w the run ended at; a stale column is
-    one a pivot left alone because its N_lk was 0.
+    p = D pivots, p != D pivots, stale columns read, exact re-measures of M,
+    widenings of N's slots and doublings of the pricing slots, with the
+    widths w and pw the run ended at; a stale column is one a pivot left
+    alone because its N_lk was 0.
     """
-    counts = dict.fromkeys(("p = D", "p != D", "stale columns read", "re-measures", "widenings"), 0)
+    counts = dict.fromkeys(("p = D", "p != D", "stale columns read", "re-measures", "widenings",
+                            "price widenings"), 0)
     pivot, column, run = lpmod._Simplex._pivot, lpmod._Simplex._column, lpmod._Simplex.run
-    measure, widen = lpmod._Simplex._measure, lpmod._Simplex._widen
+    measure, widen, fit_prices = lpmod._Simplex._measure, lpmod._Simplex._widen, lpmod._Simplex._fit_prices
 
     def audit_column(sx, j):
-        read = [*sx.gets[j](range(sx.m)), *(r for r, _ in sx.rests[j])]
+        get, rest = sx._layout(j)
+        read = [*get(range(sx.m)), *(r for r, _ in rest)]
         counts["stale columns read"] += sum(sx.cdd[i] != sx.d for i in read)
         u = column(sx, j)
-        assert u == [sx._dot(row, j) for row in _materialized(sx)]
+        assert u == [_layout_dot(sx, row, j) for row in _materialized(sx)]
         return u
 
     def audit_pivot(sx, l, u):
@@ -475,10 +484,16 @@ def _audited_solve(program):
         counts["widenings"] += 1
         widen(sx)
 
+    def audit_fit_prices(sx, need):
+        w = sx.pw
+        fit_prices(sx, need)
+        assert need < 1 << (sx.pw - 2)
+        counts["price widenings"] += sx.pw.bit_length() - w.bit_length()
+
     def audit_run(sx):
         sol = run(sx)
         _assert_basis_identity(sx)
-        counts["w"] = sx.w
+        counts["w"], counts["pw"] = sx.w, sx.pw
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
@@ -486,6 +501,7 @@ def _audited_solve(program):
         mp.setattr(lpmod._Simplex, "_pivot", audit_pivot)
         mp.setattr(lpmod._Simplex, "_measure", audit_measure)
         mp.setattr(lpmod._Simplex, "_widen", audit_widen)
+        mp.setattr(lpmod._Simplex, "_fit_prices", audit_fit_prices)
         mp.setattr(lpmod._Simplex, "run", audit_run)
         sol = solve(program)
     return sol, counts
@@ -509,19 +525,43 @@ def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
     assert counts["re-measures"] == 0 < wide_counts["re-measures"]
 
 
+EQ2 = families.make_function("eq", 2, "cc")
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)),
-    lambda: build_prt_lp(families.make_function("eq", 2, "cc"), F(1, 8)),
-], ids=["qprt maj4", "prt eq2"])
+    lambda: build_prt_lp(EQ2, F(1, 8)),
+    lambda: build_rprt_lp(EQ2, F(1, 8)),
+    lambda: build_srec_lp(SrecInstance(EQ2, 1, F(1, 8), F(1, 8))),
+], ids=["qprt maj4", "prt eq2", "rprt eq2", "srec1 eq2"])
 def test_corpus_programs_stay_in_32_bit_slots(build):
     """No loose bound near 2^30 re-measures M or widens on a qprt or chain program.
 
     A pivot bound that kept failing without widening would re-measure M, an
-    O(m^2) read, on every check and lose the narrow slots' gain unseen.
+    O(m^2) read, on every check and lose the narrow slots' gain unseen; a
+    loose pricing bound would repack every row block at 64 bits.
     """
     sol, counts = _audited_solve(build())
     assert sol.status == "optimal"
     assert (counts["w"], counts["re-measures"], counts["widenings"]) == (32, 0, 0), counts
+    assert (counts["pw"], counts["price widenings"]) == (32, 0), counts
+
+
+def test_benchmark_programs_price_in_32_bit_slots(monkeypatch):
+    """Every chain and qprt program of the benchmark prices at pw = 32 from its first pivot to its last."""
+    widths = []
+    fit_prices = lpmod._Simplex._fit_prices
+
+    def record(sx, need):
+        fit_prices(sx, need)
+        widths.append(sx.pw)
+
+    monkeypatch.setattr(lpmod._Simplex, "_fit_prices", record)
+    for family in ("eq", "gt", "and", "xor", "disj"):
+        ccbounds.check_chain(families.make_function(family, 2, "cc"), F(1, 8))
+    for family, n in (("and", 4), ("maj", 5), ("xor", 4), ("maj", 4)):
+        qcbounds.qprt_bound(families.make_function(family, n, "qc"), F(1, 8))
+    assert len(widths) >= 24 and set(widths) == {32}
 
 
 @pytest.mark.parametrize("w", [32, 64, 256])
@@ -609,7 +649,31 @@ def test_wide_coefficients_widen_the_slots(program):
         assert widths[:1] == [32]
 
 
-# The column layout: column j is read as sum(gets[j](v)) plus its rest.
+# b costs 1 and a costs 2^31: phase 2 prices b at 1 - 2^31, past 2^30, though
+# every coefficient fits a 32-bit slot
+PRICED_PAST_2_30 = from_constraints(
+    ("a", "b"), {"a": F(2**31), "b": F(1)}, (Constraint({"a": F(1), "b": F(1)}, ">=", F(1)),))
+
+
+def test_reduced_costs_past_2_30_widen_the_pricing_slots():
+    assert lpmod._Simplex(PRICED_PAST_2_30).pw == 32
+    sol, counts = _audited_solve(PRICED_PAST_2_30)
+    assert (counts["pw"], counts["price widenings"]) == (64, 1), counts
+    assert sol.canonical_bytes() == reference_solve(PRICED_PAST_2_30).canonical_bytes()
+
+
+def test_a_coefficient_wider_than_a_slot_widens_the_blocks_before_packing():
+    """3^40 needs 64 bits; packed into 32-bit slots it would overflow, not wrap."""
+    with pytest.raises(OverflowError):
+        lpmod._blocks([3**40], 32, lpmod._offset(lpmod._BLOCK, 32))
+    assert lpmod._Simplex(THREE_TO_THE_40).pw == 128
+    sol, counts = _audited_solve(THREE_TO_THE_40)
+    assert counts["pw"] >= 128
+    assert sol.canonical_bytes() == reference_solve(THREE_TO_THE_40).canonical_bytes()
+
+
+# The column layout: ``_layout(j)`` reads column j from its block as a getter over
+# its +1 rows plus (row, value) pairs for its other entries.
 
 def _dense_columns(sx):
     """Every column of the standard form as {row: value}, rebuilt from the program's rows.
@@ -644,11 +708,11 @@ def _bland_entering(sx, cost, limit, dense):
 def _layout_audited_solve(program):
     """``solve`` with every column read checked against the dense columns.
 
-    Each ``_column(j)`` equals N * a_j on materialized rows, and ``_dot``
-    agrees on every row; inside ``_iterate`` the column read is the one a
+    Each ``_column(j)`` equals N * a_j on materialized rows, and so does
+    the layout read row by row; inside ``_iterate`` the column read is the one a
     reference Bland scan over the materialized reduced costs enters, and
     ``_iterate`` returns only when that scan finds none.  Returns the
-    solution and the number of entering columns checked.
+    solution and the entering columns checked, in order.
     """
     checked = []
     column, iterate = lpmod._Simplex._column, lpmod._Simplex._iterate
@@ -657,7 +721,7 @@ def _layout_audited_solve(program):
         dense = _dense_columns(sx)
         rows = _materialized(sx)
         want = [sum(row[i] * a for i, a in dense[j].items()) for row in rows]
-        assert [sx._dot(row, j) for row in rows] == want
+        assert [_layout_dot(sx, row, j) for row in rows] == want
         phase = getattr(sx, "audit_phase", None)
         if phase:
             assert _bland_entering(sx, *phase, dense) == j
@@ -676,7 +740,7 @@ def _layout_audited_solve(program):
         mp.setattr(lpmod._Simplex, "_column", audit_column)
         mp.setattr(lpmod._Simplex, "_iterate", audit_iterate)
         sol = solve(program)
-    return sol, len(checked)
+    return sol, checked
 
 
 # +1 is the common entry; 0 leaves a column out of a row, -1 becomes +1 in a
@@ -726,10 +790,11 @@ def test_every_kind_of_entry_takes_its_place_in_the_layout():
     v = [10, 20, 30, 40]
     # x0..x3, the surpluses of rows 0 and 1 (flipped to >=), the slack of row 3 (flipped
     # to <=) and the artificials of rows 0, 1 and 2
-    assert [list(get(v)) for get in sx.gets] == [[10, 20, 30], [], [30], [], [], [], [40], [10], [20], [30]]
-    assert sx.rests == [(), ((0, 3),), ((3, 2),), (), ((0, -1),), ((1, -1),), (), (), (), ()]
+    layouts = [sx._layout(j) for j in range(sx.n_total)]
+    assert [list(get(v)) for get, _ in layouts] == [[10, 20, 30], [], [30], [], [], [], [40], [10], [20], [30]]
+    assert [rest for _, rest in layouts] == [(), ((0, 3),), ((3, 2),), (), ((0, -1),), ((1, -1),), (), (), (), ()]
     sol, entered = _layout_audited_solve(EVERY_KIND_OF_ENTRY)
-    assert sol.status == "optimal" and entered > 0
+    assert sol.status == "optimal" and entered
 
 
 def test_corpus_columns_are_read_by_their_getters_alone():
@@ -745,8 +810,73 @@ def test_corpus_columns_are_read_by_their_getters_alone():
     programs += [build_srec_lp(SrecInstance(f, z, eps, eps)) for z in (0, 1)]
     for program in programs:
         sx = lpmod._Simplex(program)
-        assert all(rest == () for rest in sx.rests[:sx.n_real])
-        assert all(isinstance(get, operator.itemgetter) for get in sx.gets[:sx.n_real])
+        layouts = [sx._layout(j) for j in range(sx.n_real)]
+        assert all(rest == () for _, rest in layouts)
+        assert all(isinstance(get, operator.itemgetter) for get, _ in layouts)
+
+
+# Pricing in blocks: one sum reads the reduced costs of a block of columns,
+# and the lowest negative slot below the phase's limit enters.
+
+@st.composite
+def block_programs(draw):
+    """Programs of 60 to 200 variables whose first ``lead`` columns are in no row.
+
+    Such a column never enters, so Bland's rule reaches columns past the
+    block boundaries at 64 and 128; the variable count and the slacks and
+    artificials that follow move where each phase's limit falls in its block.
+    """
+    n = draw(st.integers(60, 200))
+    lead = draw(st.integers(0, n - 3))
+    names = tuple(f"x{j}" for j in range(n))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        entries = draw(st.lists(LAYOUT_ENTRIES, min_size=n - lead, max_size=n - lead))
+        rows.append(Constraint(dict(zip(names[lead:], entries)),
+                               draw(st.sampled_from(["<=", "=", ">="])), draw(SMALL_RATIONALS)))
+    costs = draw(st.lists(COSTS, min_size=n, max_size=n))
+    return from_constraints(names, dict(zip(names, costs)), tuple(rows))
+
+
+# row i is covered by x_{10+i} at cost 3, x_{70+i} at cost 2 and x_{130+i} at cost 1:
+# phase 1 enters columns 10..14 of block 0, phase 2 columns 70..74 of block 1, then
+# 130..134 of block 2, where phase 2's limit (150 variables and 5 surpluses) ends
+# with the artificials of the covering rows, each priced negative, right after it
+ACROSS_BLOCKS = from_constraints(
+    tuple(f"x{j}" for j in range(150)),
+    {f"x{j}": F(3 if j < 64 else 2 if j < 128 else 1) for j in range(150)},
+    tuple(Constraint({f"x{10 + i}": F(1), f"x{70 + i}": F(1), f"x{130 + i}": F(1)}, ">=", F(1))
+          for i in range(5)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_programs())
+@example(ACROSS_BLOCKS)
+def test_block_pricing_enters_bland_s_column(program):
+    sol, _ = _layout_audited_solve(program)
+    assert sol.canonical_bytes() == reference_solve(program).canonical_bytes()
+
+
+def test_block_pricing_enters_columns_on_both_sides_of_each_boundary():
+    sx = lpmod._Simplex(ACROSS_BLOCKS)
+    assert lpmod._BLOCK == 64 and (sx.n_structural, sx.n_total) == (155, 160)
+    sol, entered = _layout_audited_solve(ACROSS_BLOCKS)
+    assert entered == [*range(10, 15), *range(70, 75), *range(130, 135)]
+    assert sol.value == 5
+    assert sol.canonical_bytes() == reference_solve(ACROSS_BLOCKS).canonical_bytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)),
+    lambda: build_prt_lp(EQ2, F(1, 8)),
+], ids=["qprt maj4", "prt eq2"])
+def test_block_pricing_on_corpus_programs(build):
+    """Each entering column of a corpus solve is the one a column-by-column Bland scan picks."""
+    program = build()
+    sol, entered = _layout_audited_solve(program)
+    assert max(entered) >= lpmod._BLOCK
+    assert sol.canonical_bytes() == reference_solve(program).canonical_bytes()
 
 
 def _pivot_trace(program):
