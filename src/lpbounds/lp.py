@@ -57,8 +57,10 @@ column with N_lk = 0 would only be rescaled by p / D, so the pivot leaves
 it alone, whether p = D or not, and the new D implies the factor; the
 rescale is exact because each slot then reads an entry of N, an integer by
 the same identity.  ``_column`` brings the columns that a_j reads to D,
-sums them packed and unpacks the sum once; a pivot reads row l (slot l of
-every column) once and hands it to the dual update.  x is never stale:
+sums them packed and unpacks the sum once.  A pivot reads row l (slot l of
+every column) once: ``_row`` returns it with the columns where it is
+nonzero, the ones the pivot rewrites, and rescales only their stale
+entries; the row then goes to the dual update.  x is never stale:
 each pivot rewrites every entry that changes.  Only when artificials are
 driven out after phase 1 can p be negative; D and x are then negated,
 which negates every column as it reads.
@@ -68,10 +70,12 @@ bound M >= |N_ik| and, before each column read and each pivot, checks the
 worst case of what it will unpack against 2^(w-2): M times the l1 norm of
 a_j, or (|p| M + max |u_i| * max |N_lk|) / |D| for the entries a pivot
 writes.  If the check fails, M is measured exactly from the stored
-columns; if it still fails, every column is repacked at 2w, so no slot
-overflows silently.  w starts at 32; at 32 and 64 a column packs through
-one native ``array`` and unpacks with one ``to_bytes`` and a ``memoryview``
-cast (typecode "i" and "q" on a little-endian host, ``_WORDS``).
+columns; if it still fails, every column is repacked once, at the first of
+2w, 4w, ... that clears it, so no slot overflows silently.  w starts at
+16 (``_WIDTH``); at 16, 32 and 64 a column packs through one native
+``array`` and unpacks with one ``to_bytes`` and a ``memoryview`` cast
+(typecodes "h", "i" and "q" on a little-endian host, ``_WORDS``); any
+other width or host goes slot by slot through ``int.to_bytes``.
 
 Pricing in blocks.  The standard form A, slacks and artificials included,
 is held by rows in blocks of 64 columns: ``blocks[b][i]`` packs row i's
@@ -82,14 +86,15 @@ big-int sum, holds L * D times the reduced cost of all 64 columns; a
 basic column reads exactly 0, so no basis set is kept.  Every slot is at
 most D max c + l1 max |Y| in size, l1 >= every column's l1 norm (the sum
 of each row's largest entry), and that bound is checked against 2^(pw-2)
-before every pricing pass; if it fails, every block is repacked at 2 pw,
-so no slot overflows silently.  pw starts at 32 and doubles before
-packing while l1 does not fit.  Adding the offset 2^(pw-1) to each slot
-leaves its top bit clear exactly where the reduced cost is negative;
-masked to the columns below the phase's limit, the lowest such bit names
-the entering column, and pricing stops at the first block that has one.
-The drive-out of artificials reads row_i . A from the same blocks, whose
-values are at most M l1, and takes the lowest nonzero slot.  Rows are
+before every pricing pass; if it fails, every block is repacked once, at
+the first of 2 pw, 4 pw, ... that clears it, so no slot overflows silently.
+pw starts at 16 and is doubled before packing until l1 fits.  Adding the
+offset 2^(pw-1) to each slot leaves its top bit clear exactly where the
+reduced cost is negative; masked to the columns below the phase's limit,
+the lowest such bit names the entering column, and pricing stops at the
+first block that has one.  The drive-out of artificials reads row_i . A
+from the same blocks, whose values are at most M l1, and takes the lowest
+nonzero slot.  Rows are
 packed from one native array per row, sliced into blocks, so no m x n
 Python list is ever held.
 
@@ -424,10 +429,10 @@ def _getter(rows: list[int]) -> itemgetter:
 
 # columns priced by one big-int sum, and the slot width both packings start at
 _BLOCK = 64
-_WIDTH = 32
+_WIDTH = 16
 
 # w -> the typecode whose native array words are slots of w bits, where the host has one
-_WORDS = {w: c for w, c in ((32, "i"), (64, "q"))
+_WORDS = {w: c for w, c in ((16, "h"), (32, "i"), (64, "q"))
           if sys.byteorder == "little" and array(c).itemsize * 8 == w}
 
 
@@ -471,10 +476,17 @@ def _unpack(c: int, m: int, w: int, off: int) -> list[int]:
     return _words(((c + off) ^ off).to_bytes(m * w // 8, "little"), w)
 
 
-def _repack(ints, slots: int, w: int, off: int) -> list[int]:
-    """``ints``, each packed in ``slots`` slots of w bits with offset ``off``, packed again at 2w."""
-    wide = _offset(slots, 2 * w)
-    return [_pack(_unpack(c, slots, w, off), 2 * w, wide) for c in ints]
+def _wider(w: int, need: int) -> int:
+    """The first of w, 2w, 4w, ... whose room 2^(w-2) is above ``need``."""
+    while need >= 1 << (w - 2):
+        w *= 2
+    return w
+
+
+def _repack(ints, slots: int, w: int, off: int, wide: int) -> list[int]:
+    """``ints``, each packed in ``slots`` slots of w bits with offset ``off``, packed again at ``wide`` bits."""
+    wide_off = _offset(slots, wide)
+    return [_pack(_unpack(c, slots, w, off), wide, wide_off) for c in ints]
 
 
 def _words(raw: bytes, w: int) -> list[int]:
@@ -575,10 +587,11 @@ class _Simplex:
         self.pw, self.poff = w, _offset(_BLOCK, w)
 
     def _fit_prices(self, need: int) -> None:
-        """Repack every block at twice the width while ``need`` >= 2^(pw-2)."""
-        while need >= 1 << (self.pw - 2):
-            self.blocks = [tuple(_repack(block, _BLOCK, self.pw, self.poff)) for block in self.blocks]
-            self._set_price_width(2 * self.pw)
+        """Make ``need`` < 2^(pw-2): repack every block once, at the first of 2 pw, 4 pw, ... that clears it."""
+        w = _wider(self.pw, need)
+        if w != self.pw:
+            self.blocks = [tuple(_repack(block, _BLOCK, self.pw, self.poff, w)) for block in self.blocks]
+            self._set_price_width(w)
 
     def _masks(self, limit: int) -> list[int]:
         """Per block, the bits of its slots for the columns below ``limit``."""
@@ -618,16 +631,17 @@ class _Simplex:
         return max((max(map(abs, _unpack(c, m, w, off))) * d // abs(e)
                     for c, e in zip(self.cols, self.cdd)), default=0)
 
-    def _widen(self) -> None:
-        """Repack every column in slots twice as wide."""
-        self.cols[:] = _repack(self.cols, self.m, self.w, self.off)
-        self._set_width(2 * self.w)
+    def _widen(self, w: int) -> None:
+        """Repack every column in slots of w bits."""
+        self.cols[:] = _repack(self.cols, self.m, self.w, self.off, w)
+        self._set_width(w)
 
     def _fit(self, need) -> None:
-        """Make need(M) < 2^(w-2): re-measure M, then widen while it is still too wide."""
+        """Make need(M) < 2^(w-2): re-measure M, then widen once, to the first of 2w, 4w, ... that clears it."""
         self.bound = self._measure()
-        while need(self.bound) >= self.room:
-            self._widen()
+        w = _wider(self.w, need(self.bound))
+        if w != self.w:
+            self._widen(w)
 
     def _refresh(self, rows) -> None:
         """Rescale the columns ``rows`` of N to the current D."""
@@ -656,20 +670,25 @@ class _Simplex:
             packed += sum([v * cols[r] for r, v in rest])
         return _unpack(packed, self.m, self.w, self.off)
 
-    def _row(self, i: int) -> list[int]:
-        """Row i of N: slot i of every column, each rescaled to the current D.
+    def _row(self, i: int) -> tuple[list[int], list[int]]:
+        """Row i of N at the current D, and the columns where it is nonzero.
 
         Shifting to one bit below slot i and rounding off that bit undoes the
         borrow of the slots below, which together are less than half a slot.
+        Only the nonzero entries of a stale column are rescaled.
         """
-        d, half = self.d, 1 << (self.w - 1)
+        d, cdd, half = self.d, self.cdd, 1 << (self.w - 1)
         mask = 2 * half - 1
         if i:
             shift, bits = self.w * i - 1, 2 * mask + 1
-            raw = [(((((c >> shift) & bits) + 1) >> 1) & mask ^ half) - half for c in self.cols]
+            row = [(((((c >> shift) & bits) + 1) >> 1) & mask ^ half) - half for c in self.cols]
         else:
-            raw = [(c & mask ^ half) - half for c in self.cols]
-        return [a * d // e if a and e != d else a for a, e in zip(raw, self.cdd)]
+            row = [(c & mask ^ half) - half for c in self.cols]
+        touched = list(compress(range(self.m), row))
+        for k in touched:
+            if cdd[k] != d:
+                row[k] = row[k] * d // cdd[k]
+        return row, touched
 
     def _duals(self, cost: list[int]) -> list[int]:
         """Y = L * D * y = c_B N, one entry per column of N."""
@@ -684,7 +703,7 @@ class _Simplex:
         Returns row l of N as it was, which the dual update reads.
         """
         p, d, cols, cdd, x = u[l], self.d, self.cols, self.cdd, self.x
-        row = self._row(l)
+        row, touched = self._row(l)
         top, spread = max(map(abs, row)), max(map(abs, u))
 
         def need(big: int) -> int:  # bounds |N'_ik| <= (|p| M + |u_i| |N_lk|) / |D|
@@ -697,7 +716,6 @@ class _Simplex:
         self.bound = bound
         # u with slot l at p - D: (p * N_lk - (p - D) * N_lk) / D keeps row l
         packed_u = _pack(u, self.w, self.off) - (d << (self.w * l))
-        touched = [k for k, b in enumerate(row) if b]
         self._refresh(touched)
         for k in touched:
             cols[k] = (p * cols[k] - row[k] * packed_u) // d
@@ -724,7 +742,7 @@ class _Simplex:
         for i in range(self.m):
             if self.basis[i] < self.n_structural:
                 continue
-            row_i = self._row(i)
+            row_i, _ = self._row(i)
             self._fit_prices(max(map(abs, row_i)) * self.reach)  # |row_i . a_j| <= M * l1(a_j)
             w, off = self.pw, self.poff
             for b, mask in enumerate(self._masks(self.n_structural)):

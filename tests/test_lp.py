@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -453,7 +454,8 @@ def _audited_solve(program):
     compared with N * a_j on materialized rows, and the bound M is checked
     against them before every pivot.  Returns the solution and the counts of
     p = D pivots, p != D pivots, stale columns read, exact re-measures of M,
-    widenings of N's slots and doublings of the pricing slots, with the
+    widenings of N's slots (one repack each, however many doublings it
+    takes) and doublings of the pricing slots, with the
     widths w and pw the run ended at; a stale column is one a pivot left
     alone because its N_lk was 0.
     """
@@ -480,9 +482,9 @@ def _audited_solve(program):
         counts["re-measures"] += 1
         return measure(sx)
 
-    def audit_widen(sx):
+    def audit_widen(sx, w):
         counts["widenings"] += 1
-        widen(sx)
+        widen(sx, w)
 
     def audit_fit_prices(sx, need):
         w = sx.pw
@@ -519,54 +521,98 @@ def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
     sol, counts = _audited_solve(program)
     assert sol.status == "optimal"
     assert all(counts[k] for k in ("p = D", "p != D", "stale columns read")), counts
-    # M stays far below 2^62 on the corpus; only the wide program re-measures it
+    # in 16-bit slots the loose pivot bound re-measures M once on maj4; the wide program twice
     wide, wide_counts = _audited_solve(THREE_TO_THE_40)
     assert wide.status == "optimal"
-    assert counts["re-measures"] == 0 < wide_counts["re-measures"]
+    assert (counts["re-measures"], wide_counts["re-measures"]) == (1, 2)
 
 
 EQ2 = families.make_function("eq", 2, "cc")
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)),
-    lambda: build_prt_lp(EQ2, F(1, 8)),
-    lambda: build_rprt_lp(EQ2, F(1, 8)),
-    lambda: build_srec_lp(SrecInstance(EQ2, 1, F(1, 8), F(1, 8))),
+@pytest.mark.parametrize("build, re_measures", [
+    (lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)), 1),
+    (lambda: build_prt_lp(EQ2, F(1, 8)), 5),
+    (lambda: build_rprt_lp(EQ2, F(1, 8)), 5),
+    (lambda: build_srec_lp(SrecInstance(EQ2, 1, F(1, 8), F(1, 8))), 0),
 ], ids=["qprt maj4", "prt eq2", "rprt eq2", "srec1 eq2"])
-def test_corpus_programs_stay_in_32_bit_slots(build):
-    """No loose bound near 2^30 re-measures M or widens on a qprt or chain program.
+def test_corpus_programs_stay_in_32_bit_slots(build, re_measures):
+    """A qprt or chain program solves in the 16-bit slots it starts at, well inside 32 bits.
 
-    A pivot bound that kept failing without widening would re-measure M, an
-    O(m^2) read, on every check and lose the narrow slots' gain unseen; a
-    loose pricing bound would repack every row block at 64 bits.
+    Neither N nor the prices widen.  The pivot bound is loose, so it
+    re-measures M, an O(m^2) read, a fixed number of times; the count is
+    pinned exactly so that a looser bound, which would re-measure on every
+    check and lose the narrow slots' gain unseen, fails here.
     """
     sol, counts = _audited_solve(build())
     assert sol.status == "optimal"
-    assert (counts["w"], counts["re-measures"], counts["widenings"]) == (32, 0, 0), counts
-    assert (counts["pw"], counts["price widenings"]) == (32, 0), counts
+    assert (counts["w"], counts["re-measures"], counts["widenings"]) == (16, re_measures, 0), counts
+    assert (counts["pw"], counts["price widenings"]) == (16, 0), counts
 
 
-def test_benchmark_programs_price_in_32_bit_slots(monkeypatch):
-    """Every chain and qprt program of the benchmark prices at pw = 32 from its first pivot to its last."""
-    widths = []
-    fit_prices = lpmod._Simplex._fit_prices
+def _benchmark_widths():
+    """Per benchmark solve, in run order: (program, final w, final pw, re-measures of M, N's widenings).
 
-    def record(sx, need):
-        fit_prices(sx, need)
-        widths.append(sx.pw)
+    A widening is (pivot, old w, new w).  The programs are the chain's
+    prt, rprt, srec^0 and srec^1 on eq2, gt2, and2, xor2 and disj2 and
+    qprt on and4, maj5, xor4 and maj4, each labelled by its table.
+    """
+    solves, label = [], []
+    measure, widen, run = lpmod._Simplex._measure, lpmod._Simplex._widen, lpmod._Simplex.run
 
-    monkeypatch.setattr(lpmod._Simplex, "_fit_prices", record)
-    for family in ("eq", "gt", "and", "xor", "disj"):
-        ccbounds.check_chain(families.make_function(family, 2, "cc"), F(1, 8))
-    for family, n in (("and", 4), ("maj", 5), ("xor", 4), ("maj", 4)):
-        qcbounds.qprt_bound(families.make_function(family, n, "qc"), F(1, 8))
-    assert len(widths) >= 24 and set(widths) == {32}
+    def audit_measure(sx):
+        sx.audit[0] += 1
+        return measure(sx)
+
+    def audit_widen(sx, w):
+        sx.audit[1].append((sx.iterations, sx.w, w))
+        widen(sx, w)
+
+    def audit_run(sx):
+        sx.audit = [0, []]
+        sol = run(sx)
+        solves.append((label[0], sx.w, sx.pw, *sx.audit))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "_measure", audit_measure)
+        mp.setattr(lpmod._Simplex, "_widen", audit_widen)
+        mp.setattr(lpmod._Simplex, "run", audit_run)
+        for family in ("eq", "gt", "and", "xor", "disj"):
+            label[:] = [f"{family}2"]
+            ccbounds.check_chain(families.make_function(family, 2, "cc"), F(1, 8))
+        for family, n in (("and", 4), ("maj", 5), ("xor", 4), ("maj", 4)):
+            label[:] = [f"{family}{n}"]
+            qcbounds.qprt_bound(families.make_function(family, n, "qc"), F(1, 8))
+    return solves
 
 
-@pytest.mark.parametrize("w", [32, 64, 256])
+def test_benchmark_programs_price_in_32_bit_slots():
+    """Every chain and qprt program of the benchmark prices in slots of at most 32 bits.
+
+    Pricing starts at pw = 16 and widens to 32 on exactly four programs:
+    one chain program each of and2 and xor2, and qprt maj5 and xor4.  N's
+    slots widen once, 16 -> 32 at pivot 394 of one xor2 program; the
+    loose pivot bound re-measures M the pinned number of times per table.
+    """
+    solves = _benchmark_widths()
+    assert len(solves) == 24
+    assert [(name, w, pw) for name, w, pw, _, _ in solves if (w, pw) != (16, 16)] == [
+        ("and2", 16, 32), ("xor2", 32, 32), ("maj5", 16, 32), ("xor4", 16, 32)]
+    assert [(name, widened) for name, _, _, _, widened in solves if widened] == [("xor2", [(394, 16, 32)])]
+    re_measures = {}
+    for name, _, _, count, _ in solves:
+        re_measures[name] = re_measures.get(name, 0) + count
+    assert re_measures == {"eq2": 15, "gt2": 0, "and2": 32, "xor2": 41, "disj2": 1,
+                           "and4": 1, "maj5": 43, "xor4": 2, "maj4": 1}
+
+
+@pytest.mark.parametrize("w", [16, 32, 64, 256])
 def test_packed_slots_round_trip(w):
-    """Zeros and the widest slot values the bound admits survive pack, unpack and the row read."""
+    """Zeros and the widest slot values the bound admits, +-(2^(w-2) - 1), survive pack, unpack and the row read.
+
+    The row read also names the columns where the row is nonzero.
+    """
     top = (1 << (w - 2)) - 1
     columns = [[0, 0, 0, 0, 0], [top, -top, 0, 1, 0], [-top, -top, -top, -top, -top],
                [top, 0, -1, top, top], [-1, top, -top, 0, -top]]
@@ -578,7 +624,8 @@ def test_packed_slots_round_trip(w):
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 5))
     sx._set_width(w)
     sx.cols = [lpmod._pack(column, w, sx.off) for column in columns]
-    assert [sx._row(i) for i in range(5)] == [list(row) for row in zip(*columns)]
+    rows = [list(row) for row in zip(*columns)]
+    assert [sx._row(i) for i in range(5)] == [(row, [k for k, a in enumerate(row) if a]) for row in rows]
 
 
 def test_a_pivot_that_outgrows_the_slots_widens_them_first():
@@ -597,10 +644,22 @@ def test_a_pivot_that_outgrows_the_slots_widens_them_first():
     assert (sx.d, _materialized(sx)) == (1 << 30, [[big, 0], [-(1 << 70), 1 << 70]])
 
 
-def test_a_pivot_that_outgrows_the_32_bit_slots_widens_them_to_64():
-    """N = 2^20 I at D = 1 in the starting slots, pivoting on u = (2^15, 2^15): row 1 becomes (-2^35, 2^35)."""
+def test_a_pivot_that_outgrows_the_16_bit_slots_widens_them_to_32():
+    """N = 2^10 I at D = 1 in the starting slots, pivoting on u = (2^7, 2^7): row 1 becomes (-2^17, 2^17)."""
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
+    assert sx.w == 16
+    big = 1 << 10
+    sx.cols = [lpmod._pack(column, sx.w, sx.off) for column in ([big, 0], [0, big])]
+    sx.bound = big
+    sx._pivot(0, [1 << 7, 1 << 7])
     assert sx.w == 32
+    assert (sx.d, _materialized(sx)) == (1 << 7, [[big, 0], [-(1 << 17), 1 << 17]])
+
+
+def test_a_pivot_that_outgrows_the_32_bit_slots_widens_them_to_64():
+    """N = 2^20 I at D = 1 in 32-bit slots, pivoting on u = (2^15, 2^15): row 1 becomes (-2^35, 2^35)."""
+    sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
+    sx._set_width(32)
     big = 1 << 20
     sx.cols = [lpmod._pack(column, sx.w, sx.off) for column in ([big, 0], [0, big])]
     sx.bound = big
@@ -635,9 +694,9 @@ def test_wide_coefficients_widen_the_slots(program):
     widths = []
     widen = lpmod._Simplex._widen
 
-    def count_widen(sx):
-        widths.append(sx.w)
-        widen(sx)
+    def count_widen(sx, w):
+        widths.append((sx.w, w))
+        widen(sx, w)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod._Simplex, "_widen", count_widen)
@@ -646,19 +705,19 @@ def test_wide_coefficients_widen_the_slots(program):
     if program is THREE_TO_THE_40:
         assert widths
     if program is THREE_TO_THE_20:
-        assert widths[:1] == [32]
+        assert widths[:1] == [(16, 64)]
 
 
 # b costs 1 and a costs 2^31: phase 2 prices b at 1 - 2^31, past 2^30, though
-# every coefficient fits a 32-bit slot
+# every coefficient fits a 16-bit slot
 PRICED_PAST_2_30 = from_constraints(
     ("a", "b"), {"a": F(2**31), "b": F(1)}, (Constraint({"a": F(1), "b": F(1)}, ">=", F(1)),))
 
 
 def test_reduced_costs_past_2_30_widen_the_pricing_slots():
-    assert lpmod._Simplex(PRICED_PAST_2_30).pw == 32
+    assert lpmod._Simplex(PRICED_PAST_2_30).pw == 16
     sol, counts = _audited_solve(PRICED_PAST_2_30)
-    assert (counts["pw"], counts["price widenings"]) == (64, 1), counts
+    assert (counts["pw"], counts["price widenings"]) == (64, 2), counts
     assert sol.canonical_bytes() == reference_solve(PRICED_PAST_2_30).canonical_bytes()
 
 
@@ -670,6 +729,108 @@ def test_a_coefficient_wider_than_a_slot_widens_the_blocks_before_packing():
     sol, counts = _audited_solve(THREE_TO_THE_40)
     assert counts["pw"] >= 128
     assert sol.canonical_bytes() == reference_solve(THREE_TO_THE_40).canonical_bytes()
+
+
+def test_a_widening_repacks_once_however_many_doublings_it_takes():
+    """16 -> 64 is one repack, not one per doubling: N's columns and the price blocks alike.
+
+    Each call repacks one list of packed ints: N's columns (m = 2 slots
+    each) or one price block (``_BLOCK`` slots per row).  THREE_TO_THE_20's
+    N goes 16 -> 64 in one repack; its later 64 -> 128 is the loose pivot
+    bound's.  PRICED_PAST_2_30 prices 16 -> 64 in one repack.
+    """
+    def repacks(program):
+        calls = []
+        repack = lpmod._repack
+
+        def record(ints, slots, w, off, wide):
+            calls.append((slots, w, wide))
+            return repack(ints, slots, w, off, wide)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lpmod, "_repack", record)
+            sol = solve(program)
+        assert sol.canonical_bytes() == reference_solve(program).canonical_bytes()
+        return calls
+
+    assert repacks(THREE_TO_THE_20) == [(2, 16, 64), (64, 64, 128), (2, 64, 128)]
+    assert repacks(PRICED_PAST_2_30) == [(64, 16, 64)]
+
+
+def _pivot_path(program, width):
+    """The solve of ``program`` with both packings started at ``width`` bits.
+
+    Returns every column read (entering, or replacing an artificial) and
+    every pivot as (row, leaving column), in order, and the solution's bytes.
+    """
+    path = []
+    column, pivot = lpmod._Simplex._column, lpmod._Simplex._pivot
+
+    def record_column(sx, j):
+        path.append(("enter", j))
+        return column(sx, j)
+
+    def record_pivot(sx, l, u):
+        path.append(("leave", l, sx.basis[l]))
+        return pivot(sx, l, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod, "_WIDTH", width)
+        mp.setattr(lpmod._Simplex, "_column", record_column)
+        mp.setattr(lpmod._Simplex, "_pivot", record_pivot)
+        sol = solve(program)
+    return path, sol.canonical_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_programs())
+@example(NEGATIVE_DRIVE_OUT)
+@example(build_prt_lp(EQ2, F(1, 8)))
+@example(build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)))
+def test_the_pivot_path_does_not_depend_on_the_starting_width(program):
+    """Slots of 16, 32 or 64 bits hold the same integers, so Bland's rule takes the same path to the same bytes."""
+    narrow = _pivot_path(program, 16)
+    assert _pivot_path(program, 32) == narrow
+    assert _pivot_path(program, 64) == narrow
+
+
+@pytest.mark.parametrize("w", [16, 32, 64])
+def test_slots_without_native_arrays_match_the_native_path(w):
+    """With ``_WORDS`` empty, as on a big-endian host, every slot helper reads and writes the same integers.
+
+    ``_pack``, ``_unpack`` and ``_blocks`` then go through ``int.to_bytes``
+    slot by slot, and ``_Simplex`` packs its rows from a list and
+    ``_layout`` reads a block's slots without a ``memoryview`` cast.
+    """
+    if sys.byteorder == "little":
+        assert lpmod._WORDS == {16: "h", 32: "i", 64: "q"}
+    top = (1 << (w - 2)) - 1
+    values = [0, top, -top, 1, -1, 0, 0, -top, top, 7] * 7  # 70 values: a full block and a short one
+    off, block_off = lpmod._offset(len(values), w), lpmod._offset(lpmod._BLOCK, w)
+    program = build_prt_lp(EQ2, F(1, 8))
+
+    def read():
+        packed = lpmod._pack(values, w, off)
+        sx = lpmod._Simplex(program)
+        assert (sx.w, sx.pw) == (w, w)
+        layouts = [sx._layout(j) for j in range(sx.n_total)]
+        return (packed, lpmod._unpack(packed, len(values), w, off), lpmod._blocks(values, w, block_off),
+                sx.blocks, [(get(range(sx.m)), rest) for get, rest in layouts])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod, "_WIDTH", w)
+        native = read()
+        mp.setattr(lpmod, "_WORDS", {})
+        assert read() == native
+
+
+def test_a_solve_without_native_arrays_gives_the_same_bytes():
+    """prt xor2 widens N's slots and its price blocks 16 -> 32; the fallback path takes the same pivots."""
+    program = build_prt_lp(families.make_function("xor", 2, "cc"), F(1, 8))
+    native = _pivot_path(program, 16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod, "_WORDS", {})
+        assert _pivot_path(program, 16) == native
 
 
 # The column layout: ``_layout(j)`` reads column j from its block as a getter over
