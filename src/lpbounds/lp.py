@@ -41,10 +41,11 @@ replaces every other row i of N and x by (p * row_i - u_i * row_l) / D and
 sets D = p.  By Sylvester's identity each of these divisions is exact, so
 ``//`` never rounds; were one wrong it would floor silently, which is why
 every result is certified before it is returned.  The integer duals
-Y = L * D * y are built once per phase and then updated in O(m) per pivot,
+Y = L * D * y are built once per phase and then updated per pivot,
 Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the reduced cost of
-the entering column.  Fractions are made only at the boundary: basic
-values X_i / (D * L_b), duals and the Farkas vector.
+the entering column; when p = D that is Y + d_e * N_l / D, which changes Y
+only where row l of N is nonzero.  Fractions are made only at the
+boundary: basic values, duals and the Farkas vector.
 
 N is stored by columns, each one Python int: ``cols[k]`` is
 sum_i N_ik * 2^(w i) in signed w-bit slots, written at the determinant
@@ -60,17 +61,29 @@ the same identity.  ``_column`` brings the columns that a_j reads to D,
 sums them packed and unpacks the sum once.  A pivot reads row l (slot l of
 every column) once: ``_row`` returns it with the columns where it is
 nonzero, the ones the pivot rewrites, and rescales only their stale
-entries; the row then goes to the dual update.  x is never stale:
-each pivot rewrites every entry that changes.  Only when artificials are
-driven out after phase 1 can p be negative; D and x are then negated,
-which negates every column as it reads.
+entries; the row then goes to the dual update.  When p = D no column is
+scaled by p: column k, brought to D, becomes col_k - N_lk * u' / D, u' with
+slot l at 0, and each slot N_lk * u_i / D is an integer, an entry of N less
+one of N'.
+
+x is held the same way, at its own determinant ``xd`` > 0: x = xd * L_b * x_B,
+and the basic values are x_i / (xd * L_b).  A degenerate pivot (x_l = 0)
+only rescales x by p / D, so it leaves x and xd alone.  Any other pivot
+rewrites x as (p * x_i - u_i * x_l) / xd, exact by the same identity, sets
+x_l to its value at D, x_l * D / xd, and then sets xd = p.  The ratio test
+compares x_i / u_i, and a positive common factor keeps their order, so it
+reads x at xd.  Only when artificials are driven out after phase 1 can p
+be negative; D is then negated, which negates every column as it reads.
+Those pivots are degenerate (each basic artificial is at level 0), so x
+and xd > 0 stay as they are.
 
 A slot holds only what is unpacked: N and N a_j.  The simplex keeps a
 bound M >= |N_ik| and, before each column read and each pivot, checks the
 worst case of what it will unpack against 2^(w-2): M times the l1 norm of
 a_j, or (|p| M + max |u_i| * max |N_lk|) / |D| for the entries a pivot
-writes.  If the check fails, M is measured exactly from the stored
-columns; if it still fails, every column is repacked once, at the first of
+writes.  If the check fails, M is measured exactly: every column is
+brought to D and all m^2 slots are read in one pass over their bytes; if
+the check still fails, every column is repacked once, at the first of
 2w, 4w, ... that clears it, so no slot overflows silently.  w starts at
 16 (``_WIDTH``); at 16, 32 and 64 a column packs through one native
 ``array`` and unpacks with one ``to_bytes`` and a ``memoryview`` cast
@@ -521,7 +534,8 @@ class _Simplex:
             scales.append((sign, g))
             self.reach += max(1, max(map(abs, row.coeffs), default=0) // g)
         self.lb = lcm(*(den for _, den in rhs))  # L_b, one common denominator of b
-        self.x: list[int] = [num * (self.lb // den) for num, den in rhs]  # D * L_b * x_B
+        self.x: list[int] = [num * (self.lb // den) for num, den in rhs]  # xd * L_b * x_B
+        self.xd = 1  # the determinant x was last written at, > 0
 
         # columns: one per variable, then a slack or surplus per inequality row, then an
         # artificial per >= and = row, each in row order; the basis starts at the last of
@@ -626,10 +640,11 @@ class _Simplex:
         return layout
 
     def _measure(self) -> int:
-        """max |N_ik|, read exactly from the stored columns."""
-        m, w, off, d = self.m, self.w, self.off, abs(self.d)
-        return max((max(map(abs, _unpack(c, m, w, off))) * d // abs(e)
-                    for c, e in zip(self.cols, self.cdd)), default=0)
+        """max |N_ik|, read exactly: every column is brought to D, then all m^2 slots are read in one pass."""
+        m, w, off = self.m, self.w, self.off
+        self._refresh(range(m))
+        raw = b"".join([((c + off) ^ off).to_bytes(m * w // 8, "little") for c in self.cols])
+        return max(map(abs, _words(raw, w)), default=0)
 
     def _widen(self, w: int) -> None:
         """Repack every column in slots of w bits."""
@@ -697,12 +712,13 @@ class _Simplex:
         self._refresh(range(m))
         return [sum(map(mul, cb, _unpack(c, m, w, off))) for c in cols]
 
-    def _pivot(self, l: int, u: list[int]) -> list[int]:
+    def _pivot(self, l: int, u: list[int]) -> tuple[list[int], list[int]]:
         """Exchange the basic column of row ``l`` for the column with N * a = u.
 
-        Returns row l of N as it was, which the dual update reads.
+        Returns row l of N as it was and the columns where it is nonzero,
+        which the dual update reads.  x is rewritten only when x_l != 0.
         """
-        p, d, cols, cdd, x = u[l], self.d, self.cols, self.cdd, self.x
+        p, d, cols, cdd = u[l], self.d, self.cols, self.cdd
         row, touched = self._row(l)
         top, spread = max(map(abs, row)), max(map(abs, u))
 
@@ -717,14 +733,21 @@ class _Simplex:
         # u with slot l at p - D: (p * N_lk - (p - D) * N_lk) / D keeps row l
         packed_u = _pack(u, self.w, self.off) - (d << (self.w * l))
         self._refresh(touched)
-        for k in touched:
-            cols[k] = (p * cols[k] - row[k] * packed_u) // d
-            cdd[k] = p
-        xl = x[l]
-        x[:] = [(p * a - b * xl) // d for a, b in zip(x, u)]
-        x[l] = xl
+        if p == d:  # N'_k = N_k - N_lk * u' / D: no column is scaled
+            for k in touched:
+                cols[k] -= row[k] * packed_u // d
+        else:
+            for k in touched:
+                cols[k] = (p * cols[k] - row[k] * packed_u) // d
+                cdd[k] = p
+        xl = self.x[l]
+        if xl:  # x' = (p * x - x_l * u) / xd, x_l brought to D; only _iterate gets here, with p > 0
+            xd = self.xd
+            x = self.x = [(p * a - b * xl) // xd for a, b in zip(self.x, u)]
+            x[l] = xl * d // xd
+            self.xd = p
         self.d = p
-        return row
+        return row, touched
 
     def _drive_out_artificials(self) -> None:
         """Pivot zero-level artificials out of the basis where possible.
@@ -736,8 +759,10 @@ class _Simplex:
         the rest; their basic value can never move, so leaving the
         artificial in place is safe.  Without this step a later pivot could
         push a basic artificial positive and silently break feasibility.
-        The pivot element may be negative here; D and x are then negated
-        to keep D > 0, which negates every column of N as it reads.
+        The pivot element may be negative here; D is then negated to keep
+        D > 0, which negates every column of N as it reads.  Every basic
+        artificial is at level 0 here, so each pivot is degenerate and
+        leaves x and xd > 0 as they are.
         """
         for i in range(self.m):
             if self.basis[i] < self.n_structural:
@@ -748,10 +773,9 @@ class _Simplex:
             for b, mask in enumerate(self._masks(self.n_structural)):
                 if z := (sum(map(mul, row_i, self.blocks[b])) + off ^ off) & mask:
                     j = b * _BLOCK + ((z & -z).bit_length() - 1) // w
+                    assert not self.x[i]  # degenerate, so x and xd stay
                     self._pivot(i, self._column(j))
-                    if self.d < 0:
-                        self.d = -self.d
-                        self.x[:] = [-a for a in self.x]
+                    self.d = abs(self.d)
                     self.basis[i] = j
                     break
 
@@ -772,7 +796,7 @@ class _Simplex:
         the program's own, as ``solve`` checks), so an improving column
         always meets a leaving row; one that does not is a solver bug.
         """
-        m, basis, x, reach = self.m, self.basis, self.x, self.reach
+        m, basis, reach = self.m, self.basis, self.reach
         y = self._duals(cost)
         top, room = max(cost, default=0), 0  # room 0 packs the costs on the first pass
         while True:
@@ -796,8 +820,8 @@ class _Simplex:
             else:
                 self.y = y
                 return
-            u = self._column(enter)
-            # ratio x_i / u_i over u_i > 0, compared by cross-multiplying
+            u, x = self._column(enter), self.x
+            # ratio x_i / u_i over u_i > 0, compared by cross-multiplying; x at xd > 0 keeps their order
             leave = -1
             for i in range(m):
                 if u[i] > 0:
@@ -810,7 +834,12 @@ class _Simplex:
             if leave < 0:
                 raise LpboundsError(f"no row leaves the basis for improving column {enter}; solver bug")
             p = u[leave]
-            y = [(a * p + d_e * b) // d for a, b in zip(y, self._pivot(leave, u))]
+            row, touched = self._pivot(leave, u)
+            if p == d:  # Y' = Y + d_e * N_l / D changes only where row l is nonzero
+                for k in touched:
+                    y[k] += d_e * row[k] // d
+            else:
+                y = [(a * p + d_e * b) // d for a, b in zip(y, row)]
             basis[leave] = enter
 
     def run(self) -> LPSolution:
@@ -827,10 +856,10 @@ class _Simplex:
             self._drive_out_artificials()
 
         self._iterate(self.cost2, self.n_structural)
-        x_den = self.d * self.lb
+        x_den = self.xd * self.lb
         basic = sorted((j, xi) for j, xi in zip(self.basis, self.x) if xi and j < self.n_real)
         primal = {self.lp.variables[j]: Fraction(xi, x_den) for j, xi in basic}
-        # cost . x from the basis: sum of L * c_j * (D * L_b * x_j) over L * D * L_b
+        # cost . x from the basis: sum of L * c_j * (xd * L_b * x_j) over L * xd * L_b
         value = Fraction(sum(map(mul, map(self.cost2.__getitem__, self.basis), self.x)),
                          self.l2 * x_den)
         return LPSolution(

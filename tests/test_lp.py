@@ -363,6 +363,12 @@ NEGATIVE_DRIVE_OUT = from_constraints(
 )
 
 
+# x0 enters on row 1 first, at ratio 0 / 2: a degenerate pivot on p = 2 != D = 1 leaves x
+# at xd = 1, and the next pivot is nondegenerate, so it rewrites x from that stale xd
+STALE_X = from_constraints(
+    ("x0",), {"x0": F(1)}, (Constraint({"x0": F(1)}, ">=", F(1)), Constraint({"x0": F(2)}, ">=", F(0))))
+
+
 # a, b and c each cost 1 and cover three rows whose diagonal is near 3^40: D and
 # the entries of N outgrow 64-bit slots
 THREE_TO_THE_40 = from_constraints(
@@ -438,12 +444,16 @@ def _integer_rhs(sx):
 
 
 def _assert_basis_identity(sx):
-    """N * a_basis[k] = D * e_k for every basic column, and x = N * b."""
+    """N * a_basis[k] = D * e_k for every basic column, and x = N * b at x's own determinant xd > 0.
+
+    x * D = xd * N * b is compared cross-multiplied, with no division.
+    """
     rows, rhs = _materialized(sx), _integer_rhs(sx)
     for k, j in enumerate(sx.basis):
         assert [_layout_dot(sx, row, j) for row in rows] == [
             sx.d * (i == k) for i in range(sx.m)]
-    assert sx.x == [sum(a * b for a, b in zip(row, rhs)) for row in rows]
+    assert sx.xd > 0
+    assert [a * sx.d for a in sx.x] == [sx.xd * sum(a * b for a, b in zip(row, rhs)) for row in rows]
 
 
 def _audited_solve(program):
@@ -451,8 +461,9 @@ def _audited_solve(program):
 
     Each pivot is checked at the next pivot (after the drive-out negation and
     the basis update) and at the end of the run.  Every column read is
-    compared with N * a_j on materialized rows, and the bound M is checked
-    against them before every pivot.  Returns the solution and the counts of
+    compared with N * a_j on materialized rows, the bound M is checked
+    against them before every pivot, and every re-measure of M must return
+    max |N_ik| exactly and leave each column at D with its values.  Returns the solution and the counts of
     p = D pivots, p != D pivots, stale columns read, exact re-measures of M,
     widenings of N's slots (one repack each, however many doublings it
     takes) and doublings of the pricing slots, with the
@@ -480,7 +491,11 @@ def _audited_solve(program):
 
     def audit_measure(sx):
         counts["re-measures"] += 1
-        return measure(sx)
+        rows = _materialized(sx)
+        got = measure(sx)
+        assert got == max((abs(a) for row in rows for a in row), default=0)
+        assert sx.cdd == [sx.d] * sx.m and _materialized(sx) == rows  # brought to D, signs kept
+        return got
 
     def audit_widen(sx, w):
         counts["widenings"] += 1
@@ -512,6 +527,7 @@ def _audited_solve(program):
 @settings(max_examples=200, deadline=None)
 @given(small_programs())
 @example(NEGATIVE_DRIVE_OUT)
+@example(STALE_X)
 def test_lazy_rows_keep_the_basis_identity(program):
     _audited_solve(program)
 
@@ -528,6 +544,82 @@ def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
 
 
 EQ2 = families.make_function("eq", 2, "cc")
+
+
+def test_a_re_measure_brings_negated_columns_back_to_d():
+    """The drive-out pivots NEGATIVE_DRIVE_OUT on -1 and then negates D, leaving a column at cdd = -1.
+
+    ``_measure`` brings it to D with its sign and reads max |N_ik| exactly.
+    """
+    sx = lpmod._Simplex(NEGATIVE_DRIVE_OUT)
+    sx._iterate(sx.cost1, sx.n_total)
+    sx._drive_out_artificials()
+    assert (sx.d, sx.cdd) == (1, [-1, 1])
+    rows = _materialized(sx)
+    assert rows == [[-1, 0], [-2, 1]]
+    assert sx._measure() == 2
+    assert (sx.cdd, _materialized(sx)) == ([1, 1], rows)
+
+
+def _pivot_work(program):
+    """``solve`` with every pivot checked to do only the work its numbers require.
+
+    x is rewritten, as a new list at xd = p, exactly on the pivots where
+    x_l != 0; any other pivot leaves x and xd as they were.  A pivot with
+    p = D keeps D and leaves every column it does not touch, and its cdd,
+    as they were; the columns it touches end at D.  Returns the solution
+    and the counts of pivots, p = D pivots, pivots with x_l = 0, rewrites
+    of x, rewrites of x from an xd other than D, and p = D pivots that
+    first bring a touched column, left stale by an earlier pivot, to D.
+    """
+    counts = dict.fromkeys(("pivots", "p = D", "x_l = 0", "x rewrites", "from a stale xd",
+                            "stale touched"), 0)
+    pivot = lpmod._Simplex._pivot
+
+    def audit_pivot(sx, l, u):
+        d, xd, x, cols, cdd = sx.d, sx.xd, sx.x, list(sx.cols), list(sx.cdd)
+        values = list(x)
+        row, touched = pivot(sx, l, u)
+        counts["pivots"] += 1
+        rewritten = sx.x is not x
+        assert rewritten == (values[l] != 0)
+        if rewritten:
+            counts["x rewrites"] += 1
+            counts["from a stale xd"] += xd != d
+            assert sx.xd == u[l]
+        else:
+            counts["x_l = 0"] += 1
+            assert (sx.x, sx.xd) == (values, xd)
+        if u[l] == d:
+            counts["p = D"] += 1
+            counts["stale touched"] += any(cdd[k] != d for k in touched)
+            assert sx.d == d
+            assert all(sx.cdd[k] == d for k in touched)
+            assert all((sx.cols[k], sx.cdd[k]) == (cols[k], cdd[k]) for k in range(sx.m) if k not in touched)
+        return row, touched
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "_pivot", audit_pivot)
+        sol = solve(program)
+    return sol, counts
+
+
+@pytest.mark.parametrize("build, pinned", [
+    (lambda: build_prt_lp(EQ2, F(1, 8)), (262, 126, 142, 120, 8, 27)),
+    (lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)), (208, 155, 157, 51, 2, 18)),
+    (lambda: STALE_X, (2, 0, 1, 1, 1, 0)),
+], ids=["prt eq2", "qprt maj4", "stale x"])
+def test_a_pivot_does_only_the_work_its_numbers_require(build, pinned):
+    """Most corpus pivots have p = D or x_l = 0; those skip the rescale of N, or leave x alone.
+
+    The counts are pinned exactly: (pivots, p = D, x_l = 0, rewrites of x,
+    rewrites from a stale xd, p = D pivots that bring a stale touched
+    column to D).  STALE_X rewrites x from an xd other than D.
+    """
+    program = build()
+    sol, counts = _pivot_work(program)
+    assert tuple(counts.values()) == pinned, counts
+    assert sol.canonical_bytes() == reference_solve(program).canonical_bytes()
 
 
 @pytest.mark.parametrize("build, re_measures", [
@@ -785,6 +877,7 @@ def _pivot_path(program, width):
 @settings(max_examples=100, deadline=None)
 @given(small_programs())
 @example(NEGATIVE_DRIVE_OUT)
+@example(STALE_X)
 @example(build_prt_lp(EQ2, F(1, 8)))
 @example(build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)))
 def test_the_pivot_path_does_not_depend_on_the_starting_width(program):
