@@ -123,7 +123,7 @@ def _rect_family(nx: int, ny: int) -> LabelledFamily:
 def _srec_columns(nx: int, ny: int) -> tuple[tuple[str, ...], Row, tuple[Row, ...]]:
     """``w_<tag>`` per rectangle, the unit cost row and the cap rows, shared by every build."""
     family = _rect_family(nx, ny)
-    names = tuple(f"w_{r.rows:x}_{r.cols:x}" for r in family.members)
+    names = tuple(f"w_{family.tag(r)}" for r in family.members)
     caps = tuple(unit_row(cols, "<=", Fraction(1), f"cap_{tag}")
                  for tag, cols in zip(family.tags, family.containing))
     return names, unit_row(range(len(names)), "=", Fraction(0), "objective"), caps

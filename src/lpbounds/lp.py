@@ -82,13 +82,15 @@ bound M >= |N_ik| and, before each column read and each pivot, checks the
 worst case of what it will unpack against 2^(w-2): M times the l1 norm of
 a_j, or (|p| M + max |u_i| * max |N_lk|) / |D| for the entries a pivot
 writes.  If the check fails, M is measured exactly: every column is
-brought to D and all m^2 slots are read in one pass over their bytes; if
-the check still fails, every column is repacked once, at the first of
-2w, 4w, ... that clears it, so no slot overflows silently.  w starts at
-16 (``_WIDTH``); at 16, 32 and 64 a column packs through one native
-``array`` and unpacks with one ``to_bytes`` and a ``memoryview`` cast
-(typecodes "h", "i" and "q" on a little-endian host, ``_WORDS``); any
-other width or host goes slot by slot through ``int.to_bytes``.
+brought to D and all m^2 slots are read in one ``_unpack``; if the check
+still fails, every column is repacked once, at the first of 2w, 4w, ...
+that clears it, so no slot overflows silently.  w starts at 16 (``_WIDTH``).
+One codec holds the slot format of N's columns and the price blocks:
+``_blocks`` packs values ``size`` slots to an int, ``_unpack`` reads any
+number of packed ints into one flat list, and ``_repack`` is that read
+and ``_blocks`` at the new width.  At 16, 32 and 64 bits they go through
+a native ``array`` or ``memoryview`` cast (typecodes "h", "i" and "q" on
+a little-endian host, ``_WORDS``), else slot by slot through ``int.to_bytes``.
 
 Pricing in blocks.  The standard form A, slacks and artificials included,
 is held by rows in blocks of 64 columns: ``blocks[b][i]`` packs row i's
@@ -107,9 +109,8 @@ reduced cost is negative; masked to the columns below the phase's limit,
 the lowest such bit names the entering column, and pricing stops at the
 first block that has one.  The drive-out of artificials reads row_i . A
 from the same blocks, whose values are at most M l1, and takes the lowest
-nonzero slot.  Rows are
-packed from one native array per row, sliced into blocks, so no m x n
-Python list is ever held.
+nonzero slot.  Rows are packed from one native array per row, sliced into
+blocks, so no m x n Python list is ever held.
 
 Columns are read in C.  Once row i is divided by g_i, nearly every entry
 of a bound program is +1.  The first time column j enters (or is read),
@@ -470,23 +471,29 @@ def _pack(values: list[int], w: int, off: int) -> int:
     return (int.from_bytes(_slot_bytes(values, w), "little") ^ off) - off
 
 
-def _blocks(values, w: int, off: int) -> list[int]:
-    """``values`` packed ``_BLOCK`` at a time, as ``_pack`` packs them; ``off`` is ``_offset(_BLOCK, w)``.
+def _blocks(values, size: int, w: int, off: int) -> list[int]:
+    """``values`` packed ``size`` at a time, as ``_pack`` packs them; ``off`` is ``_offset(size, w)``.
 
     The last block may be short.  It reads as if padded with zeros: its
     missing slots are 0, and 0 XOR the offset less the offset is 0.
     """
-    raw, size = memoryview(_slot_bytes(values, w)), _BLOCK * w // 8
-    return [(int.from_bytes(raw[s:s + size], "little") ^ off) - off for s in range(0, len(raw), size)]
+    raw, step = memoryview(_slot_bytes(values, w)), size * w // 8
+    return [(int.from_bytes(raw[s:s + step], "little") ^ off) - off for s in range(0, len(raw), step)]
 
 
-def _unpack(c: int, m: int, w: int, off: int) -> list[int]:
-    """The m slot values of ``c = _pack(values, w, off)``, each |value| < 2^(w-1).
+def _unpack(ints, slots: int, w: int, off: int) -> list[int]:
+    """The slot values of every ``c = _pack(values, w, off)`` in ``ints``, ``slots`` each, in one flat list.
 
-    Adding the offset makes every slot nonnegative, so no slot borrows from
-    the next; XOR takes it back off bit by bit, leaving two's complement slots.
+    Each |value| < 2^(w-1).  Adding the offset makes every slot
+    nonnegative, so no slot borrows from the next; XOR takes it back off bit
+    by bit, leaving two's complement slots.  This is the one reader of
+    packed ints: N's columns and the price blocks alike.
     """
-    return _words(((c + off) ^ off).to_bytes(m * w // 8, "little"), w)
+    raw = b"".join([((c + off) ^ off).to_bytes(slots * w // 8, "little") for c in ints])
+    if code := _WORDS.get(w):
+        return memoryview(raw).cast(code).tolist()
+    k = w // 8
+    return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, len(raw), k)]
 
 
 def _wider(w: int, need: int) -> int:
@@ -498,16 +505,7 @@ def _wider(w: int, need: int) -> int:
 
 def _repack(ints, slots: int, w: int, off: int, wide: int) -> list[int]:
     """``ints``, each packed in ``slots`` slots of w bits with offset ``off``, packed again at ``wide`` bits."""
-    wide_off = _offset(slots, wide)
-    return [_pack(_unpack(c, slots, w, off), wide, wide_off) for c in ints]
-
-
-def _words(raw: bytes, w: int) -> list[int]:
-    """The little-endian two's complement slots of w bits in ``raw``."""
-    if code := _WORDS.get(w):
-        return memoryview(raw).cast(code).tolist()
-    k = w // 8
-    return [int.from_bytes(raw[i:i + k], "little", signed=True) for i in range(0, len(raw), k)]
+    return _blocks(_unpack(ints, slots, w, off), slots, wide, _offset(slots, wide))
 
 
 class _Simplex:
@@ -563,11 +561,9 @@ class _Simplex:
         self.l1 = lcm(*(self.sigma[i] for i in artificial_rows))
         self.cost1 = [0] * self.n_structural + [self.l1 // self.sigma[i] for i in artificial_rows]
 
-        # each row of the standard form packed in blocks; a coefficient wider than a
-        # slot widens the slots before it is packed
-        self.blocks: list[tuple[int, ...]] = []
-        self._set_price_width(_WIDTH)
-        self._fit_prices(self.reach)
+        # each row of the standard form packed in blocks, in slots wide enough for its
+        # widest coefficient
+        self._set_price_width(_wider(_WIDTH, self.reach))
         w = self.pw
         code = _WORDS.get(w)
         blank = array(code, bytes(self.n_total * w // 8)) if code else [0] * self.n_total
@@ -578,9 +574,9 @@ class _Simplex:
             deque(map(setitem, repeat(values), row.cols, map(floordiv, row.coeffs, repeat(sign * g))), 0)
             for j, a in entries:
                 values[j] = a
-            packed.append(_blocks(values, w, self.poff))
+            packed.append(_blocks(values, _BLOCK, w, self.poff))
         # blocks[b][i] is row i's block b, so one sum over the rows prices a block
-        self.blocks = list(zip(*packed)) or [()] * -(-self.n_total // _BLOCK)
+        self.blocks: list[tuple[int, ...]] = list(zip(*packed)) or [()] * -(-self.n_total // _BLOCK)
         self.layouts: dict[int, tuple] = {}  # column j's getter and rest, read when first asked for
         self.unpacked: dict = {}  # block b's slots, row after row, once one of its columns is read
 
@@ -624,39 +620,26 @@ class _Simplex:
         if layout is None:
             b, k = divmod(j, _BLOCK)
             flat = self.unpacked.get(b)
-            if flat is None:  # row by row, each row's slots as _unpack reads them
-                w, off = self.pw, self.poff
-                raw = b"".join([((c + off) ^ off).to_bytes(_BLOCK * w // 8, "little") for c in self.blocks[b]])
-                code = _WORDS.get(w)
-                flat = self.unpacked[b] = memoryview(raw).cast(code) if code else _words(raw, w)
-            values = list(flat[k::_BLOCK])
+            if flat is None:  # row after row
+                flat = self.unpacked[b] = _unpack(self.blocks[b], _BLOCK, self.pw, self.poff)
+            values = flat[k::_BLOCK]
             rows = list(compress(range(self.m), values))  # the nonzero rows, as a rule all +1
-            if values.count(1) == len(rows):
-                layout = _getter(rows), ()
-            else:
-                layout = (_getter([i for i in rows if values[i] == 1]),
-                          tuple((i, values[i]) for i in rows if values[i] != 1))
-            self.layouts[j] = layout
+            layout = self.layouts[j] = (_getter([i for i in rows if values[i] == 1]),
+                                        tuple((i, values[i]) for i in rows if values[i] != 1))
         return layout
 
     def _measure(self) -> int:
         """max |N_ik|, read exactly: every column is brought to D, then all m^2 slots are read in one pass."""
-        m, w, off = self.m, self.w, self.off
-        self._refresh(range(m))
-        raw = b"".join([((c + off) ^ off).to_bytes(m * w // 8, "little") for c in self.cols])
-        return max(map(abs, _words(raw, w)), default=0)
-
-    def _widen(self, w: int) -> None:
-        """Repack every column in slots of w bits."""
-        self.cols[:] = _repack(self.cols, self.m, self.w, self.off, w)
-        self._set_width(w)
+        self._refresh(range(self.m))
+        return max(map(abs, _unpack(self.cols, self.m, self.w, self.off)), default=0)
 
     def _fit(self, need) -> None:
         """Make need(M) < 2^(w-2): re-measure M, then widen once, to the first of 2w, 4w, ... that clears it."""
         self.bound = self._measure()
         w = _wider(self.w, need(self.bound))
         if w != self.w:
-            self._widen(w)
+            self.cols[:] = _repack(self.cols, self.m, self.w, self.off, w)
+            self._set_width(w)
 
     def _refresh(self, rows) -> None:
         """Rescale the columns ``rows`` of N to the current D."""
@@ -683,7 +666,7 @@ class _Simplex:
         if rest:
             self._refresh([r for r, _ in rest])
             packed += sum([v * cols[r] for r, v in rest])
-        return _unpack(packed, self.m, self.w, self.off)
+        return _unpack([packed], self.m, self.w, self.off)
 
     def _row(self, i: int) -> tuple[list[int], list[int]]:
         """Row i of N at the current D, and the columns where it is nonzero.
@@ -707,10 +690,10 @@ class _Simplex:
 
     def _duals(self, cost: list[int]) -> list[int]:
         """Y = L * D * y = c_B N, one entry per column of N."""
-        m, w, off, cols = self.m, self.w, self.off, self.cols
-        cb = [cost[j] for j in self.basis]
+        m, cb = self.m, [cost[j] for j in self.basis]
         self._refresh(range(m))
-        return [sum(map(mul, cb, _unpack(c, m, w, off))) for c in cols]
+        flat = _unpack(self.cols, m, self.w, self.off)
+        return [sum(map(mul, cb, flat[k * m:k * m + m])) for k in range(m)]
 
     def _pivot(self, l: int, u: list[int]) -> tuple[list[int], list[int]]:
         """Exchange the basic column of row ``l`` for the column with N * a = u.
@@ -810,7 +793,8 @@ class _Simplex:
                 w, off = self.pw, self.poff
                 room, mask, half = 1 << (w - 2), (1 << w) - 1, 1 << (w - 1)
                 # per block: its costs, its rows and the top bit of each slot below limit
-                priced = list(zip(_blocks(cost, w, off), self.blocks, [off & b for b in self._masks(limit)]))
+                priced = list(zip(_blocks(cost, _BLOCK, w, off), self.blocks,
+                                  [off & b for b in self._masks(limit)]))
             for b, (c_b, a_b, top_bits) in enumerate(priced):
                 t = d * c_b - sum(map(mul, y, a_b)) + off
                 if neg := ~t & top_bits:

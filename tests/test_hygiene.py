@@ -166,3 +166,44 @@ def test_function_import_scan_sees_each_form():
         "        from . import rational\n"
     )
     assert _function_imports(tree) == [".qcbounds", "os.path", "sys", "."]
+
+
+# the packed-int slot format is read and written by lp's module-level codec alone
+SLOT_FORMAT = {"_WORDS", "memoryview", "to_bytes", "from_bytes"}
+
+
+def _slot_format_methods(tree: ast.Module) -> list[str]:
+    """The methods of ``_Simplex`` other than ``__init__`` that name a piece of the slot format."""
+    (simplex,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Simplex"]
+    return [
+        method.name
+        for method in simplex.body
+        if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+        and any(
+            (isinstance(node, ast.Name) and node.id in SLOT_FORMAT)
+            or (isinstance(node, ast.Attribute) and node.attr in SLOT_FORMAT)
+            for node in ast.walk(method)
+        )
+    ]
+
+
+def test_simplex_methods_leave_the_slot_format_to_the_codec():
+    lp = next(path for path in SOURCES if path.name == "lp.py")
+    assert _slot_format_methods(_tree(lp)) == []
+
+
+def test_slot_format_scan_sees_each_form():
+    tree = ast.parse(
+        "class _Simplex:\n"
+        "    def __init__(self):\n"
+        "        _WORDS.get(16)\n"
+        "    def a(self):\n"
+        "        return memoryview(b'').cast('h')\n"
+        "    def b(self, c):\n"
+        "        return c.to_bytes(2, 'little')\n"
+        "    def c(self):\n"
+        "        return int.from_bytes(b'', 'little')\n"
+        "    def d(self):\n"
+        "        return _unpack([], 0, 16, 0)\n"
+    )
+    assert _slot_format_methods(tree) == ["a", "b", "c"]

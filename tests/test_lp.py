@@ -98,6 +98,14 @@ def test_malformed_row_is_a_typed_error(row):
         LinearProgram(("x", "y"), row, ())
 
 
+def test_a_repeated_name_or_an_unknown_relation_is_a_typed_error():
+    cost = Row(1, (0,), (1,), "=", 0, "objective")
+    with pytest.raises(LpboundsError, match="duplicate variable names"):
+        LinearProgram(("x", "x"), cost, ())
+    with pytest.raises(LpboundsError, match="unknown relation '>'"):
+        LinearProgram(("x",), cost, (Row(1, (0,), (1,), ">", 1, "r"),))
+
+
 def test_check_feasible_reports_slack():
     lp = lp_min(["x", "y"], {"x": F(1)}, [Constraint({"x": F(1), "y": F(1)}, "=", F(1), "mass")])
     viols = check_feasible(lp, {})
@@ -255,6 +263,12 @@ def test_solve_keys_a_program_once(cache_dir, monkeypatch):
     monkeypatch.setattr(lpmod, "_Simplex", None)  # a hit never builds a simplex
     assert solve(program).canonical_bytes() == cold.canonical_bytes()
     assert len(keys) == 1
+
+
+def test_an_infeasible_solve_is_not_cached(cache_dir):
+    program = lp_min(["x"], {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(3)), Constraint({"x": F(1)}, "<=", F(1))])
+    assert solve(program).status == "infeasible"
+    assert list(cache_dir.iterdir()) == []
 
 
 # min -x subject to x - y <= 2 over x, y >= 0 improves without bound along x = y
@@ -416,7 +430,7 @@ def _materialized(sx):
     """Every row of N at the current D; each rescaling must be exact."""
     columns = []
     for c, e in zip(sx.cols, sx.cdd):
-        column = lpmod._unpack(c, sx.m, sx.w, sx.off)
+        column = lpmod._unpack([c], sx.m, sx.w, sx.off)
         assert all(a * sx.d % e == 0 for a in column)
         columns.append([a * sx.d // e for a in column])
     return [list(row) for row in zip(*columns)] if columns else []
@@ -473,7 +487,7 @@ def _audited_solve(program):
     counts = dict.fromkeys(("p = D", "p != D", "stale columns read", "re-measures", "widenings",
                             "price widenings"), 0)
     pivot, column, run = lpmod._Simplex._pivot, lpmod._Simplex._column, lpmod._Simplex.run
-    measure, widen, fit_prices = lpmod._Simplex._measure, lpmod._Simplex._widen, lpmod._Simplex._fit_prices
+    measure, fit, fit_prices = lpmod._Simplex._measure, lpmod._Simplex._fit, lpmod._Simplex._fit_prices
 
     def audit_column(sx, j):
         get, rest = sx._layout(j)
@@ -497,9 +511,10 @@ def _audited_solve(program):
         assert sx.cdd == [sx.d] * sx.m and _materialized(sx) == rows  # brought to D, signs kept
         return got
 
-    def audit_widen(sx, w):
-        counts["widenings"] += 1
-        widen(sx, w)
+    def audit_fit(sx, need):
+        w = sx.w
+        fit(sx, need)
+        counts["widenings"] += sx.w != w
 
     def audit_fit_prices(sx, need):
         w = sx.pw
@@ -517,7 +532,7 @@ def _audited_solve(program):
         mp.setattr(lpmod._Simplex, "_column", audit_column)
         mp.setattr(lpmod._Simplex, "_pivot", audit_pivot)
         mp.setattr(lpmod._Simplex, "_measure", audit_measure)
-        mp.setattr(lpmod._Simplex, "_widen", audit_widen)
+        mp.setattr(lpmod._Simplex, "_fit", audit_fit)
         mp.setattr(lpmod._Simplex, "_fit_prices", audit_fit_prices)
         mp.setattr(lpmod._Simplex, "run", audit_run)
         sol = solve(program)
@@ -650,15 +665,17 @@ def _benchmark_widths():
     qprt on and4, maj5, xor4 and maj4, each labelled by its table.
     """
     solves, label = [], []
-    measure, widen, run = lpmod._Simplex._measure, lpmod._Simplex._widen, lpmod._Simplex.run
+    measure, fit, run = lpmod._Simplex._measure, lpmod._Simplex._fit, lpmod._Simplex.run
 
     def audit_measure(sx):
         sx.audit[0] += 1
         return measure(sx)
 
-    def audit_widen(sx, w):
-        sx.audit[1].append((sx.iterations, sx.w, w))
-        widen(sx, w)
+    def audit_fit(sx, need):
+        w = sx.w
+        fit(sx, need)
+        if sx.w != w:
+            sx.audit[1].append((sx.iterations, w, sx.w))
 
     def audit_run(sx):
         sx.audit = [0, []]
@@ -668,7 +685,7 @@ def _benchmark_widths():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod._Simplex, "_measure", audit_measure)
-        mp.setattr(lpmod._Simplex, "_widen", audit_widen)
+        mp.setattr(lpmod._Simplex, "_fit", audit_fit)
         mp.setattr(lpmod._Simplex, "run", audit_run)
         for family in ("eq", "gt", "and", "xor", "disj"):
             label[:] = [f"{family}2"]
@@ -712,7 +729,7 @@ def test_packed_slots_round_trip(w):
         off = lpmod._offset(len(values), w)
         packed = lpmod._pack(values, w, off)
         assert packed == sum(v << (w * i) for i, v in enumerate(values))
-        assert lpmod._unpack(packed, len(values), w, off) == values
+        assert lpmod._unpack([packed], len(values), w, off) == values
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 5))
     sx._set_width(w)
     sx.cols = [lpmod._pack(column, w, sx.off) for column in columns]
@@ -784,14 +801,16 @@ THREE_TO_THE_20 = from_constraints(
 def test_wide_coefficients_widen_the_slots(program):
     """Entries of N past 2^(w-2) repack the columns at twice the width, never overflowing a slot."""
     widths = []
-    widen = lpmod._Simplex._widen
+    fit = lpmod._Simplex._fit
 
-    def count_widen(sx, w):
-        widths.append((sx.w, w))
-        widen(sx, w)
+    def record_widening(sx, need):
+        w = sx.w
+        fit(sx, need)
+        if sx.w != w:
+            widths.append((w, sx.w))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lpmod._Simplex, "_widen", count_widen)
+        mp.setattr(lpmod._Simplex, "_fit", record_widening)
         got = solve(program)
     assert got.canonical_bytes() == reference_solve(program).canonical_bytes()
     if program is THREE_TO_THE_40:
@@ -816,7 +835,7 @@ def test_reduced_costs_past_2_30_widen_the_pricing_slots():
 def test_a_coefficient_wider_than_a_slot_widens_the_blocks_before_packing():
     """3^40 needs 64 bits; packed into 32-bit slots it would overflow, not wrap."""
     with pytest.raises(OverflowError):
-        lpmod._blocks([3**40], 32, lpmod._offset(lpmod._BLOCK, 32))
+        lpmod._blocks([3**40], lpmod._BLOCK, 32, lpmod._offset(lpmod._BLOCK, 32))
     assert lpmod._Simplex(THREE_TO_THE_40).pw == 128
     sol, counts = _audited_solve(THREE_TO_THE_40)
     assert counts["pw"] >= 128
@@ -893,7 +912,7 @@ def test_slots_without_native_arrays_match_the_native_path(w):
 
     ``_pack``, ``_unpack`` and ``_blocks`` then go through ``int.to_bytes``
     slot by slot, and ``_Simplex`` packs its rows from a list and
-    ``_layout`` reads a block's slots without a ``memoryview`` cast.
+    ``_layout`` reads a block's slots through that ``_unpack``.
     """
     if sys.byteorder == "little":
         assert lpmod._WORDS == {16: "h", 32: "i", 64: "q"}
@@ -907,7 +926,8 @@ def test_slots_without_native_arrays_match_the_native_path(w):
         sx = lpmod._Simplex(program)
         assert (sx.w, sx.pw) == (w, w)
         layouts = [sx._layout(j) for j in range(sx.n_total)]
-        return (packed, lpmod._unpack(packed, len(values), w, off), lpmod._blocks(values, w, block_off),
+        return (packed, lpmod._unpack([packed], len(values), w, off),
+                lpmod._blocks(values, lpmod._BLOCK, w, block_off),
                 sx.blocks, [(get(range(sx.m)), rest) for get, rest in layouts])
 
     with pytest.MonkeyPatch.context() as mp:

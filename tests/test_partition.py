@@ -32,8 +32,12 @@ from lpbounds.qcbounds import QprtSolution, _cube_family, boost_qprt, build_qprt
         (build_rprt_lp, "and", 2, "cc", "9cce476927fdc22e3feaa90926884a16e2e32755297c1fa39d8789b528a765f4"),
         (build_qprt_lp, "maj", 3, "qc", "f131eb231a2ac3fc7728f52e8ddb98300b8b6121a5913ab85134ec473495d8f5"),
         (build_qprt_lp, "and", 4, "qc", "086e4f7e0790ade59721d582f03c1d5bd60506c6ea1614b4bd645d35664cbdf4"),
+        (lambda f, eps: build_srec_lp(SrecInstance(f, 0, eps, eps)), "eq", 2, "cc",
+         "0b3f2b67e08cafe0745fa6a5345733e9a189eb3f62ddac720e4e885398b78b00"),
+        (lambda f, eps: build_srec_lp(SrecInstance(f, 1, eps, eps)), "eq", 2, "cc",
+         "a30fa209260ebc86d308bc2560ed38f167e60de98c6a9eee35f14959d5ec96ed"),
     ],
-    ids=["prt-eq2", "rprt-eq2", "prt-and2", "rprt-and2", "qprt-maj3", "qprt-and4"],
+    ids=["prt-eq2", "rprt-eq2", "prt-and2", "rprt-and2", "qprt-maj3", "qprt-and4", "srec0-eq2", "srec1-eq2"],
 )
 def test_partition_program_keys_are_pinned(build, family, m, side, key):
     assert lp._program_key(build(families.make_function(family, m, side), F(1, 8))) == key

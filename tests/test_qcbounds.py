@@ -170,6 +170,23 @@ def test_extract_respects_fixed_bits():
     assert system.verify(g, mu) == []
 
 
+def test_extract_discards_the_weight_above_the_cutoff():
+    """A cube with more than d' fixed bits is dropped, and its weight is below gamma by Markov's bound.
+
+    The objective is 101/100, so d' = ceil(log2 101/100) + log2 4 = 3 and
+    the 4-bit cube 0000 goes.  The synthesis pipeline never discards: its
+    gamma = 1/c^8 with c >= 8 puts the cutoff at 24 bits or more, above
+    every n <= 12.  The ``removed >= gamma`` refusal after the discard
+    cannot fire by the same Markov bound, so it stays a check with no test.
+    """
+    g, mu = families.const_q(4, 0), BitProductDistribution.uniform(4)
+    full = Subcube.from_pattern("****")
+    sol = qcbounds.QprtSolution(4, {(0, full): F(1), (0, Subcube.from_pattern("0000")): F(1, 100)})
+    system = extract_feasible(qcbounds.BoostedQprt(sol, 1, F(0)), F(1, 4), g, mu)
+    assert (system.a, system.b) == (3, 3)
+    assert (system.u, system.w) == ({full: F(1)}, {})
+
+
 def test_extract_requires_error_within_gamma():
     g = QC_CORPUS["xor2"]
     sol = qprt_solution(g, qprt_cached("xor2", F(1, 8)))

@@ -143,6 +143,50 @@ def test_build_tree_budget_zero_balanced():
     assert dtree_error(tree, g, U2) <= certified_error_budget(system, F(1, 16))
 
 
+def test_build_tree_assumption_leaf():
+    # beta0 = 1 makes (1 - alpha0) m0 - (beta0 / delta) m1 = 1/2 - 8 <= 0 at the root,
+    # so the tree is the 1-leaf the assumption allows
+    g = QC_CORPUS["xor2"]
+    system = FeasibleSystem(
+        n=2,
+        u={Subcube.from_pattern("**"): F(1)},
+        w={Subcube.from_pattern("**"): F(1, 2)},
+        alpha0=F(0),
+        beta0=F(1),
+        alpha1=F(1, 2),
+        beta1=F(1, 2),
+        a=2,
+        b=2,
+    )
+    assert system.verify(g, U2) == []
+    tree, stats = build_decision_tree(g, U2, system, F(1, 16))
+    assert tree == Leaf(1)
+    assert stats.assumption_leaves == 1
+    assert dtree_error(tree, g, U2) <= certified_error_budget(system, F(1, 16))
+
+
+def test_build_tree_margin_leaves():
+    # the root queries both bits; with w = {} the 1-margin of the outcomes 01 and 10
+    # stays at 1, so they end in margin leaves, while 00 and 11 hold no 1-mass and
+    # end in guess leaves
+    g = QC_CORPUS["xor2"]
+    system = FeasibleSystem(
+        n=2,
+        u={Subcube.from_pattern("00"): F(1), Subcube.from_pattern("11"): F(1)},
+        w={},
+        alpha0=F(0),
+        beta0=F(0),
+        alpha1=F(1),
+        beta1=F(0),
+        a=2,
+        b=2,
+    )
+    assert system.verify(g, U2) == []
+    tree, stats = build_decision_tree(g, U2, system, F(1, 16))
+    assert (stats.internal_nodes, stats.margin_leaves, stats.guess_leaves) == (1, 2, 2)
+    assert dtree_error(tree, g, U2) <= certified_error_budget(system, F(1, 16))
+
+
 def test_build_tree_and3_full_guarantees():
     g, system = and3_system()
     delta = F(1, 16)
