@@ -57,14 +57,13 @@ the packed division is exact however wide an intermediate slot grows.  A
 column with N_lk = 0 would only be rescaled by p / D, so the pivot leaves
 it alone, whether p = D or not, and the new D implies the factor; the
 rescale is exact because each slot then reads an entry of N, an integer by
-the same identity.  ``_column`` brings the columns that a_j reads to D,
-sums them packed and unpacks the sum once.  A pivot reads row l (slot l of
-every column) once: ``_row`` returns it with the columns where it is
-nonzero, the ones the pivot rewrites, and rescales only their stale
-entries; the row then goes to the dual update.  When p = D no column is
-scaled by p: column k, brought to D, becomes col_k - N_lk * u' / D, u' with
-slot l at 0, and each slot N_lk * u_i / D is an integer, an entry of N less
-one of N'.
+the same identity.  Every column the pivot touches is rewritten that one
+way, whatever p is, and is then at determinant p.  ``_column`` brings the
+columns that a_j reads to D, sums them packed and unpacks the sum once.  A
+pivot reads row l (slot l of every column) once: ``_row`` reads slot l of
+column c as ((c + offset) >> w l & (2^w - 1)) - 2^(w-1), returns the row
+with the columns where it is nonzero, the ones the pivot rewrites, and
+rescales only their stale entries; the row then goes to the dual update.
 
 x is held the same way, at its own determinant ``xd`` > 0: x = xd * L_b * x_B,
 and the basic values are x_i / (xd * L_b).  A degenerate pivot (x_l = 0)
@@ -112,14 +111,11 @@ from the same blocks, whose values are at most M l1, and takes the lowest
 nonzero slot.  Rows are packed from one native array per row, sliced into
 blocks, so no m x n Python list is ever held.
 
-Columns are read in C.  Once row i is divided by g_i, nearly every entry
-of a bound program is +1.  The first time column j enters (or is read),
-its block is unpacked once for all rows and its slots give
-``_layout(j)``: one ``operator.itemgetter`` over its +1 rows and its
-other entries (a surplus's -1, an entry a negative-rhs row's flip
-negates, a non-unit value) as (row, value) pairs.  ``_column`` reads
-N a_j as the sum of the columns of N the getter picks plus v * cols[r]
-over the rest; no integer changes, so Bland's rule takes the same pivots.
+Columns are read in C.  The first time column j enters (or is read), its
+block is unpacked once for all rows and its slots give ``_layout(j)``:
+its nonzero rows and their values, two lists.  ``_column`` brings those
+rows of N to D once and reads N a_j as one packed sum of value times
+column, ``sum(map(mul, values, map(cols.__getitem__, rows)))``.
 
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
@@ -164,7 +160,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import floordiv, itemgetter, lt, mul, setitem
+from operator import floordiv, lt, mul, setitem
 
 from .errors import LpboundsError, ParseError
 from .rational import format_rational, parse_rational
@@ -434,13 +430,6 @@ def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
     return []
 
 
-def _getter(rows: list[int]) -> itemgetter:
-    """Reads v at ``rows`` in C: a tuple for two rows or more, else a slice of v."""
-    if len(rows) > 1:
-        return itemgetter(*rows)
-    return itemgetter(slice(rows[0], rows[0] + 1) if rows else slice(0))
-
-
 # columns priced by one big-int sum, and the slot width both packings start at
 _BLOCK = 64
 _WIDTH = 16
@@ -577,7 +566,7 @@ class _Simplex:
             packed.append(_blocks(values, _BLOCK, w, self.poff))
         # blocks[b][i] is row i's block b, so one sum over the rows prices a block
         self.blocks: list[tuple[int, ...]] = list(zip(*packed)) or [()] * -(-self.n_total // _BLOCK)
-        self.layouts: dict[int, tuple] = {}  # column j's getter and rest, read when first asked for
+        self.layouts: dict[int, tuple] = {}  # column j's nonzero rows and values, read when first asked for
         self.unpacked: dict = {}  # block b's slots, row after row, once one of its columns is read
 
         self._set_width(_WIDTH)
@@ -609,12 +598,15 @@ class _Simplex:
         w = self.pw
         return [(1 << (w * _BLOCK)) - 1] * full + ([(1 << (w * last)) - 1] if last else [])
 
-    def _layout(self, j: int) -> tuple[itemgetter, tuple[tuple[int, int], ...]]:
-        """Column j as a getter over its +1 rows and its other entries as (row, value) pairs.
+    def _layout(self, j: int) -> tuple[list[int], list[int]]:
+        """Column j as its nonzero rows and their values, two lists.
 
         Both are read the first time they are asked for, from the slots of
         column j's block, which is unpacked once for every row; only the
-        blocks of columns that enter or are audited are unpacked.
+        blocks of columns that enter or are audited are unpacked.  They are
+        lists, not tuples: CPython keeps up to 2000 freed tuples of each
+        length below 20, so the short tuples of a finished solve would hold
+        their memory for the life of the process.
         """
         layout = self.layouts.get(j)
         if layout is None:
@@ -623,9 +615,7 @@ class _Simplex:
             if flat is None:  # row after row
                 flat = self.unpacked[b] = _unpack(self.blocks[b], _BLOCK, self.pw, self.poff)
             values = flat[k::_BLOCK]
-            rows = list(compress(range(self.m), values))  # the nonzero rows, as a rule all +1
-            layout = self.layouts[j] = (_getter([i for i in rows if values[i] == 1]),
-                                        tuple((i, values[i]) for i in rows if values[i] != 1))
+            layout = self.layouts[j] = (list(compress(range(self.m), values)), list(compress(values, values)))
         return layout
 
     def _measure(self) -> int:
@@ -652,36 +642,28 @@ class _Simplex:
     def _column(self, j: int) -> list[int]:
         """N * a_j, i.e. D times the basic direction of column j.
 
-        It is the sum of the columns of N that a_j reads, packed, so one
-        unpack reads every row.
+        It is the sum of a_ij times column i of N over a_j's nonzero rows,
+        packed, so one unpack reads every row.
         """
-        get, rest = self._layout(j)
-        rows = get(range(self.m))
-        reach = len(rows) + sum([abs(v) for _, v in rest])  # |u_i| <= M * reach
+        rows, values = self._layout(j)
+        reach = sum(map(abs, values))  # |u_i| <= M * reach
         if self.bound * reach >= self.room:
             self._fit(lambda big: big * reach)
         self._refresh(rows)
-        cols = self.cols
-        packed = sum(get(cols))
-        if rest:
-            self._refresh([r for r, _ in rest])
-            packed += sum([v * cols[r] for r, v in rest])
+        packed = sum(map(mul, values, map(self.cols.__getitem__, rows)))
         return _unpack([packed], self.m, self.w, self.off)
 
     def _row(self, i: int) -> tuple[list[int], list[int]]:
         """Row i of N at the current D, and the columns where it is nonzero.
 
-        Shifting to one bit below slot i and rounding off that bit undoes the
-        borrow of the slots below, which together are less than half a slot.
+        Adding the offset makes every slot nonnegative, so no slot borrows
+        from the next and slot i reads alone as its value plus 2^(w-1).
         Only the nonzero entries of a stale column are rescaled.
         """
-        d, cdd, half = self.d, self.cdd, 1 << (self.w - 1)
+        d, cdd, off, shift = self.d, self.cdd, self.off, self.w * i
+        half = 1 << (self.w - 1)
         mask = 2 * half - 1
-        if i:
-            shift, bits = self.w * i - 1, 2 * mask + 1
-            row = [(((((c >> shift) & bits) + 1) >> 1) & mask ^ half) - half for c in self.cols]
-        else:
-            row = [(c & mask ^ half) - half for c in self.cols]
+        row = [((c + off) >> shift & mask) - half for c in self.cols]
         touched = list(compress(range(self.m), row))
         for k in touched:
             if cdd[k] != d:
@@ -716,13 +698,9 @@ class _Simplex:
         # u with slot l at p - D: (p * N_lk - (p - D) * N_lk) / D keeps row l
         packed_u = _pack(u, self.w, self.off) - (d << (self.w * l))
         self._refresh(touched)
-        if p == d:  # N'_k = N_k - N_lk * u' / D: no column is scaled
-            for k in touched:
-                cols[k] -= row[k] * packed_u // d
-        else:
-            for k in touched:
-                cols[k] = (p * cols[k] - row[k] * packed_u) // d
-                cdd[k] = p
+        for k in touched:
+            cols[k] = (p * cols[k] - row[k] * packed_u) // d
+            cdd[k] = p
         xl = self.x[l]
         if xl:  # x' = (p * x - x_l * u) / xd, x_l brought to D; only _iterate gets here, with p > 0
             xd = self.xd

@@ -470,6 +470,39 @@ def test_wrong_kind_of_input_exits_1(workspace, capsys, argv, message):
     assert len(err) == 2 and err[0] == f"error: {_fill(workspace, message)}"
 
 
+BOUNDS = ["bounds", "@bad", "--which", "chain", "--eps", "1/8"]
+
+
+@pytest.mark.parametrize(
+    ("text", "argv", "message"),
+    [
+        ("\n\n", BOUNDS, "empty function file"),
+        ("cc 2 2\n01\n", BOUNDS, "expected 2 table rows, found 1"),
+        ("cc 2 2\n01\n0x\n", BOUNDS, "bad table row '0x'"),
+        ("qc 2 3\n0110\n", BOUNDS, "qc header must be `qc <n>`"),
+        ("qc 2\n0110\n0110\n", BOUNDS, "qc format is a header line plus one table line"),
+        ("xx 2\n0110\n", BOUNDS, "unknown function header 'xx'; expected cc or qc"),
+        ("rows 1/4 1/4 1/4 1/4\n", ["oracle", "@and2", "@bad", "--depth", "1"],
+         "bad distribution line 'rows 1/4 1/4 1/4 1/4'"),
+        ("rows: 1/2 1/2\np: 1/2\n", ["oracle", "@xor2", "@bad", "--depth", "1"],
+         "bit-wise distribution files carry a single `p:` line"),
+        ("dtree v1\nQ 0\nL 0\nL 1\nL 0\n", ["oracle", "@xor2", "@bits", "--depth", "1", "--artifact", "@bad"],
+         "trailing lines after the decision tree"),
+        ("ptree v1\nL 1\nI A 1\n", ["oracle", "@and2", "@dist", "--depth", "1", "--artifact", "@bad"],
+         "trailing lines after the protocol tree"),
+    ],
+    ids=["empty-fn", "cc-row-count", "cc-bad-char", "qc-header-fields", "qc-extra-line",
+         "unknown-header", "dist-no-colon", "dist-p-and-rows", "dtree-trailing", "ptree-trailing"],
+)
+def test_malformed_input_file_exits_1_with_one_error_line(workspace, capsys, text, argv, message):
+    workspace["bad"] = write(workspace["dir"] / "bad.txt", text)
+    assert main([_fill(workspace, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[0] == f"error: {message}" and not err[1].startswith("error:")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_repeated_distribution_line_exits_1(workspace, capsys):
     dist = write(workspace["dir"] / "twice.bits", "p: 1/2 1/2\np: 1 0\n")
     assert main(["oracle", workspace["xor2"], dist, "--depth", "1"]) == 1

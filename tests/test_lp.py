@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-import operator
 import sys
 from fractions import Fraction as F
 
@@ -271,6 +270,44 @@ def test_an_infeasible_solve_is_not_cached(cache_dir):
     assert list(cache_dir.iterdir()) == []
 
 
+def test_solve_refuses_a_result_that_fails_certify(cache_dir, monkeypatch):
+    """A simplex result with a wrong value is a solver bug, and nothing is cached."""
+    run = lpmod._Simplex.run
+    monkeypatch.setattr(lpmod._Simplex, "run", lambda sx: dataclasses.replace(run(sx), value=F(7)))
+    with pytest.raises(LpboundsError, match="; solver bug$"):
+        solve(cached_program())
+    assert list(cache_dir.iterdir()) == []
+
+
+def test_cache_store_removes_its_temp_file_when_the_write_fails(cache_dir, monkeypatch):
+    """A write that fails halfway leaves no entry and no temp file, and its error propagates."""
+    def half_written(record, fh, **kwargs):
+        fh.write("{")
+        raise OSError("no space left")
+
+    monkeypatch.setattr(lpmod.json, "dump", half_written)
+    with pytest.raises(OSError, match="no space left"):
+        solve(cached_program())
+    assert list(cache_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("dual", [(), (F(1),), (F(1), F(0), F(0))], ids=["empty", "short", "long"])
+def test_check_dual_feasible_refuses_a_dual_of_another_length(dual):
+    with pytest.raises(LpboundsError, match="^dual vector length does not match constraint count$"):
+        check_dual_feasible(cached_program(), dual)
+
+
+def test_the_pivot_cap_is_a_typed_error(monkeypatch):
+    """A run that would pass ``MAX_PIVOTS`` pricing passes stops with an error; one at the cap finishes."""
+    program = cached_program()
+    sol = lpmod._Simplex(program).run()
+    monkeypatch.setattr(lpmod, "MAX_PIVOTS", sol.iterations)
+    assert lpmod._Simplex(program).run().canonical_bytes() == sol.canonical_bytes()
+    monkeypatch.setattr(lpmod, "MAX_PIVOTS", sol.iterations - 1)
+    with pytest.raises(LpboundsError, match="pivot cap exceeded"):
+        lpmod._Simplex(program).run()
+
+
 # min -x subject to x - y <= 2 over x, y >= 0 improves without bound along x = y
 NEGATIVE_COST = lp_min(["x", "y"], {"x": F(-1), "y": F(0)}, [Constraint({"x": F(1), "y": F(-1)}, "<=", F(2))])
 
@@ -438,8 +475,8 @@ def _materialized(sx):
 
 def _layout_dot(sx, vec, j):
     """a_j . vec, read through column j's layout as ``_column`` reads it."""
-    get, rest = sx._layout(j)
-    return sum(get(vec)) + sum(vec[r] * v for r, v in rest)
+    rows, values = sx._layout(j)
+    return sum(v * vec[r] for r, v in zip(rows, values))
 
 
 def _integer_rhs(sx):
@@ -490,9 +527,7 @@ def _audited_solve(program):
     measure, fit, fit_prices = lpmod._Simplex._measure, lpmod._Simplex._fit, lpmod._Simplex._fit_prices
 
     def audit_column(sx, j):
-        get, rest = sx._layout(j)
-        read = [*get(range(sx.m)), *(r for r, _ in rest)]
-        counts["stale columns read"] += sum(sx.cdd[i] != sx.d for i in read)
+        counts["stale columns read"] += sum(sx.cdd[i] != sx.d for i in sx._layout(j)[0])
         u = column(sx, j)
         assert u == [_layout_dot(sx, row, j) for row in _materialized(sx)]
         return u
@@ -625,7 +660,7 @@ def _pivot_work(program):
     (lambda: STALE_X, (2, 0, 1, 1, 1, 0)),
 ], ids=["prt eq2", "qprt maj4", "stale x"])
 def test_a_pivot_does_only_the_work_its_numbers_require(build, pinned):
-    """Most corpus pivots have p = D or x_l = 0; those skip the rescale of N, or leave x alone.
+    """Most corpus pivots have p = D or x_l = 0; those leave no column stale, or leave x alone.
 
     The counts are pinned exactly: (pivots, p = D, x_l = 0, rewrites of x,
     rewrites from a stale xd, p = D pivots that bring a stale touched
@@ -925,10 +960,9 @@ def test_slots_without_native_arrays_match_the_native_path(w):
         packed = lpmod._pack(values, w, off)
         sx = lpmod._Simplex(program)
         assert (sx.w, sx.pw) == (w, w)
-        layouts = [sx._layout(j) for j in range(sx.n_total)]
         return (packed, lpmod._unpack([packed], len(values), w, off),
                 lpmod._blocks(values, lpmod._BLOCK, w, block_off),
-                sx.blocks, [(get(range(sx.m)), rest) for get, rest in layouts])
+                sx.blocks, [sx._layout(j) for j in range(sx.n_total)])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod, "_WIDTH", w)
@@ -946,8 +980,8 @@ def test_a_solve_without_native_arrays_gives_the_same_bytes():
         assert _pivot_path(program, 16) == native
 
 
-# The column layout: ``_layout(j)`` reads column j from its block as a getter over
-# its +1 rows plus (row, value) pairs for its other entries.
+# The column layout: ``_layout(j)`` reads column j from its block as its nonzero
+# rows and their values.
 
 def _dense_columns(sx):
     """Every column of the standard form as {row: value}, rebuilt from the program's rows.
@@ -1061,21 +1095,20 @@ def test_column_layout_reads_the_dense_columns(program):
 def test_every_kind_of_entry_takes_its_place_in_the_layout():
     sx = lpmod._Simplex(EVERY_KIND_OF_ENTRY)
     assert sx.flip == [1, -1, 1, -1]
-    v = [10, 20, 30, 40]
     # x0..x3, the surpluses of rows 0 and 1 (flipped to >=), the slack of row 3 (flipped
     # to <=) and the artificials of rows 0, 1 and 2
-    layouts = [sx._layout(j) for j in range(sx.n_total)]
-    assert [list(get(v)) for get, _ in layouts] == [[10, 20, 30], [], [30], [], [], [], [40], [10], [20], [30]]
-    assert [rest for _, rest in layouts] == [(), ((0, 3),), ((3, 2),), (), ((0, -1),), ((1, -1),), (), (), (), ()]
+    assert [sx._layout(j) for j in range(sx.n_total)] == [
+        ([0, 1, 2], [1, 1, 1]), ([0], [3]), ([2, 3], [1, 2]), ([], []), ([0], [-1]),
+        ([1], [-1]), ([3], [1]), ([0], [1]), ([1], [1]), ([2], [1])]
     sol, entered = _layout_audited_solve(EVERY_KIND_OF_ENTRY)
     assert sol.status == "optimal" and entered
 
 
-def test_corpus_columns_are_read_by_their_getters_alone():
+def test_corpus_structural_entries_are_all_plus_one():
     """Every structural entry of these corpus programs is +1 once its row is divided by g.
 
-    So each variable's column has an empty rest; a build that stopped using
-    the getters would fail here.
+    So every value in each variable's layout is +1, and each variable is in
+    some row.
     """
     eps, f = F(1, 8), families.eq(2)
     programs = [build_qprt_lp(families.make_function(family, n, "qc"), eps)
@@ -1085,8 +1118,7 @@ def test_corpus_columns_are_read_by_their_getters_alone():
     for program in programs:
         sx = lpmod._Simplex(program)
         layouts = [sx._layout(j) for j in range(sx.n_real)]
-        assert all(rest == () for _, rest in layouts)
-        assert all(isinstance(get, operator.itemgetter) for get, _ in layouts)
+        assert all(rows and values == [1] * len(rows) for rows, values in layouts)
 
 
 # Pricing in blocks: one sum reads the reduced costs of a block of columns,

@@ -196,6 +196,13 @@ def test_build_tree_and3_full_guarantees():
     assert dtree_queried_bits_ok(tree)
 
 
+def test_queried_bits_ok_refuses_a_path_that_queries_a_bit_twice():
+    """A bit queried twice on one path fails, however deep; the same bit in sibling subtrees is fine."""
+    assert not dtree_queried_bits_ok(DNode(0, DNode(0, Leaf(0), Leaf(1)), Leaf(1)))
+    assert not dtree_queried_bits_ok(DNode(1, Leaf(0), DNode(2, Leaf(1), DNode(1, Leaf(0), Leaf(1)))))
+    assert dtree_queried_bits_ok(DNode(0, DNode(1, Leaf(0), Leaf(1)), DNode(1, Leaf(1), Leaf(0))))
+
+
 def test_pipeline_rejects_a_measure_of_another_bit_count_before_solving(monkeypatch):
     def no_solve(lp):
         raise AssertionError("an LP was solved")
