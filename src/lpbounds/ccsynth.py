@@ -494,23 +494,31 @@ def _replace(
 
 @dataclass(frozen=True)
 class CCSynthReport:
-    """End-to-end protocol synthesis record with its exact assertions."""
+    """End-to-end protocol synthesis record with its exact assertions.
 
-    eps: Fraction
-    delta: Fraction
-    delta_root: Fraction
-    big_delta: Fraction
-    s: int
-    t: int
-    hypothesis_ok: bool
+    When the premise fails, ``params.t`` is 0 and the trees and advantages
+    are None.
+    """
+
+    params: SynthParams
     tree: ProtocolTree | None
     balanced: ProtocolTree | None
-    leaves: int | None
-    balanced_depth: int | None
     adv: Fraction | None
     adv_floor: Fraction | None
     twentieth_applicable: bool
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    @property
+    def hypothesis_ok(self) -> bool:
+        return self.tree is not None
+
+    @property
+    def leaves(self) -> int | None:
+        return None if self.tree is None else leaf_count(self.tree)
+
+    @property
+    def balanced_depth(self) -> int | None:
+        return None if self.balanced is None else tree_depth(self.balanced)
 
 
 def protocol_pipeline(
@@ -529,10 +537,11 @@ def protocol_pipeline(
     threshold) is verified from the solved values, and failure is
     reported, not fatal.
 
-    The advantage floor of the induction is always asserted.  The stronger
-    |mu|/20 - Delta*L form is asserted only when the instance's exact
-    coefficient 1/10 - eps - 30(s+1) delta^(1/4) reaches 1/20; otherwise
-    the report marks it inapplicable at these parameters.
+    The advantage floor of the induction is always asserted.  The report
+    records ``twentieth_applicable``, whether the coefficient
+    1/10 - eps - 30(s+1) delta^(1/4) reaches 1/20 (where the floor would
+    give |mu|/20 - Delta*L), but it is never true on a supported input:
+    30 (s+1) delta^(1/4) exceeds 1/10 in both parts.
     """
     if f.nx != f.ny:
         raise DimensionMismatchError("square domains only")
@@ -540,20 +549,20 @@ def protocol_pipeline(
     notes: list[str] = []
     if part == 1:
         if k is not None:
-            raise ValueError("part 1 takes no k; only part 2 reads it")
+            raise DimensionMismatchError("part 1 takes no k; only part 2 reads it")
         if n < 2:  # delta <= 1/n**2 must lie in (0, 1)
             raise DimensionMismatchError("part 1 needs at least 4 x 4 inputs")
         target = Fraction(1, n * n)
         big_delta = Fraction(1, 1 << (4 * n))
     elif part == 2:
         if k is None or k < 20:
-            raise ValueError("part 2 requires an explicit k >= 20")
+            raise DimensionMismatchError("part 2 requires an explicit k >= 20")
         if k > MAX_PART2_K:  # checked before 2**(5 k**2) is built
             raise CapExceededError(f"part 2 takes k <= {MAX_PART2_K}, got {k}")
         target = Fraction(1, 3000 * (k + 1) ** 4)
         big_delta = Fraction(1, 1 << (5 * k * k))
     else:
-        raise ValueError("part must be 1 or 2")
+        raise DimensionMismatchError("part must be 1 or 2")
     q, delta = largest_fourth_power_at_most(target)
     eps = delta
 
@@ -577,40 +586,25 @@ def protocol_pipeline(
             notes.append(f"k = {k} is below the induction threshold s_min = {s_min}")
         s = k
 
-    if not hypothesis_ok:
-        return CCSynthReport(eps, delta, q, big_delta, s, 0, False,
-                             None, None, None, None, None, None, False, tuple(notes))
-
-    t = minimum_t(s, mu.total, big_delta)
+    t = minimum_t(s, mu.total, big_delta) if hypothesis_ok else 0
     params = SynthParams(eps, delta, q, big_delta, s, t)
+    if not hypothesis_ok:
+        return CCSynthReport(params, None, None, None, None, False, tuple(notes))
+
     tree = synthesize(f, mu, params, srec_weights(r0), srec_weights(r1))
     balanced = balance(tree, f.nx, f.ny)
     leaves = leaf_count(tree)
-    adv = advantage(tree, f, mu)
     adv_floor = Fraction(*advantage_floor(eps, q, s, mu.total, big_delta, leaves))
-    twentieth = Fraction(1, 10) - eps - 30 * (s + 1) * q >= Fraction(1, 20)
-    if twentieth and adv < mu.total / 20 - big_delta * leaves:
-        raise InfeasibleConstructionError("advantage below |mu|/20 - Delta*L")
     if part == 2:
         assert k is not None
         if leaves > 1 << (4 * k * k):
             raise InfeasibleConstructionError(f"leaf count {leaves} exceeds 2^(4k^2)")
-    if advantage(balanced, f, mu) != adv:
-        raise InfeasibleConstructionError("balancing changed the advantage")
     return CCSynthReport(
-        eps=eps,
-        delta=delta,
-        delta_root=q,
-        big_delta=big_delta,
-        s=s,
-        t=t,
-        hypothesis_ok=True,
+        params=params,
         tree=tree,
         balanced=balanced,
-        leaves=leaves,
-        balanced_depth=tree_depth(balanced),
-        adv=adv,
+        adv=advantage(tree, f, mu),
         adv_floor=adv_floor,
-        twentieth_applicable=twentieth,
+        twentieth_applicable=Fraction(1, 10) - eps - 30 * (s + 1) * q >= Fraction(1, 20),
         notes=tuple(notes),
     )

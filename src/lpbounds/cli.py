@@ -152,6 +152,7 @@ def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
     part = int(args["part"])
     k = int(args["k"]) if args.get("k") is not None else None
     rep = protocol_pipeline(fn, mu, part, k)
+    params = rep.params
     asserts: dict[str, bool] = {}
     base = serialize.record(
         "cc-synthesis",
@@ -159,17 +160,16 @@ def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
         dist_hash=serialize.distribution_hash(mu),
         part=part,
         k=k,
-        eps=format_rational(rep.eps),
-        delta=format_rational(rep.delta),
-        s=str(rep.s),
-        t=str(rep.t),
+        eps=format_rational(params.eps),
+        delta=format_rational(params.delta),
+        s=str(params.s),
+        t=str(params.t),
         hypothesis_ok=rep.hypothesis_ok,
         notes=list(rep.notes),
     )
     records = [base]
     tree_text: str | None = None
-    if rep.hypothesis_ok and rep.tree is not None and rep.balanced is not None:
-        assert rep.adv is not None and rep.leaves is not None
+    if rep.tree is not None and rep.balanced is not None:
         # assertions are recomputed from the serialized artifact, not from
         # the in-memory synthesis state
         parsed = serialize.parse_protocol_tree(serialize.write_protocol_tree(rep.tree))
@@ -190,7 +190,7 @@ def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
             twentieth_applicable=rep.twentieth_applicable,
         )
         asserts["advantage >= floor"] = adv >= rep.adv_floor
-        asserts["leaves within binomial budget"] = within_leaf_budget(leaves, rep.s, rep.t)
+        asserts["leaves within binomial budget"] = within_leaf_budget(leaves, params.s, params.t)
         asserts["balanced depth within target"] = balanced_depth <= balance_depth_target(leaves)
         asserts["balanced tree agrees pointwise"] = all(
             evaluate(parsed, x, y) == evaluate(parsed_balanced, x, y)
@@ -199,10 +199,6 @@ def run_synth_cc(args: dict) -> tuple[list[dict], str | None]:
         )
         if part == 2 and k is not None:
             asserts["leaves <= 2^(4k^2)"] = leaves <= (1 << (4 * k * k))
-        if rep.twentieth_applicable:
-            asserts["advantage >= |mu|/20 - Delta*L"] = (
-                adv >= mu.total / 20 - rep.big_delta * leaves
-            )
         records.append(serialize.protocol_summary_record(parsed_balanced, adv))
     records.append(_summary(asserts))
     return records, tree_text

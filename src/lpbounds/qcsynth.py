@@ -136,9 +136,9 @@ def build_decision_tree(
     (exhaustive) error, never the recursion's own accounting.
     """
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise DimensionMismatchError("delta must be positive")
     if not 0 <= system.alpha0 < 1:
-        raise ValueError("the 0-side margin alpha0 must lie in [0, 1)")
+        raise DimensionMismatchError("the 0-side margin alpha0 must lie in [0, 1)")
     if g.n != mu.n or g.n != system.n:
         raise DimensionMismatchError("bit counts disagree")
     problems = system.verify(g, mu)
@@ -258,15 +258,25 @@ class QCSynthReport:
     system: qcbounds.FeasibleSystem
     delta: Fraction
     tree: DecisionTree
-    depth: int
     error: Fraction
-    error_budget: Fraction
-    half_error_certified: bool
     stats: BuildStats
+
+    @property
+    def depth(self) -> int:
+        return tree_depth(self.tree)
 
     @property
     def depth_bound(self) -> int:
         return self.system.a * self.system.b
+
+    @property
+    def error_budget(self) -> Fraction:
+        return certified_error_budget(self.system, self.delta)
+
+    @property
+    def half_error_certified(self) -> bool:
+        """Whether the budget, which bounds the measured error, is at most 0.49."""
+        return self.error_budget <= Fraction(49, 100)
 
 
 def synthesis_pipeline(
@@ -284,9 +294,9 @@ def synthesis_pipeline(
     against the budget alone.
     """
     if eps >= Fraction(1, 2):
-        raise ValueError("the base error level must be below 1/2")
+        raise DimensionMismatchError("the base error level must be below 1/2")
     if delta is not None and delta <= 0:  # build_decision_tree checks it too, after the solve
-        raise ValueError("delta must be positive")
+        raise DimensionMismatchError("delta must be positive")
     if g.n != mu.n:  # before the qprt solve, with the message label_masses gives
         raise DimensionMismatchError(
             f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {g.n}"
@@ -303,13 +313,6 @@ def synthesis_pipeline(
     if delta is None:
         delta = Fraction(1, c**4)
     tree, stats = build_decision_tree(g, mu, system, delta)
-    err = dtree_error(tree, g, mu)
-    budget = certified_error_budget(system, delta)
-    certified = budget <= Fraction(49, 100)
-    if certified and err > Fraction(49, 100):
-        raise InfeasibleConstructionError(
-            f"error {err} exceeds 0.49 despite a certifying budget {budget}"
-        )
     return QCSynthReport(
         qprt_value=value,
         c=c,
@@ -319,9 +322,6 @@ def synthesis_pipeline(
         system=system,
         delta=delta,
         tree=tree,
-        depth=tree_depth(tree),
-        error=err,
-        error_budget=budget,
-        half_error_certified=certified,
+        error=dtree_error(tree, g, mu),
         stats=stats,
     )

@@ -6,6 +6,8 @@ import functools
 import random
 from fractions import Fraction
 
+import pytest
+
 from lpbounds import families
 from lpbounds.ccbounds import ChainReport, SrecInstance, check_chain, srec_bound
 from lpbounds.model import BitProductDistribution, ProductDistribution2P
@@ -59,3 +61,10 @@ def sample_product_distributions(
         cols = tuple(Fraction(rng.randint(0, 16), 16) for _ in range(ny))
         out.append(ProductDistribution2P(rows, cols))
     return out
+
+
+def assert_refuses(call, error: type, message: str) -> None:
+    """``call()`` raises exactly ``error`` (not a subclass) with exactly ``message``."""
+    with pytest.raises(error) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)

@@ -149,23 +149,13 @@ def test_criterion_2_chain_inequality(capsys):
 
 def test_criterion_3_induction_guarantees(cc_artifacts, capsys):
     for tag, f, payload in cc_artifacts:
-        if isinstance(payload, tuple):
-            params, tree = payload
-            eps, q, s, t, big_delta = (
-                params.eps,
-                params.delta_root,
-                params.s,
-                params.t,
-                params.big_delta,
-            )
-        else:
-            rep = payload
-            tree = rep.tree
-            eps, q, s, t, big_delta = rep.eps, rep.delta_root, rep.s, rep.t, rep.big_delta
+        params, tree = payload if isinstance(payload, tuple) else (payload.params, payload.tree)
+        s, t = params.s, params.t
         leaves = leaf_count(tree)
         assert leaves <= 4 * math.comb(s + t, min(s, t)) - 1, tag
         adv = advantage(tree, f, UNIFORM_4x4)
-        floor = (F(1, 10) - eps - 30 * (s + 1) * q) * UNIFORM_4x4.total - big_delta * leaves
+        coeff = F(1, 10) - params.eps - 30 * (s + 1) * params.delta_root
+        floor = coeff * UNIFORM_4x4.total - params.big_delta * leaves
         assert adv >= floor, tag
     # part 2 with a k that satisfies the premise: probe values first
     for name in ("gt2", "and2"):

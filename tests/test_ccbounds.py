@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 import reference_lp
-from conftest import CC_CORPUS, UNIFORM_4x4, chain_cached, srec_cached
+from conftest import CC_CORPUS, UNIFORM_4x4, assert_refuses, chain_cached, srec_cached
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_duals import build_prt_dual_lp, build_rprt_dual_lp, split_free
@@ -30,6 +30,19 @@ from lpbounds.rational import majority_error
 def test_partition_programs_reject_eps_outside_unit_interval(build, eps):
     with pytest.raises(DimensionMismatchError):
         build(families.and2p(2), eps)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SrecInstance(CC_CORPUS["eq2"], 2, F(0), F(0)), "z must be 0 or 1, got 2"),
+        (lambda: SrecInstance(CC_CORPUS["eq2"], 0, F(0), F(0), ProductDistribution2P.uniform(2, 2)),
+         "distribution shape does not match function"),
+    ],
+    ids=["z", "measure-shape"],
+)
+def test_srec_instance_refuses_malformed_input(call, message):
+    assert_refuses(call, DimensionMismatchError, message)
 
 
 def test_constant_function_zero_error_srec_is_one():

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from conftest import CC_CORPUS, UNIFORM_4x4
+from conftest import CC_CORPUS, UNIFORM_4x4, assert_refuses
 
 from lpbounds import ccsynth, families
 from lpbounds import lp as lpmod
@@ -28,7 +28,13 @@ from lpbounds.errors import (
     InfeasibleConstructionError,
     NoBiasedRectangleError,
 )
-from lpbounds.model import ProductDistribution2P, Rectangle, TwoPartyFunction, full_rectangle
+from lpbounds.model import (
+    MAX_TABLE_SIDE,
+    ProductDistribution2P,
+    Rectangle,
+    TwoPartyFunction,
+    full_rectangle,
+)
 from lpbounds.rational import largest_fourth_power_at_most
 from lpbounds.trees import Leaf, PNode, advantage, evaluate, leaf_count, protocol_error, tree_depth
 
@@ -265,12 +271,67 @@ def test_synthesize_rejects_bad_params():
         synthesize(f, mu, bad, w0, w1)
 
 
+HALF = SynthParams(F(0), F(1, 16), F(1, 2), F(1, 1024), 1, 1)  # valid; delta = (1/2)**4
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: find_biased_rectangle(CC_CORPUS["eq2"], UNIFORM_4x4, {}, F(1, 4), F(1), F(1), F(0), 0),
+         NoBiasedRectangleError, "no biased rectangle: (1-eps) mu_0 - (delta/rho) mu_1 = 0 <= 0"),
+        (lambda: dataclasses.replace(HALF, eps=F(2)),
+         InfeasibleConstructionError, "eps must be in [0,1] and delta in (0,1)"),
+        (lambda: dataclasses.replace(HALF, s=-1),
+         InfeasibleConstructionError, "budgets must be non-negative"),
+        (lambda: synthesize(CC_CORPUS["eq2"], ProductDistribution2P.uniform(2, 2), HALF, {}, {}),
+         DimensionMismatchError, "measure shape does not match function"),
+        (lambda: protocol_pipeline(TwoPartyFunction(((0, 1, 0, 1), (1, 0, 1, 0))), UNIFORM_4x4, 1),
+         DimensionMismatchError, "square domains only"),
+        (lambda: protocol_pipeline(families.eq(1), ProductDistribution2P.uniform(2, 2), 1),
+         DimensionMismatchError, "part 1 needs at least 4 x 4 inputs"),
+        (lambda: protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 1, 7),
+         DimensionMismatchError, "part 1 takes no k; only part 2 reads it"),
+        (lambda: protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 2),
+         DimensionMismatchError, "part 2 requires an explicit k >= 20"),
+        (lambda: protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 2, 19),
+         DimensionMismatchError, "part 2 requires an explicit k >= 20"),
+        (lambda: protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 3),
+         DimensionMismatchError, "part must be 1 or 2"),
+    ],
+    ids=["no-demand", "eps", "budgets", "measure-shape", "square", "part1-size", "part1-k",
+         "part2-no-k", "part2-k19", "part"],
+)
+def test_ccsynth_refuses_malformed_input(call, error, message):
+    assert_refuses(call, error, message)
+
+
+def test_thresholds_are_zero_where_their_logarithm_is_not_positive():
+    assert minimum_s(F(1, 4), F(1, 4)) == 0  # 2 (V0 + V1) = 1
+    assert minimum_t(7, F(1, 2), F(1, 2)) == 0  # |mu| / Delta = 1
+
+
+def test_the_twentieth_coefficient_is_negative_on_every_supported_input():
+    """1/10 - eps - 30 (s+1) delta^(1/4) < 0 for each part-1 n and each part-2 k.
+
+    It is the coefficient of |mu| in the advantage floor; below 1/20 it
+    never yields the |mu|/20 - Delta*L form, so ``twentieth_applicable`` is
+    always false.  Part 1 has s >= 0, part 2 has s = k.
+    """
+    for n in range(2, MAX_TABLE_SIDE.bit_length()):
+        q, eps = largest_fourth_power_at_most(F(1, n * n))
+        assert F(1, 10) - eps - 30 * q < 0, n
+    for k in range(20, MAX_PART2_K + 1):
+        q, eps = largest_fourth_power_at_most(F(1, 3000 * (k + 1) ** 4))
+        assert F(1, 10) - eps - 30 * (k + 1) * q < 0, k
+
+
 @pytest.mark.parametrize("part, k", [(1, None), (2, 100)])
 def test_pipeline_computes_the_t_threshold_once(part, k):
     minimum_t.cache_clear()
     rep = protocol_pipeline(families.const2p(2, 0), UNIFORM_4x4, part, k)
     assert rep.hypothesis_ok and minimum_t.cache_info().misses == 1
-    assert rep.t == minimum_t.__wrapped__(rep.s, UNIFORM_4x4.total, rep.big_delta)
+    params = rep.params
+    assert params.t == minimum_t.__wrapped__(params.s, UNIFORM_4x4.total, params.big_delta)
 
 
 def test_validate_checks_t_after_the_threshold_is_cached():
@@ -300,6 +361,14 @@ def test_balance_left_path_eight_leaves():
     out = balance(tree, 4, 4)  # pointwise equality is asserted inside
     assert tree_depth(out) <= balance_depth_target(8)
     assert balance_depth_target(8) == 13  # ceil((171/50) * 3) + 2
+
+
+def test_balance_refuses_a_rewrite_that_changes_a_leaf(monkeypatch):
+    tree = PNode("A", 0b0001, Leaf(0), Leaf(1))
+    monkeypatch.setattr(ccsynth, "_balance", lambda t, rows, cols: PNode("A", 0b0001, Leaf(1), Leaf(1)))
+    with pytest.raises(InfeasibleConstructionError) as exc:
+        balance(tree, 4, 4)
+    assert str(exc.value) == "balanced tree disagrees with the input at (0,0)"
 
 
 def test_balance_preserves_synthesized_tree():
@@ -383,4 +452,4 @@ def test_pipeline_determinism():
     b = protocol_pipeline(CC_CORPUS["and2"], UNIFORM_4x4, 1)
     assert a.balanced is not None and b.balanced is not None
     assert write_protocol_tree(a.balanced) == write_protocol_tree(b.balanced)
-    assert (a.s, a.t, a.adv) == (b.s, b.t, b.adv)
+    assert (a.params, a.adv) == (b.params, b.adv)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import assert_refuses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_model import (
@@ -18,7 +19,7 @@ from reference_model import (
 from test_serialize import DECISION_TREES, PROTOCOL_TREES
 
 from lpbounds import families
-from lpbounds.errors import CapExceededError, DimensionMismatchError
+from lpbounds.errors import CapExceededError, DimensionMismatchError, ParseError
 from lpbounds.model import (
     BitProductDistribution,
     ProductDistribution2P,
@@ -32,7 +33,7 @@ from lpbounds.model import (
     full_rectangle,
     project_weights,
 )
-from lpbounds.trees import dtree_error, protocol_error
+from lpbounds.trees import DNode, Leaf, PNode, check_fits, dtree_error, protocol_error
 
 UNIFORM = ProductDistribution2P.uniform(4, 4)
 
@@ -390,3 +391,54 @@ def test_two_party_function_validation():
         TwoPartyFunction(((0, 2),))
     with pytest.raises(DimensionMismatchError):
         QueryFunction(2, (0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TwoPartyFunction(()), "empty truth table"),
+        (lambda: TwoPartyFunction(((0,),) * 3), "|X| must be a power of two <= 16, got 3"),
+        (lambda: TwoPartyFunction(((0, 0, 0),)), "|Y| must be a power of two <= 16, got 3"),
+        (lambda: QueryFunction(0, (0,)), "bit count must be in [1, 12], got 0"),
+        (lambda: QueryFunction(1, (0, 2)), "table entries must be bits, got 2"),
+        (lambda: Rectangle(-1, 1), "rectangle masks must be non-negative"),
+        (lambda: Subcube(2, 0b100, 0), "support mask out of range"),
+        (lambda: Subcube(2, 0b01, 0b10), "values must be a submask of support"),
+        (lambda: Subcube(2, 0, 0).intersect(Subcube(3, 0, 0)), "subcubes over different bit counts"),
+        (lambda: Subcube.from_pattern("0x"), "bad pattern character 'x'"),
+    ],
+    ids=["empty", "X-size", "Y-size", "bit-count", "qc-bits", "rectangle", "support", "values",
+         "intersect", "pattern"],
+)
+def test_model_refuses_malformed_input(call, message):
+    assert_refuses(call, DimensionMismatchError, message)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: families.make_function("and", 2, "xx"), ParseError, "side must be cc or qc, got 'xx'"),
+        (lambda: families.make_function("maj", 2, "cc"), ParseError,
+         "unknown cc family 'maj'; available: ['and', 'disj', 'eq', 'gt', 'or', 'xor']"),
+        (lambda: families.make_function("eq", 5, "cc"), DimensionMismatchError,
+         "cc family size must be in [0, 4], got 5"),
+    ],
+    ids=["side", "family", "size"],
+)
+def test_families_refuse_unknown_names_and_sizes(call, error, message):
+    assert_refuses(call, error, message)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PNode("C", 1, Leaf(0), Leaf(1)), DimensionMismatchError, "speaker must be A or B, got 'C'"),
+        (lambda: check_fits(DNode(3, Leaf(0), Leaf(1)), families.maj_q(3)), ParseError,
+         "decision tree queries bit 3 of a 3-bit function"),
+        (lambda: check_fits(PNode("B", 0x10, Leaf(0), Leaf(1)), families.eq(2)), ParseError,
+         "protocol tree splits B on 10, beyond its 4 inputs"),
+    ],
+    ids=["speaker", "bit", "split"],
+)
+def test_trees_refuse_malformed_nodes_and_misfit_artifacts(call, error, message):
+    assert_refuses(call, error, message)

@@ -2,14 +2,14 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
-from conftest import QC_CORPUS, qprt_cached
+from conftest import QC_CORPUS, assert_refuses, qprt_cached
 from reference_duals import build_qprt_dual_lp, split_free
 from reference_lp import reference_solve
 
 from lpbounds import families, qcbounds
-from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
+from lpbounds.errors import CapExceededError, DimensionMismatchError, InfeasibleConstructionError
 from lpbounds.lp import check_feasible, solve
-from lpbounds.model import BitProductDistribution, Subcube, enumerate_subcubes
+from lpbounds.model import BitProductDistribution, QueryFunction, Subcube, enumerate_subcubes
 from lpbounds.qcbounds import (
     boost_qprt,
     build_qprt_lp,
@@ -176,8 +176,9 @@ def test_extract_discards_the_weight_above_the_cutoff():
     The objective is 101/100, so d' = ceil(log2 101/100) + log2 4 = 3 and
     the 4-bit cube 0000 goes.  The synthesis pipeline never discards: its
     gamma = 1/c^8 with c >= 8 puts the cutoff at 24 bits or more, above
-    every n <= 12.  The ``removed >= gamma`` refusal after the discard
-    cannot fire by the same Markov bound, so it stays a check with no test.
+    every n <= 12.  By the same Markov bound the ``removed >= gamma``
+    refusal after the discard fires only on a solution with a negative
+    weight.
     """
     g, mu = families.const_q(4, 0), BitProductDistribution.uniform(4)
     full = Subcube.from_pattern("****")
@@ -193,6 +194,32 @@ def test_extract_requires_error_within_gamma():
     boosted = boost_qprt(sol, g, 1)
     with pytest.raises(InfeasibleConstructionError):
         extract_feasible(boosted, F(1, 1000), g, BitProductDistribution.uniform(g.n))
+
+
+def _extract(weights, achieved_error, gamma):
+    """``extract_feasible`` of a hand-built 3-bit solution for the constant 0."""
+    boosted = qcbounds.BoostedQprt(qcbounds.QprtSolution(3, weights), 1, achieved_error)
+    return extract_feasible(boosted, gamma, families.const_q(3, 0), BitProductDistribution.uniform(3))
+
+
+FULL3 = Subcube.from_pattern("***")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: qprt_bound(QueryFunction(12, (0,) * 4096), F(1, 8)),
+         CapExceededError, "1062882 variables exceed the qprt cap"),
+        (lambda: _extract({(0, FULL3): F(1)}, F(1, 8), F(1, 16)),
+         InfeasibleConstructionError, "boosted error 1/8 exceeds gamma 1/16"),
+        # objective 8 - 15/2 = 1/2 puts the cutoff at 1 bit, and the 3-bit cube carries 1
+        (lambda: _extract({(0, Subcube.from_pattern("000")): F(1), (1, FULL3): F(-15, 2)}, F(0), F(1, 2)),
+         InfeasibleConstructionError, "discarded mass 1 is not below gamma 1/2"),
+    ],
+    ids=["cap", "gamma-below-error", "discarded-mass"],
+)
+def test_qcbounds_refuses_malformed_input(call, error, message):
+    assert_refuses(call, error, message)
 
 
 X0_IS_1 = Subcube(3, 0b001, 0b001)  # maj3 is 1 on all of it once bit 2 is pinned to 1

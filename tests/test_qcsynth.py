@@ -1,13 +1,16 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
-from conftest import QC_CORPUS, qprt_cached
+from conftest import CC_CORPUS, QC_CORPUS, UNIFORM_4x4, assert_refuses, qprt_cached
 
-from lpbounds import families
+from lpbounds import families, qcsynth
 from lpbounds import lp as lpmod
+from lpbounds.ccsynth import protocol_pipeline
 from lpbounds.errors import (
     DimensionMismatchError,
     InfeasibleConstructionError,
+    LpboundsError,
     NoBiasedRectangleError,
 )
 from lpbounds.model import BitProductDistribution, Subcube, full_cube
@@ -194,6 +197,64 @@ def test_build_tree_and3_full_guarantees():
     assert tree_depth(tree) <= system.a * system.b
     assert dtree_error(tree, g, U3) <= certified_error_budget(system, delta)
     assert dtree_queried_bits_ok(tree)
+
+
+def _and3_tree(delta=F(1, 8), mu=U3, **system_changes):
+    """``build_decision_tree`` on and3 with the and3 system changed by ``system_changes``."""
+    g, system = and3_system()
+    return build_decision_tree(g, mu, dataclasses.replace(system, **system_changes), delta)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: find_biased_subcube(QC_CORPUS["and3"], U3, {}, F(0), F(0), F(1, 8), 3),
+         NoBiasedRectangleError, "no biased subcube in the support"),
+        (lambda: elimination_bound(QC_CORPUS["and3"], U3, Subcube.from_pattern("0**"), {full_cube(3): F(1)},
+                                   F(0), F(1, 16)),
+         InfeasibleConstructionError, "disjoint-support 1-mass 1/8 exceeds beta1 + delta = 1/16"),
+        (lambda: _and3_tree(delta=F(0)), DimensionMismatchError, "delta must be positive"),
+        (lambda: _and3_tree(alpha0=F(1)),
+         DimensionMismatchError, "the 0-side margin alpha0 must lie in [0, 1)"),
+        (lambda: _and3_tree(mu=U2), DimensionMismatchError, "bit counts disagree"),
+        (lambda: _and3_tree(u={Subcube.from_pattern("1**"): F(-1)}),
+         InfeasibleConstructionError, "infeasible system: negative weight on 1**"),
+        (lambda: synthesis_pipeline(QC_CORPUS["maj3"], U3, F(1, 2)),
+         DimensionMismatchError, "the base error level must be below 1/2"),
+        (lambda: synthesis_pipeline(QC_CORPUS["maj3"], U3, F(1, 8), F(0)),
+         DimensionMismatchError, "delta must be positive"),
+    ],
+    ids=["no-biased-subcube", "elimination", "tree-delta", "alpha0", "bit-counts",
+         "infeasible-system", "pipeline-eps", "pipeline-delta"],
+)
+def test_qcsynth_refuses_malformed_input(call, error, message):
+    assert_refuses(call, error, message)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 1, 7),
+        lambda: protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 2, 19),
+        lambda: protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 3),
+        lambda: _and3_tree(delta=F(0)),
+        lambda: _and3_tree(alpha0=F(1)),
+        lambda: synthesis_pipeline(QC_CORPUS["maj3"], U3, F(1, 2)),
+        lambda: synthesis_pipeline(QC_CORPUS["maj3"], U3, F(1, 8), F(0)),
+    ],
+    ids=["cc-k", "cc-k19", "cc-part", "tree-delta", "alpha0", "qc-eps", "qc-delta"],
+)
+def test_synthesis_refusals_of_caller_input_are_lpbounds_errors(call):
+    """Typed, and still ValueErrors for callers that catch those."""
+    with pytest.raises(LpboundsError) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
+
+
+def test_build_tree_refuses_an_error_above_the_certified_budget(monkeypatch):
+    monkeypatch.setattr(qcsynth, "certified_error_budget", lambda system, delta: F(-1))
+    with pytest.raises(InfeasibleConstructionError, match="exceeds the certified budget -1$"):
+        _and3_tree()
 
 
 def test_queried_bits_ok_refuses_a_path_that_queries_a_bit_twice():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import assert_refuses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_boost import reference_majority_error, reference_min_odd_votes
@@ -95,6 +96,22 @@ def test_majority_error_small_cases():
     assert majority_error(a, 3) == expected
     with pytest.raises(ValueError):
         majority_error(a, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: log2_bracket(Fraction(0)), "log2 bracket requires a positive rational, got 0"),
+        (lambda: ceil_mul_log2(0, Fraction(2)), "coefficient must be positive"),
+        (lambda: ceil_mul_log2(1, Fraction(0)), "log2 requires a positive rational"),
+        (lambda: floor_fourth_root(-1), "fourth root of a negative integer"),
+        (lambda: largest_fourth_power_at_most(Fraction(0)), "target must be positive"),
+        (lambda: majority_error(Fraction(3, 2), 1), "correct mass must lie in [0,1], got 3/2"),
+    ],
+    ids=["log2-bracket", "coefficient", "log2", "fourth-root", "target", "correct-mass"],
+)
+def test_rational_refuses_out_of_domain_input(call, message):
+    assert_refuses(call, ValueError, message)
 
 
 def test_majority_error_monotone_in_votes():
