@@ -13,30 +13,39 @@ point's constraint, and dropping them only lowers the objective.  Weights
 must be non-negative.
 
 The sum has a closed form, in exact integer numerators over a common
-denominator.  The votes-for-1 axis is packed into one integer (Kronecker
-substitution): member k's step is a_k + b_k * 2^width, its label-0 and
-label-1 numerators, and the count for j votes for 1 sits in bit slot j of
-``width`` bits.  The intersection closure of the support is interned, and
-each closure element c records ``mask[c]``, the members that contain it.
-The t-tuples whose members all contain c are counted by one power,
-G(c) = (sum of the steps in mask[c]) ** t.  Their intersection is c or a
-closure element inside c, whose mask is a strict subset of mask[c], so
-Moebius inversion over the closure, in increasing mask size, leaves the
-tuples that intersect to exactly c:
+denominator.  Member k of the support carries a pair (a_k, b_k), its
+label-0 and label-1 numerators.  The intersection closure of the support
+is built on point sets: each member's points are read once as an int
+bitmask, two sets meet in ``a & b``, and closure elements are interned by
+bitmask, so ``intersect`` only names an element the first time it
+appears.  That is sound because distinct nonempty subcubes, and distinct
+nonempty rectangles, have distinct point sets.  Each closure element c
+records ``mask[c]``, the members that contain it.
+
+The t-tuples whose members all contain c are counted by sums over
+mask[c]: with A and B the sums of the a_k and the b_k there, those with
+majority label 0 number G0(c) = sum over j <= t//2 of C(t,j) A^(t-j) B^j
+(``rational.lower_tail``, summed by Horner), and the rest
+G1(c) = (A + B)^t - G0(c).  Their intersection is c or a closure element
+strictly containing c, whose mask is a strict subset of mask[c], so
+Moebius inversion over the closure, in increasing mask size, leaves for
+each label the tuples that intersect to exactly c:
 
     v(c) = G(c) - sum of v(c') over mask[c'] strictly inside mask[c].
 
-The cost is O(closure * support) calls to ``intersect``, one power per
-closure element and a pass over the pairs of closure elements; no term
-grows with t except the size of the integers, O(t^2 * bits) bits.
+The cost is O(closure * support) ANDs of point bitmasks, one ``intersect``
+per closure element outside the support, two scalar tails per closure
+element and a pass over the pairs of closure elements.  Only the sizes of
+the integers grow with t, as O(t * bits) bits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
-from .rational import numerators
+from .errors import DimensionMismatchError
+from .rational import check_votes, lower_tail, numerators
 
 K = TypeVar("K", bound=Hashable)
 
@@ -46,72 +55,80 @@ __all__ = ["majority_product_boost"]
 def majority_product_boost(
     weights: dict[tuple[int, K], Fraction],
     t: int,
+    cells: Callable[[K], Iterable[int]],
     intersect: Callable[[K, K], K | None],
     sort_key: Callable[[K], object],
 ) -> dict[tuple[int, K], Fraction]:
     """t-fold majority product of a labeled weight family; t must be odd.
 
+    ``cells`` gives the indices of the points a member contains; members
+    must have nonempty point sets, distinct ones for distinct members.
     ``intersect`` returns None for an empty intersection.  t = 1 returns
     the (nonzero entries of the) input unchanged.  The result lists its
     nonzero entries in ``(z, sort_key(K))`` order.
     """
-    if t < 1 or t % 2 == 0:
-        raise ValueError(f"vote count must be a positive odd integer, got {t}")
+    check_votes(t)
     entries = [
         (z, k, Fraction(w))
         for (z, k), w in sorted(weights.items(), key=lambda zw: (zw[0][0], sort_key(zw[0][1])))
         if w != 0
     ]
     if any(w < 0 for _, _, w in entries):
-        raise ValueError("majority product needs non-negative weights")
+        raise DimensionMismatchError("majority product needs non-negative weights")
     if t == 1:
         return {(z, k): w for z, k, w in entries}
 
     den, nums = numerators(w for _, _, w in entries)
-    # The slots of every G(c) sum to at most (sum of numerators)**t, which
-    # fits in t * bitlen bits: no slot carries into its neighbour, and the
-    # spare bit keeps every digit sum below 2^width - 1 (read-off below).
-    width = t * sum(nums).bit_length() + 1
-    step: dict[K, int] = {}
+    pairs: dict[K, list[int]] = {}
     for (z, k, _), num in zip(entries, nums):
-        step[k] = step.get(k, 0) + (num << (width * z))
+        pairs.setdefault(k, [0, 0])[z] += num
 
-    # The closure, members first; c cap k = m puts k into mask[m], and
-    # c = m finds every member containing m.  ``keys`` grows as it is read.
-    members, steps = list(step), list(step.values())
+    # The closure on point bitmasks, members first; c & k = m puts k into
+    # mask[m], and c = m finds every member containing m.  ``points`` grows
+    # as it is read, and ``intersect`` names each new point set once.
+    members = list(pairs)
+    member_points = [sum(1 << i for i in cells(k)) for k in members]
     keys: list[K] = list(members)
-    ids: dict[K, int] = {k: i for i, k in enumerate(keys)}
+    points = list(member_points)
+    ids = {p: i for i, p in enumerate(points)}
     masks = [0] * len(keys)
-    for c in keys:
-        for bit, k in enumerate(members):
-            m = intersect(c, k)
-            if m is None:
+    for c, cp in enumerate(points):
+        for bit, kp in enumerate(member_points):
+            m = cp & kp
+            if not m:
                 continue
             i = ids.get(m)
             if i is None:
                 i = ids[m] = len(keys)
-                keys.append(m)
+                keys.append(intersect(keys[c], members[bit]))
+                points.append(m)
                 masks.append(0)
             masks[i] |= 1 << bit
 
-    # Slots 0 .. t//2 carry majority label 0, the rest label 1.  A sum of
-    # base-2^width digits equals the number mod 2^width - 1, and is below
-    # that modulus here, so it is read off with one reduction.
-    split = width * (t // 2 + 1)
-    digits = (1 << width) - 1
     scale = den**t
-    inside: list[tuple[int, int]] = []  # (mask, v) of the nonzero v read so far
+    steps = list(pairs.values())
+    inside: list[tuple[int, int, int]] = []  # (mask, v0, v1) of the nonzero v read so far
     out = []
     for i in sorted(range(len(keys)), key=lambda i: masks[i].bit_count()):
         mask = masks[i]
-        val = sum(s for bit, s in enumerate(steps) if mask >> bit & 1) ** t
-        val -= sum(v for sub, v in inside if sub & mask == sub)
-        if not val:
+        a, b = map(sum, zip(*(steps[bit] for bit in _bits(mask))))
+        v0 = lower_tail(b, a, t)
+        v1 = (a + b) ** t - v0
+        for sub, s0, s1 in inside:
+            if sub & mask == sub:
+                v0 -= s0
+                v1 -= s1
+        if not v0 and not v1:
             continue
-        inside.append((mask, val))
-        for z, packed in ((0, val & ((1 << split) - 1)), (1, val >> split)):
-            total = packed % digits
-            if total:
-                out.append(((z, keys[i]), Fraction(total, scale)))
+        inside.append((mask, v0, v1))
+        out += [((z, keys[i]), Fraction(v, scale)) for z, v in ((0, v0), (1, v1)) if v]
     out.sort(key=lambda kw: (kw[0][0], sort_key(kw[0][1])))
     return dict(out)
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

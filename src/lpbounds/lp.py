@@ -763,7 +763,9 @@ class _Simplex:
         while True:
             self.iterations += 1
             if self.iterations > MAX_PIVOTS:
-                raise LpboundsError("pivot cap exceeded; possible solver bug")
+                raise LpboundsError(
+                    f"pivot cap exceeded: more than MAX_PIVOTS = {MAX_PIVOTS} pricing passes"
+                )
             d = self.d
             need = d * top + reach * max(map(abs, y), default=0)
             if need >= room:

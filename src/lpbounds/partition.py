@@ -174,7 +174,8 @@ class LabelledFamily(Generic[K]):
                 raise InfeasibleConstructionError(
                     f"input is not an exact-mass partition solution at {tag}"
                 )
-        boosted = majority_product_boost(weights, t, self.intersect, position.__getitem__)
+        boosted = majority_product_boost(weights, t, self.cells, self.intersect,
+                                         position.__getitem__)
         objective = self.objective(boosted)
         if objective > self.objective(weights) ** t:
             raise InfeasibleConstructionError("boosted objective exceeds the product bound")

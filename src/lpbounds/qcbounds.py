@@ -22,7 +22,7 @@ from functools import cache
 
 from . import lp as lpmod
 from .ccbounds import BoundResult, finish
-from .errors import CapExceededError, InfeasibleConstructionError
+from .errors import CapExceededError, DimensionMismatchError, InfeasibleConstructionError
 from .lp import LinearProgram
 from .model import (
     BitProductDistribution,
@@ -33,7 +33,7 @@ from .model import (
     project_weights,
 )
 from .partition import LabelledFamily
-from .rational import ceil_mul_log2, numerators
+from .rational import ceil_mul_log2, format_rational, numerators
 
 QPRT_VARIABLE_CAP = 1 << 20
 
@@ -163,12 +163,15 @@ class FeasibleSystem:
 def _masses_at(cubes: dict[Subcube, Fraction], points: list[int]) -> list[Fraction]:
     """Per point, the total weight of the subcubes containing it.
 
-    Integer numerators are summed over one common denominator; only the
-    results are Fractions.
+    Each cube adds its integer numerator, over one common denominator, at
+    its own points once; only the results are Fractions.
     """
     den, nums = numerators(cubes.values())
-    weighted = list(zip(cubes, nums))
-    return [Fraction(sum(num for c, num in weighted if c.contains(x)), den) for x in points]
+    mass: dict[int, int] = {}
+    for cube, num in zip(cubes, nums):
+        for x in cube.members():
+            mass[x] = mass.get(x, 0) + num
+    return [Fraction(mass.get(x, 0), den) for x in points]
 
 
 def extract_feasible(
@@ -183,8 +186,10 @@ def extract_feasible(
     the discarded mass is verified to be below gamma (each discarded unit
     of weight costs more than objective/gamma in the objective).  Margins
     are alpha0 = beta0 = alpha1 = beta1 = 2*gamma and a = b = d'.  Requires
-    the boosted error level to be at most gamma.
+    the boosted error level to be at most gamma, which must be positive.
     """
+    if gamma <= 0:
+        raise DimensionMismatchError(f"gamma must be positive, got {format_rational(gamma)}")
     if boosted.achieved_error > gamma:
         raise InfeasibleConstructionError(
             f"boosted error {boosted.achieved_error} exceeds gamma {gamma}"

@@ -120,6 +120,7 @@ class BuildStats:
     margin_leaves: int = 0
     expectation_checks: int = 0
     elimination_values: list[Fraction] = field(default_factory=list)
+    error: Fraction | None = None  # the finished tree's measured error, once it is measured
 
 
 def build_decision_tree(
@@ -226,11 +227,11 @@ def build_decision_tree(
         )
     if not dtree_queried_bits_ok(tree):
         raise InfeasibleConstructionError("a path queries the same bit twice")
-    err = dtree_error(tree, g, mu)
+    stats.error = dtree_error(tree, g, mu)
     formula = certified_error_budget(system, delta)
-    if err > formula:
+    if stats.error > formula:
         raise InfeasibleConstructionError(
-            f"measured error {err} exceeds the certified budget {formula}"
+            f"measured error {stats.error} exceeds the certified budget {formula}"
         )
     return tree, stats
 
@@ -258,8 +259,12 @@ class QCSynthReport:
     system: qcbounds.FeasibleSystem
     delta: Fraction
     tree: DecisionTree
-    error: Fraction
     stats: BuildStats
+
+    @property
+    def error(self) -> Fraction:
+        """The tree's exhaustively measured error, as ``build_decision_tree`` measured it."""
+        return self.stats.error
 
     @property
     def depth(self) -> int:
@@ -322,6 +327,5 @@ def synthesis_pipeline(
         system=system,
         delta=delta,
         tree=tree,
-        error=dtree_error(tree, g, mu),
         stats=stats,
     )

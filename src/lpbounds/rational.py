@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import DimensionMismatchError, ParseError
 
 __all__ = [
     "parse_rational",
@@ -23,6 +23,8 @@ __all__ = [
     "floor_fourth_root",
     "largest_fourth_power_at_most",
     "majority_error",
+    "check_votes",
+    "lower_tail",
     "min_odd_votes_for_error",
     "numerators",
 ]
@@ -105,7 +107,7 @@ def log2_bracket(r: Fraction, precision_bits: int = 20) -> tuple[Fraction, Fract
     ever straddles 2.
     """
     if r <= 0:
-        raise ValueError(f"log2 bracket requires a positive rational, got {r}")
+        raise DimensionMismatchError(f"log2 bracket requires a positive rational, got {r}")
     exact = power_of_two_exponent(r)
     if exact is not None:
         f = Fraction(exact)
@@ -160,9 +162,9 @@ def ceil_mul_log2(c: int, r: Fraction) -> int:
     pins its floor and the ceiling is floor + 1.
     """
     if c <= 0:
-        raise ValueError("coefficient must be positive")
+        raise DimensionMismatchError("coefficient must be positive")
     if r <= 0:
-        raise ValueError("log2 requires a positive rational")
+        raise DimensionMismatchError("log2 requires a positive rational")
     exact = power_of_two_exponent(r)
     if exact is not None:
         return c * exact
@@ -179,7 +181,7 @@ def ceil_mul_log2(c: int, r: Fraction) -> int:
 def floor_fourth_root(x: int) -> int:
     """floor(x ** (1/4)) for a non-negative integer, exactly."""
     if x < 0:
-        raise ValueError("fourth root of a negative integer")
+        raise DimensionMismatchError("fourth root of a negative integer")
     return math.isqrt(math.isqrt(x))
 
 
@@ -190,7 +192,7 @@ def largest_fourth_power_at_most(target: Fraction) -> tuple[Fraction, Fraction]:
     so small that the initial grid would give q = 0.
     """
     if target <= 0:
-        raise ValueError("target must be positive")
+        raise DimensionMismatchError("target must be positive")
     bits = 32
     while True:
         scaled = (target.numerator << (4 * bits)) // target.denominator
@@ -210,23 +212,38 @@ def majority_error(correct_mass: Fraction, votes: int) -> Fraction:
     summed as the integer sum of C(t,j) * p**j * r**(t-j) over q**t, so
     only the result is a Fraction.
     """
-    if votes < 1 or votes % 2 == 0:
-        raise ValueError(f"vote count must be a positive odd integer, got {votes}")
+    check_votes(votes)
     p, q, r = _vote_terms(correct_mass)
+    return Fraction(lower_tail(p, r, votes), q**votes)
+
+
+def check_votes(votes: int) -> None:
+    """A majority vote needs a positive odd number of votes."""
+    if votes < 1 or votes % 2 == 0:
+        raise DimensionMismatchError(f"vote count must be a positive odd integer, got {votes}")
+
+
+def lower_tail(p: int, r: int, votes: int) -> int:
+    """The sum over j <= floor(t/2) of C(t,j) * p**j * r**(t-j), for integers p, r.
+
+    With p/q the chance of one correct vote and r = q - p, this over q**t is
+    the chance that a majority of t votes is wrong.  It is summed by Horner
+    in r, so its one large power is r**(t - floor(t/2)).
+    """
     half = votes // 2
     # Horner in r: acc = sum over j <= half of C(t,j) * p**j * r**(half-j)
     acc, p_pow = 0, 1
     for j in range(half + 1):
         acc = acc * r + math.comb(votes, j) * p_pow
         p_pow *= p
-    return Fraction(acc * r ** (votes - half), q**votes)
+    return acc * r ** (votes - half)
 
 
 def _vote_terms(correct_mass: Fraction) -> tuple[int, int, int]:
     """(p, q, q - p) for a per-vote correct mass p/q in [0,1]."""
     a = Fraction(correct_mass)
     if not 0 <= a <= 1:
-        raise ValueError(f"correct mass must lie in [0,1], got {a}")
+        raise DimensionMismatchError(f"correct mass must lie in [0,1], got {a}")
     return a.numerator, a.denominator, a.denominator - a.numerator
 
 
@@ -242,7 +259,7 @@ def min_odd_votes_for_error(correct_mass: Fraction, target: Fraction) -> int:
     one large integer with small ones.
     """
     if Fraction(correct_mass) <= Fraction(1, 2):
-        raise ValueError("majority voting needs per-vote correct mass > 1/2")
+        raise DimensionMismatchError("majority voting needs per-vote correct mass > 1/2")
     p, q, r = _vote_terms(correct_mass)
     goal = Fraction(target)
     u, v = goal.numerator, goal.denominator
@@ -256,4 +273,4 @@ def min_odd_votes_for_error(correct_mass: Fraction, target: Fraction) -> int:
         q_pow *= qq
         # C(t+2, half+1) = C(t, half) * 2(2 half + 3) / (half + 2), exactly
         k = k * (2 * pr * (2 * half + 3)) // (half + 2)
-    raise ValueError(f"no odd vote count up to 20001 reaches error {target}")
+    raise DimensionMismatchError(f"no odd vote count up to 20001 reaches error {target}")

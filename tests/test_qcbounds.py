@@ -215,8 +215,13 @@ FULL3 = Subcube.from_pattern("***")
         # objective 8 - 15/2 = 1/2 puts the cutoff at 1 bit, and the 3-bit cube carries 1
         (lambda: _extract({(0, Subcube.from_pattern("000")): F(1), (1, FULL3): F(-15, 2)}, F(0), F(1, 2)),
          InfeasibleConstructionError, "discarded mass 1 is not below gamma 1/2"),
+        # an error of 0 meets gamma = 0, whose cutoff log2(1/gamma) does not exist
+        (lambda: _extract({(0, FULL3): F(1)}, F(0), F(0)),
+         DimensionMismatchError, "gamma must be positive, got 0"),
+        (lambda: _extract({(0, FULL3): F(1)}, F(0), F(-1, 8)),
+         DimensionMismatchError, "gamma must be positive, got -1/8"),
     ],
-    ids=["cap", "gamma-below-error", "discarded-mass"],
+    ids=["cap", "gamma-below-error", "discarded-mass", "gamma-zero", "gamma-negative"],
 )
 def test_qcbounds_refuses_malformed_input(call, error, message):
     assert_refuses(call, error, message)

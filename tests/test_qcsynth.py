@@ -303,6 +303,21 @@ def test_pipeline_maj3_runs_deep():
     assert rep.half_error_certified and rep.error <= F(49, 100)
 
 
+
+def test_pipeline_measures_the_tree_error_once(monkeypatch):
+    """``build_decision_tree`` measures the error for its budget check; the report reads that."""
+    calls = []
+
+    def counting_error(tree, g, mu):
+        calls.append(tree)
+        return dtree_error(tree, g, mu)
+
+    monkeypatch.setattr(qcsynth, "dtree_error", counting_error)
+    g = QC_CORPUS["maj3"]
+    rep = synthesis_pipeline(g, U3)
+    assert calls == [rep.tree]
+    assert rep.error == rep.stats.error == dtree_error(rep.tree, g, U3)
+
 def test_pipeline_expectation_checks_execute():
     g = QC_CORPUS["maj3"]
     sol = qprt_solution(g, qprt_cached("maj3", F(1, 8)))

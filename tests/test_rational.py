@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_boost import reference_majority_error, reference_min_odd_votes
 
-from lpbounds.errors import ParseError
+from lpbounds.errors import DimensionMismatchError, ParseError
 from lpbounds.rational import (
     ceil_mul_log2,
     floor_fourth_root,
@@ -107,11 +107,18 @@ def test_majority_error_small_cases():
         (lambda: floor_fourth_root(-1), "fourth root of a negative integer"),
         (lambda: largest_fourth_power_at_most(Fraction(0)), "target must be positive"),
         (lambda: majority_error(Fraction(3, 2), 1), "correct mass must lie in [0,1], got 3/2"),
+        (lambda: majority_error(Fraction(3, 4), 2),
+         "vote count must be a positive odd integer, got 2"),
+        (lambda: min_odd_votes_for_error(Fraction(1, 2), Fraction(1, 8)),
+         "majority voting needs per-vote correct mass > 1/2"),
+        (lambda: min_odd_votes_for_error(Fraction(3, 4), Fraction(0)),
+         "no odd vote count up to 20001 reaches error 0"),
     ],
-    ids=["log2-bracket", "coefficient", "log2", "fourth-root", "target", "correct-mass"],
+    ids=["log2-bracket", "coefficient", "log2", "fourth-root", "target", "correct-mass",
+         "votes", "coin-flip", "unreachable"],
 )
 def test_rational_refuses_out_of_domain_input(call, message):
-    assert_refuses(call, ValueError, message)
+    assert_refuses(call, DimensionMismatchError, message)
 
 
 def test_majority_error_monotone_in_votes():
