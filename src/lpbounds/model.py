@@ -357,17 +357,6 @@ class BitProductDistribution(_PointMeasure):
         ones = sum(1 << i for i, q in enumerate(self.p) if q == 1)
         return Subcube(self.n, support, ones)
 
-    def condition(self, support: int, values: int) -> "BitProductDistribution":
-        """Overwrite the marginals on ``support`` with point masses ``values``."""
-        return BitProductDistribution(
-            tuple(
-                (Fraction(1) if (values >> i) & 1 else Fraction(0))
-                if (support >> i) & 1
-                else q
-                for i, q in enumerate(self.p)
-            )
-        )
-
     @staticmethod
     def uniform(n: int) -> "BitProductDistribution":
         return BitProductDistribution(tuple(Fraction(1, 2) for _ in range(n)))

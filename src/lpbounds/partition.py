@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
 
 from .boosting import majority_product_boost
@@ -99,10 +98,16 @@ class LabelledFamily(Generic[K]):
         return {member: k for k, member in enumerate(self.members)}
 
     @cached_property
+    def _costs(self) -> tuple[int, dict[K, int]]:
+        """Each member's cost as an integer numerator over one common denominator."""
+        den, costs = numerators(map(self.cost, self.members))
+        return den, dict(zip(self.members, costs))
+
+    @cached_property
     def _columns(self) -> tuple[tuple[str, ...], Row]:
         """The variable names of ``primal`` and its cost row."""
-        den, costs = numerators(map(self.cost, self.members))
-        nums = [c for c in costs for _ in (0, 1)]
+        den, costs = self._costs
+        nums = [c for c in costs.values() for _ in (0, 1)]
         names = tuple(f"w{z}_{self.tag(k)}" for k in self.members for z in (0, 1))
         return names, scaled_row(range(len(nums)), nums, den, "=", 0, "objective")
 
@@ -138,7 +143,11 @@ class LabelledFamily(Generic[K]):
         Integer numerators are summed over one common denominator; only the
         results are Fractions.
         """
-        den, nums = numerators(weights.values())
+        return self._masses(weights, labels, *numerators(weights.values()))
+
+    def _masses(self, weights: LabelledWeights, labels: Labels, den: int, nums: list[int]
+                ) -> tuple[list[Fraction], ...]:
+        """``masses``, given the weights' ``numerators``."""
         total = [0] * len(self.tags)
         correct = list(total)
         for (z, k), num in zip(weights, nums):
@@ -150,9 +159,12 @@ class LabelledFamily(Generic[K]):
 
     def objective(self, weights: LabelledWeights) -> Fraction:
         """sum c(K) * w_{z,K}, summed as integers over one common denominator."""
-        den, nums = numerators(weights.values())
-        cden, costs = numerators(self.cost(k) for _, k in weights)
-        return Fraction(sum(map(mul, costs, nums)), cden * den)
+        return self._objective(weights, *numerators(weights.values()))
+
+    def _objective(self, weights: LabelledWeights, den: int, nums: list[int]) -> Fraction:
+        """``objective``, given the weights' ``numerators``."""
+        cden, costs = self._costs
+        return Fraction(sum(costs[k] * num for (_, k), num in zip(weights, nums)), cden * den)
 
     def boost(self, weights: LabelledWeights, labels: Labels, t: int) -> BoostResult:
         """t-fold majority product of an exact-total-mass solution.
@@ -168,25 +180,27 @@ class LabelledFamily(Generic[K]):
         for _, k in weights:
             if k not in position:
                 raise DimensionMismatchError(f"member {self.tag(k)} is outside the family's shape")
-        total, correct = self.masses(weights, labels)
+        den, nums = numerators(weights.values())
+        total, correct = self._masses(weights, labels, den, nums)
         for tag, mass in zip(self.tags, total):
             if mass != 1:
                 raise InfeasibleConstructionError(
                     f"input is not an exact-mass partition solution at {tag}"
                 )
+        bound = self._objective(weights, den, nums) ** t
         boosted = majority_product_boost(weights, t, self.cells, self.intersect,
                                          position.__getitem__)
-        objective = self.objective(boosted)
-        if objective > self.objective(weights) ** t:
+        den, nums = numerators(boosted.values())
+        objective = self._objective(boosted, den, nums)
+        if objective > bound:
             raise InfeasibleConstructionError("boosted objective exceeds the product bound")
-        worst = Fraction(0)
-        for tag, a, mass, hit in zip(self.tags, correct, *self.masses(boosted, labels)):
+        # 1 - tail(a, t), once per distinct input correct mass a: a function has few of them
+        hits = {a: 1 - majority_error(a, t) for a in set(correct)}
+        for tag, a, mass, hit in zip(self.tags, correct, *self._masses(boosted, labels, den, nums)):
             if mass != 1:
                 raise InfeasibleConstructionError(f"boosted total mass at {tag} is not 1")
-            tail = majority_error(a, t)
-            if hit != 1 - tail:
+            if hit != hits[a]:
                 raise InfeasibleConstructionError(
                     f"boosted correct mass at {tag} differs from the binomial tail"
                 )
-            worst = max(worst, tail)
-        return BoostResult(boosted, t, worst, objective)
+        return BoostResult(boosted, t, 1 - min(hits.values()), objective)

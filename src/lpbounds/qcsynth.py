@@ -21,6 +21,19 @@ Exact accounting enforced during construction:
 - the finished tree has depth <= a*b and its exhaustively measured error
   is at most 1/4 + alpha1 + beta1 + 4 b (beta1 + delta)
   + beta0 / ((1 - alpha0) delta).
+
+The recursion runs on integers.  ``mu`` is read once as its point weights
+W[x] = D * mu(x) (``point_weights``) and ``u`` and ``w`` once each as
+integer numerators over one denominator (``rational.numerators``), keyed by
+each subcube's (support, values) masks.  A node is the region fixed by the
+queries above it.  Conditioning a product measure on fixed bits restricts W
+to that region, so a node's label masses are integer sums of W over the
+region, over the region's weight; that weight is positive, as no query
+fixes a bit that ``mu`` fixes.  The guess, assumption, bias and best-score
+tests and the margin leaves compare integers, projections add numerators,
+and an outcome's margin alpha1 is an integer pair.  Fractions are built
+once per internal node: its alpha1, the elimination value ``BuildStats``
+records and the outcome-averaged margin its check reads.
 """
 
 from __future__ import annotations
@@ -34,81 +47,11 @@ from .errors import (
     InfeasibleConstructionError,
     NoBiasedRectangleError,
 )
-from .model import (
-    BitProductDistribution,
-    QueryFunction,
-    Subcube,
-    cube_key,
-    full_cube,
-    popular_label,
-    project_weights,
-)
-from .rational import ceil_mul_log2, min_odd_votes_for_error
+from .model import BitProductDistribution, QueryFunction, Subcube, popular_label
+from .rational import ceil_mul_log2, min_odd_votes_for_error, numerators
 from .trees import DecisionTree, DNode, Leaf, dtree_error, dtree_queried_bits_ok, tree_depth
 
-
-def find_biased_subcube(
-    g: QueryFunction,
-    mu: BitProductDistribution,
-    u: dict[Subcube, Fraction],
-    alpha0: Fraction,
-    beta0: Fraction,
-    delta: Fraction,
-    a: int,
-) -> Subcube:
-    """A biased support subcube: mu_1(A) <= delta * mu_0(A), support <= a.
-
-    Requires (1 - alpha0) mu_0 - (beta0/delta) mu_1 > 0; under that
-    assumption a biased subcube with positive u-weight exists.  Among the
-    qualifying subcubes the one maximizing u_A * mu_0(A) is returned, ties
-    broken by canonical subcube order.
-    """
-    mu0, mu1 = mu.label_masses(g, full_cube(g.n))
-    if (1 - alpha0) * mu0 - (beta0 / delta) * mu1 <= 0:
-        raise NoBiasedRectangleError(
-            "biased-subcube assumption fails: answering 1 without queries"
-        )
-    best: Subcube | None = None
-    best_score: Fraction | None = None
-    for cube in sorted(u, key=cube_key):
-        weight = u[cube]
-        if weight <= 0 or cube.size > a:
-            continue
-        m0, m1 = mu.label_masses(g, cube)
-        if m1 > delta * m0:
-            continue
-        score = weight * m0
-        if best_score is None or score > best_score:
-            best, best_score = cube, score
-    if best is None:
-        raise NoBiasedRectangleError("no biased subcube in the support")
-    return best
-
-
-def elimination_bound(
-    g: QueryFunction,
-    mu: BitProductDistribution,
-    cube: Subcube,
-    w: dict[Subcube, Fraction],
-    beta1: Fraction,
-    delta: Fraction,
-) -> Fraction:
-    """1-mass carried by w-subcubes support-disjoint from ``cube``.
-
-    Verified to be at most beta1 + delta; a violation is fatal because the
-    inequality is guaranteed for product measures once ``cube`` is biased
-    and ``w`` obeys its pointwise caps.
-    """
-    m0, m1 = mu.label_masses(g, cube)
-    if m1 > delta * m0:
-        raise InfeasibleConstructionError("elimination bound requires a biased subcube")
-    disjoint = {b: wv for b, wv in w.items() if b.support & cube.support == 0}
-    total = mu.weighted_label_masses(g, disjoint)[1]
-    if total > beta1 + delta:
-        raise InfeasibleConstructionError(
-            f"disjoint-support 1-mass {total} exceeds beta1 + delta = {beta1 + delta}"
-        )
-    return total
+Masks = tuple[int, int]  # a subcube's (support, values); a region is the subcube its fixed bits span
 
 
 @dataclass
@@ -146,79 +89,9 @@ def build_decision_tree(
     if problems:
         raise InfeasibleConstructionError(f"infeasible system: {problems[0]}")
 
-    stats = BuildStats()
-    quarter = Fraction(1, 4)
-    cube_all = full_cube(g.n)
-    full = (1 << g.n) - 1
-
-    def recurse(
-        cur_mu: BitProductDistribution,
-        u: dict[Subcube, Fraction],
-        w: dict[Subcube, Fraction],
-        alpha1: Fraction,
-        budget: int,
-    ) -> DecisionTree:
-        m0, m1 = cur_mu.label_masses(g, cube_all)
-        if min(m0, m1) < quarter:
-            stats.guess_leaves += 1
-            return Leaf(popular_label(m0, m1))
-        if (1 - system.alpha0) * m0 - (system.beta0 / delta) * m1 <= 0:
-            stats.assumption_leaves += 1
-            return Leaf(1)
-        if budget == 0:
-            stats.budget_leaves += 1
-            return Leaf(popular_label(m0, m1))
-
-        a0 = find_biased_subcube(
-            g, cur_mu, u, system.alpha0, system.beta0, delta, system.a
-        )
-        stats.elimination_values.append(
-            elimination_bound(g, cur_mu, a0, w, system.beta1, delta)
-        )
-        stats.internal_nodes += 1
-        support = a0.support
-        bits = [i for i in range(g.n) if (support >> i) & 1]
-
-        outcomes: dict[int, DecisionTree] = {}
-        expectation = Fraction(0)
-        for values in Subcube(g.n, full ^ support, 0).members():
-            outcome = Subcube(g.n, support, values)
-            sub_mu = cur_mu.condition(support, values)
-            sub_u = project_weights(u, outcome)
-            # support-disjoint w mass is eliminated
-            sub_w = project_weights({c: v for c, v in w.items() if c.support & support}, outcome)
-            sub_m0, sub_m1 = sub_mu.label_masses(g, cube_all)
-            if sub_m1 == 0:
-                sub_alpha1 = Fraction(0)
-            else:
-                sub_alpha1 = 1 - sub_mu.weighted_label_masses(g, sub_w)[1] / sub_m1
-            # mu(outcome) * sub_m1 is mu_1(outcome): sub_mu is mu conditioned on the outcome
-            expectation += cur_mu.label_masses(g, outcome)[1] * sub_alpha1
-            if sub_alpha1 >= 1:
-                stats.margin_leaves += 1
-                outcomes[values] = Leaf(popular_label(sub_m0, sub_m1))
-            else:
-                outcomes[values] = recurse(sub_mu, sub_u, sub_w, sub_alpha1, budget - 1)
-
-        bound = (alpha1 + 4 * system.beta1 + 4 * delta) * m1
-        if expectation > bound:
-            raise InfeasibleConstructionError(
-                f"outcome-averaged margin {expectation} exceeds {bound}"
-            )
-        stats.expectation_checks += 1
-
-        def attach(i: int, values: int) -> DecisionTree:
-            if i == len(bits):
-                return outcomes[values]
-            return DNode(
-                bits[i],
-                attach(i + 1, values),
-                attach(i + 1, values | (1 << bits[i])),
-            )
-
-        return attach(0, 0)
-
-    tree = recurse(mu, dict(system.u), dict(system.w), system.alpha1, system.b)
+    build = Recursion(g, mu, system, delta)
+    tree = build.recurse((0, 0), build.u, build.w, system.alpha1.as_integer_ratio(), system.b)
+    stats = build.stats
 
     depth = tree_depth(tree)
     if depth > system.a * system.b:
@@ -234,6 +107,186 @@ def build_decision_tree(
             f"measured error {stats.error} exceeds the certified budget {formula}"
         )
     return tree, stats
+
+
+class Recursion:
+    """One build's state: ``u`` and ``w`` as numerators keyed by masks, ``w``'s over ``w_den``.
+
+    ``mu`` is read through its integer ``label_sums``.  ``assumption`` holds
+    the assumption's two coefficients as integers; ``cap`` and ``slack`` are
+    the Fractions that the checks of an internal node read.
+    """
+
+    def __init__(
+        self,
+        g: QueryFunction,
+        mu: BitProductDistribution,
+        system: qcbounds.FeasibleSystem,
+        delta: Fraction,
+    ) -> None:
+        self.g, self.mu = g, mu
+        _, nums = numerators(system.u.values())
+        self.u = {(c.support, c.values): num for c, num in zip(system.u, nums)}
+        self.w_den, nums = numerators(system.w.values())
+        self.w = {(c.support, c.values): num for c, num in zip(system.w, nums)}
+        self.a, self.delta = system.a, delta
+        # the assumption (1 - alpha0) mu_0 > (beta0 / delta) mu_1, cleared of denominators
+        k0, k1 = 1 - system.alpha0, system.beta0 / delta
+        self.assumption = (k0.numerator * k1.denominator, k1.numerator * k0.denominator)
+        self.cap = system.beta1 + delta  # of the eliminated 1-mass
+        self.slack = 4 * system.beta1 + 4 * delta  # of the outcome-averaged margin over alpha1
+        self.stats = BuildStats()
+
+    def within(self, cube: Masks, region: Masks) -> Subcube:
+        """``cube`` in ``region``, which it meets."""
+        return Subcube(self.g.n, cube[0] | region[0], cube[1] | region[1])
+
+    def label_sums(self, cube: Masks, region: Masks) -> tuple[int, int]:
+        """(D * mu_0, D * mu_1) of ``cube`` in ``region``, as integer sums of W."""
+        return self.mu.label_sums(self.g, self.within(cube, region))
+
+    def biased(self, sums: tuple[int, int]) -> bool:
+        """mu_1 <= delta * mu_0, for label sums over one denominator."""
+        return sums[1] * self.delta.denominator <= self.delta.numerator * sums[0]
+
+    def assumption_holds(self, sums: tuple[int, int]) -> bool:
+        """(1 - alpha0) mu_0 - (beta0 / delta) mu_1 > 0, for label sums over one denominator."""
+        return self.assumption[0] * sums[0] > self.assumption[1] * sums[1]
+
+    def find_biased_subcube(self, region: Masks, u: dict[Masks, int]) -> Masks:
+        """A biased support subcube in ``region``: mu_1(A) <= delta * mu_0(A), support <= a.
+
+        ``u`` is projected onto ``region``.  Requires (1 - alpha0) mu_0 -
+        (beta0/delta) mu_1 > 0 in ``region``; under that assumption a biased
+        subcube with positive u-weight exists.  Among the qualifying subcubes
+        the one maximizing u_A * mu_0(A) is returned, ties broken by
+        canonical subcube order.
+        """
+        if not self.assumption_holds(self.label_sums((0, 0), region)):
+            raise NoBiasedRectangleError(
+                "biased-subcube assumption fails: answering 1 without queries"
+            )
+        best: Masks | None = None
+        best_score = 0
+        for cube in sorted(u, key=lambda c: (c[0].bit_count(), *c)):  # ``model.cube_key``
+            weight = u[cube]
+            if weight <= 0 or cube[0].bit_count() > self.a:
+                continue
+            sums = self.label_sums(cube, region)
+            if not self.biased(sums):
+                continue
+            score = weight * sums[0]
+            if best is None or score > best_score:
+                best, best_score = cube, score
+        if best is None:
+            raise NoBiasedRectangleError("no biased subcube in the support")
+        return best
+
+    def elimination_bound(self, region: Masks, cube: Masks, w: dict[Masks, int]) -> Fraction:
+        """1-mass carried in ``region`` by w-subcubes support-disjoint from ``cube``.
+
+        ``w`` is projected onto ``region``.  Verified to be at most beta1 +
+        delta; a violation is fatal because the inequality is guaranteed for
+        product measures once ``cube`` is biased and ``w`` obeys its pointwise
+        caps.
+        """
+        if not self.biased(self.label_sums(cube, region)):
+            raise InfeasibleConstructionError("elimination bound requires a biased subcube")
+        total = sum(num * self.label_sums(c, region)[1] for c, num in w.items() if not c[0] & cube[0])
+        value = Fraction(total, self.w_den * sum(self.label_sums((0, 0), region)))
+        if value > self.cap:
+            raise InfeasibleConstructionError(
+                f"disjoint-support 1-mass {value} exceeds beta1 + delta = {self.cap}"
+            )
+        return value
+
+    def recurse(
+        self, region: Masks, u: dict[Masks, int], w: dict[Masks, int], alpha1: tuple[int, int],
+        budget: int,
+    ) -> DecisionTree:
+        """The subtree of ``region``; ``u`` and ``w`` are projected onto a region around it.
+
+        ``w`` has lost the subcubes eliminated above, and ``alpha1`` is a
+        (numerator, denominator) pair.
+        """
+        stats = self.stats
+        m0, m1 = self.label_sums((0, 0), region)
+        if 4 * min(m0, m1) < m0 + m1:
+            stats.guess_leaves += 1
+            return Leaf(popular_label(m0, m1))
+        if not self.assumption_holds((m0, m1)):
+            stats.assumption_leaves += 1
+            return Leaf(1)
+        if budget == 0:
+            stats.budget_leaves += 1
+            return Leaf(popular_label(m0, m1))
+
+        u, w = _project(u, region), _project(w, region)
+        a0 = self.find_biased_subcube(region, u)
+        stats.elimination_values.append(self.elimination_bound(region, a0, w))
+        stats.internal_nodes += 1
+        support = a0[0]
+        # support-disjoint w mass is eliminated
+        w = {c: num for c, num in w.items() if c[0] & support}
+        # by outcome, its values on ``support``: label sums, and W times the kept w-mass on label 1
+        weights, labels = self.mu.point_weights[1], self.g.labels
+        n = self.g.n
+        out, carried = [[0] * (1 << n), [0] * (1 << n)], [0] * (1 << n)
+        for x in self.within((0, 0), region).members():
+            out[labels[x]][x & support] += weights[x]
+        for c, num in w.items():
+            for x in self.within(c, region).members():
+                if labels[x]:
+                    carried[x & support] += num * weights[x]
+
+        outcomes: dict[int, DecisionTree] = {}
+        # sum over outcomes of mu_1(outcome) * alpha1^outcome, times w_den * mu(region)
+        expectation = 0
+        for values in Subcube(n, support ^ ((1 << n) - 1), 0).members():  # ascending
+            one = self.w_den * out[1][values]
+            held = one - carried[values]  # alpha1^outcome = held / one
+            expectation += held
+            if one and held >= one:
+                stats.margin_leaves += 1
+                outcomes[values] = Leaf(popular_label(out[0][values], out[1][values]))
+            else:
+                outcomes[values] = self.recurse((region[0] | support, region[1] | values), u, w,
+                                                (held, one or 1), budget - 1)
+
+        expectation = Fraction(expectation, self.w_den * (m0 + m1))
+        bound = (Fraction(*alpha1) + self.slack) * Fraction(m1, m0 + m1)
+        if expectation > bound:
+            raise InfeasibleConstructionError(
+                f"outcome-averaged margin {expectation} exceeds {bound}"
+            )
+        stats.expectation_checks += 1
+
+        bits = [i for i in range(n) if (support >> i) & 1]
+
+        def attach(i: int, values: int) -> DecisionTree:
+            if i == len(bits):
+                return outcomes[values]
+            return DNode(
+                bits[i],
+                attach(i + 1, values),
+                attach(i + 1, values | (1 << bits[i])),
+            )
+
+        return attach(0, 0)
+
+
+def _project(cubes: dict[Masks, int], region: Masks) -> dict[Masks, int]:
+    """``model.project_weights`` on masks: the subcubes meeting ``region``, its bits dropped.
+
+    Subcubes that project alike add up.
+    """
+    rs, rv = region
+    out: dict[Masks, int] = {}
+    for (s, v), num in cubes.items():
+        if not (v ^ rv) & s & rs:
+            key = (s & ~rs, v & ~rs)
+            out[key] = out.get(key, 0) + num
+    return out
 
 
 def certified_error_budget(system: qcbounds.FeasibleSystem, delta: Fraction) -> Fraction:

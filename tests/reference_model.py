@@ -1,4 +1,4 @@
-"""Measure and subcube code as it was before it moved behind ``label_masses``.
+"""Measure, subcube and synthesis code as it was before it moved to integers.
 
 ``measure`` and ``bit_measure`` computed one label's mass of a region per
 call, summing ``Fraction`` products cell by cell.  ``protocol_error`` and
@@ -16,13 +16,26 @@ They are kept here verbatim, apart from names, as the reference that
 ``lpbounds.trees``, ``BitProductDistribution.fixed_cube``,
 ``Subcube.project``, ``project_weights`` and ``weighted_label_masses`` against;
 ``tests/reference_oracle.py`` still uses ``measure`` and ``bit_measure``.
+
+``build_decision_tree`` is ``qcsynth.build_decision_tree`` as it was on
+Fractions: each outcome conditioned ``mu`` into a new
+``BitProductDistribution`` (``condition``, once
+``BitProductDistribution.condition``), projected ``u`` and ``w`` with
+``project_weights`` and compared Fraction masses, through the Fraction
+``find_biased_subcube`` and ``elimination_bound``.  ``tests/test_qcsynth.py``
+compares the integer build against it: trees, ``BuildStats`` and refusals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lpbounds.errors import DimensionMismatchError
+from lpbounds import qcbounds
+from lpbounds.errors import (
+    DimensionMismatchError,
+    InfeasibleConstructionError,
+    NoBiasedRectangleError,
+)
 from lpbounds.model import (
     BitProductDistribution,
     ProductDistribution2P,
@@ -30,8 +43,23 @@ from lpbounds.model import (
     Rectangle,
     Subcube,
     TwoPartyFunction,
+    cube_key,
+    full_cube,
+    popular_label,
+    project_weights,
 )
-from lpbounds.trees import DecisionTree, ProtocolTree, dtree_evaluate, evaluate
+from lpbounds.qcsynth import BuildStats, certified_error_budget
+from lpbounds.trees import (
+    DecisionTree,
+    DNode,
+    Leaf,
+    ProtocolTree,
+    dtree_evaluate,
+    dtree_queried_bits_ok,
+    evaluate,
+    tree_depth,
+)
+from lpbounds.trees import dtree_error as measured_dtree_error
 
 
 def measure(
@@ -187,3 +215,175 @@ def project_loop(
         if proj is not None:
             sub_w[proj] = sub_w.get(proj, Fraction(0)) + v
     return sub_u, sub_w
+
+
+def condition(mu: BitProductDistribution, support: int, values: int) -> BitProductDistribution:
+    """Overwrite the marginals on ``support`` with point masses ``values``."""
+    return BitProductDistribution(
+        tuple(
+            (Fraction(1) if (values >> i) & 1 else Fraction(0))
+            if (support >> i) & 1
+            else q
+            for i, q in enumerate(mu.p)
+        )
+    )
+
+
+def find_biased_subcube(
+    g: QueryFunction,
+    mu: BitProductDistribution,
+    u: dict[Subcube, Fraction],
+    alpha0: Fraction,
+    beta0: Fraction,
+    delta: Fraction,
+    a: int,
+) -> Subcube:
+    """A biased support subcube: mu_1(A) <= delta * mu_0(A), support <= a."""
+    mu0, mu1 = mu.label_masses(g, full_cube(g.n))
+    if (1 - alpha0) * mu0 - (beta0 / delta) * mu1 <= 0:
+        raise NoBiasedRectangleError(
+            "biased-subcube assumption fails: answering 1 without queries"
+        )
+    best: Subcube | None = None
+    best_score: Fraction | None = None
+    for cube in sorted(u, key=cube_key):
+        weight = u[cube]
+        if weight <= 0 or cube.size > a:
+            continue
+        m0, m1 = mu.label_masses(g, cube)
+        if m1 > delta * m0:
+            continue
+        score = weight * m0
+        if best_score is None or score > best_score:
+            best, best_score = cube, score
+    if best is None:
+        raise NoBiasedRectangleError("no biased subcube in the support")
+    return best
+
+
+def elimination_bound(
+    g: QueryFunction,
+    mu: BitProductDistribution,
+    cube: Subcube,
+    w: dict[Subcube, Fraction],
+    beta1: Fraction,
+    delta: Fraction,
+) -> Fraction:
+    """1-mass carried by w-subcubes support-disjoint from ``cube``, at most beta1 + delta."""
+    m0, m1 = mu.label_masses(g, cube)
+    if m1 > delta * m0:
+        raise InfeasibleConstructionError("elimination bound requires a biased subcube")
+    disjoint = {b: wv for b, wv in w.items() if b.support & cube.support == 0}
+    total = mu.weighted_label_masses(g, disjoint)[1]
+    if total > beta1 + delta:
+        raise InfeasibleConstructionError(
+            f"disjoint-support 1-mass {total} exceeds beta1 + delta = {beta1 + delta}"
+        )
+    return total
+
+
+def build_decision_tree(
+    g: QueryFunction,
+    mu: BitProductDistribution,
+    system: qcbounds.FeasibleSystem,
+    delta: Fraction,
+) -> tuple[DecisionTree, BuildStats]:
+    """Decision tree of depth at most a*b with certified error, on Fractions."""
+    if delta <= 0:
+        raise DimensionMismatchError("delta must be positive")
+    if not 0 <= system.alpha0 < 1:
+        raise DimensionMismatchError("the 0-side margin alpha0 must lie in [0, 1)")
+    if g.n != mu.n or g.n != system.n:
+        raise DimensionMismatchError("bit counts disagree")
+    problems = system.verify(g, mu)
+    if problems:
+        raise InfeasibleConstructionError(f"infeasible system: {problems[0]}")
+
+    stats = BuildStats()
+    quarter = Fraction(1, 4)
+    cube_all = full_cube(g.n)
+    full = (1 << g.n) - 1
+
+    def recurse(
+        cur_mu: BitProductDistribution,
+        u: dict[Subcube, Fraction],
+        w: dict[Subcube, Fraction],
+        alpha1: Fraction,
+        budget: int,
+    ) -> DecisionTree:
+        m0, m1 = cur_mu.label_masses(g, cube_all)
+        if min(m0, m1) < quarter:
+            stats.guess_leaves += 1
+            return Leaf(popular_label(m0, m1))
+        if (1 - system.alpha0) * m0 - (system.beta0 / delta) * m1 <= 0:
+            stats.assumption_leaves += 1
+            return Leaf(1)
+        if budget == 0:
+            stats.budget_leaves += 1
+            return Leaf(popular_label(m0, m1))
+
+        a0 = find_biased_subcube(
+            g, cur_mu, u, system.alpha0, system.beta0, delta, system.a
+        )
+        stats.elimination_values.append(
+            elimination_bound(g, cur_mu, a0, w, system.beta1, delta)
+        )
+        stats.internal_nodes += 1
+        support = a0.support
+        bits = [i for i in range(g.n) if (support >> i) & 1]
+
+        outcomes: dict[int, DecisionTree] = {}
+        expectation = Fraction(0)
+        for values in Subcube(g.n, full ^ support, 0).members():
+            outcome = Subcube(g.n, support, values)
+            sub_mu = condition(cur_mu, support, values)
+            sub_u = project_weights(u, outcome)
+            # support-disjoint w mass is eliminated
+            sub_w = project_weights({c: v for c, v in w.items() if c.support & support}, outcome)
+            sub_m0, sub_m1 = sub_mu.label_masses(g, cube_all)
+            if sub_m1 == 0:
+                sub_alpha1 = Fraction(0)
+            else:
+                sub_alpha1 = 1 - sub_mu.weighted_label_masses(g, sub_w)[1] / sub_m1
+            # mu(outcome) * sub_m1 is mu_1(outcome): sub_mu is mu conditioned on the outcome
+            expectation += cur_mu.label_masses(g, outcome)[1] * sub_alpha1
+            if sub_alpha1 >= 1:
+                stats.margin_leaves += 1
+                outcomes[values] = Leaf(popular_label(sub_m0, sub_m1))
+            else:
+                outcomes[values] = recurse(sub_mu, sub_u, sub_w, sub_alpha1, budget - 1)
+
+        bound = (alpha1 + 4 * system.beta1 + 4 * delta) * m1
+        if expectation > bound:
+            raise InfeasibleConstructionError(
+                f"outcome-averaged margin {expectation} exceeds {bound}"
+            )
+        stats.expectation_checks += 1
+
+        def attach(i: int, values: int) -> DecisionTree:
+            if i == len(bits):
+                return outcomes[values]
+            return DNode(
+                bits[i],
+                attach(i + 1, values),
+                attach(i + 1, values | (1 << bits[i])),
+            )
+
+        return attach(0, 0)
+
+    tree = recurse(mu, dict(system.u), dict(system.w), system.alpha1, system.b)
+
+    depth = tree_depth(tree)
+    if depth > system.a * system.b:
+        raise InfeasibleConstructionError(
+            f"depth {depth} exceeds a*b = {system.a * system.b}"
+        )
+    if not dtree_queried_bits_ok(tree):
+        raise InfeasibleConstructionError("a path queries the same bit twice")
+    stats.error = measured_dtree_error(tree, g, mu)
+    formula = certified_error_budget(system, delta)
+    if stats.error > formula:
+        raise InfeasibleConstructionError(
+            f"measured error {stats.error} exceeds the certified budget {formula}"
+        )
+    return tree, stats

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -193,6 +194,30 @@ def test_synth_qc_and_oracle_sandwich(workspace):
     sandwich = [r for r in recs if r["record"] == "sandwich"]
     assert sandwich and sandwich[0]["oracle_error"] == "0"
     assert main(["verify", oracle_out]) == 0
+
+
+# sha256 of the report and the tree ``synth-qc`` writes for maj5 and xor5 under
+# the skewed measure p_i = (i+1)/8, run with paths relative to their directory
+SYNTH_QC_SKEWED = {
+    "maj5": ("9429d469810e96e835a67c3bedf3c8440b732b252e2cb665c34d33d15a78566a",
+             "1f668bd4559a32174d6e87de0395c7bf2cb5b732e14e6e76580b3503665f8c7b"),
+    "xor5": ("83f3cfe5a85c1442ae29b4df0c221487688608f5493a085f3d0247724c3b8388",
+             "5a0ee5853396ba9e74c701361859ab3d858da65a1ea6cff876ebb28226a5599a"),
+}
+
+
+@pytest.mark.parametrize("name", SYNTH_QC_SKEWED)
+def test_synth_qc_report_bytes_are_pinned_on_five_bits(tmp_path, monkeypatch, name):
+    """Beyond the bench corpus: five bits, a skewed measure, and ``verify``'s replay."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", name[:3], "5", "--side", "qc", "--out", f"{name}.qc"]) == 0
+    Path("skew5.dist").write_text("p: 1/8 2/8 3/8 4/8 5/8\n")
+    report, tree = f"synth-{name}.jsonl", f"{name}.dtree"
+    assert main(["synth-qc", f"{name}.qc", "skew5.dist", "--out", report, "--tree-out", tree]) == 0
+    assert tuple(hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in (report, tree)) == (
+        SYNTH_QC_SKEWED[name]
+    )
+    assert main(["verify", report]) == 0
 
 
 def test_oracle_sandwich_skips_an_artifact_deeper_than_the_search(workspace):

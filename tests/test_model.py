@@ -377,13 +377,6 @@ def test_distribution_validation():
         BitProductDistribution((Fraction(3, 2),))
 
 
-def test_condition_overwrites_marginals():
-    mu = BitProductDistribution.uniform(3)
-    cond = mu.condition(0b011, 0b001)
-    assert cond.p == (Fraction(1), Fraction(0), Fraction(1, 2))
-    assert cond.fixed_cube() == Subcube(3, 0b011, 0b001)
-
-
 def test_two_party_function_validation():
     with pytest.raises(DimensionMismatchError):
         TwoPartyFunction(((0, 1), (1,)))

@@ -2,7 +2,10 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+import reference_model
 from conftest import CC_CORPUS, QC_CORPUS, UNIFORM_4x4, assert_refuses, qprt_cached
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpbounds import families, qcsynth
 from lpbounds import lp as lpmod
@@ -13,7 +16,7 @@ from lpbounds.errors import (
     LpboundsError,
     NoBiasedRectangleError,
 )
-from lpbounds.model import BitProductDistribution, Subcube, full_cube
+from lpbounds.model import BitProductDistribution, QueryFunction, Subcube, enumerate_subcubes, full_cube
 from lpbounds.qcbounds import (
     FeasibleSystem,
     boost_qprt,
@@ -22,9 +25,8 @@ from lpbounds.qcbounds import (
     qprt_solution,
 )
 from lpbounds.qcsynth import (
+    Recursion,
     build_decision_tree,
-    elimination_bound,
-    find_biased_subcube,
     certified_error_budget,
     synthesis_pipeline,
 )
@@ -58,55 +60,69 @@ def test_dtree_error_rejects_a_measure_of_another_bit_count():
         dtree_error(Leaf(0), families.and_q(2), U3)
 
 
+def _recursion(g, mu, delta, **fields):
+    """The integer state of a build of ``g`` under a system with ``fields``: the others are 0, {} and n."""
+    defaults = dict(u={}, w={}, alpha0=F(0), beta0=F(0), alpha1=F(0), beta1=F(0), a=g.n, b=g.n)
+    return Recursion(g, mu, FeasibleSystem(n=g.n, **{**defaults, **fields}), delta)
+
+
+def _masks(pattern):
+    cube = Subcube.from_pattern(pattern)
+    return cube.support, cube.values
+
+
 def test_find_biased_subcube_constant():
     g = families.const_q(2, 0)
-    u = {full_cube(2): F(1)}
-    cube = find_biased_subcube(g, U2, u, F(0), F(0), F(1, 8), 2)
-    assert cube == full_cube(2)
+    build = _recursion(g, U2, F(1, 8), u={full_cube(2): F(1)}, a=2)
+    assert build.find_biased_subcube((0, 0), build.u) == (0, 0)
 
 
 def test_find_biased_subcube_assumption_failure():
     g = families.const_q(2, 1)  # mu_0 = 0: assumption fails, caller answers 1
-    u = {full_cube(2): F(1)}
+    build = _recursion(g, U2, F(1, 8), u={full_cube(2): F(1)}, beta0=F(1, 4), a=2)
     with pytest.raises(NoBiasedRectangleError):
-        find_biased_subcube(g, U2, u, F(0), F(1, 4), F(1, 8), 2)
+        build.find_biased_subcube((0, 0), build.u)
 
 
 def test_find_biased_subcube_and3():
     g, system = and3_system()
-    cube = find_biased_subcube(
+    build = Recursion(g, U3, system, F(1, 8))
+    cube = build.find_biased_subcube((0, 0), build.u)
+    m0, m1 = U3.label_masses(g, Subcube(3, *cube))
+    assert m1 <= F(1, 8) * m0
+    assert Subcube(3, *cube) == reference_model.find_biased_subcube(
         g, U3, system.u, system.alpha0, system.beta0, F(1, 8), system.a
     )
-    m0, m1 = U3.label_masses(g, cube)
-    assert m1 <= F(1, 8) * m0
 
 
 def test_elimination_bound_empty():
-    g = QC_CORPUS["and3"]
-    biased = Subcube.from_pattern("0**")
-    assert elimination_bound(g, U3, biased, {}, F(1, 8), F(1, 8)) == 0
+    build = _recursion(QC_CORPUS["and3"], U3, F(1, 8), beta1=F(1, 8))
+    assert build.elimination_bound((0, 0), _masks("0**"), {}) == 0
 
 
 def test_elimination_bound_full_cube_support():
     # empty support: every subcube is support-disjoint, and a full-cube bias
     # mu_1 <= delta mu_0 keeps the whole 1-mass within beta1 + delta
-    g = QC_CORPUS["or3"]  # mu_1 = 7/8 -> full cube not biased at delta 1/8
+    # mu_1 = 7/8 -> full cube not biased at delta 1/8
+    build = _recursion(QC_CORPUS["or3"], U3, F(1, 8), beta1=F(1, 8))
     with pytest.raises(InfeasibleConstructionError):
-        elimination_bound(g, U3, full_cube(3), {}, F(1, 8), F(1, 8))
-    g_and = QC_CORPUS["and3"]  # mu_1 = 1/8 <= (1/7) mu_0: biased at delta 1/7
-    w = {full_cube(3): F(1, 2)}
-    value = elimination_bound(g_and, U3, full_cube(3), w, F(1, 2), F(1, 7))
+        build.elimination_bound((0, 0), (0, 0), {})
+    # mu_1 = 1/8 <= (1/7) mu_0: biased at delta 1/7
+    build = _recursion(QC_CORPUS["and3"], U3, F(1, 7), w={full_cube(3): F(1, 2)}, beta1=F(1, 2))
+    value = build.elimination_bound((0, 0), (0, 0), build.w)
     assert value == F(1, 2) * F(1, 8)
     assert value <= F(1, 2) + F(1, 7)
 
 
 def test_elimination_bound_and3_pipeline():
     g, system = and3_system()
-    cube = find_biased_subcube(
-        g, U3, system.u, system.alpha0, system.beta0, F(1, 8), system.a
-    )
-    value = elimination_bound(g, U3, cube, system.w, system.beta1, F(1, 8))
+    build = Recursion(g, U3, system, F(1, 8))
+    cube = build.find_biased_subcube((0, 0), build.u)
+    value = build.elimination_bound((0, 0), cube, build.w)
     assert value <= system.beta1 + F(1, 8)
+    assert value == reference_model.elimination_bound(
+        g, U3, Subcube(3, *cube), system.w, system.beta1, F(1, 8)
+    )
 
 
 def test_build_tree_constant_zero():
@@ -208,10 +224,10 @@ def _and3_tree(delta=F(1, 8), mu=U3, **system_changes):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: find_biased_subcube(QC_CORPUS["and3"], U3, {}, F(0), F(0), F(1, 8), 3),
+        (lambda: _recursion(QC_CORPUS["and3"], U3, F(1, 8)).find_biased_subcube((0, 0), {}),
          NoBiasedRectangleError, "no biased subcube in the support"),
-        (lambda: elimination_bound(QC_CORPUS["and3"], U3, Subcube.from_pattern("0**"), {full_cube(3): F(1)},
-                                   F(0), F(1, 16)),
+        (lambda: _recursion(QC_CORPUS["and3"], U3, F(1, 16)).elimination_bound(
+            (0, 0), _masks("0**"), {(0, 0): 1}),
          InfeasibleConstructionError, "disjoint-support 1-mass 1/8 exceeds beta1 + delta = 1/16"),
         (lambda: _and3_tree(delta=F(0)), DimensionMismatchError, "delta must be positive"),
         (lambda: _and3_tree(alpha0=F(1)),
@@ -345,3 +361,144 @@ def test_fixed_bits_never_queried():
 
     assert 0 not in bits_used(rep.tree, set())
     assert rep.error <= rep.error_budget
+
+
+def test_condition_overwrites_marginals():
+    mu = BitProductDistribution.uniform(3)
+    cond = reference_model.condition(mu, 0b011, 0b001)
+    assert cond.p == (F(1), F(0), F(1, 2))
+    assert cond.fixed_cube() == Subcube(3, 0b011, 0b001)
+
+
+def _outcome(build, *args):
+    """What ``build(*args)`` gives: the tree and stats, or the refusal's type and message."""
+    try:
+        return build(*args)
+    except LpboundsError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_builds_alike(g, mu, system, delta):
+    got = _outcome(build_decision_tree, g, mu, system, delta)
+    assert got == _outcome(reference_model.build_decision_tree, g, mu, system, delta)
+    return got
+
+
+def _skewed(n):
+    return BitProductDistribution(tuple(F(i + 1, n + 3) for i in range(n)))
+
+
+@pytest.mark.parametrize("name", QC_CORPUS)
+@pytest.mark.parametrize("measure", ["uniform", "skewed", "fixed"])
+def test_build_matches_the_fraction_build_on_pipeline_systems(name, measure):
+    """Systems as ``synthesis_pipeline`` extracts them; every bench tree is such a build."""
+    g = QC_CORPUS[name]
+    mu = {
+        "uniform": BitProductDistribution.uniform(g.n),
+        "skewed": _skewed(g.n),
+        "fixed": BitProductDistribution((F(1),) + (F(1, 3),) * (g.n - 1)),
+    }[measure]
+    gamma = F(1, 13**8)
+    boosted = boost_qprt(qprt_solution(g, qprt_cached(name, F(1, 8))), g,
+                         min_odd_votes_for_error(F(7, 8), gamma))
+    system = extract_feasible(boosted, gamma, g, mu)
+    for delta in (F(1, 13**4), F(1, 8), F(1, 2)):
+        _assert_builds_alike(g, mu, system, delta)
+
+
+class _Unchecked(FeasibleSystem):
+    """A system that passes ``verify`` unread, so that the recursion's own checks refuse it."""
+
+    def verify(self, g, mu):
+        return []
+
+
+def _xor2_unchecked(**fields):
+    """xor2 with u on its two 0-points, as ``test_build_tree_margin_leaves`` has it, changed by ``fields``."""
+    u = {Subcube.from_pattern("00"): F(1), Subcube.from_pattern("11"): F(1)}
+    defaults = dict(n=2, u=u, w={}, alpha0=F(0), beta0=F(0), alpha1=F(1), beta1=F(0), a=2, b=2)
+    return _Unchecked(**{**defaults, **fields})
+
+
+@pytest.mark.parametrize(
+    "system, error, message",
+    [
+        (_xor2_unchecked(u={full_cube(2): F(1)}), NoBiasedRectangleError, "no biased subcube in the support"),
+        (_xor2_unchecked(w={full_cube(2): F(1)}),
+         InfeasibleConstructionError, "disjoint-support 1-mass 1/2 exceeds beta1 + delta = 1/16"),
+        # both 1-points end in margin leaves, alpha1^sigma = 1, against alpha1 = 0
+        (_xor2_unchecked(alpha1=F(0)), InfeasibleConstructionError, "outcome-averaged margin 1/2 exceeds 1/8"),
+    ],
+    ids=["no-biased-subcube", "elimination", "expectation"],
+)
+def test_build_refuses_as_the_fraction_build_does(system, error, message):
+    g = QC_CORPUS["xor2"]
+    assert_refuses(lambda: build_decision_tree(g, U2, system, F(1, 16)), error, message)
+    _assert_builds_alike(g, U2, system, F(1, 16))
+
+
+@st.composite
+def _build_inputs(draw):
+    """A function of n <= 4 bits, a bit-product measure and a system on its free bits.
+
+    ``u`` draws its subcubes mostly from those whose points (where mu is
+    positive) all have label 0, and ``w`` from those all of label 1, so
+    that the recursion queries; a few others come at random.  Half of the
+    systems get the margins that make them verify, as ``extract_feasible``'s
+    do; the others get margins at random and skip ``verify``, so that the
+    recursion's own checks refuse some of them.
+    """
+    n = draw(st.integers(1, 4))
+    full = (1 << n) - 1
+    rng = draw(st.randoms(use_true_random=False))
+    g = QueryFunction(n, tuple(rng.randint(0, 1) for _ in range(1 << n)))
+    marginals = draw(st.sampled_from([
+        st.just(F(1, 2)),
+        st.integers(1, 7).map(lambda k: F(k, 8)),
+        st.sampled_from([F(0), F(1), F(1, 3), F(3, 4)]),
+    ]))
+    mu = BitProductDistribution(tuple(draw(marginals) for _ in range(n)))
+    fixed = mu.fixed_cube()
+    points = list(fixed.members())
+    cubes = [c for c in enumerate_subcubes(n) if not c.support & fixed.support]
+    pure = [[c for c in cubes if all(g.value(x) == z for x in points if c.contains(x))] for z in (0, 1)]
+    checked = draw(st.booleans())
+
+    def family(z, most):
+        chosen = draw(st.lists(st.sampled_from(pure[z]), max_size=6)) if pure[z] else []
+        chosen += draw(st.lists(st.sampled_from(cubes), max_size=2))
+        weight = st.integers(1 if checked else -1, most).map(lambda k: F(k, 8))
+        return {c: draw(weight) for c in chosen}
+
+    u, w = family(0, 8), family(1, 2 if checked else 8)
+    if checked:  # every point of label 0 covered, so that alpha0 < 1
+        free = full ^ fixed.support
+        u.update({Subcube(n, free, x & free): F(1, 8) for x in points if g.value(x) == 0})
+    margin = st.sampled_from([F(0), F(1, 16), F(1, 4), F(1)])
+    fields = dict(n=n, u=u, w=w, alpha0=draw(st.sampled_from([F(0), F(1, 8), F(1, 2)])),
+                  beta0=draw(margin), alpha1=draw(margin), beta1=draw(margin),
+                  a=draw(st.one_of(st.just(n), st.integers(0, n))), b=draw(st.integers(0, n)))
+    if checked:
+        um, wm = ([sum((v for c, v in weights.items() if c.contains(x)), F(0)) for x in points]
+                  for weights in (u, w))
+        zeros = [i for i, x in enumerate(points) if g.value(x) == 0]
+        ones = [i for i, x in enumerate(points) if g.value(x) == 1]
+        mu1 = mu.label_masses(g, full_cube(n))[1]
+        fields.update(
+            alpha0=max([F(0)] + [1 - um[i] for i in zeros]),
+            beta0=max([F(0)] + [um[i] for i in ones]),
+            beta1=max([F(0)] + [wm[i] for i in zeros]),
+            alpha1=1 - mu.weighted_label_masses(g, w)[1] / mu1 if mu1 else F(0),
+            a=max([0] + [c.size for c in u]),
+            b=max([fields["b"]] + [c.size for c in w]),
+        )
+    system = (FeasibleSystem if checked else _Unchecked)(**fields)
+    delta = draw(st.sampled_from([F(1, 16), F(1, 8), F(1, 4), F(1, 2), F(1)]))
+    return g, mu, system, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_build_inputs())
+def test_build_matches_the_fraction_build(inputs):
+    """Same tree, same ``BuildStats`` field by field, or the same refusal: type and message."""
+    _assert_builds_alike(*inputs)
