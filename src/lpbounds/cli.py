@@ -429,12 +429,26 @@ def run_verify(path: str) -> int:
 
 
 def _write(path: str | None, text: str) -> None:
-    """Write ``text`` to file ``path``, or to stdout when no path is given."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write ``text`` to file ``path``, or to stdout when no path is given.
+
+    An existing file is rewritten in place (same inode, permissions and
+    symlink target) and its tail cut only when it was longer: a truncation
+    to zero on open makes the filesystem free and reallocate the blocks,
+    about 200 us a rewrite.  Devices and FIFOs report size 0, so they are
+    never truncated."""
+    if not path:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 @functools.cache  # built once per process; parse_args keeps no state between calls

@@ -152,7 +152,6 @@ import json
 import os
 import struct
 import sys
-import uuid
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
@@ -909,7 +908,7 @@ def _cache_store(path: str, sol: LPSolution) -> None:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
     # a temp name of its own, so concurrent writers never share one
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    tmp = f"{path}.{os.urandom(16).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             json.dump(sol.to_record(), fh, sort_keys=True)

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import hashlib
 import json
 import os
@@ -620,3 +622,98 @@ def test_repeated_main_calls_match_fresh_processes(workspace, capsys):
         assert (code, captured.out) == (fresh_code, fresh_out)
         if code == 2:  # argparse's usage line and message carry no timing
             assert captured.err == fresh_err
+
+
+# --- the writer: every report, tree and ``gen`` output goes through ``cli._write``
+
+
+def _qprt_report(workspace, out):
+    return main(["bounds", workspace["xor2"], "--which", "qprt", "--eps", "1/8", "--out", str(out)])
+
+
+def test_a_report_over_a_longer_stale_file_leaves_exactly_its_bytes(workspace, capsys):
+    fresh, stale = workspace["dir"] / "fresh.jsonl", workspace["dir"] / "stale.jsonl"
+    assert _qprt_report(workspace, fresh) == 0
+    stale.write_bytes(b"x" * (3 * len(fresh.read_bytes())))
+    assert _qprt_report(workspace, stale) == 0
+    assert stale.read_bytes() == fresh.read_bytes()
+    assert main(["verify", str(stale)]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
+
+
+def test_an_overwrite_keeps_the_inode_and_mode(workspace):
+    out = workspace["dir"] / "kept.jsonl"
+    out.write_text("an older report\n")
+    out.chmod(0o640)
+    before = out.stat()
+    assert _qprt_report(workspace, out) == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert records_of(out)[1]["value"] == "49/4"
+
+
+def test_out_through_a_symlink_updates_the_target_and_keeps_the_link(workspace):
+    target, link = workspace["dir"] / "target.jsonl", workspace["dir"] / "link.jsonl"
+    target.write_text("an older report, longer than nothing at all\n" * 50)
+    link.symlink_to(target.name)
+    assert _qprt_report(workspace, link) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert records_of(target)[1]["value"] == "49/4"
+
+
+def test_out_to_the_null_device_exits_0(workspace):
+    assert _qprt_report(workspace, os.devnull) == 0
+    assert main(["gen", "maj", "3", "--out", os.devnull]) == 0
+
+
+def test_no_output_is_truncated_on_open(workspace, monkeypatch):
+    """Existing outputs are rewritten in place: no ``O_TRUNC`` and no ``"w"`` mode."""
+    out, tree = workspace["dir"] / "sqc.jsonl", workspace["dir"] / "xor2.dtree"
+    argv = ["synth-qc", workspace["xor2"], workspace["bits"], "--out", str(out), "--tree-out", str(tree)]
+    assert main(argv) == 0
+    expected = out.read_bytes(), tree.read_bytes()
+    out.write_text("stale\n" * 1000)
+    tree.write_text("stale\n" * 1000)
+    outputs = {str(out), str(tree)}
+    opened = []
+    os_open, builtin_open = os.open, builtins.open
+
+    def record_os_open(path, flags, *args, **kwargs):
+        if os.fspath(path) in outputs:
+            opened.append(("os.open", os.fspath(path), flags & os.O_TRUNC != 0))
+        return os_open(path, flags, *args, **kwargs)
+
+    def record_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) in outputs:
+            opened.append(("open", os.fspath(file), "w" in mode))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", record_os_open)
+    monkeypatch.setattr(builtins, "open", record_open)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert {path for _, path, _ in opened} == outputs
+    assert [entry for entry in opened if entry[2]] == []
+    assert (out.read_bytes(), tree.read_bytes()) == expected
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag", "where"),
+    [
+        (["gen", "maj", "3"], "--out", "dir"),
+        (["bounds", "xor2", "--which", "qprt", "--eps", "1/8"], "--out", "dir"),
+        (["bounds", "xor2", "--which", "qprt", "--eps", "1/8"], "--out", "missing"),
+        (["synth-qc", "xor2", "bits"], "--tree-out", "dir"),
+        (["synth-qc", "xor2", "bits"], "--tree-out", "missing"),
+    ],
+)
+def test_an_unwritable_output_path_exits_1_with_one_error_line(workspace, capsys, argv, flag, where):
+    path = str(workspace["dir"]) if where == "dir" else str(workspace["dir"] / "missing" / "out")
+    code = errno.EISDIR if where == "dir" else errno.ENOENT
+    argv = [workspace.get(arg, arg) for arg in argv]
+    assert main(argv + [flag, path]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[1].startswith(f"[{argv[0]} ")
+    assert err[0] == f"error: [Errno {code}] {os.strerror(code)}: {path!r}"
+    assert captured.out == ""
