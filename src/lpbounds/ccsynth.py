@@ -6,7 +6,10 @@ smaller objective value supplies a large biased rectangle S = X0 x Y0
 (bias rho = sqrt(delta)); the other side's solution either shows the
 off-diagonal block is already lopsided (answer the biased label) or
 restricts to a sub-solution whose objective drops by the factor 0.9 and
-whose covering level is recomputed exactly.  The recursion then branches:
+whose covering level is recomputed exactly.  A node is its active
+rectangle A: it reads the caller's measure on subrectangles of A, which
+gives the masses of that measure restricted to A.  The recursion then
+branches:
 
     [speaker announces membership in the biased block]
       inside,inside  -> leaf with the biased label          (S itself)
@@ -79,25 +82,25 @@ def weight_value(weights: RectWeights) -> Fraction:
 def find_biased_rectangle(
     f: TwoPartyFunction,
     mu: ProductDistribution2P,
+    active: Rectangle,
     weights: RectWeights,
     rho: Fraction,
-    bound: Fraction,
     eps: Fraction,
     delta: Fraction,
     z: int,
 ) -> Rectangle:
-    """A support rectangle S biased toward z with guaranteed z-mass.
+    """S = R & active for a support rectangle R biased toward z on ``active``.
 
-    Bias: mu_{1-z}(S) <= rho * mu_z(S).  Mass: among biased support
-    rectangles the one maximizing mu_z(S) is returned (ties broken by
-    enumeration order), and by averaging it satisfies
+    Masses are ``mu``'s on ``active``.  Bias: mu_{1-z}(S) <= rho * mu_z(S).
+    Mass: among biased support rectangles the one maximizing mu_z(S) is
+    taken (ties broken by enumeration order), and by averaging it satisfies
 
-        mu_z(S) >= (1/bound) * ((1-eps) mu_z - (delta/rho) mu_{1-z}),
+        mu_z(S) >= (1/V) * ((1-eps) mu_z(active) - (delta/rho) mu_{1-z}(active)),
 
-    which is verified exactly.  Requires the right-hand side positive and
-    the support nonempty.
+    V the sum of the weights, which is verified exactly.  Requires the
+    right-hand side positive and the support nonempty.
     """
-    masses = mu.label_masses(f, full_rectangle(f))
+    masses = mu.label_masses(f, active)
     mu_z, mu_other = masses[z], masses[1 - z]
     demand = (1 - eps) * mu_z - (delta / rho) * mu_other
     if demand <= 0:
@@ -109,7 +112,7 @@ def find_biased_rectangle(
     for rect in sorted(weights, key=lambda r: (r.rows, r.cols)):
         if weights[rect] <= 0:
             continue
-        masses = mu.label_masses(f, rect)
+        masses = mu.label_masses(f, rect.intersect(active))
         m_z, m_other = masses[z], masses[1 - z]
         if m_other > rho * m_z:
             continue
@@ -117,11 +120,11 @@ def find_biased_rectangle(
             best, best_mass = rect, m_z
     if best is None or best_mass is None:
         raise NoBiasedRectangleError("no biased rectangle in the solution support")
-    if best_mass * bound < demand:
+    if best_mass * weight_value(weights) < demand:
         raise InfeasibleConstructionError(
             f"biased rectangle mass {best_mass} below the guaranteed level"
         )
-    return best
+    return best.intersect(active)
 
 
 @dataclass(frozen=True)
@@ -311,7 +314,8 @@ def synthesize(
     against their objective values.  Both final guarantees are verified
     exactly before the tree is returned (the advantage by exhaustive
     evaluation, never the recursion's own accounting).  The restricted
-    solutions are carried down the recursion unchanged.
+    solutions are carried down the recursion unchanged, and every node
+    reads ``mu`` on its active rectangle.
     """
     if mu.nx != f.nx or mu.ny != f.ny:
         raise DimensionMismatchError("measure shape does not match function")
@@ -319,49 +323,29 @@ def synthesize(
     q = params.delta_root
     rho = q * q
     tenth = Fraction(1, 10)
-    full = full_rectangle(f)
 
     def build(
-        active: Rectangle,
-        cur: ProductDistribution2P,
-        eps: Fraction,
-        s: int,
-        t: int,
-        w0: RectWeights,
-        w1: RectWeights,
+        active: Rectangle, eps: Fraction, s: int, t: int, w0: RectWeights, w1: RectWeights
     ) -> ProtocolTree:
         """The subtree on ``active`` with budgets (s, t); the module
         docstring lists its leaves and why s = 0 is never reached."""
-        m0, m1 = cur.label_masses(f, full)
+        m0, m1 = mu.label_masses(f, active)
         lopsided = max(m0, m1) >= 2 * min(m0, m1)
         budget = eps + 30 * (s + 1) * q >= tenth
         if lopsided or budget or s == 0 or t == 0:
             return Leaf(popular_label(m0, m1))
 
-        value0 = weight_value(w0)
-        value1 = weight_value(w1)
-        z_star = 0 if value0 <= value1 else 1
+        z_star = 0 if weight_value(w0) <= weight_value(w1) else 1
         bias_w, cover_w = (w0, w1) if z_star == 0 else (w1, w0)
-        s_rect = find_biased_rectangle(
-            f, cur, bias_w, rho, weight_value(bias_w), eps, params.delta, z_star
-        )
-        s_rect = Rectangle(s_rect.rows & active.rows, s_rect.cols & active.cols)
-        dec = decompose(f, cur, s_rect, cover_w, q, active, z_star)
+        s_rect = find_biased_rectangle(f, mu, active, bias_w, rho, eps, params.delta, z_star)
+        dec = decompose(f, mu, s_rect, cover_w, q, active, z_star)
 
         if dec.restricted is None:
             block_tree: ProtocolTree = Leaf(z_star)
         else:
             assert dec.sub_eps is not None
             sub_w0, sub_w1 = (w0, dec.restricted) if z_star == 0 else (dec.restricted, w1)
-            block_tree = build(
-                dec.block,
-                cur.restrict(dec.block),
-                dec.sub_eps,
-                s - 1,
-                t,
-                sub_w0,
-                sub_w1,
-            )
+            block_tree = build(dec.block, dec.sub_eps, s - 1, t, sub_w0, sub_w1)
 
         # block "01" (X0 x Y1): A asks about X0, then B about Y0; block "10" the other way round
         first, second = ("A", s_rect.rows), ("B", s_rect.cols)
@@ -369,7 +353,7 @@ def synthesize(
         if dec.case == "10":
             first, second = second, first
             rest = Rectangle(active.rows, active.cols & ~s_rect.cols)
-        rest_tree = build(rest, cur.restrict(rest), eps, s, t - 1, w0, w1)
+        rest_tree = build(rest, eps, s, t - 1, w0, w1)
         tree = PNode(*first, PNode(*second, Leaf(z_star), block_tree), rest_tree)
 
         l_sub, l_rest = leaf_count(block_tree), leaf_count(rest_tree)
@@ -379,7 +363,7 @@ def synthesize(
             raise InfeasibleConstructionError("node leaf budget exceeded")
         return tree
 
-    tree = build(full, mu, params.eps, params.s, params.t, weights0, weights1)
+    tree = build(full_rectangle(f), params.eps, params.s, params.t, weights0, weights1)
 
     leaves = leaf_count(tree)
     if not within_leaf_budget(leaves, params.s, params.t):

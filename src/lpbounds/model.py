@@ -291,19 +291,6 @@ class ProductDistribution2P(_PointMeasure):
         ys = [y for y in range(self.ny) if (rect.cols >> y) & 1]
         return [x * self.ny + y for x in range(self.nx) if (rect.rows >> x) & 1 for y in ys]
 
-    def restrict(self, rect: Rectangle) -> "ProductDistribution2P":
-        """Zero out all weight outside the rectangle; stays in product form."""
-        return ProductDistribution2P(
-            tuple(
-                w if (rect.rows >> x) & 1 else Fraction(0)
-                for x, w in enumerate(self.row_weights)
-            ),
-            tuple(
-                w if (rect.cols >> y) & 1 else Fraction(0)
-                for y, w in enumerate(self.col_weights)
-            ),
-        )
-
     @staticmethod
     def uniform(nx: int, ny: int) -> "ProductDistribution2P":
         """Normalized uniform measure: each cell carries 1/(nx*ny)."""

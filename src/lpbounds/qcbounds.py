@@ -177,24 +177,28 @@ def _masses_at(cubes: dict[Subcube, Fraction], points: list[int]) -> list[Fracti
 def extract_feasible(
     boosted: BoostedQprt,
     gamma: Fraction,
-    g: QueryFunction,
     mu: BitProductDistribution,
 ) -> FeasibleSystem:
-    """Split a boosted solution into a verified feasible system.
+    """Split a boosted solution into a feasible system for ``mu``.
 
     The support cutoff is d' = ceil(log2 objective) + ceil(log2 1/gamma);
     the discarded mass is verified to be below gamma (each discarded unit
     of weight costs more than objective/gamma in the objective).  Margins
     are alpha0 = beta0 = alpha1 = beta1 = 2*gamma and a = b = d'.  Requires
     the boosted error level to be at most gamma, which must be positive.
+    ``qcsynth.build_decision_tree`` verifies the system.
     """
+    sol = boosted.solution
+    if mu.n != sol.n:  # with the message label_masses gives
+        raise DimensionMismatchError(
+            f"bit counts disagree: measure {mu.n}, function {sol.n}, subcube {sol.n}"
+        )
     if gamma <= 0:
         raise DimensionMismatchError(f"gamma must be positive, got {format_rational(gamma)}")
     if boosted.achieved_error > gamma:
         raise InfeasibleConstructionError(
             f"boosted error {boosted.achieved_error} exceeds gamma {gamma}"
         )
-    sol = boosted.solution
     objective = sol.objective
     d = ceil_mul_log2(1, objective) if objective > 1 else 0
     dprime = d + ceil_mul_log2(1, 1 / gamma)
@@ -212,7 +216,7 @@ def extract_feasible(
     fixed = mu.fixed_cube()
     u = project_weights({cube: wv for (z, cube), wv in kept.items() if z == 0}, fixed)
     w = project_weights({cube: wv for (z, cube), wv in kept.items() if z == 1}, fixed)
-    system = FeasibleSystem(
+    return FeasibleSystem(
         n=sol.n,
         u=u,
         w=w,
@@ -223,9 +227,3 @@ def extract_feasible(
         a=dprime,
         b=dprime,
     )
-    problems = system.verify(g, mu)
-    if problems:
-        raise InfeasibleConstructionError(
-            f"extracted system failed verification: {problems[0]}"
-        )
-    return system

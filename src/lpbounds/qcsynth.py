@@ -367,7 +367,7 @@ def synthesis_pipeline(
     votes = min_odd_votes_for_error(1 - eps, gamma)
     sol = qcbounds.qprt_solution(g, bound)
     boosted = qcbounds.boost_qprt(sol, g, votes)
-    system = qcbounds.extract_feasible(boosted, gamma, g, mu)
+    system = qcbounds.extract_feasible(boosted, gamma, mu)
     if delta is None:
         delta = Fraction(1, c**4)
     tree, stats = build_decision_tree(g, mu, system, delta)

@@ -17,6 +17,11 @@ They are kept here verbatim, apart from names, as the reference that
 ``Subcube.project``, ``project_weights`` and ``weighted_label_masses`` against;
 ``tests/reference_oracle.py`` still uses ``measure`` and ``bit_measure``.
 
+``restrict`` is ``ProductDistribution2P.restrict``: protocol synthesis
+built one restricted measure per node with it, where it now reads the
+caller's measure on the node's active rectangle.  ``tests/test_model.py``
+checks that the two read the same masses.
+
 ``build_decision_tree`` is ``qcsynth.build_decision_tree`` as it was on
 Fractions: each outcome conditioned ``mu`` into a new
 ``BitProductDistribution`` (``condition``, once
@@ -125,6 +130,20 @@ def mass(mu: ProductDistribution2P, rect: Rectangle) -> Fraction:
         Fraction(0),
     )
     return rw * cw
+
+
+def restrict(mu: ProductDistribution2P, rect: Rectangle) -> ProductDistribution2P:
+    """Zero out all weight outside the rectangle; stays in product form."""
+    return ProductDistribution2P(
+        tuple(
+            w if (rect.rows >> x) & 1 else Fraction(0)
+            for x, w in enumerate(mu.row_weights)
+        ),
+        tuple(
+            w if (rect.cols >> y) & 1 else Fraction(0)
+            for y, w in enumerate(mu.col_weights)
+        ),
+    )
 
 
 def protocol_error(

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +28,7 @@ from lpbounds.errors import (
     CapExceededError,
     DimensionMismatchError,
     InfeasibleConstructionError,
+    LpboundsError,
     NoBiasedRectangleError,
 )
 from lpbounds.model import (
@@ -36,6 +39,7 @@ from lpbounds.model import (
     full_rectangle,
 )
 from lpbounds.rational import largest_fourth_power_at_most
+from lpbounds.serialize import write_protocol_tree
 from lpbounds.trees import Leaf, PNode, advantage, evaluate, leaf_count, protocol_error, tree_depth
 
 
@@ -72,16 +76,30 @@ def test_protocol_error_rejects_a_measure_of_another_shape():
 def test_find_biased_rectangle_constant():
     f = families.const2p(2, 0)
     full = full_rectangle(f)
-    rect = find_biased_rectangle(
-        f, UNIFORM_4x4, {full: F(1)}, F(1, 4), F(1), F(0), F(0), z=0
-    )
+    rect = find_biased_rectangle(f, UNIFORM_4x4, full, {full: F(1)}, F(1, 4), F(0), F(0), z=0)
     assert rect == full
+
+
+def test_find_biased_rectangle_returns_its_rectangle_clipped_to_active():
+    """Masses are read on R & active, and S = R & active comes back.
+
+    On eq2 the full rectangle is not biased toward 0 (1/4 of its mass is
+    diagonal); clipped to an active rectangle off the diagonal it is, and
+    the clipped rectangle is returned.
+    """
+    f = CC_CORPUS["eq2"]
+    full, active = full_rectangle(f), Rectangle(0b0011, 0b1100)
+    weights = {full: F(1)}
+    rect = find_biased_rectangle(f, UNIFORM_4x4, active, weights, F(1, 4), F(0), F(0), z=0)
+    assert rect == active
+    with pytest.raises(NoBiasedRectangleError, match="no biased rectangle in the solution support"):
+        find_biased_rectangle(f, UNIFORM_4x4, full, weights, F(1, 4), F(0), F(0), z=0)
 
 
 def test_find_biased_rectangle_empty_support():
     f = CC_CORPUS["eq2"]
     with pytest.raises(NoBiasedRectangleError):
-        find_biased_rectangle(f, UNIFORM_4x4, {}, F(1, 4), F(1), F(0), F(0), z=0)
+        find_biased_rectangle(f, UNIFORM_4x4, full_rectangle(f), {}, F(1, 4), F(0), F(0), z=0)
 
 
 def test_find_biased_rectangle_from_srec_solution():
@@ -89,7 +107,7 @@ def test_find_biased_rectangle_from_srec_solution():
     res = srec_bound(SrecInstance(f, 0, F(0), F(0), UNIFORM_4x4))
     weights = srec_weights(res)
     rho = F(1, 4)
-    rect = find_biased_rectangle(f, UNIFORM_4x4, weights, rho, res.value, F(0), F(0), z=0)
+    rect = find_biased_rectangle(f, UNIFORM_4x4, full_rectangle(f), weights, rho, F(0), F(0), z=0)
     m0, m1 = UNIFORM_4x4.label_masses(f, rect)
     assert m1 <= rho * m0
     mu0 = UNIFORM_4x4.label_masses(f, full_rectangle(f))[0]
@@ -123,7 +141,7 @@ def test_decompose_case_b_covering_verified():
     w1 = srec_weights(r1)
     r0 = srec_bound(SrecInstance(f, 0, F(0), delta, mu))
     w0 = srec_weights(r0)
-    s_rect = find_biased_rectangle(f, mu, w0, q * q, r0.value, F(0), delta, z=0)
+    s_rect = find_biased_rectangle(f, mu, full_rectangle(f), w0, q * q, F(0), delta, z=0)
     dec = decompose(f, mu, s_rect, w1, q, full_rectangle(f), z=0)
     if dec.restricted is not None:
         assert dec.sub_eps is not None
@@ -277,7 +295,7 @@ HALF = SynthParams(F(0), F(1, 16), F(1, 2), F(1, 1024), 1, 1)  # valid; delta = 
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: find_biased_rectangle(CC_CORPUS["eq2"], UNIFORM_4x4, {}, F(1, 4), F(1), F(1), F(0), 0),
+        (lambda: find_biased_rectangle(CC_CORPUS["eq2"], UNIFORM_4x4, Rectangle(15, 15), {}, F(1, 4), F(1), F(0), 0),
          NoBiasedRectangleError, "no biased rectangle: (1-eps) mu_0 - (delta/rho) mu_1 = 0 <= 0"),
         (lambda: dataclasses.replace(HALF, eps=F(2)),
          InfeasibleConstructionError, "eps must be in [0,1] and delta in (0,1)"),
@@ -446,10 +464,51 @@ def test_within_leaf_budget_matches_the_binomial():
 
 
 def test_pipeline_determinism():
-    from lpbounds.serialize import write_protocol_tree
-
     a = protocol_pipeline(CC_CORPUS["and2"], UNIFORM_4x4, 1)
     b = protocol_pipeline(CC_CORPUS["and2"], UNIFORM_4x4, 1)
     assert a.balanced is not None and b.balanced is not None
     assert write_protocol_tree(a.balanced) == write_protocol_tree(b.balanced)
     assert (a.params, a.adv) == (b.params, b.adv)
+
+
+BRANCHED_RUNS = 68
+TREE_GRID_SHA256 = "83ceeba89a1bcc4d73ee8a1f12c6b040c2125cc55dc846d594e357bbbf8db3d1"
+
+
+def _synthesis_grid():
+    """(name, measure index, q bits, f, mu) over 17 functions, 3 measures and 2 values of q.
+
+    The functions are eq2, gt2, and2, xor2, disj2 and 12 seeded random 4x4
+    tables; the measures are uniform, skewed (total 15/16), and one with a
+    zero row.
+    """
+    rng = random.Random(2015)
+    functions = {**CC_CORPUS, "disj2": families.disj(2)}
+    for i in range(12):
+        functions[f"random{i}"] = TwoPartyFunction(
+            tuple(tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(4))
+        )
+    measures = [
+        UNIFORM_4x4,
+        ProductDistribution2P((F(1, 8), F(1, 4), F(1, 8), F(1, 2)), (F(1, 2), F(1, 16), F(1, 4), F(1, 8))),
+        ProductDistribution2P((F(1, 3), F(0), F(1, 3), F(1, 3)), (F(1, 4),) * 4),
+    ]
+    for name, f in functions.items():
+        for m, mu in enumerate(measures):
+            for qbits in (17, 20):
+                yield name, m, qbits, f, mu
+
+
+def test_synthesized_trees_are_pinned():
+    """``synthesize`` at eps 0 and Delta 2^-20 over the grid, trees and refusals, by digest."""
+    lines, branched = [], 0
+    for name, m, qbits, f, mu in _synthesis_grid():
+        try:
+            tree = synthesize(f, mu, *deep_params(f, qbits=qbits, mu=mu)[1:])
+        except LpboundsError as exc:
+            lines.append(f"{name} {m} {qbits} {type(exc).__name__}: {exc}\n")
+            continue
+        branched += leaf_count(tree) > 1
+        lines.append(f"{name} {m} {qbits}\n{write_protocol_tree(tree)}")
+    assert (len(lines), branched) == (102, BRANCHED_RUNS)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == TREE_GRID_SHA256

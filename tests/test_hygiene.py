@@ -69,6 +69,27 @@ def _foreign_imports(tree: ast.Module) -> list[str]:
             if name.split(".")[0] not in (*sys.stdlib_module_names, "lpbounds")]
 
 
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """``function(parameter)`` for each parameter of a ``def`` that its body never reads.
+
+    A read in a nested function or lambda counts.  Lambdas are not checked:
+    a family's cost or a constant callback may ignore its argument.
+    """
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [
+            arg.arg
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            if arg is not None
+        ]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt) if isinstance(name, ast.Name)}
+        out += [f"{node.name}({param})" for param in params if param not in read]
+    return out
+
+
 def _defaulted_parameters(tree: ast.Module) -> int:
     return sum(
         len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
@@ -101,6 +122,29 @@ def test_private_import_scan_sees_each_form():
         "lpmod._cache_dir, lpmod.solve\n"
     )
     assert _private_imports(tree) == ["_finish", "_integer_weights", "lpmod._cache_dir"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_parameter_is_read(path):
+    # a parameter nothing reads is an argument every caller computes for nothing
+    assert _unread_parameters(_tree(path)) == []
+
+
+def test_unread_parameter_scan_sees_each_form():
+    tree = ast.parse(
+        "def f(a, b, /, c, *args, d, **kw):\n"
+        "    return a\n"
+        "class C:\n"
+        "    def m(self, x, y=1):\n"
+        "        def inner():\n"
+        "            return x\n"
+        "        return lambda z: inner\n"
+        "    async def n(self):\n"
+        "        return self\n"
+    )
+    assert _unread_parameters(tree) == [
+        "f(b)", "f(c)", "f(d)", "f(args)", "f(kw)", "m(self)", "m(y)",
+    ]
 
 
 def test_defaulted_parameter_count_is_pinned():

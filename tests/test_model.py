@@ -13,6 +13,7 @@ from reference_model import (
     project_cube,
     project_loop,
     protocol_error as reference_protocol_error,
+    restrict,
     split_loop,
     weighted_masses,
 )
@@ -201,6 +202,30 @@ def test_label_masses_match_the_reference_cc(a, b, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_label_masses_on_an_intersection_match_the_restricted_measure(a, b, data):
+    """mu on R & A reads what mu restricted to A reads on R.
+
+    Protocol synthesis reads its measure on a node's active rectangle A
+    instead of restricting the measure to A.  Tables up to 8x8, weights k/d
+    (zeros and totals other than 1 included), empty, partial and full
+    rectangles.
+    """
+    nx, ny = 1 << a, 1 << b
+    draw = data.draw
+    f = TwoPartyFunction(
+        tuple(tuple(draw(st.integers(0, 1)) for _ in range(ny)) for _ in range(nx))
+    )
+    mu = ProductDistribution2P(small_fractions(draw, nx, 2), small_fractions(draw, ny, 2))
+
+    def rectangle():
+        return Rectangle(draw(st.integers(0, (1 << nx) - 1)), draw(st.integers(0, (1 << ny) - 1)))
+
+    rect, active = rectangle(), rectangle()
+    assert mu.label_masses(f, rect.intersect(active)) == restrict(mu, active).label_masses(f, rect)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_label_masses_match_the_reference_qc(n, data):
     """The same on {0,1}^n, n <= 5: marginals k/d including 0 and 1, random subcubes."""
@@ -345,7 +370,7 @@ def test_weighted_label_masses_match_the_loop_cc(a, b, restricted, data):
         return Rectangle(draw(st.integers(0, (1 << nx) - 1)), draw(st.integers(0, (1 << ny) - 1)))
 
     if restricted:
-        mu = mu.restrict(rectangle())
+        mu = restrict(mu, rectangle())
     weights = {rectangle(): Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 6)))
                for _ in range(draw(st.integers(0, 8)))}
     assert mu.weighted_label_masses(f, weights) == weighted_masses(mu, f, weights)

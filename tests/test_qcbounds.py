@@ -128,7 +128,7 @@ def test_extract_constant_zero():
     g = families.const_q(2, 0)
     sol = qprt_solution(g, qprt_bound(g, F(0)))
     boosted = boost_qprt(sol, g, 3)
-    system = extract_feasible(boosted, F(1, 64), g, BitProductDistribution.uniform(g.n))
+    system = extract_feasible(boosted, F(1, 64), BitProductDistribution.uniform(g.n))
     full = Subcube(2, 0, 0)
     assert system.u == {full: F(1)}
     assert system.w == {}
@@ -140,7 +140,7 @@ def test_extract_cutoff_keeps_everything_at_small_support():
     sol = qprt_solution(g, qprt_cached("and3", F(1, 8)))
     t = min_odd_votes_for_error(F(7, 8), F(1, 64))
     boosted = boost_qprt(sol, g, t)
-    system = extract_feasible(boosted, F(1, 64), g, BitProductDistribution.uniform(g.n))
+    system = extract_feasible(boosted, F(1, 64), BitProductDistribution.uniform(g.n))
     assert system.a >= g.n  # nothing removable: supports stop at n bits
     split = {(0, c): w for c, w in system.u.items()}
     split.update({(1, c): w for c, w in system.w.items()})
@@ -153,7 +153,7 @@ def test_extract_full_inequality_families():
     sol = qprt_solution(g, qprt_cached("and3", F(1, 8)))
     gamma = F(1, 64)
     boosted = boost_qprt(sol, g, min_odd_votes_for_error(F(7, 8), gamma))
-    system = extract_feasible(boosted, gamma, g, mu)
+    system = extract_feasible(boosted, gamma, mu)
     assert system.alpha0 == system.beta0 == system.alpha1 == system.beta1 == 2 * gamma
     assert system.verify(g, mu) == []
 
@@ -164,7 +164,7 @@ def test_extract_respects_fixed_bits():
     sol = qprt_solution(g, qprt_cached("or3", F(1, 8)))
     gamma = F(1, 64)
     boosted = boost_qprt(sol, g, min_odd_votes_for_error(F(7, 8), gamma))
-    system = extract_feasible(boosted, gamma, g, mu)
+    system = extract_feasible(boosted, gamma, mu)
     for cube in list(system.u) + list(system.w):
         assert not cube.support & 0b001
     assert system.verify(g, mu) == []
@@ -183,7 +183,7 @@ def test_extract_discards_the_weight_above_the_cutoff():
     g, mu = families.const_q(4, 0), BitProductDistribution.uniform(4)
     full = Subcube.from_pattern("****")
     sol = qcbounds.QprtSolution(4, {(0, full): F(1), (0, Subcube.from_pattern("0000")): F(1, 100)})
-    system = extract_feasible(qcbounds.BoostedQprt(sol, 1, F(0)), F(1, 4), g, mu)
+    system = extract_feasible(qcbounds.BoostedQprt(sol, 1, F(0)), F(1, 4), mu)
     assert (system.a, system.b) == (3, 3)
     assert (system.u, system.w) == ({full: F(1)}, {})
 
@@ -193,13 +193,13 @@ def test_extract_requires_error_within_gamma():
     sol = qprt_solution(g, qprt_cached("xor2", F(1, 8)))
     boosted = boost_qprt(sol, g, 1)
     with pytest.raises(InfeasibleConstructionError):
-        extract_feasible(boosted, F(1, 1000), g, BitProductDistribution.uniform(g.n))
+        extract_feasible(boosted, F(1, 1000), BitProductDistribution.uniform(g.n))
 
 
-def _extract(weights, achieved_error, gamma):
-    """``extract_feasible`` of a hand-built 3-bit solution for the constant 0."""
+def _extract(weights, achieved_error, gamma, bits=3):
+    """``extract_feasible`` of a hand-built 3-bit solution, under the uniform measure on ``bits`` bits."""
     boosted = qcbounds.BoostedQprt(qcbounds.QprtSolution(3, weights), 1, achieved_error)
-    return extract_feasible(boosted, gamma, families.const_q(3, 0), BitProductDistribution.uniform(3))
+    return extract_feasible(boosted, gamma, BitProductDistribution.uniform(bits))
 
 
 FULL3 = Subcube.from_pattern("***")
@@ -220,8 +220,10 @@ FULL3 = Subcube.from_pattern("***")
          DimensionMismatchError, "gamma must be positive, got 0"),
         (lambda: _extract({(0, FULL3): F(1)}, F(0), F(-1, 8)),
          DimensionMismatchError, "gamma must be positive, got -1/8"),
+        (lambda: _extract({(0, FULL3): F(1)}, F(0), F(1, 8), bits=4),
+         DimensionMismatchError, "bit counts disagree: measure 4, function 3, subcube 3"),
     ],
-    ids=["cap", "gamma-below-error", "discarded-mass", "gamma-zero", "gamma-negative"],
+    ids=["cap", "gamma-below-error", "discarded-mass", "gamma-zero", "gamma-negative", "bit-count"],
 )
 def test_qcbounds_refuses_malformed_input(call, error, message):
     assert_refuses(call, error, message)
@@ -256,6 +258,6 @@ def test_verify_reports_each_violated_inequality(perturb, message):
     sol = qprt_solution(g, qprt_cached("maj3", F(1, 8)))
     gamma = F(1, 64)
     boosted = boost_qprt(sol, g, min_odd_votes_for_error(F(7, 8), gamma))
-    system = extract_feasible(boosted, gamma, g, mu)
+    system = extract_feasible(boosted, gamma, mu)
     problems = dataclasses.replace(system, **perturb(system)).verify(g, mu)
     assert problems and all(message in p for p in problems), problems

@@ -42,7 +42,7 @@ def and3_system(gamma=F(1, 64)):
     sol = qprt_solution(g, qprt_cached("and3", F(1, 8)))
     t = min_odd_votes_for_error(F(7, 8), gamma)
     boosted = boost_qprt(sol, g, t)
-    return g, extract_feasible(boosted, gamma, g, U3)
+    return g, extract_feasible(boosted, gamma, U3)
 
 
 def test_dtree_error_leaves():
@@ -129,7 +129,7 @@ def test_build_tree_constant_zero():
     g = families.const_q(2, 0)
     sol = qprt_solution(g, qprt_bound(g, F(0)))
     boosted = boost_qprt(sol, g, 3)
-    system = extract_feasible(boosted, F(1, 64), g, U2)
+    system = extract_feasible(boosted, F(1, 64), U2)
     tree, stats = build_decision_tree(g, U2, system, F(1, 16))
     assert tree == Leaf(0)
     assert dtree_error(tree, g, U2) == 0
@@ -319,7 +319,6 @@ def test_pipeline_maj3_runs_deep():
     assert rep.half_error_certified and rep.error <= F(49, 100)
 
 
-
 def test_pipeline_measures_the_tree_error_once(monkeypatch):
     """``build_decision_tree`` measures the error for its budget check; the report reads that."""
     calls = []
@@ -334,13 +333,28 @@ def test_pipeline_measures_the_tree_error_once(monkeypatch):
     assert calls == [rep.tree]
     assert rep.error == rep.stats.error == dtree_error(rep.tree, g, U3)
 
+
+def test_pipeline_verifies_the_system_once(monkeypatch):
+    """``build_decision_tree`` verifies the extracted system; extraction does not verify it too."""
+    calls = []
+    verify = FeasibleSystem.verify
+
+    def counting_verify(system, g, mu):
+        calls.append(system)
+        return verify(system, g, mu)
+
+    monkeypatch.setattr(FeasibleSystem, "verify", counting_verify)
+    rep = synthesis_pipeline(QC_CORPUS["maj3"], U3)
+    assert calls == [rep.system]
+
+
 def test_pipeline_expectation_checks_execute():
     g = QC_CORPUS["maj3"]
     sol = qprt_solution(g, qprt_cached("maj3", F(1, 8)))
     gamma = F(1, (8 + 5) ** 8)
     t = min_odd_votes_for_error(F(7, 8), gamma)
     boosted = boost_qprt(sol, g, t)
-    system = extract_feasible(boosted, gamma, g, U3)
+    system = extract_feasible(boosted, gamma, U3)
     tree, stats = build_decision_tree(g, U3, system, F(1, 13**4))
     assert stats.internal_nodes >= 1
     assert stats.expectation_checks == stats.internal_nodes
@@ -401,7 +415,7 @@ def test_build_matches_the_fraction_build_on_pipeline_systems(name, measure):
     gamma = F(1, 13**8)
     boosted = boost_qprt(qprt_solution(g, qprt_cached(name, F(1, 8))), g,
                          min_odd_votes_for_error(F(7, 8), gamma))
-    system = extract_feasible(boosted, gamma, g, mu)
+    system = extract_feasible(boosted, gamma, mu)
     for delta in (F(1, 13**4), F(1, 8), F(1, 2)):
         _assert_builds_alike(g, mu, system, delta)
 
