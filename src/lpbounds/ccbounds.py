@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from operator import add
 
 from . import lp as lpmod
 from .errors import DimensionMismatchError, InfeasibleConstructionError
@@ -35,7 +36,6 @@ from .model import (
     Rectangle,
     TwoPartyFunction,
     enumerate_rectangles,
-    full_rectangle,
 )
 from .partition import BoostResult, LabelledFamily, check_unit_interval
 from .rational import log2_bracket
@@ -73,29 +73,37 @@ class BoundResult:
     """Solved bound value with its LP solution and a log2 bracket.
 
     ``log2_lo``/``log2_hi`` bracket log2(value) to width <= 2**-20; they are
-    None when the value is 0.
+    None when the value is 0.  The bracket is worked out when first read,
+    as only a ``bounds`` report prints it.
     """
 
     kind: str
     value: Fraction
     solution: LPSolution
-    log2_lo: Fraction | None
-    log2_hi: Fraction | None
 
     @property
     def support_size(self) -> int:
         return len(self.solution.primal)
 
+    @cached_property
+    def _log2(self) -> tuple[Fraction | None, Fraction | None]:
+        return (None, None) if self.value == 0 else log2_bracket(self.value)
+
+    @property
+    def log2_lo(self) -> Fraction | None:
+        return self._log2[0]
+
+    @property
+    def log2_hi(self) -> Fraction | None:
+        return self._log2[1]
+
 
 def finish(kind: str, sol: LPSolution) -> BoundResult:
-    """The bound an optimal solution gives, with its log2 bracket."""
+    """The bound an optimal solution gives."""
     if sol.status != "optimal":
         raise InfeasibleConstructionError(f"{kind} LP reported {sol.status}")
     assert sol.value is not None
-    if sol.value == 0:
-        return BoundResult(kind, sol.value, sol, None, None)
-    lo, hi = log2_bracket(sol.value)
-    return BoundResult(kind, sol.value, sol, lo, hi)
+    return BoundResult(kind, sol.value, sol)
 
 
 def _rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
@@ -132,30 +140,43 @@ def _srec_columns(nx: int, ny: int) -> tuple[tuple[str, ...], Row, tuple[Row, ..
 def build_srec_lp(inst: SrecInstance) -> LinearProgram:
     """Column j is the weight of the j-th rectangle; rows in the order of the module docstring.
 
-    The averaged covering row sums mu_z over the rectangles' cells from the
-    measure's integer ``point_weights``, whose cells are x-major as ``f.labels``.
+    The averaged covering row reads the measure's integer ``point_weights``,
+    whose cells are x-major as ``f.labels``: ``_label_z_sums`` gives the
+    label-z weight of every rectangle at once, in column order.
     """
     f, z = inst.f, inst.z
     family = _rect_family(f.nx, f.ny)
     names, cost, caps = _srec_columns(f.nx, f.ny)
     cells = list(zip(family.tags, f.labels, family.containing))
     rows: list[Row] = []
+    level = 1 - inst.eps
     if inst.mu is None:
-        rows += [unit_row(cols, ">=", 1 - inst.eps, f"cov_{tag}")
-                 for tag, v, cols in cells if v == z]
+        rows += [unit_row(cols, ">=", level, f"cov_{tag}") for tag, v, cols in cells if v == z]
     else:
         den, weights = inst.mu.point_weights
-        masses = [0] * len(names)
-        for m, v, cols in zip(weights, f.labels, family.containing):
-            if m and v == z:
-                for j in cols:
-                    masses[j] += m
-        level = 1 - inst.eps
-        total = inst.mu.label_sums(f, full_rectangle(f))[z]
-        rows.append(scaled_row(range(len(names)), [level.denominator * m for m in masses],
-                               level.denominator * den, ">=", level.numerator * total, "cov"))
+        sums, d = _label_z_sums(f, z, weights), level.denominator
+        masses = [d * m for by_cols in sums[1:] for m in by_cols[1:]]
+        total = sums[-1][-1]  # the label-z weight of the whole table
+        rows.append(scaled_row(range(len(names)), masses, d * den, ">=", level.numerator * total, "cov"))
     rows += [unit_row(cols, "<=", inst.delta, f"pack_{tag}") for tag, v, cols in cells if v != z]
     return LinearProgram(names, cost, tuple(rows) + caps)
+
+
+def _label_z_sums(f: TwoPartyFunction, z: int, weights: tuple[int, ...]) -> list[list[int]]:
+    """sums[rows][cols], the total of ``weights`` over the label-z cells of Rectangle(rows, cols).
+
+    Each table doubles once per row (or column): the masks with its bit set
+    are the ones without it, plus that row's sums (or that cell's weight).
+    """
+    ny = f.ny
+    own = [w if v == z else 0 for w, v in zip(weights, f.labels)]
+    sums = [[0] * (1 << ny)]
+    for x in range(f.nx):
+        line = [0]
+        for w in own[x * ny:x * ny + ny]:
+            line += [s + w for s in line]
+        sums += [list(map(add, s, line)) for s in sums]
+    return sums
 
 
 def srec_bound(inst: SrecInstance) -> BoundResult:

@@ -122,22 +122,34 @@ primal point is checked against all constraints, the dual vector against
 the derived dual program, and the two objective values are compared as
 exact rationals.  An infeasible program comes with its Farkas vector,
 ``LPSolution.farkas`` (y_i by row i), checked by ``check_farkas``.
-Cached solutions pass the same ``certify`` on load.  The checks
-are fraction-free too: they read the same integer rows as the simplex,
-scale a point by the lcm of its denominators, and a dual y_i / s_i and
-the costs by one common denominator, so every comparison and every
-objective value is an integer sum.  A Fraction is built only for the lhs
-of a violation and for a returned objective value.
+Cached solutions pass the same ``certify`` on load, so a cache hit costs
+the program key, one read of the entry (each distinct number parsed once)
+and that one check.  The checks are fraction-free too: they read the same
+integer rows as the simplex, scale a point by the lcm of its
+denominators, and a dual y_i / s_i and the costs by one common
+denominator, so every comparison and every objective value is an integer
+sum.  A Fraction is built only for the lhs of a violation and for a
+returned objective value.  A row whose coefficients are all equal
+(``Row.unit``: caps, packing, total-mass and covering rows, nearly every
+row of a bound LP) is read as that one number: its dot product with a
+point is one sum times it, and it adds one product to each of its
+columns' dual sums.  Scans that find nothing on a valid input (negative
+coordinates, negative costs) take a C-level ``min`` first and loop only
+when it fails.
 
 A program has one form, built once: each row is held as its scale s_i,
 its column indices in increasing order, the integer coefficients s_i * a_ij,
 the integer rhs s_i * b_i and its relation, with s_i the lcm of the row's
 denominators.  The objective is held the same way.  ``scaled_row`` is the
-one place rows are scaled; the builders emit rows through it, and the
-simplex, the checkers and the cache key all read them.  A row checks its
-own form once (``Row.fault``), so the shape-only rows that many programs
-share are not checked again per build; unit rows of one length and level
-share one coefficient tuple.  Variable names serve the records only.
+one place rows are scaled; the builders emit rows through it, or through
+``unit_row`` for a row of unit coefficients and rational level, whose
+integer form needs no scaling (the level's denominator and numerator are
+coprime).  The simplex, the checkers and the cache key all read them.  A
+row checks its own form once (``Row.fault``) and encodes its part of the
+cache key once (``Row.key``), so the shape-only rows that many programs
+share are neither checked nor encoded again per build; unit rows of one
+length and level share one coefficient tuple.  Variable names serve the records
+and the key only.
 
 Dual conventions:
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
@@ -154,12 +166,12 @@ import struct
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import floordiv, lt, mul, setitem
+from operator import floordiv, gt, lt, mul, setitem
 
 from .errors import LpboundsError, ParseError
 from .rational import format_rational, parse_rational
@@ -175,7 +187,10 @@ class Row:
     """One row in integer form: sum_k coeffs[k] * x[cols[k]]  rel  rhs.
 
     It is the rational row times s > 0, the lcm of the row's denominators;
-    ``cols`` increase and no coefficient is 0; ``scaled_row`` makes it.
+    ``cols`` increase and no coefficient is 0; ``scaled_row`` or ``unit_row`` makes it.
+    What a row works out from its fields it works out once, so the
+    shape-only rows that many programs share pay for it once: ``fault``
+    and ``unit`` when it is made, ``key`` when first read.
     """
 
     s: int
@@ -185,13 +200,35 @@ class Row:
     rhs: int
     label: str
 
+    fault: str | None = field(init=False, repr=False, compare=False)
+    unit: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        """Set ``fault``, what breaks that form or None, and ``unit``, the
+        coefficient every column shares or None if they differ or the row is empty.
+
+        Caps, packing, total-mass and covering rows are all unit rows, so a
+        dot product with a row is mostly one sum and one product.  Both are
+        set here rather than on first read: every row of a program has both
+        read, and fields set in one order keep the instance small.
+        """
+        cols, c = self.cols, self.coeffs
+        if self.s <= 0 or 0 in c or len(cols) != len(c):
+            fault = "needs a positive scale and one nonzero coefficient per column"
+        else:
+            fault = None if all(map(lt, cols, cols[1:])) else "has columns out of order"
+        object.__setattr__(self, "fault", fault)
+        object.__setattr__(self, "unit", c[0] if c and c.count(c[0]) == len(c) else None)
+
     @cached_property
-    def fault(self) -> str | None:
-        """What breaks that form, or None; checked once per row, which programs may share."""
-        cols = self.cols
-        if self.s <= 0 or 0 in self.coeffs or len(cols) != len(self.coeffs):
-            return "needs a positive scale and one nonzero coefficient per column"
-        return None if all(map(lt, cols, cols[1:])) else "has columns out of order"
+    def key(self) -> bytes:
+        """The row's part of ``_program_key``: relation, scale, rhs, length and
+        coefficients as text (one coefficient for a unit row), then its columns
+        as 8-byte little-endian integers."""
+        c = self.coeffs
+        coeffs = ("%d," * len(c) % c)[:-1] if self.unit is None else f"*{self.unit}"  # "%d" joins in C
+        return (f"{self.rel} {self.s} {self.rhs} {len(c)} {coeffs}\n".encode()
+                + struct.pack(f"<{len(c)}q", *self.cols))
 
 
 def scaled_row(cols, nums, den: int, rel: str, rhs: int, label: str) -> Row:
@@ -202,8 +239,7 @@ def scaled_row(cols, nums, den: int, rel: str, rhs: int, label: str) -> Row:
     coefficients are dropped.
     """
     if 0 in nums:
-        kept = [(j, a) for j, a in zip(cols, nums) if a]
-        cols, nums = [j for j, _ in kept], [a for _, a in kept]
+        cols, nums = list(compress(cols, nums)), [a for a in nums if a]
     g = gcd(den, rhs, *nums)
     if g > 1:
         nums = [a // g for a in nums]
@@ -214,9 +250,15 @@ _UNITS: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def unit_row(cols, rel: str, level: Fraction, label: str) -> Row:
-    """sum_{j in cols} x_j  rel  level; rows of one length and level share their coefficients."""
+    """sum_{j in cols} x_j  rel  level; rows of one length and level share their coefficients.
+
+    In integer form every coefficient is the level's denominator and the rhs
+    its numerator; the two are coprime, so ``scaled_row`` would divide by 1.
+    """
+    cols = tuple(cols)
     den, n = level.denominator, len(cols)
-    return scaled_row(cols, _UNITS.setdefault((den, n), (den,) * n), den, rel, level.numerator, label)
+    coeffs = _UNITS.get((den, n)) or _UNITS.setdefault((den, n), (den,) * n)
+    return Row(den, cols, coeffs, rel, level.numerator, label)
 
 
 @dataclass(frozen=True)
@@ -295,17 +337,14 @@ def _scaled_point(lp: LinearProgram, assignment: dict[str, Fraction]) -> tuple[i
     Missing variables are 0; names the program does not declare are dropped.
     """
     big_l = lcm(*(x.denominator for x in assignment.values()))
-    point = [0] * len(lp.variables)
-    index = dict(zip(lp.variables, range(len(lp.variables))))
-    for v, x in assignment.items():
-        j = index.get(v)
-        if j is not None:
-            point[j] = x.numerator * (big_l // x.denominator)
-    return big_l, point
+    scaled = {v: x.numerator * (big_l // x.denominator) for v, x in assignment.items()}
+    return big_l, list(map(scaled.get, lp.variables, repeat(0)))
 
 
 def _row_dot(row: Row, point: list[int]) -> int:
-    return sum(map(mul, row.coeffs, map(point.__getitem__, row.cols)))
+    """row . point, one product for a unit row."""
+    terms = map(point.__getitem__, row.cols)
+    return sum(map(mul, row.coeffs, terms)) if row.unit is None else row.unit * sum(terms)
 
 
 def _point_value(lp: LinearProgram, big_l: int, point: list[int]) -> Fraction:
@@ -334,9 +373,10 @@ def _violations(
         if not ok:
             out.append(Violation("constraint", i, row.label, Fraction(lhs, row.s * big_l),
                                  row.rel, Fraction(row.rhs, row.s)))
-    for j, v in enumerate(lp.variables):
-        if point[j] < 0:
-            out.append(Violation("domain", j, v, assignment[v], GE, Fraction(0)))
+    if min(point, default=0) < 0:
+        for j, v in enumerate(lp.variables):
+            if point[j] < 0:
+                out.append(Violation("domain", j, v, assignment[v], GE, Fraction(0)))
     return out
 
 
@@ -346,40 +386,44 @@ def check_dual_feasible(
     """Violations of the derived dual program for ``dual``; [] iff dual-feasible.
 
     Column sums are integers over one common denominator M of every
-    y_i / s_i and every objective coefficient, as is M * c_j; the Fraction
-    sum is built only for a violated column.
+    y_i / s_i and every objective coefficient, as is M * c_j; a unit row
+    adds one product to each of its columns.  The Fraction sum is built
+    only for a violated column.
     """
     if len(dual) != len(lp.rows):
         raise LpboundsError("dual vector length does not match constraint count")
     out: list[Violation] = []
-    for i, (y, row) in enumerate(zip(dual, lp.rows)):
-        # >= rows need y >= 0, <= rows need y <= 0
-        if row.rel == GE and y < 0:
-            out.append(Violation("dual-sign", i, row.label, y, GE, Fraction(0)))
-        if row.rel == LE and y > 0:
-            out.append(Violation("dual-sign", i, row.label, y, LE, Fraction(0)))
     # y_i * c_ij = (y_i / s_i) * a_ij on the integer row a_i = s_i * c_i
     weights = []
-    for y, row in zip(dual, lp.rows):
-        if y:
-            g = gcd(y.numerator, row.s)
-            weights.append((y.numerator // g, y.denominator * (row.s // g), row))
+    for i, (y, row) in enumerate(zip(dual, lp.rows)):
+        num = y.numerator
+        if not num:
+            continue
+        # >= rows need y >= 0, <= rows need y <= 0
+        if row.rel == GE and num < 0 or row.rel == LE and num > 0:
+            out.append(Violation("dual-sign", i, row.label, y, row.rel, Fraction(0)))
+        g = gcd(num, row.s)
+        weights.append((num // g, y.denominator * (row.s // g), row))
     cost = lp.cost
     big_m = lcm(cost.s, *(den for _, den, _ in weights))
-    col_sums = [0] * len(lp.variables)
+    n = len(lp.variables)
+    col_sums = [0] * n
     for num, den, row in weights:
         w = num * (big_m // den)
-        for j, a in zip(row.cols, row.coeffs):
-            col_sums[j] += w * a
-    costs = [0] * len(lp.variables)
+        if row.unit is None:
+            for j, a in zip(row.cols, row.coeffs):
+                col_sums[j] += w * a
+        else:
+            w *= row.unit
+            for j in row.cols:
+                col_sums[j] += w
+    costs = [0] * n
     for j, a in zip(cost.cols, cost.coeffs):
         costs[j] = a
     unit = big_m // cost.s
-    for j, v in enumerate(lp.variables):
-        if col_sums[j] > costs[j] * unit:
-            out.append(Violation("dual-column", j, v, Fraction(col_sums[j], big_m), LE,
-                                 Fraction(costs[j], cost.s)))
-    return out
+    over = compress(range(n), map(gt, col_sums, map(mul, costs, repeat(unit))))
+    return out + [Violation("dual-column", j, lp.variables[j], Fraction(col_sums[j], big_m), LE,
+                            Fraction(costs[j], cost.s)) for j in over]
 
 
 def dual_objective(lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction]) -> Fraction:
@@ -511,14 +555,15 @@ class _Simplex:
         self.reach = 0  # >= the l1 norm of every column: the sum of the rows' largest entries
         for row in lp.rows:
             sign = -1 if row.rhs < 0 else 1
-            g = gcd(row.s, *row.coeffs)
+            coeffs = row.coeffs if row.unit is None else (row.unit,)  # a unit row reads as one number
+            g = gcd(row.s, *coeffs)
             self.flip.append(sign)
             self.sigma.append(row.s // g)
             h = gcd(g, row.rhs)
             rhs.append((sign * row.rhs // h, g // h))
             rels.append(row.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[row.rel])
             scales.append((sign, g))
-            self.reach += max(1, max(map(abs, row.coeffs), default=0) // g)
+            self.reach += max(1, max(map(abs, coeffs), default=0) // g)
         self.lb = lcm(*(den for _, den in rhs))  # L_b, one common denominator of b
         self.x: list[int] = [num * (self.lb // den) for num, den in rhs]  # xd * L_b * x_B
         self.xd = 1  # the determinant x was last written at, > 0
@@ -559,7 +604,10 @@ class _Simplex:
         for row, (sign, g), entries in zip(lp.rows, scales, own):
             values = blank[:]
             # g_i divides every coefficient, so each quotient is exact
-            deque(map(setitem, repeat(values), row.cols, map(floordiv, row.coeffs, repeat(sign * g))), 0)
+            q = sign * g
+            quotients = (map(floordiv, row.coeffs, repeat(q)) if row.unit is None
+                         else repeat(row.unit // q, len(row.cols)))
+            deque(map(setitem, repeat(values), row.cols, quotients), 0)
             for j, a in entries:
                 values[j] = a
             packed.append(_blocks(values, _BLOCK, w, self.poff))
@@ -848,18 +896,14 @@ def set_cache_dir(path: str | None) -> None:
 def _program_key(lp: LinearProgram) -> str:
     """sha256 of a canonical encoding of the integer form.
 
-    The names come first, between the constant lines ``min`` and ``[]``
-    that keep keys equal to those of existing cache entries, then each row,
-    the objective first: its relation, scale, rhs, length and coefficients
-    as text (one coefficient for a row whose coefficients are all equal),
-    then its columns as 8-byte integers.  The row labels play no part.
+    The names come first, as a JSON list between the constant lines
+    ``min`` and ``[]`` that keep keys equal to those of existing cache
+    entries, then each row's ``key``, the objective first.  The row labels
+    play no part.
     """
     h = hashlib.sha256(f"min\n{json.dumps(lp.variables)}\n[]\n".encode())
-    for r in (lp.cost, *lp.rows):
-        c = r.coeffs
-        coeffs = f"*{c[0]}" if c and c.count(c[0]) == len(c) else ",".join(map(str, c))
-        h.update(f"{r.rel} {r.s} {r.rhs} {len(c)} {coeffs}\n".encode())
-        h.update(struct.pack(f"<{len(c)}q", *r.cols))
+    h.update(lp.cost.key)
+    h.update(b"".join(r.key for r in lp.rows))
     return h.hexdigest()
 
 
@@ -877,24 +921,19 @@ def _solution_from_record(rec: object) -> LPSolution | None:
         and all(type(k) is int and k >= 0 for k in counts)
     ):
         return None
-    try:
-        return LPSolution(
-            status="optimal",
-            value=parse_rational(value),
-            primal={v: parse_rational(c) for v, c in primal.items()},
-            dual=tuple(parse_rational(y) for y in dual),
-            iterations=counts[0],
-            phase1_iterations=counts[1],
-        )
+    try:  # each distinct text once: most duals are 0, and values repeat
+        parsed = {t: parse_rational(t) for t in {value, *primal.values(), *dual}}
     except ParseError:
         return None
+    return LPSolution("optimal", parsed[value], {v: parsed[c] for v, c in primal.items()},
+                      tuple(map(parsed.__getitem__, dual)), *counts)
 
 
 def _cache_load(lp: LinearProgram, path: str) -> LPSolution | None:
     """The solution cached at ``path`` if it certifies for ``lp``; any other entry is a miss."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            sol = _solution_from_record(json.load(fh))
+        with open(path, "rb") as fh:
+            sol = _solution_from_record(json.loads(fh.read()))
     except (OSError, ValueError, RecursionError):  # missing, unreadable, not JSON or nested too deep
         return None
     # never trust the cache blindly: the entry must certify itself
@@ -931,9 +970,9 @@ def solve(lp: LinearProgram) -> LPSolution:
     store.
     """
     cost = lp.cost
-    for j, a in zip(cost.cols, cost.coeffs):
-        if a < 0:
-            raise LpboundsError(f"negative cost {Fraction(a, cost.s)} on column {lp.variables[j]!r}")
+    if min(cost.coeffs, default=0) < 0:
+        j, a = next((j, a) for j, a in zip(cost.cols, cost.coeffs) if a < 0)
+        raise LpboundsError(f"negative cost {Fraction(a, cost.s)} on column {lp.variables[j]!r}")
     path = None if _cache_dir is None else os.path.join(_cache_dir, _program_key(lp) + ".json")
     cached = path and _cache_load(lp, path)
     if cached:

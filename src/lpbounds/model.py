@@ -272,9 +272,11 @@ class ProductDistribution2P(_PointMeasure):
     def ny(self) -> int:
         return len(self.col_weights)
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
-        return sum(self.row_weights, Fraction(0)) * sum(self.col_weights, Fraction(0))
+        """The total mass, sum_x sum_y mu(x, y) = sum(W) / D."""
+        den, weights = self.point_weights
+        return Fraction(sum(weights), den)
 
     @cached_property
     def point_weights(self) -> tuple[int, tuple[int, ...]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import ceil, floor
 
 from . import lp as lpmod
 from .ccbounds import BoundResult, finish
@@ -127,12 +128,15 @@ class FeasibleSystem:
         """All violated inequalities, as messages; [] iff the system verifies.
 
         Pointwise checks run over the points consistent with the fixed bits
-        of ``mu``; fixed bits must not occur in any support.
+        of ``mu``; fixed bits must not occur in any support.  A family's
+        masses are integers over one denominator D, and each margin t is
+        rounded to it once: an integer m is below t * D iff it is below
+        ceil(t * D), and above it iff above floor(t * D).
         """
         mu1 = mu.label_masses(g, full_cube(self.n))[1]  # first: it checks the bit counts
         out: list[str] = []
         for c, v in list(self.u.items()) + list(self.w.items()):
-            if v < 0:
+            if v.numerator < 0:  # an int compare, not a Fraction one
                 out.append(f"negative weight on {c.pattern()}")
         for c in self.u:
             if c.size > self.a:
@@ -145,14 +149,19 @@ class FeasibleSystem:
             if c.support & consistent.support:
                 out.append(f"support {c.pattern()} uses a mu-fixed bit")
         points = list(consistent.members())
-        for x, um, wm in zip(points, _masses_at(self.u, points), _masses_at(self.w, points)):
-            if g.value(x) == 0 and um < 1 - self.alpha0:
+        du, um = _masses_at(self.u, points)
+        dw, wm = _masses_at(self.w, points)
+        low_u, high_u = ceil((1 - self.alpha0) * du), floor(self.beta0 * du)
+        high_w = floor(self.beta1 * dw)
+        for x, a, b in zip(points, um, wm):
+            label = g.value(x)
+            if label == 0 and a < low_u:
                 out.append(f"u covering below 1-alpha0 at {x}")
-            if g.value(x) == 1 and um > self.beta0:
+            if label == 1 and a > high_u:
                 out.append(f"u mass above beta0 at {x}")
-            if wm > 1:
+            if b > dw:
                 out.append(f"w mass above 1 at {x}")
-            if g.value(x) == 0 and wm > self.beta1:
+            if label == 0 and b > high_w:
                 out.append(f"w mass above beta1 at {x}")
         carried = mu.weighted_label_masses(g, self.w)[1]
         if carried < (1 - self.alpha1) * mu1:
@@ -160,18 +169,18 @@ class FeasibleSystem:
         return out
 
 
-def _masses_at(cubes: dict[Subcube, Fraction], points: list[int]) -> list[Fraction]:
-    """Per point, the total weight of the subcubes containing it.
+def _masses_at(cubes: dict[Subcube, Fraction], points: list[int]) -> tuple[int, list[int]]:
+    """(D, per point D times the total weight of the subcubes containing it).
 
-    Each cube adds its integer numerator, over one common denominator, at
-    its own points once; only the results are Fractions.
+    D is the weights' common denominator; each cube adds its integer
+    numerator at its own points once.
     """
     den, nums = numerators(cubes.values())
     mass: dict[int, int] = {}
     for cube, num in zip(cubes, nums):
         for x in cube.members():
             mass[x] = mass.get(x, 0) + num
-    return [Fraction(mass.get(x, 0), den) for x in points]
+    return den, [mass.get(x, 0) for x in points]
 
 
 def extract_feasible(

@@ -114,11 +114,12 @@ def log2_bracket(r: Fraction, precision_bits: int = 20) -> tuple[Fraction, Fract
         return (f, f)
 
     e = _floor_log2(r)
-    x = r / Fraction(2) ** e  # in [1, 2)
+    # x = p / q = r / 2**e in [1, 2), by a shift; p / q need not be in lowest terms
+    p, q = (r.numerator, r.denominator << e) if e >= 0 else (r.numerator << -e, r.denominator)
 
     work = 2 * precision_bits + 64
     while True:
-        result = _log2_fraction_bits(x, precision_bits, work)
+        result = _log2_fraction_bits(p, q, precision_bits, work)
         if result is not None:
             frac_bits = result
             lo = e + Fraction(frac_bits, 1 << precision_bits)
@@ -127,8 +128,8 @@ def log2_bracket(r: Fraction, precision_bits: int = 20) -> tuple[Fraction, Fract
         work *= 2
 
 
-def _log2_fraction_bits(x: Fraction, nbits: int, work: int) -> int | None:
-    """First nbits binary digits of log2(x) for x in [1,2), or None on a tie.
+def _log2_fraction_bits(p: int, q: int, nbits: int, work: int) -> int | None:
+    """First nbits binary digits of log2(x) for x = p / q in [1,2), or None on a tie.
 
     Maintains an outward-rounded dyadic interval [lo, hi]/2**work around the
     repeatedly squared value; a straddle of 2 means the working precision was
@@ -136,8 +137,8 @@ def _log2_fraction_bits(x: Fraction, nbits: int, work: int) -> int | None:
     """
     # lo starts >= 2**work; squaring it, or halving it from >= 2 * 2**work, keeps it so
     two = 2 << work
-    lo = (x.numerator << work) // x.denominator
-    hi = -((-x.numerator << work) // x.denominator)
+    lo = (p << work) // q
+    hi = -((-p << work) // q)
     bits = 0
     for _ in range(nbits):
         lo = (lo * lo) >> work
@@ -158,8 +159,9 @@ def ceil_mul_log2(c: int, r: Fraction) -> int:
     """Smallest integer t with t >= c * log2(r), exactly; c must be positive.
 
     For r a power of two the product is an integer and is returned directly.
-    Otherwise c * log2(r) is irrational, so a sufficiently tight bracket
-    pins its floor and the ceiling is floor + 1.
+    Otherwise c * log2(r) is irrational, so its ceiling is its floor + 1:
+    for c = 1 that floor is ``_floor_log2(r)``, else a sufficiently tight
+    bracket pins it.
     """
     if c <= 0:
         raise DimensionMismatchError("coefficient must be positive")
@@ -168,6 +170,8 @@ def ceil_mul_log2(c: int, r: Fraction) -> int:
     exact = power_of_two_exponent(r)
     if exact is not None:
         return c * exact
+    if c == 1:
+        return _floor_log2(r) + 1
     precision = max(8, c.bit_length() + 4)
     while True:
         lo, hi = log2_bracket(r, precision)

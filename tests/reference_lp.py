@@ -26,10 +26,17 @@ row in each consumer before programs were held in integer form, and
 then, with one ``label_masses`` call per rectangle for the averaged srec
 covering row.  ``reference_form`` of their rows must equal ``integer_form``
 of the program the builders now emit.
+
+``program_key`` is ``lpbounds.lp._program_key`` as it encoded every row in
+one loop, before each ``Row`` held its own key bytes; the two must give
+the same key for every program, so existing cache entries keep their names.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -473,3 +480,13 @@ def partition_parts(family, fn, points, eps: Fraction, relaxed: bool):
         total = {v: one for pair in inside for v in pair}
         mass.append(Constraint(total, "<=" if relaxed else "=", one, f"mass_{tag}"))
     return tuple(v for pair in names for v in pair), cost, covering + mass
+
+
+def program_key(lp: LinearProgram) -> str:
+    h = hashlib.sha256(f"min\n{json.dumps(lp.variables)}\n[]\n".encode())
+    for r in (lp.cost, *lp.rows):
+        c = r.coeffs
+        coeffs = f"*{c[0]}" if c and c.count(c[0]) == len(c) else ",".join(map(str, c))
+        h.update(f"{r.rel} {r.s} {r.rhs} {len(c)} {coeffs}\n".encode())
+        h.update(struct.pack(f"<{len(c)}q", *r.cols))
+    return h.hexdigest()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_duals import build_prt_dual_lp, build_rprt_dual_lp, split_free
 
-from lpbounds import families
+from lpbounds import ccbounds, families
 from lpbounds.ccbounds import (
     SrecInstance,
     build_prt_lp,
@@ -22,7 +22,7 @@ from lpbounds.ccbounds import (
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
 from lpbounds.lp import check_feasible, dual_objective, solve
 from lpbounds.model import ProductDistribution2P, TwoPartyFunction
-from lpbounds.rational import majority_error
+from lpbounds.rational import log2_bracket, majority_error
 
 
 @pytest.mark.parametrize("eps", [F(-1, 8), F(3, 2)])
@@ -217,6 +217,17 @@ def test_bound_result_log_bracket():
     assert res.log2_lo == res.log2_hi == 2  # value 4
     res2 = srec_bound(SrecInstance(CC_CORPUS["eq2"], 1, F(1), F(0)))
     assert res2.log2_lo is None and res2.log2_hi is None
+
+
+def test_the_log_bracket_is_worked_out_once_when_first_read(monkeypatch):
+    """A bound that is never printed never brackets its log2; one that is brackets it once."""
+    calls = []
+    monkeypatch.setattr(ccbounds, "log2_bracket", lambda r: calls.append(r) or log2_bracket(r))
+    res = srec_bound(SrecInstance(CC_CORPUS["gt2"], 1, F(1, 8), F(1, 8)))
+    assert calls == []
+    assert (res.log2_lo, res.log2_hi) == log2_bracket(res.value)
+    assert res.log2_hi - res.log2_lo <= F(1, 1 << 20)
+    assert calls == [res.value]
 
 
 WEIGHTS = st.builds(F, st.integers(0, 4), st.integers(1, 6))  # zeros are common

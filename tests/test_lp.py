@@ -26,8 +26,9 @@ from lpbounds.lp import (
     set_cache_dir,
     solve,
 )
-from lpbounds.model import enumerate_rectangles
+from lpbounds.model import ProductDistribution2P, enumerate_rectangles
 from lpbounds.qcbounds import _cube_family, build_qprt_lp
+from lpbounds.rational import format_rational, parse_rational
 
 
 def lp_min(variables, objective, constraints):
@@ -240,6 +241,42 @@ def test_corrupt_cache_entry_is_a_miss(cache_dir, corrupt):
     assert json.loads(entry.read_text()) == fresh.to_record()  # the miss rewrote the entry
 
 
+def _one_part_edits(rec):
+    """The record with one part changed, by name: each primal value raised by 1/7,
+    each nonzero dual negated, and the value raised by 1."""
+    edits = {f"primal {v}": {**rec, "primal": {**rec["primal"], v: format_rational(parse_rational(x) + F(1, 7))}}
+             for v, x in rec["primal"].items()}
+    for i, y in enumerate(rec["dual"]):
+        if y != "0":
+            edits[f"dual {i}"] = {**rec, "dual": [*rec["dual"][:i], format_rational(-parse_rational(y)),
+                                                  *rec["dual"][i + 1:]]}
+    edits["value"] = {**rec, "value": format_rational(parse_rational(rec["value"]) + 1)}
+    return edits
+
+
+TAMPERED_PROGRAMS = {
+    "two rows": cached_program,
+    "srec eq2 under the uniform measure": lambda: build_srec_lp(
+        SrecInstance(families.eq(2), 1, F(0), F(1, 2**20), ProductDistribution2P.uniform(4, 4))),
+    "qprt maj3": lambda: build_qprt_lp(families.maj_q(3), F(1, 8)),
+}
+
+
+@pytest.mark.parametrize("build", TAMPERED_PROGRAMS.values(), ids=TAMPERED_PROGRAMS.keys())
+def test_an_entry_tampered_in_any_one_part_is_a_miss(cache_dir, build):
+    """A hit is certified on every load: one program solved again after each
+    one-part edit of its entry gets the fresh solution and rewrites the entry."""
+    program = build()
+    fresh = solve(program)
+    (entry,) = cache_dir.glob("*.json")
+    edits = _one_part_edits(fresh.to_record())
+    assert len(edits) == len(fresh.primal) + sum(1 for y in fresh.dual if y) + 1
+    for name, rec in edits.items():
+        entry.write_text(json.dumps(rec))
+        assert solve(program).canonical_bytes() == fresh.canonical_bytes(), name
+        assert json.loads(entry.read_text()) == fresh.to_record(), name
+
+
 def test_cache_store_leaves_another_writers_temp_file_alone(cache_dir):
     program = cached_program()
     entry = cache_dir / (lpmod._program_key(program) + ".json")
@@ -364,6 +401,70 @@ def test_program_key_is_canonical():
     assert len(set(changed.values())) == len(changed)
 
 
+BIG = 2**70
+
+
+@st.composite
+def keyed_programs(draw):
+    """Programs in integer form with every kind of row the key encodes.
+
+    A row, the objective included, may have all-equal coefficients of
+    either sign, mixed signs, one column or none; scales, coefficients and
+    right-hand sides reach past 64 bits.  Names are plain or any text,
+    quotes, backslashes, control and non-ASCII characters included.
+    """
+    n = draw(st.integers(1, 8))
+    names = draw(st.one_of(st.just([f"x{j}" for j in range(n)]),
+                           st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True)))
+
+    def row(label):
+        cols = tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
+        if draw(st.booleans()):
+            coeffs = (draw(st.integers(-9, 9).filter(bool)),) * len(cols)
+        else:
+            coeffs = tuple(draw(st.integers(-BIG, BIG).filter(bool)) for _ in cols)
+        rel = draw(st.sampled_from(["<=", "=", ">="]))
+        return Row(draw(st.integers(1, BIG)), cols, coeffs, rel, draw(st.integers(-BIG, BIG)), label)
+
+    rows = tuple(row(f"r{i}") for i in range(draw(st.integers(0, 5))))
+    return LinearProgram(tuple(names), row("objective"), rows)
+
+
+KEY_EXAMPLES = {
+    "all-equal": LinearProgram(("x", "y", "z"), Row(1, (0, 1, 2), (1, 1, 1), "=", 0, "objective"),
+                               (Row(8, (0, 2), (8, 8), "<=", 7, "cap"), Row(3, (1, 2), (-5, -5), ">=", -2, "c"))),
+    "mixed signs": LinearProgram(("x", "y"), Row(2, (0, 1), (1, 3), "=", 0, "objective"),
+                                 (Row(6, (0, 1), (-4, 4), "=", 1, "m"), Row(1, (0, 1), (2**70, -1), "<=", 0, "w"))),
+    "single column": LinearProgram(("x", "y"), Row(1, (1,), (2,), "=", 0, "objective"),
+                                   (Row(1, (0,), (-3,), ">=", -6, "s"),)),
+    "empty cost row": LinearProgram(("x",), Row(1, (), (), "=", 0, "objective"),
+                                    (Row(1, (0,), (1,), ">=", 1, "r"), Row(1, (), (), "<=", 0, "empty"))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_programs())
+@example(KEY_EXAMPLES["all-equal"])
+@example(KEY_EXAMPLES["mixed signs"])
+@example(KEY_EXAMPLES["single column"])
+@example(KEY_EXAMPLES["empty cost row"])
+def test_program_key_matches_the_reference_encoder(program):
+    """The key of rows that encode their own bytes is the one-loop encoder's, byte for byte."""
+    assert lpmod._program_key(program) == reference_lp.program_key(program)
+
+
+def test_corpus_program_keys_match_the_reference_encoder():
+    """The same on every corpus build and on the averaged srec covering row, built twice:
+    rows a second build shares keep the key bytes the first one encoded."""
+    mu = ProductDistribution2P.uniform(4, 4)
+    for build in (lambda: list(_corpus_programs()),
+                  lambda: [build_srec_lp(SrecInstance(f, z, F(1, 8), F(1, 2**20), mu))
+                           for f in (families.eq(2), families.gt(2)) for z in (0, 1)]):
+        first, again = build(), build()
+        for a, b in zip(first, again):
+            assert lpmod._program_key(a) == lpmod._program_key(b) == reference_lp.program_key(b)
+
+
 # Differential tests against the Fraction simplex the integer core replaced.
 
 SMALL_RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
@@ -430,9 +531,19 @@ THREE_TO_THE_40 = from_constraints(
 )
 
 
+# every row has one coefficient: -2 with a negative rhs, so the simplex flips it; 2
+# over the scale 6 and 4 over the scale 4, which it divides by g = 2 and g = 4
+UNIT_ROWS = from_constraints(
+    ("x0", "x1", "x2"), {"x0": F(1), "x1": F(2), "x2": F(1)},
+    (Constraint({"x0": F(-2), "x1": F(-2)}, "<=", F(-3)), Constraint({"x1": F(1, 3), "x2": F(1, 3)}, ">=", F(1, 2)),
+     Constraint({"x0": F(1), "x2": F(1)}, "=", F(5, 4))),
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(small_programs())
 @example(NEGATIVE_DRIVE_OUT)
+@example(UNIT_ROWS)
 def test_integer_core_matches_fraction_reference(program):
     """Byte-equal solutions, certificate included."""
     got, want = solve(program), reference_solve(program)
@@ -1293,6 +1404,17 @@ def test_integer_checks_match_fraction_reference(program, data):
     cases += [(point, dual), (moved, moved_dual)]
     for point, dual in cases:
         _assert_checks_match_reference(program, point, dual)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_programs(), st.data())
+def test_checks_on_unit_and_empty_rows_match_fraction_reference(program, data):
+    """Rows read as one coefficient, of either sign, and empty rows give the
+    Fraction checks' values and violations on random points and duals."""
+    names, m = list(program.variables), len(program.rows)
+    values = st.one_of(SMALL_RATIONALS, st.integers(-3, 3))
+    point = data.draw(st.dictionaries(st.sampled_from(names), values))
+    _assert_checks_match_reference(program, point, data.draw(st.lists(values, min_size=m, max_size=m)))
 
 
 def _corpus_programs():

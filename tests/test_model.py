@@ -395,6 +395,17 @@ def test_point_weights_sum_to_den_times_total(mu):
     assert sum(weights) == den * mu.total
 
 
+MARGINALS = st.lists(st.builds(Fraction, st.integers(0, 30), st.integers(1, 12)), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MARGINALS, MARGINALS)
+def test_total_is_the_product_of_the_marginal_sums(rows, cols):
+    """``total``, read off the integer point weights, is the Fraction sum it replaced."""
+    mu = ProductDistribution2P(tuple(rows), tuple(cols))
+    assert mu.total == sum(rows, Fraction(0)) * sum(cols, Fraction(0))
+
+
 def test_distribution_validation():
     with pytest.raises(DimensionMismatchError):
         ProductDistribution2P((Fraction(-1),), (Fraction(1),))

@@ -11,6 +11,7 @@ from lpbounds.errors import CapExceededError, DimensionMismatchError, Infeasible
 from lpbounds.lp import check_feasible, solve
 from lpbounds.model import BitProductDistribution, QueryFunction, Subcube, enumerate_subcubes
 from lpbounds.qcbounds import (
+    FeasibleSystem,
     boost_qprt,
     build_qprt_lp,
     extract_feasible,
@@ -261,3 +262,34 @@ def test_verify_reports_each_violated_inequality(perturb, message):
     system = extract_feasible(boosted, gamma, mu)
     problems = dataclasses.replace(system, **perturb(system)).verify(g, mu)
     assert problems and all(message in p for p in problems), problems
+
+
+# g(0) = 0 and g(1) = 1; u and w weigh each point's own cube, at every margin exactly
+POINT0, POINT1 = Subcube(1, 1, 0), Subcube(1, 1, 1)
+AT_THE_MARGINS = FeasibleSystem(
+    n=1, u={POINT0: F(5, 7), POINT1: F(2, 5)}, w={POINT0: F(3, 11), POINT1: F(1)},
+    alpha0=F(2, 7), beta0=F(2, 5), alpha1=F(0), beta1=F(3, 11), a=1, b=1,
+)
+
+
+@pytest.mark.parametrize(
+    "family, cube, weight, message",
+    [
+        ("u", POINT0, F(7, 10), "u covering below 1-alpha0 at 0"),
+        ("u", POINT1, F(3, 7), "u mass above beta0 at 1"),
+        ("w", POINT0, F(2, 7), "w mass above beta1 at 0"),
+        ("w", POINT1, F(144, 143), "w mass above 1 at 1"),
+    ],
+    ids=["alpha0", "beta0", "beta1", "cap"],
+)
+def test_verify_is_exact_at_each_pointwise_margin(family, cube, weight, message):
+    """Masses on their margins pass, and a mass just past one is reported alone.
+
+    The cap case is one unit of the masses' denominator past 1; the others
+    are over a denominator the margin's does not divide, which only the
+    right rounding of the margin gets right.
+    """
+    g, mu = QueryFunction(1, (0, 1)), BitProductDistribution((F(1, 2),))
+    assert AT_THE_MARGINS.verify(g, mu) == []
+    moved = dataclasses.replace(AT_THE_MARGINS, **{family: {**getattr(AT_THE_MARGINS, family), cube: weight}})
+    assert moved.verify(g, mu) == [message]

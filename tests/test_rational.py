@@ -4,6 +4,7 @@ import pytest
 from conftest import assert_refuses
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference_rational
 from reference_boost import reference_majority_error, reference_min_odd_votes
 
 from lpbounds.errors import DimensionMismatchError, ParseError
@@ -73,6 +74,27 @@ def test_ceil_mul_log2():
     assert 2**k >= 3**100 > 2 ** (k - 1)
     # huge coefficients stay exact on powers of two
     assert ceil_mul_log2(100 * (1 << 300), Fraction(1 << 20)) == 2000 * (1 << 300)
+
+
+POSITIVE = st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30))
+POWERS = st.integers(-80, 80).map(lambda k: Fraction(2) ** k)
+# within 2^-40 of a power of two, on either side: log2 sits just off an integer
+NEAR_POWERS = st.builds(lambda k, d, sign: Fraction(2) ** k + sign * Fraction(d, 1 << 48),
+                        st.integers(-30, 40), st.integers(1, 1 << 8), st.sampled_from([-1, 1]))
+LOG2_ARGUMENTS = st.one_of(POSITIVE, POWERS, NEAR_POWERS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LOG2_ARGUMENTS, st.sampled_from([1, 6, 20, 33]))
+def test_log2_bracket_matches_the_fraction_scaled_reference(r, precision):
+    assert log2_bracket(r, precision) == reference_rational.log2_bracket(r, precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LOG2_ARGUMENTS, st.sampled_from([1, 1, 1, 2, 3, 100]))
+def test_ceil_mul_log2_matches_the_bracket_reference(r, c):
+    """c = 1 reads the floor of log2 r directly; every c agrees with the bracket loop."""
+    assert ceil_mul_log2(c, r) == reference_rational.ceil_mul_log2(c, r)
 
 
 def test_floor_fourth_root():
