@@ -30,7 +30,7 @@ from operator import add
 
 from . import lp as lpmod
 from .errors import DimensionMismatchError, InfeasibleConstructionError
-from .lp import LinearProgram, LPSolution, Row, scaled_row, unit_row
+from .lp import LinearProgram, LPSolution, Names, Row, scaled_row, unit_row
 from .model import (
     ProductDistribution2P,
     Rectangle,
@@ -128,38 +128,57 @@ def _rect_family(nx: int, ny: int) -> LabelledFamily:
 
 
 @cache
-def _srec_columns(nx: int, ny: int) -> tuple[tuple[str, ...], Row, tuple[Row, ...]]:
-    """``w_<tag>`` per rectangle, the unit cost row and the cap rows, shared by every build."""
+def _srec_columns(nx: int, ny: int) -> tuple[Names, Row, tuple[Row, ...], dict[tuple[str, Fraction], list]]:
+    """``w_<tag>`` per rectangle, the unit cost row, the cap rows and the per-cell rows, shared by every build.
+
+    The per-cell rows are kept by (relation, level): by cell, the worst-case
+    covering row (``>=`` at 1 - eps) or the packing row (``<=`` at delta),
+    each made when a build first needs it.
+    """
     family = _rect_family(nx, ny)
-    names = tuple(f"w_{family.tag(r)}" for r in family.members)
+    names = Names(f"w_{family.tag(r)}" for r in family.members)
     caps = tuple(unit_row(cols, "<=", Fraction(1), f"cap_{tag}")
                  for tag, cols in zip(family.tags, family.containing))
-    return names, unit_row(range(len(names)), "=", Fraction(0), "objective"), caps
+    return names, unit_row(range(len(names)), "=", Fraction(0), "objective"), caps, {}
 
 
 def build_srec_lp(inst: SrecInstance) -> LinearProgram:
     """Column j is the weight of the j-th rectangle; rows in the order of the module docstring.
 
-    The averaged covering row reads the measure's integer ``point_weights``,
-    whose cells are x-major as ``f.labels``: ``_label_z_sums`` gives the
-    label-z weight of every rectangle at once, in column order.
+    The worst-case covering rows and the packing rows depend only on the
+    shape, the cell and the level, so every build shares them with
+    ``_srec_columns``' caps.  The averaged covering row depends on mu and f
+    and is built per program: it reads the measure's integer
+    ``point_weights``, whose cells are x-major as ``f.labels``, and
+    ``_label_z_sums`` gives the label-z weight of every rectangle at once,
+    in column order.
     """
     f, z = inst.f, inst.z
     family = _rect_family(f.nx, f.ny)
-    names, cost, caps = _srec_columns(f.nx, f.ny)
-    cells = list(zip(family.tags, f.labels, family.containing))
-    rows: list[Row] = []
+    names, cost, caps, shared = _srec_columns(f.nx, f.ny)
+
+    def cell_rows(rel: str, level: Fraction, own: bool) -> list[Row]:
+        """The shared rows ``rel`` level at the cells whose label is z (``own``) or is not."""
+        made = shared.setdefault((rel, level), [None] * len(family.tags))
+        out = []
+        for i, v in enumerate(f.labels):
+            if (v == z) is own:
+                if made[i] is None:
+                    made[i] = unit_row(family.containing[i], rel, level,
+                                       f"{'cov' if rel == '>=' else 'pack'}_{family.tags[i]}")
+                out.append(made[i])
+        return out
+
     level = 1 - inst.eps
     if inst.mu is None:
-        rows += [unit_row(cols, ">=", level, f"cov_{tag}") for tag, v, cols in cells if v == z]
+        rows = cell_rows(">=", level, True)
     else:
         den, weights = inst.mu.point_weights
         sums, d = _label_z_sums(f, z, weights), level.denominator
         masses = [d * m for by_cols in sums[1:] for m in by_cols[1:]]
         total = sums[-1][-1]  # the label-z weight of the whole table
-        rows.append(scaled_row(range(len(names)), masses, d * den, ">=", level.numerator * total, "cov"))
-    rows += [unit_row(cols, "<=", inst.delta, f"pack_{tag}") for tag, v, cols in cells if v != z]
-    return LinearProgram(names, cost, tuple(rows) + caps)
+        rows = [scaled_row(range(len(names)), masses, d * den, ">=", level.numerator * total, "cov")]
+    return LinearProgram(names, cost, (*rows, *cell_rows("<=", inst.delta, False), *caps))
 
 
 def _label_z_sums(f: TwoPartyFunction, z: int, weights: tuple[int, ...]) -> list[list[int]]:

@@ -52,8 +52,10 @@ sum_i N_ik * 2^(w i) in signed w-bit slots, written at the determinant
 ``cdd[k]``, and column k reads as cols[k] * D // cdd[k].  Packing is
 linear, so a pivot acts on whole columns: column k becomes
 (p * col_k - N_lk * u') / D, u' the packed u with slot l set to p - D
-(which keeps row l).  Every slot of that numerator is divisible by D, so
-the packed division is exact however wide an intermediate slot grows.  A
+(which keeps row l).  u' is the packed sum ``_column`` formed, less
+D << (w l); only a pivot whose bound check widened the slots packs u
+again.  Every slot of that numerator is divisible by D, so the packed
+division is exact however wide an intermediate slot grows.  A
 column with N_lk = 0 would only be rescaled by p / D, so the pivot leaves
 it alone, whether p = D or not, and the new D implies the factor; the
 rescale is exact because each slot then reads an entry of N, an integer by
@@ -146,10 +148,13 @@ one place rows are scaled; the builders emit rows through it, or through
 integer form needs no scaling (the level's denominator and numerator are
 coprime).  The simplex, the checkers and the cache key all read them.  A
 row checks its own form once (``Row.fault``) and encodes its part of the
-cache key once (``Row.key``), so the shape-only rows that many programs
-share are neither checked nor encoded again per build; unit rows of one
-length and level share one coefficient tuple.  Variable names serve the records
-and the key only.
+cache key once (``Row.key``).  The builders keep every row that depends
+only on the shape and a level (caps, total mass, packing and per-point
+covering rows) with the shape and hand the same ``Row`` to every program
+that needs it, so a shared row is neither made, checked nor encoded again
+per build; unit rows of one length and level share one coefficient tuple.
+Variable names serve the records and the key only; a builder's shared
+names are one ``Names``, checked for repeats and encoded for the key once.
 
 Dual conventions:
   row ``>=``  ->  y_i >= 0;   row ``<=``  ->  y_i <= 0;   row ``=`` -> free
@@ -261,12 +266,32 @@ def unit_row(cols, rel: str, level: Fraction, label: str) -> Row:
     return Row(den, cols, coeffs, rel, level.numerator, label)
 
 
+class Names(tuple):
+    """Variable names, refused if any repeats; ``header`` is their part of the cache key.
+
+    A builder that shares one names tuple among its programs makes it a
+    ``Names`` once, so the check and the encoding are done once.
+    """
+
+    def __new__(cls, names):
+        self = super().__new__(cls, names)
+        if len(set(self)) != len(self):
+            raise LpboundsError("duplicate variable names")
+        return self
+
+    @cached_property
+    def header(self) -> bytes:
+        """The names as a JSON list between the constant lines ``min`` and ``[]``."""
+        return f"min\n{json.dumps(self)}\n[]\n".encode()
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """min cost . x subject to ``rows`` and x >= 0, in its one integer form.
 
     ``cost`` is the objective as a row (its relation and rhs unused) and
-    ``rows`` the constraints.  Column j is ``variables[j]``.
+    ``rows`` the constraints.  Column j is ``variables[j]``; a tuple that is
+    not yet ``Names`` is made one, so repeated names are refused on every build.
     """
 
     variables: tuple[str, ...]
@@ -274,9 +299,9 @@ class LinearProgram:
     rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
+        if type(self.variables) is not Names:
+            object.__setattr__(self, "variables", Names(self.variables))
         n = len(self.variables)
-        if len(set(self.variables)) != n:
-            raise LpboundsError("duplicate variable names")
         for r in (self.cost, *self.rows):
             if r.rel not in _RELS:
                 raise LpboundsError(f"unknown relation {r.rel!r}")
@@ -494,27 +519,20 @@ def _slot_bytes(values, w: int) -> bytes:
     return b"".join(v.to_bytes(w // 8, "little", signed=True) for v in values)
 
 
-def _pack(values: list[int], w: int, off: int) -> int:
-    """sum_i values[i] * 2^(w*i) for |values[i]| < 2^(w-1); ``off`` is ``_offset(len(values), w)``.
-
-    Two's complement slots XOR the offset are values[i] + 2^(w-1); taking the
-    offset away leaves the signed sum.
-    """
-    return (int.from_bytes(_slot_bytes(values, w), "little") ^ off) - off
-
-
 def _blocks(values, size: int, w: int, off: int) -> list[int]:
-    """``values`` packed ``size`` at a time, as ``_pack`` packs them; ``off`` is ``_offset(size, w)``.
+    """``values`` packed ``size`` at a time, each block sum_i v_i * 2^(w*i); ``off`` is ``_offset(size, w)``.
 
-    The last block may be short.  It reads as if padded with zeros: its
-    missing slots are 0, and 0 XOR the offset less the offset is 0.
+    Each |v_i| < 2^(w-1).  Two's complement slots XOR the offset are
+    v_i + 2^(w-1); taking the offset away leaves the signed sum.  The last
+    block may be short.  It reads as if padded with zeros: its missing slots
+    are 0, and 0 XOR the offset less the offset is 0.
     """
     raw, step = memoryview(_slot_bytes(values, w)), size * w // 8
     return [(int.from_bytes(raw[s:s + step], "little") ^ off) - off for s in range(0, len(raw), step)]
 
 
 def _unpack(ints, slots: int, w: int, off: int) -> list[int]:
-    """The slot values of every ``c = _pack(values, w, off)`` in ``ints``, ``slots`` each, in one flat list.
+    """The slot values of every int of ``ints`` packed as ``_blocks`` packs them, ``slots`` each, in one flat list.
 
     Each |value| < 2^(w-1).  Adding the offset makes every slot
     nonnegative, so no slot borrows from the next; XOR takes it back off bit
@@ -686,11 +704,11 @@ class _Simplex:
                 cols[i] = cols[i] * d // cdd[i]
                 cdd[i] = d
 
-    def _column(self, j: int) -> list[int]:
-        """N * a_j, i.e. D times the basic direction of column j.
+    def _column(self, j: int) -> tuple[list[int], int]:
+        """u = N * a_j, i.e. D times the basic direction of column j, and u packed.
 
-        It is the sum of a_ij times column i of N over a_j's nonzero rows,
-        packed, so one unpack reads every row.
+        The packed u is the sum of a_ij times column i of N over a_j's
+        nonzero rows, so one unpack reads every row; a pivot on u reuses it.
         """
         rows, values = self._layout(j)
         reach = sum(map(abs, values))  # |u_i| <= M * reach
@@ -698,7 +716,7 @@ class _Simplex:
             self._fit(lambda big: big * reach)
         self._refresh(rows)
         packed = sum(map(mul, values, map(self.cols.__getitem__, rows)))
-        return _unpack([packed], self.m, self.w, self.off)
+        return _unpack([packed], self.m, self.w, self.off), packed
 
     def _row(self, i: int) -> tuple[list[int], list[int]]:
         """Row i of N at the current D, and the columns where it is nonzero.
@@ -724,13 +742,13 @@ class _Simplex:
         flat = _unpack(self.cols, m, self.w, self.off)
         return [sum(map(mul, cb, flat[k * m:k * m + m])) for k in range(m)]
 
-    def _pivot(self, l: int, u: list[int]) -> tuple[list[int], list[int]]:
-        """Exchange the basic column of row ``l`` for the column with N * a = u.
+    def _pivot(self, l: int, u: list[int], packed: int) -> tuple[list[int], list[int]]:
+        """Exchange the basic column of row ``l`` for the column with N * a = u, ``packed`` as ``_column`` reads it.
 
         Returns row l of N as it was and the columns where it is nonzero,
         which the dual update reads.  x is rewritten only when x_l != 0.
         """
-        p, d, cols, cdd = u[l], self.d, self.cols, self.cdd
+        p, d, cols, cdd, w = u[l], self.d, self.cols, self.cdd, self.w
         row, touched = self._row(l)
         top, spread = max(map(abs, row)), max(map(abs, u))
 
@@ -741,9 +759,11 @@ class _Simplex:
         if bound >= self.room:
             self._fit(need)
             bound = need(self.bound)
+            if self.w != w:  # the slots were widened: pack u again at the new width
+                w, packed = self.w, _blocks(u, self.m, self.w, self.off)[0]
         self.bound = bound
         # u with slot l at p - D: (p * N_lk - (p - D) * N_lk) / D keeps row l
-        packed_u = _pack(u, self.w, self.off) - (d << (self.w * l))
+        packed_u = packed - (d << (w * l))
         self._refresh(touched)
         for k in touched:
             cols[k] = (p * cols[k] - row[k] * packed_u) // d
@@ -782,7 +802,7 @@ class _Simplex:
                 if z := (sum(map(mul, row_i, self.blocks[b])) + off ^ off) & mask:
                     j = b * _BLOCK + ((z & -z).bit_length() - 1) // w
                     assert not self.x[i]  # degenerate, so x and xd stay
-                    self._pivot(i, self._column(j))
+                    self._pivot(i, *self._column(j))
                     self.d = abs(self.d)
                     self.basis[i] = j
                     break
@@ -831,7 +851,7 @@ class _Simplex:
             else:
                 self.y = y
                 return
-            u, x = self._column(enter), self.x
+            (u, packed), x = self._column(enter), self.x
             # ratio x_i / u_i over u_i > 0, compared by cross-multiplying; x at xd > 0 keeps their order
             leave = -1
             for i in range(m):
@@ -845,7 +865,7 @@ class _Simplex:
             if leave < 0:
                 raise LpboundsError(f"no row leaves the basis for improving column {enter}; solver bug")
             p = u[leave]
-            row, touched = self._pivot(leave, u)
+            row, touched = self._pivot(leave, u, packed)
             if p == d:  # Y' = Y + d_e * N_l / D changes only where row l is nonzero
                 for k in touched:
                     y[k] += d_e * row[k] // d
@@ -896,12 +916,11 @@ def set_cache_dir(path: str | None) -> None:
 def _program_key(lp: LinearProgram) -> str:
     """sha256 of a canonical encoding of the integer form.
 
-    The names come first, as a JSON list between the constant lines
-    ``min`` and ``[]`` that keep keys equal to those of existing cache
-    entries, then each row's ``key``, the objective first.  The row labels
-    play no part.
+    The names' ``header`` comes first, whose constant lines keep keys equal
+    to those of existing cache entries, then each row's ``key``, the
+    objective first.  The row labels play no part.
     """
-    h = hashlib.sha256(f"min\n{json.dumps(lp.variables)}\n[]\n".encode())
+    h = hashlib.sha256(lp.variables.header)
     h.update(lp.cost.key)
     h.update(b"".join(r.key for r in lp.rows))
     return h.hexdigest()

@@ -25,14 +25,14 @@ on an exact-total-mass solution and re-verifies every guarantee exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
 
 from .boosting import majority_product_boost
 from .errors import DimensionMismatchError, InfeasibleConstructionError
-from .lp import LinearProgram, Row, scaled_row, unit_row
+from .lp import LinearProgram, Names, Row, scaled_row, unit_row
 from .rational import format_rational, majority_error, numerators
 
 K = TypeVar("K", bound=Hashable)
@@ -72,7 +72,8 @@ class LabelledFamily(Generic[K]):
     ``cells(member)`` gives the indices of the points a member contains.
     ``intersect`` returns None for an empty intersection.  Labels are passed
     in, one per point, so one family, with its layout ``containing``, its
-    variable names and its total-mass rows worked out once, serves every build.
+    variable names and its total-mass and covering rows worked out once,
+    serves every build.
     """
 
     tags: tuple[str, ...]
@@ -81,6 +82,9 @@ class LabelledFamily(Generic[K]):
     tag: Callable[[K], str]
     cells: Callable[[K], Iterable[int]]
     intersect: Callable[[K, K], K | None]
+    # by eps, the covering row of point i and label z at 2i + z, made when a build first needs it
+    _covering: dict[Fraction, list[Row | None]] = field(default_factory=dict, init=False,
+                                                         repr=False, compare=False)
 
     @cached_property
     def containing(self) -> tuple[tuple[int, ...], ...]:
@@ -104,11 +108,11 @@ class LabelledFamily(Generic[K]):
         return den, dict(zip(self.members, costs))
 
     @cached_property
-    def _columns(self) -> tuple[tuple[str, ...], Row]:
+    def _columns(self) -> tuple[Names, Row]:
         """The variable names of ``primal`` and its cost row."""
         den, costs = self._costs
         nums = [c for c in costs.values() for _ in (0, 1)]
-        names = tuple(f"w{z}_{self.tag(k)}" for k in self.members for z in (0, 1))
+        names = Names(f"w{z}_{self.tag(k)}" for k in self.members for z in (0, 1))
         return names, scaled_row(range(len(nums)), nums, den, "=", 0, "objective")
 
     @cached_property
@@ -130,12 +134,20 @@ class LabelledFamily(Generic[K]):
         """The partition LP at error eps; ``relaxed`` relaxes total mass to <= 1.
 
         Column 2k + z is the weight of label z on the k-th member.  Only the
-        covering rows depend on the labels and eps.
+        covering rows depend on the labels and eps: the row of point p at
+        label z and eps is made once and kept on the family, so every build
+        of this shape at that eps shares it.
         """
         check_unit_interval("eps", eps)
-        covering = tuple(unit_row(cols[z], ">=", 1 - eps, f"cov_{tag}")
-                         for tag, z, cols in zip(self.tags, labels, self._label_columns))
-        return LinearProgram(*self._columns, covering + self._mass_rows[relaxed])
+        made = self._covering.setdefault(eps, [None] * (2 * len(self.tags)))
+        covering = []
+        for i, z in enumerate(labels):
+            row = made[2 * i + z]
+            if row is None:
+                row = made[2 * i + z] = unit_row(self._label_columns[i][z], ">=", 1 - eps,
+                                                 f"cov_{self.tags[i]}")
+            covering.append(row)
+        return LinearProgram(*self._columns, (*covering, *self._mass_rows[relaxed]))
 
     def masses(self, weights: LabelledWeights, labels: Labels) -> tuple[list[Fraction], ...]:
         """Per point, the weight on the members containing it: in all, and of its own label.

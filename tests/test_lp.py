@@ -106,6 +106,34 @@ def test_a_repeated_name_or_an_unknown_relation_is_a_typed_error():
         LinearProgram(("x",), cost, (Row(1, (0,), (1,), ">", 1, "r"),))
 
 
+def test_repeated_names_are_refused_on_every_build():
+    """The duplicate check is not skipped for a tuple that has been refused, or built, before."""
+    cost = Row(1, (0,), (1,), "=", 0, "objective")
+    names = ("x", "y", "x")
+    for _ in range(3):
+        with pytest.raises(LpboundsError, match="duplicate variable names"):
+            LinearProgram(names, cost, ())
+    with pytest.raises(LpboundsError, match="duplicate variable names"):
+        lpmod.Names(names)
+    plain = ("x", "y")
+    program = LinearProgram(plain, cost, ())
+    assert type(program.variables) is lpmod.Names and program.variables == plain
+    assert LinearProgram(program.variables, cost, ()).variables is program.variables
+
+
+def test_builds_of_one_shape_share_one_checked_names_tuple():
+    """The shape caches hand out one ``Names`` per shape, whose key header is the JSON of the names."""
+    eps, mu = F(1, 8), ProductDistribution2P.uniform(4, 4)
+    eq, gt = families.eq(2), families.gt(2)
+    for programs in ([build_prt_lp(eq, eps), build_rprt_lp(gt, F(0)), build_prt_lp(gt, F(1, 4))],
+                     [build_srec_lp(SrecInstance(eq, 0, eps, eps)), build_srec_lp(SrecInstance(gt, 1, eps, F(0), mu))],
+                     [build_qprt_lp(families.maj_q(3), eps), build_qprt_lp(families.and_q(3), F(0))]):
+        names = programs[0].variables
+        assert type(names) is lpmod.Names and all(p.variables is names for p in programs)
+        assert names.header == f"min\n{json.dumps(list(names))}\n[]\n".encode()
+        assert all(lpmod._program_key(p) == reference_lp.program_key(p) for p in programs)
+
+
 def test_check_feasible_reports_slack():
     lp = lp_min(["x", "y"], {"x": F(1)}, [Constraint({"x": F(1), "y": F(1)}, "=", F(1), "mass")])
     viols = check_feasible(lp, {})
@@ -555,9 +583,9 @@ def test_drive_out_pivots_on_a_negative_element(monkeypatch):
     pivots, states = [], []
     pivot, run = lpmod._Simplex._pivot, lpmod._Simplex.run
 
-    def record_pivot(sx, l, u):
+    def record_pivot(sx, l, u, packed):
         pivots.append(u[l])
-        return pivot(sx, l, u)
+        return pivot(sx, l, u, packed)
 
     def record_run(sx):
         states.append(sx)
@@ -582,6 +610,12 @@ def _materialized(sx):
         assert all(a * sx.d % e == 0 for a in column)
         columns.append([a * sx.d // e for a in column])
     return [list(row) for row in zip(*columns)] if columns else []
+
+
+def _pack(values, w):
+    """``values`` packed in one int of w-bit slots, as ``_Simplex`` packs N's columns; 0 for no values."""
+    n = len(values) or 1
+    return (lpmod._blocks(values, n, w, lpmod._offset(n, w)) or [0])[0]
 
 
 def _layout_dot(sx, vec, j):
@@ -639,15 +673,16 @@ def _audited_solve(program):
 
     def audit_column(sx, j):
         counts["stale columns read"] += sum(sx.cdd[i] != sx.d for i in sx._layout(j)[0])
-        u = column(sx, j)
+        u, packed = column(sx, j)
         assert u == [_layout_dot(sx, row, j) for row in _materialized(sx)]
-        return u
+        return u, packed
 
-    def audit_pivot(sx, l, u):
+    def audit_pivot(sx, l, u, packed):
         _assert_basis_identity(sx)
         assert all(abs(a) <= sx.bound < sx.room for row in _materialized(sx) for a in row)
+        assert packed == _pack(u, sx.w)  # the direction ``_column`` packed is u
         counts["p = D" if u[l] == sx.d else "p != D"] += 1
-        return pivot(sx, l, u)
+        return pivot(sx, l, u, packed)
 
     def audit_measure(sx):
         counts["re-measures"] += 1
@@ -737,10 +772,10 @@ def _pivot_work(program):
                             "stale touched"), 0)
     pivot = lpmod._Simplex._pivot
 
-    def audit_pivot(sx, l, u):
+    def audit_pivot(sx, l, u, packed):
         d, xd, x, cols, cdd = sx.d, sx.xd, sx.x, list(sx.cols), list(sx.cdd)
         values = list(x)
-        row, touched = pivot(sx, l, u)
+        row, touched = pivot(sx, l, u, packed)
         counts["pivots"] += 1
         rewritten = sx.x is not x
         assert rewritten == (values[l] != 0)
@@ -873,12 +908,12 @@ def test_packed_slots_round_trip(w):
                [top, 0, -1, top, top], [-1, top, -top, 0, -top]]
     for values in ([], *columns):
         off = lpmod._offset(len(values), w)
-        packed = lpmod._pack(values, w, off)
+        packed = _pack(values, w)
         assert packed == sum(v << (w * i) for i, v in enumerate(values))
         assert lpmod._unpack([packed], len(values), w, off) == values
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 5))
     sx._set_width(w)
-    sx.cols = [lpmod._pack(column, w, sx.off) for column in columns]
+    sx.cols = [_pack(column, w) for column in columns]
     rows = [list(row) for row in zip(*columns)]
     assert [sx._row(i) for i in range(5)] == [(row, [k for k, a in enumerate(row) if a]) for row in rows]
 
@@ -892,9 +927,10 @@ def test_a_pivot_that_outgrows_the_slots_widens_them_first():
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
     sx._set_width(64)
     big = 1 << 40
-    sx.cols = [lpmod._pack(column, sx.w, sx.off) for column in ([big, 0], [0, big])]
+    sx.cols = [_pack(column, sx.w) for column in ([big, 0], [0, big])]
     sx.bound = big
-    sx._pivot(0, [1 << 30, 1 << 30])
+    u = [1 << 30, 1 << 30]
+    sx._pivot(0, u, _pack(u, sx.w))
     assert sx.w > 64
     assert (sx.d, _materialized(sx)) == (1 << 30, [[big, 0], [-(1 << 70), 1 << 70]])
 
@@ -904,9 +940,10 @@ def test_a_pivot_that_outgrows_the_16_bit_slots_widens_them_to_32():
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
     assert sx.w == 16
     big = 1 << 10
-    sx.cols = [lpmod._pack(column, sx.w, sx.off) for column in ([big, 0], [0, big])]
+    sx.cols = [_pack(column, sx.w) for column in ([big, 0], [0, big])]
     sx.bound = big
-    sx._pivot(0, [1 << 7, 1 << 7])
+    u = [1 << 7, 1 << 7]
+    sx._pivot(0, u, _pack(u, sx.w))
     assert sx.w == 32
     assert (sx.d, _materialized(sx)) == (1 << 7, [[big, 0], [-(1 << 17), 1 << 17]])
 
@@ -916,9 +953,10 @@ def test_a_pivot_that_outgrows_the_32_bit_slots_widens_them_to_64():
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
     sx._set_width(32)
     big = 1 << 20
-    sx.cols = [lpmod._pack(column, sx.w, sx.off) for column in ([big, 0], [0, big])]
+    sx.cols = [_pack(column, sx.w) for column in ([big, 0], [0, big])]
     sx.bound = big
-    sx._pivot(0, [1 << 15, 1 << 15])
+    u = [1 << 15, 1 << 15]
+    sx._pivot(0, u, _pack(u, sx.w))
     assert sx.w == 64
     assert (sx.d, _materialized(sx)) == (1 << 15, [[big, 0], [-(1 << 35), 1 << 35]])
 
@@ -1027,9 +1065,9 @@ def _pivot_path(program, width):
         path.append(("enter", j))
         return column(sx, j)
 
-    def record_pivot(sx, l, u):
+    def record_pivot(sx, l, u, packed):
         path.append(("leave", l, sx.basis[l]))
-        return pivot(sx, l, u)
+        return pivot(sx, l, u, packed)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod, "_WIDTH", width)
@@ -1068,7 +1106,7 @@ def test_slots_without_native_arrays_match_the_native_path(w):
     program = build_prt_lp(EQ2, F(1, 8))
 
     def read():
-        packed = lpmod._pack(values, w, off)
+        packed = _pack(values, w)
         sx = lpmod._Simplex(program)
         assert (sx.w, sx.pw) == (w, w)
         return (packed, lpmod._unpack([packed], len(values), w, off),
@@ -1146,7 +1184,7 @@ def _layout_audited_solve(program):
             assert _bland_entering(sx, *phase, dense) == j
             checked.append(j)
         u = column(sx, j)
-        assert u == want
+        assert u[0] == want
         return u
 
     def audit_iterate(sx, cost, limit):
@@ -1301,9 +1339,9 @@ def _pivot_trace(program):
     trace = []
     pivot, run = lpmod._Simplex._pivot, lpmod._Simplex.run
 
-    def record_pivot(sx, l, u):
+    def record_pivot(sx, l, u, packed):
         trace.append((tuple(sx.basis), sx.d, l))
-        return pivot(sx, l, u)
+        return pivot(sx, l, u, packed)
 
     def record_run(sx):
         sol = run(sx)

@@ -5,7 +5,10 @@ follows variable and row order, so a builder change that renames or
 reorders anything in these programs shows up here.
 """
 
+import gc
+import weakref
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -13,6 +16,7 @@ from lpbounds import families, lp
 from lpbounds.ccbounds import (
     SrecInstance,
     _rect_family,
+    _srec_columns,
     build_prt_lp,
     build_rprt_lp,
     build_srec_lp,
@@ -105,6 +109,125 @@ def test_srec_builds_of_one_shape_share_their_cap_rows():
     caps = [program.rows[-16:] for program in programs]
     assert [row.label for row in caps[0]] == [f"cap_{x}_{y}" for x in range(4) for y in range(4)]
     assert all(a is b for other in caps[1:] for a, b in zip(caps[0], other))
+
+
+CC_FUNCTIONS = (families.eq(2), families.gt(2), families.disj(2), families.xor2p(2))
+QC_FUNCTIONS = (families.maj_q(3), families.and_q(3), families.xor_q(3))
+
+
+def _shared_rows(programs, prefixes):
+    """Per label with one of ``prefixes`` and per row content under it, the ids of the rows held."""
+    objects: dict[tuple, set[int]] = {}
+    for program in programs:
+        for row in program.rows:
+            if row.label.startswith(prefixes):
+                content = (row.label, row.s, row.cols, row.coeffs, row.rel, row.rhs)
+                objects.setdefault(content, set()).add(id(row))
+    return objects
+
+
+def _srec_builds(eps, delta, mu=None):
+    return [build_srec_lp(SrecInstance(f, z, eps, delta, mu)) for f in CC_FUNCTIONS for z in (0, 1)]
+
+
+def _partition_builds(eps):
+    return ([build(f, eps) for f in CC_FUNCTIONS for build in (build_prt_lp, build_rprt_lp)],
+            [build_qprt_lp(g, eps) for g in QC_FUNCTIONS])
+
+
+def test_builds_at_one_level_share_their_covering_and_packing_rows():
+    """A per-point covering or packing row depends on the shape, the point and the level only.
+
+    Every build of one shape at equal eps (and delta) holds the same ``Row``
+    object under each such label, whatever the function and z; srec-dist
+    shares the packing rows and builds its averaged covering row anew.
+    """
+    eps, mu = F(1, 8), ProductDistribution2P.uniform(4, 4)
+    worst, dist = _srec_builds(eps, eps), _srec_builds(eps, eps, mu)
+    cells = [f"{x}_{y}" for x in range(4) for y in range(4)]
+    srec = _shared_rows(worst + dist, ("cov_", "pack_"))
+    # one level each: one row content, and one object, per label
+    assert sorted(label for label, *_ in srec) == sorted(f"{kind}_{tag}" for kind in ("cov", "pack")
+                                                         for tag in cells)
+    assert all(len(ids) == 1 for ids in srec.values())
+    averaged = [row for program in dist for row in program.rows if row.label == "cov"]
+    assert len(averaged) == len({id(row) for row in averaged}) == len(dist)
+    cc, qc = _partition_builds(eps)
+    for programs, points in ((cc, 16), (qc, 8)):
+        covering = _shared_rows(programs, ("cov_",))
+        # a point is covered at label 0 by some functions and at label 1 by others
+        assert len({label for label, *_ in covering}) == points < len(covering)
+        assert all(len(ids) == 1 for ids in covering.values())
+
+
+def _level(row):
+    return F(row.rhs, row.s)
+
+
+def test_another_level_makes_rows_of_its_own():
+    """Builds at another eps or delta hold new rows at that level; the rows of the other level stay."""
+    eps, other = F(1, 8), F(1, 4)
+    base = _srec_builds(eps, eps)[0]
+    by_label = {row.label: row for row in base.rows}
+    moved = {row.label: row for row in _srec_builds(other, eps)[0].rows}
+    packed = {row.label: row for row in _srec_builds(eps, other)[0].rows}
+    for label, row in by_label.items():
+        if label.startswith("cov_"):
+            assert moved[label] is not row and _level(moved[label]) == 1 - other != _level(row)
+            assert packed[label] is row
+        elif label.startswith("pack_"):
+            assert moved[label] is row
+            assert packed[label] is not row and _level(packed[label]) == other != _level(row)
+    for at_eps, at_other in zip(_partition_builds(eps), _partition_builds(other)):
+        for a, b in zip(at_eps, at_other):
+            points = len(a.rows) // 2
+            assert not {id(row) for row in a.rows[:points]} & {id(row) for row in b.rows[:points]}
+            assert all(x is y for x, y in zip(a.rows[points:], b.rows[points:]))  # total mass
+
+
+def test_shared_rows_equal_the_rows_of_a_first_build():
+    """What a build hands out after others of its shape equals what a first build makes, key and all."""
+    eps, mu = F(1, 8), ProductDistribution2P.uniform(4, 4)
+    instances = [SrecInstance(f, z, e, d, m) for f in CC_FUNCTIONS for z in (0, 1)
+                 for e, d, m in ((eps, eps, None), (eps, F(0), mu), (F(0), eps, None))]
+    builds = ([partial(build_srec_lp, inst) for inst in instances]
+              + [partial(build, f, eps) for f in CC_FUNCTIONS for build in (build_prt_lp, build_rprt_lp)]
+              + [partial(build_qprt_lp, g, eps) for g in QC_FUNCTIONS])
+    for build in builds:
+        build()
+    warm = [build() for build in builds]
+    first = []
+    for build in builds:
+        for cache in (_srec_columns, _rect_family, _cube_family):
+            cache.cache_clear()
+        first.append(build())
+    assert warm == first
+    assert [lp._program_key(p) for p in warm] == [lp._program_key(p) for p in first]
+
+
+def test_nothing_holds_a_program_or_a_solution_after_its_solve(tmp_path):
+    """The shape caches hold rows and names only: a solved program and its solution are freed.
+
+    Checked on a cold solve, on a cache hit and with no cache.
+    """
+    eps = F(1, 8)
+    builds = (lambda: build_prt_lp(families.eq(2), eps),
+              lambda: build_srec_lp(SrecInstance(families.gt(2), 1, eps, eps)),
+              lambda: build_srec_lp(SrecInstance(families.gt(2), 0, eps, eps,
+                                                 ProductDistribution2P.uniform(4, 4))),
+              lambda: build_qprt_lp(families.maj_q(3), eps))
+    for cache in (str(tmp_path), str(tmp_path), None):
+        lp.set_cache_dir(cache)
+        try:
+            for build in builds:
+                program = build()
+                sol = lp.solve(program)
+                refs = [weakref.ref(program), weakref.ref(sol)]
+                del program, sol
+                gc.collect()
+                assert [ref() for ref in refs] == [None, None]
+        finally:
+            lp.set_cache_dir(None)
 
 
 def test_qprt_boost_requires_exact_total_mass():

@@ -43,6 +43,18 @@ def test_distribution_round_trip():
     assert serialize.parse_distribution(serialize.write_distribution(bits)) == bits
 
 
+@pytest.mark.parametrize("mu", [ProductDistribution2P((F(1, 4), F(3, 4)), (F(1, 3), F(0), F(2, 3))),
+                                BitProductDistribution((F(1, 2), F(1, 5), F(1)))],
+                         ids=["rows-cols", "p"])
+def test_blank_lines_in_a_distribution_file_are_skipped(mu):
+    """Blank and whitespace-only lines before, between and after the fields change nothing."""
+    text = serialize.write_distribution(mu)
+    spaced = "\n \n" + "\n\n\t\n".join(text.splitlines()) + "\n\n  \n"
+    got = serialize.parse_distribution(spaced)
+    assert got == serialize.parse_distribution(text) == mu
+    assert got.point_weights == mu.point_weights
+
+
 def test_protocol_tree_round_trip():
     tree = PNode("A", 0b0101, PNode("B", 0b0011, Leaf(1), Leaf(0)), Leaf(0))
     text = serialize.write_protocol_tree(tree)
