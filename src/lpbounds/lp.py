@@ -12,7 +12,7 @@ entering variable is the lowest-index column with a negative reduced cost,
 leaving row breaks ratio ties by lowest basic column index.  Bland's rule
 guarantees termination and makes every solve deterministic: the same
 program always produces the same pivot sequence, hence byte-identical
-solutions.  Pricing reads the reduced costs ``_BLOCK`` = 64 columns at a
+solutions.  Pricing reads the reduced costs ``_BLOCK`` = 128 columns at a
 time (see "Pricing in blocks" below) and enters the lowest negative one,
 the column a scan one by one would enter.
 
@@ -94,23 +94,28 @@ a native ``array`` or ``memoryview`` cast (typecodes "h", "i" and "q" on
 a little-endian host, ``_WORDS``), else slot by slot through ``int.to_bytes``.
 
 Pricing in blocks.  The standard form A, slacks and artificials included,
-is held by rows in blocks of 64 columns: ``blocks[b][i]`` packs row i's
-coefficients on columns 64 b .. 64 b + 63 in signed slots of pw bits, as
-B^-1's columns are packed, and the costs of a phase are packed the same
-way.  Packing is linear, so D * C_b - sum_i Y_i * blocks[b][i], one
-big-int sum, holds L * D times the reduced cost of all 64 columns; a
-basic column reads exactly 0, so no basis set is kept.  Every slot is at
-most D max c + l1 max |Y| in size, l1 >= every column's l1 norm (the sum
-of each row's largest entry), and that bound is checked against 2^(pw-2)
-before every pricing pass; if it fails, every block is repacked once, at
-the first of 2 pw, 4 pw, ... that clears it, so no slot overflows silently.
-pw starts at 16 and is doubled before packing until l1 fits.  Adding the
+is held by rows in blocks of ``_BLOCK`` = 128 columns: ``blocks[b][i]``
+packs row i's coefficients on columns 128 b .. 128 b + 127 in signed
+slots of pw bits, as B^-1's columns are packed, and the costs of a phase
+are packed the same way.  Packing is linear, so
+D * C_b - sum_i Y_i * blocks[b][i], one big-int sum, holds L * D times the
+reduced cost of all 128 columns; a basic column reads exactly 0, so no
+basis set is kept.  The cost of a pass is the number of those m-term
+sums, not their width, hence the wide blocks.  Before every pricing pass
+the size of every slot is bounded in two steps (``_slot_bound``): first
+by D max c + reach max |Y|, reach = sum_i rowmax_i >= every column's l1
+norm, rowmax_i the largest |entry| of row i; if that is not below
+2^(pw-2), by the tighter D max c + sum_i |Y_i| rowmax_i, which costs m
+products.  If that fails too, every block is repacked once, at the first
+of 2 pw, 4 pw, ... that clears it, so no slot overflows silently.  pw
+starts at 16 and is doubled before packing until reach fits.  Adding the
 offset 2^(pw-1) to each slot leaves its top bit clear exactly where the
 reduced cost is negative; masked to the columns below the phase's limit,
 the lowest such bit names the entering column, and pricing stops at the
 first block that has one.  The drive-out of artificials reads row_i . A
-from the same blocks, whose values are at most M l1, and takes the lowest
-nonzero slot.  Rows are packed from one native array per row, sliced into
+from the same blocks, bounded by the same two steps with N_i in place of
+Y and no cost (sum_k |N_ik| rowmax_k), and takes the lowest nonzero
+slot.  Rows are packed from one native array per row, sliced into
 blocks, so no m x n Python list is ever held.
 
 Columns are read in C.  The first time column j enters (or is read), its
@@ -499,7 +504,7 @@ def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
 
 
 # columns priced by one big-int sum, and the slot width both packings start at
-_BLOCK = 64
+_BLOCK = 128
 _WIDTH = 16
 
 # w -> the typecode whose native array words are slots of w bits, where the host has one
@@ -570,7 +575,7 @@ class _Simplex:
         scales: list[tuple[int, int]] = []  # the flip and g_i
         rhs: list[tuple[int, int]] = []  # sign * rhs_i / g_i in lowest terms
         rels: list[str] = []
-        self.reach = 0  # >= the l1 norm of every column: the sum of the rows' largest entries
+        self.rowmax: list[int] = []  # the largest |entry| of each standard-form row
         for row in lp.rows:
             sign = -1 if row.rhs < 0 else 1
             coeffs = row.coeffs if row.unit is None else (row.unit,)  # a unit row reads as one number
@@ -581,7 +586,8 @@ class _Simplex:
             rhs.append((sign * row.rhs // h, g // h))
             rels.append(row.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[row.rel])
             scales.append((sign, g))
-            self.reach += max(1, max(map(abs, coeffs), default=0) // g)
+            self.rowmax.append(max(1, max(map(abs, coeffs), default=0) // g))
+        self.reach = sum(self.rowmax)  # >= the l1 norm of every column
         self.lb = lcm(*(den for _, den in rhs))  # L_b, one common denominator of b
         self.x: list[int] = [num * (self.lb // den) for num, den in rhs]  # xd * L_b * x_B
         self.xd = 1  # the determinant x was last written at, > 0
@@ -656,6 +662,18 @@ class _Simplex:
         if w != self.pw:
             self.blocks = [tuple(_repack(block, _BLOCK, self.pw, self.poff, w)) for block in self.blocks]
             self._set_price_width(w)
+
+    def _slot_bound(self, base: int, weights: list[int], room: int) -> int:
+        """A bound on |base_j - sum_i weights_i a_ij| over every column j, for any base_j of size <= ``base``.
+
+        First the cheap one, base + reach max |weights_i|; if it is not
+        below ``room``, the tighter base + sum_i |weights_i| rowmax_i, which
+        costs m products.  Both hold, as |a_ij| <= rowmax_i.
+        """
+        need = base + self.reach * max(map(abs, weights), default=0)
+        if need >= room:
+            need = base + sum(map(mul, map(abs, weights), self.rowmax))
+        return need
 
     def _masks(self, limit: int) -> list[int]:
         """Per block, the bits of its slots for the columns below ``limit``."""
@@ -796,7 +814,7 @@ class _Simplex:
             if self.basis[i] < self.n_structural:
                 continue
             row_i, _ = self._row(i)
-            self._fit_prices(max(map(abs, row_i)) * self.reach)  # |row_i . a_j| <= M * l1(a_j)
+            self._fit_prices(self._slot_bound(0, row_i, 1 << (self.pw - 2)))  # |row_i . a_j|
             w, off = self.pw, self.poff
             for b, mask in enumerate(self._masks(self.n_structural)):
                 if z := (sum(map(mul, row_i, self.blocks[b])) + off ^ off) & mask:
@@ -813,18 +831,20 @@ class _Simplex:
         Bland's rule prices a block of ``_BLOCK`` columns at a time: with
         the costs packed like the rows, D * C_b - sum_i Y_i A_ib holds L * D
         times the reduced cost of every column of block b, a basic one 0.
-        Each of those is at most D max c + l1(a_j) max |Y| in size, so the
-        blocks are widened until that is below 2^(pw-2) before a block is
-        read.  Adding the offset leaves a slot's top bit clear exactly where
-        its reduced cost is negative, the lowest such bit below ``limit``
-        names the entering column, and that slot less the offset is the
-        d_e of the dual update.
+        Before a pass reads a block, ``_slot_bound`` bounds every one of
+        those, by D max c + reach max |Y| or, where that is not below
+        2^(pw-2), by D max c + sum_i |Y_i| rowmax_i; only if that is not
+        below 2^(pw-2) either are the blocks widened until it is, and the
+        costs packed again.  Adding the offset leaves a slot's top bit
+        clear exactly where its reduced cost is negative, the lowest such
+        bit below ``limit`` names the entering column, and that slot less
+        the offset is the d_e of the dual update.
 
         Both phases minimise a cost >= 0 (phase 1 the artificials, phase 2
         the program's own, as ``solve`` checks), so an improving column
         always meets a leaving row; one that does not is a solver bug.
         """
-        m, basis, reach = self.m, self.basis, self.reach
+        m, basis = self.m, self.basis
         y = self._duals(cost)
         top, room = max(cost, default=0), 0  # room 0 packs the costs on the first pass
         while True:
@@ -834,7 +854,7 @@ class _Simplex:
                     f"pivot cap exceeded: more than MAX_PIVOTS = {MAX_PIVOTS} pricing passes"
                 )
             d = self.d
-            need = d * top + reach * max(map(abs, y), default=0)
+            need = self._slot_bound(d * top, y, room)
             if need >= room:
                 self._fit_prices(need)
                 w, off = self.pw, self.poff

@@ -33,24 +33,24 @@ __all__ = [
 def parse_rational(text: str) -> Fraction:
     """Parse ``num/den`` or a plain integer literal into a Fraction.
 
-    Decimal notation is rejected: rationals must be written exactly, e.g.
-    ``1/8`` rather than ``0.125``.
+    Outer whitespace is stripped; then comes an optional sign, ASCII digits
+    and optionally ``/`` and a positive denominator of ASCII digits, the
+    form ``format_rational`` writes.  Anything else is refused: decimal
+    notation (rationals are written exactly, ``1/8`` rather than
+    ``0.125``), inner spaces, underscores, non-ASCII digits and a signed
+    denominator.
     """
     s = text.strip()
-    if "." in s or "e" in s.lower():
-        raise ParseError(
-            f"expected a rational in num/den or integer form, got {text!r} "
-            "(decimal notation is not accepted; write 1/8 instead of 0.125)"
-        )
-    try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(
-            f"expected a rational in num/den or integer form, got {text!r}"
-        ) from exc
+    num, slash, den = s.partition("/")
+    signed = num.isdigit() or num[1:].isdigit() and num[0] in "+-"
+    if signed and s.isascii() and (den.isdigit() or not slash):  # on ASCII, isdigit means 0-9
+        try:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        except (ValueError, ZeroDivisionError):  # past int's digit limit, or a zero denominator
+            pass
+    decimal = "." in text or "e" in text.lower()
+    raise ParseError(f"expected a rational in num/den or integer form, got {text!r}" + (
+        " (decimal notation is not accepted; write 1/8 instead of 0.125)" if decimal else ""))
 
 
 def format_rational(q: Fraction) -> str:

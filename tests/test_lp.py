@@ -839,14 +839,16 @@ def test_corpus_programs_stay_in_32_bit_slots(build, re_measures):
 
 
 def _benchmark_widths():
-    """Per benchmark solve, in run order: (program, final w, final pw, re-measures of M, N's widenings).
+    """Per benchmark solve, in run order: (program, final w, final pw, re-measures of M, widenings).
 
-    A widening is (pivot, old w, new w).  The programs are the chain's
-    prt, rprt, srec^0 and srec^1 on eq2, gt2, and2, xor2 and disj2 and
-    qprt on and4, maj5, xor4 and maj4, each labelled by its table.
+    A widening is (pivot, old w, new w); N's are listed first, then the price
+    blocks'.  The programs are the chain's prt, rprt, srec^0 and srec^1 on
+    eq2, gt2, and2, xor2 and disj2 and qprt on and4, maj5, xor4 and maj4,
+    each labelled by its table.
     """
     solves, label = [], []
-    measure, fit, run = lpmod._Simplex._measure, lpmod._Simplex._fit, lpmod._Simplex.run
+    measure, fit, fit_prices, run = (lpmod._Simplex._measure, lpmod._Simplex._fit,
+                                     lpmod._Simplex._fit_prices, lpmod._Simplex.run)
 
     def audit_measure(sx):
         sx.audit[0] += 1
@@ -858,38 +860,54 @@ def _benchmark_widths():
         if sx.w != w:
             sx.audit[1].append((sx.iterations, w, sx.w))
 
+    def audit_fit_prices(sx, need):
+        w = sx.pw
+        fit_prices(sx, need)
+        if sx.pw != w:
+            sx.audit[2].append((sx.iterations, w, sx.pw))
+
     def audit_run(sx):
-        sx.audit = [0, []]
+        sx.audit = [0, [], []]
         sol = run(sx)
-        solves.append((label[0], sx.w, sx.pw, *sx.audit))
+        solves.append((label[0], sx.w, sx.pw, sx.audit[0], sx.audit[1] + sx.audit[2]))
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod._Simplex, "_measure", audit_measure)
         mp.setattr(lpmod._Simplex, "_fit", audit_fit)
+        mp.setattr(lpmod._Simplex, "_fit_prices", audit_fit_prices)
         mp.setattr(lpmod._Simplex, "run", audit_run)
-        for family in ("eq", "gt", "and", "xor", "disj"):
-            label[:] = [f"{family}2"]
-            ccbounds.check_chain(families.make_function(family, 2, "cc"), F(1, 8))
-        for family, n in (("and", 4), ("maj", 5), ("xor", 4), ("maj", 4)):
-            label[:] = [f"{family}{n}"]
-            qcbounds.qprt_bound(families.make_function(family, n, "qc"), F(1, 8))
+        _solve_benchmark_programs(label)
     return solves
+
+
+def _solve_benchmark_programs(label):
+    """Solve the benchmark's 24 chain and qprt programs, with ``label[0]`` set to each one's table."""
+    for family in ("eq", "gt", "and", "xor", "disj"):
+        label[:] = [f"{family}2"]
+        ccbounds.check_chain(families.make_function(family, 2, "cc"), F(1, 8))
+    for family, n in (("and", 4), ("maj", 5), ("xor", 4), ("maj", 4)):
+        label[:] = [f"{family}{n}"]
+        qcbounds.qprt_bound(families.make_function(family, n, "qc"), F(1, 8))
 
 
 def test_benchmark_programs_price_in_32_bit_slots():
     """Every chain and qprt program of the benchmark prices in slots of at most 32 bits.
 
-    Pricing starts at pw = 16 and widens to 32 on exactly four programs:
-    one chain program each of and2 and xor2, and qprt maj5 and xor4.  N's
-    slots widen once, 16 -> 32 at pivot 394 of one xor2 program; the
-    loose pivot bound re-measures M the pinned number of times per table.
+    Pricing starts at pw = 16.  The chain programs of and2 and xor2 price at
+    16 bits throughout, since the weighted bound D max c + sum_i |Y_i|
+    rowmax_i clears 2^14 where reach max |Y| does not; qprt maj5 widens to
+    32 at pivot 1324 and xor4 at pivot 249, where the weighted bound passes
+    2^14 too.  N's slots widen once, 16 -> 32 at pivot 394 of one xor2
+    program; the loose pivot bound re-measures M the pinned number of times
+    per table.
     """
     solves = _benchmark_widths()
     assert len(solves) == 24
     assert [(name, w, pw) for name, w, pw, _, _ in solves if (w, pw) != (16, 16)] == [
-        ("and2", 16, 32), ("xor2", 32, 32), ("maj5", 16, 32), ("xor4", 16, 32)]
-    assert [(name, widened) for name, _, _, _, widened in solves if widened] == [("xor2", [(394, 16, 32)])]
+        ("xor2", 32, 16), ("maj5", 16, 32), ("xor4", 16, 32)]
+    assert [(name, widened) for name, _, _, _, widened in solves if widened] == [
+        ("xor2", [(394, 16, 32)]), ("maj5", [(1324, 16, 32)]), ("xor4", [(249, 16, 32)])]
     re_measures = {}
     for name, _, _, count, _ in solves:
         re_measures[name] = re_measures.get(name, 0) + count
@@ -1030,9 +1048,10 @@ def test_a_widening_repacks_once_however_many_doublings_it_takes():
     """16 -> 64 is one repack, not one per doubling: N's columns and the price blocks alike.
 
     Each call repacks one list of packed ints: N's columns (m = 2 slots
-    each) or one price block (``_BLOCK`` slots per row).  THREE_TO_THE_20's
-    N goes 16 -> 64 in one repack; its later 64 -> 128 is the loose pivot
-    bound's.  PRICED_PAST_2_30 prices 16 -> 64 in one repack.
+    each) or the price blocks (``_BLOCK`` slots per row).  THREE_TO_THE_20's
+    N goes 16 -> 64 in one repack; its prices go 64 -> 128, and its N's later
+    64 -> 128 is the loose pivot bound's.  PRICED_PAST_2_30 prices 16 -> 64
+    in one repack.
     """
     def repacks(program):
         calls = []
@@ -1048,8 +1067,9 @@ def test_a_widening_repacks_once_however_many_doublings_it_takes():
         assert sol.canonical_bytes() == reference_solve(program).canonical_bytes()
         return calls
 
-    assert repacks(THREE_TO_THE_20) == [(2, 16, 64), (64, 64, 128), (2, 64, 128)]
-    assert repacks(PRICED_PAST_2_30) == [(64, 16, 64)]
+    block = lpmod._BLOCK
+    assert repacks(THREE_TO_THE_20) == [(2, 16, 64), (block, 64, 128), (2, 64, 128)]
+    assert repacks(PRICED_PAST_2_30) == [(block, 16, 64)]
 
 
 def _pivot_path(program, width):
@@ -1101,7 +1121,8 @@ def test_slots_without_native_arrays_match_the_native_path(w):
     if sys.byteorder == "little":
         assert lpmod._WORDS == {16: "h", 32: "i", 64: "q"}
     top = (1 << (w - 2)) - 1
-    values = [0, top, -top, 1, -1, 0, 0, -top, top, 7] * 7  # 70 values: a full block and a short one
+    # a full block and a short one
+    values = ([0, top, -top, 1, -1, 0, 0, -top, top, 7] * lpmod._BLOCK)[:lpmod._BLOCK + 6]
     off, block_off = lpmod._offset(len(values), w), lpmod._offset(lpmod._BLOCK, w)
     program = build_prt_lp(EQ2, F(1, 8))
 
@@ -1274,35 +1295,45 @@ def test_corpus_structural_entries_are_all_plus_one():
 # and the lowest negative slot below the phase's limit enters.
 
 @st.composite
-def block_programs(draw):
-    """Programs of 60 to 200 variables whose first ``lead`` columns are in no row.
+def block_programs(draw, entries=LAYOUT_ENTRIES):
+    """Programs of ``_BLOCK`` - 4 to 2 ``_BLOCK`` + 72 variables whose first ``lead`` columns are in no row.
 
     Such a column never enters, so Bland's rule reaches columns past the
-    block boundaries at 64 and 128; the variable count and the slacks and
-    artificials that follow move where each phase's limit falls in its block.
+    block boundaries at ``_BLOCK`` and 2 ``_BLOCK``; the variable count and
+    the slacks and artificials that follow move where each phase's limit
+    falls in its block.  Coefficients and right-hand sides are drawn from
+    ``entries`` and ``SMALL_RATIONALS``.
     """
-    n = draw(st.integers(60, 200))
+    n = draw(st.integers(lpmod._BLOCK - 4, 2 * lpmod._BLOCK + 72))
     lead = draw(st.integers(0, n - 3))
     names = tuple(f"x{j}" for j in range(n))
     rows = []
     for _ in range(draw(st.integers(1, 5))):
-        entries = draw(st.lists(LAYOUT_ENTRIES, min_size=n - lead, max_size=n - lead))
-        rows.append(Constraint(dict(zip(names[lead:], entries)),
+        row = draw(st.lists(entries, min_size=n - lead, max_size=n - lead))
+        rows.append(Constraint(dict(zip(names[lead:], row)),
                                draw(st.sampled_from(["<=", "=", ">="])), draw(SMALL_RATIONALS)))
     costs = draw(st.lists(COSTS, min_size=n, max_size=n))
     return from_constraints(names, dict(zip(names, costs)), tuple(rows))
 
 
-# row i is covered by x_{10+i} at cost 3, x_{70+i} at cost 2 and x_{130+i} at cost 1:
-# phase 1 enters columns 10..14 of block 0, phase 2 columns 70..74 of block 1, then
-# 130..134 of block 2, where phase 2's limit (150 variables and 5 surpluses) ends
-# with the artificials of the covering rows, each priced negative, right after it
-ACROSS_BLOCKS = from_constraints(
-    tuple(f"x{j}" for j in range(150)),
-    {f"x{j}": F(3 if j < 64 else 2 if j < 128 else 1) for j in range(150)},
-    tuple(Constraint({f"x{10 + i}": F(1), f"x{70 + i}": F(1), f"x{130 + i}": F(1)}, ">=", F(1))
-          for i in range(5)),
-)
+def _across_blocks(block):
+    """Five covering rows for blocks of ``block`` columns.
+
+    Row i is covered by x_{10+i} at cost 3, x_{block+6+i} at cost 2 and
+    x_{2 block+2+i} at cost 1.  Phase 1 enters columns 10..14 of block 0,
+    phase 2 columns block+6 .. block+10 of block 1, then
+    2 block+2 .. 2 block+6 of block 2, where phase 2's limit (2 block + 22
+    variables and 5 surpluses) ends with the artificials of the covering
+    rows, each priced negative, right after it.
+    """
+    n = 2 * block + 22
+    costs = {f"x{j}": F(1 if j >= 2 * block else 2 if j >= block else 3) for j in range(n)}
+    rows = tuple(Constraint({f"x{first + i}": F(1) for first in (10, block + 6, 2 * block + 2)}, ">=", F(1))
+                 for i in range(5))
+    return from_constraints(tuple(f"x{j}" for j in range(n)), costs, rows)
+
+
+ACROSS_BLOCKS = _across_blocks(lpmod._BLOCK)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1314,12 +1345,93 @@ def test_block_pricing_enters_bland_s_column(program):
 
 
 def test_block_pricing_enters_columns_on_both_sides_of_each_boundary():
+    block = lpmod._BLOCK
     sx = lpmod._Simplex(ACROSS_BLOCKS)
-    assert lpmod._BLOCK == 64 and (sx.n_structural, sx.n_total) == (155, 160)
+    assert (sx.n_structural, sx.n_total) == (2 * block + 27, 2 * block + 32)
+    assert 2 * block < sx.n_structural < sx.n_total <= 3 * block  # phase 2's limit falls inside block 2
     sol, entered = _layout_audited_solve(ACROSS_BLOCKS)
-    assert entered == [*range(10, 15), *range(70, 75), *range(130, 135)]
+    assert entered == [*range(10, 15), *range(block + 6, block + 11), *range(2 * block + 2, 2 * block + 7)]
     assert sol.value == 5
     assert sol.canonical_bytes() == reference_solve(ACROSS_BLOCKS).canonical_bytes()
+
+
+# The slot bound: before a pricing pass or a drive-out reads its blocks, the
+# sizes of the slots it will read are bounded, first by base + reach max |w_i|,
+# then, if that is not below the room, by base + sum_i |w_i| rowmax_i.
+
+def _audited_slot_bounds(solve_programs):
+    """Run ``solve_programs()`` with every bound ``_slot_bound`` gives checked against the slots it guards.
+
+    A pricing pass reads L * D times every column's reduced cost,
+    D cost_j - Y . a_j, and the drive-out reads N_i . a_j.  Each is
+    recomputed exactly from the program's own rows (``_dense_columns``)
+    and must be at most both the bound the pass accepts and the weighted
+    bound, which a room of 0 always reaches; the pass's base must be
+    D max cost, 0 in the drive-out.  Returns the counts of checked pricing
+    passes and drive-out rows, and of the checks where a slot exceeded the
+    unweighted base + sum_i |w_i|.
+    """
+    counts = dict.fromkeys(("pricing", "drive-out", "past the unweighted bound"), 0)
+    bound, iterate, drive_out = (lpmod._Simplex._slot_bound, lpmod._Simplex._iterate,
+                                 lpmod._Simplex._drive_out_artificials)
+
+    def audit_iterate(sx, cost, limit):
+        sx.audit_pass = "pricing", cost
+        iterate(sx, cost, limit)
+
+    def audit_drive_out(sx):
+        sx.audit_pass = "drive-out", [0] * sx.n_total
+        drive_out(sx)
+
+    def audit_bound(sx, base, weights, room):
+        need = bound(sx, base, weights, room)
+        if not hasattr(sx, "audit_columns"):
+            sx.audit_columns = [(list(col), list(col.values())) for col in _dense_columns(sx)]
+        kind, cost = sx.audit_pass
+        assert base == sx.d * max(cost)
+        exact = max(abs(sx.d * c - sum(weights[i] * a for i, a in zip(rows, values)))
+                    for c, (rows, values) in zip(cost, sx.audit_columns))
+        assert exact <= need and exact <= bound(sx, base, weights, 0), (exact, need)
+        counts[kind] += 1
+        counts["past the unweighted bound"] += exact > base + sum(map(abs, weights))
+        return need
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "_iterate", audit_iterate)
+        mp.setattr(lpmod._Simplex, "_drive_out_artificials", audit_drive_out)
+        mp.setattr(lpmod._Simplex, "_slot_bound", audit_bound)
+        solve_programs()
+    return counts
+
+
+# non-unit coefficients, whose rows the weighted bound reads at their largest entry
+WEIGHTED_ENTRIES = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-3), F(5), F(7, 2), F(-5, 3), F(12)])
+
+
+# phase 1 prices x1 at -5 with Y = (1) and D = 1: the unweighted bound
+# D max c + |Y_0| reads 2, the weighted D max c + |Y_0| rowmax_0 reads 6
+FIVE_TIMES_X1 = from_constraints(
+    ("x0", "x1"), {"x0": F(1), "x1": F(1)}, (Constraint({"x0": F(1), "x1": F(5)}, ">=", F(1)),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_programs(WEIGHTED_ENTRIES))
+@example(FIVE_TIMES_X1)
+@example(NEGATIVE_DRIVE_OUT)
+def test_every_slot_bound_holds_the_slots_it_guards(program):
+    """Sign-flipped rows and non-unit coefficients, on both sides of the block boundaries."""
+    counts = _audited_slot_bounds(lambda: solve(program))
+    assert counts["pricing"]
+    if program is FIVE_TIMES_X1:
+        assert counts["past the unweighted bound"]
+    if program is NEGATIVE_DRIVE_OUT:
+        assert counts["drive-out"]
+
+
+def test_every_slot_bound_of_the_benchmark_programs_holds():
+    counts = _audited_slot_bounds(lambda: _solve_benchmark_programs([None]))
+    # every structural entry is +1 and no artificial is left to drive out
+    assert counts == {"pricing": 6171, "drive-out": 0, "past the unweighted bound": 0}
 
 
 @pytest.mark.parametrize("build", [

@@ -39,6 +39,28 @@ def test_format_round_trip():
         assert parse_rational(format_rational(q)) == q
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.fractions())
+def test_format_then_parse_is_the_identity(q):
+    assert parse_rational(format_rational(q)) == q
+
+
+def test_parse_rational_reads_a_sign_ascii_digits_and_a_positive_denominator():
+    assert parse_rational("+5") == 5
+    assert parse_rational("\t-0\n") == 0
+    assert parse_rational("12/04") == 3
+
+
+@pytest.mark.parametrize("token", [
+    "1_0", "1_0/3", "\u0661\u0662", "\uff13/\uff18", "\u00b2", "1 / 2", "1/ 2", "- 1", "2/-3", "2/+3",
+    "1/0", "1/00", "+-1", "--1", "", "   ", "+", "-", "/3", "3/", "1/2/3", "0x10", "0.125", "1e3",
+])
+def test_parse_rational_refuses_every_other_token(token):
+    """Underscores, non-ASCII digits, inner spaces, a signed or zero denominator: no writer emits them."""
+    with pytest.raises(ParseError, match="num/den"):
+        parse_rational(token)
+
+
 def test_power_of_two_exponent():
     assert power_of_two_exponent(Fraction(8)) == 3
     assert power_of_two_exponent(Fraction(1, 16)) == -4
