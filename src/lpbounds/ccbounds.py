@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from operator import add
 
-from . import lp as lpmod
 from .errors import DimensionMismatchError, InfeasibleConstructionError
-from .lp import LinearProgram, LPSolution, Names, Row, scaled_row, unit_row
+from .lp import LinearProgram, LPSolution, Names, Row, scaled_row, solve_optimal, unit_row
 from .model import (
     ProductDistribution2P,
     Rectangle,
@@ -38,7 +37,6 @@ from .model import (
     enumerate_rectangles,
 )
 from .partition import BoostResult, LabelledFamily, check_unit_interval
-from .rational import log2_bracket
 
 LabeledRectWeights = dict[tuple[int, Rectangle], Fraction]
 
@@ -66,44 +64,6 @@ class SrecInstance:
         check_unit_interval("delta", self.delta)
         if self.mu is not None and (self.mu.nx != self.f.nx or self.mu.ny != self.f.ny):
             raise DimensionMismatchError("distribution shape does not match function")
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """Solved bound value with its LP solution and a log2 bracket.
-
-    ``log2_lo``/``log2_hi`` bracket log2(value) to width <= 2**-20; they are
-    None when the value is 0.  The bracket is worked out when first read,
-    as only a ``bounds`` report prints it.
-    """
-
-    kind: str
-    value: Fraction
-    solution: LPSolution
-
-    @property
-    def support_size(self) -> int:
-        return len(self.solution.primal)
-
-    @cached_property
-    def _log2(self) -> tuple[Fraction | None, Fraction | None]:
-        return (None, None) if self.value == 0 else log2_bracket(self.value)
-
-    @property
-    def log2_lo(self) -> Fraction | None:
-        return self._log2[0]
-
-    @property
-    def log2_hi(self) -> Fraction | None:
-        return self._log2[1]
-
-
-def finish(kind: str, sol: LPSolution) -> BoundResult:
-    """The bound an optimal solution gives."""
-    if sol.status != "optimal":
-        raise InfeasibleConstructionError(f"{kind} LP reported {sol.status}")
-    assert sol.value is not None
-    return BoundResult(kind, sol.value, sol)
 
 
 def _rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
@@ -198,13 +158,12 @@ def _label_z_sums(f: TwoPartyFunction, z: int, weights: tuple[int, ...]) -> list
     return sums
 
 
-def srec_bound(inst: SrecInstance) -> BoundResult:
-    kind = "srec-dist" if inst.mu is not None else "srec"
-    return finish(kind, lpmod.solve(build_srec_lp(inst)))
+def srec_bound(inst: SrecInstance) -> LPSolution:
+    return solve_optimal(build_srec_lp(inst), "srec")
 
 
-def srec_weights(result: BoundResult) -> dict[Rectangle, Fraction]:
-    return {_rect_from_var(v): w for v, w in result.solution.primal.items()}
+def srec_weights(sol: LPSolution) -> dict[Rectangle, Fraction]:
+    return {_rect_from_var(v): w for v, w in sol.primal.items()}
 
 
 def build_prt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
@@ -215,16 +174,16 @@ def build_rprt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
     return _rect_family(f.nx, f.ny).primal(f.labels, eps, relaxed=True)
 
 
-def prt_bound(f: TwoPartyFunction, eps: Fraction) -> BoundResult:
-    return finish("prt", lpmod.solve(build_prt_lp(f, eps)))
+def prt_bound(f: TwoPartyFunction, eps: Fraction) -> LPSolution:
+    return solve_optimal(build_prt_lp(f, eps), "prt")
 
 
-def rprt_bound(f: TwoPartyFunction, eps: Fraction) -> BoundResult:
-    return finish("rprt", lpmod.solve(build_rprt_lp(f, eps)))
+def rprt_bound(f: TwoPartyFunction, eps: Fraction) -> LPSolution:
+    return solve_optimal(build_rprt_lp(f, eps), "rprt")
 
 
-def partition_weights(result: BoundResult) -> LabeledRectWeights:
-    return {(int(v[1]), _rect_from_var(v)): w for v, w in result.solution.primal.items()}
+def partition_weights(sol: LPSolution) -> LabeledRectWeights:
+    return {(int(v[1]), _rect_from_var(v)): w for v, w in sol.primal.items()}
 
 
 def reduce_prt_error(
@@ -240,10 +199,10 @@ def reduce_prt_error(
 @dataclass(frozen=True)
 class ChainReport:
     eps: Fraction
-    prt: BoundResult
-    rprt: BoundResult
-    srec0: BoundResult
-    srec1: BoundResult
+    prt: LPSolution
+    rprt: LPSolution
+    srec0: LPSolution
+    srec1: LPSolution
 
     @property
     def srec_value(self) -> Fraction:

@@ -480,14 +480,14 @@ def _replace(
 class CCSynthReport:
     """End-to-end protocol synthesis record with its exact assertions.
 
-    When the premise fails, ``params.t`` is 0 and the trees and advantages
+    ``synthesize`` has checked the tree's advantage against ``adv_floor``.
+    When the premise fails, ``params.t`` is 0 and the trees and the floor
     are None.
     """
 
     params: SynthParams
     tree: ProtocolTree | None
     balanced: ProtocolTree | None
-    adv: Fraction | None
     adv_floor: Fraction | None
     twentieth_applicable: bool
     notes: tuple[str, ...]
@@ -573,7 +573,7 @@ def protocol_pipeline(
     t = minimum_t(s, mu.total, big_delta) if hypothesis_ok else 0
     params = SynthParams(eps, delta, q, big_delta, s, t)
     if not hypothesis_ok:
-        return CCSynthReport(params, None, None, None, None, False, tuple(notes))
+        return CCSynthReport(params, None, None, None, False, tuple(notes))
 
     tree = synthesize(f, mu, params, srec_weights(r0), srec_weights(r1))
     balanced = balance(tree, f.nx, f.ny)
@@ -587,7 +587,6 @@ def protocol_pipeline(
         params=params,
         tree=tree,
         balanced=balanced,
-        adv=advantage(tree, f, mu),
         adv_floor=adv_floor,
         twentieth_applicable=Fraction(1, 10) - eps - 30 * (s + 1) * q >= Fraction(1, 20),
         notes=tuple(notes),

@@ -113,6 +113,7 @@ def run_bounds(args: dict) -> tuple[list[dict], None]:
             message = "srec needs a rows/cols product distribution"
             mu = _load(serialize.parse_distribution, args["dist"], ProductDistribution2P, message)
         zs = [int(args["z"])] if args.get("z") is not None else [0, 1]
+        name = "srec" if mu is None else "srec-dist"
         for z in zs:
             res = srec_bound(SrecInstance(fn, z, eps, delta, mu))
             params = {
@@ -121,7 +122,7 @@ def run_bounds(args: dict) -> tuple[list[dict], None]:
                 "z": z,
                 "distributional": mu is not None,
             }
-            records.append(serialize.bound_record(res.kind, fn_hash, params, res))
+            records.append(serialize.bound_record(name, fn_hash, params, res))
     else:
         prt_v, rprt_v, srec_v = check_chain(fn, eps).values
         records.append(

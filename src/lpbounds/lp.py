@@ -183,7 +183,7 @@ from itertools import compress, repeat
 from math import gcd, lcm
 from operator import floordiv, gt, lt, mul, setitem
 
-from .errors import LpboundsError, ParseError
+from .errors import InfeasibleConstructionError, LpboundsError, ParseError
 from .rational import format_rational, parse_rational
 
 LE, EQ, GE = "<=", "=", ">="
@@ -1022,4 +1022,12 @@ def solve(lp: LinearProgram) -> LPSolution:
         raise LpboundsError(f"{failures[0]}; solver bug")
     if path:
         _cache_store(path, sol)
+    return sol
+
+
+def solve_optimal(lp: LinearProgram, kind: str) -> LPSolution:
+    """The certified optimum of a bound's program; an infeasible one is a builder bug."""
+    sol = solve(lp)
+    if sol.status != "optimal":
+        raise InfeasibleConstructionError(f"{kind} LP reported {sol.status}")
     return sol

@@ -21,10 +21,8 @@ from fractions import Fraction
 from functools import cache
 from math import ceil, floor
 
-from . import lp as lpmod
-from .ccbounds import BoundResult, finish
 from .errors import CapExceededError, DimensionMismatchError, InfeasibleConstructionError
-from .lp import LinearProgram
+from .lp import LinearProgram, LPSolution, solve_optimal
 from .model import (
     BitProductDistribution,
     QueryFunction,
@@ -77,12 +75,12 @@ class QprtSolution:
         return _cube_family(self.n).objective(self.weights)
 
 
-def qprt_bound(g: QueryFunction, eps: Fraction) -> BoundResult:
-    return finish("qprt", lpmod.solve(build_qprt_lp(g, eps)))
+def qprt_bound(g: QueryFunction, eps: Fraction) -> LPSolution:
+    return solve_optimal(build_qprt_lp(g, eps), "qprt")
 
 
-def qprt_solution(g: QueryFunction, result: BoundResult) -> QprtSolution:
-    return QprtSolution(g.n, {_cube_from_var(v): w for v, w in result.solution.primal.items()})
+def qprt_solution(g: QueryFunction, sol: LPSolution) -> QprtSolution:
+    return QprtSolution(g.n, {_cube_from_var(v): w for v, w in sol.primal.items()})
 
 
 @dataclass(frozen=True)

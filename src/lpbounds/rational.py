@@ -54,9 +54,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Format as ``num/den``, or ``num`` when the denominator is 1."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
+    """Format as ``num/den``, or ``num`` when the denominator is 1; an int formats as itself."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

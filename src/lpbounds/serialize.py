@@ -34,7 +34,7 @@ from .model import (
     QueryFunction,
     TwoPartyFunction,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, log2_bracket, parse_rational
 from .trees import DecisionTree, DNode, Leaf, PNode, ProtocolTree, Tree, leaf_count, tree_depth
 
 RECORD_VERSION = 1
@@ -245,18 +245,22 @@ def record(kind: str, /, **fields) -> dict:
     return {"v": RECORD_VERSION, "record": kind, **fields}
 
 
-def bound_record(kind: str, fn_hash: str, params: dict, result) -> dict:
+def bound_record(kind: str, fn_hash: str, params: dict, sol) -> dict:
+    """The record of a bound's optimal ``LPSolution``; only here is log2 of its value bracketed."""
+    log2_lo = log2_hi = None
+    if sol.value != 0:
+        log2_lo, log2_hi = map(format_rational, log2_bracket(sol.value))
     return record(
         "bound",
         kind=kind,
         fn_hash=fn_hash,
         params=params,
-        value=format_rational(result.value),
-        log2_lo=None if result.log2_lo is None else format_rational(result.log2_lo),
-        log2_hi=None if result.log2_hi is None else format_rational(result.log2_hi),
-        support_size=result.support_size,
-        iterations=result.solution.iterations,
-        phase1_iterations=result.solution.phase1_iterations,
+        value=format_rational(sol.value),
+        log2_lo=log2_lo,
+        log2_hi=log2_hi,
+        support_size=len(sol.primal),
+        iterations=sol.iterations,
+        phase1_iterations=sol.phase1_iterations,
     )
 
 

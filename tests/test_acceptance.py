@@ -110,28 +110,27 @@ def test_criterion_1_lp_duality(capsys):
     checked = 0
     for name, f in CC_CORPUS.items():
         rep = chain_cached(name, EPS8)
-        for result, lp in [
+        for sol, lp in [
             (rep.prt, build_prt_lp(f, EPS8)),
             (rep.rprt, build_rprt_lp(f, EPS8)),
             (rep.srec0, build_srec_lp(SrecInstance(f, 0, EPS8, EPS8))),
             (rep.srec1, build_srec_lp(SrecInstance(f, 1, EPS8, EPS8))),
         ]:
-            sol = result.solution
             assert check_feasible(lp, sol.primal) == []
             assert check_dual_feasible(lp, sol.dual) == []
-            assert dual_objective(lp, sol.dual) == sol.value == result.value
+            assert dual_objective(lp, sol.dual) == sol.value
             checked += 1
         dist = srec_cached(name, 1, EPS8, EPS8, True)
         lp = build_srec_lp(SrecInstance(f, 1, EPS8, EPS8, UNIFORM_4x4))
-        assert dual_objective(lp, dist.solution.dual) == dist.value
-        assert check_dual_feasible(lp, dist.solution.dual) == []
+        assert dual_objective(lp, dist.dual) == dist.value
+        assert check_dual_feasible(lp, dist.dual) == []
         checked += 1
     for name, g in QC_CORPUS.items():
         res = qprt_cached(name, EPS8)
         lp = build_qprt_lp(g, EPS8)
-        assert check_feasible(lp, res.solution.primal) == []
-        assert check_dual_feasible(lp, res.solution.dual) == []
-        assert dual_objective(lp, res.solution.dual) == res.value
+        assert check_feasible(lp, res.primal) == []
+        assert check_dual_feasible(lp, res.dual) == []
+        assert dual_objective(lp, res.dual) == res.value
         checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"duality sweep took {elapsed:.1f}s"
@@ -163,8 +162,8 @@ def test_criterion_3_induction_guarantees(cc_artifacts, capsys):
         probe = protocol_pipeline(f, UNIFORM_4x4, 2, k=500)
         assert probe.hypothesis_ok and probe.leaves is not None
         assert probe.leaves <= 1 << (4 * 500 * 500)
-        assert probe.adv is not None and probe.adv_floor is not None
-        assert probe.adv >= probe.adv_floor
+        assert probe.tree is not None and probe.adv_floor is not None
+        assert advantage(probe.tree, f, UNIFORM_4x4) >= probe.adv_floor
     _report(capsys, "3 induction L and advantage", f"{len(cc_artifacts)}+2 runs")
 
 

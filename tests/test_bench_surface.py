@@ -29,7 +29,6 @@ RESULT_FIELDS = {
     ("lp", "LinearProgram"): ("variables", "constraints", "objective_value"),
     ("lp", "LPSolution"): ("status", "value", "primal", "dual", "iterations", "phase1_iterations"),
     ("ccbounds", "ChainReport"): ("prt", "rprt", "srec0", "srec1"),
-    ("ccbounds", "BoundResult"): ("value",),
     ("ccsynth", "CCSynthReport"): ("leaves",),
     ("qcbounds", "BoostedQprt"): ("solution",),
     ("qcbounds", "QprtSolution"): ("weights",),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_duals import build_prt_dual_lp, build_rprt_dual_lp, split_free
 
-from lpbounds import ccbounds, families
+from lpbounds import ccbounds, families, serialize
 from lpbounds.ccbounds import (
     SrecInstance,
     build_prt_lp,
@@ -22,7 +22,8 @@ from lpbounds.ccbounds import (
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
 from lpbounds.lp import check_feasible, dual_objective, solve
 from lpbounds.model import ProductDistribution2P, TwoPartyFunction
-from lpbounds.rational import log2_bracket, majority_error
+from lpbounds.rational import format_rational, log2_bracket, majority_error
+from lpbounds.serialize import bound_record
 
 
 @pytest.mark.parametrize("eps", [F(-1, 8), F(3, 2)])
@@ -212,21 +213,25 @@ def test_reduce_error_rejects_relaxed_solutions():
         reduce_prt_error(w, f, 3)
 
 
-def test_bound_result_log_bracket():
+def test_bound_record_log_bracket():
     res = srec_cached("eq2", 1, F(0), F(0), False)
-    assert res.log2_lo == res.log2_hi == 2  # value 4
+    rec = bound_record("srec", "h", {}, res)
+    assert rec["log2_lo"] == rec["log2_hi"] == "2"  # value 4
     res2 = srec_bound(SrecInstance(CC_CORPUS["eq2"], 1, F(1), F(0)))
-    assert res2.log2_lo is None and res2.log2_hi is None
+    rec2 = bound_record("srec", "h", {}, res2)
+    assert rec2["value"] == "0" and rec2["log2_lo"] is None and rec2["log2_hi"] is None
 
 
-def test_the_log_bracket_is_worked_out_once_when_first_read(monkeypatch):
-    """A bound that is never printed never brackets its log2; one that is brackets it once."""
+def test_the_log_bracket_is_worked_out_only_by_the_record(monkeypatch):
+    """A bound that is never printed never brackets its log2; its record brackets it once."""
     calls = []
-    monkeypatch.setattr(ccbounds, "log2_bracket", lambda r: calls.append(r) or log2_bracket(r))
-    res = srec_bound(SrecInstance(CC_CORPUS["gt2"], 1, F(1, 8), F(1, 8)))
+    monkeypatch.setattr(serialize, "log2_bracket", lambda r: calls.append(r) or log2_bracket(r))
+    res = ccbounds.check_chain(CC_CORPUS["gt2"], F(1, 8)).srec1
     assert calls == []
-    assert (res.log2_lo, res.log2_hi) == log2_bracket(res.value)
-    assert res.log2_hi - res.log2_lo <= F(1, 1 << 20)
+    rec = bound_record("srec", "h", {}, res)
+    lo, hi = log2_bracket(res.value)
+    assert (rec["log2_lo"], rec["log2_hi"]) == (format_rational(lo), format_rational(hi))
+    assert hi - lo <= F(1, 1 << 20)
     assert calls == [res.value]
 
 

@@ -402,15 +402,15 @@ def test_balance_preserves_synthesized_tree():
 def test_pipeline_part1_constant():
     f = families.const2p(2, 0)
     rep = protocol_pipeline(f, UNIFORM_4x4, 1)
-    assert rep.leaves == 1 and rep.adv == 1
+    assert rep.leaves == 1 and advantage(rep.tree, f, UNIFORM_4x4) == 1
     assert rep.hypothesis_ok
 
 
 def test_pipeline_part1_gt2_all_assertions():
     rep = protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 1)
     assert rep.hypothesis_ok and rep.tree is not None
-    assert rep.adv is not None and rep.adv_floor is not None
-    assert rep.adv >= rep.adv_floor
+    assert rep.adv_floor is not None
+    assert advantage(rep.tree, CC_CORPUS["gt2"], UNIFORM_4x4) >= rep.adv_floor
     assert rep.balanced_depth is not None and rep.leaves is not None
     assert rep.balanced_depth <= balance_depth_target(rep.leaves)
 
@@ -468,7 +468,7 @@ def test_pipeline_determinism():
     b = protocol_pipeline(CC_CORPUS["and2"], UNIFORM_4x4, 1)
     assert a.balanced is not None and b.balanced is not None
     assert write_protocol_tree(a.balanced) == write_protocol_tree(b.balanced)
-    assert (a.params, a.adv) == (b.params, b.adv)
+    assert (a.params, a.tree) == (b.params, b.tree)
 
 
 BRANCHED_RUNS = 68

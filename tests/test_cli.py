@@ -1,8 +1,10 @@
 import builtins
 import errno
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -622,6 +624,18 @@ def test_repeated_main_calls_match_fresh_processes(workspace, capsys):
         assert (code, captured.out) == (fresh_code, fresh_out)
         if code == 2:  # argparse's usage line and message carry no timing
             assert captured.err == fresh_err
+
+
+def test_the_console_script_resolves_to_a_callable():
+    """pyproject.toml's ``lpbounds`` script names a callable; the other tests run ``-m lpbounds.cli``.
+
+    The line is read by a plain text scan: Python 3.10 has no ``tomllib``.
+    """
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    ((module, attr),) = re.findall(r'^lpbounds\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.MULTILINE)
+    assert (module, attr) == ("lpbounds.cli", "main")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 # --- the writer: every report, tree and ``gen`` output goes through ``cli._write``

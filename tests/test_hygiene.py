@@ -251,3 +251,39 @@ def test_slot_format_scan_sees_each_form():
         "        return _unpack([], 0, 16, 0)\n"
     )
     assert _slot_format_methods(tree) == ["a", "b", "c"]
+
+
+# the communication side and the query side share lp, partition, model and
+# rational, and neither imports the other
+SIDES = {"ccbounds": "cc", "ccsynth": "cc", "qcbounds": "qc", "qcsynth": "qc"}
+SIDED = [path for path in SOURCES if path.stem in SIDES]
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The lpbounds modules ``tree`` imports, in any form."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("lpbounds.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "lpbounds"):
+            module = (node.module or "").removeprefix("lpbounds").lstrip(".")
+            out |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+    return out
+
+
+@pytest.mark.parametrize("path", SIDED, ids=[p.name for p in SIDED])
+def test_one_side_imports_nothing_of_the_other(path):
+    side = SIDES[path.stem]
+    assert sorted(m for m in _package_imports(_tree(path)) if SIDES.get(m, side) != side) == []
+
+
+def test_package_import_scan_sees_each_form():
+    tree = ast.parse(
+        "import json, lpbounds.ccsynth\n"
+        "from . import lp as lpmod, qcbounds\n"
+        "from .ccbounds import SrecInstance\n"
+        "from lpbounds.model import Subcube\n"
+        "from lpbounds import trees\n"
+        "from fractions import Fraction\n"
+    )
+    assert _package_imports(tree) == {"ccsynth", "lp", "qcbounds", "ccbounds", "model", "trees"}

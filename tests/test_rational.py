@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import reference_rational
 from reference_boost import reference_majority_error, reference_min_odd_votes
 
+from lpbounds import rational
 from lpbounds.errors import DimensionMismatchError, ParseError
 from lpbounds.rational import (
     ceil_mul_log2,
@@ -67,6 +68,8 @@ def test_power_of_two_exponent():
     assert power_of_two_exponent(Fraction(1)) == 0
     assert power_of_two_exponent(Fraction(3)) is None
     assert power_of_two_exponent(Fraction(3, 4)) is None
+    assert power_of_two_exponent(Fraction(0)) is None
+    assert power_of_two_exponent(Fraction(-4)) is None
 
 
 def test_log2_bracket_exact_on_powers():
@@ -87,6 +90,21 @@ def test_log2_bracket_contains_log2_exactly():
         assert Fraction(2) ** int(a) <= r64 <= Fraction(2) ** int(b)
         lo20, hi20 = log2_bracket(r)
         assert hi20 - lo20 <= Fraction(1, 1 << 20)
+
+
+def test_log2_bracket_widens_its_working_precision_on_a_straddle(monkeypatch):
+    """A first digit pass that straddles 2 is run again at twice the working precision."""
+    real = rational._log2_fraction_bits
+    works = []
+
+    def straddle_once(p, q, nbits, work):
+        works.append(work)
+        return None if len(works) == 1 else real(p, q, nbits, work)
+
+    expected = log2_bracket(Fraction(5, 7))
+    monkeypatch.setattr(rational, "_log2_fraction_bits", straddle_once)
+    assert log2_bracket(Fraction(5, 7)) == expected
+    assert len(works) == 2 and works[1] == 2 * works[0]
 
 
 def test_ceil_mul_log2():
@@ -130,6 +148,18 @@ def test_largest_fourth_power_at_most():
         q, d = largest_fourth_power_at_most(target)
         assert q > 0 and d == q**4 and d <= target
         assert (2 * q) ** 4 >= target  # never more than a factor 2 below the root
+
+
+@pytest.mark.parametrize("target", [Fraction(1, 3 << 128), Fraction(5, 1 << 200), Fraction(1, 1 << 300)])
+def test_largest_fourth_power_at_most_refines_the_grid_below_2_to_the_minus_128(target):
+    """Below 2**-128 the 2**-32 grid holds no positive q; q is the largest one on the first grid that does."""
+    bits = 32
+    while Fraction(1, 1 << bits) ** 4 > target:
+        bits *= 2
+    assert bits > 32
+    q, d = largest_fourth_power_at_most(target)
+    assert (q * (1 << bits)).denominator == 1
+    assert 0 < d == q**4 <= target < (q + Fraction(1, 1 << bits)) ** 4
 
 
 def test_majority_error_small_cases():

@@ -67,7 +67,7 @@ SREC_DIST_EQ2 = "7740d271a0cfe56e7c39d2f30a6497072e5858d1102d9b120fa7d20d181a97f
 
 
 def _digest(result) -> str:
-    return hashlib.sha256(result.solution.canonical_bytes()).hexdigest()
+    return hashlib.sha256(result.canonical_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", CHAIN)
