@@ -59,8 +59,10 @@ division is exact however wide an intermediate slot grows.  A
 column with N_lk = 0 would only be rescaled by p / D, so the pivot leaves
 it alone, whether p = D or not, and the new D implies the factor; the
 rescale is exact because each slot then reads an entry of N, an integer by
-the same identity.  Every column the pivot touches is rewritten that one
-way, whatever p is, and is then at determinant p.  ``_column`` brings the
+the same identity.  Every column the pivot touches is rewritten so and is
+then at determinant p.  When p = D, most pivots, that is col_k less
+N_lk u' / D, made once per distinct N_lk: D divides both p N_ik and
+p N_ik - u_i N_lk, so every slot of N_lk u'.  ``_column`` brings the
 columns that a_j reads to D, sums them packed and unpacks the sum once.  A
 pivot reads row l (slot l of every column) once: ``_row`` reads slot l of
 column c as ((c + offset) >> w l & (2^w - 1)) - 2^(w-1), returns the row
@@ -82,10 +84,12 @@ A slot holds only what is unpacked: N and N a_j.  The simplex keeps a
 bound M >= |N_ik| and, before each column read and each pivot, checks the
 worst case of what it will unpack against 2^(w-2): M times the l1 norm of
 a_j, or (|p| M + max |u_i| * max |N_lk|) / |D| for the entries a pivot
-writes.  If the check fails, M is measured exactly: every column is
-brought to D and all m^2 slots are read in one ``_unpack``; if the check
-still fails, every column is repacked once, at the first of 2w, 4w, ...
-that clears it, so no slot overflows silently.  w starts at 16 (``_WIDTH``).
+writes.  If the check fails, every column is brought to D and M is read
+as a power of two, at most 2 max |N_ik|, by mask tests (``_measure``).
+Only if the check fails on that is M read exactly, all m^2 slots in one
+``_unpack``; if it still fails, every column is repacked once, at the
+first of 2w, 4w, ... that clears it, so no slot overflows silently.
+w starts at 16 (``_WIDTH``).
 One codec holds the slot format of N's columns and the price blocks:
 ``_blocks`` packs values ``size`` slots to an int, ``_unpack`` reads any
 number of packed ints into one flat list, and ``_repack`` is that read
@@ -702,17 +706,38 @@ class _Simplex:
         return layout
 
     def _measure(self) -> int:
-        """max |N_ik|, read exactly: every column is brought to D, then all m^2 slots are read in one pass."""
+        """A power of two B, max |N_ik| <= B <= max(1, 2 max |N_ik|), once every column is brought to D.
+
+        B is the least 2^t with every value in [-2^t, 2^t): exactly then
+        adding 2^t to each slot leaves its bits above t clear, as no slot
+        borrows.  t only grows, so each column is tested once plus once per
+        doubling; every slot is below the room 2^(w-2).
+        """
         self._refresh(range(self.m))
+        w, cols, m = self.w, self.cols, self.m
+        one, k = self.off >> (w - 1), 0
+        for t in range(w - 2):
+            lift, high = one << t, one * ((1 << w) - (2 << t))
+            while k < m and not (cols[k] + lift) & high:
+                k += 1
+            if k == m:
+                return 1 << t
+        return 1 << (w - 2)
+
+    def _measure_exactly(self) -> int:
+        """max |N_ik|, all m^2 slots read in one pass; ``_measure`` has brought every column to D."""
         return max(map(abs, _unpack(self.cols, self.m, self.w, self.off)), default=0)
 
     def _fit(self, need) -> None:
-        """Make need(M) < 2^(w-2): re-measure M, then widen once, to the first of 2w, 4w, ... that clears it."""
+        """Make need(M) < 2^(w-2) for a fresh M: ``_measure``'s power of two if need clears it on that,
+        else the exact M, widening once, to the first of 2w, 4w, ... that clears it."""
         self.bound = self._measure()
-        w = _wider(self.w, need(self.bound))
-        if w != self.w:
-            self.cols[:] = _repack(self.cols, self.m, self.w, self.off, w)
-            self._set_width(w)
+        if need(self.bound) >= self.room:
+            self.bound = self._measure_exactly()
+            w = _wider(self.w, need(self.bound))
+            if w != self.w:
+                self.cols[:] = _repack(self.cols, self.m, self.w, self.off, w)
+                self._set_width(w)
 
     def _refresh(self, rows) -> None:
         """Rescale the columns ``rows`` of N to the current D."""
@@ -768,13 +793,13 @@ class _Simplex:
         """
         p, d, cols, cdd, w = u[l], self.d, self.cols, self.cdd, self.w
         row, touched = self._row(l)
-        top, spread = max(map(abs, row)), max(map(abs, u))
-
-        def need(big: int) -> int:  # bounds |N'_ik| <= (|p| M + |u_i| |N_lk|) / |D|
-            return max(top, -(-(abs(p) * big + spread * top) // abs(d)))
-
-        bound = need(self.bound)
+        top, spread, abs_p, abs_d = max(map(abs, row)), max(map(abs, u)), abs(p), abs(d)
+        # |N'_ik| <= (|p| M + |u_i| |N_lk|) / |D|
+        bound = max(top, -(-(abs_p * self.bound + spread * top) // abs_d))
         if bound >= self.room:
+            def need(big: int) -> int:
+                return max(top, -(-(abs_p * big + spread * top) // abs_d))
+
             self._fit(need)
             bound = need(self.bound)
             if self.w != w:  # the slots were widened: pack u again at the new width
@@ -783,9 +808,15 @@ class _Simplex:
         # u with slot l at p - D: (p * N_lk - (p - D) * N_lk) / D keeps row l
         packed_u = packed - (d << (w * l))
         self._refresh(touched)
-        for k in touched:
-            cols[k] = (p * cols[k] - row[k] * packed_u) // d
-            cdd[k] = p
+        if p == d:  # column k less N_lk u' / D, made once per distinct N_lk; cdd stays D
+            steps = {}
+            for k in touched:
+                r = row[k]
+                cols[k] -= steps.get(r) or steps.setdefault(r, r * packed_u // d)
+        else:
+            for k in touched:
+                cols[k] = (p * cols[k] - row[k] * packed_u) // d
+                cdd[k] = p
         xl = self.x[l]
         if xl:  # x' = (p * x - x_l * u) / xd, x_l brought to D; only _iterate gets here, with p > 0
             xd = self.xd

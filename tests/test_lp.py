@@ -657,19 +657,23 @@ def _audited_solve(program):
 
     Each pivot is checked at the next pivot (after the drive-out negation and
     the basis update) and at the end of the run.  Every column read is
-    compared with N * a_j on materialized rows, the bound M is checked
-    against them before every pivot, and every re-measure of M must return
-    max |N_ik| exactly and leave each column at D with its values.  Returns the solution and the counts of
-    p = D pivots, p != D pivots, stale columns read, exact re-measures of M,
+    compared with N * a_j on materialized rows, and the bound M is checked
+    against them before every pivot.  Every bound read of M must return a
+    power of two B with max |N_ik| <= B <= max(1, 2 max |N_ik|), every
+    exact read max |N_ik| itself, and both must leave each column at D with
+    its values.  Returns the solution and the counts of p = D pivots, p = D
+    pivots where two touched columns share N_lk (one step serves both),
+    p != D pivots, stale columns read, bound reads and exact reads of M,
     widenings of N's slots (one repack each, however many doublings it
-    takes) and doublings of the pricing slots, with the
-    widths w and pw the run ended at; a stale column is one a pivot left
-    alone because its N_lk was 0.
+    takes) and doublings of the pricing slots, with the widths w and pw the
+    run ended at; a stale column is one a pivot left alone because its N_lk
+    was 0.
     """
-    counts = dict.fromkeys(("p = D", "p != D", "stale columns read", "re-measures", "widenings",
-                            "price widenings"), 0)
+    counts = dict.fromkeys(("p = D", "p = D sharing N_lk", "p != D", "stale columns read", "bound reads",
+                            "exact reads", "widenings", "price widenings"), 0)
     pivot, column, run = lpmod._Simplex._pivot, lpmod._Simplex._column, lpmod._Simplex.run
-    measure, fit, fit_prices = lpmod._Simplex._measure, lpmod._Simplex._fit, lpmod._Simplex._fit_prices
+    measure, measure_exactly = lpmod._Simplex._measure, lpmod._Simplex._measure_exactly
+    fit, fit_prices = lpmod._Simplex._fit, lpmod._Simplex._fit_prices
 
     def audit_column(sx, j):
         counts["stale columns read"] += sum(sx.cdd[i] != sx.d for i in sx._layout(j)[0])
@@ -679,18 +683,30 @@ def _audited_solve(program):
 
     def audit_pivot(sx, l, u, packed):
         _assert_basis_identity(sx)
-        assert all(abs(a) <= sx.bound < sx.room for row in _materialized(sx) for a in row)
+        rows = _materialized(sx)
+        assert all(abs(a) <= sx.bound < sx.room for row in rows for a in row)
         assert packed == _pack(u, sx.w)  # the direction ``_column`` packed is u
-        counts["p = D" if u[l] == sx.d else "p != D"] += 1
+        if u[l] == sx.d:
+            counts["p = D"] += 1
+            shared = [a for a in rows[l] if a]
+            counts["p = D sharing N_lk"] += len(set(shared)) < len(shared)
+        else:
+            counts["p != D"] += 1
         return pivot(sx, l, u, packed)
 
-    def audit_measure(sx):
-        counts["re-measures"] += 1
-        rows = _materialized(sx)
-        got = measure(sx)
-        assert got == max((abs(a) for row in rows for a in row), default=0)
-        assert sx.cdd == [sx.d] * sx.m and _materialized(sx) == rows  # brought to D, signs kept
-        return got
+    def audited_read(read, name):
+        def audit(sx):
+            counts[name] += 1
+            rows = _materialized(sx)
+            top = max((abs(a) for row in rows for a in row), default=0)
+            got = read(sx)
+            if read is measure:
+                assert got & (got - 1) == 0 and top <= got <= max(1, 2 * top), (got, top)
+            else:
+                assert got == top
+            assert sx.cdd == [sx.d] * sx.m and _materialized(sx) == rows  # brought to D, signs kept
+            return got
+        return audit
 
     def audit_fit(sx, need):
         w = sx.w
@@ -712,7 +728,8 @@ def _audited_solve(program):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod._Simplex, "_column", audit_column)
         mp.setattr(lpmod._Simplex, "_pivot", audit_pivot)
-        mp.setattr(lpmod._Simplex, "_measure", audit_measure)
+        mp.setattr(lpmod._Simplex, "_measure", audited_read(measure, "bound reads"))
+        mp.setattr(lpmod._Simplex, "_measure_exactly", audited_read(measure_exactly, "exact reads"))
         mp.setattr(lpmod._Simplex, "_fit", audit_fit)
         mp.setattr(lpmod._Simplex, "_fit_prices", audit_fit_prices)
         mp.setattr(lpmod._Simplex, "run", audit_run)
@@ -732,11 +749,13 @@ def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
     program = build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8))
     sol, counts = _audited_solve(program)
     assert sol.status == "optimal"
-    assert all(counts[k] for k in ("p = D", "p != D", "stale columns read")), counts
-    # in 16-bit slots the loose pivot bound re-measures M once on maj4; the wide program twice
+    assert all(counts[k] for k in ("p = D", "p = D sharing N_lk", "p != D", "stale columns read")), counts
+    # (bound reads, exact reads) of M: in 16-bit slots the loose pivot bound reads a power of
+    # two once on maj4 and needs no exact read; the wide program widens twice, each time on
+    # an exact read
     wide, wide_counts = _audited_solve(THREE_TO_THE_40)
     assert wide.status == "optimal"
-    assert (counts["re-measures"], wide_counts["re-measures"]) == (1, 2)
+    assert [(c["bound reads"], c["exact reads"]) for c in (counts, wide_counts)] == [(1, 0), (2, 2)]
 
 
 EQ2 = families.make_function("eq", 2, "cc")
@@ -745,7 +764,8 @@ EQ2 = families.make_function("eq", 2, "cc")
 def test_a_re_measure_brings_negated_columns_back_to_d():
     """The drive-out pivots NEGATIVE_DRIVE_OUT on -1 and then negates D, leaving a column at cdd = -1.
 
-    ``_measure`` brings it to D with its sign and reads max |N_ik| exactly.
+    ``_measure`` brings it to D with its sign and reads max |N_ik| = 2, a
+    power of two; ``_measure_exactly`` reads it too.
     """
     sx = lpmod._Simplex(NEGATIVE_DRIVE_OUT)
     sx._iterate(sx.cost1, sx.n_total)
@@ -755,6 +775,72 @@ def test_a_re_measure_brings_negated_columns_back_to_d():
     assert rows == [[-1, 0], [-2, 1]]
     assert sx._measure() == 2
     assert (sx.cdd, _materialized(sx)) == ([1, 1], rows)
+    assert sx._measure_exactly() == 2
+
+
+@st.composite
+def packed_columns(draw):
+    """(w, D, columns, negated): columns of N in w-bit slots, any of them held negated at cdd = -D.
+
+    Entries are zeros, the widest the bound admits, +-(2^(w-2) - 1), and
+    anything between; a negated column is what the drive-out leaves.
+    """
+    w = draw(st.sampled_from([16, 32, 64]))
+    top = (1 << (w - 2)) - 1
+    m = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.sampled_from([top, -top, 1, -1]), st.integers(-top, top),
+                      st.integers(-64, 64))
+    columns = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    return w, draw(st.sampled_from([1, 3])), columns, draw(st.lists(st.booleans(), min_size=m, max_size=m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_columns())
+@example((16, 1, [[0, 0], [0, 0]], [False, True]))
+@example((16, 1, [[(1 << 14) - 1, 0], [0, -(1 << 14) + 1]], [True, False]))
+@example((64, 3, [[-(1 << 62) + 1]], [True]))
+def test_the_bound_read_is_a_power_of_two_within_twice_the_largest_entry(case):
+    """``_measure`` returns a power of two B, max |N_ik| <= B <= max(1, 2 max |N_ik|).
+
+    Like ``_measure_exactly``, which reads max |N_ik| itself, it first
+    brings every column to D with its values, negated ones included.
+    """
+    w, d, columns, negated = case
+    m = len(columns)
+    sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * m))
+    sx._set_width(w)
+    sx.d = d
+    sx.cols = [_pack([-a for a in column] if neg else column, w) for column, neg in zip(columns, negated)]
+    sx.cdd = [-d if neg else d for neg in negated]
+    rows = [list(row) for row in zip(*columns)]
+    assert _materialized(sx) == rows
+    top = max(abs(a) for column in columns for a in column)
+    got = sx._measure()
+    assert got & (got - 1) == 0 and top <= got <= max(1, 2 * top), (got, top)
+    assert (sx.cdd, _materialized(sx)) == ([d] * m, rows)
+    assert sx._measure_exactly() == top
+
+
+def test_a_bound_read_that_fails_the_check_is_read_exactly_before_any_widening(monkeypatch):
+    """Largest entry 2^13 + 1 in 16-bit slots: its power of two, 2^14, reaches the room; it does not.
+
+    ``_fit`` with need(M) = M reads M exactly once and keeps the slots.
+    """
+    sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
+    big = (1 << 13) + 1
+    sx.cols = [_pack(column, sx.w) for column in ([big, -1], [0, 1])]
+    exact = []
+    measure_exactly = lpmod._Simplex._measure_exactly
+
+    def record(s):
+        exact.append(s.w)
+        return measure_exactly(s)
+
+    monkeypatch.setattr(lpmod._Simplex, "_measure_exactly", record)
+    assert sx._measure() == 1 << 14 == sx.room
+    sx._fit(lambda bound: bound)
+    assert (exact, sx.bound, sx.w) == ([16], big, 16)
+    assert _materialized(sx) == [[big, 0], [-1, 1]]
 
 
 def _pivot_work(program):
@@ -818,28 +904,31 @@ def test_a_pivot_does_only_the_work_its_numbers_require(build, pinned):
     assert sol.canonical_bytes() == reference_solve(program).canonical_bytes()
 
 
-@pytest.mark.parametrize("build, re_measures", [
-    (lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)), 1),
-    (lambda: build_prt_lp(EQ2, F(1, 8)), 5),
-    (lambda: build_rprt_lp(EQ2, F(1, 8)), 5),
-    (lambda: build_srec_lp(SrecInstance(EQ2, 1, F(1, 8), F(1, 8))), 0),
+@pytest.mark.parametrize("build, reads", [
+    (lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)), (1, 0)),
+    (lambda: build_prt_lp(EQ2, F(1, 8)), (5, 0)),
+    (lambda: build_rprt_lp(EQ2, F(1, 8)), (5, 0)),
+    (lambda: build_srec_lp(SrecInstance(EQ2, 1, F(1, 8), F(1, 8))), (0, 0)),
 ], ids=["qprt maj4", "prt eq2", "rprt eq2", "srec1 eq2"])
-def test_corpus_programs_stay_in_32_bit_slots(build, re_measures):
+def test_corpus_programs_stay_in_32_bit_slots(build, reads):
     """A qprt or chain program solves in the 16-bit slots it starts at, well inside 32 bits.
 
-    Neither N nor the prices widen.  The pivot bound is loose, so it
-    re-measures M, an O(m^2) read, a fixed number of times; the count is
-    pinned exactly so that a looser bound, which would re-measure on every
-    check and lose the narrow slots' gain unseen, fails here.
+    Neither N nor the prices widen.  The pivot bound is loose, so it reads
+    a fresh M a fixed number of times: (bound reads, exact reads), a power
+    of two from one mask test per column and, where that fails the check,
+    an O(m^2) read of every slot.  The counts are pinned exactly so that a
+    looser bound, which would read M on every check and lose the narrow
+    slots' gain unseen, fails here.
     """
     sol, counts = _audited_solve(build())
     assert sol.status == "optimal"
-    assert (counts["w"], counts["re-measures"], counts["widenings"]) == (16, re_measures, 0), counts
+    assert (counts["w"], counts["bound reads"], counts["exact reads"], counts["widenings"]) == (
+        16, *reads, 0), counts
     assert (counts["pw"], counts["price widenings"]) == (16, 0), counts
 
 
 def _benchmark_widths():
-    """Per benchmark solve, in run order: (program, final w, final pw, re-measures of M, widenings).
+    """Per benchmark solve, in run order: (program, final w, final pw, [bound reads, exact reads] of M, widenings).
 
     A widening is (pivot, old w, new w); N's are listed first, then the price
     blocks'.  The programs are the chain's prt, rprt, srec^0 and srec^1 on
@@ -847,12 +936,16 @@ def _benchmark_widths():
     each labelled by its table.
     """
     solves, label = [], []
-    measure, fit, fit_prices, run = (lpmod._Simplex._measure, lpmod._Simplex._fit,
-                                     lpmod._Simplex._fit_prices, lpmod._Simplex.run)
+    measure, measure_exactly = lpmod._Simplex._measure, lpmod._Simplex._measure_exactly
+    fit, fit_prices, run = lpmod._Simplex._fit, lpmod._Simplex._fit_prices, lpmod._Simplex.run
 
     def audit_measure(sx):
-        sx.audit[0] += 1
+        sx.audit[0][0] += 1
         return measure(sx)
+
+    def audit_measure_exactly(sx):
+        sx.audit[0][1] += 1
+        return measure_exactly(sx)
 
     def audit_fit(sx, need):
         w = sx.w
@@ -867,13 +960,14 @@ def _benchmark_widths():
             sx.audit[2].append((sx.iterations, w, sx.pw))
 
     def audit_run(sx):
-        sx.audit = [0, [], []]
+        sx.audit = [[0, 0], [], []]
         sol = run(sx)
         solves.append((label[0], sx.w, sx.pw, sx.audit[0], sx.audit[1] + sx.audit[2]))
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod._Simplex, "_measure", audit_measure)
+        mp.setattr(lpmod._Simplex, "_measure_exactly", audit_measure_exactly)
         mp.setattr(lpmod._Simplex, "_fit", audit_fit)
         mp.setattr(lpmod._Simplex, "_fit_prices", audit_fit_prices)
         mp.setattr(lpmod._Simplex, "run", audit_run)
@@ -899,8 +993,9 @@ def test_benchmark_programs_price_in_32_bit_slots():
     rowmax_i clears 2^14 where reach max |Y| does not; qprt maj5 widens to
     32 at pivot 1324 and xor4 at pivot 249, where the weighted bound passes
     2^14 too.  N's slots widen once, 16 -> 32 at pivot 394 of one xor2
-    program; the loose pivot bound re-measures M the pinned number of times
-    per table.
+    program.  The loose pivot bound reads a fresh M the pinned number of
+    times per table, as (bound reads, exact reads): 137 power-of-two reads
+    by mask tests, and only 7 exact reads of all m^2 slots.
     """
     solves = _benchmark_widths()
     assert len(solves) == 24
@@ -908,11 +1003,12 @@ def test_benchmark_programs_price_in_32_bit_slots():
         ("xor2", 32, 16), ("maj5", 16, 32), ("xor4", 16, 32)]
     assert [(name, widened) for name, _, _, _, widened in solves if widened] == [
         ("xor2", [(394, 16, 32)]), ("maj5", [(1324, 16, 32)]), ("xor4", [(249, 16, 32)])]
-    re_measures = {}
-    for name, _, _, count, _ in solves:
-        re_measures[name] = re_measures.get(name, 0) + count
-    assert re_measures == {"eq2": 15, "gt2": 0, "and2": 32, "xor2": 41, "disj2": 1,
-                           "and4": 1, "maj5": 43, "xor4": 2, "maj4": 1}
+    reads = {}
+    for name, _, _, (bound_reads, exact_reads), _ in solves:
+        total = reads.get(name, (0, 0))
+        reads[name] = (total[0] + bound_reads, total[1] + exact_reads)
+    assert reads == {"eq2": (15, 0), "gt2": (0, 0), "and2": (32, 1), "xor2": (42, 6), "disj2": (1, 0),
+                     "and4": (1, 0), "maj5": (43, 0), "xor4": (2, 0), "maj4": (1, 0)}
 
 
 @pytest.mark.parametrize("w", [16, 32, 64, 256])
