@@ -2,10 +2,14 @@
 
 Library surface:
 
+- :mod:`lpbounds.errors` -- the typed ``LpboundsError`` hierarchy.
+- :mod:`lpbounds.rational` -- exact log2 brackets, vote counts and parsing.
 - :mod:`lpbounds.model` -- Boolean functions, product measures, rectangles,
-  subcubes and their projections, and the label masses mu_0 / mu_1 of a
-  region in one call.
+  subcubes, the one projection of weighted (support, values) subcube masks,
+  and the label masses mu_0 / mu_1 of a region in one call.
+- :mod:`lpbounds.families` -- the built-in two-party and query functions.
 - :mod:`lpbounds.lp` -- exact rational simplex with dual certificates.
+- :mod:`lpbounds.boosting` -- the majority-vote product of labelled weights.
 - :mod:`lpbounds.partition` -- the labelled partition LP behind prt, rprt
   and qprt, and its verified majority boost.
 - :mod:`lpbounds.ccbounds` -- smooth rectangle / partition / relaxed
@@ -20,6 +24,7 @@ Library surface:
 - :mod:`lpbounds.oracle` -- brute-force optimal protocol / decision trees
   at small scale, one memoised search behind both, for validating
   synthesized artifacts.
+- :mod:`lpbounds.serialize` -- text formats of inputs, trees and records.
 - :mod:`lpbounds.cli` -- command-line front end.
 """
 

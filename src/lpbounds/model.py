@@ -11,7 +11,9 @@ Query functions live on {0,1}^n with n <= 12; an input is the integer
 whose bit i is the i-th coordinate.  A subcube is a pair of bitmasks
 (support, values) with values a submask of support: x is a member iff
 ``x & support == values``.  The size |A| of a subcube is the number of
-fixed coordinates, i.e. popcount(support).
+fixed coordinates, i.e. popcount(support).  ``Subcube`` carries the pair
+with its bit count; ``project_weights``, the one subcube projection, takes
+weighted subcubes keyed by the bare (support, values) pair (``Masks``).
 
 Measures are exact rationals and are *not* required to be normalized;
 ``ProductDistribution2P`` totals may be any non-negative rational, while
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Iterator
+from typing import Iterator, TypeVar
 
 from .errors import CapExceededError, DimensionMismatchError
 from .rational import numerators
@@ -34,6 +36,9 @@ from .rational import numerators
 RECTANGLE_VARIABLE_CAP = 1 << 20
 MAX_QUERY_BITS = 12
 MAX_TABLE_SIDE = 16
+
+Masks = tuple[int, int]  # a subcube's (support, values); a region is the subcube its fixed bits span
+Weight = TypeVar("Weight", int, Fraction)
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -177,17 +182,6 @@ class Subcube:
         return Subcube(
             self.n, self.support | other.support, self.values | other.values
         )
-
-    def project(self, onto: "Subcube") -> "Subcube | None":
-        """This subcube within ``onto``, with ``onto``'s fixed coordinates dropped.
-
-        None when the two are disjoint (a shared coordinate fixed differently).
-        Only the masks of ``onto`` are read; the result has this bit count.
-        """
-        if (self.values ^ onto.values) & self.support & onto.support:
-            return None
-        keep = self.support & ~onto.support
-        return Subcube(self.n, keep, self.values & keep)
 
     def pattern(self) -> str:
         """Textual pattern over ``01*``, coordinate 0 leftmost."""
@@ -356,16 +350,17 @@ def cube_key(cube: Subcube) -> tuple[int, int, int]:
     return (cube.size, cube.support, cube.values)
 
 
-def project_weights(weights: dict[Subcube, Fraction], onto: Subcube) -> dict[Subcube, Fraction]:
-    """Weighted subcubes projected into ``onto``; cubes that project alike add up.
+def project_weights(cubes: dict[Masks, Weight], region: Masks) -> dict[Masks, Weight]:
+    """The weighted subcubes that meet ``region``, with its fixed bits dropped.
 
-    Cubes disjoint from ``onto`` are dropped.
+    Subcubes that project alike add up, in order of first appearance.
     """
-    out: dict[Subcube, Fraction] = {}
-    for cube, w in weights.items():
-        proj = cube.project(onto)
-        if proj is not None:
-            out[proj] = out.get(proj, Fraction(0)) + w
+    rs, rv = region
+    out: dict[Masks, Weight] = {}
+    for (s, v), w in cubes.items():
+        if not (v ^ rv) & s & rs:
+            key = (s & ~rs, v & ~rs)
+            out[key] = out.get(key, 0) + w
     return out
 
 
@@ -401,17 +396,10 @@ def enumerate_subcubes(n: int) -> Iterator[Subcube]:
     """
     if n > MAX_QUERY_BITS:
         raise CapExceededError(f"n={n} exceeds the subcube cap of {MAX_QUERY_BITS}")
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for support in range(1 << n):
-        by_size[support.bit_count()].append(support)
-    for supports in by_size:
-        for support in supports:
-            submask = 0
-            while True:
-                yield Subcube(n, support, submask)
-                if submask == support:
-                    break
-                submask = (submask - support) & support
+    full = (1 << n) - 1
+    for support in sorted(range(1 << n), key=int.bit_count):  # stable: masks ascend within a size
+        for values in Subcube(n, full ^ support, 0).members():
+            yield Subcube(n, support, values)
 
 
 def popular_label(mass0: Fraction, mass1: Fraction) -> int:

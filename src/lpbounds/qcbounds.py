@@ -25,6 +25,7 @@ from .errors import CapExceededError, DimensionMismatchError, InfeasibleConstruc
 from .lp import LinearProgram, LPSolution, solve_optimal
 from .model import (
     BitProductDistribution,
+    Masks,
     QueryFunction,
     Subcube,
     enumerate_subcubes,
@@ -210,19 +211,19 @@ def extract_feasible(
     d = ceil_mul_log2(1, objective) if objective > 1 else 0
     dprime = d + ceil_mul_log2(1, 1 / gamma)
     removed = Fraction(0)
-    kept: LabeledCubeWeights = {}
+    kept: tuple[dict[Masks, Fraction], dict[Masks, Fraction]] = ({}, {})  # by label
     for (z, cube), wv in sol.weights.items():
         if cube.size > dprime:
             removed += wv
         else:
-            kept[(z, cube)] = wv
+            kept[z][cube.support, cube.values] = wv
     if removed >= gamma:
         raise InfeasibleConstructionError(
             f"discarded mass {removed} is not below gamma {gamma}"
         )
     fixed = mu.fixed_cube()
-    u = project_weights({cube: wv for (z, cube), wv in kept.items() if z == 0}, fixed)
-    w = project_weights({cube: wv for (z, cube), wv in kept.items() if z == 1}, fixed)
+    region = fixed.support, fixed.values
+    u, w = ({Subcube(sol.n, *c): wv for c, wv in project_weights(side, region).items()} for side in kept)
     return FeasibleSystem(
         n=sol.n,
         u=u,

@@ -47,11 +47,9 @@ from .errors import (
     InfeasibleConstructionError,
     NoBiasedRectangleError,
 )
-from .model import BitProductDistribution, QueryFunction, Subcube, popular_label
+from .model import BitProductDistribution, Masks, QueryFunction, Subcube, popular_label, project_weights
 from .rational import ceil_mul_log2, min_odd_votes_for_error, numerators
 from .trees import DecisionTree, DNode, Leaf, dtree_error, dtree_queried_bits_ok, tree_depth
-
-Masks = tuple[int, int]  # a subcube's (support, values); a region is the subcube its fixed bits span
 
 
 @dataclass
@@ -221,7 +219,7 @@ class Recursion:
             stats.budget_leaves += 1
             return Leaf(popular_label(m0, m1))
 
-        u, w = _project(u, region), _project(w, region)
+        u, w = project_weights(u, region), project_weights(w, region)
         a0 = self.find_biased_subcube(region, u)
         stats.elimination_values.append(self.elimination_bound(region, a0, w))
         stats.internal_nodes += 1
@@ -273,20 +271,6 @@ class Recursion:
             )
 
         return attach(0, 0)
-
-
-def _project(cubes: dict[Masks, int], region: Masks) -> dict[Masks, int]:
-    """``model.project_weights`` on masks: the subcubes meeting ``region``, its bits dropped.
-
-    Subcubes that project alike add up.
-    """
-    rs, rv = region
-    out: dict[Masks, int] = {}
-    for (s, v), num in cubes.items():
-        if not (v ^ rv) & s & rs:
-            key = (s & ~rs, v & ~rs)
-            out[key] = out.get(key, 0) + num
-    return out
 
 
 def certified_error_budget(system: qcbounds.FeasibleSystem, delta: Fraction) -> Fraction:

@@ -8,13 +8,15 @@ through ``ProductDistribution2P`` weights and ``BitProductDistribution.point``
 ``fixed_cube`` is ``qcbounds._fixed_cube`` over ``fixed_bits``,
 ``project_cube`` is ``qcbounds._project_cube``, and ``split_loop`` and
 ``project_loop`` are the loops ``extract_feasible`` and
-``build_decision_tree`` wrote around it.  ``weighted_masses`` is the
-Fraction loop of sum w_K mu_z(K) that ``FeasibleSystem.verify``,
+``build_decision_tree`` wrote around it; ``project_weights`` is
+``model.project_weights`` as it was on ``Subcube`` keys, one loop of
+``project_cube`` calls.  ``weighted_masses`` is the Fraction loop of
+sum w_K mu_z(K) that ``FeasibleSystem.verify``,
 ``elimination_bound`` and ``build_decision_tree`` each wrote for z = 1.
 They are kept here verbatim, apart from names, as the reference that
 ``tests/test_model.py`` compares ``label_masses``, the error measures of
 ``lpbounds.trees``, ``BitProductDistribution.fixed_cube``,
-``Subcube.project``, ``project_weights`` and ``weighted_label_masses`` against;
+``model.project_weights`` and ``weighted_label_masses`` against;
 ``tests/reference_oracle.py`` still uses ``measure`` and ``bit_measure``.
 
 ``restrict`` is ``ProductDistribution2P.restrict``: protocol synthesis
@@ -25,10 +27,11 @@ checks that the two read the same masses.
 ``build_decision_tree`` is ``qcsynth.build_decision_tree`` as it was on
 Fractions: each outcome conditioned ``mu`` into a new
 ``BitProductDistribution`` (``condition``, once
-``BitProductDistribution.condition``), projected ``u`` and ``w`` with
-``project_weights`` and compared Fraction masses, through the Fraction
-``find_biased_subcube`` and ``elimination_bound``.  ``tests/test_qcsynth.py``
-compares the integer build against it: trees, ``BuildStats`` and refusals.
+``BitProductDistribution.condition``), projected ``u`` and ``w`` with the
+Subcube-level ``project_weights`` and compared Fraction masses, through
+the Fraction ``find_biased_subcube`` and ``elimination_bound``.
+``tests/test_qcsynth.py`` compares the integer build against it: trees,
+``BuildStats`` and refusals.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from lpbounds.model import (
     cube_key,
     full_cube,
     popular_label,
-    project_weights,
 )
 from lpbounds.qcsynth import BuildStats, certified_error_budget
 from lpbounds.trees import (
@@ -200,6 +202,19 @@ def project_cube(
         return None
     keep = cube.support & ~fixed_mask
     return Subcube(cube.n, keep, cube.values & keep)
+
+
+def project_weights(weights: dict[Subcube, Fraction], onto: Subcube) -> dict[Subcube, Fraction]:
+    """Weighted subcubes projected into ``onto``; cubes that project alike add up.
+
+    Cubes disjoint from ``onto`` are dropped.
+    """
+    out: dict[Subcube, Fraction] = {}
+    for cube, w in weights.items():
+        proj = project_cube(cube, onto.support, onto.values)
+        if proj is not None:
+            out[proj] = out.get(proj, Fraction(0)) + w
+    return out
 
 
 def split_loop(

@@ -287,3 +287,62 @@ def test_package_import_scan_sees_each_form():
         "from fractions import Fraction\n"
     )
     assert _package_imports(tree) == {"ccsynth", "lp", "qcbounds", "ccbounds", "model", "trees"}
+
+
+def _unread_private_names(trees: list[ast.Module]) -> list[str]:
+    """The ``_``-prefixed functions, methods, classes and module-level names that ``trees``
+    define and no code in ``trees`` reads, apart from their own definition; dunders are exempt.
+
+    A read is a loaded name or attribute anywhere in ``trees``; a function's
+    reads of its own name inside its body do not count.
+    """
+    defined, reads = [], {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+                if not isinstance(node, ast.ClassDef):  # a recursive call is no use from outside
+                    own = sum(
+                        isinstance(sub, ast.Name) and sub.id == node.name and isinstance(sub.ctx, ast.Load)
+                        for stmt in node.body for sub in ast.walk(stmt)
+                    )
+                    reads[node.name] = reads.get(node.name, 0) - own
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads[name] = reads.get(name, 0) + 1
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return sorted(
+        name for name in defined
+        if name.startswith("_") and not name.startswith("__") and reads.get(name, 0) <= 0
+    )
+
+
+def test_package_reads_every_private_name_it_defines():
+    # a private name nothing in the package reads is dead code, or a copy left behind
+    assert _unread_private_names([_tree(path) for path in SOURCES]) == []
+
+
+def test_unread_private_name_scan_sees_each_form():
+    tree = ast.parse(
+        "_USED, _UNUSED = 1, 2\n"
+        "_LIMIT: int = 3\n"
+        "_used = _LIMIT + _USED\n"
+        "class _Kept:\n"
+        "    def __init__(self):\n"
+        "        self._helper()\n"
+        "    def _helper(self):\n"
+        "        return _walk(0)\n"
+        "    def _dropped(self):\n"
+        "        return 0\n"
+        "def _walk(k):\n"
+        "    return _walk(k - 1) if k else _Kept\n"
+        "def _loop(k):\n"
+        "    return _loop(k - 1)\n"
+        "def _project(cubes, region):\n"
+        "    return cubes\n"
+    )
+    other = ast.parse("from .mod import _used\n_used\n")
+    assert _unread_private_names([tree, other]) == ["_UNUSED", "_dropped", "_loop", "_project"]

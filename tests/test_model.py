@@ -322,24 +322,31 @@ def weighted_subcubes(draw, n: int) -> dict[Subcube, Fraction]:
 def test_project_weights_matches_the_old_loops(n, data):
     """Same projected cubes, summed weights and insertion order as the three old loops.
 
-    Each family is projected the way ``extract_feasible`` (per label) and
-    ``build_decision_tree`` (w without its support-disjoint cubes) do it.
+    Each family is projected on (support, values) masks the way
+    ``extract_feasible`` (per label) and ``build_decision_tree`` (w without
+    its support-disjoint cubes) do it.
     """
     u, w = data.draw(weighted_subcubes(n)), data.draw(weighted_subcubes(n))
     support = data.draw(st.integers(0, (1 << n) - 1))
     onto = Subcube(n, support, data.draw(st.integers(0, (1 << n) - 1)) & support)
+
+    def project(family):  # keyed by masks, and back to subcubes
+        masks = {(c.support, c.values): v for c, v in family.items()}
+        return {Subcube(n, *c): v for c, v in project_weights(masks, (support, onto.values)).items()}
+
     for cube in [*u, *w]:
-        assert cube.project(onto) == project_cube(cube, onto.support, onto.values)
+        proj = project_cube(cube, support, onto.values)
+        assert project({cube: 1}) == ({} if proj is None else {proj: 1})
 
     def items(*families):
         return [list(family.items()) for family in families]
 
-    sub_w = project_weights({c: v for c, v in w.items() if c.support & support}, onto)
-    assert items(project_weights(u, onto), sub_w) == items(*project_loop(u, w, support, onto.values))
+    sub_w = project({c: v for c, v in w.items() if c.support & support})
+    assert items(project(u), sub_w) == items(*project_loop(u, w, support, onto.values))
     labels = [*(((0, c), v) for c, v in u.items()), *(((1, c), v) for c, v in w.items())]
     kept = dict(data.draw(st.permutations(labels)))
     labelled = [{c: v for (z, c), v in kept.items() if z == label} for label in (0, 1)]
-    assert items(*(project_weights(family, onto) for family in labelled)) == items(
+    assert items(*map(project, labelled)) == items(
         *split_loop(kept, onto)
     )
 

@@ -54,6 +54,43 @@ CHAIN = {
     ),
 }
 
+# (prt, rprt, srec^0, srec^1) of check_chain(f, 0): the only corpus solves whose
+# phase 1 ends with artificials in the basis for the simplex to drive out.  Rows
+# replaced per solve: eq2 4/16/12/4, gt2 6/16/10/6, and2 1/16/15/1, xor2
+# 8/16/8/8, disj2 9/16/7/9; at eps = 1/8 no row is replaced
+CHAIN_EXACT = {
+    "eq2": (
+        "f29d8f91ec545e2ff76e18ab8c8c87d06cb0ef67897930e1bd4623365b189a0f",
+        "cff690a0495617b19182325b6e827c0a789323a5f32aa776112e4566a2127fb1",
+        "32ca6c47a60f06a5a4a105a474640913ab1af4b1db216c96f5193747ef0e330f",
+        "ad5d45f37e72d36c2a902c0034cb11a478ae85c41b5799cd097d499da0477d34",
+    ),
+    "gt2": (
+        "b49724092fb2243e9e21243b9bc4cf61cba045d22688dea664e76e677ac7d38f",
+        "27f60fc8e63bcbb2ddc92a12522a2208ed10b28acbbe575ebaf46d25a2b77bc3",
+        "210220968b762e35d049bc2b154dd117dfafdba568d48e5f844ef65379672e78",
+        "b8974b97c661a9063b03ca91354fcff32ca75c4ad7c6b08463dbb97903b8e940",
+    ),
+    "and2": (
+        "2dbe0f4e9d2f7c1a020345bbbaa35cb3a9812e797121e547f78e047e052b24d1",
+        "fe9870ad110edd24534806458326c96475ddf935c7f83989d9130a5e6faaa1d4",
+        "a8c6ca09fd8026631c4cb51d0953a344ccec5aace9d8003b41a06cc06b04f5de",
+        "16aaf9bdcfd89126a9eade6791a2be2f93c247a26df62144891dee4aba12a024",
+    ),
+    "xor2": (
+        "43fd06cf3f9e35a22afdbba4f1fa6c8eeab4049da20cee71b9210d0d4778f899",
+        "50a4969b5a2522336d0af59397d21ff017f6d8097c6c46ab5413f35e0c0d2e4d",
+        "c12a72db326bd7c387112ba569d6d2eeee204b79e2adb5666a27fe24a8909c3b",
+        "9bbdc0feced3e535c61198c9019902a37103dd46ba450f60649812390a39b7d8",
+    ),
+    "disj2": (
+        "f2ce2db3b4731ee60750948bb6d0cf506c5f0e6b790f2589e186d84f074ac402",
+        "589976d65f728fb33536b793644ba70e681321b04359a689a150a098ad4791ab",
+        "98d5a73565158ed291e01176deb86881f31286d5f1f123ae12a1d40e4186b666",
+        "208df0dd3f3dc5521bda9a8720bec0e7ac4c9ac3b29bea17d9729fe60a45f417",
+    ),
+}
+
 # (n, digest) of qprt_bound(g, 1/8); with these four every chain and qprt
 # bench solve is pinned, xor4 and maj5 being the two with the most pivots
 QPRT = {
@@ -70,11 +107,19 @@ def _digest(result) -> str:
     return hashlib.sha256(result.canonical_bytes()).hexdigest()
 
 
+def _chain_digests(name: str, eps: F) -> tuple[str, ...]:
+    report = check_chain(families.make_function(name[:-1], 2, "cc"), eps)
+    return tuple(_digest(r) for r in (report.prt, report.rprt, report.srec0, report.srec1))
+
+
 @pytest.mark.parametrize("name", CHAIN)
 def test_chain_solution_bytes_are_pinned(name):
-    report = check_chain(families.make_function(name[:-1], 2, "cc"), EPS)
-    got = tuple(_digest(r) for r in (report.prt, report.rprt, report.srec0, report.srec1))
-    assert got == CHAIN[name]
+    assert _chain_digests(name, EPS) == CHAIN[name]
+
+
+@pytest.mark.parametrize("name", CHAIN_EXACT)
+def test_exact_chain_solution_bytes_are_pinned(name):
+    assert _chain_digests(name, F(0)) == CHAIN_EXACT[name]
 
 
 @pytest.mark.parametrize("name", QPRT)
