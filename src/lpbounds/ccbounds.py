@@ -28,8 +28,9 @@ from fractions import Fraction
 from functools import cache
 from operator import add
 
+from . import lp as lpmod
 from .errors import DimensionMismatchError, InfeasibleConstructionError
-from .lp import LinearProgram, LPSolution, Names, Row, scaled_row, solve_optimal, unit_row
+from .lp import LinearProgram, LPSolution, Names, Row, scaled_row, unit_row
 from .model import (
     ProductDistribution2P,
     Rectangle,
@@ -159,7 +160,7 @@ def _label_z_sums(f: TwoPartyFunction, z: int, weights: tuple[int, ...]) -> list
 
 
 def srec_bound(inst: SrecInstance) -> LPSolution:
-    return solve_optimal(build_srec_lp(inst), "srec")
+    return lpmod.solve(build_srec_lp(inst))
 
 
 def srec_weights(sol: LPSolution) -> dict[Rectangle, Fraction]:
@@ -175,11 +176,11 @@ def build_rprt_lp(f: TwoPartyFunction, eps: Fraction) -> LinearProgram:
 
 
 def prt_bound(f: TwoPartyFunction, eps: Fraction) -> LPSolution:
-    return solve_optimal(build_prt_lp(f, eps), "prt")
+    return lpmod.solve(build_prt_lp(f, eps))
 
 
 def rprt_bound(f: TwoPartyFunction, eps: Fraction) -> LPSolution:
-    return solve_optimal(build_rprt_lp(f, eps), "rprt")
+    return lpmod.solve(build_rprt_lp(f, eps))
 
 
 def partition_weights(sol: LPSolution) -> LabeledRectWeights:

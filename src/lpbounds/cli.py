@@ -481,9 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    cache = os.environ.get("LPBOUNDS_CACHE")
-    if cache:
-        lpmod.set_cache_dir(cache)
+    # set on every call, so an in-process caller never keeps a previous call's directory
+    lpmod.set_cache_dir(os.environ.get("LPBOUNDS_CACHE") or None)
     parser = build_parser()
     ns = parser.parse_args(argv)
     started = time.monotonic()

@@ -22,9 +22,9 @@ class ParseError(LpboundsError, ValueError):
 class InfeasibleConstructionError(LpboundsError):
     """A certified construction failed an exact inequality it must satisfy.
 
-    Raised when a structural guarantee (bias, covering level, leaf count,
-    advantage, error bound) does not verify; indicates either a bug or an
-    input outside the product-distribution assumptions.
+    Raised when a structural guarantee (a feasible bound LP, bias, covering
+    level, leaf count, advantage, error bound) does not verify; indicates
+    either a bug or an input outside the product-distribution assumptions.
     """
 
 

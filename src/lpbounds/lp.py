@@ -4,8 +4,10 @@ Every program has one shape: minimise cost . x subject to its rows, with
 x >= 0 and cost >= 0.  Each bound LP (srec, prt, rprt, qprt) minimises
 total weight over nonnegative weights, so the solver, the checkers and the
 cache key handle no other sense and no free variable.  No optimum is
-below 0, so every program is optimal or infeasible.  ``solve`` refuses a
-negative cost coefficient; the checkers take any program.
+below 0, and every bound LP is feasible by construction, so ``solve``
+returns a certified optimum or raises: an infeasible program is a builder
+bug, an ``InfeasibleConstructionError``.  ``solve`` refuses a negative cost
+coefficient; the checkers take any program.
 
 The solver is a two-phase revised simplex with Bland's pivoting rule:
 entering variable is the lowest-index column with a negative reduced cost,
@@ -45,7 +47,7 @@ Y = L * D * y are built once per phase and then updated per pivot,
 Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the reduced cost of
 the entering column; when p = D that is Y + d_e * N_l / D, which changes Y
 only where row l of N is nonzero.  Fractions are made only at the
-boundary: basic values, duals and the Farkas vector.
+boundary: basic values and duals.
 
 N is stored by columns, each one Python int: ``cols[k]`` is
 sum_i N_ik * 2^(w i) in signed w-bit slots, written at the determinant
@@ -104,8 +106,11 @@ slots of pw bits, as B^-1's columns are packed, and the costs of a phase
 are packed the same way.  Packing is linear, so
 D * C_b - sum_i Y_i * blocks[b][i], one big-int sum, holds L * D times the
 reduced cost of all 128 columns; a basic column reads exactly 0, so no
-basis set is kept.  The cost of a pass is the number of those m-term
-sums, not their width, hence the wide blocks.  Before every pricing pass
+basis set is kept.  One m-term sum costs about 100 ns per term plus a
+share that grows with the width: at m = 32 about 3.5 us on 512-bit blocks
+and 6-8 us on 2048-bit ones (Python 3.11.7, Intel Xeon).  So fewer, wider
+sums win when a pass reads several blocks, but wider slots slow each sum:
+pw stays as narrow as the bounds below allow.  Before every pricing pass
 the size of every slot is bounded in two steps (``_slot_bound``): first
 by D max c + reach max |Y|, reach = sum_i rowmax_i >= every column's l1
 norm, rowmax_i the largest |entry| of row i; if that is not below
@@ -131,13 +136,11 @@ column, ``sum(map(mul, values, map(cols.__getitem__, rows)))``.
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
 the derived dual program, and the two objective values are compared as
-exact rationals.  An infeasible program comes with its Farkas vector,
-``LPSolution.farkas`` (y_i by row i), checked by ``check_farkas``.
-Cached solutions pass the same ``certify`` on load, so a cache hit costs
-the program key, one read of the entry (each distinct number parsed once)
-and that one check.  The checks are fraction-free too: they read the same
-integer rows as the simplex, scale a point by the lcm of its
-denominators, and a dual y_i / s_i and the costs by one common
+exact rationals.  Cached solutions pass the same ``certify`` on load, so a
+cache hit costs the program key, one read of the entry (each distinct
+number parsed once) and that one check.  The checks are fraction-free too:
+they read the same integer rows as the simplex, scale a point by the lcm
+of its denominators, and a dual y_i / s_i and the costs by one common
 denominator, so every comparison and every objective value is an integer
 sum.  A Fraction is built only for the lhs of a violation and for a
 returned objective value.  A row whose coefficients are all equal
@@ -180,7 +183,7 @@ import struct
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
@@ -340,26 +343,22 @@ class Violation:
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # "optimal" | "infeasible"
-    value: Fraction | None
+    status: str  # always "optimal"; kept in the record, which reports and cache entries hold
+    value: Fraction
     primal: dict[str, Fraction]
     dual: tuple[Fraction, ...]
     iterations: int
     phase1_iterations: int
-    farkas: dict[int, Fraction] | None = None  # y_i by row i, for an infeasible program
 
     def to_record(self) -> dict:
-        rec = {
+        return {
             "status": self.status,
-            "value": None if self.value is None else format_rational(self.value),
+            "value": format_rational(self.value),
             "primal": {v: format_rational(c) for v, c in sorted(self.primal.items())},
             "dual": [format_rational(y) for y in self.dual],
             "iterations": self.iterations,
             "phase1_iterations": self.phase1_iterations,
         }
-        if self.farkas is not None:
-            rec["farkas"] = {i: format_rational(y) for i, y in sorted(self.farkas.items())}
-        return rec
 
     def canonical_bytes(self) -> bytes:
         return json.dumps(self.to_record(), sort_keys=True).encode()
@@ -468,43 +467,28 @@ def dual_objective(lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction
                         for y, row in pairs), big_m)
 
 
-def check_farkas(lp: LinearProgram, vector: dict[int, Fraction]) -> bool:
-    """True iff ``vector`` certifies infeasibility of ``lp``'s constraints.
-
-    A Farkas vector is a feasible dual of the zero-objective minimization
-    with a positive dual objective: no primal point can meet the rows.
-    """
-    y = [vector.get(i, Fraction(0)) for i in range(len(lp.rows))]
-    zero = replace(lp, cost=Row(1, (), (), EQ, 0, "objective"))
-    return not check_dual_feasible(zero, y) and dual_objective(lp, y) > 0
-
-
 def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
-    """Every way ``sol`` fails to certify its status for ``lp``; [] iff it holds.
+    """Every way ``sol`` fails to certify an optimum of ``lp``; [] iff it holds.
 
-    An optimal solution needs a feasible primal over declared variables, a
-    feasible dual of matching length and equal primal, dual and reported
-    values; an infeasible one a Farkas vector.  Any other status is unknown.
+    It needs the status "optimal" (any other is unknown), a feasible primal
+    over declared variables, a feasible dual of matching length and equal
+    primal, dual and reported values.
     """
-    if sol.status == "optimal":
-        undeclared = sorted(set(sol.primal).difference(lp.variables))
-        if undeclared:
-            return [f"primal names undeclared variables {undeclared}"]
-        if len(sol.dual) != len(lp.rows):
-            return ["dual vector length does not match constraint count"]
-        scaled = _scaled_point(lp, sol.primal)  # once, for the rows and the objective
-        failures = [f"optimal primal failed re-check: {v}" for v in _violations(lp, sol.primal, *scaled)]
-        failures += [f"optimal dual failed re-check: {v}" for v in check_dual_feasible(lp, sol.dual)]
-        if _point_value(lp, *scaled) != sol.value:
-            failures.append("primal objective differs from the reported value")
-        if dual_objective(lp, sol.dual) != sol.value:
-            failures.append("strong duality certificate failed")
-        return failures
-    if sol.status != "infeasible":
+    if sol.status != "optimal":
         return [f"unknown status {sol.status!r}"]
-    if sol.farkas is None or not check_farkas(lp, sol.farkas):
-        return ["invalid farkas certificate"]
-    return []
+    undeclared = sorted(set(sol.primal).difference(lp.variables))
+    if undeclared:
+        return [f"primal names undeclared variables {undeclared}"]
+    if len(sol.dual) != len(lp.rows):
+        return ["dual vector length does not match constraint count"]
+    scaled = _scaled_point(lp, sol.primal)  # once, for the rows and the objective
+    failures = [f"optimal primal failed re-check: {v}" for v in _violations(lp, sol.primal, *scaled)]
+    failures += [f"optimal dual failed re-check: {v}" for v in check_dual_feasible(lp, sol.dual)]
+    if _point_value(lp, *scaled) != sol.value:
+        failures.append("primal objective differs from the reported value")
+    if dual_objective(lp, sol.dual) != sol.value:
+        failures.append("strong duality certificate failed")
+    return failures
 
 
 # columns priced by one big-int sum, and the slot width both packings start at
@@ -619,8 +603,8 @@ class _Simplex:
         self.cost2 = [0] * self.n_total
         for j, a in zip(lp.cost.cols, lp.cost.coeffs):
             self.cost2[j] = a
-        self.l1 = lcm(*(self.sigma[i] for i in artificial_rows))
-        self.cost1 = [0] * self.n_structural + [self.l1 // self.sigma[i] for i in artificial_rows]
+        l1 = lcm(*(self.sigma[i] for i in artificial_rows))
+        self.cost1 = [0] * self.n_structural + [l1 // self.sigma[i] for i in artificial_rows]
 
         # each row of the standard form packed in blocks, in slots wide enough for its
         # widest coefficient
@@ -925,16 +909,18 @@ class _Simplex:
             basis[leave] = enter
 
     def run(self) -> LPSolution:
-        """Both phases; the solution is returned uncertified."""
+        """Both phases; the optimum is returned uncertified.
+
+        A positive artificial at the end of phase 1 means no point meets the
+        rows, which no bound LP allows: that raises.
+        """
         phase1_iterations = 0
         if self.n_total > self.n_structural:
             self._iterate(self.cost1, self.n_total)
             phase1_iterations = self.iterations
             if any(self.x[i] for i in range(self.m) if self.basis[i] >= self.n_structural):
-                farkas = {i: y for i, y in enumerate(self._row_duals(self.l1)) if y}
-                return LPSolution(
-                    "infeasible", None, {}, (), self.iterations, phase1_iterations, farkas
-                )
+                raise InfeasibleConstructionError(
+                    f"infeasible LP: an artificial stays positive after {phase1_iterations} phase-1 pivots")
             self._drive_out_artificials()
 
         self._iterate(self.cost2, self.n_structural)
@@ -945,13 +931,13 @@ class _Simplex:
         value = Fraction(sum(map(mul, map(self.cost2.__getitem__, self.basis), self.x)),
                          self.l2 * x_den)
         return LPSolution(
-            "optimal", value, primal, tuple(self._row_duals(self.l2)),
+            "optimal", value, primal, tuple(self._row_duals()),
             self.iterations, phase1_iterations,
         )
 
-    def _row_duals(self, big_l: int) -> list[Fraction]:
-        """The last phase's duals of the program's rows: L * D, sigma_i and the flip undone."""
-        den = big_l * self.d
+    def _row_duals(self) -> list[Fraction]:
+        """The phase-2 duals of the program's rows: L * D, sigma_i and the flip undone."""
+        den = self.l2 * self.d
         return [Fraction(f * s * y, den) for f, s, y in zip(self.flip, self.sigma, self.y)]
 
 
@@ -1013,8 +999,6 @@ def _cache_load(lp: LinearProgram, path: str) -> LPSolution | None:
 
 
 def _cache_store(path: str, sol: LPSolution) -> None:
-    if sol.status != "optimal":
-        return
     os.makedirs(os.path.dirname(path), exist_ok=True)
     # a temp name of its own, so concurrent writers never share one
     tmp = f"{path}.{os.urandom(16).hex()}.tmp"
@@ -1029,15 +1013,15 @@ def _cache_store(path: str, sol: LPSolution) -> None:
 
 
 def solve(lp: LinearProgram) -> LPSolution:
-    """Solve exactly; every result has passed ``certify`` before it is returned.
+    """The optimum of ``lp``, exactly; it has passed ``certify`` before it is returned.
 
     A program with a negative cost coefficient is refused, before it is
-    keyed: with cost >= 0 and x >= 0 no optimum is below 0.  An optimal
-    solution carries a primal point and a dual certificate that pass
+    keyed: with cost >= 0 and x >= 0 no optimum is below 0.  An infeasible
+    program raises ``InfeasibleConstructionError`` and caches nothing.  The
+    optimum carries a primal point and a dual certificate that pass
     ``check_feasible`` and ``check_dual_feasible`` with equal objective
-    values; an infeasible one a Farkas vector.  With a cache directory set,
-    the program is keyed once and the key serves both the load and the
-    store.
+    values.  With a cache directory set, the program is keyed once and the
+    key serves both the load and the store.
     """
     cost = lp.cost
     if min(cost.coeffs, default=0) < 0:
@@ -1053,12 +1037,4 @@ def solve(lp: LinearProgram) -> LPSolution:
         raise LpboundsError(f"{failures[0]}; solver bug")
     if path:
         _cache_store(path, sol)
-    return sol
-
-
-def solve_optimal(lp: LinearProgram, kind: str) -> LPSolution:
-    """The certified optimum of a bound's program; an infeasible one is a builder bug."""
-    sol = solve(lp)
-    if sol.status != "optimal":
-        raise InfeasibleConstructionError(f"{kind} LP reported {sol.status}")
     return sol

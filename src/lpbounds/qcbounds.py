@@ -21,8 +21,9 @@ from fractions import Fraction
 from functools import cache
 from math import ceil, floor
 
+from . import lp as lpmod
 from .errors import CapExceededError, DimensionMismatchError, InfeasibleConstructionError
-from .lp import LinearProgram, LPSolution, solve_optimal
+from .lp import LinearProgram, LPSolution
 from .model import (
     BitProductDistribution,
     Masks,
@@ -77,7 +78,7 @@ class QprtSolution:
 
 
 def qprt_bound(g: QueryFunction, eps: Fraction) -> LPSolution:
-    return solve_optimal(build_qprt_lp(g, eps), "qprt")
+    return lpmod.solve(build_qprt_lp(g, eps))
 
 
 def qprt_solution(g: QueryFunction, sol: LPSolution) -> QprtSolution:

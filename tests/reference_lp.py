@@ -4,17 +4,18 @@ This is the two-phase revised simplex over ``fractions.Fraction`` that
 ``lpbounds.lp`` used before its integer-preserving core: B^-1 is kept as
 Fractions, duals are rebuilt every pivot and every column is priced in
 Fraction arithmetic.  It takes the same Bland pivots on the unscaled
-program, so on every input the two solvers must return byte-identical
-``LPSolution``s.  It is slow, uncached and only used by tests.
+program, so on every feasible input the two solvers must return
+byte-identical ``LPSolution``s.  On an infeasible one the reference
+returns ``Infeasible`` with its phase-1 Farkas vector, where
+``lpbounds.lp.solve`` raises.  It is slow, uncached and only used by tests.
 
 ``Constraint``, ``from_constraints``, ``rational_rows`` and ``objective``
 are the rational view of a program: the tests build programs from rational
 rows by variable name and read them back that way.  ``lpbounds.lp`` holds
 only the integer form.
 
-``check_farkas`` is the Farkas check written out row by row, as
-``lpbounds.lp`` had it before it became a check of the zero-objective
-dual.  ``check_feasible``,
+``check_farkas`` is the Farkas check written out row by row; it certifies
+the reference's own infeasible verdicts.  ``check_feasible``,
 ``check_dual_feasible``, ``objective_value`` and ``dual_objective`` are the
 checks summed term by term in Fractions, as ``lpbounds.lp`` had them before
 it compared integer rows over common denominators; the two must give equal
@@ -44,6 +45,14 @@ from math import lcm
 from lpbounds.errors import LpboundsError
 from lpbounds.lp import EQ, GE, LE, MAX_PIVOTS, LinearProgram, LPSolution, Row, Violation, scaled_row
 from lpbounds.model import enumerate_rectangles, full_rectangle
+
+
+@dataclass(frozen=True)
+class Infeasible:
+    """``reference_solve``'s verdict on a program no point satisfies."""
+
+    farkas: dict[int, Fraction]  # y_i by row i, the phase-1 duals
+    iterations: int  # the phase-1 pricing passes
 
 
 @dataclass(frozen=True)
@@ -278,8 +287,8 @@ class _Simplex:
             self.basis[leave] = enter
 
 
-def reference_solve(lp: LinearProgram) -> LPSolution:
-    """Solve ``lp`` with the Fraction simplex; same record as ``lpbounds.lp.solve``."""
+def reference_solve(lp: LinearProgram) -> LPSolution | Infeasible:
+    """Solve ``lp`` with the Fraction simplex; an optimum is the record ``lpbounds.lp.solve`` returns."""
     sx = _Simplex(lp)
     phase1_iterations = 0
     if any(c != 0 for c in sx.cost1):
@@ -294,7 +303,7 @@ def reference_solve(lp: LinearProgram) -> LPSolution:
         if infeas > 0:
             y = sx._duals(sx.cost1)
             farkas = {i: sx.flip[i] * y[i] for i in range(sx.m) if y[i] != 0}
-            return LPSolution("infeasible", None, {}, (), sx.iterations, phase1_iterations, farkas)
+            return Infeasible(farkas, sx.iterations)
         sx._drive_out_artificials()
 
     status = sx._iterate(sx.cost2, sx.n_structural)

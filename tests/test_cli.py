@@ -278,6 +278,19 @@ def test_cache_round_trip(workspace, tmp_path, monkeypatch):
     lpmod.set_cache_dir(None)
 
 
+def test_a_call_without_the_cache_variable_caches_nothing(workspace, tmp_path, monkeypatch):
+    """``main`` sets the cache directory on every call, so an unset ``LPBOUNDS_CACHE`` turns it off."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("LPBOUNDS_CACHE", str(cache))
+    args = ["bounds", workspace["and2"], "--which", "rprt", "--out", str(workspace["dir"] / "b.jsonl")]
+    assert main(args + ["--eps", "1/8"]) == 0
+    first = sorted(cache.iterdir())
+    assert len(first) == 1
+    monkeypatch.delenv("LPBOUNDS_CACHE")
+    assert main(args + ["--eps", "1/4"]) == 0  # another program: a cache left set would store it
+    assert sorted(cache.iterdir()) == first
+
+
 @pytest.mark.parametrize(
     "run",
     [

@@ -14,25 +14,57 @@ from reference_lp import Constraint, from_constraints, reference_solve
 from lpbounds import ccbounds, families, qcbounds
 from lpbounds import lp as lpmod
 from lpbounds.ccbounds import SrecInstance, _rect_family, build_prt_lp, build_rprt_lp, build_srec_lp
-from lpbounds.errors import LpboundsError
+from lpbounds.errors import InfeasibleConstructionError, LpboundsError
 from lpbounds.lp import (
     LinearProgram,
     Row,
     check_dual_feasible,
-    check_farkas,
     check_feasible,
     dual_objective,
     certify,
     set_cache_dir,
     solve,
 )
-from lpbounds.model import ProductDistribution2P, enumerate_rectangles
+from lpbounds.model import ProductDistribution2P, QueryFunction, Subcube, TwoPartyFunction, enumerate_rectangles
 from lpbounds.qcbounds import _cube_family, build_qprt_lp
 from lpbounds.rational import format_rational, parse_rational
 
 
 def lp_min(variables, objective, constraints):
     return from_constraints(tuple(variables), objective, tuple(constraints))
+
+
+INFEASIBLE = "infeasible LP: an artificial stays positive after {} phase-1 pivots"
+
+
+def checked_solve(program, run=solve):
+    """``run(program)`` held to ``reference_solve``: the solution, or the reference's ``Infeasible`` verdict.
+
+    ``run`` solves ``program`` and returns the ``LPSolution``: ``solve``, or
+    ``solve`` under an audit.  Where the reference finds an optimum, the
+    two must be byte-equal.  Where it finds no feasible point, its Farkas
+    vector must pass its own row-by-row check and ``run`` must raise
+    ``InfeasibleConstructionError`` with the one line that names the
+    reference's phase-1 pricing passes.
+    """
+    want = reference_solve(program)
+    if isinstance(want, reference_lp.Infeasible):
+        assert reference_lp.check_farkas(program, want.farkas)
+        with pytest.raises(InfeasibleConstructionError) as exc:
+            run(program)
+        assert str(exc.value) == INFEASIBLE.format(want.iterations)
+        return want
+    got = run(program)
+    assert got.canonical_bytes() == want.canonical_bytes()
+    return got
+
+
+def solve_or_refusal(program):
+    """``solve(program)``, or the message of the ``InfeasibleConstructionError`` it raises."""
+    try:
+        return solve(program)
+    except InfeasibleConstructionError as exc:
+        return str(exc)
 
 
 def test_min_x_at_least_one():
@@ -174,14 +206,13 @@ def test_objective_scaling_preserves_basis():
 
 
 def test_infeasible_with_farkas_certificate():
+    """x >= 3 and x <= 1: ``solve`` raises, and the reference's Farkas vector certifies that no x fits."""
     lp = lp_min(
         ["x"],
         {"x": F(1)},
         [Constraint({"x": F(1)}, ">=", F(3)), Constraint({"x": F(1)}, "<=", F(1))],
     )
-    sol = solve(lp)
-    assert sol.status == "infeasible"
-    assert sol.farkas is not None and check_farkas(lp, sol.farkas)
+    assert isinstance(checked_solve(lp), reference_lp.Infeasible)
 
 
 def test_negative_rhs_rows_are_handled():
@@ -196,18 +227,11 @@ def test_undeclared_variable_rejected():
 
 
 def test_certify_lists_every_failure():
-    program = lp_min(["x"], {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(3)), Constraint({"x": F(1)}, "<=", F(1))])
-    infeasible = solve(program)
-    assert certify(program, infeasible) == []
-    # None; all zero; dual-feasible with dual objective 3 - 3 = 0, and 3 - 4 < 0
-    for farkas in (None, {}, {0: F(1), 1: F(-3)}, {0: F(1), 1: F(-4)}):
-        wrong = dataclasses.replace(infeasible, farkas=farkas)
-        assert certify(program, wrong) == ["invalid farkas certificate"]
-    assert certify(program, dataclasses.replace(infeasible, status="unbounded")) == ["unknown status 'unbounded'"]
-    assert certify(program, dataclasses.replace(infeasible, status="lost")) == ["unknown status 'lost'"]
-
     optimal = solve(cached_program())
     assert certify(cached_program(), optimal) == []
+    for status in ("infeasible", "unbounded", "lost"):
+        wrong = dataclasses.replace(optimal, status=status)
+        assert certify(cached_program(), wrong) == [f"unknown status {status!r}"]
     failures = certify(cached_program(), dataclasses.replace(optimal, value=F(0)))
     assert failures == ["primal objective differs from the reported value", "strong duality certificate failed"]
 
@@ -331,7 +355,8 @@ def test_solve_keys_a_program_once(cache_dir, monkeypatch):
 
 def test_an_infeasible_solve_is_not_cached(cache_dir):
     program = lp_min(["x"], {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(3)), Constraint({"x": F(1)}, "<=", F(1))])
-    assert solve(program).status == "infeasible"
+    with pytest.raises(InfeasibleConstructionError, match=f"^{INFEASIBLE.format(2)}$"):
+        solve(program)
     assert list(cache_dir.iterdir()) == []
 
 
@@ -573,10 +598,8 @@ UNIT_ROWS = from_constraints(
 @example(NEGATIVE_DRIVE_OUT)
 @example(UNIT_ROWS)
 def test_integer_core_matches_fraction_reference(program):
-    """Byte-equal solutions, certificate included."""
-    got, want = solve(program), reference_solve(program)
-    assert got.farkas == want.farkas
-    assert got.canonical_bytes() == want.canonical_bytes()
+    """Byte-equal solutions, certificate included, and the same infeasible programs."""
+    checked_solve(program)
 
 
 def test_drive_out_pivots_on_a_negative_element(monkeypatch):
@@ -720,7 +743,11 @@ def _audited_solve(program):
         counts["price widenings"] += sx.pw.bit_length() - w.bit_length()
 
     def audit_run(sx):
-        sol = run(sx)
+        try:
+            sol = run(sx)
+        except InfeasibleConstructionError:
+            _assert_basis_identity(sx)  # phase 1 ended at a basis too
+            raise
         _assert_basis_identity(sx)
         counts["w"], counts["pw"] = sx.w, sx.pw
         return sol
@@ -742,7 +769,7 @@ def _audited_solve(program):
 @example(NEGATIVE_DRIVE_OUT)
 @example(STALE_X)
 def test_lazy_rows_keep_the_basis_identity(program):
-    _audited_solve(program)
+    checked_solve(program, lambda p: _audited_solve(p)[0])
 
 
 def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
@@ -1109,8 +1136,7 @@ def test_wide_coefficients_widen_the_slots(program):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod._Simplex, "_fit", record_widening)
-        got = solve(program)
-    assert got.canonical_bytes() == reference_solve(program).canonical_bytes()
+        checked_solve(program)
     if program is THREE_TO_THE_40:
         assert widths
     if program is THREE_TO_THE_20:
@@ -1172,7 +1198,8 @@ def _pivot_path(program, width):
     """The solve of ``program`` with both packings started at ``width`` bits.
 
     Returns every column read (entering, or replacing an artificial) and
-    every pivot as (row, leaving column), in order, and the solution's bytes.
+    every pivot as (row, leaving column), in order, and the solution's
+    bytes or, for an infeasible program, the refusal.
     """
     path = []
     column, pivot = lpmod._Simplex._column, lpmod._Simplex._pivot
@@ -1189,8 +1216,8 @@ def _pivot_path(program, width):
         mp.setattr(lpmod, "_WIDTH", width)
         mp.setattr(lpmod._Simplex, "_column", record_column)
         mp.setattr(lpmod._Simplex, "_pivot", record_pivot)
-        sol = solve(program)
-    return path, sol.canonical_bytes()
+        sol = solve_or_refusal(program)
+    return path, sol if isinstance(sol, str) else sol.canonical_bytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -1354,8 +1381,7 @@ EVERY_KIND_OF_ENTRY = from_constraints(
 @example(EVERY_KIND_OF_ENTRY)
 @example(NEGATIVE_DRIVE_OUT)
 def test_column_layout_reads_the_dense_columns(program):
-    sol, _ = _layout_audited_solve(program)
-    assert sol.canonical_bytes() == reference_solve(program).canonical_bytes()
+    checked_solve(program, lambda p: _layout_audited_solve(p)[0])
 
 
 def test_every_kind_of_entry_takes_its_place_in_the_layout():
@@ -1436,8 +1462,7 @@ ACROSS_BLOCKS = _across_blocks(lpmod._BLOCK)
 @given(block_programs())
 @example(ACROSS_BLOCKS)
 def test_block_pricing_enters_bland_s_column(program):
-    sol, _ = _layout_audited_solve(program)
-    assert sol.canonical_bytes() == reference_solve(program).canonical_bytes()
+    checked_solve(program, lambda p: _layout_audited_solve(p)[0])
 
 
 def test_block_pricing_enters_columns_on_both_sides_of_each_boundary():
@@ -1516,7 +1541,7 @@ FIVE_TIMES_X1 = from_constraints(
 @example(NEGATIVE_DRIVE_OUT)
 def test_every_slot_bound_holds_the_slots_it_guards(program):
     """Sign-flipped rows and non-unit coefficients, on both sides of the block boundaries."""
-    counts = _audited_slot_bounds(lambda: solve(program))
+    counts = _audited_slot_bounds(lambda: checked_solve(program))
     assert counts["pricing"]
     if program is FIVE_TIMES_X1:
         assert counts["past the unweighted bound"]
@@ -1543,7 +1568,8 @@ def test_block_pricing_on_corpus_programs(build):
 
 
 def _pivot_trace(program):
-    """The solution, and the basis and D before every pivot and at the end of the run."""
+    """The solution or the refusal of ``solve_or_refusal``, and the basis and D before every pivot
+    and at the end of the run."""
     trace = []
     pivot, run = lpmod._Simplex._pivot, lpmod._Simplex.run
 
@@ -1552,14 +1578,15 @@ def _pivot_trace(program):
         return pivot(sx, l, u, packed)
 
     def record_run(sx):
-        sol = run(sx)
-        trace.append((tuple(sx.basis), sx.d))
-        return sol
+        try:
+            return run(sx)
+        finally:
+            trace.append((tuple(sx.basis), sx.d))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod._Simplex, "_pivot", record_pivot)
         mp.setattr(lpmod._Simplex, "run", record_run)
-        sol = solve(program)
+        sol = solve_or_refusal(program)
     return sol, trace
 
 
@@ -1570,37 +1597,44 @@ def test_dividing_every_rhs_keeps_the_bases_and_d(args, k):
 
     A row's rhs denominator does not scale the row, so D = |det B| depends on
     the coefficients alone; the point is divided by k, the dual and any
-    certificate are unchanged.
+    refusal the same.
     """
     variables, objective, rows = args
     divided = tuple(dataclasses.replace(c, rhs=c.rhs / k) for c in rows)
     sol, trace = _pivot_trace(from_constraints(*args))
     got, got_trace = _pivot_trace(from_constraints(variables, objective, divided))
     assert got_trace == trace
-    assert got.status == sol.status
-    assert got.primal == {v: x / k for v, x in sol.primal.items()}
-    assert got.value == (None if sol.value is None else sol.value / k)
-    assert (got.dual, got.farkas) == (sol.dual, sol.farkas)
+    if isinstance(sol, str):
+        assert got == sol
+    else:
+        assert got.primal == {v: x / k for v, x in sol.primal.items()}
+        assert got.value == sol.value / k
+        assert got.dual == sol.dual
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_programs(), st.data())
 def test_certificate_checkers_match_reference(program, data):
-    """The zero-objective dual check gives the row-by-row Farkas verdict.
+    """The dual checks on the zero-objective program give the row-by-row Farkas verdict.
 
-    Candidates are a random vector, the same vector with every sign the
-    check demands, and the solver's own certificate with a random multiple.
+    A Farkas vector is a feasible dual of the zero-objective minimization
+    with a positive dual objective.  Candidates are a random vector, the
+    same vector with every sign the check demands, and the reference's
+    certificate of an infeasible program with a random multiple.
     """
     rows = program.rows
     y = {i: data.draw(SMALL_RATIONALS) for i in range(len(rows))}
     sign = {">=": abs, "<=": lambda c: -abs(c), "=": lambda c: c}
     farkas = [y, {i: sign[r.rel](c) for (i, c), r in zip(y.items(), rows)}]
-    cert = solve(program).farkas
-    if cert is not None:
+    sol = checked_solve(program)
+    if isinstance(sol, reference_lp.Infeasible):
         k = data.draw(SMALL_RATIONALS)
-        farkas += [cert, {key: k * c for key, c in cert.items()}]
+        farkas += [sol.farkas, {key: k * c for key, c in sol.farkas.items()}]
+    zero = dataclasses.replace(program, cost=Row(1, (), (), "=", 0, "objective"))
     for vector in farkas:
-        assert check_farkas(program, vector) == reference_lp.check_farkas(program, vector)
+        dual = [vector.get(i, F(0)) for i in range(len(rows))]
+        got = not check_dual_feasible(zero, dual) and dual_objective(program, dual) > 0
+        assert got == reference_lp.check_farkas(program, vector)
 
 
 def _exact(violations):
@@ -1630,7 +1664,7 @@ def test_integer_checks_match_fraction_reference(program, data):
 
     Points and duals are random (possibly empty, with zeros, plain ints and
     a name the program does not declare), all zero, the solver's own point
-    and dual or Farkas vector, and those with one entry moved.
+    and dual or the reference's Farkas vector, and those with one entry moved.
     """
     names, m = list(program.variables), len(program.rows)
     values = st.one_of(SMALL_RATIONALS, st.integers(-3, 3))
@@ -1639,10 +1673,11 @@ def test_integer_checks_match_fraction_reference(program, data):
          data.draw(st.lists(values, min_size=m, max_size=m))),
         ({}, [0] * m),
     ]
-    sol = solve(program)
-    point, dual = dict(sol.primal), list(sol.dual) or cases[0][1]
-    if sol.status == "infeasible":
-        dual = [sol.farkas.get(i, F(0)) for i in range(m)]
+    sol = checked_solve(program)
+    if isinstance(sol, reference_lp.Infeasible):
+        point, dual = {}, [sol.farkas.get(i, F(0)) for i in range(m)]
+    else:
+        point, dual = dict(sol.primal), list(sol.dual) or cases[0][1]
     v, i = data.draw(st.sampled_from(names)), data.draw(st.integers(0, m - 1))
     moved, moved_dual = dict(point), list(dual)
     moved[v] = moved.get(v, 0) + data.draw(NONZERO_RATIONALS)
@@ -1723,6 +1758,44 @@ def test_corpus_integer_form_matches_the_reference_rows():
     assert count == len(list(_corpus_programs()))
 
 
+UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=64)
+TABLES_4X4 = st.lists(st.integers(0, 1), min_size=16, max_size=16).map(
+    lambda bits: TwoPartyFunction(tuple(tuple(bits[4 * x:4 * x + 4]) for x in range(4))))
+QUERY_FUNCTIONS = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n).map(
+        lambda table: QueryFunction(n, tuple(table))))
+PRODUCT_MEASURES = st.one_of(
+    st.none(),
+    st.just(ProductDistribution2P.uniform(4, 4)),
+    st.builds(ProductDistribution2P, *[st.tuples(*[UNIT_FRACTIONS] * 4)] * 2),
+)
+
+
+def _assert_meets_every_row(program, point):
+    assert point.keys() <= set(program.variables)  # ``check_feasible`` drops undeclared names
+    assert check_feasible(program, point) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(TABLES_4X4, QUERY_FUNCTIONS, UNIT_FRACTIONS, UNIT_FRACTIONS, st.sampled_from([0, 1]), PRODUCT_MEASURES)
+def test_own_label_singletons_meet_every_bound_program(f, g, eps, delta, z, mu):
+    """Every bound LP is feasible, so ``solve`` may refuse an infeasible program as a builder bug.
+
+    Each cell's or point's singleton at weight 1 under its own label meets
+    every prt, rprt and qprt row; the singletons of the label-z cells at
+    1 - eps meet every srec row, worst-case (mu None) and distributional.
+    """
+    cells = [(x, y) for x in range(f.nx) for y in range(f.ny)]
+    own = {f"w{f.value(x, y)}_{1 << x:x}_{1 << y:x}": F(1) for x, y in cells}
+    _assert_meets_every_row(build_prt_lp(f, eps), own)
+    _assert_meets_every_row(build_rprt_lp(f, eps), own)
+    label_z = {f"w_{1 << x:x}_{1 << y:x}": 1 - eps for x, y in cells if f.value(x, y) == z}
+    _assert_meets_every_row(build_srec_lp(SrecInstance(f, z, eps, delta, mu)), label_z)
+    full = (1 << g.n) - 1
+    points = {f"w{g.value(x)}_{Subcube(g.n, full, x).pattern()}": F(1) for x in range(1 << g.n)}
+    _assert_meets_every_row(build_qprt_lp(g, eps), points)
+
+
 def _highs(program, linprog):
     """``program`` solved by HiGHS in floating point, as (status, value).
 
@@ -1759,8 +1832,8 @@ def test_exact_solver_matches_highs(program):
     linprog = pytest.importorskip("scipy.optimize").linprog
     status, value = _highs(program, linprog)
     assume(status is not None)
-    sol = solve(program)
-    assert sol.status == status
+    sol = checked_solve(program)
+    assert status == ("infeasible" if isinstance(sol, reference_lp.Infeasible) else "optimal")
     if status == "optimal":
         assert math.isclose(sol.value, value, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -1851,6 +1924,8 @@ def _dot(a, b):
 @given(nonneg_programs())
 def test_exact_solver_matches_vertex_enumeration(program):
     status, value = _by_vertex_enumeration(program)
-    sol = solve(program)
-    assert sol.status == status
-    assert sol.value == value
+    sol = checked_solve(program)
+    if isinstance(sol, reference_lp.Infeasible):
+        assert status == "infeasible"
+    else:
+        assert (status, sol.value) == ("optimal", value)
