@@ -90,8 +90,6 @@ def run_bounds(args: dict) -> tuple[list[dict], None]:
     fn_hash = serialize.function_hash(fn)
     eps = parse_rational(args["eps"])
     which = args["which"]
-    if which not in _BOUNDS:
-        raise ParseError(f"unknown bound kind {which!r}")
     if which != "srec":
         for key in ("delta", "z", "dist"):  # read by srec alone; a run record must not hold them
             if args.get(key) is not None:
@@ -388,6 +386,11 @@ def _check_run_record(run: dict) -> None:
         if type(args[key]) not in types:
             got, expected = type(args[key]).__name__, " or ".join(t.__name__ for t in types)
             raise ParseError(f"{command} run record arg {key} is {got}, not {expected}")
+    for flag, options in _COMMANDS[command].flags.items():
+        key, choices = flag.lstrip("-"), options.get("choices")
+        if choices and args[key] is not None and args[key] not in choices:
+            allowed = ", ".join(choices)
+            raise ParseError(f"{command} run record arg {key} is {args[key]!r}, not one of {allowed}")
     if not isinstance(run.get("inputs", {}), dict):
         raise ParseError("run record inputs must map paths to hashes")
 

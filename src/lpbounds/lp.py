@@ -50,44 +50,41 @@ only where row l of N is nonzero.  Fractions are made only at the
 boundary: basic values and duals.
 
 N is stored by columns, each one Python int: ``cols[k]`` is
-sum_i N_ik * 2^(w i) in signed w-bit slots, written at the determinant
-``cdd[k]``, and column k reads as cols[k] * D // cdd[k].  Packing is
-linear, so a pivot acts on whole columns: column k becomes
+sum_i N_ik * 2^(w i) in signed w-bit slots, every column at the current
+D.  Packing is linear, so a pivot acts on whole columns: column k becomes
 (p * col_k - N_lk * u') / D, u' the packed u with slot l set to p - D
 (which keeps row l).  u' is the packed sum ``_column`` formed, less
 D << (w l); only a pivot whose bound check widened the slots packs u
 again.  Every slot of that numerator is divisible by D, so the packed
-division is exact however wide an intermediate slot grows.  A
-column with N_lk = 0 would only be rescaled by p / D, so the pivot leaves
-it alone, whether p = D or not, and the new D implies the factor; the
-rescale is exact because each slot then reads an entry of N, an integer by
-the same identity.  Every column the pivot touches is rewritten so and is
-then at determinant p.  When p = D, most pivots, that is col_k less
-N_lk u' / D, made once per distinct N_lk: D divides both p N_ik and
-p N_ik - u_i N_lk, so every slot of N_lk u'.  ``_column`` brings the
-columns that a_j reads to D, sums them packed and unpacks the sum once.  A
-pivot reads row l (slot l of every column) once: ``_row`` reads slot l of
-column c as ((c + offset) >> w l & (2^w - 1)) - 2^(w-1), returns the row
-with the columns where it is nonzero, the ones the pivot rewrites, and
-rescales only their stale entries; the row then goes to the dual update.
+division is exact however wide an intermediate slot grows.  When p = D,
+most pivots, that is col_k less N_lk u' / D, made once per distinct N_lk
+(D divides both p N_ik and p N_ik - u_i N_lk, so every slot of
+N_lk u'), and a column with N_lk = 0 stays as it is.  When p != D every
+column is rewritten, one with N_lk = 0 to p * col_k / D.  ``_column``
+sums the columns that a_j reads packed and unpacks the sum once.  A pivot
+reads row l (slot l of every column) once: ``_row`` reads slot l of
+column c as ((c + offset) >> w l & (2^w - 1)) - 2^(w-1) and returns the
+row with the columns where it is nonzero, the ones a p = D pivot
+rewrites; the row then goes to the dual update.
 
-x is held the same way, at its own determinant ``xd`` > 0: x = xd * L_b * x_B,
-and the basic values are x_i / (xd * L_b).  A degenerate pivot (x_l = 0)
-only rescales x by p / D, so it leaves x and xd alone.  Any other pivot
-rewrites x as (p * x_i - u_i * x_l) / xd, exact by the same identity, sets
-x_l to its value at D, x_l * D / xd, and then sets xd = p.  The ratio test
-compares x_i / u_i, and a positive common factor keeps their order, so it
-reads x at xd.  Only when artificials are driven out after phase 1 can p
-be negative; D is then negated, which negates every column as it reads.
-Those pivots are degenerate (each basic artificial is at level 0), so x
-and xd > 0 stay as they are.
+x alone is held lazily, at its own determinant ``xd`` > 0:
+x = xd * L_b * x_B, and the basic values are x_i / (xd * L_b).  A
+degenerate pivot (x_l = 0) only rescales x by p / D, so it leaves x and
+xd alone.  Any other pivot rewrites x as (p * x_i - u_i * x_l) / xd,
+exact by the same identity, sets x_l to its value at D, x_l * D / xd,
+and then sets xd = p.  The ratio test compares x_i / u_i, and a positive
+common factor keeps their order, so it reads x at xd.  Only when
+artificials are driven out after phase 1 can p be negative; D and every
+column are then negated, as N / D = (-N) / (-D).  Those pivots are
+degenerate (each basic artificial is at level 0), so x and xd > 0 stay
+as they are.
 
 A slot holds only what is unpacked: N and N a_j.  The simplex keeps a
 bound M >= |N_ik| and, before each column read and each pivot, checks the
 worst case of what it will unpack against 2^(w-2): M times the l1 norm of
 a_j, or (|p| M + max |u_i| * max |N_lk|) / |D| for the entries a pivot
-writes.  If the check fails, every column is brought to D and M is read
-as a power of two, at most 2 max |N_ik|, by mask tests (``_measure``).
+writes.  If the check fails, M is read as a power of two, at most
+2 max |N_ik|, by mask tests (``_measure``).
 Only if the check fails on that is M read exactly, all m^2 slots in one
 ``_unpack``; if it still fails, every column is repacked once, at the
 first of 2w, 4w, ... that clears it, so no slot overflows silently.
@@ -129,9 +126,9 @@ blocks, so no m x n Python list is ever held.
 
 Columns are read in C.  The first time column j enters (or is read), its
 block is unpacked once for all rows and its slots give ``_layout(j)``:
-its nonzero rows and their values, two lists.  ``_column`` brings those
-rows of N to D once and reads N a_j as one packed sum of value times
-column, ``sum(map(mul, values, map(cols.__getitem__, rows)))``.
+its nonzero rows and their values, two lists.  ``_column`` reads N a_j
+as one packed sum of value times column of N,
+``sum(map(mul, values, map(cols.__getitem__, rows)))``.
 
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
@@ -630,7 +627,6 @@ class _Simplex:
 
         self._set_width(_WIDTH)
         self.cols: list[int] = [1 << (self.w * k) for k in range(m)]  # column k of N, packed
-        self.cdd: list[int] = [1] * m  # column k of N is cols[k] * d // cdd[k]
         self.bound = 1  # >= |every entry of N|
         self.d = 1
         self.y: list[int] = []  # L * D * duals of the last phase run
@@ -690,14 +686,13 @@ class _Simplex:
         return layout
 
     def _measure(self) -> int:
-        """A power of two B, max |N_ik| <= B <= max(1, 2 max |N_ik|), once every column is brought to D.
+        """A power of two B, max |N_ik| <= B <= max(1, 2 max |N_ik|), read from the columns as they are.
 
         B is the least 2^t with every value in [-2^t, 2^t): exactly then
         adding 2^t to each slot leaves its bits above t clear, as no slot
         borrows.  t only grows, so each column is tested once plus once per
         doubling; every slot is below the room 2^(w-2).
         """
-        self._refresh(range(self.m))
         w, cols, m = self.w, self.cols, self.m
         one, k = self.off >> (w - 1), 0
         for t in range(w - 2):
@@ -709,7 +704,7 @@ class _Simplex:
         return 1 << (w - 2)
 
     def _measure_exactly(self) -> int:
-        """max |N_ik|, all m^2 slots read in one pass; ``_measure`` has brought every column to D."""
+        """max |N_ik|, all m^2 slots read in one pass."""
         return max(map(abs, _unpack(self.cols, self.m, self.w, self.off)), default=0)
 
     def _fit(self, need) -> None:
@@ -723,14 +718,6 @@ class _Simplex:
                 self.cols[:] = _repack(self.cols, self.m, self.w, self.off, w)
                 self._set_width(w)
 
-    def _refresh(self, rows) -> None:
-        """Rescale the columns ``rows`` of N to the current D."""
-        cols, cdd, d = self.cols, self.cdd, self.d
-        for i in rows:
-            if cdd[i] != d:
-                cols[i] = cols[i] * d // cdd[i]
-                cdd[i] = d
-
     def _column(self, j: int) -> tuple[list[int], int]:
         """u = N * a_j, i.e. D times the basic direction of column j, and u packed.
 
@@ -741,7 +728,6 @@ class _Simplex:
         reach = sum(map(abs, values))  # |u_i| <= M * reach
         if self.bound * reach >= self.room:
             self._fit(lambda big: big * reach)
-        self._refresh(rows)
         packed = sum(map(mul, values, map(self.cols.__getitem__, rows)))
         return _unpack([packed], self.m, self.w, self.off), packed
 
@@ -750,22 +736,16 @@ class _Simplex:
 
         Adding the offset makes every slot nonnegative, so no slot borrows
         from the next and slot i reads alone as its value plus 2^(w-1).
-        Only the nonzero entries of a stale column are rescaled.
         """
-        d, cdd, off, shift = self.d, self.cdd, self.off, self.w * i
+        off, shift = self.off, self.w * i
         half = 1 << (self.w - 1)
         mask = 2 * half - 1
         row = [((c + off) >> shift & mask) - half for c in self.cols]
-        touched = list(compress(range(self.m), row))
-        for k in touched:
-            if cdd[k] != d:
-                row[k] = row[k] * d // cdd[k]
-        return row, touched
+        return row, list(compress(range(self.m), row))
 
     def _duals(self, cost: list[int]) -> list[int]:
         """Y = L * D * y = c_B N, one entry per column of N."""
         m, cb = self.m, [cost[j] for j in self.basis]
-        self._refresh(range(m))
         flat = _unpack(self.cols, m, self.w, self.off)
         return [sum(map(mul, cb, flat[k * m:k * m + m])) for k in range(m)]
 
@@ -775,7 +755,7 @@ class _Simplex:
         Returns row l of N as it was and the columns where it is nonzero,
         which the dual update reads.  x is rewritten only when x_l != 0.
         """
-        p, d, cols, cdd, w = u[l], self.d, self.cols, self.cdd, self.w
+        p, d, cols, w = u[l], self.d, self.cols, self.w
         row, touched = self._row(l)
         top, spread, abs_p, abs_d = max(map(abs, row)), max(map(abs, u)), abs(p), abs(d)
         # |N'_ik| <= (|p| M + |u_i| |N_lk|) / |D|
@@ -791,16 +771,13 @@ class _Simplex:
         self.bound = bound
         # u with slot l at p - D: (p * N_lk - (p - D) * N_lk) / D keeps row l
         packed_u = packed - (d << (w * l))
-        self._refresh(touched)
-        if p == d:  # column k less N_lk u' / D, made once per distinct N_lk; cdd stays D
+        if p == d:  # column k less N_lk u' / D, made once per distinct N_lk; the rest stay as they are
             steps = {}
             for k in touched:
                 r = row[k]
                 cols[k] -= steps.get(r) or steps.setdefault(r, r * packed_u // d)
-        else:
-            for k in touched:
-                cols[k] = (p * cols[k] - row[k] * packed_u) // d
-                cdd[k] = p
+        else:  # every column to the new D, an untouched one (N_lk = 0) to p * col_k / D
+            cols[:] = [(p * c - r * packed_u) // d for c, r in zip(cols, row)]
         xl = self.x[l]
         if xl:  # x' = (p * x - x_l * u) / xd, x_l brought to D; only _iterate gets here, with p > 0
             xd = self.xd
@@ -820,8 +797,8 @@ class _Simplex:
         the rest; their basic value can never move, so leaving the
         artificial in place is safe.  Without this step a later pivot could
         push a basic artificial positive and silently break feasibility.
-        The pivot element may be negative here; D is then negated to keep
-        D > 0, which negates every column of N as it reads.  Every basic
+        The pivot element may be negative here; D and every column of N
+        are then negated, so D stays > 0 and N / D is unchanged.  Every basic
         artificial is at level 0 here, so each pivot is degenerate and
         leaves x and xd > 0 as they are.
         """
@@ -836,7 +813,8 @@ class _Simplex:
                     j = b * _BLOCK + ((z & -z).bit_length() - 1) // w
                     assert not self.x[i]  # degenerate, so x and xd stay
                     self._pivot(i, *self._column(j))
-                    self.d = abs(self.d)
+                    if self.d < 0:  # N / D = (-N) / (-D)
+                        self.d, self.cols = -self.d, [-c for c in self.cols]
                     self.basis[i] = j
                     break
 

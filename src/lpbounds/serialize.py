@@ -308,4 +308,6 @@ def load_records(text: str) -> list[dict]:
                 out.append(json.loads(ln))
             except RecursionError:
                 raise ParseError(f"record line {number} is nested too deeply") from None
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"record line {number} is not JSON: {exc.msg}") from None
     return out

@@ -442,7 +442,34 @@ def test_verify_replayed_unknown_bound_kind_exits_1(workspace, capsys):
     capsys.readouterr()
     assert main(["verify", out]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and err[0] == "error: unknown bound kind 'foo'"
+    allowed = "srec, prt, rprt, qprt, chain"
+    assert len(err) == 2 and err[0] == f"error: bounds run record arg which is 'foo', not one of {allowed}"
+
+
+@pytest.mark.parametrize(
+    ("argv", "key", "allowed"),
+    [
+        (["synth-cc", "@and2", "@dist", "--part", "1"], "part", "1, 2"),
+        (["bounds", "@and2", "--which", "srec", "--eps", "1/3", "--z", "1"], "z", "0, 1"),
+        (["bounds", "@and2", "--which", "prt", "--eps", "1/3"], "which", "srec, prt, rprt, qprt, chain"),
+    ],
+    ids=["synth-cc-part", "bounds-z", "bounds-which"],
+)
+def test_verify_replayed_arg_outside_its_choices_exits_1(workspace, capsys, argv, key, allowed):
+    """A replayed choice flag is checked against its flag's choices before anything runs."""
+    out = str(workspace["dir"] / "r.jsonl")
+    main([_fill(workspace, arg) for arg in argv] + ["--out", out])
+    _rewrite(out, lambda recs: recs[0]["args"].__setitem__(key, "x"))
+    capsys.readouterr()
+    assert main(["verify", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == f"error: {argv[0]} run record arg {key} is 'x', not one of {allowed}"
+
+
+def test_verify_a_function_file_exits_1_naming_its_first_line(workspace, capsys):
+    assert main(["verify", workspace["and2"]]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == "error: record line 1 is not JSON: Expecting value"
 
 
 @pytest.mark.parametrize("text", ["", '{"record": "summary", "pass": true}\n'], ids=["empty", "summary"])

@@ -346,3 +346,50 @@ def test_unread_private_name_scan_sees_each_form():
     )
     other = ast.parse("from .mod import _used\n_used\n")
     assert _unread_private_names([tree, other]) == ["_UNUSED", "_dropped", "_loop", "_project"]
+
+
+def _unread_instance_attributes(trees: list[ast.Module]) -> list[str]:
+    """The attributes that ``trees`` assign as ``self.<name>`` and no code in ``trees`` reads.
+
+    A read is a loaded attribute of that name on any object, anywhere in
+    ``trees``: ``self.table[k] = v`` loads ``table``, so it reads it.  An
+    augmented assignment ``self.<name> += 1`` only stores, so a counter
+    that nothing else reads is unread.
+    """
+    assigned, read = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self":
+                assigned.add(node.attr)
+    return sorted(assigned - read)
+
+
+def test_package_reads_every_instance_attribute_it_assigns():
+    # a field nothing reads is state every method keeps up for nothing
+    assert _unread_instance_attributes([_tree(path) for path in SOURCES]) == []
+
+
+def test_unread_instance_attribute_scan_sees_each_form():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self, other):\n"
+        "        self.kept, self.dropped = 1, 2\n"
+        "        self.counter: int = 0\n"
+        "        self.table = {}\n"
+        "        other.foreign = 3\n"
+        "    def step(self, other):\n"
+        "        self.counter += 1\n"
+        "        self.table[0] = other.kept\n"
+    )
+    other = ast.parse(
+        "class B:\n"
+        "    def __init__(self):\n"
+        "        self.shared = 0\n"
+        "def f(a):\n"
+        "    return a.shared\n"
+    )
+    assert _unread_instance_attributes([tree, other]) == ["counter", "dropped"]

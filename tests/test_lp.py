@@ -602,37 +602,10 @@ def test_integer_core_matches_fraction_reference(program):
     checked_solve(program)
 
 
-def test_drive_out_pivots_on_a_negative_element(monkeypatch):
-    pivots, states = [], []
-    pivot, run = lpmod._Simplex._pivot, lpmod._Simplex.run
-
-    def record_pivot(sx, l, u, packed):
-        pivots.append(u[l])
-        return pivot(sx, l, u, packed)
-
-    def record_run(sx):
-        states.append(sx)
-        return run(sx)
-
-    monkeypatch.setattr(lpmod._Simplex, "_pivot", record_pivot)
-    monkeypatch.setattr(lpmod._Simplex, "run", record_run)
-    sol = solve(NEGATIVE_DRIVE_OUT)
-    assert min(pivots) < 0
-    assert states[0].d > 0  # negated back to a positive denominator
-    assert sol.canonical_bytes() == reference_solve(NEGATIVE_DRIVE_OUT).canonical_bytes()
-
-
-# Lazily scaled columns: column k of N is packed in sx.cols[k] with the
-# determinant cdd[k] at which it was last written, and reads as cols[k] * D / cdd[k].
-
-def _materialized(sx):
-    """Every row of N at the current D; each rescaling must be exact."""
-    columns = []
-    for c, e in zip(sx.cols, sx.cdd):
-        column = lpmod._unpack([c], sx.m, sx.w, sx.off)
-        assert all(a * sx.d % e == 0 for a in column)
-        columns.append([a * sx.d // e for a in column])
-    return [list(row) for row in zip(*columns)] if columns else []
+def _rows_of_n(sx):
+    """Every row of N, unpacked from its columns ``sx.cols``, which are all held at the current D."""
+    columns = [lpmod._unpack([c], sx.m, sx.w, sx.off) for c in sx.cols]
+    return [list(row) for row in zip(*columns)]
 
 
 def _pack(values, w):
@@ -662,72 +635,118 @@ def _integer_rhs(sx):
     return [int(b * sx.lb) for b in rhs]
 
 
-def _assert_basis_identity(sx):
+def _assert_basis_identity(sx, basis=None):
     """N * a_basis[k] = D * e_k for every basic column, and x = N * b at x's own determinant xd > 0.
 
+    ``basis`` defaults to ``sx.basis``.  Every column of N is held at the
+    current D, so a column at any other determinant fails the identity.
     x * D = xd * N * b is compared cross-multiplied, with no division.
     """
-    rows, rhs = _materialized(sx), _integer_rhs(sx)
-    for k, j in enumerate(sx.basis):
+    rows, rhs = _rows_of_n(sx), _integer_rhs(sx)
+    for k, j in enumerate(sx.basis if basis is None else basis):
         assert [_layout_dot(sx, row, j) for row in rows] == [
             sx.d * (i == k) for i in range(sx.m)]
     assert sx.xd > 0
     assert [a * sx.d for a in sx.x] == [sx.xd * sum(a * b for a, b in zip(row, rhs)) for row in rows]
 
 
-def _audited_solve(program):
-    """``solve`` with the basis identity checked after every pivot.
+def test_drive_out_pivots_on_a_negative_element(monkeypatch):
+    """The drive-out pivots NEGATIVE_DRIVE_OUT on -1 and then negates D and every column with it.
 
-    Each pivot is checked at the next pivot (after the drive-out negation and
-    the basis update) and at the end of the run.  Every column read is
-    compared with N * a_j on materialized rows, and the bound M is checked
-    against them before every pivot.  Every bound read of M must return a
-    power of two B with max |N_ik| <= B <= max(1, 2 max |N_ik|), every
-    exact read max |N_ik| itself, and both must leave each column at D with
-    its values.  Returns the solution and the counts of p = D pivots, p = D
-    pivots where two touched columns share N_lk (one step serves both),
-    p != D pivots, stale columns read, bound reads and exact reads of M,
-    widenings of N's slots (one repack each, however many doublings it
-    takes) and doublings of the pricing slots, with the widths w and pw the
-    run ended at; a stale column is one a pivot left alone because its N_lk
-    was 0.
+    The pivot writes every column at D = -1; the drive-out leaves D = 1
+    and each column negated, so N / D and the basis identity hold.
+    ``_measure`` reads max |N_ik| = 2, a power of two, from the columns as
+    they are, and ``_measure_exactly`` reads it too.
     """
-    counts = dict.fromkeys(("p = D", "p = D sharing N_lk", "p != D", "stale columns read", "bound reads",
-                            "exact reads", "widenings", "price widenings"), 0)
+    sx = lpmod._Simplex(NEGATIVE_DRIVE_OUT)
+    sx._iterate(sx.cost1, sx.n_total)
+    pivots = []
+    pivot = lpmod._Simplex._pivot
+
+    def record_pivot(s, l, u, packed):
+        out = pivot(s, l, u, packed)
+        pivots.append((u[l], s.d, list(s.cols)))
+        return out
+
+    monkeypatch.setattr(lpmod._Simplex, "_pivot", record_pivot)
+    sx._drive_out_artificials()
+    [(p, d, cols)] = pivots
+    assert (p, d, sx.d) == (-1, -1, 1)
+    assert sx.cols == [-c for c in cols]
+    assert _rows_of_n(sx) == [[-1, 0], [-2, 1]]
+    _assert_basis_identity(sx)
+    assert sx._measure() == 2 == sx._measure_exactly()
+    sol = solve(NEGATIVE_DRIVE_OUT)
+    assert sol.canonical_bytes() == reference_solve(NEGATIVE_DRIVE_OUT).canonical_bytes()
+
+
+def _audited_solve(program):
+    """``solve`` with the basis identity checked before and after every pivot.
+
+    After a pivot the identity is checked on the basis with the column
+    just read entering at row l; before the next one and at the end of the
+    run it is checked again, after the drive-out negation and the basis
+    update.  A p = D pivot must leave every column it does not touch
+    bit-identical (after a widening, equal to its repacked self).  Every
+    column read is compared with N * a_j on the rows of N, and the bound M
+    is checked against them before and after every pivot.  Every bound
+    read of M must return a power of two B with
+    max |N_ik| <= B <= max(1, 2 max |N_ik|), every exact read max |N_ik|
+    itself, and both must leave the columns as they were.  Returns the
+    solution and the counts of p = D pivots, p = D pivots where two touched
+    columns share N_lk (one step serves both), p != D pivots, bound reads
+    and exact reads of M, widenings of N's slots (one repack each, however
+    many doublings it takes) and doublings of the pricing slots, with the
+    widths w and pw the run ended at.
+    """
+    counts = dict.fromkeys(("p = D", "p = D sharing N_lk", "p != D", "bound reads", "exact reads",
+                            "widenings", "price widenings"), 0)
     pivot, column, run = lpmod._Simplex._pivot, lpmod._Simplex._column, lpmod._Simplex.run
     measure, measure_exactly = lpmod._Simplex._measure, lpmod._Simplex._measure_exactly
     fit, fit_prices = lpmod._Simplex._fit, lpmod._Simplex._fit_prices
+    entering = []
 
     def audit_column(sx, j):
-        counts["stale columns read"] += sum(sx.cdd[i] != sx.d for i in sx._layout(j)[0])
+        entering[:] = [j]
         u, packed = column(sx, j)
-        assert u == [_layout_dot(sx, row, j) for row in _materialized(sx)]
+        assert u == [_layout_dot(sx, row, j) for row in _rows_of_n(sx)]
         return u, packed
 
     def audit_pivot(sx, l, u, packed):
         _assert_basis_identity(sx)
-        rows = _materialized(sx)
+        rows = _rows_of_n(sx)
         assert all(abs(a) <= sx.bound < sx.room for row in rows for a in row)
         assert packed == _pack(u, sx.w)  # the direction ``_column`` packed is u
-        if u[l] == sx.d:
+        d, w, cols = sx.d, sx.w, list(sx.cols)
+        if u[l] == d:
             counts["p = D"] += 1
             shared = [a for a in rows[l] if a]
             counts["p = D sharing N_lk"] += len(set(shared)) < len(shared)
         else:
             counts["p != D"] += 1
-        return pivot(sx, l, u, packed)
+        row, touched = pivot(sx, l, u, packed)
+        basis = list(sx.basis)
+        basis[l] = entering[0]
+        _assert_basis_identity(sx, basis)
+        assert sx.d == u[l]
+        assert all(abs(a) <= sx.bound < sx.room for row_i in _rows_of_n(sx) for a in row_i)
+        if u[l] == d:
+            if sx.w != w:
+                cols = lpmod._repack(cols, sx.m, w, lpmod._offset(sx.m, w), sx.w)
+            assert all(sx.cols[k] == cols[k] for k in range(sx.m) if k not in touched)
+        return row, touched
 
     def audited_read(read, name):
         def audit(sx):
             counts[name] += 1
-            rows = _materialized(sx)
+            cols, rows = list(sx.cols), _rows_of_n(sx)
             top = max((abs(a) for row in rows for a in row), default=0)
             got = read(sx)
             if read is measure:
                 assert got & (got - 1) == 0 and top <= got <= max(1, 2 * top), (got, top)
             else:
                 assert got == top
-            assert sx.cdd == [sx.d] * sx.m and _materialized(sx) == rows  # brought to D, signs kept
+            assert sx.cols == cols  # a read leaves every column as it was
             return got
         return audit
 
@@ -768,15 +787,15 @@ def _audited_solve(program):
 @given(small_programs())
 @example(NEGATIVE_DRIVE_OUT)
 @example(STALE_X)
-def test_lazy_rows_keep_the_basis_identity(program):
+def test_every_pivot_keeps_the_basis_identity(program):
     checked_solve(program, lambda p: _audited_solve(p)[0])
 
 
-def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
+def test_every_pivot_keeps_the_basis_identity_on_a_corpus_program():
     program = build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8))
     sol, counts = _audited_solve(program)
     assert sol.status == "optimal"
-    assert all(counts[k] for k in ("p = D", "p = D sharing N_lk", "p != D", "stale columns read")), counts
+    assert all(counts[k] for k in ("p = D", "p = D sharing N_lk", "p != D")), counts
     # (bound reads, exact reads) of M: in 16-bit slots the loose pivot bound reads a power of
     # two once on maj4 and needs no exact read; the wide program widens twice, each time on
     # an exact read
@@ -788,64 +807,44 @@ def test_lazy_rows_keep_the_basis_identity_on_a_corpus_program():
 EQ2 = families.make_function("eq", 2, "cc")
 
 
-def test_a_re_measure_brings_negated_columns_back_to_d():
-    """The drive-out pivots NEGATIVE_DRIVE_OUT on -1 and then negates D, leaving a column at cdd = -1.
-
-    ``_measure`` brings it to D with its sign and reads max |N_ik| = 2, a
-    power of two; ``_measure_exactly`` reads it too.
-    """
-    sx = lpmod._Simplex(NEGATIVE_DRIVE_OUT)
-    sx._iterate(sx.cost1, sx.n_total)
-    sx._drive_out_artificials()
-    assert (sx.d, sx.cdd) == (1, [-1, 1])
-    rows = _materialized(sx)
-    assert rows == [[-1, 0], [-2, 1]]
-    assert sx._measure() == 2
-    assert (sx.cdd, _materialized(sx)) == ([1, 1], rows)
-    assert sx._measure_exactly() == 2
-
-
 @st.composite
 def packed_columns(draw):
-    """(w, D, columns, negated): columns of N in w-bit slots, any of them held negated at cdd = -D.
+    """(w, columns): columns of N in w-bit slots.
 
     Entries are zeros, the widest the bound admits, +-(2^(w-2) - 1), and
-    anything between; a negated column is what the drive-out leaves.
+    anything between.
     """
     w = draw(st.sampled_from([16, 32, 64]))
     top = (1 << (w - 2)) - 1
     m = draw(st.integers(1, 5))
     entry = st.one_of(st.just(0), st.sampled_from([top, -top, 1, -1]), st.integers(-top, top),
                       st.integers(-64, 64))
-    columns = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
-    return w, draw(st.sampled_from([1, 3])), columns, draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return w, draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
 
 
 @settings(max_examples=300, deadline=None)
 @given(packed_columns())
-@example((16, 1, [[0, 0], [0, 0]], [False, True]))
-@example((16, 1, [[(1 << 14) - 1, 0], [0, -(1 << 14) + 1]], [True, False]))
-@example((64, 3, [[-(1 << 62) + 1]], [True]))
+@example((16, [[0, 0], [0, 0]]))
+@example((16, [[(1 << 14) - 1, 0], [0, -(1 << 14) + 1]]))
+@example((64, [[-(1 << 62) + 1]]))
 def test_the_bound_read_is_a_power_of_two_within_twice_the_largest_entry(case):
     """``_measure`` returns a power of two B, max |N_ik| <= B <= max(1, 2 max |N_ik|).
 
-    Like ``_measure_exactly``, which reads max |N_ik| itself, it first
-    brings every column to D with its values, negated ones included.
+    ``_measure_exactly`` reads max |N_ik| itself; both leave the columns
+    as they are.
     """
-    w, d, columns, negated = case
+    w, columns = case
     m = len(columns)
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * m))
     sx._set_width(w)
-    sx.d = d
-    sx.cols = [_pack([-a for a in column] if neg else column, w) for column, neg in zip(columns, negated)]
-    sx.cdd = [-d if neg else d for neg in negated]
-    rows = [list(row) for row in zip(*columns)]
-    assert _materialized(sx) == rows
+    sx.cols = [_pack(column, w) for column in columns]
+    packed = list(sx.cols)
+    assert _rows_of_n(sx) == [list(row) for row in zip(*columns)]
     top = max(abs(a) for column in columns for a in column)
     got = sx._measure()
     assert got & (got - 1) == 0 and top <= got <= max(1, 2 * top), (got, top)
-    assert (sx.cdd, _materialized(sx)) == ([d] * m, rows)
     assert sx._measure_exactly() == top
+    assert sx.cols == packed
 
 
 def test_a_bound_read_that_fails_the_check_is_read_exactly_before_any_widening(monkeypatch):
@@ -867,7 +866,7 @@ def test_a_bound_read_that_fails_the_check_is_read_exactly_before_any_widening(m
     assert sx._measure() == 1 << 14 == sx.room
     sx._fit(lambda bound: bound)
     assert (exact, sx.bound, sx.w) == ([16], big, 16)
-    assert _materialized(sx) == [[big, 0], [-1, 1]]
+    assert _rows_of_n(sx) == [[big, 0], [-1, 1]]
 
 
 def _pivot_work(program):
@@ -875,18 +874,16 @@ def _pivot_work(program):
 
     x is rewritten, as a new list at xd = p, exactly on the pivots where
     x_l != 0; any other pivot leaves x and xd as they were.  A pivot with
-    p = D keeps D and leaves every column it does not touch, and its cdd,
-    as they were; the columns it touches end at D.  Returns the solution
-    and the counts of pivots, p = D pivots, pivots with x_l = 0, rewrites
-    of x, rewrites of x from an xd other than D, and p = D pivots that
-    first bring a touched column, left stale by an earlier pivot, to D.
+    p = D keeps D and leaves every column it does not touch as it was; any
+    other pivot sets D = p and rescales each such column to p * col_k / D.
+    Returns the solution and the counts of pivots, p = D pivots, pivots
+    with x_l = 0, rewrites of x, and rewrites of x from an xd other than D.
     """
-    counts = dict.fromkeys(("pivots", "p = D", "x_l = 0", "x rewrites", "from a stale xd",
-                            "stale touched"), 0)
+    counts = dict.fromkeys(("pivots", "p = D", "x_l = 0", "x rewrites", "from a stale xd"), 0)
     pivot = lpmod._Simplex._pivot
 
     def audit_pivot(sx, l, u, packed):
-        d, xd, x, cols, cdd = sx.d, sx.xd, sx.x, list(sx.cols), list(sx.cdd)
+        d, xd, x, cols = sx.d, sx.xd, sx.x, list(sx.cols)
         values = list(x)
         row, touched = pivot(sx, l, u, packed)
         counts["pivots"] += 1
@@ -899,12 +896,9 @@ def _pivot_work(program):
         else:
             counts["x_l = 0"] += 1
             assert (sx.x, sx.xd) == (values, xd)
-        if u[l] == d:
-            counts["p = D"] += 1
-            counts["stale touched"] += any(cdd[k] != d for k in touched)
-            assert sx.d == d
-            assert all(sx.cdd[k] == d for k in touched)
-            assert all((sx.cols[k], sx.cdd[k]) == (cols[k], cdd[k]) for k in range(sx.m) if k not in touched)
+        counts["p = D"] += u[l] == d
+        assert sx.d == u[l]
+        assert all(sx.cols[k] == u[l] * cols[k] // d for k in range(sx.m) if k not in touched)
         return row, touched
 
     with pytest.MonkeyPatch.context() as mp:
@@ -914,16 +908,15 @@ def _pivot_work(program):
 
 
 @pytest.mark.parametrize("build, pinned", [
-    (lambda: build_prt_lp(EQ2, F(1, 8)), (262, 126, 142, 120, 8, 27)),
-    (lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)), (208, 155, 157, 51, 2, 18)),
-    (lambda: STALE_X, (2, 0, 1, 1, 1, 0)),
+    (lambda: build_prt_lp(EQ2, F(1, 8)), (262, 126, 142, 120, 8)),
+    (lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)), (208, 155, 157, 51, 2)),
+    (lambda: STALE_X, (2, 0, 1, 1, 1)),
 ], ids=["prt eq2", "qprt maj4", "stale x"])
 def test_a_pivot_does_only_the_work_its_numbers_require(build, pinned):
-    """Most corpus pivots have p = D or x_l = 0; those leave no column stale, or leave x alone.
+    """Most corpus pivots have p = D or x_l = 0; those leave the untouched columns, or x, alone.
 
     The counts are pinned exactly: (pivots, p = D, x_l = 0, rewrites of x,
-    rewrites from a stale xd, p = D pivots that bring a stale touched
-    column to D).  STALE_X rewrites x from an xd other than D.
+    rewrites from a stale xd).  STALE_X rewrites x from an xd other than D.
     """
     program = build()
     sol, counts = _pivot_work(program)
@@ -1073,7 +1066,7 @@ def test_a_pivot_that_outgrows_the_slots_widens_them_first():
     u = [1 << 30, 1 << 30]
     sx._pivot(0, u, _pack(u, sx.w))
     assert sx.w > 64
-    assert (sx.d, _materialized(sx)) == (1 << 30, [[big, 0], [-(1 << 70), 1 << 70]])
+    assert (sx.d, _rows_of_n(sx)) == (1 << 30, [[big, 0], [-(1 << 70), 1 << 70]])
 
 
 def test_a_pivot_that_outgrows_the_16_bit_slots_widens_them_to_32():
@@ -1086,7 +1079,7 @@ def test_a_pivot_that_outgrows_the_16_bit_slots_widens_them_to_32():
     u = [1 << 7, 1 << 7]
     sx._pivot(0, u, _pack(u, sx.w))
     assert sx.w == 32
-    assert (sx.d, _materialized(sx)) == (1 << 7, [[big, 0], [-(1 << 17), 1 << 17]])
+    assert (sx.d, _rows_of_n(sx)) == (1 << 7, [[big, 0], [-(1 << 17), 1 << 17]])
 
 
 def test_a_pivot_that_outgrows_the_32_bit_slots_widens_them_to_64():
@@ -1099,7 +1092,7 @@ def test_a_pivot_that_outgrows_the_32_bit_slots_widens_them_to_64():
     u = [1 << 15, 1 << 15]
     sx._pivot(0, u, _pack(u, sx.w))
     assert sx.w == 64
-    assert (sx.d, _materialized(sx)) == (1 << 15, [[big, 0], [-(1 << 35), 1 << 35]])
+    assert (sx.d, _rows_of_n(sx)) == (1 << 15, [[big, 0], [-(1 << 35), 1 << 35]])
 
 
 WIDE_RATIONALS = st.one_of(SMALL_RATIONALS, st.builds(F, st.integers(-2**40, 2**40), st.integers(1, 6)))
@@ -1297,8 +1290,8 @@ def _dense_columns(sx):
 
 
 def _bland_entering(sx, cost, limit, dense):
-    """The lowest nonbasic column below ``limit`` whose materialized reduced cost is negative, or -1."""
-    rows = _materialized(sx)
+    """The lowest nonbasic column below ``limit`` whose reduced cost, read from the rows of N, is negative, or -1."""
+    rows = _rows_of_n(sx)
     y = [sum(cost[b] * row[k] for b, row in zip(sx.basis, rows)) for k in range(sx.m)]
     for j in range(limit):
         if j not in sx.basis and cost[j] * sx.d < sum(y[i] * a for i, a in dense[j].items()):
@@ -1309,9 +1302,9 @@ def _bland_entering(sx, cost, limit, dense):
 def _layout_audited_solve(program):
     """``solve`` with every column read checked against the dense columns.
 
-    Each ``_column(j)`` equals N * a_j on materialized rows, and so does
+    Each ``_column(j)`` equals N * a_j on the rows of N, and so does
     the layout read row by row; inside ``_iterate`` the column read is the one a
-    reference Bland scan over the materialized reduced costs enters, and
+    reference Bland scan over the reduced costs read from the rows of N enters, and
     ``_iterate`` returns only when that scan finds none.  Returns the
     solution and the entering columns checked, in order.
     """
@@ -1320,7 +1313,7 @@ def _layout_audited_solve(program):
 
     def audit_column(sx, j):
         dense = _dense_columns(sx)
-        rows = _materialized(sx)
+        rows = _rows_of_n(sx)
         want = [sum(row[i] * a for i, a in dense[j].items()) for row in rows]
         assert [_layout_dot(sx, row, j) for row in rows] == want
         phase = getattr(sx, "audit_phase", None)

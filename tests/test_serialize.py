@@ -127,6 +127,13 @@ def test_records_round_trip_and_order():
     assert serialize.load_records(text) == recs
 
 
+@pytest.mark.parametrize("text, line", [("cc 4 4\n0000\n", 1), ('{"record": "run"}\n\n{"record": \n', 3)],
+                         ids=["a-table", "a-cut-record"])
+def test_a_line_that_is_not_json_is_a_parse_error_naming_it(text, line):
+    with pytest.raises(ParseError, match=f"^record line {line} is not JSON: "):
+        serialize.load_records(text)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
