@@ -655,8 +655,6 @@ def test_drive_out_pivots_on_a_negative_element(monkeypatch):
 
     The pivot writes every column at D = -1; the drive-out leaves D = 1
     and each column negated, so N / D and the basis identity hold.
-    ``_measure`` reads max |N_ik| = 2, a power of two, from the columns as
-    they are, and ``_measure_exactly`` reads it too.
     """
     sx = lpmod._Simplex(NEGATIVE_DRIVE_OUT)
     sx._iterate(sx.cost1, sx.n_total)
@@ -675,9 +673,27 @@ def test_drive_out_pivots_on_a_negative_element(monkeypatch):
     assert sx.cols == [-c for c in cols]
     assert _rows_of_n(sx) == [[-1, 0], [-2, 1]]
     _assert_basis_identity(sx)
-    assert sx._measure() == 2 == sx._measure_exactly()
     sol = solve(NEGATIVE_DRIVE_OUT)
     assert sol.canonical_bytes() == reference_solve(NEGATIVE_DRIVE_OUT).canonical_bytes()
+
+
+def test_a_re_measure_brings_negated_columns_back_to_d():
+    """After the drive-out on NEGATIVE_DRIVE_OUT every column, negated with D, is already at D.
+
+    ``_measure`` reads max |N_ik| = 2, a power of two, from the columns as
+    they are and leaves them with their signs; ``_measure_exactly`` reads
+    2 too.
+    """
+    sx = lpmod._Simplex(NEGATIVE_DRIVE_OUT)
+    sx._iterate(sx.cost1, sx.n_total)
+    sx._drive_out_artificials()
+    assert sx.d == 1
+    cols, rows = list(sx.cols), _rows_of_n(sx)
+    assert rows == [[-1, 0], [-2, 1]]
+    assert sx._measure() == 2
+    assert (sx.cols, _rows_of_n(sx)) == (cols, rows)
+    assert sx._measure_exactly() == 2
+    assert sx.cols == cols
 
 
 def _audited_solve(program):
