@@ -3,6 +3,7 @@
 Library surface:
 
 - :mod:`lpbounds.errors` -- the typed ``LpboundsError`` hierarchy.
+- :mod:`lpbounds.records` -- ``Record``, the frozen base of every value type, and ``replace``.
 - :mod:`lpbounds.rational` -- exact log2 brackets, vote counts and parsing.
 - :mod:`lpbounds.model` -- Boolean functions, product measures, rectangles,
   subcubes, the one projection of weighted (support, values) subcube masks,

@@ -23,7 +23,6 @@ relaxed partition bound rprt are the labelled partition LP of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import add
@@ -38,6 +37,7 @@ from .model import (
     enumerate_rectangles,
 )
 from .partition import BoostResult, LabelledFamily, check_unit_interval
+from .records import Record
 
 LabeledRectWeights = dict[tuple[int, Rectangle], Fraction]
 
@@ -48,8 +48,7 @@ def _rect_from_var(name: str) -> Rectangle:
     return Rectangle(int(rows, 16), int(cols, 16))
 
 
-@dataclass(frozen=True)
-class SrecInstance:
+class SrecInstance(Record):
     """One smooth-rectangle LP: function, output z, error pair, optional mu."""
 
     f: TwoPartyFunction
@@ -197,8 +196,7 @@ def reduce_prt_error(
     return _rect_family(f.nx, f.ny).boost(weights, f.labels, t)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     eps: Fraction
     prt: LPSolution
     rprt: LPSolution

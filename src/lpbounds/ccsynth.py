@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ccbounds import SrecInstance, srec_bound, srec_weights
@@ -63,6 +62,7 @@ from .model import (
     popular_label,
 )
 from .rational import ceil_mul_log2, largest_fourth_power_at_most
+from .records import Record
 from .trees import Leaf, PNode, ProtocolTree, advantage, evaluate, leaf_count, tree_depth
 
 RectWeights = dict[Rectangle, Fraction]
@@ -127,8 +127,7 @@ def find_biased_rectangle(
     return best.intersect(active)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Outcome of the off-diagonal case analysis for a biased block S.
 
     ``case`` names the off-diagonal block ("01" is X0 x Y1, "10" is
@@ -205,8 +204,7 @@ def decompose(
 # synthesis parameters
 
 
-@dataclass(frozen=True)
-class SynthParams:
+class SynthParams(Record):
     """Error levels and budgets for one synthesis run.
 
     delta must equal delta_root**4; s and t must clear their exact
@@ -476,8 +474,7 @@ def _replace(
 # end-to-end pipelines
 
 
-@dataclass(frozen=True)
-class CCSynthReport:
+class CCSynthReport(Record):
     """End-to-end protocol synthesis record with its exact assertions.
 
     ``synthesize`` has checked the tree's advantage against ``adv_floor``.

@@ -23,7 +23,6 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -47,12 +46,16 @@ from .oracle import oracle_cc, oracle_qc
 from .qcbounds import qprt_bound
 from .qcsynth import synthesis_pipeline
 from .rational import format_rational, parse_rational
+from .records import Record
 from .trees import advantage, check_fits, dtree_error, evaluate, leaf_count, protocol_error, tree_depth
 
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()  # decoded in one call, so the error's offset is the file's
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8: byte {exc.start} is {exc.object[exc.start]:#04x}") from None
 
 
 def _sha256(text: str) -> str:
@@ -306,8 +309,7 @@ def _rational_arg(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(Record):
     """A replayable command: its runner, its flags, and what its run record holds."""
 
     run: Callable[[dict], tuple[list[dict], str | None]]  # records and tree text, if any

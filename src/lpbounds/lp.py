@@ -180,7 +180,6 @@ import struct
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
@@ -189,6 +188,7 @@ from operator import floordiv, gt, lt, mul, setitem
 
 from .errors import InfeasibleConstructionError, LpboundsError, ParseError
 from .rational import format_rational, parse_rational
+from .records import Record, set_field
 
 LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
@@ -196,15 +196,14 @@ _RELS = (LE, EQ, GE)
 MAX_PIVOTS = 2_000_000
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     """One row in integer form: sum_k coeffs[k] * x[cols[k]]  rel  rhs.
 
     It is the rational row times s > 0, the lcm of the row's denominators;
     ``cols`` increase and no coefficient is 0; ``scaled_row`` or ``unit_row`` makes it.
     What a row works out from its fields it works out once, so the
     shape-only rows that many programs share pay for it once: ``fault``
-    and ``unit`` when it is made, ``key`` when first read.
+    and ``unit`` when it is made, ``key`` when first read; none is a field.
     """
 
     s: int
@@ -214,9 +213,6 @@ class Row:
     rhs: int
     label: str
 
-    fault: str | None = field(init=False, repr=False, compare=False)
-    unit: int | None = field(init=False, repr=False, compare=False)
-
     def __post_init__(self) -> None:
         """Set ``fault``, what breaks that form or None, and ``unit``, the
         coefficient every column shares or None if they differ or the row is empty.
@@ -224,15 +220,15 @@ class Row:
         Caps, packing, total-mass and covering rows are all unit rows, so a
         dot product with a row is mostly one sum and one product.  Both are
         set here rather than on first read: every row of a program has both
-        read, and fields set in one order keep the instance small.
+        read, and attributes set in one order keep the instance small.
         """
         cols, c = self.cols, self.coeffs
         if self.s <= 0 or 0 in c or len(cols) != len(c):
             fault = "needs a positive scale and one nonzero coefficient per column"
         else:
             fault = None if all(map(lt, cols, cols[1:])) else "has columns out of order"
-        object.__setattr__(self, "fault", fault)
-        object.__setattr__(self, "unit", c[0] if c and c.count(c[0]) == len(c) else None)
+        set_field(self, "fault", fault)
+        set_field(self, "unit", c[0] if c and c.count(c[0]) == len(c) else None)
 
     @cached_property
     def key(self) -> bytes:
@@ -294,8 +290,7 @@ class Names(tuple):
         return f"min\n{json.dumps(self)}\n[]\n".encode()
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """min cost . x subject to ``rows`` and x >= 0, in its one integer form.
 
     ``cost`` is the objective as a row (its relation and rhs unused) and
@@ -309,7 +304,7 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         if type(self.variables) is not Names:
-            object.__setattr__(self, "variables", Names(self.variables))
+            set_field(self, "variables", Names(self.variables))
         n = len(self.variables)
         for r in (self.cost, *self.rows):
             if r.rel not in _RELS:
@@ -328,8 +323,7 @@ class LinearProgram:
         return _point_value(self, *_scaled_point(self, assignment))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     kind: str  # "constraint" | "domain" | "dual-sign" | "dual-column"
     index: int
     label: str
@@ -338,8 +332,7 @@ class Violation:
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(Record):
     status: str  # always "optimal"; kept in the record, which reports and cache entries hold
     value: Fraction
     primal: dict[str, Fraction]

@@ -24,7 +24,6 @@ summed by label through one integer layer, ``_PointMeasure``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -32,6 +31,7 @@ from typing import Iterator, TypeVar
 
 from .errors import CapExceededError, DimensionMismatchError
 from .rational import numerators
+from .records import Record, set_field
 
 RECTANGLE_VARIABLE_CAP = 1 << 20
 MAX_QUERY_BITS = 12
@@ -45,8 +45,7 @@ def _is_power_of_two(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
 
 
-@dataclass(frozen=True)
-class TwoPartyFunction:
+class TwoPartyFunction(Record):
     """Total Boolean function f : X x Y -> {0,1} as an explicit bit matrix."""
 
     table: tuple[tuple[int, ...], ...]
@@ -87,8 +86,7 @@ class TwoPartyFunction:
         return self.table[x][y]
 
 
-@dataclass(frozen=True)
-class QueryFunction:
+class QueryFunction(Record):
     """Total Boolean function g : {0,1}^n -> {0,1} as a flat truth table."""
 
     n: int
@@ -115,16 +113,17 @@ class QueryFunction:
         return self.table[x]
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(Record):
     """Combinatorial rectangle rows x cols, as bitmasks; may be empty."""
 
     rows: int
     cols: int
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int) -> None:
+        if rows < 0 or cols < 0:
             raise DimensionMismatchError("rectangle masks must be non-negative")
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
 
     def contains(self, x: int, y: int) -> bool:
         return bool((self.rows >> x) & 1 and (self.cols >> y) & 1)
@@ -136,8 +135,7 @@ class Rectangle:
         return Rectangle(self.rows & other.rows, self.cols & other.cols)
 
 
-@dataclass(frozen=True)
-class Subcube:
+class Subcube(Record):
     """Subcube of {0,1}^n: all x with x & support == values.
 
     ``values`` must be a submask of ``support``; the support size is the
@@ -148,12 +146,14 @@ class Subcube:
     support: int
     values: int
 
-    def __post_init__(self) -> None:
-        full = (1 << self.n) - 1
-        if not 0 <= self.support <= full:
+    def __init__(self, n: int, support: int, values: int) -> None:
+        if not 0 <= support <= (1 << n) - 1:
             raise DimensionMismatchError("support mask out of range")
-        if self.values & ~self.support:
+        if values & ~support:
             raise DimensionMismatchError("values must be a submask of support")
+        set_field(self, "n", n)
+        set_field(self, "support", support)
+        set_field(self, "values", values)
 
     @property
     def size(self) -> int:
@@ -242,8 +242,7 @@ class _PointMeasure:
         return Fraction(sums[0], den), Fraction(sums[1], den)
 
 
-@dataclass(frozen=True)
-class ProductDistribution2P(_PointMeasure):
+class ProductDistribution2P(Record, _PointMeasure):
     """Product measure mu(x, y) = row_weights[x] * col_weights[y].
 
     Weights are non-negative rationals; the total mass may be any
@@ -296,8 +295,7 @@ class ProductDistribution2P(_PointMeasure):
         )
 
 
-@dataclass(frozen=True)
-class BitProductDistribution(_PointMeasure):
+class BitProductDistribution(Record, _PointMeasure):
     """Bit-wise product measure on {0,1}^n: mu(x) = prod_i p_i(x_i).
 
     ``p[i]`` is the probability that coordinate i equals 1; the complement

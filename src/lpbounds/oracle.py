@@ -18,7 +18,6 @@ artifacts, not to scale: caps are enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Iterator
@@ -32,6 +31,7 @@ from .model import (
     Subcube,
     TwoPartyFunction,
 )
+from .records import Record
 from .trees import DNode, Leaf, PNode, Tree
 
 ORACLE_CC_MAX_SIDE = 4
@@ -42,8 +42,7 @@ State = tuple[int, int]  # (rows, cols) masks, or a subcube's (support, values)
 Move = tuple[Callable[[Tree, Tree], Tree], State, State]
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     best_error: Fraction
     witness: Tree
 

@@ -25,7 +25,6 @@ on an exact-total-mass solution and re-verifies every guarantee exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
@@ -34,6 +33,7 @@ from .boosting import majority_product_boost
 from .errors import DimensionMismatchError, InfeasibleConstructionError
 from .lp import LinearProgram, Names, Row, scaled_row, unit_row
 from .rational import format_rational, majority_error, numerators
+from .records import Record, replace, set_field
 
 K = TypeVar("K", bound=Hashable)
 
@@ -49,8 +49,7 @@ def check_unit_interval(name: str, value: Fraction) -> None:
         raise DimensionMismatchError(f"{name} must lie in [0,1], got {format_rational(value)}")
 
 
-@dataclass(frozen=True)
-class BoostResult(Generic[K]):
+class BoostResult(Record, Generic[K]):
     """A verified t-fold majority product.
 
     ``achieved_error`` is the exact worst-case per-point error: the largest
@@ -63,8 +62,7 @@ class BoostResult(Generic[K]):
     objective: Fraction
 
 
-@dataclass(frozen=True)
-class LabelledFamily(Generic[K]):
+class LabelledFamily(Record, Generic[K]):
     """The points of one shape and an intersection-closed family of members.
 
     ``tags`` names the points in row order and ``members`` lists the family
@@ -82,9 +80,10 @@ class LabelledFamily(Generic[K]):
     tag: Callable[[K], str]
     cells: Callable[[K], Iterable[int]]
     intersect: Callable[[K, K], K | None]
-    # by eps, the covering row of point i and label z at 2i + z, made when a build first needs it
-    _covering: dict[Fraction, list[Row | None]] = field(default_factory=dict, init=False,
-                                                         repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # by eps, the covering row of point i and label z at 2i + z, made when a build first needs it
+        set_field(self, "_covering", {})
 
     @cached_property
     def containing(self) -> tuple[tuple[int, ...], ...]:

@@ -16,7 +16,6 @@ charges 2^{|A|} per unit weight).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import ceil, floor
@@ -35,6 +34,7 @@ from .model import (
 )
 from .partition import LabelledFamily
 from .rational import ceil_mul_log2, format_rational, numerators
+from .records import Record
 
 QPRT_VARIABLE_CAP = 1 << 20
 
@@ -65,8 +65,7 @@ def build_qprt_lp(g: QueryFunction, eps: Fraction) -> LinearProgram:
     return _cube_family(g.n).primal(g.labels, eps, relaxed=False)
 
 
-@dataclass(frozen=True)
-class QprtSolution:
+class QprtSolution(Record):
     """Labeled subcube weights satisfying exact total mass 1 at every point."""
 
     n: int
@@ -85,8 +84,7 @@ def qprt_solution(g: QueryFunction, sol: LPSolution) -> QprtSolution:
     return QprtSolution(g.n, {_cube_from_var(v): w for v, w in sol.primal.items()})
 
 
-@dataclass(frozen=True)
-class BoostedQprt:
+class BoostedQprt(Record):
     """Majority-boosted solution with its exact achieved error level."""
 
     solution: QprtSolution
@@ -103,8 +101,7 @@ def boost_qprt(sol: QprtSolution, g: QueryFunction, t: int) -> BoostedQprt:
     return BoostedQprt(QprtSolution(sol.n, boosted.weights), t, boosted.achieved_error)
 
 
-@dataclass(frozen=True)
-class FeasibleSystem:
+class FeasibleSystem(Record):
     """Two labeled subcube families with margins, for decision tree synthesis.
 
     The ``u`` family certifies the 0-side pointwise: at least 1 - alpha0 on

@@ -38,7 +38,6 @@ records and the outcome-averaged margin its check reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qcbounds
@@ -49,19 +48,16 @@ from .errors import (
 )
 from .model import BitProductDistribution, Masks, QueryFunction, Subcube, popular_label, project_weights
 from .rational import ceil_mul_log2, min_odd_votes_for_error, numerators
+from .records import Record
 from .trees import DecisionTree, DNode, Leaf, dtree_error, dtree_queried_bits_ok, tree_depth
 
 
-@dataclass
 class BuildStats:
-    internal_nodes: int = 0
-    guess_leaves: int = 0
-    assumption_leaves: int = 0
-    budget_leaves: int = 0
-    margin_leaves: int = 0
-    expectation_checks: int = 0
-    elimination_values: list[Fraction] = field(default_factory=list)
+    internal_nodes = guess_leaves = assumption_leaves = budget_leaves = margin_leaves = expectation_checks = 0
     error: Fraction | None = None  # the finished tree's measured error, once it is measured
+
+    def __init__(self) -> None:
+        self.elimination_values: list[Fraction] = []
 
 
 def build_decision_tree(
@@ -284,8 +280,7 @@ def certified_error_budget(system: qcbounds.FeasibleSystem, delta: Fraction) -> 
     )
 
 
-@dataclass(frozen=True)
-class QCSynthReport:
+class QCSynthReport(Record):
     """End-to-end decision-tree synthesis record."""
 
     qprt_value: Fraction

@@ -11,7 +11,6 @@ accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -24,39 +23,43 @@ from .model import (
     full_cube,
     full_rectangle,
 )
+from .records import Record, set_field
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     label: int
     children = ()
 
+    def __init__(self, label: int) -> None:
+        set_field(self, "label", label)
 
-@dataclass(frozen=True)
-class PNode:
+
+class PNode(Record):
     speaker: str  # "A" | "B"
     split: int  # bitmask over the speaker's indices; inside = membership
     inside: "ProtocolTree"
     outside: "ProtocolTree"
 
-    def __post_init__(self) -> None:
-        if self.speaker not in ("A", "B"):
-            raise DimensionMismatchError(f"speaker must be A or B, got {self.speaker!r}")
+    def __init__(self, speaker: str, split: int, inside: "ProtocolTree", outside: "ProtocolTree") -> None:
+        if speaker not in ("A", "B"):
+            raise DimensionMismatchError(f"speaker must be A or B, got {speaker!r}")
+        set_field(self, "speaker", speaker)
+        set_field(self, "split", split)
+        set_field(self, "inside", inside)
+        set_field(self, "outside", outside)
+        set_field(self, "children", (inside, outside))
 
-    @property
-    def children(self) -> tuple["ProtocolTree", "ProtocolTree"]:
-        return self.inside, self.outside
 
-
-@dataclass(frozen=True)
-class DNode:
+class DNode(Record):
     bit: int
     child0: "DecisionTree"
     child1: "DecisionTree"
 
-    @property
-    def children(self) -> tuple["DecisionTree", "DecisionTree"]:
-        return self.child0, self.child1
+    def __init__(self, bit: int, child0: "DecisionTree", child1: "DecisionTree") -> None:
+        set_field(self, "bit", bit)
+        set_field(self, "child0", child0)
+        set_field(self, "child1", child1)
+        set_field(self, "children", (child0, child1))
 
 
 ProtocolTree = Leaf | PNode

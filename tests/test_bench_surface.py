@@ -13,7 +13,6 @@ from __future__ import annotations
 import ast
 import importlib.util
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -139,7 +138,7 @@ def test_every_name_the_bench_calls_exists(run):
 def test_every_result_field_the_bench_reads_exists(run, owner, names):
     module, cls = owner
     cls = getattr(getattr(run.import_library(), module), cls)
-    have = {f.name for f in fields(cls)} | set(dir(cls))
+    have = set(getattr(cls, "_fields", ())) | set(dir(cls))
     assert [name for name in names if name not in have] == []
 
 

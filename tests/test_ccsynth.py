@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -39,6 +38,7 @@ from lpbounds.model import (
     full_rectangle,
 )
 from lpbounds.rational import largest_fourth_power_at_most
+from lpbounds.records import replace
 from lpbounds.serialize import write_protocol_tree
 from lpbounds.trees import Leaf, PNode, advantage, evaluate, leaf_count, protocol_error, tree_depth
 
@@ -297,9 +297,9 @@ HALF = SynthParams(F(0), F(1, 16), F(1, 2), F(1, 1024), 1, 1)  # valid; delta = 
     [
         (lambda: find_biased_rectangle(CC_CORPUS["eq2"], UNIFORM_4x4, Rectangle(15, 15), {}, F(1, 4), F(1), F(0), 0),
          NoBiasedRectangleError, "no biased rectangle: (1-eps) mu_0 - (delta/rho) mu_1 = 0 <= 0"),
-        (lambda: dataclasses.replace(HALF, eps=F(2)),
+        (lambda: replace(HALF, eps=F(2)),
          InfeasibleConstructionError, "eps must be in [0,1] and delta in (0,1)"),
-        (lambda: dataclasses.replace(HALF, s=-1),
+        (lambda: replace(HALF, s=-1),
          InfeasibleConstructionError, "budgets must be non-negative"),
         (lambda: synthesize(CC_CORPUS["eq2"], ProductDistribution2P.uniform(2, 2), HALF, {}, {}),
          DimensionMismatchError, "measure shape does not match function"),
@@ -362,7 +362,7 @@ def test_validate_checks_t_after_the_threshold_is_cached():
     with pytest.raises(InfeasibleConstructionError, match=f"t = {params.t} below the threshold"):
         params.validate(heavier.total, value0, value1)
     # a copy with a smaller t is checked against the cached threshold
-    lower = dataclasses.replace(params, t=params.t - 1)
+    lower = replace(params, t=params.t - 1)
     with pytest.raises(InfeasibleConstructionError, match=f"t = {lower.t} below the threshold"):
         synthesize(f, mu, lower, w0, w1)
 

@@ -472,6 +472,20 @@ def test_verify_a_function_file_exits_1_naming_its_first_line(workspace, capsys)
     assert len(err) == 2 and err[0] == "error: record line 1 is not JSON: Expecting value"
 
 
+@pytest.mark.parametrize("command", ["verify", "bounds", "oracle"])
+def test_a_file_that_is_not_utf8_exits_1_naming_it(workspace, capsys, command):
+    path = str(workspace["dir"] / "bom.jsonl")
+    Path(path).write_bytes(b"\xff\xfe{}\n")
+    argv = {
+        "verify": ["verify", path],
+        "bounds": ["bounds", path, "--which", "prt", "--eps", "1/8"],
+        "oracle": ["oracle", path, workspace["bits"], "--depth", "1"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == f"error: {path} is not UTF-8: byte 0 is 0xff"
+
+
 @pytest.mark.parametrize("text", ["", '{"record": "summary", "pass": true}\n'], ids=["empty", "summary"])
 def test_verify_report_without_a_run_record_fails(workspace, capsys, text):
     path = write(workspace["dir"] / "norun.jsonl", text)

@@ -1,6 +1,8 @@
 """Static checks on the source of ``src/lpbounds``."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -171,6 +173,55 @@ def test_foreign_import_scan_sees_each_form():
         "    import sympy\n"
     )
     assert _foreign_imports(tree) == ["numpy", "scipy.optimize", "sympy"]
+
+
+# a record class costs nothing to define: dataclasses execs generated code for every
+# class, and it and inspect (which it pulls in) take longer to import than the package
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
+def _slow_imports(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` that import one of ``SLOW_IMPORTS``, in any form, in order."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in SLOW_IMPORTS for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_imports_neither_dataclasses_nor_inspect(path):
+    assert _slow_imports(_tree(path)) == []
+
+
+def test_slow_import_scan_sees_each_form():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "import json, dataclasses as dc\n"
+        "from dataclasses import dataclass, field\n"
+        "from .dataclasses import Record\n"
+        "def f():\n"
+        "    import inspect\n"
+        "from inspect import signature\n"
+        "import dis\n"
+    )
+    assert _slow_imports(tree) == [1, 2, 3, 6, 7]
+
+
+def test_importing_every_module_loads_neither_dataclasses_nor_inspect():
+    names = ["lpbounds" if p.stem == "__init__" else f"lpbounds.{p.stem}" for p in SOURCES]
+    code = (f"import importlib, sys\nfor name in {names!r}:\n    importlib.import_module(name)\n"
+            f"print(sorted(set({SLOW_IMPORTS!r}) & sys.modules.keys()))")
+    # -S: no site hook runs, so every module loaded is one the package asks for
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parent.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def _function_imports(tree: ast.Module) -> list[str]:

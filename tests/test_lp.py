@@ -28,6 +28,7 @@ from lpbounds.lp import (
 from lpbounds.model import ProductDistribution2P, QueryFunction, Subcube, TwoPartyFunction, enumerate_rectangles
 from lpbounds.qcbounds import _cube_family, build_qprt_lp
 from lpbounds.rational import format_rational, parse_rational
+from lpbounds.records import replace
 
 
 def lp_min(variables, objective, constraints):
@@ -230,9 +231,9 @@ def test_certify_lists_every_failure():
     optimal = solve(cached_program())
     assert certify(cached_program(), optimal) == []
     for status in ("infeasible", "unbounded", "lost"):
-        wrong = dataclasses.replace(optimal, status=status)
+        wrong = replace(optimal, status=status)
         assert certify(cached_program(), wrong) == [f"unknown status {status!r}"]
-    failures = certify(cached_program(), dataclasses.replace(optimal, value=F(0)))
+    failures = certify(cached_program(), replace(optimal, value=F(0)))
     assert failures == ["primal objective differs from the reported value", "strong duality certificate failed"]
 
 
@@ -363,7 +364,7 @@ def test_an_infeasible_solve_is_not_cached(cache_dir):
 def test_solve_refuses_a_result_that_fails_certify(cache_dir, monkeypatch):
     """A simplex result with a wrong value is a solver bug, and nothing is cached."""
     run = lpmod._Simplex.run
-    monkeypatch.setattr(lpmod._Simplex, "run", lambda sx: dataclasses.replace(run(sx), value=F(7)))
+    monkeypatch.setattr(lpmod._Simplex, "run", lambda sx: replace(run(sx), value=F(7)))
     with pytest.raises(LpboundsError, match="; solver bug$"):
         solve(cached_program())
     assert list(cache_dir.iterdir()) == []
@@ -407,7 +408,7 @@ def test_solve_refuses_a_negative_cost(cache_dir):
     with pytest.raises(LpboundsError, match="'x'"):
         solve(NEGATIVE_COST)
     assert list(cache_dir.iterdir()) == []
-    zero = dataclasses.replace(NEGATIVE_COST, cost=Row(1, (), (), "=", 0, "objective"))
+    zero = replace(NEGATIVE_COST, cost=Row(1, (), (), "=", 0, "objective"))
     sol = solve(zero)
     assert sol.status == "optimal" and sol.value == 0 and certify(zero, sol) == []
 
@@ -1639,7 +1640,7 @@ def test_certificate_checkers_match_reference(program, data):
     if isinstance(sol, reference_lp.Infeasible):
         k = data.draw(SMALL_RATIONALS)
         farkas += [sol.farkas, {key: k * c for key, c in sol.farkas.items()}]
-    zero = dataclasses.replace(program, cost=Row(1, (), (), "=", 0, "objective"))
+    zero = replace(program, cost=Row(1, (), (), "=", 0, "objective"))
     for vector in farkas:
         dual = [vector.get(i, F(0)) for i in range(len(rows))]
         got = not check_dual_feasible(zero, dual) and dual_objective(program, dual) > 0

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +18,7 @@ from lpbounds.qcbounds import (
     qprt_solution,
 )
 from lpbounds.rational import majority_error, min_odd_votes_for_error
+from lpbounds.records import replace
 
 
 @pytest.mark.parametrize("eps", [F(-1, 8), F(3, 2)])
@@ -260,7 +260,7 @@ def test_verify_reports_each_violated_inequality(perturb, message):
     gamma = F(1, 64)
     boosted = boost_qprt(sol, g, min_odd_votes_for_error(F(7, 8), gamma))
     system = extract_feasible(boosted, gamma, mu)
-    problems = dataclasses.replace(system, **perturb(system)).verify(g, mu)
+    problems = replace(system, **perturb(system)).verify(g, mu)
     assert problems and all(message in p for p in problems), problems
 
 
@@ -291,5 +291,5 @@ def test_verify_is_exact_at_each_pointwise_margin(family, cube, weight, message)
     """
     g, mu = QueryFunction(1, (0, 1)), BitProductDistribution((F(1, 2),))
     assert AT_THE_MARGINS.verify(g, mu) == []
-    moved = dataclasses.replace(AT_THE_MARGINS, **{family: {**getattr(AT_THE_MARGINS, family), cube: weight}})
+    moved = replace(AT_THE_MARGINS, **{family: {**getattr(AT_THE_MARGINS, family), cube: weight}})
     assert moved.verify(g, mu) == [message]

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +30,7 @@ from lpbounds.qcsynth import (
     synthesis_pipeline,
 )
 from lpbounds.rational import min_odd_votes_for_error
+from lpbounds.records import replace
 from lpbounds.trees import DNode, Leaf, dtree_error, dtree_queried_bits_ok, tree_depth
 
 U2 = BitProductDistribution.uniform(2)
@@ -218,7 +218,7 @@ def test_build_tree_and3_full_guarantees():
 def _and3_tree(delta=F(1, 8), mu=U3, **system_changes):
     """``build_decision_tree`` on and3 with the and3 system changed by ``system_changes``."""
     g, system = and3_system()
-    return build_decision_tree(g, mu, dataclasses.replace(system, **system_changes), delta)
+    return build_decision_tree(g, mu, replace(system, **system_changes), delta)
 
 
 @pytest.mark.parametrize(
@@ -385,11 +385,13 @@ def test_condition_overwrites_marginals():
 
 
 def _outcome(build, *args):
-    """What ``build(*args)`` gives: the tree and stats, or the refusal's type and message."""
+    """What ``build(*args)`` gives: the tree and every public stats attribute, or the
+    refusal's type and message."""
     try:
-        return build(*args)
+        tree, stats = build(*args)
     except LpboundsError as exc:
         return type(exc), str(exc)
+    return tree, {name: getattr(stats, name) for name in dir(stats) if not name.startswith("_")}
 
 
 def _assert_builds_alike(g, mu, system, delta):
