@@ -23,10 +23,13 @@ class Record:
         cls._required = {name for name in cls._fields if not hasattr(cls, name)}
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = dict(zip(self._fields, args), **kwargs)
-        if len(fields) != len(args) + len(kwargs) or not self._required <= fields.keys() <= set(self._fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
-        for name, value in fields.items():
+        fields = zip(self._fields, args)
+        if kwargs or len(args) != len(self._fields):  # else every field by position: nothing to check
+            fields = dict(fields, **kwargs)
+            if len(fields) != len(args) + len(kwargs) or not self._required <= fields.keys() <= set(self._fields):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+            fields = fields.items()
+        for name, value in fields:
             set_field(self, name, value)
         if hasattr(self, "__post_init__"):
             self.__post_init__()
