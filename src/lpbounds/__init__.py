@@ -10,9 +10,8 @@ Library surface:
   and the label masses mu_0 / mu_1 of a region in one call.
 - :mod:`lpbounds.families` -- the built-in two-party and query functions.
 - :mod:`lpbounds.lp` -- exact rational simplex with dual certificates.
-- :mod:`lpbounds.boosting` -- the majority-vote product of labelled weights.
 - :mod:`lpbounds.partition` -- the labelled partition LP behind prt, rprt
-  and qprt, and its verified majority boost.
+  and qprt, and its verified majority-vote product.
 - :mod:`lpbounds.ccbounds` -- smooth rectangle / partition / relaxed
   partition bounds and partition-bound error reduction.
 - :mod:`lpbounds.trees` -- protocol trees and decision trees: one leaf

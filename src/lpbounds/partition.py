@@ -18,9 +18,43 @@ subcubes A of {0,1}^n at cost 2^|A|.  Variables are named
 ``cov_<point tag>`` then ``mass_<point tag>`` in point order.  Cached
 solutions and Bland pivot paths depend on these names and orders.
 
-Both proofs lower the error by a t-fold majority vote over the solution
-(``boosting.majority_product_boost``).  ``LabelledFamily.boost`` runs it
-on an exact-total-mass solution and re-verifies every guarantee exactly.
+Both proofs lower the error by a t-fold majority vote over a solution w.
+Its product assigns
+
+    v[(z, K)] = sum over t-tuples ((z_1,K_1),..,(z_t,K_t))
+                with majority label z and K_1 cap .. cap K_t = K
+                of  prod_i w[(z_i, K_i)]
+
+Tuples with an empty intersection are dropped: they contribute to no
+point's constraint, and dropping them only lowers the objective.
+``LabelledFamily.boost`` takes the product of an exact-total-mass
+solution and re-verifies every guarantee in exact integers.
+
+The sum has a closed form, in integer numerators over D**t, where D is
+the common denominator of w.  Member k of the support carries a pair
+(a_k, b_k), its label-0 and label-1 numerators.  The intersection closure
+of the support is built on point sets: each member's points are read once
+as an int bitmask, two sets meet in ``a & b``, and closure elements are
+interned by bitmask, so ``intersect`` only names an element the first
+time it appears.  That is sound because distinct nonempty subcubes, and
+distinct nonempty rectangles, have distinct point sets.  Each closure
+element c records ``mask[c]``, the members that contain it.
+
+The t-tuples whose members all contain c are counted by sums over
+mask[c]: with A and B the sums of the a_k and the b_k there, those with
+majority label 0 number G0(c) = sum over j <= t//2 of C(t,j) A^(t-j) B^j
+(``rational.lower_tail``, summed by Horner), and the rest
+G1(c) = (A + B)^t - G0(c).  Their intersection is c or a closure element
+strictly containing c, whose mask is a strict subset of mask[c], so
+Moebius inversion over the closure, in increasing mask size, leaves for
+each label the tuples that intersect to exactly c:
+
+    v(c) = G(c) - sum of v(c') over mask[c'] strictly inside mask[c].
+
+The cost is O(closure * support) ANDs of point bitmasks, one ``intersect``
+per closure element outside the support, two scalar tails per closure
+element and a pass over the pairs of closure elements.  Only the sizes of
+the integers grow with t, as O(t * bits) bits.
 """
 
 from __future__ import annotations
@@ -29,10 +63,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
 
-from .boosting import majority_product_boost
 from .errors import DimensionMismatchError, InfeasibleConstructionError
 from .lp import LinearProgram, Names, Row, scaled_row, unit_row
-from .rational import format_rational, majority_error, numerators
+from .rational import check_votes, format_rational, lower_tail, numerators
 from .records import Record, replace, set_field
 
 K = TypeVar("K", bound=Hashable)
@@ -148,70 +181,114 @@ class LabelledFamily(Record, Generic[K]):
             covering.append(row)
         return LinearProgram(*self._columns, (*covering, *self._mass_rows[relaxed]))
 
-    def masses(self, weights: LabelledWeights, labels: Labels) -> tuple[list[Fraction], ...]:
-        """Per point, the weight on the members containing it: in all, and of its own label.
-
-        Integer numerators are summed over one common denominator; only the
-        results are Fractions.
-        """
-        return self._masses(weights, labels, *numerators(weights.values()))
-
-    def _masses(self, weights: LabelledWeights, labels: Labels, den: int, nums: list[int]
-                ) -> tuple[list[Fraction], ...]:
-        """``masses``, given the weights' ``numerators``."""
-        total = [0] * len(self.tags)
-        correct = list(total)
-        for (z, k), num in zip(weights, nums):
-            for i in self.cells(k):
-                total[i] += num
-                if labels[i] == z:
-                    correct[i] += num
-        return [Fraction(m, den) for m in total], [Fraction(m, den) for m in correct]
-
-    def objective(self, weights: LabelledWeights) -> Fraction:
-        """sum c(K) * w_{z,K}, summed as integers over one common denominator."""
-        return self._objective(weights, *numerators(weights.values()))
-
-    def _objective(self, weights: LabelledWeights, den: int, nums: list[int]) -> Fraction:
-        """``objective``, given the weights' ``numerators``."""
-        cden, costs = self._costs
-        return Fraction(sum(costs[k] * num for (_, k), num in zip(weights, nums)), cden * den)
-
     def boost(self, weights: LabelledWeights, labels: Labels, t: int) -> BoostResult:
-        """t-fold majority product of an exact-total-mass solution.
+        """t-fold majority product of an exact-total-mass solution, checked in integers over D**t.
 
         Preconditions (verified): every member is in the family; per-point
-        total mass is exactly 1; t odd (by ``majority_product_boost``).
+        total mass is exactly 1; t is odd; the weights are non-negative.
         Postconditions (verified): the objective is at most (input
         objective)**t; per-point total mass stays exactly 1; per-point
         correct mass equals 1 - tail(a_p, t), where a_p is the input's
-        correct mass at p.
+        correct mass at p.  Only the results are Fractions.
         """
         position = self._position
         for _, k in weights:
             if k not in position:
                 raise DimensionMismatchError(f"member {self.tag(k)} is outside the family's shape")
         den, nums = numerators(weights.values())
-        total, correct = self._masses(weights, labels, den, nums)
+        cden, costs = self._costs
+        base = 0  # the input objective over cden * den
+        total = [0] * len(self.tags)
+        correct = list(total)
+        pairs: dict[K, list[int]] = {}  # member -> its label-0 and label-1 numerators
+        for (z, k), num in zip(weights, nums):
+            base += costs[k] * num
+            if num:
+                pairs.setdefault(k, [0, 0])[z] += num
+            for i in self.cells(k):
+                total[i] += num
+                if labels[i] == z:
+                    correct[i] += num
         for tag, mass in zip(self.tags, total):
-            if mass != 1:
-                raise InfeasibleConstructionError(
-                    f"input is not an exact-mass partition solution at {tag}"
-                )
-        bound = self._objective(weights, den, nums) ** t
-        boosted = majority_product_boost(weights, t, self.cells, self.intersect,
-                                         position.__getitem__)
-        den, nums = numerators(boosted.values())
-        objective = self._objective(boosted, den, nums)
-        if objective > bound:
+            if mass != den:
+                raise InfeasibleConstructionError(f"input is not an exact-mass partition solution at {tag}")
+        check_votes(t)
+        if any(num < 0 for num in nums):
+            raise DimensionMismatchError("majority product needs non-negative weights")
+        product = self._product(pairs, t)
+        scale = den**t
+        objective = sum(costs[k] * (v0 + v1) for k, _, v0, v1 in product)  # over cden * scale
+        if objective * cden ** (t - 1) > base**t:
             raise InfeasibleConstructionError("boosted objective exceeds the product bound")
-        # 1 - tail(a, t), once per distinct input correct mass a: a function has few of them
-        hits = {a: 1 - majority_error(a, t) for a in set(correct)}
-        for tag, a, mass, hit in zip(self.tags, correct, *self._masses(boosted, labels, den, nums)):
-            if mass != 1:
+        total = [0] * len(self.tags)
+        hits = list(total)
+        for _, points, v0, v1 in product:
+            for i in _bits(points):
+                total[i] += v0 + v1
+                hits[i] += v1 if labels[i] else v0
+        # tail(c, den - c, t) over scale, once per distinct input correct numerator c: a function
+        # has few of them; the tail is homogeneous of degree t, so this is majority_error(c / den, t)
+        tails = {c: lower_tail(c, den - c, t) for c in set(correct)}
+        for tag, c, mass, hit in zip(self.tags, correct, total, hits):
+            if mass != scale:
                 raise InfeasibleConstructionError(f"boosted total mass at {tag} is not 1")
-            if hit != hits[a]:
-                raise InfeasibleConstructionError(
-                    f"boosted correct mass at {tag} differs from the binomial tail"
-                )
-        return BoostResult(boosted, t, 1 - min(hits.values()), objective)
+            if hit != scale - tails[c]:
+                raise InfeasibleConstructionError(f"boosted correct mass at {tag} differs from the binomial tail")
+        boosted = {(z, k): Fraction(v[z], scale) for z in (0, 1) for k, _, *v in product if v[z]}
+        return BoostResult(boosted, t, Fraction(max(tails.values()), scale),
+                           Fraction(objective, cden * scale))
+
+    def _product(self, pairs: dict[K, list[int]], t: int) -> list[tuple[K, int, int, int]]:
+        """The t-fold majority product of non-negative ``pairs``, member -> [a, b] over D.
+
+        One (member, point bitmask, v0, v1) per closure element of nonzero
+        weight, in family order, with v0 and v1 its label-0 and label-1
+        weights over D**t: the closed form of the module docstring.
+        """
+        # The closure on point bitmasks, members first; c & k = m puts k into
+        # mask[m], and c = m finds every member containing m.  ``points`` grows
+        # as it is read, and ``intersect`` names each new point set once.
+        keys = list(pairs)
+        member_points = [sum(1 << i for i in self.cells(k)) for k in keys]
+        points = list(member_points)
+        ids = {p: i for i, p in enumerate(points)}
+        masks = [0] * len(keys)
+        for c, cp in enumerate(points):
+            for bit, kp in enumerate(member_points):
+                m = cp & kp
+                if not m:
+                    continue
+                i = ids.get(m)
+                if i is None:
+                    i = ids[m] = len(keys)
+                    keys.append(self.intersect(keys[c], keys[bit]))
+                    points.append(m)
+                    masks.append(0)
+                masks[i] |= 1 << bit
+
+        steps = list(pairs.values())
+        inside: list[tuple[int, int, int]] = []  # (mask, v0, v1) of the nonzero v read so far
+        out = []
+        for i in sorted(range(len(keys)), key=lambda i: masks[i].bit_count()):
+            mask = masks[i]
+            a, b = map(sum, zip(*(steps[bit] for bit in _bits(mask))))
+            v0 = lower_tail(b, a, t)
+            v1 = (a + b) ** t - v0
+            for sub, s0, s1 in inside:
+                if sub & mask == sub:
+                    v0 -= s0
+                    v1 -= s1
+            if v0 or v1:
+                inside.append((mask, v0, v1))
+                out.append((keys[i], points[i], v0, v1))
+        position = self._position
+        out.sort(key=lambda element: position[element[0]])
+        return out
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -71,10 +71,6 @@ class QprtSolution(Record):
     n: int
     weights: LabeledCubeWeights
 
-    @property
-    def objective(self) -> Fraction:
-        return _cube_family(self.n).objective(self.weights)
-
 
 def qprt_bound(g: QueryFunction, eps: Fraction) -> LPSolution:
     return lpmod.solve(build_qprt_lp(g, eps))
@@ -85,11 +81,12 @@ def qprt_solution(g: QueryFunction, sol: LPSolution) -> QprtSolution:
 
 
 class BoostedQprt(Record):
-    """Majority-boosted solution with its exact achieved error level."""
+    """Majority-boosted solution with its exact achieved error level and objective."""
 
     solution: QprtSolution
     votes: int
     achieved_error: Fraction
+    objective: Fraction
 
 
 def boost_qprt(sol: QprtSolution, g: QueryFunction, t: int) -> BoostedQprt:
@@ -98,7 +95,7 @@ def boost_qprt(sol: QprtSolution, g: QueryFunction, t: int) -> BoostedQprt:
     Every pre- and postcondition is verified by ``LabelledFamily.boost``.
     """
     boosted = _cube_family(g.n).boost(sol.weights, g.labels, t)
-    return BoostedQprt(QprtSolution(sol.n, boosted.weights), t, boosted.achieved_error)
+    return BoostedQprt(QprtSolution(sol.n, boosted.weights), t, boosted.achieved_error, boosted.objective)
 
 
 class FeasibleSystem(Record):
@@ -205,7 +202,7 @@ def extract_feasible(
         raise InfeasibleConstructionError(
             f"boosted error {boosted.achieved_error} exceeds gamma {gamma}"
         )
-    objective = sol.objective
+    objective = boosted.objective
     d = ceil_mul_log2(1, objective) if objective > 1 else 0
     dprime = d + ceil_mul_log2(1, 1 / gamma)
     removed = Fraction(0)

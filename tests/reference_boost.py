@@ -1,18 +1,19 @@
 """Reference majority product and vote math for differential tests.
 
-``reference_boost`` is the first dynamic program of ``lpbounds.boosting``:
-every one of its t - 1 rounds walks every (votes-for-1, running
-intersection) state against every support entry and calls ``intersect``
-each time.  Two successors are retired too: one interned the
-intersections and packed the vote counts into one integer per state but
-still ran t - 1 rounds; the next raised one packed integer (a + b * 2^width
-per member) to the power t per closure element, read the two majority
-labels off it modulo 2^width - 1, and called ``intersect`` on every
-(closure element, member) pair.  The module now sums two integers per
-closure element, takes a binomial tail of them and Moebius-inverts, on a
-closure built by ANDing point bitmasks.  All of them sum the same tuples in
-exact integers, so on every input ``reference_boost`` and the module must
-return equal mappings.
+``reference_boost`` is the first dynamic program of the majority product,
+since moved into ``lpbounds.partition.LabelledFamily``: every one of its
+t - 1 rounds walks every (votes-for-1, running intersection) state against
+every support entry and calls ``intersect`` each time.  Two successors are
+retired too: one interned the intersections and packed the vote counts
+into one integer per state but still ran t - 1 rounds; the next raised one
+packed integer (a + b * 2^width per member) to the power t per closure
+element, read the two majority labels off it modulo 2^width - 1, and
+called ``intersect`` on every (closure element, member) pair.
+``LabelledFamily._product`` now sums two integers per closure element,
+takes a binomial tail of them and Moebius-inverts, on a closure built by
+ANDing point bitmasks.  All of them sum the same tuples in exact integers,
+so on every input ``reference_boost`` and the product must give equal
+weights.
 
 ``reference_majority_error`` is the binomial tail as ``lpbounds.rational``
 summed it in Fractions before it summed integers over q**t, and

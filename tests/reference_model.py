@@ -32,6 +32,12 @@ Subcube-level ``project_weights`` and compared Fraction masses, through
 the Fraction ``find_biased_subcube`` and ``elimination_bound``.
 ``tests/test_qcsynth.py`` compares the integer build against it: trees,
 ``BuildStats`` and refusals.
+
+``point_masses`` is the retired ``partition.LabelledFamily.masses``,
+summed in Fractions: per point, the weight on the members containing it,
+in all and of the point's own label.  ``LabelledFamily.boost`` checks both in integers, and
+``tests/test_qcbounds.py`` and ``tests/test_acceptance.py`` read them off
+a boosted solution with it.
 """
 
 from __future__ import annotations
@@ -113,6 +119,18 @@ def weighted_masses(mu, fn, weights: dict) -> tuple[Fraction, Fraction]:
         sum((w * label_mass(mu, fn, z, region) for region, w in weights.items()), Fraction(0))
         for z in (0, 1)
     )
+
+
+def point_masses(family, weights: dict, labels) -> tuple[list[Fraction], list[Fraction]]:
+    """Per point of ``family``, the weight on the members containing it: in all, and of its own label."""
+    total = [Fraction(0)] * len(family.tags)
+    correct = list(total)
+    for (z, k), w in weights.items():
+        for i in family.cells(k):
+            total[i] += w
+            if labels[i] == z:
+                correct[i] += w
+    return total, correct
 
 
 def point(mu: BitProductDistribution, x: int) -> Fraction:

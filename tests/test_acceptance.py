@@ -20,6 +20,7 @@ from conftest import (
     sample_product_distributions,
     srec_cached,
 )
+from reference_model import point_masses
 
 from lpbounds import families
 from lpbounds.ccbounds import (
@@ -196,7 +197,8 @@ def test_criterion_6_boosting_soundness(capsys):
     # query side
     for fam in ("and", "xor"):
         g = families.make_function(fam, 2, "qc")
-        base = qprt_solution(g, qprt_bound_direct(g, EPS8))
+        base_lp = qprt_bound_direct(g, EPS8)
+        base = qprt_solution(g, base_lp)
         for t in (1, 3):
             boosted = boost_qprt(base, g, t)
             level = boosted.achieved_error
@@ -207,9 +209,9 @@ def test_criterion_6_boosting_soundness(capsys):
                 for (z, c), w in boosted.solution.weights.items()
             }
             assert check_feasible(lp, assign) == []
-            total, _ = _cube_family(g.n).masses(boosted.solution.weights, g.table)
+            total, _ = point_masses(_cube_family(g.n), boosted.solution.weights, g.table)
             assert total == [1] * (1 << g.n)
-            assert boosted.solution.objective <= base.objective**t
+            assert boosted.objective <= base_lp.value**t
     # communication side
     for fam in ("and", "xor"):
         f = families.make_function(fam, 2, "cc")

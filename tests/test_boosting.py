@@ -1,3 +1,12 @@
+"""The t-fold majority product of ``LabelledFamily``, against ``reference_boost``.
+
+``LabelledFamily._product`` is driven on the subcube families of {0,1}^n,
+n <= 4, and on the rectangle family of the 4 x 4 grid, with arbitrary
+non-negative weights: it needs no exact total mass, which only ``boost``
+checks.  Counting and recording intersects go in through
+``records.replace``, which makes a fresh family with its own layout.
+"""
+
 from fractions import Fraction as F
 from math import comb
 
@@ -8,20 +17,13 @@ from hypothesis import strategies as st
 from reference_boost import reference_boost
 
 from lpbounds import qcbounds
-from lpbounds.boosting import majority_product_boost
 from lpbounds.ccbounds import _rect_family
-from lpbounds.ccbounds import _rect_intersect as rect_intersect
 from lpbounds.errors import DimensionMismatchError
-from lpbounds.model import Rectangle, Subcube, cube_key
+from lpbounds.model import Rectangle, Subcube
+from lpbounds.rational import numerators
+from lpbounds.records import replace
 
-cube_intersect = Subcube.intersect
-cube_cells = Subcube.members
-rect_cells = _rect_family(4, 4).cells  # the families below live on the 4 x 4 grid
-
-
-def rect_key(r: Rectangle):
-    return (r.rows, r.cols)
-
+RECTS = _rect_family(4, 4)  # the rectangle families below live on the 4 x 4 grid
 
 weights = st.one_of(
     st.just(F(0)),
@@ -31,7 +33,7 @@ weights = st.one_of(
 
 @st.composite
 def subcube_families(draw):
-    """Labelled subcubes of {0,1}^n, n <= 4; sparse ones fix almost every bit."""
+    """Labelled subcubes of {0,1}^n, n <= 4, with their family; sparse ones fix almost every bit."""
     n = draw(st.integers(1, 4))
     full = (1 << n) - 1
     sparse = draw(st.booleans())
@@ -42,42 +44,56 @@ def subcube_families(draw):
             support |= full & ~(1 << draw(st.integers(0, n)))
         values = draw(st.integers(0, full)) & support
         family[(draw(st.integers(0, 1)), Subcube(n, support, values))] = draw(weights)
-    return family
+    return qcbounds._cube_family(n), family
 
 
 @st.composite
 def rectangle_families(draw):
-    """Labelled rectangles of the 4 x 4 grid; sparse ones are single cells."""
+    """Labelled rectangles of the 4 x 4 grid, with their family; sparse ones are single cells."""
     sparse = draw(st.booleans())
     side = st.sampled_from([1, 2, 4, 8]) if sparse else st.integers(1, 15)
     family = {}
     for _ in range(draw(st.integers(1, 6))):
         rect = Rectangle(draw(side), draw(side))
         family[(draw(st.integers(0, 1)), rect)] = draw(weights)
-    return family
+    return RECTS, family
 
 
 # small counts, and 21, 43, 45, 47 and 49, counts the synthesis pipelines boost with
 votes = st.sampled_from([1, 3, 5, 7, 9, 21, 43, 45, 47, 49])
 
 
-def assert_matches_reference(family, t, cells, intersect, key):
-    got = majority_product_boost(family, t, cells, intersect, key)
-    assert got == reference_boost(family, t, intersect, key)
-    assert list(got) == sorted(got, key=lambda zk: (zk[0], key(zk[1])))
-    assert all(w > 0 for w in got.values())
+def product(family, weights, t):
+    """``family``'s product of ``weights``: its raw elements, and the weights they give as Fractions."""
+    den, nums = numerators(weights.values())
+    pairs = {}
+    for (z, k), num in zip(weights, nums):
+        if num:
+            pairs.setdefault(k, [0, 0])[z] += num
+    elements = family._product(pairs, t)
+    return elements, {(z, k): F(v[z], den**t) for z in (0, 1) for k, _, *v in elements if v[z]}
+
+
+def assert_matches_reference(family, weights, t):
+    elements, got = product(family, weights, t)
+    assert got == reference_boost(weights, t, family.intersect, family._position.__getitem__)
+    positions = [family._position[k] for k, *_ in elements]
+    assert positions == sorted(set(positions))  # family order, each element once
+    for k, points, v0, v1 in elements:
+        assert points == sum(1 << i for i in family.cells(k))
+        assert v0 >= 0 and v1 >= 0 and v0 + v1 > 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(subcube_families(), votes)
-def test_boost_matches_reference_on_subcubes(family, t):
-    assert_matches_reference(family, t, cube_cells, cube_intersect, cube_key)
+def test_boost_matches_reference_on_subcubes(case, t):
+    assert_matches_reference(*case, t)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rectangle_families(), votes)
-def test_boost_matches_reference_on_rectangles(family, t):
-    assert_matches_reference(family, t, rect_cells, rect_intersect, rect_key)
+def test_boost_matches_reference_on_rectangles(case, t):
+    assert_matches_reference(*case, t)
 
 
 def test_boost_weighs_an_intersection_only_when_t_members_reach_it():
@@ -86,16 +102,17 @@ def test_boost_weighs_an_intersection_only_when_t_members_reach_it():
     The closure holds 1111 at every t, but a t-tuple reaches it only when
     t >= 4, so t = 3 gives it no weight and t = 5 does.
     """
-    family = {(1, Subcube(4, 1 << i, 1 << i)): F(1, 4) for i in range(4)}
+    family = qcbounds._cube_family(4)
+    weights = {(1, Subcube(4, 1 << i, 1 << i)): F(1, 4) for i in range(4)}
     point = Subcube(4, 0b1111, 0b1111)
-    assert (1, point) not in majority_product_boost(family, 3, cube_cells, cube_intersect, cube_key)
-    assert majority_product_boost(family, 5, cube_cells, cube_intersect, cube_key)[(1, point)] > 0
+    assert (1, point) not in product(family, weights, 3)[1]
+    assert product(family, weights, 5)[1][(1, point)] > 0
     for t in (3, 5):
-        assert_matches_reference(family, t, cube_cells, cube_intersect, cube_key)
+        assert_matches_reference(family, weights, t)
 
 
 def test_boost_intersections_do_not_grow_with_t():
-    family = {
+    weights = {
         (z, Subcube(4, support, values)): F(1 + support + values, 40)
         for z, support, values in [(0, 0b0011, 0b0001), (1, 0b0110, 0b0110), (0, 0b1100, 0b0100),
                                    (1, 0b1001, 0b1000), (1, 0b0000, 0b0000)]
@@ -104,12 +121,13 @@ def test_boost_intersections_do_not_grow_with_t():
 
     def counting_intersect(a, b):
         calls.append(1)
-        return cube_intersect(a, b)
+        return Subcube.intersect(a, b)
 
+    family = replace(qcbounds._cube_family(4), intersect=counting_intersect)
     counts = []
     for t in (3, 47):
         calls.clear()
-        majority_product_boost(family, t, cube_cells, counting_intersect, cube_key)
+        product(family, weights, t)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -125,30 +143,28 @@ def _closure(members, intersect):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(
-    subcube_families().map(lambda f: (f, cube_cells, cube_intersect, cube_key)),
-    rectangle_families().map(lambda f: (f, rect_cells, rect_intersect, rect_key)),
-))
+@given(st.one_of(subcube_families(), rectangle_families()))
 def test_boost_names_each_closure_element_outside_the_support_once(case):
     """The closure is built on point bitmasks; ``intersect`` only names what is new."""
-    family, cells, intersect, key = case
+    family, weights = case
     calls = []
 
     def recording_intersect(a, b):
-        calls.append(intersect(a, b))
+        calls.append(family.intersect(a, b))
         return calls[-1]
 
-    majority_product_boost(family, 3, cells, recording_intersect, key)
-    support = {k for (_, k), w in family.items() if w}
-    new = _closure(support, intersect) - support
-    assert sorted(calls, key=key) == sorted(new, key=key)
+    product(replace(family, intersect=recording_intersect), weights, 3)
+    support = {k for (_, k), w in weights.items() if w}
+    new = _closure(support, family.intersect) - support
+    position = family._position.__getitem__
+    assert sorted(calls, key=position) == sorted(new, key=position)
 
 
 @pytest.mark.parametrize(
     "shape", [(n,) for n in range(1, 5)] + [(nx, ny) for nx in range(1, 5) for ny in range(1, 5)]
 )
 def test_members_are_their_point_sets(shape):
-    """The boost's closure premise: a member is its nonempty point set, and meets by AND."""
+    """The product's closure premise: a member is its nonempty point set, and meets by AND."""
     family = qcbounds._cube_family(*shape) if len(shape) == 1 else _rect_family(*shape)
     masks = {member: sum(1 << i for i in family.cells(member)) for member in family.members}
     assert 0 not in masks.values()
@@ -170,15 +186,16 @@ def test_boost_splits_large_numerators_exactly_by_majority_label():
     den = 1 << 61
     a, b = den - 2, 1
     k = Subcube(2, 0b01, 0b01)
-    family = {(1, k): F(a, den), (0, k): F(b, den), (0, Subcube(2, 0b11, 0b11)): F(0)}
+    weights = {(1, k): F(a, den), (0, k): F(b, den), (0, Subcube(2, 0b11, 0b11)): F(0)}
     ones = sum(comb(t, j) * a**j * b ** (t - j) for j in range(t // 2 + 1, t + 1))
     zeros = sum(comb(t, j) * a**j * b ** (t - j) for j in range(t // 2 + 1))
-    got = majority_product_boost(family, t, cube_cells, cube_intersect, cube_key)
+    got = product(qcbounds._cube_family(2), weights, t)[1]
     assert got == {(0, k): F(zeros, den**t), (1, k): F(ones, den**t)}
 
 
 def test_boost_rejects_negative_weights():
+    """Exact total mass 1 at both points of {0,1}, but from a negative weight."""
     k = Subcube(1, 0, 0)
-    family = {(0, k): F(3, 2), (1, k): F(-1, 2)}
-    assert_refuses(lambda: majority_product_boost(family, 3, cube_cells, cube_intersect, cube_key),
+    weights = {(0, k): F(3, 2), (1, k): F(-1, 2)}
+    assert_refuses(lambda: qcbounds._cube_family(1).boost(weights, (0, 1), 3),
                    DimensionMismatchError, "majority product needs non-negative weights")

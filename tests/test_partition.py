@@ -1,4 +1,4 @@
-"""The labelled partition LP: program identity and the boost's precondition.
+"""The labelled partition LP: program identity and the boost's pre- and postconditions.
 
 Cached solutions are stored under ``lp._program_key``, and Bland's rule
 follows variable and row order, so a builder change that renames or
@@ -11,8 +11,9 @@ from fractions import Fraction as F
 from functools import partial
 
 import pytest
+from conftest import assert_refuses, qprt_cached
 
-from lpbounds import families, lp
+from lpbounds import families, lp, partition
 from lpbounds.ccbounds import (
     SrecInstance,
     _rect_family,
@@ -24,7 +25,8 @@ from lpbounds.ccbounds import (
 )
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
 from lpbounds.model import ProductDistribution2P, Rectangle, Subcube, cube_key
-from lpbounds.qcbounds import QprtSolution, _cube_family, boost_qprt, build_qprt_lp
+from lpbounds.partition import LabelledFamily
+from lpbounds.qcbounds import QprtSolution, _cube_family, boost_qprt, build_qprt_lp, qprt_solution
 
 
 @pytest.mark.parametrize(
@@ -253,3 +255,59 @@ def test_boost_rejects_a_member_outside_the_shape(boost, weights):
     """The member check comes before any mass is summed: not an IndexError, not a mass error."""
     with pytest.raises(DimensionMismatchError, match="is outside the family.s shape"):
         boost(weights)
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        (lambda v0, v1: (v0 + 1, v1), "boosted objective exceeds the product bound"),
+        (lambda v0, v1: (v0 - 1, v1), "boosted total mass at 0 is not 1"),
+        (lambda v0, v1: (v0 - 1, v1 + 1), "boosted correct mass at 0 differs from the binomial tail"),
+    ],
+    ids=["objective", "total-mass", "correct-mass"],
+)
+def test_boost_refuses_a_product_that_breaks_a_postcondition(monkeypatch, change, message):
+    """One perturbed closure value trips each postcondition check, by its own message.
+
+    All weight on the whole cube of {0,1}^2 at label 0 has objective 1 and
+    boosts to itself, so the bound is 1 and every point's total and correct
+    masses are exact: one more unit of weight breaks the bound, one less
+    the total mass, and one moved to label 1 the correct mass.
+    """
+    product = LabelledFamily._product
+
+    def perturbed(self, pairs, t):
+        (member, points, v0, v1), *rest = product(self, pairs, t)
+        return [(member, points, *change(v0, v1)), *rest]
+
+    weights = {(0, Subcube(2, 0, 0)): F(1)}
+    assert boost_qprt(QprtSolution(2, weights), families.and_q(2), 3).solution.weights == weights
+    monkeypatch.setattr(LabelledFamily, "_product", perturbed)
+    assert_refuses(lambda: boost_qprt(QprtSolution(2, weights), families.and_q(2), 3),
+                   InfeasibleConstructionError, message)
+
+
+def test_boost_reads_its_input_numerators_once_and_makes_only_its_results_fractions(monkeypatch):
+    g = families.make_function("maj", 3, "qc")
+    sol = qprt_solution(g, qprt_cached("maj3", F(1, 8)))
+    family = _cube_family(3)
+    family._costs  # the cost numerators: made once per family, before the count starts
+    read, made, numerators = [], [], partition.numerators
+
+    def counting_numerators(values):
+        values = list(values)
+        read.append(values)
+        return numerators(values)
+
+    def counting_fraction(*args):
+        made.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(partition, "numerators", counting_numerators)
+    monkeypatch.setattr(partition, "Fraction", counting_fraction)
+    boosted = family.boost(sol.weights, g.labels, 5)
+    monkeypatch.undo()
+    assert read == [list(sol.weights.values())]
+    assert len(made) == len(boosted.weights) + 2  # the weights, achieved_error and objective
+    assert boosted == family.boost(sol.weights, g.labels, 5)
+    assert list(boosted.weights) == sorted(boosted.weights, key=lambda zk: (zk[0], family._position[zk[1]]))

@@ -4,6 +4,7 @@ import pytest
 from conftest import QC_CORPUS, assert_refuses, qprt_cached
 from reference_duals import build_qprt_dual_lp, split_free
 from reference_lp import reference_solve
+from reference_model import point_masses
 
 from lpbounds import families, qcbounds
 from lpbounds.errors import CapExceededError, DimensionMismatchError, InfeasibleConstructionError
@@ -102,12 +103,12 @@ def test_boost_three_votes_exact_guarantees():
     sol = qprt_solution(g, res)
     boosted = boost_qprt(sol, g, 3)  # verifies mass, tails, objective internally
     family = qcbounds._cube_family(g.n)
-    _, correct = family.masses(sol.weights, g.table)
-    total, boosted_correct = family.masses(boosted.solution.weights, g.table)
+    _, correct = point_masses(family, sol.weights, g.table)
+    total, boosted_correct = point_masses(family, boosted.solution.weights, g.table)
     for x in range(4):
         assert total[x] == 1
         assert boosted_correct[x] == 1 - majority_error(correct[x], 3)
-    assert boosted.solution.objective <= res.value**3
+    assert boosted.objective <= res.value**3
     # independent feasibility re-check at the achieved error level
     lp = build_qprt_lp(g, boosted.achieved_error)
     assign = {
@@ -174,7 +175,7 @@ def test_extract_respects_fixed_bits():
 def test_extract_discards_the_weight_above_the_cutoff():
     """A cube with more than d' fixed bits is dropped, and its weight is below gamma by Markov's bound.
 
-    The objective is 101/100, so d' = ceil(log2 101/100) + log2 4 = 3 and
+    The objective is 1 + 16/100, so d' = ceil(log2 29/25) + log2 4 = 3 and
     the 4-bit cube 0000 goes.  The synthesis pipeline never discards: its
     gamma = 1/c^8 with c >= 8 puts the cutoff at 24 bits or more, above
     every n <= 12.  By the same Markov bound the ``removed >= gamma``
@@ -184,7 +185,7 @@ def test_extract_discards_the_weight_above_the_cutoff():
     g, mu = families.const_q(4, 0), BitProductDistribution.uniform(4)
     full = Subcube.from_pattern("****")
     sol = qcbounds.QprtSolution(4, {(0, full): F(1), (0, Subcube.from_pattern("0000")): F(1, 100)})
-    system = extract_feasible(qcbounds.BoostedQprt(sol, 1, F(0)), F(1, 4), mu)
+    system = extract_feasible(qcbounds.BoostedQprt(sol, 1, F(0), F(29, 25)), F(1, 4), mu)
     assert (system.a, system.b) == (3, 3)
     assert (system.u, system.w) == ({full: F(1)}, {})
 
@@ -199,7 +200,8 @@ def test_extract_requires_error_within_gamma():
 
 def _extract(weights, achieved_error, gamma, bits=3):
     """``extract_feasible`` of a hand-built 3-bit solution, under the uniform measure on ``bits`` bits."""
-    boosted = qcbounds.BoostedQprt(qcbounds.QprtSolution(3, weights), 1, achieved_error)
+    objective = sum((1 << cube.size) * w for (_, cube), w in weights.items())
+    boosted = qcbounds.BoostedQprt(qcbounds.QprtSolution(3, weights), 1, achieved_error, objective)
     return extract_feasible(boosted, gamma, BitProductDistribution.uniform(bits))
 
 

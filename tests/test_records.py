@@ -75,7 +75,7 @@ RECORDS = {
     "partition.BoostResult": dict.fromkeys(["weights", "votes", "achieved_error", "objective"]),
     "partition.LabelledFamily": dict.fromkeys(["tags", "members", "cost", "tag", "cells", "intersect"]),
     "qcbounds.QprtSolution": dict.fromkeys(["n", "weights"]),
-    "qcbounds.BoostedQprt": dict.fromkeys(["solution", "votes", "achieved_error"]),
+    "qcbounds.BoostedQprt": dict.fromkeys(["solution", "votes", "achieved_error", "objective"]),
     "qcbounds.FeasibleSystem": dict.fromkeys(["n", "u", "w", "alpha0", "beta0", "alpha1", "beta1", "a", "b"]),
     "qcsynth.QCSynthReport": dict.fromkeys(
         ["qprt_value", "c", "gamma", "votes", "boosted_error", "system", "delta", "tree", "stats"]),
