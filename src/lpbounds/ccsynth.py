@@ -91,29 +91,31 @@ def find_biased_rectangle(
 ) -> Rectangle:
     """S = R & active for a support rectangle R biased toward z on ``active``.
 
-    Masses are ``mu``'s on ``active``.  Bias: mu_{1-z}(S) <= rho * mu_z(S).
-    Mass: among biased support rectangles the one maximizing mu_z(S) is
-    taken (ties broken by enumeration order), and by averaging it satisfies
+    Masses are ``mu``'s on ``active``, read as integer label sums over the
+    measure's denominator; every test below is linear in them.  Bias:
+    mu_{1-z}(S) <= rho * mu_z(S).  Mass: among biased support rectangles
+    the one maximizing mu_z(S) is taken (ties broken by enumeration order),
+    and by averaging it satisfies
 
         mu_z(S) >= (1/V) * ((1-eps) mu_z(active) - (delta/rho) mu_{1-z}(active)),
 
     V the sum of the weights, which is verified exactly.  Requires the
     right-hand side positive and the support nonempty.
     """
-    masses = mu.label_masses(f, active)
-    mu_z, mu_other = masses[z], masses[1 - z]
-    demand = (1 - eps) * mu_z - (delta / rho) * mu_other
+    sums = mu.label_sums(f, active)
+    den = mu.point_weights[0]
+    demand = (1 - eps) * sums[z] - (delta / rho) * sums[1 - z]  # over den
     if demand <= 0:
         raise NoBiasedRectangleError(
-            f"no biased rectangle: (1-eps) mu_{z} - (delta/rho) mu_{1-z} = {demand} <= 0"
+            f"no biased rectangle: (1-eps) mu_{z} - (delta/rho) mu_{1-z} = {demand / den} <= 0"
         )
     best: Rectangle | None = None
-    best_mass: Fraction | None = None
+    best_mass: int | None = None
     for rect in sorted(weights, key=lambda r: (r.rows, r.cols)):
         if weights[rect] <= 0:
             continue
-        masses = mu.label_masses(f, rect.intersect(active))
-        m_z, m_other = masses[z], masses[1 - z]
+        sums = mu.label_sums(f, rect.intersect(active))
+        m_z, m_other = sums[z], sums[1 - z]
         if m_other > rho * m_z:
             continue
         if best_mass is None or m_z > best_mass:
@@ -122,7 +124,7 @@ def find_biased_rectangle(
         raise NoBiasedRectangleError("no biased rectangle in the solution support")
     if best_mass * weight_value(weights) < demand:
         raise InfeasibleConstructionError(
-            f"biased rectangle mass {best_mass} below the guaranteed level"
+            f"biased rectangle mass {Fraction(best_mass, den)} below the guaranteed level"
         )
     return best.intersect(active)
 
@@ -156,9 +158,11 @@ def decompose(
 
     ``delta_root`` is q with delta = q**4; the restriction threshold is
     10 q / D over the block's mass fraction, D the covering solution's
-    objective.  Preference order: ("01","a"), ("01","b"), ("10","a"),
-    ("10","b").  Failure of all four contradicts the product structure and
-    raises DecompositionError.
+    objective.  Masses are integer label sums over the measure's
+    denominator: each test is linear in them, and ``sub_eps`` a ratio of
+    them.  Preference order: ("01","a"), ("01","b"), ("10","a"), ("10","b").
+    Failure of all four contradicts the product structure and raises
+    DecompositionError.
     """
     q = delta_root
     cover_z = 1 - z
@@ -170,8 +174,8 @@ def decompose(
     blocks = {"01": Rectangle(rows0, cols1), "10": Rectangle(rows1, cols0)}
     for case in ("01", "10"):
         block = blocks[case]
-        masses = mu.label_masses(f, block)
-        m_biased, m_cover = masses[z], masses[cover_z]
+        sums = mu.label_sums(f, block)
+        m_biased, m_cover = sums[z], sums[cover_z]
         if 2 * m_cover <= m_biased:  # also every zero-mass block
             return Decomposition(case, None, None, block)
         block_mass = m_biased + m_cover
@@ -183,10 +187,10 @@ def decompose(
         for rect, w in cover_weights.items():
             if w <= 0:
                 continue
-            part_masses = mu.label_masses(f, rect.intersect(block))
-            carried = w * part_masses[cover_z]
+            part = mu.label_sums(f, rect.intersect(block))
+            carried = w * part[cover_z]
             numer += carried
-            if threshold is not None and sum(part_masses) >= threshold:
+            if threshold is not None and sum(part) >= threshold:
                 restricted[rect] = w
                 covered += carried
         sub_eps = Fraction(0) if m_cover == 0 else 1 - numer / m_cover
@@ -327,7 +331,7 @@ def synthesize(
     ) -> ProtocolTree:
         """The subtree on ``active`` with budgets (s, t); the module
         docstring lists its leaves and why s = 0 is never reached."""
-        m0, m1 = mu.label_masses(f, active)
+        m0, m1 = mu.label_sums(f, active)
         lopsided = max(m0, m1) >= 2 * min(m0, m1)
         budget = eps + 30 * (s + 1) * q >= tenth
         if lopsided or budget or s == 0 or t == 0:

@@ -19,7 +19,9 @@ Measures are exact rationals and are *not* required to be normalized;
 ``ProductDistribution2P`` totals may be any non-negative rational, while
 ``BitProductDistribution`` is normalized by construction (each coordinate
 carries a marginal p_i in [0,1] whose complement is 1 - p_i).  Both are
-summed by label through one integer layer, ``_PointMeasure``.
+summed by label through one integer layer, ``_PointMeasure``: constructions
+compare its integer ``label_sums`` (D times the two label masses, D the
+measure's denominator), and ``label_masses`` divides them by D.
 """
 
 from __future__ import annotations
@@ -230,17 +232,6 @@ class _PointMeasure:
         den = self.point_weights[0]
         return Fraction(s0, den), Fraction(s1, den)
 
-    def weighted_label_masses(self, fn, weights: dict) -> tuple[Fraction, Fraction]:
-        """(sum_K w_K mu_0(K), sum_K w_K mu_1(K)), summed as integers over one denominator."""
-        den, nums = numerators(weights.values())
-        sums = [0, 0]
-        for region, num in zip(weights, nums):
-            s0, s1 = self.label_sums(fn, region)
-            sums[0] += num * s0
-            sums[1] += num * s1
-        den *= self.point_weights[0]
-        return Fraction(sums[0], den), Fraction(sums[1], den)
-
 
 class ProductDistribution2P(Record, _PointMeasure):
     """Product measure mu(x, y) = row_weights[x] * col_weights[y].
@@ -400,6 +391,6 @@ def enumerate_subcubes(n: int) -> Iterator[Subcube]:
             yield Subcube(n, support, values)
 
 
-def popular_label(mass0: Fraction, mass1: Fraction) -> int:
+def popular_label(mass0: int, mass1: int) -> int:
     """Label with the larger mass; ties resolve to 0."""
     return 1 if mass1 > mass0 else 0

@@ -227,7 +227,7 @@ class LabelledFamily(Record, Generic[K]):
                 total[i] += v0 + v1
                 hits[i] += v1 if labels[i] else v0
         # tail(c, den - c, t) over scale, once per distinct input correct numerator c: a function
-        # has few of them; the tail is homogeneous of degree t, so this is majority_error(c / den, t)
+        # has few of them; by its degree-t homogeneity, tail / scale is the majority error at c / den
         tails = {c: lower_tail(c, den - c, t) for c in set(correct)}
         for tag, c, mass, hit in zip(self.tags, correct, total, hits):
             if mass != scale:

@@ -125,9 +125,11 @@ class FeasibleSystem(Record):
         of ``mu``; fixed bits must not occur in any support.  A family's
         masses are integers over one denominator D, and each margin t is
         rounded to it once: an integer m is below t * D iff it is below
-        ceil(t * D), and above it iff above floor(t * D).
+        ceil(t * D), and above it iff above floor(t * D).  The 1-mass that
+        w carries is summed over the same points against ``mu``'s integer
+        point weights, which are 0 everywhere else.
         """
-        mu1 = mu.label_masses(g, full_cube(self.n))[1]  # first: it checks the bit counts
+        ones = mu.label_sums(g, full_cube(self.n))[1]  # first: it checks the bit counts
         out: list[str] = []
         for c, v in list(self.u.items()) + list(self.w.items()):
             if v.numerator < 0:  # an int compare, not a Fraction one
@@ -136,6 +138,10 @@ class FeasibleSystem(Record):
             if c.size > self.a:
                 out.append(f"u support {c.pattern()} exceeds a={self.a}")
         for c in self.w:
+            if c.n != self.n:  # the point loop below reads w only on this system's points
+                raise DimensionMismatchError(
+                    f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {c.n}"
+                )
             if c.size > self.b:
                 out.append(f"w support {c.pattern()} exceeds b={self.b}")
         consistent = mu.fixed_cube()
@@ -147,6 +153,8 @@ class FeasibleSystem(Record):
         dw, wm = _masses_at(self.w, points)
         low_u, high_u = ceil((1 - self.alpha0) * du), floor(self.beta0 * du)
         high_w = floor(self.beta1 * dw)
+        weights = mu.point_weights[1]
+        carried = 0  # over dw times mu's denominator, which ``ones`` is over
         for x, a, b in zip(points, um, wm):
             label = g.value(x)
             if label == 0 and a < low_u:
@@ -157,8 +165,9 @@ class FeasibleSystem(Record):
                 out.append(f"w mass above 1 at {x}")
             if label == 0 and b > high_w:
                 out.append(f"w mass above beta1 at {x}")
-        carried = mu.weighted_label_masses(g, self.w)[1]
-        if carried < (1 - self.alpha1) * mu1:
+            if label == 1:
+                carried += weights[x] * b
+        if carried < (1 - self.alpha1) * dw * ones:
             out.append("w carries less than (1-alpha1) mu_1 of 1-mass")
         return out
 
@@ -192,7 +201,7 @@ def extract_feasible(
     ``qcsynth.build_decision_tree`` verifies the system.
     """
     sol = boosted.solution
-    if mu.n != sol.n:  # with the message label_masses gives
+    if mu.n != sol.n:  # with the message label_sums gives
         raise DimensionMismatchError(
             f"bit counts disagree: measure {mu.n}, function {sol.n}, subcube {sol.n}"
         )

@@ -334,7 +334,7 @@ def synthesis_pipeline(
         raise DimensionMismatchError("the base error level must be below 1/2")
     if delta is not None and delta <= 0:  # build_decision_tree checks it too, after the solve
         raise DimensionMismatchError("delta must be positive")
-    if g.n != mu.n:  # before the qprt solve, with the message label_masses gives
+    if g.n != mu.n:  # before the qprt solve, with the message label_sums gives
         raise DimensionMismatchError(
             f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {g.n}"
         )

@@ -22,7 +22,6 @@ __all__ = [
     "ceil_mul_log2",
     "floor_fourth_root",
     "largest_fourth_power_at_most",
-    "majority_error",
     "check_votes",
     "lower_tail",
     "min_odd_votes_for_error",
@@ -205,20 +204,6 @@ def largest_fourth_power_at_most(target: Fraction) -> tuple[Fraction, Fraction]:
         bits *= 2
 
 
-def majority_error(correct_mass: Fraction, votes: int) -> Fraction:
-    """P[at most floor(t/2) of t independent votes are correct], exactly.
-
-    ``correct_mass`` a = p/q is the per-vote probability of a correct
-    outcome; the result is the binomial lower tail, the sum over
-    j <= floor(t/2) of C(t,j) * a**j * (1-a)**(t-j).  With r = q - p it is
-    summed as the integer sum of C(t,j) * p**j * r**(t-j) over q**t, so
-    only the result is a Fraction.
-    """
-    check_votes(votes)
-    p, q, r = _vote_terms(correct_mass)
-    return Fraction(lower_tail(p, r, votes), q**votes)
-
-
 def check_votes(votes: int) -> None:
     """A majority vote needs a positive odd number of votes."""
     if votes < 1 or votes % 2 == 0:
@@ -241,14 +226,6 @@ def lower_tail(p: int, r: int, votes: int) -> int:
     return acc * r ** (votes - half)
 
 
-def _vote_terms(correct_mass: Fraction) -> tuple[int, int, int]:
-    """(p, q, q - p) for a per-vote correct mass p/q in [0,1]."""
-    a = Fraction(correct_mass)
-    if not 0 <= a <= 1:
-        raise DimensionMismatchError(f"correct mass must lie in [0,1], got {a}")
-    return a.numerator, a.denominator, a.denominator - a.numerator
-
-
 def min_odd_votes_for_error(correct_mass: Fraction, target: Fraction) -> int:
     """Smallest odd t <= 20001 whose exact majority error is <= target.
 
@@ -260,9 +237,13 @@ def min_odd_votes_for_error(correct_mass: Fraction, target: Fraction) -> int:
     K = C(t, (t-1)/2) * (pr)**((t+1)/2), so a step costs a few products of
     one large integer with small ones.
     """
-    if Fraction(correct_mass) <= Fraction(1, 2):
+    a = Fraction(correct_mass)
+    if a <= Fraction(1, 2):
         raise DimensionMismatchError("majority voting needs per-vote correct mass > 1/2")
-    p, q, r = _vote_terms(correct_mass)
+    if a > 1:
+        raise DimensionMismatchError(f"correct mass must lie in [0,1], got {a}")
+    p, q = a.numerator, a.denominator
+    r = q - p
     goal = Fraction(target)
     u, v = goal.numerator, goal.denominator
     qq, pr = q * q, p * r

@@ -10,9 +10,10 @@ stdlib ``sys.settrace`` hook that records the lines executed in
 ``src/lpbounds``; code run in a subprocess (the CLI and demo tests start
 some) is not seen.  A statement counts as run when any line of its own
 span ran: a compound statement (``if``, ``for``, ``def``, ...) is judged by
-its header alone.  The report prints ``module.py: line, line, ...`` for
-each module with unexecuted statements and ends with their total; the
-exit status is pytest's.
+its header alone.  The spans are read before the suite starts, so an edit
+to the source during the run does not move them.  The report prints
+``module.py: line, line, ...`` for each module with unexecuted statements
+and ends with their total; the exit status is pytest's.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def main(argv: list[str]) -> int:
     import pytest
 
     prefix = str(PACKAGE) + "/"
+    spans = {path: statement_spans(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
     hit: dict[str, set[int]] = defaultdict(set)
 
     def local(frame, event, arg):
@@ -78,10 +81,9 @@ def main(argv: list[str]) -> int:
         threading.settrace(None)
 
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, statements in spans.items():
         ran = hit.get(str(path), set())
-        missed = sorted(first for first, last in statement_spans(path.read_text(encoding="utf-8"))
-                        if not ran.intersection(range(first, last + 1)))
+        missed = sorted(first for first, last in statements if not ran.intersection(range(first, last + 1)))
         if missed:
             total += len(missed)
             print(f"{path.name}: {', '.join(map(str, missed))}")

@@ -15,11 +15,12 @@ ANDing point bitmasks.  All of them sum the same tuples in exact integers,
 so on every input ``reference_boost`` and the product must give equal
 weights.
 
-``reference_majority_error`` is the binomial tail as ``lpbounds.rational``
-summed it in Fractions before it summed integers over q**t, and
-``reference_min_odd_votes`` the direct scan that evaluated one whole tail
-per odd vote count before the two-step walk.  All three are slow and only
-used by tests.
+``reference_majority_error`` is the binomial tail as
+``lpbounds.rational.majority_error`` summed it in Fractions before it
+summed integers over q**t; the package now reads the tail off
+``rational.lower_tail`` alone, in integers.  ``reference_min_odd_votes``
+is the direct scan that evaluated one whole tail per odd vote count before
+the two-step walk.  All three are slow and only used by tests.
 """
 
 from __future__ import annotations

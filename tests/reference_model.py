@@ -15,9 +15,11 @@ sum w_K mu_z(K) that ``FeasibleSystem.verify``,
 ``elimination_bound`` and ``build_decision_tree`` each wrote for z = 1.
 They are kept here verbatim, apart from names, as the reference that
 ``tests/test_model.py`` compares ``label_masses``, the error measures of
-``lpbounds.trees``, ``BitProductDistribution.fixed_cube``,
-``model.project_weights`` and ``weighted_label_masses`` against;
-``tests/reference_oracle.py`` still uses ``measure`` and ``bit_measure``.
+``lpbounds.trees``, ``BitProductDistribution.fixed_cube`` and
+``model.project_weights`` against; ``tests/reference_oracle.py`` still
+uses ``measure`` and ``bit_measure``.  ``weighted_masses`` stands in for
+the retired ``weighted_label_masses``: the Fraction build reads it, and
+``tests/test_qcsynth.py`` sets alpha1 at its margin with it.
 
 ``restrict`` is ``ProductDistribution2P.restrict``: protocol synthesis
 built one restricted measure per node with it, where it now reads the
@@ -326,7 +328,7 @@ def elimination_bound(
     if m1 > delta * m0:
         raise InfeasibleConstructionError("elimination bound requires a biased subcube")
     disjoint = {b: wv for b, wv in w.items() if b.support & cube.support == 0}
-    total = mu.weighted_label_masses(g, disjoint)[1]
+    total = weighted_masses(mu, g, disjoint)[1]
     if total > beta1 + delta:
         raise InfeasibleConstructionError(
             f"disjoint-support 1-mass {total} exceeds beta1 + delta = {beta1 + delta}"
@@ -396,7 +398,7 @@ def build_decision_tree(
             if sub_m1 == 0:
                 sub_alpha1 = Fraction(0)
             else:
-                sub_alpha1 = 1 - sub_mu.weighted_label_masses(g, sub_w)[1] / sub_m1
+                sub_alpha1 = 1 - weighted_masses(sub_mu, g, sub_w)[1] / sub_m1
             # mu(outcome) * sub_m1 is mu_1(outcome): sub_mu is mu conditioned on the outcome
             expectation += cur_mu.label_masses(g, outcome)[1] * sub_alpha1
             if sub_alpha1 >= 1:

@@ -20,6 +20,7 @@ from conftest import (
     sample_product_distributions,
     srec_cached,
 )
+from reference_boost import reference_majority_error
 from reference_model import point_masses
 
 from lpbounds import families
@@ -48,7 +49,6 @@ from lpbounds.oracle import ORACLE_CC_MAX_DEPTH, oracle_cc, oracle_qc
 from lpbounds.qcbounds import _cube_family, boost_qprt, build_qprt_lp, qprt_solution
 from lpbounds.qcbounds import qprt_bound as qprt_bound_direct
 from lpbounds.qcsynth import certified_error_budget, synthesis_pipeline
-from lpbounds.rational import majority_error
 from lpbounds.trees import advantage, dtree_error, evaluate, leaf_count, protocol_error, tree_depth
 
 EPS8 = F(1, 8)
@@ -202,7 +202,7 @@ def test_criterion_6_boosting_soundness(capsys):
         for t in (1, 3):
             boosted = boost_qprt(base, g, t)
             level = boosted.achieved_error
-            assert level <= majority_error(1 - EPS8, t)
+            assert level <= reference_majority_error(1 - EPS8, t)
             lp = build_qprt_lp(g, level)
             assign = {
                 f"w{z}_{c.pattern()}": w

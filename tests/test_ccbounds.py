@@ -5,6 +5,7 @@ import reference_lp
 from conftest import CC_CORPUS, UNIFORM_4x4, assert_refuses, chain_cached, srec_cached
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_boost import reference_majority_error
 from reference_duals import build_prt_dual_lp, build_rprt_dual_lp, split_free
 
 from lpbounds import ccbounds, families, serialize
@@ -22,7 +23,7 @@ from lpbounds.ccbounds import (
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError
 from lpbounds.lp import check_feasible, dual_objective, solve
 from lpbounds.model import ProductDistribution2P, TwoPartyFunction
-from lpbounds.rational import format_rational, log2_bracket, majority_error
+from lpbounds.rational import format_rational, log2_bracket
 from lpbounds.serialize import bound_record
 
 
@@ -184,7 +185,7 @@ def test_reduce_error_three_votes_feasible_at_binomial_level():
     base = prt_bound(f, F(1, 4))
     w = partition_weights(base)
     red = reduce_prt_error(w, f, 3)  # re-verifies mass, covering, objective
-    assert red.achieved_error <= majority_error(F(3, 4), 3)
+    assert red.achieved_error <= reference_majority_error(F(3, 4), 3)
     assert red.objective <= base.value**3
     # independent re-check through the LP at the achieved level
     lp = build_prt_lp(f, red.achieved_error)

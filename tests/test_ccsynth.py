@@ -297,6 +297,13 @@ HALF = SynthParams(F(0), F(1, 16), F(1, 2), F(1, 1024), 1, 1)  # valid; delta = 
     [
         (lambda: find_biased_rectangle(CC_CORPUS["eq2"], UNIFORM_4x4, Rectangle(15, 15), {}, F(1, 4), F(1), F(0), 0),
          NoBiasedRectangleError, "no biased rectangle: (1-eps) mu_0 - (delta/rho) mu_1 = 0 <= 0"),
+        # the two messages that print a mass print it over the measure's denominator, 16 here
+        (lambda: find_biased_rectangle(CC_CORPUS["eq2"], UNIFORM_4x4, Rectangle(15, 15), {}, F(1, 4), F(1, 2),
+                                       F(1, 16), 1),
+         NoBiasedRectangleError, "no biased rectangle: (1-eps) mu_1 - (delta/rho) mu_0 = -1/16 <= 0"),
+        (lambda: find_biased_rectangle(CC_CORPUS["eq2"], UNIFORM_4x4, Rectangle(0b0011, 0b1100),
+                                       {Rectangle(15, 15): F(1, 100)}, F(1, 4), F(0), F(0), 0),
+         InfeasibleConstructionError, "biased rectangle mass 1/4 below the guaranteed level"),
         (lambda: replace(HALF, eps=F(2)),
          InfeasibleConstructionError, "eps must be in [0,1] and delta in (0,1)"),
         (lambda: replace(HALF, s=-1),
@@ -316,7 +323,7 @@ HALF = SynthParams(F(0), F(1, 16), F(1, 2), F(1, 1024), 1, 1)  # valid; delta = 
         (lambda: protocol_pipeline(CC_CORPUS["gt2"], UNIFORM_4x4, 3),
          DimensionMismatchError, "part must be 1 or 2"),
     ],
-    ids=["no-demand", "eps", "budgets", "measure-shape", "square", "part1-size", "part1-k",
+    ids=["no-demand", "negative-demand", "below-level", "eps", "budgets", "measure-shape", "square", "part1-size", "part1-k",
          "part2-no-k", "part2-k19", "part"],
 )
 def test_ccsynth_refuses_malformed_input(call, error, message):

@@ -444,3 +444,37 @@ def test_unread_instance_attribute_scan_sees_each_form():
         "    return a.shared\n"
     )
     assert _unread_instance_attributes([tree, other]) == ["counter", "dropped"]
+
+
+# constructions compare integer label sums; the Fraction view is read by trees' error measures alone
+FRACTION_MASS_READERS = [path for path in SOURCES if path.stem != "trees"]
+
+
+def _label_mass_reads(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` that read ``label_masses``: as an attribute, a name or a getattr string."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "label_masses")
+        or (isinstance(node, ast.Name) and node.id == "label_masses")
+        or (isinstance(node, ast.Constant) and node.value == "label_masses")
+    )
+
+
+@pytest.mark.parametrize("path", FRACTION_MASS_READERS, ids=[p.name for p in FRACTION_MASS_READERS])
+def test_only_trees_reads_label_masses(path):
+    assert _label_mass_reads(_tree(path)) == []
+
+
+def test_label_mass_read_scan_sees_each_form():
+    tree = ast.parse(
+        "m0, m1 = mu.label_masses(f, active)\n"
+        "mu1 = self.mu.label_masses(g, cube)[1]\n"
+        "read = mu.label_masses\n"
+        "sums = mu.label_sums(f, active)\n"
+        "def label_masses(self, fn, region):\n"
+        "    return getattr(self, 'label_masses')(fn, region)\n"
+        "label_masses(f, block)\n"
+        "'the message label_masses gives'\n"
+    )
+    assert _label_mass_reads(tree) == [1, 2, 3, 6, 7]

@@ -15,7 +15,6 @@ from reference_model import (
     protocol_error as reference_protocol_error,
     restrict,
     split_loop,
-    weighted_masses,
 )
 from test_serialize import DECISION_TREES, PROTOCOL_TREES
 
@@ -356,42 +355,6 @@ def test_project_weights_matches_the_old_loops(n, data):
 def test_fixed_cube_matches_the_reference(n, data):
     mu = BitProductDistribution(small_fractions(data.draw, n, 1))
     assert mu.fixed_cube() == fixed_cube(n, mu)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2), st.integers(0, 2), st.booleans(), st.data())
-def test_weighted_label_masses_match_the_loop_cc(a, b, restricted, data):
-    """Integer sums over one denominator equal the Fraction loop, on both labels.
-
-    Weights k/d with zeros, measures whose total is not 1, and measures
-    restricted to a rectangle.
-    """
-    nx, ny = 1 << a, 1 << b
-    draw = data.draw
-    f = TwoPartyFunction(
-        tuple(tuple(draw(st.integers(0, 1)) for _ in range(ny)) for _ in range(nx))
-    )
-    mu = ProductDistribution2P(small_fractions(draw, nx, 2), small_fractions(draw, ny, 2))
-
-    def rectangle():
-        return Rectangle(draw(st.integers(0, (1 << nx) - 1)), draw(st.integers(0, (1 << ny) - 1)))
-
-    if restricted:
-        mu = restrict(mu, rectangle())
-    weights = {rectangle(): Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 6)))
-               for _ in range(draw(st.integers(0, 8)))}
-    assert mu.weighted_label_masses(f, weights) == weighted_masses(mu, f, weights)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5), st.data())
-def test_weighted_label_masses_match_the_loop_qc(n, data):
-    """The same on {0,1}^n, with marginals 0 and 1 (fixed bits) among the k/d."""
-    draw = data.draw
-    g = QueryFunction(n, tuple(draw(st.integers(0, 1)) for _ in range(1 << n)))
-    mu = BitProductDistribution(small_fractions(draw, n, 1))
-    weights = draw(weighted_subcubes(n))
-    assert mu.weighted_label_masses(g, weights) == weighted_masses(mu, g, weights)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import QC_CORPUS, assert_refuses, qprt_cached
+from reference_boost import reference_majority_error
 from reference_duals import build_qprt_dual_lp, split_free
 from reference_lp import reference_solve
 from reference_model import point_masses
@@ -18,7 +19,7 @@ from lpbounds.qcbounds import (
     qprt_bound,
     qprt_solution,
 )
-from lpbounds.rational import majority_error, min_odd_votes_for_error
+from lpbounds.rational import min_odd_votes_for_error
 from lpbounds.records import replace
 
 
@@ -107,7 +108,7 @@ def test_boost_three_votes_exact_guarantees():
     total, boosted_correct = point_masses(family, boosted.solution.weights, g.table)
     for x in range(4):
         assert total[x] == 1
-        assert boosted_correct[x] == 1 - majority_error(correct[x], 3)
+        assert boosted_correct[x] == 1 - reference_majority_error(correct[x], 3)
     assert boosted.objective <= res.value**3
     # independent feasibility re-check at the achieved error level
     lp = build_qprt_lp(g, boosted.achieved_error)
@@ -295,3 +296,27 @@ def test_verify_is_exact_at_each_pointwise_margin(family, cube, weight, message)
     assert AT_THE_MARGINS.verify(g, mu) == []
     moved = replace(AT_THE_MARGINS, **{family: {**getattr(AT_THE_MARGINS, family), cube: weight}})
     assert moved.verify(g, mu) == [message]
+
+
+def test_verify_is_exact_at_the_alpha1_margin():
+    """w carrying (1 - alpha1) mu_1 of 1-mass passes; one unit of w's denominator less is reported alone.
+
+    Bit 1 is pinned to 1, and the w cubes 0* and 1* leave it free.  ``mu``
+    weighs only 01 (label 0, 1/3) and 11 (label 1, 2/3), so mu_1 = 2/3 and
+    the margin is w(1*) = 1 - alpha1 = 5/7.  The label-1 points 00 and 10,
+    which ``mu`` does not weigh, carry w mass too.
+    """
+    g, mu = QueryFunction(2, (1, 1, 0, 1)), BitProductDistribution((F(2, 3), F(1)))
+    zero, one = Subcube.from_pattern("0*"), Subcube.from_pattern("1*")
+    system = FeasibleSystem(n=2, u={zero: F(1)}, w={zero: F(2, 7), one: F(5, 7)}, alpha0=F(0),
+                            beta0=F(0), alpha1=F(2, 7), beta1=F(2, 7), a=1, b=1)
+    assert system.verify(g, mu) == []
+    moved = replace(system, w={**system.w, one: F(4, 7)})
+    assert moved.verify(g, mu) == ["w carries less than (1-alpha1) mu_1 of 1-mass"]
+
+
+def test_verify_refuses_a_w_cube_over_another_bit_count():
+    g, mu = QueryFunction(1, (0, 1)), BitProductDistribution((F(1, 2),))
+    system = replace(AT_THE_MARGINS, w={**AT_THE_MARGINS.w, Subcube(2, 1, 1): F(0)})
+    assert_refuses(lambda: system.verify(g, mu), DimensionMismatchError,
+                   "bit counts disagree: measure 1, function 1, subcube 2")

@@ -504,7 +504,7 @@ def _build_inputs(draw):
             alpha0=max([F(0)] + [1 - um[i] for i in zeros]),
             beta0=max([F(0)] + [um[i] for i in ones]),
             beta1=max([F(0)] + [wm[i] for i in zeros]),
-            alpha1=1 - mu.weighted_label_masses(g, w)[1] / mu1 if mu1 else F(0),
+            alpha1=1 - reference_model.weighted_masses(mu, g, w)[1] / mu1 if mu1 else F(0),
             a=max([0] + [c.size for c in u]),
             b=max([fields["b"]] + [c.size for c in w]),
         )

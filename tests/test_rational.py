@@ -9,13 +9,15 @@ from reference_boost import reference_majority_error, reference_min_odd_votes
 
 from lpbounds import rational
 from lpbounds.errors import DimensionMismatchError, ParseError
+from lpbounds.model import Subcube
+from lpbounds.qcbounds import _cube_family
 from lpbounds.rational import (
     ceil_mul_log2,
     floor_fourth_root,
     format_rational,
     largest_fourth_power_at_most,
     log2_bracket,
-    majority_error,
+    lower_tail,
     min_odd_votes_for_error,
     parse_rational,
     power_of_two_exponent,
@@ -162,14 +164,17 @@ def test_largest_fourth_power_at_most_refines_the_grid_below_2_to_the_minus_128(
     assert 0 < d == q**4 <= target < (q + Fraction(1, 1 << bits)) ** 4
 
 
+def majority_error(a: Fraction, votes: int) -> Fraction:
+    """The chance that a majority of t votes is wrong, read off ``lower_tail`` as the boost reads it."""
+    return Fraction(lower_tail(a.numerator, a.denominator - a.numerator, votes), a.denominator**votes)
+
+
 def test_majority_error_small_cases():
     a = Fraction(3, 4)
     assert majority_error(a, 1) == Fraction(1, 4)
     # t=3: C(3,0) b^3 + C(3,1) a b^2
     expected = Fraction(1, 4) ** 3 + 3 * Fraction(3, 4) * Fraction(1, 4) ** 2
     assert majority_error(a, 3) == expected
-    with pytest.raises(ValueError):
-        majority_error(a, 2)
 
 
 @pytest.mark.parametrize(
@@ -180,8 +185,10 @@ def test_majority_error_small_cases():
         (lambda: ceil_mul_log2(1, Fraction(0)), "log2 requires a positive rational"),
         (lambda: floor_fourth_root(-1), "fourth root of a negative integer"),
         (lambda: largest_fourth_power_at_most(Fraction(0)), "target must be positive"),
-        (lambda: majority_error(Fraction(3, 2), 1), "correct mass must lie in [0,1], got 3/2"),
-        (lambda: majority_error(Fraction(3, 4), 2),
+        (lambda: min_odd_votes_for_error(Fraction(3, 2), Fraction(1, 8)),
+         "correct mass must lie in [0,1], got 3/2"),
+        # one unit weight on the whole of {0,1}: an exact-mass input, so the vote count is checked next
+        (lambda: _cube_family(1).boost({(0, Subcube(1, 0, 0)): Fraction(1)}, (0, 1), 2),
          "vote count must be a positive odd integer, got 2"),
         (lambda: min_odd_votes_for_error(Fraction(1, 2), Fraction(1, 8)),
          "majority voting needs per-vote correct mass > 1/2"),
@@ -206,9 +213,9 @@ def test_min_odd_votes():
     target = Fraction(1, 1000)
     t = min_odd_votes_for_error(a, target)
     assert t % 2 == 1
-    assert majority_error(a, t) <= target
+    assert reference_majority_error(a, t) <= target
     if t > 1:
-        assert majority_error(a, t - 2) > target
+        assert reference_majority_error(a, t - 2) > target
     with pytest.raises(ValueError):
         min_odd_votes_for_error(Fraction(1, 2), target)
 
