@@ -62,8 +62,8 @@ class SrecInstance(Record):
             raise DimensionMismatchError(f"z must be 0 or 1, got {self.z}")
         check_unit_interval("eps", self.eps)
         check_unit_interval("delta", self.delta)
-        if self.mu is not None and (self.mu.nx != self.f.nx or self.mu.ny != self.f.ny):
-            raise DimensionMismatchError("distribution shape does not match function")
+        if self.mu is not None:  # build_srec_lp zips the point weights with f's labels
+            self.mu.check_shape(self.f)
 
 
 def _rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:

@@ -319,8 +319,7 @@ def synthesize(
     solutions are carried down the recursion unchanged, and every node
     reads ``mu`` on its active rectangle.
     """
-    if mu.nx != f.nx or mu.ny != f.ny:
-        raise DimensionMismatchError("measure shape does not match function")
+    mu.check_shape(f)
     params.validate(mu.total, weight_value(weights0), weight_value(weights1))
     q = params.delta_root
     rho = q * q

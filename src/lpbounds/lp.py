@@ -333,7 +333,7 @@ class Violation(Record):
 
 
 class LPSolution(Record):
-    status: str  # always "optimal"; kept in the record, which reports and cache entries hold
+    status = "optimal"  # every solve ends at an optimum; reports and cache entries hold it
     value: Fraction
     primal: dict[str, Fraction]
     dual: tuple[Fraction, ...]
@@ -460,12 +460,9 @@ def dual_objective(lp: LinearProgram, dual: tuple[Fraction, ...] | list[Fraction
 def certify(lp: LinearProgram, sol: LPSolution) -> list[str]:
     """Every way ``sol`` fails to certify an optimum of ``lp``; [] iff it holds.
 
-    It needs the status "optimal" (any other is unknown), a feasible primal
-    over declared variables, a feasible dual of matching length and equal
-    primal, dual and reported values.
+    It needs a feasible primal over declared variables, a feasible dual of
+    matching length and equal primal, dual and reported values.
     """
-    if sol.status != "optimal":
-        return [f"unknown status {sol.status!r}"]
     undeclared = sorted(set(sol.primal).difference(lp.variables))
     if undeclared:
         return [f"primal names undeclared variables {undeclared}"]
@@ -901,10 +898,7 @@ class _Simplex:
         # cost . x from the basis: sum of L * c_j * (xd * L_b * x_j) over L * xd * L_b
         value = Fraction(sum(map(mul, map(self.cost2.__getitem__, self.basis), self.x)),
                          self.l2 * x_den)
-        return LPSolution(
-            "optimal", value, primal, tuple(self._row_duals()),
-            self.iterations, phase1_iterations,
-        )
+        return LPSolution(value, primal, tuple(self._row_duals()), self.iterations, phase1_iterations)
 
     def _row_duals(self) -> list[Fraction]:
         """The phase-2 duals of the program's rows: L * D, sigma_i and the flip undone."""
@@ -952,7 +946,7 @@ def _solution_from_record(rec: object) -> LPSolution | None:
         parsed = {t: parse_rational(t) for t in {value, *primal.values(), *dual}}
     except ParseError:
         return None
-    return LPSolution("optimal", parsed[value], {v: parsed[c] for v, c in primal.items()},
+    return LPSolution(parsed[value], {v: parsed[c] for v, c in primal.items()},
                       tuple(map(parsed.__getitem__, dual)), *counts)
 
 

@@ -18,10 +18,11 @@ weighted subcubes keyed by the bare (support, values) pair (``Masks``).
 Measures are exact rationals and are *not* required to be normalized;
 ``ProductDistribution2P`` totals may be any non-negative rational, while
 ``BitProductDistribution`` is normalized by construction (each coordinate
-carries a marginal p_i in [0,1] whose complement is 1 - p_i).  Both are
-summed by label through one integer layer, ``_PointMeasure``: constructions
-compare its integer ``label_sums`` (D times the two label masses, D the
-measure's denominator), and ``label_masses`` divides them by D.
+carries a marginal p_i in [0,1] whose complement is 1 - p_i).  A measure
+is its integer ``point_weights`` (D, W) over one denominator D, the
+``label_sums`` of ``_PointMeasure`` (D times the two label masses of a
+region) and one ``check_shape``, the only code that refuses a function or
+region of another shape than the measure's.
 """
 
 from __future__ import annotations
@@ -215,22 +216,16 @@ class _PointMeasure:
 
     A measure supplies ``point_weights`` (D, W), W[p] = D * mu(p) an integer
     at each point p, and ``_points(fn, region)``, a region's points after
-    one shape check, indexed as ``fn.labels``.
+    its ``check_shape``, indexed as ``fn.labels``.
     """
 
     def label_sums(self, fn, region) -> tuple[int, int]:
-        """(D * mu_0(region), D * mu_1(region)), summed as integers."""
+        """(D * mu_0(region), D * mu_1(region)), mu_z = mu(region & fn^-1(z)), summed as integers."""
         weights, labels = self.point_weights[1], fn.labels
         sums = [0, 0]
         for p in self._points(fn, region):
             sums[labels[p]] += weights[p]
         return sums[0], sums[1]
-
-    def label_masses(self, fn, region) -> tuple[Fraction, Fraction]:
-        """(mu_0(region), mu_1(region)), mu_z = mu(region & fn^-1(z)): ``label_sums`` / D."""
-        s0, s1 = self.label_sums(fn, region)
-        den = self.point_weights[0]
-        return Fraction(s0, den), Fraction(s1, den)
 
 
 class ProductDistribution2P(Record, _PointMeasure):
@@ -269,11 +264,15 @@ class ProductDistribution2P(Record, _PointMeasure):
         dc, cols = numerators(self.col_weights)
         return dr * dc, tuple(r * c for r in rows for c in cols)
 
-    def _points(self, f: TwoPartyFunction, rect: Rectangle) -> list[int]:
+    def check_shape(self, f: TwoPartyFunction) -> None:
+        """Refuse a function on another table shape than the measure's."""
         if self.nx != f.nx or self.ny != f.ny:
             raise DimensionMismatchError(
                 f"measure is {self.nx}x{self.ny} but function is {f.nx}x{f.ny}"
             )
+
+    def _points(self, f: TwoPartyFunction, rect: Rectangle) -> list[int]:
+        self.check_shape(f)
         ys = [y for y in range(self.ny) if (rect.cols >> y) & 1]
         return [x * self.ny + y for x in range(self.nx) if (rect.rows >> x) & 1 for y in ys]
 
@@ -316,11 +315,16 @@ class BitProductDistribution(Record, _PointMeasure):
             weights = [w * zero for w in weights] + [w * one for w in weights]
         return prod(q.denominator for q in self.p), tuple(weights)
 
-    def _points(self, g: QueryFunction, cube: Subcube) -> Iterator[int]:
-        if self.n != g.n or cube.n != g.n:
+    def check_shape(self, g: QueryFunction, cube: Subcube | None) -> None:
+        """Refuse a function, or a subcube of it (None for none), over another bit count than the measure's."""
+        if self.n != g.n or (cube is not None and cube.n != g.n):
+            of_cube = "" if cube is None else f", subcube {cube.n}"
             raise DimensionMismatchError(
-                f"bit counts disagree: measure {self.n}, function {g.n}, subcube {cube.n}"
+                f"bit counts disagree: measure {self.n}, function {g.n}{of_cube}"
             )
+
+    def _points(self, g: QueryFunction, cube: Subcube) -> Iterator[int]:
+        self.check_shape(g, cube)
         return cube.members()
 
     def fixed_cube(self) -> Subcube:

@@ -138,14 +138,11 @@ class FeasibleSystem(Record):
             if c.size > self.a:
                 out.append(f"u support {c.pattern()} exceeds a={self.a}")
         for c in self.w:
-            if c.n != self.n:  # the point loop below reads w only on this system's points
-                raise DimensionMismatchError(
-                    f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {c.n}"
-                )
             if c.size > self.b:
                 out.append(f"w support {c.pattern()} exceeds b={self.b}")
         consistent = mu.fixed_cube()
         for c in list(self.u) + list(self.w):
+            mu.check_shape(g, c)  # the point loop below reads both families only on this system's points
             if c.support & consistent.support:
                 out.append(f"support {c.pattern()} uses a mu-fixed bit")
         points = list(consistent.members())
@@ -201,10 +198,7 @@ def extract_feasible(
     ``qcsynth.build_decision_tree`` verifies the system.
     """
     sol = boosted.solution
-    if mu.n != sol.n:  # with the message label_sums gives
-        raise DimensionMismatchError(
-            f"bit counts disagree: measure {mu.n}, function {sol.n}, subcube {sol.n}"
-        )
+    mu.check_shape(sol, None)
     if gamma <= 0:
         raise DimensionMismatchError(f"gamma must be positive, got {format_rational(gamma)}")
     if boosted.achieved_error > gamma:

@@ -77,9 +77,7 @@ def build_decision_tree(
         raise DimensionMismatchError("delta must be positive")
     if not 0 <= system.alpha0 < 1:
         raise DimensionMismatchError("the 0-side margin alpha0 must lie in [0, 1)")
-    if g.n != mu.n or g.n != system.n:
-        raise DimensionMismatchError("bit counts disagree")
-    problems = system.verify(g, mu)
+    problems = system.verify(g, mu)  # which refuses g, mu and system over different bit counts
     if problems:
         raise InfeasibleConstructionError(f"infeasible system: {problems[0]}")
 
@@ -334,10 +332,7 @@ def synthesis_pipeline(
         raise DimensionMismatchError("the base error level must be below 1/2")
     if delta is not None and delta <= 0:  # build_decision_tree checks it too, after the solve
         raise DimensionMismatchError("delta must be positive")
-    if g.n != mu.n:  # before the qprt solve, with the message label_sums gives
-        raise DimensionMismatchError(
-            f"bit counts disagree: measure {mu.n}, function {g.n}, subcube {g.n}"
-        )
+    mu.check_shape(g, None)  # before the qprt solve
     bound = qcbounds.qprt_bound(g, eps)
     value = bound.value
     ceil_value = -((-value.numerator) // value.denominator)

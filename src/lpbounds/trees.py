@@ -6,7 +6,8 @@ at a ``DNode`` bit ``bit`` is queried (``child1`` if set, else
 ``child0``).  Both kinds share one ``Leaf`` and list their subtrees, in
 file order, as ``children``, so one memoised walker serves both.  Errors
 are measured by exhaustive evaluation, never by a construction's own
-accounting.
+accounting: the weights of the inputs a tree gets wrong, summed against the
+measure's integer point weights after its ``check_shape``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .model import (
     ProductDistribution2P,
     QueryFunction,
     TwoPartyFunction,
-    full_cube,
-    full_rectangle,
 )
 from .records import Record, set_field
 
@@ -129,14 +128,11 @@ def evaluate(tree: ProtocolTree, x: int, y: int) -> int:
 def protocol_error(
     tree: ProtocolTree, f: TwoPartyFunction, mu: ProductDistribution2P
 ) -> Fraction:
-    """Incorrect mass, by exhaustive evaluation: the 1-mass of the mismatch table."""
-    wrong = TwoPartyFunction(
-        tuple(
-            tuple(int(evaluate(tree, x, y) != f.value(x, y)) for y in range(f.ny))
-            for x in range(f.nx)
-        )
-    )
-    return mu.label_masses(wrong, full_rectangle(f))[1]
+    """Incorrect mass, by exhaustive evaluation: W summed over the cells where tree and f differ, over D."""
+    mu.check_shape(f)
+    den, weights = mu.point_weights
+    return Fraction(sum(w for p, (w, label) in enumerate(zip(weights, f.labels))
+                        if evaluate(tree, *divmod(p, f.ny)) != label), den)
 
 
 def advantage(
@@ -160,11 +156,11 @@ def dtree_evaluate(tree: DecisionTree, x: int) -> int:
 def dtree_error(
     tree: DecisionTree, g: QueryFunction, mu: BitProductDistribution
 ) -> Fraction:
-    """Exact error mass Pr_mu[g(x) != tree(x)]: the 1-mass of the mismatch table."""
-    wrong = QueryFunction(
-        g.n, tuple(int(dtree_evaluate(tree, x) != g.value(x)) for x in range(1 << g.n))
-    )
-    return mu.label_masses(wrong, full_cube(g.n))[1]
+    """Exact error mass Pr_mu[g(x) != tree(x)]: W summed over the points where tree and g differ, over D."""
+    mu.check_shape(g, None)
+    den, weights = mu.point_weights
+    return Fraction(sum(w for x, (w, label) in enumerate(zip(weights, g.labels))
+                        if dtree_evaluate(tree, x) != label), den)
 
 
 def dtree_queried_bits_ok(tree: DecisionTree) -> bool:

@@ -24,9 +24,9 @@ values and equal ``Violation`` lists.
 ``integer_row`` is the row scaling ``lpbounds.lp`` applied to every rational
 row in each consumer before programs were held in integer form, and
 ``srec_parts`` and ``partition_parts`` are the builders' rational rows from
-then, with one ``label_masses`` call per rectangle for the averaged srec
-covering row.  ``reference_form`` of their rows must equal ``integer_form``
-of the program the builders now emit.
+then, with one ``reference_model.label_masses`` call per rectangle for the
+averaged srec covering row.  ``reference_form`` of their rows must equal
+``integer_form`` of the program the builders now emit.
 
 ``program_key`` is ``lpbounds.lp._program_key`` as it encoded every row in
 one loop, before each ``Row`` held its own key bytes; the two must give
@@ -45,6 +45,7 @@ from math import lcm
 from lpbounds.errors import LpboundsError
 from lpbounds.lp import EQ, GE, LE, MAX_PIVOTS, LinearProgram, LPSolution, Row, Violation, scaled_row
 from lpbounds.model import enumerate_rectangles, full_rectangle
+from reference_model import label_masses
 
 
 @dataclass(frozen=True)
@@ -308,15 +309,13 @@ def reference_solve(lp: LinearProgram) -> LPSolution | Infeasible:
 
     status = sx._iterate(sx.cost2, sx.n_structural)
     if status == "unbounded":  # no program ``solve`` accepts ends here; no ray is kept
-        return LPSolution("unbounded", None, {}, (), sx.iterations, phase1_iterations)
+        raise LpboundsError("phase-2 objective is unbounded")
 
     x_std = {sx.basis[i]: sx.x_b[i] for i in range(sx.m) if sx.x_b[i] != 0}
     primal = _project(sx, x_std)
     y_std = sx._duals(sx.cost2)
     dual = tuple(sx.flip[i] * y_std[i] for i in range(sx.m))
-    return LPSolution(
-        "optimal", objective_value(lp, primal), primal, dual, sx.iterations, phase1_iterations
-    )
+    return LPSolution(objective_value(lp, primal), primal, dual, sx.iterations, phase1_iterations)
 
 
 def _project(sx: _Simplex, std: dict[int, Fraction]) -> dict[str, Fraction]:
@@ -458,8 +457,8 @@ def srec_parts(inst) -> tuple[tuple[str, ...], dict[str, Fraction], list[Constra
             if f.value(x, y) == z:
                 constraints.append(Constraint(row, ">=", 1 - inst.eps, f"cov_{x}_{y}"))
     else:
-        mu_z = inst.mu.label_masses(f, full_rectangle(f))[z]
-        row = {name: inst.mu.label_masses(f, r)[z] for name, r in zip(names, rects)}
+        mu_z = label_masses(inst.mu, f, full_rectangle(f))[z]
+        row = {name: label_masses(inst.mu, f, r)[z] for name, r in zip(names, rects)}
         constraints.append(Constraint(row, ">=", (1 - inst.eps) * mu_z, "cov"))
     for (x, y), row in containing.items():
         if f.value(x, y) != z:

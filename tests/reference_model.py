@@ -14,12 +14,16 @@ through ``ProductDistribution2P`` weights and ``BitProductDistribution.point``
 sum w_K mu_z(K) that ``FeasibleSystem.verify``,
 ``elimination_bound`` and ``build_decision_tree`` each wrote for z = 1.
 They are kept here verbatim, apart from names, as the reference that
-``tests/test_model.py`` compares ``label_masses``, the error measures of
+``tests/test_model.py`` compares ``label_sums``, the error measures of
 ``lpbounds.trees``, ``BitProductDistribution.fixed_cube`` and
 ``model.project_weights`` against; ``tests/reference_oracle.py`` still
 uses ``measure`` and ``bit_measure``.  ``weighted_masses`` stands in for
 the retired ``weighted_label_masses``: the Fraction build reads it, and
 ``tests/test_qcsynth.py`` sets alpha1 at its margin with it.
+
+``label_masses`` is the retired ``_PointMeasure.label_masses``, the two
+label sums over the measure's denominator: the Fraction view that tests
+and the Fraction builds here read.
 
 ``restrict`` is ``ProductDistribution2P.restrict``: protocol synthesis
 built one restricted measure per node with it, where it now reads the
@@ -121,6 +125,12 @@ def weighted_masses(mu, fn, weights: dict) -> tuple[Fraction, Fraction]:
         sum((w * label_mass(mu, fn, z, region) for region, w in weights.items()), Fraction(0))
         for z in (0, 1)
     )
+
+
+def label_masses(mu, fn, region) -> tuple[Fraction, Fraction]:
+    """(mu_0(region), mu_1(region)): ``mu.label_sums`` over the measure's denominator."""
+    den = mu.point_weights[0]
+    return tuple(Fraction(s, den) for s in mu.label_sums(fn, region))
 
 
 def point_masses(family, weights: dict, labels) -> tuple[list[Fraction], list[Fraction]]:
@@ -293,7 +303,7 @@ def find_biased_subcube(
     a: int,
 ) -> Subcube:
     """A biased support subcube: mu_1(A) <= delta * mu_0(A), support <= a."""
-    mu0, mu1 = mu.label_masses(g, full_cube(g.n))
+    mu0, mu1 = label_masses(mu, g, full_cube(g.n))
     if (1 - alpha0) * mu0 - (beta0 / delta) * mu1 <= 0:
         raise NoBiasedRectangleError(
             "biased-subcube assumption fails: answering 1 without queries"
@@ -304,7 +314,7 @@ def find_biased_subcube(
         weight = u[cube]
         if weight <= 0 or cube.size > a:
             continue
-        m0, m1 = mu.label_masses(g, cube)
+        m0, m1 = label_masses(mu, g, cube)
         if m1 > delta * m0:
             continue
         score = weight * m0
@@ -324,7 +334,7 @@ def elimination_bound(
     delta: Fraction,
 ) -> Fraction:
     """1-mass carried by w-subcubes support-disjoint from ``cube``, at most beta1 + delta."""
-    m0, m1 = mu.label_masses(g, cube)
+    m0, m1 = label_masses(mu, g, cube)
     if m1 > delta * m0:
         raise InfeasibleConstructionError("elimination bound requires a biased subcube")
     disjoint = {b: wv for b, wv in w.items() if b.support & cube.support == 0}
@@ -365,7 +375,7 @@ def build_decision_tree(
         alpha1: Fraction,
         budget: int,
     ) -> DecisionTree:
-        m0, m1 = cur_mu.label_masses(g, cube_all)
+        m0, m1 = label_masses(cur_mu, g, cube_all)
         if min(m0, m1) < quarter:
             stats.guess_leaves += 1
             return Leaf(popular_label(m0, m1))
@@ -394,13 +404,13 @@ def build_decision_tree(
             sub_u = project_weights(u, outcome)
             # support-disjoint w mass is eliminated
             sub_w = project_weights({c: v for c, v in w.items() if c.support & support}, outcome)
-            sub_m0, sub_m1 = sub_mu.label_masses(g, cube_all)
+            sub_m0, sub_m1 = label_masses(sub_mu, g, cube_all)
             if sub_m1 == 0:
                 sub_alpha1 = Fraction(0)
             else:
                 sub_alpha1 = 1 - weighted_masses(sub_mu, g, sub_w)[1] / sub_m1
             # mu(outcome) * sub_m1 is mu_1(outcome): sub_mu is mu conditioned on the outcome
-            expectation += cur_mu.label_masses(g, outcome)[1] * sub_alpha1
+            expectation += label_masses(cur_mu, g, outcome)[1] * sub_alpha1
             if sub_alpha1 >= 1:
                 stats.margin_leaves += 1
                 outcomes[values] = Leaf(popular_label(sub_m0, sub_m1))

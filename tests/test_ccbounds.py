@@ -39,7 +39,7 @@ def test_partition_programs_reject_eps_outside_unit_interval(build, eps):
     [
         (lambda: SrecInstance(CC_CORPUS["eq2"], 2, F(0), F(0)), "z must be 0 or 1, got 2"),
         (lambda: SrecInstance(CC_CORPUS["eq2"], 0, F(0), F(0), ProductDistribution2P.uniform(2, 2)),
-         "distribution shape does not match function"),
+         "measure is 2x2 but function is 4x4"),
     ],
     ids=["z", "measure-shape"],
 )

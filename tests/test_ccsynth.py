@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import CC_CORPUS, UNIFORM_4x4, assert_refuses
+from reference_model import label_masses
 
 from lpbounds import ccsynth, families
 from lpbounds import lp as lpmod
@@ -69,8 +70,8 @@ def test_advantage_eq2_leaf():
 
 
 def test_protocol_error_rejects_a_measure_of_another_shape():
-    with pytest.raises(DimensionMismatchError):
-        protocol_error(Leaf(0), CC_CORPUS["eq2"], ProductDistribution2P.uniform(2, 2))
+    assert_refuses(lambda: protocol_error(Leaf(0), CC_CORPUS["eq2"], ProductDistribution2P.uniform(2, 2)),
+                   DimensionMismatchError, "measure is 2x2 but function is 4x4")
 
 
 def test_find_biased_rectangle_constant():
@@ -108,9 +109,9 @@ def test_find_biased_rectangle_from_srec_solution():
     weights = srec_weights(res)
     rho = F(1, 4)
     rect = find_biased_rectangle(f, UNIFORM_4x4, full_rectangle(f), weights, rho, F(0), F(0), z=0)
-    m0, m1 = UNIFORM_4x4.label_masses(f, rect)
+    m0, m1 = label_masses(UNIFORM_4x4, f, rect)
     assert m1 <= rho * m0
-    mu0 = UNIFORM_4x4.label_masses(f, full_rectangle(f))[0]
+    mu0 = label_masses(UNIFORM_4x4, f, full_rectangle(f))[0]
     assert m0 >= mu0 / res.value  # delta = 0 kills the subtracted term
 
 
@@ -148,12 +149,12 @@ def test_decompose_case_b_covering_verified():
         block = dec.block
         covered = sum(
             (
-                wt * mu.label_masses(f, rect.intersect(block))[1]
+                wt * label_masses(mu, f, rect.intersect(block))[1]
                 for rect, wt in dec.restricted.items()
             ),
             F(0),
         )
-        assert covered >= (1 - dec.sub_eps) * mu.label_masses(f, block)[1]
+        assert covered >= (1 - dec.sub_eps) * label_masses(mu, f, block)[1]
         assert sum(dec.restricted.values(), F(0)) <= F(9, 10) * r1.value
 
 
@@ -212,7 +213,7 @@ def test_synthesize_t_zero_exit():
     assert (params.s, params.t) == (300, 1)
     tree = synthesize(f, mu, params, w0, w1)
     # the rest child at t = 0 is neither lopsided nor out of advantage budget
-    assert mu.label_masses(f, Rectangle(0b1001, 0b1111)) == (F(1, 4), F(1, 4))
+    assert label_masses(mu, f, Rectangle(0b1001, 0b1111)) == (F(1, 4), F(1, 4))
     assert params.eps + 30 * (params.s + 1) * params.delta_root < F(1, 10)
     assert tree == PNode("A", 0b0110, PNode("B", 0b0110, Leaf(0), Leaf(1)), Leaf(0))
     assert leaf_count(tree) == 3 and advantage(tree, f, mu) == F(1, 2)
@@ -309,7 +310,7 @@ HALF = SynthParams(F(0), F(1, 16), F(1, 2), F(1, 1024), 1, 1)  # valid; delta = 
         (lambda: replace(HALF, s=-1),
          InfeasibleConstructionError, "budgets must be non-negative"),
         (lambda: synthesize(CC_CORPUS["eq2"], ProductDistribution2P.uniform(2, 2), HALF, {}, {}),
-         DimensionMismatchError, "measure shape does not match function"),
+         DimensionMismatchError, "measure is 2x2 but function is 4x4"),
         (lambda: protocol_pipeline(TwoPartyFunction(((0, 1, 0, 1), (1, 0, 1, 0))), UNIFORM_4x4, 1),
          DimensionMismatchError, "square domains only"),
         (lambda: protocol_pipeline(families.eq(1), ProductDistribution2P.uniform(2, 2), 1),

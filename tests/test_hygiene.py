@@ -446,23 +446,22 @@ def test_unread_instance_attribute_scan_sees_each_form():
     assert _unread_instance_attributes([tree, other]) == ["counter", "dropped"]
 
 
-# constructions compare integer label sums; the Fraction view is read by trees' error measures alone
-FRACTION_MASS_READERS = [path for path in SOURCES if path.stem != "trees"]
-
-
+# a measure is read as integer label sums alone; tests/reference_model.py keeps the Fraction view
 def _label_mass_reads(tree: ast.Module) -> list[int]:
-    """The lines of ``tree`` that read ``label_masses``: as an attribute, a name or a getattr string."""
+    """The lines of ``tree`` that define or read ``label_masses``: as a function, an attribute,
+    a name or a getattr string."""
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Attribute) and node.attr == "label_masses")
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "label_masses")
+        or (isinstance(node, ast.Attribute) and node.attr == "label_masses")
         or (isinstance(node, ast.Name) and node.id == "label_masses")
         or (isinstance(node, ast.Constant) and node.value == "label_masses")
     )
 
 
-@pytest.mark.parametrize("path", FRACTION_MASS_READERS, ids=[p.name for p in FRACTION_MASS_READERS])
-def test_only_trees_reads_label_masses(path):
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_trees_reads_label_masses(path):  # named when trees read it; now no module does
     assert _label_mass_reads(_tree(path)) == []
 
 
@@ -477,4 +476,40 @@ def test_label_mass_read_scan_sees_each_form():
         "label_masses(f, block)\n"
         "'the message label_masses gives'\n"
     )
-    assert _label_mass_reads(tree) == [1, 2, 3, 6, 7]
+    assert _label_mass_reads(tree) == [1, 2, 3, 5, 6, 7]
+
+
+# a measure's check_shape is the one refusal of a function or region of another shape
+SHAPE_MESSAGE_PREFIXES = ("bit counts disagree", "measure is")
+
+
+def _shape_messages(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` whose string constants, f-string parts included, spell a
+    measure/function/region mismatch."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and (node.value.startswith(SHAPE_MESSAGE_PREFIXES) or "shape does not match" in node.value)
+    )
+
+
+SHAPE_CHECKERS = [path for path in SOURCES if path.stem != "model"]
+
+
+@pytest.mark.parametrize("path", SHAPE_CHECKERS, ids=[p.name for p in SHAPE_CHECKERS])
+def test_only_model_spells_a_shape_mismatch(path):
+    assert _shape_messages(_tree(path)) == []
+
+
+def test_shape_message_scan_sees_each_form():
+    tree = ast.parse(
+        "raise DimensionMismatchError('bit counts disagree')\n"
+        "raise DimensionMismatchError(f'bit counts disagree: measure {mu.n}, function {g.n}')\n"
+        "raise DimensionMismatchError(f'measure is {mu.nx}x{mu.ny} but function is {f.nx}x{f.ny}')\n"
+        "raise DimensionMismatchError('distribution shape does not match function')\n"
+        "raise DimensionMismatchError(f'the {name} shape does not match the function')\n"
+        "'the measure is normalized'\n"
+        "mu.check_shape(g, None)\n"
+    )
+    assert _shape_messages(tree) == [1, 2, 3, 4, 5]

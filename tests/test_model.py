@@ -8,6 +8,7 @@ from reference_model import (
     bit_measure,
     dtree_error as reference_dtree_error,
     fixed_cube,
+    label_masses,
     mass,
     measure,
     project_cube,
@@ -36,17 +37,18 @@ from lpbounds.model import (
 from lpbounds.trees import DNode, Leaf, PNode, check_fits, dtree_error, protocol_error
 
 UNIFORM = ProductDistribution2P.uniform(4, 4)
+DEN = UNIFORM.point_weights[0]  # label sums are masses times D
 
 
 def test_measure_const_zero_full_domain():
     f = families.const2p(2, 0)
-    assert UNIFORM.label_masses(f, full_rectangle(f))[0] == 1
+    assert UNIFORM.label_sums(f, full_rectangle(f))[0] == 1 * DEN
 
 
 def test_measure_empty_rectangle():
     f = families.eq(2)
-    assert UNIFORM.label_masses(f, Rectangle(0, 0))[1] == 0
-    assert UNIFORM.label_masses(f, Rectangle(5, 0))[0] == 0
+    assert UNIFORM.label_sums(f, Rectangle(0, 0))[1] == 0
+    assert UNIFORM.label_sums(f, Rectangle(5, 0))[0] == 0
 
 
 def test_measure_eq2_diagonal():
@@ -62,27 +64,26 @@ def test_measure_eq2_diagonal():
         Fraction(0),
     )
     assert expected == Fraction(1, 4)
-    assert UNIFORM.label_masses(f, full_rectangle(f))[1] == Fraction(1, 4)
+    assert UNIFORM.label_sums(f, full_rectangle(f))[1] == expected * DEN
 
 
 def test_measure_dimension_mismatch():
     f = families.eq(1)
-    with pytest.raises(DimensionMismatchError):
-        UNIFORM.label_masses(f, full_rectangle(f))
+    assert_refuses(lambda: UNIFORM.label_sums(f, full_rectangle(f)), DimensionMismatchError,
+                   "measure is 4x4 but function is 2x2")
 
 
 def test_bit_measure_const_one():
     g = families.const_q(3, 1)
     mu = BitProductDistribution.uniform(3)
-    assert mu.label_masses(g, full_cube(3))[1] == 1
+    assert mu.label_sums(g, full_cube(3))[1] == 1 * mu.point_weights[0]
 
 
 def test_bit_measure_zero_marginal():
     g = families.and_q(2)
     mu = BitProductDistribution((Fraction(0), Fraction(1, 2)))
     cube = Subcube.from_pattern("1*")  # fixes bit 0 to 1, probability 0
-    assert mu.label_masses(g, cube)[1] == 0
-    assert mu.label_masses(g, cube)[0] == 0
+    assert mu.label_sums(g, cube) == (0, 0)
 
 
 def test_bit_measure_and2_half_cube():
@@ -92,7 +93,7 @@ def test_bit_measure_and2_half_cube():
     # members are x=01b (1) and x=11b (3); only 3 has AND = 1
     members = sorted(cube.members())
     assert members == [1, 3]
-    assert mu.label_masses(g, cube)[1] == Fraction(1, 4)
+    assert mu.label_sums(g, cube)[1] == Fraction(1, 4) * mu.point_weights[0]
 
 
 def test_enumerate_rectangles_counts():
@@ -170,7 +171,7 @@ def test_mass_splits_by_output(mu, rows, cols, data):
     )
     f = TwoPartyFunction(table)
     rect = Rectangle(rows & ((1 << nx) - 1), cols & ((1 << ny) - 1))
-    assert sum(mu.label_masses(f, rect)) == mass(mu, rect)
+    assert sum(mu.label_sums(f, rect)) == mass(mu, rect) * mu.point_weights[0]
 
 
 def small_fractions(draw, count: int, top: int) -> tuple[Fraction, ...]:
@@ -185,7 +186,7 @@ def small_fractions(draw, count: int, top: int) -> tuple[Fraction, ...]:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3), st.data())
 def test_label_masses_match_the_reference_cc(a, b, data):
-    """One-pass integer sums equal the old per-label Fraction sums, on both labels.
+    """One-pass integer sums equal the old per-label Fraction sums times D, on both labels.
 
     Tables up to 8x8, weights k/d (zeros and totals other than 1 included),
     empty, partial and full rectangles.
@@ -197,7 +198,8 @@ def test_label_masses_match_the_reference_cc(a, b, data):
     )
     mu = ProductDistribution2P(small_fractions(draw, nx, 2), small_fractions(draw, ny, 2))
     rect = Rectangle(draw(st.integers(0, (1 << nx) - 1)), draw(st.integers(0, (1 << ny) - 1)))
-    assert mu.label_masses(f, rect) == (measure(mu, f, 0, rect), measure(mu, f, 1, rect))
+    den = mu.point_weights[0]
+    assert mu.label_sums(f, rect) == (den * measure(mu, f, 0, rect), den * measure(mu, f, 1, rect))
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,7 +223,7 @@ def test_label_masses_on_an_intersection_match_the_restricted_measure(a, b, data
         return Rectangle(draw(st.integers(0, (1 << nx) - 1)), draw(st.integers(0, (1 << ny) - 1)))
 
     rect, active = rectangle(), rectangle()
-    assert mu.label_masses(f, rect.intersect(active)) == restrict(mu, active).label_masses(f, rect)
+    assert label_masses(mu, f, rect.intersect(active)) == label_masses(restrict(mu, active), f, rect)
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,7 +235,8 @@ def test_label_masses_match_the_reference_qc(n, data):
     mu = BitProductDistribution(small_fractions(draw, n, 1))
     support = draw(st.integers(0, (1 << n) - 1))
     cube = Subcube(n, support, draw(st.integers(0, (1 << n) - 1)) & support)
-    assert mu.label_masses(g, cube) == (bit_measure(mu, g, 0, cube), bit_measure(mu, g, 1, cube))
+    den = mu.point_weights[0]
+    assert mu.label_sums(g, cube) == (den * bit_measure(mu, g, 0, cube), den * bit_measure(mu, g, 1, cube))
 
 
 @settings(max_examples=60, deadline=None)

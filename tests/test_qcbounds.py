@@ -225,7 +225,7 @@ FULL3 = Subcube.from_pattern("***")
         (lambda: _extract({(0, FULL3): F(1)}, F(0), F(-1, 8)),
          DimensionMismatchError, "gamma must be positive, got -1/8"),
         (lambda: _extract({(0, FULL3): F(1)}, F(0), F(1, 8), bits=4),
-         DimensionMismatchError, "bit counts disagree: measure 4, function 3, subcube 3"),
+         DimensionMismatchError, "bit counts disagree: measure 4, function 3"),
     ],
     ids=["cap", "gamma-below-error", "discarded-mass", "gamma-zero", "gamma-negative", "bit-count"],
 )
@@ -318,5 +318,12 @@ def test_verify_is_exact_at_the_alpha1_margin():
 def test_verify_refuses_a_w_cube_over_another_bit_count():
     g, mu = QueryFunction(1, (0, 1)), BitProductDistribution((F(1, 2),))
     system = replace(AT_THE_MARGINS, w={**AT_THE_MARGINS.w, Subcube(2, 1, 1): F(0)})
+    assert_refuses(lambda: system.verify(g, mu), DimensionMismatchError,
+                   "bit counts disagree: measure 1, function 1, subcube 2")
+
+
+def test_verify_refuses_a_u_cube_over_another_bit_count():
+    g, mu = QueryFunction(1, (0, 1)), BitProductDistribution((F(1, 2),))
+    system = replace(AT_THE_MARGINS, u={**AT_THE_MARGINS.u, Subcube(2, 3, 2): F(0)}, a=2, b=2)
     assert_refuses(lambda: system.verify(g, mu), DimensionMismatchError,
                    "bit counts disagree: measure 1, function 1, subcube 2")

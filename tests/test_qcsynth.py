@@ -56,8 +56,8 @@ def test_dtree_error_and2_leaf():
 
 
 def test_dtree_error_rejects_a_measure_of_another_bit_count():
-    with pytest.raises(DimensionMismatchError):
-        dtree_error(Leaf(0), families.and_q(2), U3)
+    assert_refuses(lambda: dtree_error(Leaf(0), families.and_q(2), U3), DimensionMismatchError,
+                   "bit counts disagree: measure 3, function 2")
 
 
 def _recursion(g, mu, delta, **fields):
@@ -88,7 +88,7 @@ def test_find_biased_subcube_and3():
     g, system = and3_system()
     build = Recursion(g, U3, system, F(1, 8))
     cube = build.find_biased_subcube((0, 0), build.u)
-    m0, m1 = U3.label_masses(g, Subcube(3, *cube))
+    m0, m1 = reference_model.label_masses(U3, g, Subcube(3, *cube))
     assert m1 <= F(1, 8) * m0
     assert Subcube(3, *cube) == reference_model.find_biased_subcube(
         g, U3, system.u, system.alpha0, system.beta0, F(1, 8), system.a
@@ -232,7 +232,7 @@ def _and3_tree(delta=F(1, 8), mu=U3, **system_changes):
         (lambda: _and3_tree(delta=F(0)), DimensionMismatchError, "delta must be positive"),
         (lambda: _and3_tree(alpha0=F(1)),
          DimensionMismatchError, "the 0-side margin alpha0 must lie in [0, 1)"),
-        (lambda: _and3_tree(mu=U2), DimensionMismatchError, "bit counts disagree"),
+        (lambda: _and3_tree(mu=U2), DimensionMismatchError, "bit counts disagree: measure 2, function 3, subcube 3"),
         (lambda: _and3_tree(u={Subcube.from_pattern("1**"): F(-1)}),
          InfeasibleConstructionError, "infeasible system: negative weight on 1**"),
         (lambda: synthesis_pipeline(QC_CORPUS["maj3"], U3, F(1, 2)),
@@ -499,7 +499,7 @@ def _build_inputs(draw):
                   for weights in (u, w))
         zeros = [i for i, x in enumerate(points) if g.value(x) == 0]
         ones = [i for i, x in enumerate(points) if g.value(x) == 1]
-        mu1 = mu.label_masses(g, full_cube(n))[1]
+        mu1 = reference_model.label_masses(mu, g, full_cube(n))[1]
         fields.update(
             alpha0=max([F(0)] + [1 - um[i] for i in zeros]),
             beta0=max([F(0)] + [um[i] for i in ones]),

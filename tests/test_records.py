@@ -62,7 +62,7 @@ RECORDS = {
         "rows": ((), (Row(1, (0,), (1,), ">=", 1, "cover"),)),
     },
     "lp.Violation": dict.fromkeys(["kind", "index", "label", "lhs", "rel", "rhs"]),
-    "lp.LPSolution": dict.fromkeys(["status", "value", "primal", "dual", "iterations", "phase1_iterations"]),
+    "lp.LPSolution": dict.fromkeys(["value", "primal", "dual", "iterations", "phase1_iterations"]),
     "model.TwoPartyFunction": {"table": (((0, 1), (1, 0)), ((1, 1), (1, 0)))},
     "model.QueryFunction": {"n": (1, 2), "table": ((0, 1), (0, 1, 1, 1))},
     "model.Rectangle": {"rows": (1, 2), "cols": (3, 0)},
