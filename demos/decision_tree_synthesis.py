@@ -9,6 +9,8 @@ against the certified budget and against the brute-force optimum.
 Run:  python3 demos/decision_tree_synthesis.py
 """
 
+from fractions import Fraction
+
 from lpbounds import families
 from lpbounds.model import BitProductDistribution
 from lpbounds.oracle import oracle_qc
@@ -18,7 +20,7 @@ from lpbounds.trees import Leaf
 g = families.maj_q(3)
 mu = BitProductDistribution.uniform(3)
 
-rep = synthesis_pipeline(g, mu)
+rep = synthesis_pipeline(g, mu, Fraction(1, 8))
 print(f"qprt_1/8(MAJ_3)      = {rep.qprt_value}")
 print(f"c = {rep.c}, gamma = {rep.gamma}, votes = {rep.votes}")
 print(f"boosted error        = {rep.boosted_error} (exact binomial tail)")

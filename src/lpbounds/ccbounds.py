@@ -12,7 +12,8 @@ smooth rectangle, worst case (per output z):
 smooth rectangle, distributional: the per-point covering rows collapse to
 the single averaged row
     sum_{(x,y) in f^-1(z)} mu(x,y) * sum_{R ni (x,y)} w_R >= (1-eps) mu_z
-while packing and cap stay per-point.
+while packing and cap stay per-point.  A per-point row depends only on
+the shape and its level, so ``_cell_rows`` makes each kind once per level.
 
 They stay apart from the partition LP: one label, packing and cap rows,
 and an averaged distributional row.  The partition bound prt and the
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from operator import add
+from itertools import compress
+from operator import add, not_
 
 from . import lp as lpmod
 from .errors import DimensionMismatchError, InfeasibleConstructionError
@@ -63,7 +65,7 @@ class SrecInstance(Record):
         check_unit_interval("eps", self.eps)
         check_unit_interval("delta", self.delta)
         if self.mu is not None:  # build_srec_lp zips the point weights with f's labels
-            self.mu.check_shape(self.f)
+            self.mu.check_shape(self.f, None)
 
 
 def _rect_intersect(a: Rectangle, b: Rectangle) -> Rectangle | None:
@@ -80,7 +82,7 @@ def _rect_family(nx: int, ny: int) -> LabelledFamily:
     return LabelledFamily(
         tags=tuple(f"{x}_{y}" for x in range(nx) for y in range(ny)),
         members=tuple(enumerate_rectangles(nx, ny)),
-        cost=lambda r: Fraction(1),
+        cost=lambda r: 1,
         tag=lambda r: f"{r.rows:x}_{r.cols:x}",
         cells=lambda r: [s + y for s in starts[r.rows] for y in ys[r.cols]],
         intersect=_rect_intersect,
@@ -88,57 +90,46 @@ def _rect_family(nx: int, ny: int) -> LabelledFamily:
 
 
 @cache
-def _srec_columns(nx: int, ny: int) -> tuple[Names, Row, tuple[Row, ...], dict[tuple[str, Fraction], list]]:
-    """``w_<tag>`` per rectangle, the unit cost row, the cap rows and the per-cell rows, shared by every build.
+def _cell_rows(nx: int, ny: int, rel: str, level: Fraction, kind: str) -> tuple[Row, ...]:
+    """Per cell, in cell order, the row ``<kind>_<cell>``: its rectangles' weights ``rel`` level."""
+    family = _rect_family(nx, ny)
+    return tuple(unit_row(cols, rel, level, f"{kind}_{tag}")
+                 for tag, cols in zip(family.tags, family.containing))
 
-    The per-cell rows are kept by (relation, level): by cell, the worst-case
-    covering row (``>=`` at 1 - eps) or the packing row (``<=`` at delta),
-    each made when a build first needs it.
-    """
+
+@cache
+def _srec_columns(nx: int, ny: int) -> tuple[Names, Row, tuple[Row, ...]]:
+    """``w_<tag>`` per rectangle, the unit cost row and the cap rows, shared by every build."""
     family = _rect_family(nx, ny)
     names = Names(f"w_{family.tag(r)}" for r in family.members)
-    caps = tuple(unit_row(cols, "<=", Fraction(1), f"cap_{tag}")
-                 for tag, cols in zip(family.tags, family.containing))
-    return names, unit_row(range(len(names)), "=", Fraction(0), "objective"), caps, {}
+    return (names, unit_row(range(len(names)), "=", Fraction(0), "objective"),
+            _cell_rows(nx, ny, "<=", Fraction(1), "cap"))
 
 
 def build_srec_lp(inst: SrecInstance) -> LinearProgram:
     """Column j is the weight of the j-th rectangle; rows in the order of the module docstring.
 
-    The worst-case covering rows and the packing rows depend only on the
-    shape, the cell and the level, so every build shares them with
-    ``_srec_columns``' caps.  The averaged covering row depends on mu and f
-    and is built per program: it reads the measure's integer
-    ``point_weights``, whose cells are x-major as ``f.labels``, and
+    The worst-case covering rows are the label-z cells' rows of their
+    level, the packing rows the other cells'.  The averaged covering row
+    depends on mu and f and is built per program: it reads the measure's
+    integer ``point_weights``, whose cells are x-major as ``f.labels``, and
     ``_label_z_sums`` gives the label-z weight of every rectangle at once,
     in column order.
     """
     f, z = inst.f, inst.z
-    family = _rect_family(f.nx, f.ny)
-    names, cost, caps, shared = _srec_columns(f.nx, f.ny)
-
-    def cell_rows(rel: str, level: Fraction, own: bool) -> list[Row]:
-        """The shared rows ``rel`` level at the cells whose label is z (``own``) or is not."""
-        made = shared.setdefault((rel, level), [None] * len(family.tags))
-        out = []
-        for i, v in enumerate(f.labels):
-            if (v == z) is own:
-                if made[i] is None:
-                    made[i] = unit_row(family.containing[i], rel, level,
-                                       f"{'cov' if rel == '>=' else 'pack'}_{family.tags[i]}")
-                out.append(made[i])
-        return out
-
+    names, cost, caps = _srec_columns(f.nx, f.ny)
+    own = [v == z for v in f.labels]
     level = 1 - inst.eps
     if inst.mu is None:
-        rows = cell_rows(">=", level, True)
+        rows = compress(_cell_rows(f.nx, f.ny, ">=", level, "cov"), own)
     else:
         den, weights = inst.mu.point_weights
         sums, d = _label_z_sums(f, z, weights), level.denominator
         masses = [d * m for by_cols in sums[1:] for m in by_cols[1:]]
         total = sums[-1][-1]  # the label-z weight of the whole table
         rows = [scaled_row(range(len(names)), masses, d * den, ">=", level.numerator * total, "cov")]
-    return LinearProgram(names, cost, (*rows, *cell_rows("<=", inst.delta, False), *caps))
+    packing = compress(_cell_rows(f.nx, f.ny, "<=", inst.delta, "pack"), map(not_, own))
+    return LinearProgram(names, cost, (*rows, *packing, *caps))
 
 
 def _label_z_sums(f: TwoPartyFunction, z: int, weights: tuple[int, ...]) -> list[list[int]]:

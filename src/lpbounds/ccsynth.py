@@ -319,7 +319,7 @@ def synthesize(
     solutions are carried down the recursion unchanged, and every node
     reads ``mu`` on its active rectangle.
     """
-    mu.check_shape(f)
+    mu.check_shape(f, None)
     params.validate(mu.total, weight_value(weights0), weight_value(weights1))
     q = params.delta_root
     rho = q * q

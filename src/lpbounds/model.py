@@ -264,15 +264,18 @@ class ProductDistribution2P(Record, _PointMeasure):
         dc, cols = numerators(self.col_weights)
         return dr * dc, tuple(r * c for r in rows for c in cols)
 
-    def check_shape(self, f: TwoPartyFunction) -> None:
-        """Refuse a function on another table shape than the measure's."""
+    def check_shape(self, f: TwoPartyFunction, rect: Rectangle | None) -> None:
+        """Refuse a function on another table shape than the measure's, or a rectangle (None for none) past it."""
         if self.nx != f.nx or self.ny != f.ny:
             raise DimensionMismatchError(
                 f"measure is {self.nx}x{self.ny} but function is {f.nx}x{f.ny}"
             )
+        if rect is not None and (rect.rows >> f.nx or rect.cols >> f.ny):
+            raise DimensionMismatchError(f"rectangle reaches past the table: measure {self.nx}x{self.ny}, "
+                                         f"rectangle {rect.rows:x}_{rect.cols:x}")
 
     def _points(self, f: TwoPartyFunction, rect: Rectangle) -> list[int]:
-        self.check_shape(f)
+        self.check_shape(f, rect)
         ys = [y for y in range(self.ny) if (rect.cols >> y) & 1]
         return [x * self.ny + y for x in range(self.nx) if (rect.rows >> x) & 1 for y in ys]
 

@@ -2,7 +2,7 @@
 
 One side of the paper is a ``LabelledFamily``: the points p of one shape
 and an intersection-closed family of members K (rectangles or subcubes),
-each with a cost c(K).  A function's labels z(p) in {0,1} are passed in.
+each with an integer cost c(K).  A function's labels z(p) in {0,1} are passed in.
 Its partition LP has one weight per label and member:
 
     min  sum_z sum_K c(K) * w_{z,K}
@@ -16,7 +16,9 @@ the total-mass rows to <= 1; the query partition bound qprt takes the
 subcubes A of {0,1}^n at cost 2^|A|.  Variables are named
 ``w<z>_<member tag>`` in member order, label 0 first, and the rows
 ``cov_<point tag>`` then ``mass_<point tag>`` in point order.  Cached
-solutions and Bland pivot paths depend on these names and orders.
+solutions and Bland pivot paths depend on these names and orders.  A
+point's rows depend only on the shape and the level, so each is made
+once: its total-mass rows, and its covering rows at both labels per eps.
 
 Both proofs lower the error by a t-fold majority vote over a solution w.
 Its product assigns
@@ -103,19 +105,19 @@ class LabelledFamily(Record, Generic[K]):
     ``cells(member)`` gives the indices of the points a member contains.
     ``intersect`` returns None for an empty intersection.  Labels are passed
     in, one per point, so one family, with its layout ``containing``, its
-    variable names and its total-mass and covering rows worked out once,
-    serves every build.
+    variable names, its total-mass rows and its covering table per eps
+    worked out once, serves every build.
     """
 
     tags: tuple[str, ...]
     members: tuple[K, ...]
-    cost: Callable[[K], Fraction]
+    cost: Callable[[K], int]
     tag: Callable[[K], str]
     cells: Callable[[K], Iterable[int]]
     intersect: Callable[[K, K], K | None]
 
     def __post_init__(self) -> None:
-        # by eps, the covering row of point i and label z at 2i + z, made when a build first needs it
+        # by eps, per point, its covering rows at label 0 and label 1, made by the first build at eps
         set_field(self, "_covering", {})
 
     @cached_property
@@ -134,18 +136,16 @@ class LabelledFamily(Record, Generic[K]):
         return {member: k for k, member in enumerate(self.members)}
 
     @cached_property
-    def _costs(self) -> tuple[int, dict[K, int]]:
-        """Each member's cost as an integer numerator over one common denominator."""
-        den, costs = numerators(map(self.cost, self.members))
-        return den, dict(zip(self.members, costs))
+    def _costs(self) -> dict[K, int]:
+        """Each member's integer cost."""
+        return {k: self.cost(k) for k in self.members}
 
     @cached_property
     def _columns(self) -> tuple[Names, Row]:
         """The variable names of ``primal`` and its cost row."""
-        den, costs = self._costs
-        nums = [c for c in costs.values() for _ in (0, 1)]
+        nums = [c for c in self._costs.values() for _ in (0, 1)]
         names = Names(f"w{z}_{self.tag(k)}" for k in self.members for z in (0, 1))
-        return names, scaled_row(range(len(nums)), nums, den, "=", 0, "objective")
+        return names, scaled_row(range(len(nums)), nums, 1, "=", 0, "objective")
 
     @cached_property
     def _label_columns(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -166,19 +166,16 @@ class LabelledFamily(Record, Generic[K]):
         """The partition LP at error eps; ``relaxed`` relaxes total mass to <= 1.
 
         Column 2k + z is the weight of label z on the k-th member.  Only the
-        covering rows depend on the labels and eps: the row of point p at
-        label z and eps is made once and kept on the family, so every build
-        of this shape at that eps shares it.
+        covering rows depend on the labels and eps: the first build at eps
+        makes every point's rows at both labels as one table, kept on the
+        family, and each build takes the row of each point's label from it.
         """
         check_unit_interval("eps", eps)
-        made = self._covering.setdefault(eps, [None] * (2 * len(self.tags)))
-        covering = []
-        for i, z in enumerate(labels):
-            row = made[2 * i + z]
-            if row is None:
-                row = made[2 * i + z] = unit_row(self._label_columns[i][z], ">=", 1 - eps,
-                                                 f"cov_{self.tags[i]}")
-            covering.append(row)
+        if eps not in self._covering:
+            self._covering[eps] = tuple(
+                tuple(unit_row(columns, ">=", 1 - eps, f"cov_{tag}") for columns in by_label)
+                for tag, by_label in zip(self.tags, self._label_columns))
+        covering = [rows[z] for rows, z in zip(self._covering[eps], labels)]
         return LinearProgram(*self._columns, (*covering, *self._mass_rows[relaxed]))
 
     def boost(self, weights: LabelledWeights, labels: Labels, t: int) -> BoostResult:
@@ -196,8 +193,8 @@ class LabelledFamily(Record, Generic[K]):
             if k not in position:
                 raise DimensionMismatchError(f"member {self.tag(k)} is outside the family's shape")
         den, nums = numerators(weights.values())
-        cden, costs = self._costs
-        base = 0  # the input objective over cden * den
+        costs = self._costs
+        base = 0  # the input objective over den
         total = [0] * len(self.tags)
         correct = list(total)
         pairs: dict[K, list[int]] = {}  # member -> its label-0 and label-1 numerators
@@ -217,8 +214,8 @@ class LabelledFamily(Record, Generic[K]):
             raise DimensionMismatchError("majority product needs non-negative weights")
         product = self._product(pairs, t)
         scale = den**t
-        objective = sum(costs[k] * (v0 + v1) for k, _, v0, v1 in product)  # over cden * scale
-        if objective * cden ** (t - 1) > base**t:
+        objective = sum(costs[k] * (v0 + v1) for k, _, v0, v1 in product)  # over scale
+        if objective > base**t:
             raise InfeasibleConstructionError("boosted objective exceeds the product bound")
         total = [0] * len(self.tags)
         hits = list(total)
@@ -235,8 +232,7 @@ class LabelledFamily(Record, Generic[K]):
             if hit != scale - tails[c]:
                 raise InfeasibleConstructionError(f"boosted correct mass at {tag} differs from the binomial tail")
         boosted = {(z, k): Fraction(v[z], scale) for z in (0, 1) for k, _, *v in product if v[z]}
-        return BoostResult(boosted, t, Fraction(max(tails.values()), scale),
-                           Fraction(objective, cden * scale))
+        return BoostResult(boosted, t, Fraction(max(tails.values()), scale), Fraction(objective, scale))
 
     def _product(self, pairs: dict[K, list[int]], t: int) -> list[tuple[K, int, int, int]]:
         """The t-fold majority product of non-negative ``pairs``, member -> [a, b] over D.

@@ -54,7 +54,7 @@ def _cube_family(n: int) -> LabelledFamily:
     return LabelledFamily(
         tags=tuple(map(str, range(1 << n))),
         members=tuple(enumerate_subcubes(n)),
-        cost=lambda cube: Fraction(1 << cube.size),
+        cost=lambda cube: 1 << cube.size,
         tag=Subcube.pattern,
         cells=Subcube.members,
         intersect=Subcube.intersect,

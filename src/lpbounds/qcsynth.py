@@ -317,7 +317,7 @@ class QCSynthReport(Record):
 def synthesis_pipeline(
     g: QueryFunction,
     mu: BitProductDistribution,
-    eps: Fraction = Fraction(1, 8),
+    eps: Fraction,
     delta: Fraction | None = None,
 ) -> QCSynthReport:
     """qprt solve -> majority boost -> split -> decision tree, all certified.

@@ -129,7 +129,7 @@ def protocol_error(
     tree: ProtocolTree, f: TwoPartyFunction, mu: ProductDistribution2P
 ) -> Fraction:
     """Incorrect mass, by exhaustive evaluation: W summed over the cells where tree and f differ, over D."""
-    mu.check_shape(f)
+    mu.check_shape(f, None)
     den, weights = mu.point_weights
     return Fraction(sum(w for p, (w, label) in enumerate(zip(weights, f.labels))
                         if evaluate(tree, *divmod(p, f.ny)) != label), den)

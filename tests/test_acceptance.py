@@ -96,7 +96,7 @@ def qc_artifacts():
     runs = []
     for name, g in QC_CORPUS.items():
         mu = BitProductDistribution.uniform(g.n)
-        rep = synthesis_pipeline(g, mu)
+        rep = synthesis_pipeline(g, mu, F(1, 8))
         runs.append((name, g, mu, rep))
     return runs
 

@@ -97,6 +97,16 @@ def test_find_biased_rectangle_returns_its_rectangle_clipped_to_active():
         find_biased_rectangle(f, UNIFORM_4x4, full, weights, F(1, 4), F(0), F(0), z=0)
 
 
+def test_find_biased_rectangle_skips_a_zero_weight_rectangle():
+    """A support rectangle of weight 0 is not a candidate, though it would be the heaviest."""
+    f = families.const2p(2, 0)
+    full, three = full_rectangle(f), Rectangle(0b0111, 0b1111)
+    args = (F(1, 4), F(0), F(0))
+    alone = find_biased_rectangle(f, UNIFORM_4x4, full, {three: F(2)}, *args, z=0)
+    assert alone == three
+    assert find_biased_rectangle(f, UNIFORM_4x4, full, {three: F(2), full: F(0)}, *args, z=0) == alone
+
+
 def test_find_biased_rectangle_empty_support():
     f = CC_CORPUS["eq2"]
     with pytest.raises(NoBiasedRectangleError):
@@ -166,6 +176,18 @@ def test_decompose_case_10_with_a_covering_level_above_one():
     dec = decompose(f, UNIFORM_4x4, Rectangle(0b0011, 0b0011), cover, q, full_rectangle(f), z=0)
     assert (dec.case, dec.restricted, dec.block) == ("10", {}, Rectangle(0b1100, 0b0011))
     assert dec.sub_eps == 1 + 30 * q == F(65551, 65536)
+
+
+def test_decompose_skips_a_zero_weight_cover_rectangle():
+    """A cover rectangle of weight 0 that is all of block "10" stays out of the restricted family."""
+    f, q = CC_CORPUS["xor2"], F(1, 1 << 17)
+    cover = {Rectangle(0b0011, 0b1100): F(1)}
+    args = (f, UNIFORM_4x4, Rectangle(0b0011, 0b0011))
+    dec = decompose(*args, cover, q, full_rectangle(f), z=0)
+    # the cover loop ran on that block: it is not lopsided
+    assert dec.block == Rectangle(0b1100, 0b0011) and dec.restricted is not None
+    zero = {**cover, Rectangle(0b1100, 0b0011): F(0)}
+    assert decompose(*args, zero, q, full_rectangle(f), z=0) == dec
 
 
 def _spy_decompose(monkeypatch):

@@ -12,7 +12,7 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "lpbounds").g
 
 # Each defaulted parameter is one more configuration to test; ROADMAP.md
 # records the count, and a change that adds a default argues for it there.
-DEFAULTED_PARAMETERS = 5
+DEFAULTED_PARAMETERS = 4
 
 
 def _tree(path: Path) -> ast.Module:
@@ -480,7 +480,7 @@ def test_label_mass_read_scan_sees_each_form():
 
 
 # a measure's check_shape is the one refusal of a function or region of another shape
-SHAPE_MESSAGE_PREFIXES = ("bit counts disagree", "measure is")
+SHAPE_MESSAGE_PREFIXES = ("bit counts disagree", "measure is", "rectangle reaches past the table")
 
 
 def _shape_messages(tree: ast.Module) -> list[int]:
@@ -509,7 +509,9 @@ def test_shape_message_scan_sees_each_form():
         "raise DimensionMismatchError(f'measure is {mu.nx}x{mu.ny} but function is {f.nx}x{f.ny}')\n"
         "raise DimensionMismatchError('distribution shape does not match function')\n"
         "raise DimensionMismatchError(f'the {name} shape does not match the function')\n"
+        "raise DimensionMismatchError(f'rectangle reaches past the table: measure {mu.nx}x{mu.ny}, '\n"
+        "                             f'rectangle {rect.rows:x}_{rect.cols:x}')\n"
         "'the measure is normalized'\n"
         "mu.check_shape(g, None)\n"
     )
-    assert _shape_messages(tree) == [1, 2, 3, 4, 5]
+    assert _shape_messages(tree) == [1, 2, 3, 4, 5, 6]

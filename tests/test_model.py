@@ -408,9 +408,17 @@ def test_two_party_function_validation():
         (lambda: Subcube(2, 0b01, 0b10), "values must be a submask of support"),
         (lambda: Subcube(2, 0, 0).intersect(Subcube(3, 0, 0)), "subcubes over different bit counts"),
         (lambda: Subcube.from_pattern("0x"), "bad pattern character 'x'"),
+        # a row or column past the table is refused, not dropped as if the rectangle
+        # were its part on the table (there, the whole table and the empty rectangle)
+        (lambda: UNIFORM.label_sums(families.eq(2), Rectangle(0xFF, 0xFF)),
+         "rectangle reaches past the table: measure 4x4, rectangle ff_ff"),
+        (lambda: UNIFORM.label_sums(families.eq(2), Rectangle(0xF0, 0xF0)),
+         "rectangle reaches past the table: measure 4x4, rectangle f0_f0"),
+        (lambda: UNIFORM.label_sums(families.eq(2), Rectangle(0xF, 0x10)),
+         "rectangle reaches past the table: measure 4x4, rectangle f_10"),
     ],
     ids=["empty", "X-size", "Y-size", "bit-count", "qc-bits", "rectangle", "support", "values",
-         "intersect", "pattern"],
+         "intersect", "pattern", "rect-past", "rect-only-past", "rect-one-column-past"],
 )
 def test_model_refuses_malformed_input(call, message):
     assert_refuses(call, DimensionMismatchError, message)

@@ -16,6 +16,7 @@ from conftest import assert_refuses, qprt_cached
 from lpbounds import families, lp, partition
 from lpbounds.ccbounds import (
     SrecInstance,
+    _cell_rows,
     _rect_family,
     _srec_columns,
     build_prt_lp,
@@ -200,7 +201,7 @@ def test_shared_rows_equal_the_rows_of_a_first_build():
     warm = [build() for build in builds]
     first = []
     for build in builds:
-        for cache in (_srec_columns, _rect_family, _cube_family):
+        for cache in (_cell_rows, _srec_columns, _rect_family, _cube_family):
             cache.cache_clear()
         first.append(build())
     assert warm == first
@@ -287,11 +288,28 @@ def test_boost_refuses_a_product_that_breaks_a_postcondition(monkeypatch, change
                    InfeasibleConstructionError, message)
 
 
+def test_boost_leaves_a_zero_weight_entry_out_of_its_product(monkeypatch):
+    """A zero weight reaches no closure element: the product's input and the result are
+    those of the same weights without it."""
+    product, seen = LabelledFamily._product, []
+
+    def spy(self, pairs, t):
+        seen.append(dict(pairs))
+        return product(self, pairs, t)
+
+    monkeypatch.setattr(LabelledFamily, "_product", spy)
+    g, weights = families.and_q(2), {(0, Subcube(2, 0, 0)): F(1)}
+    boosted = [boost_qprt(QprtSolution(2, w), g, 3)
+               for w in (weights, {**weights, (1, Subcube(2, 0b11, 0b11)): F(0)})]
+    assert seen[0] == seen[1] == {Subcube(2, 0, 0): [1, 0]}
+    assert boosted[0] == boosted[1]
+
+
 def test_boost_reads_its_input_numerators_once_and_makes_only_its_results_fractions(monkeypatch):
     g = families.make_function("maj", 3, "qc")
     sol = qprt_solution(g, qprt_cached("maj3", F(1, 8)))
     family = _cube_family(3)
-    family._costs  # the cost numerators: made once per family, before the count starts
+    family._costs  # the member costs: made once per family, before the count starts
     read, made, numerators = [], [], partition.numerators
 
     def counting_numerators(values):

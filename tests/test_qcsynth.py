@@ -286,7 +286,7 @@ def test_pipeline_rejects_a_measure_of_another_bit_count_before_solving(monkeypa
 
     monkeypatch.setattr(lpmod, "solve", no_solve)
     with pytest.raises(DimensionMismatchError, match="bit counts disagree: measure 2, function 3"):
-        synthesis_pipeline(QC_CORPUS["maj3"], U2)
+        synthesis_pipeline(QC_CORPUS["maj3"], U2, F(1, 8))
 
 
 @pytest.mark.parametrize("delta", [F(0), F(-1, 16)])
@@ -301,19 +301,19 @@ def test_pipeline_rejects_a_nonpositive_delta_before_solving(monkeypatch, delta)
 
 def test_pipeline_constant_one():
     g = families.const_q(3, 1)
-    rep = synthesis_pipeline(g, U3)
+    rep = synthesis_pipeline(g, U3, F(1, 8))
     assert rep.depth == 0 and rep.error == 0
 
 
 def test_pipeline_or3():
-    rep = synthesis_pipeline(QC_CORPUS["or3"], U3)
+    rep = synthesis_pipeline(QC_CORPUS["or3"], U3, F(1, 8))
     assert rep.depth <= rep.depth_bound
     assert rep.error <= rep.error_budget
     assert rep.error <= F(49, 100) or not rep.half_error_certified
 
 
 def test_pipeline_maj3_runs_deep():
-    rep = synthesis_pipeline(QC_CORPUS["maj3"], U3)
+    rep = synthesis_pipeline(QC_CORPUS["maj3"], U3, F(1, 8))
     assert rep.depth >= 1  # majority genuinely queries
     assert rep.error <= rep.error_budget
     assert rep.half_error_certified and rep.error <= F(49, 100)
@@ -329,7 +329,7 @@ def test_pipeline_measures_the_tree_error_once(monkeypatch):
 
     monkeypatch.setattr(qcsynth, "dtree_error", counting_error)
     g = QC_CORPUS["maj3"]
-    rep = synthesis_pipeline(g, U3)
+    rep = synthesis_pipeline(g, U3, F(1, 8))
     assert calls == [rep.tree]
     assert rep.error == rep.stats.error == dtree_error(rep.tree, g, U3)
 
@@ -344,7 +344,7 @@ def test_pipeline_verifies_the_system_once(monkeypatch):
         return verify(system, g, mu)
 
     monkeypatch.setattr(FeasibleSystem, "verify", counting_verify)
-    rep = synthesis_pipeline(QC_CORPUS["maj3"], U3)
+    rep = synthesis_pipeline(QC_CORPUS["maj3"], U3, F(1, 8))
     assert calls == [rep.system]
 
 
@@ -364,7 +364,7 @@ def test_pipeline_expectation_checks_execute():
 def test_fixed_bits_never_queried():
     g = QC_CORPUS["maj3"]
     mu = BitProductDistribution((F(1), F(1, 2), F(1, 2)))
-    rep = synthesis_pipeline(g, mu)
+    rep = synthesis_pipeline(g, mu, F(1, 8))
 
     def bits_used(node, acc):
         if isinstance(node, DNode):
