@@ -124,6 +124,25 @@ Y and no cost (sum_k |N_ik| rowmax_k), and takes the lowest nonzero
 slot.  Rows are packed from one native array per row, sliced into
 blocks, so no m x n Python list is ever held.
 
+A block read on the last pass is not summed from Y again but carried
+through the pivot row, in |touched| products instead of m.  With
+T_b = D * C_b - sum_i Y_i * blocks[b][i] and Y' as above,
+
+  T_b' = (p * T_b - sum_k (d_e * N_lk) * blocks[b][k]) / D,
+
+over the k with N_lk != 0; when p = D that is
+T_b - sum_k delta_k * blocks[b][k], with delta_k = d_e * N_lk / D the
+integers the dual update adds.  Every slot of the numerator is D times the
+integer slot of T_b', and packing is linear, so the packed division is
+exact and the carried int is the one a sum from Y makes: Bland's path and
+every byte stay as they were.  A pass reads a prefix of the blocks, up to
+its entering one, and the next pass carries that prefix.  Every block
+past it, every block of a phase's first pass and every block after a
+widening (the carried ints are at the old width) is summed from Y.
+``_slot_bound`` still runs before every pass and bounds the slots the
+pass reads, carried or summed alike; a numerator's wider slots are never
+read.
+
 Columns are read in C.  The first time column j enters (or is read), its
 block is unpacked once for all rows and its slots give ``_layout(j)``:
 its nonzero rows and their values, two lists.  ``_column`` reads N a_j
@@ -184,7 +203,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import floordiv, gt, lt, mul, setitem
+from operator import floordiv, gt, itemgetter, lt, mul, setitem
 
 from .errors import InfeasibleConstructionError, LpboundsError, ParseError
 from .rational import format_rational, parse_rational
@@ -823,33 +842,54 @@ class _Simplex:
         bit below ``limit`` names the entering column, and that slot less
         the offset is the d_e of the dual update.
 
+        ``sums`` keeps T_b = D * C_b - sum_i Y_i A_ib, unoffset, for the
+        first ``held`` blocks, the ones the last pass read.  The next pass
+        carries each of them through the pivot row, as
+        T_b - sum_k delta_k A_kb when p = D (``deltas`` are the
+        delta_k = d_e N_lk / D the dual update adds) and else as
+        (p T_b - sum_k d_e N_lk A_kb) / D, exact because every slot of the
+        numerator is D times an integer; k runs over the rows where
+        N_lk != 0, which ``pick`` reads.  A block past the prefix, every
+        block of the first pass and every block after a widening is summed
+        from Y.  The bound above is checked before every pass and holds
+        the final slots, so a carried block is read as safely as a summed
+        one.
+
         Both phases minimise a cost >= 0 (phase 1 the artificials, phase 2
         the program's own, as ``solve`` checks), so an improving column
         always meets a leaving row; one that does not is a solver bug.
         """
-        m, basis = self.m, self.basis
+        m, basis, d = self.m, self.basis, self.d
         y = self._duals(cost)
         top, room = max(cost, default=0), 0  # room 0 packs the costs on the first pass
+        sums = [0] * len(self.blocks)  # T_b of the first ``held`` blocks, as the last pass read them
         while True:
             self.iterations += 1
             if self.iterations > MAX_PIVOTS:
                 raise LpboundsError(
                     f"pivot cap exceeded: more than MAX_PIVOTS = {MAX_PIVOTS} pricing passes"
                 )
-            d = self.d
+            last, d = d, self.d  # the D the last pass read at, and this pass's
             need = self._slot_bound(d * top, y, room)
             if need >= room:
                 self._fit_prices(need)
                 w, off = self.pw, self.poff
-                room, mask, half = 1 << (w - 2), (1 << w) - 1, 1 << (w - 1)
+                room, mask, half, held = 1 << (w - 2), (1 << w) - 1, 1 << (w - 1), 0
                 # per block: its costs, its rows and the top bit of each slot below limit
                 priced = list(zip(_blocks(cost, _BLOCK, w, off), self.blocks,
                                   [off & b for b in self._masks(limit)]))
             for b, (c_b, a_b, top_bits) in enumerate(priced):
-                t = d * c_b - sum(map(mul, y, a_b)) + off
+                if b < held:  # carried through the pivot row: |touched| products
+                    s = sum(map(mul, deltas, pick(a_b)))
+                    t = sums[b] - s if d == last else (d * sums[b] - s) // last
+                else:
+                    t = d * c_b - sum(map(mul, y, a_b))
+                sums[b] = t
+                t += off
                 if neg := ~t & top_bits:
                     k = (neg & -neg).bit_length() // w - 1
                     enter, d_e = b * _BLOCK + k, (t >> (w * k) & mask) - half  # L * D * reduced cost
+                    held = b + 1
                     break
             else:
                 self.y = y
@@ -869,10 +909,15 @@ class _Simplex:
                 raise LpboundsError(f"no row leaves the basis for improving column {enter}; solver bug")
             p = u[leave]
             row, touched = self._pivot(leave, u, packed)
+            # the entries k where N_lk != 0, of row l and of a block's rows A_kb; a lone index
+            # would get the entry itself, a one-wide slice gets it in a sequence
+            pick = itemgetter(*touched) if len(touched) > 1 else itemgetter(slice(touched[0], touched[0] + 1))
             if p == d:  # Y' = Y + d_e * N_l / D changes only where row l is nonzero
-                for k in touched:
-                    y[k] += d_e * row[k] // d
+                deltas = [d_e * r // d for r in pick(row)]
+                for k, delta in zip(touched, deltas):
+                    y[k] += delta
             else:
+                deltas = [d_e * r for r in pick(row)]
                 y = [(a * p + d_e * b) // d for a, b in zip(y, row)]
             basis[leave] = enter
 

@@ -1562,6 +1562,121 @@ def test_every_slot_bound_of_the_benchmark_programs_holds():
     assert counts == {"pricing": 6171, "drive-out": 0, "past the unweighted bound": 0}
 
 
+# Carried pricing: a block the last pass read is carried through the pivot row,
+# not summed from Y again.
+
+def _audited_carries(solve_programs):
+    """Run ``solve_programs()`` with every block a pricing pass reads checked against a sum from scratch.
+
+    The blocks are locals of ``_iterate``: ``sums`` holds T_b for the first
+    ``held`` of them.  ``_slot_bound``, which every pass calls first, reads
+    from ``_iterate``'s frame how many blocks the pass may carry (the last
+    pass's ``held``) and whether D moved; ``_fit_prices`` called from there
+    means a widening, after which none may be carried.  ``_column``, called
+    once a pass has found its entering block, reads the blocks the pass read
+    from the same frame; the last pass of a phase reads every block below its
+    limit, read from the same ``sums`` list when ``_iterate`` returns.  Each
+    T_b must equal D * C_b - sum_i Y_i A_ib with Y = c_B N from the rows of N
+    and A from the program's rows (``_dense_columns``), packed afresh and
+    compared as packed ints.  Returns the counts of block reads carried
+    through the pivot row (and of those, the ones after a p != D pivot) and
+    summed from Y, and of widenings that dropped carried blocks.
+    """
+    counts = dict.fromkeys(("carried", "carried past p != D", "summed", "dropped by a widening"), 0)
+    iterate, bound, fit_prices, column = (lpmod._Simplex._iterate, lpmod._Simplex._slot_bound,
+                                          lpmod._Simplex._fit_prices, lpmod._Simplex._column)
+    code = iterate.__code__
+
+    def check(sx, cost, sums, read):
+        rows = _rows_of_n(sx)
+        y = [sum(cost[b] * row[k] for b, row in zip(sx.basis, rows)) for k in range(sx.m)]
+        width = min(read * lpmod._BLOCK, sx.n_total)
+        t = [sx.d * cost[j] - sum(y[i] * a for i, a in sx.audit_dense[j].items()) for j in range(width)]
+        assert sums[:read] == lpmod._blocks(t, lpmod._BLOCK, sx.pw, lpmod._offset(lpmod._BLOCK, sx.pw))
+        carried = min(sx.audit_carry, read)
+        counts["carried"] += carried
+        counts["carried past p != D"] += carried * sx.audit_rescaled
+        counts["summed"] += read - carried
+
+    def audit_bound(sx, base, weights, room):
+        caller = sys._getframe(1)
+        if caller.f_code is code:
+            f = caller.f_locals
+            sx.audit_carry, sx.audit_sums = f.get("held", 0), f["sums"]
+            sx.audit_rescaled = f["d"] != f["last"]
+        return bound(sx, base, weights, room)
+
+    def audit_fit_prices(sx, need):
+        if sys._getframe(1).f_code is code:
+            counts["dropped by a widening"] += sx.audit_carry > 0
+            sx.audit_carry = 0
+        fit_prices(sx, need)
+
+    def audit_column(sx, j):
+        caller = sys._getframe(1)
+        if caller.f_code is code:
+            f = caller.f_locals
+            check(sx, f["cost"], f["sums"], f["held"])
+        return column(sx, j)
+
+    def audit_iterate(sx, cost, limit):
+        if not hasattr(sx, "audit_dense"):
+            sx.audit_dense = _dense_columns(sx)
+        iterate(sx, cost, limit)
+        check(sx, cost, sx.audit_sums, len(sx._masks(limit)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "_iterate", audit_iterate)
+        mp.setattr(lpmod._Simplex, "_slot_bound", audit_bound)
+        mp.setattr(lpmod._Simplex, "_fit_prices", audit_fit_prices)
+        mp.setattr(lpmod._Simplex, "_column", audit_column)
+        solve_programs()
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_programs(WEIGHTED_ENTRIES))
+@example(ACROSS_BLOCKS)
+@example(STALE_X)
+@example(PRICED_PAST_2_30)
+@example(NEGATIVE_DRIVE_OUT)
+def test_every_carried_block_equals_its_sum_from_scratch(program):
+    """Both sides of the block boundaries, sign-flipped rows and non-unit entries.
+
+    ACROSS_BLOCKS carries each of its three blocks into later passes,
+    STALE_X carries past its p = 2 != D = 1 pivot, PRICED_PAST_2_30 widens
+    at phase 2's first pass, and NEGATIVE_DRIVE_OUT drives an artificial out
+    between the phases; a phase starts with nothing carried.
+    """
+    counts = _audited_carries(lambda: checked_solve(program))
+    if program is ACROSS_BLOCKS:
+        assert counts["carried"] > counts["summed"] > 0, counts
+    if program is STALE_X:
+        assert counts["carried past p != D"], counts
+
+
+def test_a_widening_in_mid_phase_drops_the_carried_blocks():
+    """THREE_TO_THE_40 widens its price slots in mid-phase, after a pass that read a block.
+
+    A carried block is at the old width, so after a widening every block is
+    summed from Y; the audit compares each read with its sum from scratch.
+    PRICED_PAST_2_30 widens only at phase 2's first pass, where nothing is
+    carried yet.
+    """
+    assert _audited_carries(lambda: checked_solve(THREE_TO_THE_40))["dropped by a widening"] == 1
+    assert _audited_carries(lambda: checked_solve(PRICED_PAST_2_30))["dropped by a widening"] == 0
+
+
+def test_the_benchmark_programs_carry_most_block_reads_through_the_pivot_row():
+    """Of the 9357 block reads of the benchmark's chain and qprt solves, 8011 are carried and 1346 summed from Y.
+
+    3584 of the carried reads follow a p != D pivot; qprt maj5 and xor4 each
+    drop their carried blocks once, when their price slots widen to 32 bits.
+    """
+    counts = _audited_carries(lambda: _solve_benchmark_programs([None]))
+    assert counts == {"carried": 8011, "carried past p != D": 3584, "summed": 1346, "dropped by a widening": 2}
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)),
     lambda: build_prt_lp(EQ2, F(1, 8)),
