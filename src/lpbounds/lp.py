@@ -49,23 +49,31 @@ the entering column; when p = D that is Y + d_e * N_l / D, which changes Y
 only where row l of N is nonzero.  Fractions are made only at the
 boundary: basic values and duals.
 
-N is stored by columns, each one Python int: ``cols[k]`` is
-sum_i N_ik * 2^(w i) in signed w-bit slots, every column at the current
-D.  Packing is linear, so a pivot acts on whole columns: column k becomes
-(p * col_k - N_lk * u') / D, u' the packed u with slot l set to p - D
-(which keeps row l).  u' is the packed sum ``_column`` formed, less
-D << (w l); only a pivot whose bound check widened the slots packs u
-again.  Every slot of that numerator is divisible by D, so the packed
-division is exact however wide an intermediate slot grows.  When p = D,
-most pivots, that is col_k less N_lk u' / D, made once per distinct N_lk
-(D divides both p N_ik and p N_ik - u_i N_lk, so every slot of
-N_lk u'), and a column with N_lk = 0 stays as it is.  When p != D every
-column is rewritten, one with N_lk = 0 to p * col_k / D.  ``_column``
-sums the columns that a_j reads packed and unpacks the sum once.  A pivot
-reads row l (slot l of every column) once: ``_row`` reads slot l of
-column c as ((c + offset) >> w l & (2^w - 1)) - 2^(w-1) and returns the
-row with the columns where it is nonzero, the ones a p = D pivot
-rewrites; the row then goes to the dual update.
+N is stored by columns, each one Python int with an offset added:
+``cols[k]`` is sum_i (N_ik + 2^(w-1)) * 2^(w i), column k packed in
+signed w-bit slots plus ``off`` = sum_i 2^(w-1) * 2^(w i), so every slot
+is nonnegative and none borrows from the next; every column is at the
+current D.  Packing is linear, so a pivot acts on whole columns.  Let u'
+be the packed u with slot l set to p - D (which keeps row l),
+g = gcd(p, D), p' = p / g and d' = D / g.  Held column k becomes
+(p' * cols[k] - s_r) / d', where s_r = r * u' / g + (p' - d') * off is
+made once per distinct r = N_lk, 0 included: that is the column
+(p * col_k - r * u') / D with the offset kept.  u' is the packed sum
+``_column`` formed, less D << (w l); only a pivot whose bound check
+widened the slots packs u again.  D divides every slot of p * col_k -
+r * u' (Sylvester), so g divides every slot of r * u' and d' every slot
+of the numerator: both divisions are exact however wide an intermediate
+slot grows.  r * u' / g is (r / g) * u' where g divides r, a small
+division.  The division by d' is skipped when d' = 1 and is a shift
+when d' is a power of two; on the benchmark's chain and qprt programs
+1968 of the 2710 pivots with p != D take no division.  When p = D,
+most pivots, p' = d' = 1 and s_0 = 0: column k less r * u' / D, and a
+column with N_lk = 0 stays as it is.  ``_column`` sums the held columns
+that a_j reads, takes (sum_i a_ij) * off off that sum and unpacks it
+once.  A pivot reads row l (slot l of every column) once: ``_row`` reads
+slot l of held column c as (c >> w l & (2^w - 1)) - 2^(w-1), with no add,
+and returns the row with the columns where it is nonzero, the ones a
+p = D pivot rewrites; the row then goes to the dual update.
 
 x alone is held lazily, at its own determinant ``xd`` > 0:
 x = xd * L_b * x_B, and the basic values are x_i / (xd * L_b).  A
@@ -75,7 +83,8 @@ exact by the same identity, sets x_l to its value at D, x_l * D / xd,
 and then sets xd = p.  The ratio test compares x_i / u_i, and a positive
 common factor keeps their order, so it reads x at xd.  Only when
 artificials are driven out after phase 1 can p be negative; D and every
-column are then negated, as N / D = (-N) / (-D).  Those pivots are
+column are then negated, as N / D = (-N) / (-D), a held column c to
+2 * off - c.  Those pivots are
 degenerate (each basic artificial is at level 0), so x and xd > 0 stay
 as they are.
 
@@ -92,15 +101,17 @@ w starts at 16 (``_WIDTH``).
 One codec holds the slot format of N's columns and the price blocks:
 ``_blocks`` packs values ``size`` slots to an int, ``_unpack`` reads any
 number of packed ints into one flat list, and ``_repack`` is that read
-and ``_blocks`` at the new width.  At 16, 32 and 64 bits they go through
-a native ``array`` or ``memoryview`` cast (typecodes "h", "i" and "q" on
-a little-endian host, ``_WORDS``), else slot by slot through ``int.to_bytes``.
+and ``_blocks`` at the new width.  N's columns go to the codec with the
+offset taken off (``_plain``) and take it back after a repack.  At 16, 32
+and 64 bits they go through a native ``array`` or ``memoryview`` cast
+(typecodes "h", "i" and "q" on a little-endian host, ``_WORDS``), else
+slot by slot through ``int.to_bytes``.
 
 Pricing in blocks.  The standard form A, slacks and artificials included,
 is held by rows in blocks of ``_BLOCK`` = 128 columns: ``blocks[b][i]``
 packs row i's coefficients on columns 128 b .. 128 b + 127 in signed
-slots of pw bits, as B^-1's columns are packed, and the costs of a phase
-are packed the same way.  Packing is linear, so
+slots of pw bits, as B^-1's columns are packed but with no offset held,
+and the costs of a phase are packed the same way.  Packing is linear, so
 D * C_b - sum_i Y_i * blocks[b][i], one big-int sum, holds L * D times the
 reduced cost of all 128 columns; a basic column reads exactly 0, so no
 basis set is kept.  One m-term sum costs about 100 ns per term plus a
@@ -635,7 +646,7 @@ class _Simplex:
         self.unpacked: dict = {}  # block b's slots, row after row, once one of its columns is read
 
         self._set_width(_WIDTH)
-        self.cols: list[int] = [1 << (self.w * k) for k in range(m)]  # column k of N, packed
+        self.cols: list[int] = [(1 << (self.w * k)) + self.off for k in range(m)]  # column k of N, packed + off
         self.bound = 1  # >= |every entry of N|
         self.d = 1
         self.y: list[int] = []  # L * D * duals of the last phase run
@@ -699,13 +710,14 @@ class _Simplex:
 
         B is the least 2^t with every value in [-2^t, 2^t): exactly then
         adding 2^t to each slot leaves its bits above t clear, as no slot
-        borrows.  t only grows, so each column is tested once plus once per
-        doubling; every slot is below the room 2^(w-2).
+        borrows.  A held column already carries 2^(w-1) in each slot, so
+        the lift adds 2^t less that offset.  t only grows, so each column is
+        tested once plus once per doubling; every slot is below the room 2^(w-2).
         """
         w, cols, m = self.w, self.cols, self.m
         one, k = self.off >> (w - 1), 0
         for t in range(w - 2):
-            lift, high = one << t, one * ((1 << w) - (2 << t))
+            lift, high = (one << t) - self.off, one * ((1 << w) - (2 << t))
             while k < m and not (cols[k] + lift) & high:
                 k += 1
             if k == m:
@@ -714,7 +726,12 @@ class _Simplex:
 
     def _measure_exactly(self) -> int:
         """max |N_ik|, all m^2 slots read in one pass."""
-        return max(map(abs, _unpack(self.cols, self.m, self.w, self.off)), default=0)
+        return max(map(abs, _unpack(self._plain(), self.m, self.w, self.off)), default=0)
+
+    def _plain(self) -> list[int]:
+        """N's columns as plain packed ints, the held offset taken off."""
+        off = self.off
+        return [c - off for c in self.cols]
 
     def _fit(self, need) -> None:
         """Make need(M) < 2^(w-2) for a fresh M: ``_measure``'s power of two if need clears it on that,
@@ -724,45 +741,51 @@ class _Simplex:
             self.bound = self._measure_exactly()
             w = _wider(self.w, need(self.bound))
             if w != self.w:
-                self.cols[:] = _repack(self.cols, self.m, self.w, self.off, w)
+                cols = _repack(self._plain(), self.m, self.w, self.off, w)
                 self._set_width(w)
+                self.cols[:] = [c + self.off for c in cols]
 
     def _column(self, j: int) -> tuple[list[int], int]:
         """u = N * a_j, i.e. D times the basic direction of column j, and u packed.
 
-        The packed u is the sum of a_ij times column i of N over a_j's
-        nonzero rows, so one unpack reads every row; a pivot on u reuses it.
+        The packed u is the sum of a_ij times held column i over a_j's
+        nonzero rows, less (sum_i a_ij) * off, the offsets that sum carries;
+        one unpack reads every row, and a pivot on u reuses it.
         """
         rows, values = self._layout(j)
         reach = sum(map(abs, values))  # |u_i| <= M * reach
         if self.bound * reach >= self.room:
             self._fit(lambda big: big * reach)
-        packed = sum(map(mul, values, map(self.cols.__getitem__, rows)))
+        packed = sum(map(mul, values, map(self.cols.__getitem__, rows))) - sum(values) * self.off
         return _unpack([packed], self.m, self.w, self.off), packed
 
     def _row(self, i: int) -> tuple[list[int], list[int]]:
         """Row i of N at the current D, and the columns where it is nonzero.
 
-        Adding the offset makes every slot nonnegative, so no slot borrows
-        from the next and slot i reads alone as its value plus 2^(w-1).
+        Every held slot is nonnegative, its value plus 2^(w-1), so slot i of
+        a held column reads alone after one shift and one mask.
         """
-        off, shift = self.off, self.w * i
-        half = 1 << (self.w - 1)
+        shift, half = self.w * i, 1 << (self.w - 1)
         mask = 2 * half - 1
-        row = [((c + off) >> shift & mask) - half for c in self.cols]
+        row = [(c >> shift & mask) - half for c in self.cols]
         return row, list(compress(range(self.m), row))
 
     def _duals(self, cost: list[int]) -> list[int]:
         """Y = L * D * y = c_B N, one entry per column of N."""
         m, cb = self.m, [cost[j] for j in self.basis]
-        flat = _unpack(self.cols, m, self.w, self.off)
+        flat = _unpack(self._plain(), m, self.w, self.off)
         return [sum(map(mul, cb, flat[k * m:k * m + m])) for k in range(m)]
 
     def _pivot(self, l: int, u: list[int], packed: int) -> tuple[list[int], list[int]]:
         """Exchange the basic column of row ``l`` for the column with N * a = u, ``packed`` as ``_column`` reads it.
 
-        Returns row l of N as it was and the columns where it is nonzero,
-        which the dual update reads.  x is rewritten only when x_l != 0.
+        Held column k becomes (p' * cols[k] - s_r) / d', with g = gcd(p, D),
+        p' = p / g, d' = D / g and s_r = r * u' / g + (p' - d') * off made
+        once per distinct r = N_lk; the division is skipped when d' = 1 and
+        is a shift when d' is a power of two.  When p = D only the columns
+        where row l is nonzero move.  Returns row l of N as it was and those
+        columns, which the dual update reads.  x is rewritten only when
+        x_l != 0.
         """
         p, d, cols, w = u[l], self.d, self.cols, self.w
         row, touched = self._row(l)
@@ -780,13 +803,25 @@ class _Simplex:
         self.bound = bound
         # u with slot l at p - D: (p * N_lk - (p - D) * N_lk) / D keeps row l
         packed_u = packed - (d << (w * l))
-        if p == d:  # column k less N_lk u' / D, made once per distinct N_lk; the rest stay as they are
-            steps = {}
+        # s_r once per distinct r = N_lk, s_0 first; g divides every slot of r * u', and where g
+        # divides r the division is one of small ints
+        g = gcd(p, d)
+        pg, dg = p // g, d // g
+        steps = {0: (pg - dg) * self.off}
+        for k in touched:
+            r = row[k]
+            if r not in steps:
+                steps[r] = (r // g * packed_u if r % g == 0 else r * packed_u // g) + steps[0]
+        if p == d:  # p' = d' = 1 and s_0 = 0: only the touched columns move
             for k in touched:
-                r = row[k]
-                cols[k] -= steps.get(r) or steps.setdefault(r, r * packed_u // d)
-        else:  # every column to the new D, an untouched one (N_lk = 0) to p * col_k / D
-            cols[:] = [(p * c - r * packed_u) // d for c, r in zip(cols, row)]
+                cols[k] -= steps[row[k]]
+        elif dg == 1:
+            cols[:] = [pg * c - steps[r] for c, r in zip(cols, row)]
+        elif dg & (dg - 1):
+            cols[:] = [(pg * c - steps[r]) // dg for c, r in zip(cols, row)]
+        else:  # d' a power of two
+            t = dg.bit_length() - 1
+            cols[:] = [(pg * c - steps[r]) >> t for c, r in zip(cols, row)]
         xl = self.x[l]
         if xl:  # x' = (p * x - x_l * u) / xd, x_l brought to D; only _iterate gets here, with p > 0
             xd = self.xd
@@ -807,9 +842,9 @@ class _Simplex:
         artificial in place is safe.  Without this step a later pivot could
         push a basic artificial positive and silently break feasibility.
         The pivot element may be negative here; D and every column of N
-        are then negated, so D stays > 0 and N / D is unchanged.  Every basic
-        artificial is at level 0 here, so each pivot is degenerate and
-        leaves x and xd > 0 as they are.
+        are then negated, a held column c to 2 * off - c, so D stays > 0
+        and N / D is unchanged.  Every basic artificial is at level 0 here,
+        so each pivot is degenerate and leaves x and xd > 0 as they are.
         """
         for i in range(self.m):
             if self.basis[i] < self.n_structural:
@@ -823,7 +858,8 @@ class _Simplex:
                     assert not self.x[i]  # degenerate, so x and xd stay
                     self._pivot(i, *self._column(j))
                     if self.d < 0:  # N / D = (-N) / (-D)
-                        self.d, self.cols = -self.d, [-c for c in self.cols]
+                        twice = 2 * self.off
+                        self.d, self.cols = -self.d, [twice - c for c in self.cols]
                     self.basis[i] = j
                     break
 

@@ -600,9 +600,18 @@ def test_integer_core_matches_fraction_reference(program):
     checked_solve(program)
 
 
+def _offset_cols(sx, ints, sign):
+    """``ints`` with N's offset added (sign 1) or taken off (sign -1).
+
+    ``sx.cols`` holds each column of N as its plain packed int plus
+    ``sx.off``; the tests read and write plain packed ints through this.
+    """
+    return [c + sign * sx.off for c in ints]
+
+
 def _rows_of_n(sx):
     """Every row of N, unpacked from its columns ``sx.cols``, which are all held at the current D."""
-    columns = [lpmod._unpack([c], sx.m, sx.w, sx.off) for c in sx.cols]
+    columns = [lpmod._unpack([c], sx.m, sx.w, sx.off) for c in _offset_cols(sx, sx.cols, -1)]
     return [list(row) for row in zip(*columns)]
 
 
@@ -668,7 +677,7 @@ def test_drive_out_pivots_on_a_negative_element(monkeypatch):
     sx._drive_out_artificials()
     [(p, d, cols)] = pivots
     assert (p, d, sx.d) == (-1, -1, 1)
-    assert sx.cols == [-c for c in cols]
+    assert _offset_cols(sx, sx.cols, -1) == [-c for c in _offset_cols(sx, cols, -1)]
     assert _rows_of_n(sx) == [[-1, 0], [-2, 1]]
     _assert_basis_identity(sx)
     sol = solve(NEGATIVE_DRIVE_OUT)
@@ -731,7 +740,7 @@ def _audited_solve(program):
         rows = _rows_of_n(sx)
         assert all(abs(a) <= sx.bound < sx.room for row in rows for a in row)
         assert packed == _pack(u, sx.w)  # the direction ``_column`` packed is u
-        d, w, cols = sx.d, sx.w, list(sx.cols)
+        d, w, cols = sx.d, sx.w, _offset_cols(sx, sx.cols, -1)
         if u[l] == d:
             counts["p = D"] += 1
             shared = [a for a in rows[l] if a]
@@ -747,7 +756,8 @@ def _audited_solve(program):
         if u[l] == d:
             if sx.w != w:
                 cols = lpmod._repack(cols, sx.m, w, lpmod._offset(sx.m, w), sx.w)
-            assert all(sx.cols[k] == cols[k] for k in range(sx.m) if k not in touched)
+            new = _offset_cols(sx, sx.cols, -1)
+            assert all(new[k] == cols[k] for k in range(sx.m) if k not in touched)
         return row, touched
 
     def audited_read(read, name):
@@ -851,7 +861,7 @@ def test_the_bound_read_is_a_power_of_two_within_twice_the_largest_entry(case):
     m = len(columns)
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * m))
     sx._set_width(w)
-    sx.cols = [_pack(column, w) for column in columns]
+    sx.cols = _offset_cols(sx, [_pack(column, w) for column in columns], 1)
     packed = list(sx.cols)
     assert _rows_of_n(sx) == [list(row) for row in zip(*columns)]
     top = max(abs(a) for column in columns for a in column)
@@ -868,7 +878,7 @@ def test_a_bound_read_that_fails_the_check_is_read_exactly_before_any_widening(m
     """
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
     big = (1 << 13) + 1
-    sx.cols = [_pack(column, sx.w) for column in ([big, -1], [0, 1])]
+    sx.cols = _offset_cols(sx, [_pack(column, sx.w) for column in ([big, -1], [0, 1])], 1)
     exact = []
     measure_exactly = lpmod._Simplex._measure_exactly
 
@@ -897,7 +907,7 @@ def _pivot_work(program):
     pivot = lpmod._Simplex._pivot
 
     def audit_pivot(sx, l, u, packed):
-        d, xd, x, cols = sx.d, sx.xd, sx.x, list(sx.cols)
+        d, xd, x, cols = sx.d, sx.xd, sx.x, _offset_cols(sx, sx.cols, -1)
         values = list(x)
         row, touched = pivot(sx, l, u, packed)
         counts["pivots"] += 1
@@ -912,7 +922,8 @@ def _pivot_work(program):
             assert (sx.x, sx.xd) == (values, xd)
         counts["p = D"] += u[l] == d
         assert sx.d == u[l]
-        assert all(sx.cols[k] == u[l] * cols[k] // d for k in range(sx.m) if k not in touched)
+        new = _offset_cols(sx, sx.cols, -1)
+        assert all(new[k] == u[l] * cols[k] // d for k in range(sx.m) if k not in touched)
         return row, touched
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1061,7 +1072,7 @@ def test_packed_slots_round_trip(w):
         assert lpmod._unpack([packed], len(values), w, off) == values
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 5))
     sx._set_width(w)
-    sx.cols = [_pack(column, w) for column in columns]
+    sx.cols = _offset_cols(sx, [_pack(column, w) for column in columns], 1)
     rows = [list(row) for row in zip(*columns)]
     assert [sx._row(i) for i in range(5)] == [(row, [k for k, a in enumerate(row) if a]) for row in rows]
 
@@ -1075,7 +1086,7 @@ def test_a_pivot_that_outgrows_the_slots_widens_them_first():
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
     sx._set_width(64)
     big = 1 << 40
-    sx.cols = [_pack(column, sx.w) for column in ([big, 0], [0, big])]
+    sx.cols = _offset_cols(sx, [_pack(column, sx.w) for column in ([big, 0], [0, big])], 1)
     sx.bound = big
     u = [1 << 30, 1 << 30]
     sx._pivot(0, u, _pack(u, sx.w))
@@ -1088,7 +1099,7 @@ def test_a_pivot_that_outgrows_the_16_bit_slots_widens_them_to_32():
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
     assert sx.w == 16
     big = 1 << 10
-    sx.cols = [_pack(column, sx.w) for column in ([big, 0], [0, big])]
+    sx.cols = _offset_cols(sx, [_pack(column, sx.w) for column in ([big, 0], [0, big])], 1)
     sx.bound = big
     u = [1 << 7, 1 << 7]
     sx._pivot(0, u, _pack(u, sx.w))
@@ -1101,7 +1112,7 @@ def test_a_pivot_that_outgrows_the_32_bit_slots_widens_them_to_64():
     sx = lpmod._Simplex(from_constraints(("x",), {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(1))] * 2))
     sx._set_width(32)
     big = 1 << 20
-    sx.cols = [_pack(column, sx.w) for column in ([big, 0], [0, big])]
+    sx.cols = _offset_cols(sx, [_pack(column, sx.w) for column in ([big, 0], [0, big])], 1)
     sx.bound = big
     u = [1 << 15, 1 << 15]
     sx._pivot(0, u, _pack(u, sx.w))
@@ -1675,6 +1686,62 @@ def test_the_benchmark_programs_carry_most_block_reads_through_the_pivot_row():
     """
     counts = _audited_carries(lambda: _solve_benchmark_programs([None]))
     assert counts == {"carried": 8011, "carried past p != D": 3584, "summed": 1346, "dropped by a widening": 2}
+
+
+def test_the_benchmark_pivots_divide_only_by_d_over_gcd_p_d():
+    """A pivot divides its columns by d' = D / gcd(p, D), and only where d' is not 1 or a power of two.
+
+    Before each pivot the columns become ints that turn p' * col_k into a
+    numerator recording every ``//`` and ``>>`` taken of it.  A p = D pivot
+    and one with d' = 1 take neither; one with d' = 2^t > 1 shifts every
+    column by t; any other divides every column by d'.  The arms are pinned
+    on the benchmark's 24 chain and qprt solves, so a change that divides
+    where d' does not need it fails here.
+    """
+    calls = []
+
+    class Numerator(int):
+        def __sub__(self, other):
+            return Numerator(int(self) - other)
+
+        def __floordiv__(self, other):
+            calls.append(("//", other))
+            return int(self) // other
+
+        def __rshift__(self, other):
+            calls.append((">>", other))
+            return int(self) >> other
+
+    class Held(int):
+        def __rmul__(self, other):
+            return Numerator(other * int(self))
+
+    arms = dict.fromkeys(("p = D", "d' = 1", "shift", "division"), 0)
+    pivot = lpmod._Simplex._pivot
+
+    def audit_pivot(sx, l, u, packed):
+        p, d = u[l], sx.d
+        dg = d // math.gcd(p, d)
+        calls.clear()
+        sx.cols[:] = map(Held, sx.cols)
+        out = pivot(sx, l, u, packed)
+        sx.cols[:] = map(int, sx.cols)
+        if p == d:
+            arm, want = "p = D", []
+        elif dg == 1:
+            arm, want = "d' = 1", []
+        elif dg & (dg - 1):
+            arm, want = "division", [("//", dg)] * sx.m
+        else:
+            arm, want = "shift", [(">>", dg.bit_length() - 1)] * sx.m
+        assert calls == want, (p, d)
+        arms[arm] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "_pivot", audit_pivot)
+        _solve_benchmark_programs([None])
+    assert arms == {"p = D": 3413, "d' = 1": 928, "shift": 1040, "division": 742}
 
 
 @pytest.mark.parametrize("build", [
