@@ -132,8 +132,8 @@ the lowest such bit names the entering column, and pricing stops at the
 first block that has one.  The drive-out of artificials reads row_i . A
 from the same blocks, bounded by the same two steps with N_i in place of
 Y and no cost (sum_k |N_ik| rowmax_k), and takes the lowest nonzero
-slot.  Rows are packed from one native array per row, sliced into
-blocks, so no m x n Python list is ever held.
+slot.  A row's price image is packed from one native array over the
+variables, sliced into blocks, so no m x n Python list is ever held.
 
 A block read on the last pass is not summed from Y again but carried
 through the pivot row, in |touched| products instead of m.  With
@@ -156,8 +156,9 @@ read.
 
 Columns are read in C.  The first time column j enters (or is read), its
 block is unpacked once for all rows and its slots give ``_layout(j)``:
-its nonzero rows and their values, two lists.  ``_column`` reads N a_j
-as one packed sum of value times column of N,
+its nonzero rows and their values, two lists, and its l1 norm and entry
+sum, summed then and read on every later read of the column.  ``_column``
+reads N a_j as one packed sum of value times column of N,
 ``sum(map(mul, values, map(cols.__getitem__, rows)))``.
 
 Every solve is certified before it is returned (``certify``): an optimal
@@ -186,12 +187,19 @@ one place rows are scaled; the builders emit rows through it, or through
 ``unit_row`` for a row of unit coefficients and rational level, whose
 integer form needs no scaling (the level's denominator and numerator are
 coprime).  The simplex, the checkers and the cache key all read them.  A
-row checks its own form once (``Row.fault``) and encodes its part of the
-cache key once (``Row.key``).  The builders keep every row that depends
-only on the shape and a level (caps, total mass, packing and per-point
-covering rows) with the shape and hand the same ``Row`` to every program
-that needs it, so a shared row is neither made, checked nor encoded again
-per build; unit rows of one length and level share one coefficient tuple.
+row checks its own form (``Row.fault``) and encodes its part of the cache
+key (``Row.key``) when it is made.  Its first solve works out its standard
+form (``Row.standard``: the flip, sigma, the reduced rhs, the flipped
+relation and rowmax), and the first solve at a price width pw and n
+variables packs its price image, its coefficients in blocks as above with
+no slack or artificial, about 2 bytes a variable at pw = 16.
+``_Simplex.__init__`` only stitches: it copies each row's image, pads it
+and adds the row's slack, surplus and artificial entries.  The builders
+keep every row that depends only on the shape and a level (caps, total
+mass, packing and per-point covering rows) with the shape and hand the
+same ``Row`` to every program that needs it, so a shared row is neither
+made, checked, encoded nor brought to standard form again per build or
+solve; unit rows of one length and level share one coefficient tuple.
 Variable names serve the records and the key only; a builder's shared
 names are one ``Names``, checked for repeats and encoded for the key once.
 
@@ -232,8 +240,9 @@ class Row(Record):
     It is the rational row times s > 0, the lcm of the row's denominators;
     ``cols`` increase and no coefficient is 0; ``scaled_row`` or ``unit_row`` makes it.
     What a row works out from its fields it works out once, so the
-    shape-only rows that many programs share pay for it once: ``fault``
-    and ``unit`` when it is made, ``key`` when first read; none is a field.
+    shape-only rows that many programs share pay for it once: ``fault``,
+    ``unit`` and ``key`` when it is made, ``standard`` on its first solve;
+    none is a field.
     """
 
     s: int
@@ -244,31 +253,36 @@ class Row(Record):
     label: str
 
     def __post_init__(self) -> None:
-        """Set ``fault``, what breaks that form or None, and ``unit``, the
-        coefficient every column shares or None if they differ or the row is empty.
+        """Set ``fault``, what breaks that form or None; ``unit``, the coefficient every
+        column shares or None if they differ or the row is empty; ``key``; and
+        ``standard`` to None, for ``_standard_form`` to fill.
 
         Caps, packing, total-mass and covering rows are all unit rows, so a
-        dot product with a row is mostly one sum and one product.  Both are
-        set here rather than on first read: every row of a program has both
-        read, and attributes set in one order keep the instance small.
+        dot product with a row is mostly one sum and one product.  Each is
+        set here with ``set_field``, in one order, so every row keeps its
+        attributes in the inline values that read fastest; a
+        ``cached_property`` would write the instance ``__dict__`` and slow
+        every later field read of the row.
         """
         cols, c = self.cols, self.coeffs
         if self.s <= 0 or 0 in c or len(cols) != len(c):
             fault = "needs a positive scale and one nonzero coefficient per column"
         else:
             fault = None if all(map(lt, cols, cols[1:])) else "has columns out of order"
+        unit = c[0] if c and c.count(c[0]) == len(c) else None
         set_field(self, "fault", fault)
-        set_field(self, "unit", c[0] if c and c.count(c[0]) == len(c) else None)
-
-    @cached_property
-    def key(self) -> bytes:
-        """The row's part of ``_program_key``: relation, scale, rhs, length and
-        coefficients as text (one coefficient for a unit row), then its columns
-        as 8-byte little-endian integers."""
-        c = self.coeffs
-        coeffs = ("%d," * len(c) % c)[:-1] if self.unit is None else f"*{self.unit}"  # "%d" joins in C
-        return (f"{self.rel} {self.s} {self.rhs} {len(c)} {coeffs}\n".encode()
-                + struct.pack(f"<{len(c)}q", *self.cols))
+        set_field(self, "unit", unit)
+        # the row's part of ``_program_key``: relation, scale, rhs, length and coefficients
+        # as text (one coefficient for a unit row), then its columns as 8-byte little-endian
+        # integers; a faulty row is refused by every program, so it has none
+        if fault is None:
+            coeffs = ("%d," * len(c) % c)[:-1] if unit is None else f"*{unit}"  # "%d" joins in C
+            key = (f"{self.rel} {self.s} {self.rhs} {len(c)} {coeffs}\n".encode()
+                   + struct.pack(f"<{len(c)}q", *cols))
+        else:
+            key = None
+        set_field(self, "key", key)
+        set_field(self, "standard", None)
 
 
 def scaled_row(cols, nums, den: int, rel: str, rhs: int, label: str) -> Row:
@@ -568,30 +582,71 @@ def _repack(ints, slots: int, w: int, off: int, wide: int) -> list[int]:
     return _blocks(_unpack(ints, slots, w, off), slots, wide, _offset(slots, wide))
 
 
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
+
+
+def _standard_form(row: Row) -> tuple:
+    """``row.standard``, set on first use: (flip, sigma, rhs, rel, rowmax, images).
+
+    The row is flipped to a nonnegative right-hand side (flip = -1 or 1)
+    and divided by g = gcd(s, *coeffs), so sigma = s / g; rhs is
+    flip * rhs / g as a (numerator, denominator) pair in lowest terms, rel
+    the relation after the flip and rowmax the largest |entry| of the
+    standard-form row, 1 at least for its slack or artificial.  images maps
+    (pw, n), a price width and a variable count, to the row's
+    ``_price_image``.  Every solve of a shared row reads what the first
+    worked out.
+    """
+    flip = -1 if row.rhs < 0 else 1
+    coeffs = row.coeffs if row.unit is None else (row.unit,)  # a unit row reads as one number
+    g = gcd(row.s, *coeffs)
+    h = gcd(g, row.rhs)
+    form = (flip, row.s // g, (flip * row.rhs // h, g // h), row.rel if flip > 0 else _FLIPPED[row.rel],
+            max(1, max(map(abs, coeffs), default=0) // g), {})
+    set_field(row, "standard", form)
+    return form
+
+
+def _price_image(row: Row, w: int, n: int) -> list[int]:
+    """The row's coefficients on n variables, flipped and divided by g, packed in blocks of w-bit slots.
+
+    The image is kept in ``row.standard``'s images under (w, n); it holds
+    no slack or artificial, so every program with n variables that holds
+    the row shares it.
+    """
+    flip, sigma, *_, images = row.standard
+    code = _WORDS.get(w)
+    values = array(code, bytes(n * w // 8)) if code else [0] * n
+    # flip * g; g = s / sigma divides every coefficient, so each quotient is exact
+    q = flip * (row.s // sigma)
+    quotients = (map(floordiv, row.coeffs, repeat(q)) if row.unit is None
+                 else repeat(row.unit // q, len(row.cols)))
+    deque(map(setitem, repeat(values), row.cols, quotients), 0)
+    images[w, n] = image = _blocks(values, _BLOCK, w, _offset(_BLOCK, w))
+    return image
+
+
 class _Simplex:
     """Integer standard form and basis state for one solve; used once."""
 
     def __init__(self, lp: LinearProgram):
+        """The standard form, stitched from each row's ``standard`` and price image.
+
+        Row i's blocks are a copy of its image at (pw, n_real), padded with
+        zero blocks, with each of its slack, surplus and artificial entries
+        a added as a << (pw * k) to its block, k the column's slot there:
+        packing is linear, so that is the dense packing.  A later widening
+        repacks ``blocks`` into new ints and leaves every image as it was.
+        """
         self.lp = lp
         m = self.m = len(lp.rows)
         self.n_real = len(lp.variables)
-        self.flip: list[int] = []
-        self.sigma: list[int] = []  # the lcm of row i's coefficient denominators
-        scales: list[tuple[int, int]] = []  # the flip and g_i
-        rhs: list[tuple[int, int]] = []  # sign * rhs_i / g_i in lowest terms
-        rels: list[str] = []
-        self.rowmax: list[int] = []  # the largest |entry| of each standard-form row
-        for row in lp.rows:
-            sign = -1 if row.rhs < 0 else 1
-            coeffs = row.coeffs if row.unit is None else (row.unit,)  # a unit row reads as one number
-            g = gcd(row.s, *coeffs)
-            self.flip.append(sign)
-            self.sigma.append(row.s // g)
-            h = gcd(g, row.rhs)
-            rhs.append((sign * row.rhs // h, g // h))
-            rels.append(row.rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[row.rel])
-            scales.append((sign, g))
-            self.rowmax.append(max(1, max(map(abs, coeffs), default=0) // g))
+        forms = [row.standard or _standard_form(row) for row in lp.rows]
+        self.flip: list[int] = [form[0] for form in forms]
+        self.sigma: list[int] = [form[1] for form in forms]  # the lcm of row i's coefficient denominators
+        rhs = [form[2] for form in forms]  # flip * rhs_i / g_i in lowest terms
+        rels = [form[3] for form in forms]
+        self.rowmax: list[int] = [form[4] for form in forms]  # the largest |entry| of each standard-form row
         self.reach = sum(self.rowmax)  # >= the l1 norm of every column
         self.lb = lcm(*(den for _, den in rhs))  # L_b, one common denominator of b
         self.x: list[int] = [num * (self.lb // den) for num, den in rhs]  # xd * L_b * x_B
@@ -624,25 +679,22 @@ class _Simplex:
         self.cost1 = [0] * self.n_structural + [l1 // self.sigma[i] for i in artificial_rows]
 
         # each row of the standard form packed in blocks, in slots wide enough for its
-        # widest coefficient
+        # widest coefficient: its image, padded, with its own columns added
         self._set_price_width(_wider(_WIDTH, self.reach))
-        w = self.pw
-        code = _WORDS.get(w)
-        blank = array(code, bytes(self.n_total * w // 8)) if code else [0] * self.n_total
+        w, n, size = self.pw, self.n_real, -(-self.n_total // _BLOCK)
         packed = []
-        for row, (sign, g), entries in zip(lp.rows, scales, own):
-            values = blank[:]
-            # g_i divides every coefficient, so each quotient is exact
-            q = sign * g
-            quotients = (map(floordiv, row.coeffs, repeat(q)) if row.unit is None
-                         else repeat(row.unit // q, len(row.cols)))
-            deque(map(setitem, repeat(values), row.cols, quotients), 0)
+        for row, form, entries in zip(lp.rows, forms, own):
+            image = form[5].get((w, n))
+            if image is None:
+                image = _price_image(row, w, n)
+            blocks = image + [0] * (size - len(image))
             for j, a in entries:
-                values[j] = a
-            packed.append(_blocks(values, _BLOCK, w, self.poff))
+                b, k = divmod(j, _BLOCK)
+                blocks[b] += a << (w * k)
+            packed.append(blocks)
         # blocks[b][i] is row i's block b, so one sum over the rows prices a block
-        self.blocks: list[tuple[int, ...]] = list(zip(*packed)) or [()] * -(-self.n_total // _BLOCK)
-        self.layouts: dict[int, tuple] = {}  # column j's nonzero rows and values, read when first asked for
+        self.blocks: list[tuple[int, ...]] = list(zip(*packed)) or [()] * size
+        self.layouts: dict[int, tuple] = {}  # column j's layout, read when first asked for
         self.unpacked: dict = {}  # block b's slots, row after row, once one of its columns is read
 
         self._set_width(_WIDTH)
@@ -685,15 +737,16 @@ class _Simplex:
         w = self.pw
         return [(1 << (w * _BLOCK)) - 1] * full + ([(1 << (w * last)) - 1] if last else [])
 
-    def _layout(self, j: int) -> tuple[list[int], list[int]]:
-        """Column j as its nonzero rows and their values, two lists.
+    def _layout(self, j: int) -> tuple[list[int], list[int], int, int]:
+        """Column j as its nonzero rows and their values, two lists, then its l1 norm and its entry sum.
 
-        Both are read the first time they are asked for, from the slots of
-        column j's block, which is unpacked once for every row; only the
-        blocks of columns that enter or are audited are unpacked.  They are
-        lists, not tuples: CPython keeps up to 2000 freed tuples of each
-        length below 20, so the short tuples of a finished solve would hold
-        their memory for the life of the process.
+        All four are read the first time they are asked for, from the slots
+        of column j's block, which is unpacked once for every row; only the
+        blocks of columns that enter or are audited are unpacked.  The two
+        sums are what ``_column`` reads on every read of the column.  rows
+        and values are lists, not tuples: CPython keeps up to 2000 freed
+        tuples of each length below 20, so the short tuples of a finished
+        solve would hold their memory for the life of the process.
         """
         layout = self.layouts.get(j)
         if layout is None:
@@ -701,8 +754,10 @@ class _Simplex:
             flat = self.unpacked.get(b)
             if flat is None:  # row after row
                 flat = self.unpacked[b] = _unpack(self.blocks[b], _BLOCK, self.pw, self.poff)
-            values = flat[k::_BLOCK]
-            layout = self.layouts[j] = (list(compress(range(self.m), values)), list(compress(values, values)))
+            column = flat[k::_BLOCK]
+            values = list(compress(column, column))
+            layout = self.layouts[j] = (list(compress(range(self.m), column)), values,
+                                        sum(map(abs, values)), sum(values))
         return layout
 
     def _measure(self) -> int:
@@ -750,13 +805,13 @@ class _Simplex:
 
         The packed u is the sum of a_ij times held column i over a_j's
         nonzero rows, less (sum_i a_ij) * off, the offsets that sum carries;
-        one unpack reads every row, and a pivot on u reuses it.
+        one unpack reads every row, and a pivot on u reuses it.  The l1
+        norm and the entry sum come with the layout, summed once per solve.
         """
-        rows, values = self._layout(j)
-        reach = sum(map(abs, values))  # |u_i| <= M * reach
+        rows, values, reach, total = self._layout(j)  # |u_i| <= M * reach
         if self.bound * reach >= self.room:
             self._fit(lambda big: big * reach)
-        packed = sum(map(mul, values, map(self.cols.__getitem__, rows))) - sum(values) * self.off
+        packed = sum(map(mul, values, map(self.cols.__getitem__, rows))) - total * self.off
         return _unpack([packed], self.m, self.w, self.off), packed
 
     def _row(self, i: int) -> tuple[list[int], list[int]]:

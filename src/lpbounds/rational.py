@@ -95,7 +95,7 @@ def _le_pow2(e: int, p: int, q: int) -> bool:
     return q <= (p << -e)
 
 
-def log2_bracket(r: Fraction, precision_bits: int = 20) -> tuple[Fraction, Fraction]:
+def log2_bracket(r: Fraction, precision_bits: int) -> tuple[Fraction, Fraction]:
     """Rational bracket [lo, hi] containing log2(r), width <= 2**-precision_bits.
 
     Exact powers of two yield a zero-width bracket.  Otherwise the bracket

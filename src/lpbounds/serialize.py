@@ -249,7 +249,7 @@ def bound_record(kind: str, fn_hash: str, params: dict, sol) -> dict:
     """The record of a bound's optimal ``LPSolution``; only here is log2 of its value bracketed."""
     log2_lo = log2_hi = None
     if sol.value != 0:
-        log2_lo, log2_hi = map(format_rational, log2_bracket(sol.value))
+        log2_lo, log2_hi = map(format_rational, log2_bracket(sol.value, precision_bits=20))
     return record(
         "bound",
         kind=kind,

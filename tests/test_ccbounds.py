@@ -226,11 +226,12 @@ def test_bound_record_log_bracket():
 def test_the_log_bracket_is_worked_out_only_by_the_record(monkeypatch):
     """A bound that is never printed never brackets its log2; its record brackets it once."""
     calls = []
-    monkeypatch.setattr(serialize, "log2_bracket", lambda r: calls.append(r) or log2_bracket(r))
+    monkeypatch.setattr(serialize, "log2_bracket",
+                        lambda r, precision_bits: calls.append(r) or log2_bracket(r, precision_bits))
     res = ccbounds.check_chain(CC_CORPUS["gt2"], F(1, 8)).srec1
     assert calls == []
     rec = bound_record("srec", "h", {}, res)
-    lo, hi = log2_bracket(res.value)
+    lo, hi = log2_bracket(res.value, 20)
     assert (rec["log2_lo"], rec["log2_hi"]) == (format_rational(lo), format_rational(hi))
     assert hi - lo <= F(1, 1 << 20)
     assert calls == [res.value]

@@ -12,7 +12,7 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "lpbounds").g
 
 # Each defaulted parameter is one more configuration to test; ROADMAP.md
 # records the count, and a change that adds a default argues for it there.
-DEFAULTED_PARAMETERS = 4
+DEFAULTED_PARAMETERS = 3
 
 
 def _tree(path: Path) -> ast.Module:
@@ -444,6 +444,75 @@ def test_unread_instance_attribute_scan_sees_each_form():
         "    return a.shared\n"
     )
     assert _unread_instance_attributes([tree, other]) == ["counter", "dropped"]
+
+
+# A record keeps what it works out in its inline values, set once with records.set_field: an
+# instance __dict__ that code reads or writes is materialised, and every later field read of
+# that instance is several times slower.  A cached_property writes that dict too, so lp.Row,
+# the record every solve reads most, has none.
+def _instance_dict_uses(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` that read or write an instance ``__dict__``: ``x.__dict__`` on anything
+    but a class (``cls`` or ``type(...)``), or ``vars(x)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            base = node.value
+            if not (isinstance(base, ast.Name) and base.id == "cls"
+                    or isinstance(base, ast.Call) and getattr(base.func, "id", None) == "type"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars" and node.args:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _cached_properties(tree: ast.Module, name: str) -> list[str]:
+    """The methods of class ``name`` in ``tree`` decorated ``cached_property`` or ``functools.cached_property``."""
+    return [
+        item.name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == name
+        for item in node.body if isinstance(item, ast.FunctionDef)
+        for decorator in item.decorator_list
+        if getattr(decorator, "id", None) == "cached_property" or getattr(decorator, "attr", None) == "cached_property"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_reads_and_writes_no_instance_dict(path):
+    assert _instance_dict_uses(_tree(path)) == []
+
+
+def test_a_row_has_no_cached_property():
+    assert _cached_properties(_tree(SOURCES[0].parent / "lp.py"), "Row") == []
+
+
+def test_instance_dict_scan_sees_each_form():
+    tree = ast.parse(
+        "self.__dict__['key'] = key\n"
+        "held = row.__dict__\n"
+        "vars(self)['key'] = key\n"
+        "fields = cls.__dict__.get('__annotations__', ())\n"
+        "fields = type(self).__dict__\n"
+        "names = vars()\n"
+        "record.__dict__.update(fields)\n"
+    )
+    assert _instance_dict_uses(tree) == [1, 2, 3, 7]
+
+
+def test_cached_property_scan_sees_each_form():
+    tree = ast.parse(
+        "class Row:\n"
+        "    @cached_property\n"
+        "    def key(self): ...\n"
+        "    @functools.cached_property\n"
+        "    def image(self): ...\n"
+        "    @property\n"
+        "    def size(self): ...\n"
+        "    def plain(self): ...\n"
+        "class Names:\n"
+        "    @cached_property\n"
+        "    def header(self): ...\n"
+    )
+    assert (_cached_properties(tree, "Row"), _cached_properties(tree, "Names")) == (["key", "image"], ["header"])
 
 
 # a measure is read as integer label sums alone; tests/reference_model.py keeps the Fraction view

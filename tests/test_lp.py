@@ -22,8 +22,10 @@ from lpbounds.lp import (
     check_feasible,
     dual_objective,
     certify,
+    scaled_row,
     set_cache_dir,
     solve,
+    unit_row,
 )
 from lpbounds.model import ProductDistribution2P, QueryFunction, Subcube, TwoPartyFunction, enumerate_rectangles
 from lpbounds.qcbounds import _cube_family, build_qprt_lp
@@ -623,7 +625,7 @@ def _pack(values, w):
 
 def _layout_dot(sx, vec, j):
     """a_j . vec, read through column j's layout as ``_column`` reads it."""
-    rows, values = sx._layout(j)
+    rows, values, _, _ = sx._layout(j)
     return sum(v * vec[r] for r, v in zip(rows, values))
 
 
@@ -1238,6 +1240,21 @@ def _pivot_path(program, width):
     return path, sol if isinstance(sol, str) else sol.canonical_bytes()
 
 
+def _fresh_rows(*programs):
+    """``programs`` with every row made again: equal, and with no standard form or image yet.
+
+    A row object the programs share stays shared, as one new row.
+    """
+    copies = {}
+
+    def fresh(row):
+        if id(row) not in copies:
+            copies[id(row)] = replace(row)
+        return copies[id(row)]
+
+    return [LinearProgram(p.variables, fresh(p.cost), tuple(map(fresh, p.rows))) for p in programs]
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_programs())
 @example(NEGATIVE_DRIVE_OUT)
@@ -1267,9 +1284,9 @@ def test_slots_without_native_arrays_match_the_native_path(w):
     off, block_off = lpmod._offset(len(values), w), lpmod._offset(lpmod._BLOCK, w)
     program = build_prt_lp(EQ2, F(1, 8))
 
-    def read():
+    def read():  # fresh rows, so each path packs its own images
         packed = _pack(values, w)
-        sx = lpmod._Simplex(program)
+        sx = lpmod._Simplex(*_fresh_rows(program))
         assert (sx.w, sx.pw) == (w, w)
         return (packed, lpmod._unpack([packed], len(values), w, off),
                 lpmod._blocks(values, lpmod._BLOCK, w, block_off),
@@ -1288,7 +1305,7 @@ def test_a_solve_without_native_arrays_gives_the_same_bytes():
     native = _pivot_path(program, 16)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpmod, "_WORDS", {})
-        assert _pivot_path(program, 16) == native
+        assert _pivot_path(*_fresh_rows(program), 16) == native
 
 
 # The column layout: ``_layout(j)`` reads column j from its block as its nonzero
@@ -1341,6 +1358,9 @@ def _layout_audited_solve(program):
         rows = _rows_of_n(sx)
         want = [sum(row[i] * a for i, a in dense[j].items()) for row in rows]
         assert [_layout_dot(sx, row, j) for row in rows] == want
+        _, values, reach, total = sx._layout(j)
+        assert (reach, total) == (sum(map(abs, dense[j].values())), sum(dense[j].values())) == (
+            sum(map(abs, values)), sum(values))
         phase = getattr(sx, "audit_phase", None)
         if phase:
             assert _bland_entering(sx, *phase, dense) == j
@@ -1406,10 +1426,11 @@ def test_every_kind_of_entry_takes_its_place_in_the_layout():
     sx = lpmod._Simplex(EVERY_KIND_OF_ENTRY)
     assert sx.flip == [1, -1, 1, -1]
     # x0..x3, the surpluses of rows 0 and 1 (flipped to >=), the slack of row 3 (flipped
-    # to <=) and the artificials of rows 0, 1 and 2
+    # to <=) and the artificials of rows 0, 1 and 2, each with its l1 norm and entry sum
     assert [sx._layout(j) for j in range(sx.n_total)] == [
-        ([0, 1, 2], [1, 1, 1]), ([0], [3]), ([2, 3], [1, 2]), ([], []), ([0], [-1]),
-        ([1], [-1]), ([3], [1]), ([0], [1]), ([1], [1]), ([2], [1])]
+        ([0, 1, 2], [1, 1, 1], 3, 3), ([0], [3], 3, 3), ([2, 3], [1, 2], 3, 3), ([], [], 0, 0),
+        ([0], [-1], 1, -1), ([1], [-1], 1, -1), ([3], [1], 1, 1), ([0], [1], 1, 1), ([1], [1], 1, 1),
+        ([2], [1], 1, 1)]
     sol, entered = _layout_audited_solve(EVERY_KIND_OF_ENTRY)
     assert sol.status == "optimal" and entered
 
@@ -1428,7 +1449,108 @@ def test_corpus_structural_entries_are_all_plus_one():
     for program in programs:
         sx = lpmod._Simplex(program)
         layouts = [sx._layout(j) for j in range(sx.n_real)]
-        assert all(rows and values == [1] * len(rows) for rows, values in layouts)
+        assert all(rows and values == [1] * len(rows) for rows, values, _, _ in layouts)
+
+
+# A row's standard form is worked out on its first solve and its price image packed once
+# per (pw, variable count); ``_Simplex.__init__`` stitches each row's blocks from them.
+
+def _dense_rows(sx):
+    """Every row of the standard form as a dense list over all n_total columns, from ``_dense_columns``."""
+    rows = [[0] * sx.n_total for _ in range(sx.m)]
+    for j, column in enumerate(_dense_columns(sx)):
+        for i, a in column.items():
+            rows[i][j] = a
+    return rows
+
+
+def test_stitched_blocks_are_the_dense_packing_of_every_row():
+    """The 24 benchmark programs, an srec^dist program and one whose prices start at 64 bits.
+
+    After ``__init__`` each row's blocks, stitched from its image, equal the
+    dense packing of its standard-form row, whether the image was packed
+    then or read from an earlier solve; its flip and rowmax are those of the
+    dense row.  srec^dist's averaged covering row is not a unit row.
+    """
+    eps, checked = F(1, 8), []
+    init = lpmod._Simplex.__init__
+
+    def audit_init(sx, program):
+        init(sx, program)
+        rows = _dense_rows(sx)
+        assert sx.flip == [-1 if row.rhs < 0 else 1 for row in program.rows]
+        assert sx.rowmax == [max(map(abs, row)) for row in rows]
+        assert [list(blocks) for blocks in zip(*sx.blocks)] == [
+            lpmod._blocks(row, lpmod._BLOCK, sx.pw, sx.poff) for row in rows]
+        checked.append(sx.pw)
+
+    dist = build_srec_lp(SrecInstance(EQ2, 0, eps, eps, ProductDistribution2P.uniform(4, 4)))
+    assert dist.rows[0].unit is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lpmod._Simplex, "__init__", audit_init)
+        _solve_benchmark_programs([None])
+        for program in (dist, THREE_TO_THE_20):
+            checked_solve(program)
+    assert len(checked) == 26 and checked[-1] == 64
+
+
+def test_rows_shared_after_a_widening_solve_as_fresh_rows_and_pack_one_image_each(monkeypatch):
+    """qprt xor4, then and4 and maj4, which hold xor4's n = 4 rows.
+
+    xor4's price slots widen 16 -> 32 at pass 249, which repacks its blocks
+    and leaves the images.  Each solve gives the bytes, pivot counts
+    included, of a solve of the program on rows no solve has read, and each
+    shared row packs its 16-bit image once.
+    """
+    eps = F(1, 8)
+    shared = _fresh_rows(*(build_qprt_lp(families.make_function(family, 4, "qc"), eps)
+                           for family in ("xor", "and", "maj")))
+    ids = {id(row) for program in shared for row in program.rows}
+    assert len(ids) < sum(len(program.rows) for program in shared)
+    images, widths = [], []
+    price_image, run = lpmod._price_image, lpmod._Simplex.run
+
+    def count_image(row, w, n):
+        images.append((row, w))
+        return price_image(row, w, n)
+
+    def record_width(sx):
+        sol = run(sx)
+        widths.append(sx.pw)
+        return sol
+
+    monkeypatch.setattr(lpmod, "_price_image", count_image)
+    monkeypatch.setattr(lpmod._Simplex, "run", record_width)
+    for program in shared:
+        got = solve(program)
+        assert got.canonical_bytes() == solve(*_fresh_rows(program)).canonical_bytes()
+    assert widths == [32, 32, 16, 16, 16, 16]
+    packed = [(id(row), w) for row, w in images if id(row) in ids]
+    assert sorted(packed) == sorted((i, 16) for i in ids)
+
+
+def test_a_row_gets_one_image_per_variable_count(monkeypatch):
+    """Programs of 2 and 3 variables share a unit and a non-unit row; the row packs one image per count.
+
+    The standard form is worked out once, on the first solve.
+    """
+    cover = unit_row((0, 1), ">=", F(1, 2), "cover")
+    mixed = scaled_row((0, 1), (1, 2), 3, ">=", 1, "mixed")
+    assert (cover.unit, mixed.unit) == (2, None)
+    two = LinearProgram(("x", "y"), Row(1, (0, 1), (1, 1), "=", 0, "objective"), (cover, mixed))
+    three = LinearProgram(("x", "y", "z"), Row(1, (0, 1, 2), (1, 1, 2), "=", 0, "objective"),
+                          (cover, mixed, unit_row((1, 2), "<=", F(1), "cap")))
+    forms, images = [], []
+    standard_form, price_image = lpmod._standard_form, lpmod._price_image
+    monkeypatch.setattr(lpmod, "_standard_form", lambda row: forms.append(row) or standard_form(row))
+    monkeypatch.setattr(lpmod, "_price_image",
+                        lambda row, w, n: images.append((row, n)) or price_image(row, w, n))
+    for program in (two, three, two, three):
+        checked_solve(program)
+    assert [id(row) for row in forms[:2]] == [id(cover), id(mixed)] and len(forms) == 3
+    for row in (cover, mixed):
+        assert [n for packed, n in images if packed is row] == [2, 3]
+        assert sorted(row.standard[5]) == [(16, 2), (16, 3)]
 
 
 # Pricing in blocks: one sum reads the reduced costs of a block of columns,

@@ -75,7 +75,7 @@ def test_power_of_two_exponent():
 
 
 def test_log2_bracket_exact_on_powers():
-    lo, hi = log2_bracket(Fraction(1, 8))
+    lo, hi = log2_bracket(Fraction(1, 8), 20)
     assert lo == hi == -3
 
 
@@ -90,7 +90,7 @@ def test_log2_bracket_contains_log2_exactly():
         assert a.denominator == 1 and b.denominator == 1
         r64 = r**64
         assert Fraction(2) ** int(a) <= r64 <= Fraction(2) ** int(b)
-        lo20, hi20 = log2_bracket(r)
+        lo20, hi20 = log2_bracket(r, 20)
         assert hi20 - lo20 <= Fraction(1, 1 << 20)
 
 
@@ -103,9 +103,9 @@ def test_log2_bracket_widens_its_working_precision_on_a_straddle(monkeypatch):
         works.append(work)
         return None if len(works) == 1 else real(p, q, nbits, work)
 
-    expected = log2_bracket(Fraction(5, 7))
+    expected = log2_bracket(Fraction(5, 7), 20)
     monkeypatch.setattr(rational, "_log2_fraction_bits", straddle_once)
-    assert log2_bracket(Fraction(5, 7)) == expected
+    assert log2_bracket(Fraction(5, 7), 20) == expected
     assert len(works) == 2 and works[1] == 2 * works[0]
 
 
@@ -180,7 +180,7 @@ def test_majority_error_small_cases():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: log2_bracket(Fraction(0)), "log2 bracket requires a positive rational, got 0"),
+        (lambda: log2_bracket(Fraction(0), 20), "log2 bracket requires a positive rational, got 0"),
         (lambda: ceil_mul_log2(0, Fraction(2)), "coefficient must be positive"),
         (lambda: ceil_mul_log2(1, Fraction(0)), "log2 requires a positive rational"),
         (lambda: floor_fourth_root(-1), "fourth root of a negative integer"),

@@ -86,7 +86,7 @@ RECORDS = {
 }
 
 # what a record stores beside its fields once it is made
-DERIVED = {"lp.Row": {"fault", "unit"}, "partition.LabelledFamily": {"_covering"},
+DERIVED = {"lp.Row": {"fault", "unit", "key", "standard"}, "partition.LabelledFamily": {"_covering"},
            "trees.PNode": {"children"}, "trees.DNode": {"children"}}
 
 
@@ -156,6 +156,16 @@ def test_what_post_init_stores_is_not_compared(name):
 def test_a_row_works_out_its_form_when_it_is_made():
     assert (Row(1, (0, 2), (3, 3), "<=", 1, "a").unit, Row(1, (0, 2), (1, 2), "<=", 1, "a").unit) == (3, None)
     assert Row(1, (2, 0), (1, 1), "<=", 1, "a").fault == "has columns out of order"
+
+
+def test_a_row_works_out_its_key_when_it_is_made():
+    """``key`` is set with the other derived attributes, so reading it writes nothing;
+    a faulty row, which every program refuses, has none."""
+    row = Row(1, (0, 1), (1, 2), "<=", 1, "a")
+    held = dict(vars(row))
+    assert held["key"] == b"<= 1 1 2 1,2\n" + bytes([0] * 8) + bytes([1] + [0] * 7)
+    assert row.key is held["key"] and vars(row) == held and held["standard"] is None
+    assert Row(1, (0, 1), (1,), "<=", 1, "a").key is None
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -230,7 +240,6 @@ CACHED = [
     ("total", lambda: ProductDistribution2P.uniform(2, 4)),
     ("point_weights", lambda: ProductDistribution2P.uniform(2, 4)),
     ("point_weights", lambda: BitProductDistribution.uniform(3)),
-    ("key", lambda: Row(1, (0, 1), (1, 2), "<=", 1, "a")),
     *((name, lambda: replace(_rect_family(2, 2)))
       for name in ("containing", "_position", "_costs", "_columns", "_label_columns", "_mass_rows")),
 ]
