@@ -43,11 +43,12 @@ replaces every other row i of N and x by (p * row_i - u_i * row_l) / D and
 sets D = p.  By Sylvester's identity each of these divisions is exact, so
 ``//`` never rounds; were one wrong it would floor silently, which is why
 every result is certified before it is returned.  The integer duals
-Y = L * D * y are built once per phase and then updated per pivot,
-Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the reduced cost of
-the entering column; when p = D that is Y + d_e * N_l / D, which changes Y
-only where row l of N is nonzero.  Fractions are made only at the
-boundary: basic values and duals.
+Y = L * D * y are built once per phase, as c_B N (c_B itself when the
+phase starts before any pivot, at N = I and D = 1), and then updated
+per pivot, Y' = (p * Y + d_e * N_l) / D, where d_e is L * D times the
+reduced cost of the entering column; when p = D that is Y + d_e * N_l / D,
+which changes Y only where row l of N is nonzero.  Fractions are made
+only at the boundary: basic values and duals.
 
 N is stored by columns, each one Python int with an offset added:
 ``cols[k]`` is sum_i (N_ik + 2^(w-1)) * 2^(w i), column k packed in
@@ -92,8 +93,9 @@ A slot holds only what is unpacked: N and N a_j.  The simplex keeps a
 bound M >= |N_ik| and, before each column read and each pivot, checks the
 worst case of what it will unpack against 2^(w-2): M times the l1 norm of
 a_j, or (|p| M + max |u_i| * max |N_lk|) / |D| for the entries a pivot
-writes.  If the check fails, M is read as a power of two, at most
-2 max |N_ik|, by mask tests (``_measure``).
+writes, both maxima taken over the nonzero entries alone.
+If the check fails, M is read as a power of two, at most 2 max |N_ik|,
+by mask tests (``_measure``).
 Only if the check fails on that is M read exactly, all m^2 slots in one
 ``_unpack``; if it still fails, every column is repacked once, at the
 first of 2w, 4w, ... that clears it, so no slot overflows silently.
@@ -157,9 +159,13 @@ read.
 Columns are read in C.  The first time column j enters (or is read), its
 block is unpacked once for all rows and its slots give ``_layout(j)``:
 its nonzero rows and their values, two lists, and its l1 norm and entry
-sum, summed then and read on every later read of the column.  ``_column``
-reads N a_j as one packed sum of value times column of N,
-``sum(map(mul, values, map(cols.__getitem__, rows)))``.
+sum, read on every later read of the column.  A column whose n nonzero
+slots are all 1, as every variable of a bound LP is, gets the values
+``[1] * n`` and both sums n with no pass over them.  ``_column`` reads
+N a_j as one packed sum of value times column of N,
+``sum(map(mul, values, map(cols.__getitem__, rows)))``, or, when the l1
+norm, the entry sum and the length are equal (every entry +1), as the
+plain sum of those columns.
 
 Every solve is certified before it is returned (``certify``): an optimal
 primal point is checked against all constraints, the dual vector against
@@ -187,12 +193,13 @@ one place rows are scaled; the builders emit rows through it, or through
 ``unit_row`` for a row of unit coefficients and rational level, whose
 integer form needs no scaling (the level's denominator and numerator are
 coprime).  The simplex, the checkers and the cache key all read them.  A
-row checks its own form (``Row.fault``) and encodes its part of the cache
-key (``Row.key``) when it is made.  Its first solve works out its standard
-form (``Row.standard``: the flip, sigma, the reduced rhs, the flipped
-relation and rowmax), and the first solve at a price width pw and n
-variables packs its price image, its coefficients in blocks as above with
-no slack or artificial, about 2 bytes a variable at pw = 16.
+row checks its own form (``Row.fault``) when it is made and encodes its
+part of the cache key (``Row.key``) when a solve first keys it, so a
+solve without a cache directory encodes none.  Its first solve works out
+its standard form (``Row.standard``: the flip, sigma, the reduced rhs,
+the flipped relation and rowmax), and the first solve at a price width
+pw and n variables packs its price image, its coefficients in blocks as
+above with no slack or artificial, about 2 bytes a variable at pw = 16.
 ``_Simplex.__init__`` only stitches: it copies each row's image, pads it
 and adds the row's slack, surplus and artificial entries.  The builders
 keep every row that depends only on the shape and a level (caps, total
@@ -240,9 +247,9 @@ class Row(Record):
     It is the rational row times s > 0, the lcm of the row's denominators;
     ``cols`` increase and no coefficient is 0; ``scaled_row`` or ``unit_row`` makes it.
     What a row works out from its fields it works out once, so the
-    shape-only rows that many programs share pay for it once: ``fault``,
-    ``unit`` and ``key`` when it is made, ``standard`` on its first solve;
-    none is a field.
+    shape-only rows that many programs share pay for it once: ``fault``
+    and ``unit`` when it is made, ``key`` on its first keyed solve and
+    ``standard`` on its first solve; none is a field.
     """
 
     s: int
@@ -254,8 +261,8 @@ class Row(Record):
 
     def __post_init__(self) -> None:
         """Set ``fault``, what breaks that form or None; ``unit``, the coefficient every
-        column shares or None if they differ or the row is empty; ``key``; and
-        ``standard`` to None, for ``_standard_form`` to fill.
+        column shares or None if they differ or the row is empty; and ``key`` and
+        ``standard`` to None, for ``_row_key`` and ``_standard_form`` to fill.
 
         Caps, packing, total-mass and covering rows are all unit rows, so a
         dot product with a row is mostly one sum and one product.  Each is
@@ -269,20 +276,25 @@ class Row(Record):
             fault = "needs a positive scale and one nonzero coefficient per column"
         else:
             fault = None if all(map(lt, cols, cols[1:])) else "has columns out of order"
-        unit = c[0] if c and c.count(c[0]) == len(c) else None
         set_field(self, "fault", fault)
-        set_field(self, "unit", unit)
-        # the row's part of ``_program_key``: relation, scale, rhs, length and coefficients
-        # as text (one coefficient for a unit row), then its columns as 8-byte little-endian
-        # integers; a faulty row is refused by every program, so it has none
-        if fault is None:
-            coeffs = ("%d," * len(c) % c)[:-1] if unit is None else f"*{unit}"  # "%d" joins in C
-            key = (f"{self.rel} {self.s} {self.rhs} {len(c)} {coeffs}\n".encode()
-                   + struct.pack(f"<{len(c)}q", *cols))
-        else:
-            key = None
-        set_field(self, "key", key)
+        set_field(self, "unit", c[0] if c and c.count(c[0]) == len(c) else None)
+        set_field(self, "key", None)
         set_field(self, "standard", None)
+
+
+def _row_key(row: Row) -> bytes:
+    """``row.key``, set on first use: the row's part of ``_program_key``.
+
+    Its relation, scale, rhs, length and coefficients as text (one
+    coefficient for a unit row), then its columns as 8-byte little-endian
+    integers.  Every program refuses a faulty row, so none is keyed.
+    """
+    c, unit = row.coeffs, row.unit
+    coeffs = ("%d," * len(c) % c)[:-1] if unit is None else f"*{unit}"  # "%d" joins in C
+    key = (f"{row.rel} {row.s} {row.rhs} {len(c)} {coeffs}\n".encode()
+           + struct.pack(f"<{len(c)}q", *row.cols))
+    set_field(row, "key", key)
+    return key
 
 
 def scaled_row(cols, nums, den: int, rel: str, rhs: int, label: str) -> Row:
@@ -743,10 +755,11 @@ class _Simplex:
         All four are read the first time they are asked for, from the slots
         of column j's block, which is unpacked once for every row; only the
         blocks of columns that enter or are audited are unpacked.  The two
-        sums are what ``_column`` reads on every read of the column.  rows
-        and values are lists, not tuples: CPython keeps up to 2000 freed
-        tuples of each length below 20, so the short tuples of a finished
-        solve would hold their memory for the life of the process.
+        sums are what ``_column`` reads on every read of the column; a column
+        whose nonzero slots are all 1 gets them, and its values, from its
+        length.  rows and values are lists, not tuples: CPython keeps up to
+        2000 freed tuples of each length below 20, so the short tuples of a
+        finished solve would hold their memory for the life of the process.
         """
         layout = self.layouts.get(j)
         if layout is None:
@@ -755,9 +768,13 @@ class _Simplex:
             if flat is None:  # row after row
                 flat = self.unpacked[b] = _unpack(self.blocks[b], _BLOCK, self.pw, self.poff)
             column = flat[k::_BLOCK]
-            values = list(compress(column, column))
-            layout = self.layouts[j] = (list(compress(range(self.m), column)), values,
-                                        sum(map(abs, values)), sum(values))
+            rows = list(compress(range(self.m), column))
+            n = len(rows)
+            if column.count(1) == n:  # every nonzero slot is 1, as in every bound LP's variables
+                layout = self.layouts[j] = (rows, [1] * n, n, n)
+            else:
+                values = list(compress(column, column))
+                layout = self.layouts[j] = (rows, values, sum(map(abs, values)), sum(values))
         return layout
 
     def _measure(self) -> int:
@@ -811,7 +828,10 @@ class _Simplex:
         rows, values, reach, total = self._layout(j)  # |u_i| <= M * reach
         if self.bound * reach >= self.room:
             self._fit(lambda big: big * reach)
-        packed = sum(map(mul, values, map(self.cols.__getitem__, rows))) - total * self.off
+        held = map(self.cols.__getitem__, rows)
+        # an l1 norm equal to the entry sum and the length means every entry is +1
+        packed = sum(held) if reach == total == len(rows) else sum(map(mul, values, held))
+        packed -= total * self.off
         return _unpack([packed], self.m, self.w, self.off), packed
 
     def _row(self, i: int) -> tuple[list[int], list[int]]:
@@ -844,7 +864,9 @@ class _Simplex:
         """
         p, d, cols, w = u[l], self.d, self.cols, self.w
         row, touched = self._row(l)
-        top, spread, abs_p, abs_d = max(map(abs, row)), max(map(abs, u)), abs(p), abs(d)
+        # max |N_lk| and max |u_i| read over the nonzeros; neither is all 0 (N is invertible, u_l = p)
+        top, spread = max(map(abs, compress(row, row))), max(map(abs, compress(u, u)))
+        abs_p, abs_d = abs(p), abs(d)
         # |N'_ik| <= (|p| M + |u_i| |N_lk|) / |D|
         bound = max(top, -(-(abs_p * self.bound + spread * top) // abs_d))
         if bound >= self.room:
@@ -951,7 +973,8 @@ class _Simplex:
         always meets a leaving row; one that does not is a solver bug.
         """
         m, basis, d = self.m, self.basis, self.d
-        y = self._duals(cost)
+        # before the first pivot N = I and D = 1, so Y = c_B N is c_B itself
+        y = self._duals(cost) if self.iterations else [cost[j] for j in basis]
         top, room = max(cost, default=0), 0  # room 0 packs the costs on the first pass
         sums = [0] * len(self.blocks)  # T_b of the first ``held`` blocks, as the last pass read them
         while True:
@@ -1056,11 +1079,12 @@ def _program_key(lp: LinearProgram) -> str:
 
     The names' ``header`` comes first, whose constant lines keep keys equal
     to those of existing cache entries, then each row's ``key``, the
-    objective first.  The row labels play no part.
+    objective first, each encoded by ``_row_key`` the first time its row is
+    keyed.  The row labels play no part.
     """
     h = hashlib.sha256(lp.variables.header)
-    h.update(lp.cost.key)
-    h.update(b"".join(r.key for r in lp.rows))
+    h.update(lp.cost.key or _row_key(lp.cost))
+    h.update(b"".join([r.key or _row_key(r) for r in lp.rows]))
     return h.hexdigest()
 
 

@@ -353,6 +353,24 @@ def test_solve_keys_a_program_once(cache_dir, monkeypatch):
     assert len(keys) == 1
 
 
+def test_a_solve_without_a_cache_directory_encodes_no_row_key(cache_dir):
+    """A row's key is encoded only when a solve keys its program.
+
+    With no cache directory a solve of fresh rows leaves every key None; a
+    keyed solve of the same rows then fills each one, and the program key
+    is the reference encoder's.
+    """
+    [program] = _fresh_rows(build_prt_lp(EQ2, F(1, 8)))
+    rows = (program.cost, *program.rows)
+    set_cache_dir(None)
+    solve(program)
+    assert all(row.key is None for row in rows)
+    set_cache_dir(str(cache_dir))
+    solve(program)
+    assert all(row.key for row in rows)
+    assert lpmod._program_key(program) == reference_lp.program_key(program)
+
+
 def test_an_infeasible_solve_is_not_cached(cache_dir):
     program = lp_min(["x"], {"x": F(1)}, [Constraint({"x": F(1)}, ">=", F(3)), Constraint({"x": F(1)}, "<=", F(1))])
     with pytest.raises(InfeasibleConstructionError, match=f"^{INFEASIBLE.format(2)}$"):
@@ -1450,6 +1468,78 @@ def test_corpus_structural_entries_are_all_plus_one():
         sx = lpmod._Simplex(program)
         layouts = [sx._layout(j) for j in range(sx.n_real)]
         assert all(rows and values == [1] * len(rows) for rows, values, _, _ in layouts)
+
+
+# x0 and x1 are in <= rows only, so the basis starts at the slacks and no phase 1 runs
+NO_ARTIFICIAL = from_constraints(
+    ("x0", "x1"), {"x0": F(1), "x1": F(0)},
+    (Constraint({"x0": F(1), "x1": F(2)}, "<=", F(3)), Constraint({"x1": F(1, 2)}, "<=", F(1))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout_programs())
+@example(EVERY_KIND_OF_ENTRY)
+@example(NO_ARTIFICIAL)
+def test_before_any_pivot_the_duals_are_the_basis_costs(program):
+    """At N = I and D = 1, c_B N is c_B: what ``_iterate`` reads for a phase that starts there.
+
+    Phase 1 always starts there; phase 2 only on a program with no
+    artificial, but c_B N is c_B for the phase-2 costs too.
+    """
+    sx = lpmod._Simplex(program)
+    for cost in (sx.cost1, sx.cost2):
+        assert [cost[j] for j in sx.basis] == sx._duals(cost)
+
+
+def test_the_duals_are_summed_from_n_only_for_a_phase_that_starts_after_a_pivot(monkeypatch):
+    """Each of the benchmark's 24 chain and qprt solves sums c_B N once, for phase 2.
+
+    Phase 1 starts at N = I and reads c_B; a program with no artificial
+    runs only phase 2, from N = I, and sums none.
+    """
+    duals, run = lpmod._Simplex._duals, lpmod._Simplex.run
+    calls, solves = [], []
+    monkeypatch.setattr(lpmod._Simplex, "_duals",
+                        lambda sx, cost: calls.append((sx, cost is sx.cost2)) or duals(sx, cost))
+    monkeypatch.setattr(lpmod._Simplex, "run", lambda sx: solves.append(sx) or run(sx))
+    _solve_benchmark_programs([None])
+    assert len(solves) == 24 and calls == [(sx, True) for sx in solves]
+    calls.clear()
+    sol = checked_solve(NO_ARTIFICIAL)
+    assert (sol.phase1_iterations, calls) == (0, [])
+
+
+def test_an_all_ones_column_is_read_as_the_multiply_path_reads_it(monkeypatch):
+    """``_column`` sums the held columns of an all +1 column with no product per row.
+
+    Every column read of the qprt maj4 and prt eq2 solves, and every column
+    of EVERY_KIND_OF_ENTRY read after its solve, returns the u and packed u
+    that the sum of value times held column gives.  x1 (one entry 3) and x2
+    (entries 1 and 2) have an l1 norm equal to their entry sum but not to
+    their length, so they take the multiply path.
+    """
+    column = lpmod._Simplex._column
+    arms = {"all +1": 0, "other": 0}
+
+    def audit_column(sx, j):
+        u, packed = column(sx, j)
+        rows, values, _, total = sx._layout(j)
+        want = sum(v * sx.cols[i] for i, v in zip(rows, values)) - total * sx.off
+        assert (u, packed) == (lpmod._unpack([want], sx.m, sx.w, sx.off), want)
+        arms["all +1" if values == [1] * len(rows) else "other"] += 1
+        return u, packed
+
+    monkeypatch.setattr(lpmod._Simplex, "_column", audit_column)
+    for program in (build_qprt_lp(families.make_function("maj", 4, "qc"), F(1, 8)), build_prt_lp(EQ2, F(1, 8))):
+        checked_solve(program)
+    assert arms["all +1"] and arms["other"]
+    sx = lpmod._Simplex(EVERY_KIND_OF_ENTRY)
+    sx.run()
+    arms = dict.fromkeys(arms, 0)
+    for j in range(sx.n_total):
+        sx._column(j)
+    assert arms == {"all +1": 6, "other": 4}
 
 
 # A row's standard form is worked out on its first solve and its price image packed once

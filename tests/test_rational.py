@@ -109,6 +109,12 @@ def test_log2_bracket_widens_its_working_precision_on_a_straddle(monkeypatch):
     assert len(works) == 2 and works[1] == 2 * works[0]
 
 
+def test_a_digit_pass_that_straddles_two_returns_none():
+    """log2(3/2) at 1 working bit: after the second squaring the interval [1, 5/2] holds 2, so no digit is sure."""
+    assert rational._log2_fraction_bits(3, 2, 3, 1) is None
+    assert rational._log2_fraction_bits(3, 2, 3, 16) == 0b100  # log2(3/2) = 0.100101...b
+
+
 def test_ceil_mul_log2():
     assert ceil_mul_log2(100, Fraction(4)) == 200
     assert ceil_mul_log2(7, Fraction(1, 2)) == -7

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from lpbounds import lp
 from lpbounds.ccbounds import _rect_family
 from lpbounds.ccsynth import SynthParams
 from lpbounds.errors import DimensionMismatchError, InfeasibleConstructionError, LpboundsError
@@ -158,13 +159,21 @@ def test_a_row_works_out_its_form_when_it_is_made():
     assert Row(1, (2, 0), (1, 1), "<=", 1, "a").fault == "has columns out of order"
 
 
-def test_a_row_works_out_its_key_when_it_is_made():
-    """``key`` is set with the other derived attributes, so reading it writes nothing;
-    a faulty row, which every program refuses, has none."""
+def _keyed(row):
+    """``row`` after ``lp._program_key`` has read it in a program of its own."""
+    lp._program_key(lp.LinearProgram(("x", "y"), COST, (row,)))
+    return row
+
+
+def test_a_row_works_out_its_key_when_first_keyed():
+    """``key`` is None when a row is made; the first ``_program_key`` that reads the row sets
+    it with ``set_field``, so a later key reads it and writes nothing; a faulty row, which
+    every program refuses, is never keyed."""
     row = Row(1, (0, 1), (1, 2), "<=", 1, "a")
-    held = dict(vars(row))
+    assert row.key is None
+    held = dict(vars(_keyed(row)))
     assert held["key"] == b"<= 1 1 2 1,2\n" + bytes([0] * 8) + bytes([1] + [0] * 7)
-    assert row.key is held["key"] and vars(row) == held and held["standard"] is None
+    assert _keyed(row).key is held["key"] and vars(row) == held and held["standard"] is None
     assert Row(1, (0, 1), (1,), "<=", 1, "a").key is None
 
 
@@ -210,9 +219,10 @@ def test_replace_checks_again(record, changes, error, message):
 
 def test_replace_works_out_a_row_again():
     row = Row(2, (0, 1), (1, 1), "=", 2, "mass_0")
-    assert row.key.startswith(b"= 2 2 2 *1\n")
+    assert _keyed(row).key.startswith(b"= 2 2 2 *1\n")
     relaxed = replace(row, rel="<=")
-    assert (relaxed.rel, relaxed.unit, relaxed.fault, relaxed.key[:2]) == ("<=", 1, None, b"<=")
+    assert relaxed.key is None
+    assert (relaxed.rel, relaxed.unit, relaxed.fault, _keyed(relaxed).key[:2]) == ("<=", 1, None, b"<=")
     with pytest.raises(LpboundsError, match="columns out of order"):
         _class("lp.LinearProgram")(("x", "y"), COST, (replace(row, cols=(1, 0)),))
 
